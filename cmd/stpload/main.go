@@ -64,7 +64,6 @@ func main() {
 type report struct {
 	Transport      string  `json:"transport"`
 	Proto          string  `json:"proto"`
-	Engine         string  `json:"engine"`
 	Impair         string  `json:"impair"`
 	SessionsPerWav int     `json:"sessions_per_wave"`
 	Waves          int     `json:"waves"`
@@ -93,8 +92,8 @@ type report struct {
 	InboxDrops   int64   `json:"inbox_drops"`
 
 	// Footprint block: peak resident memory and peak goroutine count over
-	// the whole run — the scale sweep's evidence that the event-loop
-	// engine's cost per session is flat.
+	// the whole run — the scale sweep's evidence that the event loop's
+	// cost per session is flat.
 	MaxRSSBytes    int64 `json:"max_rss_bytes"`
 	GoroutinesPeak int   `json:"goroutines_peak"`
 
@@ -119,7 +118,6 @@ func run() int {
 		rate      = flag.Float64("rate", 0, "target session-start rate per second (0 = unpaced waves)")
 		duration  = flag.Duration("duration", 5*time.Second, "load window: new waves start until this elapses")
 		transport = flag.String("transport", "inproc", "transport: inproc|udp")
-		engineStr = flag.String("engine", "loop", "session engine: loop|goroutine")
 		inboxSize = flag.Int("inbox", 0, "per-session inbox capacity (0 = wire default)")
 		evSample  = flag.Uint64("event-sample", 0, "emit lifecycle events for every Nth session id (0 = auto-scale to fleet size, 1 = every session)")
 		impair    = flag.String("impair", "none", "impairment preset ("+strings.Join(wire.ImpairPresetNames(), "|")+") or channel-model spec ("+chanmodel.SpecSyntax+")")
@@ -164,11 +162,6 @@ func run() int {
 	}
 	if *transport != "inproc" && *transport != "udp" {
 		fmt.Fprintf(os.Stderr, "stpload: unknown transport %q (have inproc, udp)\n", *transport)
-		return 2
-	}
-	engine, err := wire.ParseEngine(*engineStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpload:", err)
 		return 2
 	}
 	if *inboxSize < 0 {
@@ -223,7 +216,6 @@ func run() int {
 	rep := report{
 		Transport:      *transport,
 		Proto:          *proto,
-		Engine:         engine.String(),
 		Impair:         *impair,
 		SessionsPerWav: *sessions,
 	}
@@ -235,8 +227,8 @@ func run() int {
 	var goodputN int
 	runDigest := fnv.New64a()
 
-	// Goroutine-peak sampler: the footprint claim of the event-loop engine
-	// is precisely that this number stays flat as fleets grow.
+	// Goroutine-peak sampler: the footprint claim of the event loop is
+	// precisely that this number stays flat as fleets grow.
 	var goroutinePeak atomic.Int64
 	samplerStop := make(chan struct{})
 	go func() {
@@ -314,7 +306,7 @@ func run() int {
 			sreports, serr := wire.ServeSupervised(ctx, wire.ChaosServeConfig{
 				ServeConfig: wire.ServeConfig{
 					Transport: tr, Sessions: cfgs, Obs: reg,
-					Engine: engine, EventSampleEvery: sampleEvery,
+					EventSampleEvery: sampleEvery,
 				},
 				Chaos: wire.ChaosConfig{
 					Crashes: crashSpec.Crashes,
@@ -360,7 +352,7 @@ func run() int {
 		} else {
 			reports, serr := wire.Serve(ctx, wire.ServeConfig{
 				Transport: tr, Sessions: cfgs, Obs: reg,
-				Engine: engine, EventSampleEvery: sampleEvery,
+				EventSampleEvery: sampleEvery,
 			})
 			cancel()
 			if serr != nil {
@@ -451,8 +443,8 @@ func run() int {
 		}
 	}
 
-	fmt.Printf("stpload: transport=%s engine=%s proto=%s impair=%s waves=%d sessions=%d complete=%d violations=%d frames/s=%.0f rss=%dMB goroutines_peak=%d\n",
-		rep.Transport, rep.Engine, rep.Proto, rep.Impair, rep.Waves, rep.Sessions, rep.Completed, rep.Violations,
+	fmt.Printf("stpload: transport=%s proto=%s impair=%s waves=%d sessions=%d complete=%d violations=%d frames/s=%.0f rss=%dMB goroutines_peak=%d\n",
+		rep.Transport, rep.Proto, rep.Impair, rep.Waves, rep.Sessions, rep.Completed, rep.Violations,
 		rep.FramesPerSec, rep.MaxRSSBytes>>20, rep.GoroutinesPeak)
 	if supervised {
 		fmt.Printf("stpload: chaos preset=%s policy=%s incarnations=%d crashes=%d scrambled=%d watchdog=%d bad_writes=%d post_stab_violations=%d digest=%s\n",

@@ -72,7 +72,6 @@ func run() int {
 		tick     = fs.Duration("tick", wire.DefaultTick, "per-process pacing tick")
 		deadline = fs.Duration("deadline", 30*time.Second, "per-session deadline")
 		seed     = fs.Int64("seed", 1, "base seed (cell c, session i derives from seed+c*stride+i)")
-		engine   = fs.String("engine", "loop", "node-side session engine: loop|goroutine")
 		assemble = fs.Duration("assemble-timeout", 60*time.Second, "how long to wait for the fleet to connect")
 		reportTo = fs.String("report", "BENCH_cluster.json", "write the bench document to this file (\"-\" = stdout)")
 		verbose  = fs.Bool("v", false, "log fleet assembly and per-cell progress")
@@ -110,10 +109,6 @@ func run() int {
 			return 2
 		}
 	}
-	if _, err := wire.ParseEngine(*engine); err != nil {
-		fmt.Fprintln(os.Stderr, "stpmaster:", err)
-		return 2
-	}
 
 	cfg := cluster.MasterConfig{
 		Listen:  *listen,
@@ -124,7 +119,7 @@ func run() int {
 			Timeout: *timeout, Window: *window, Cap: *capBound,
 			Sessions: sessionsAxis, Rates: ratesAxis, Impairs: impairAxis,
 			CrashPresets: splitList(*chaos), RestartPolicy: *restart,
-			Tick: *tick, Deadline: *deadline, Seed: *seed, Engine: *engine,
+			Tick: *tick, Deadline: *deadline, Seed: *seed,
 		},
 		AssembleTimeout: *assemble,
 		CellTimeout:     *cellTO,

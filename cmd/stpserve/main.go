@@ -63,7 +63,6 @@ func run() int {
 		sessions  = flag.Int("sessions", 8, "number of concurrent sessions")
 		items     = flag.Int("items", 6, "input items per session (repetition-free, so at most -m)")
 		transport = flag.String("transport", "inproc", "transport: inproc|udp|det")
-		engineStr = flag.String("engine", "loop", "session engine for live transports: loop|goroutine")
 		inboxSize = flag.Int("inbox", 0, "per-session inbox capacity (0 = wire default)")
 		evSample  = flag.Uint64("event-sample", 1, "emit lifecycle events for every Nth session id (1 = every session)")
 		impair    = flag.String("impair", "none", "impairment preset ("+strings.Join(wire.ImpairPresetNames(), "|")+") or channel-model spec ("+chanmodel.SpecSyntax+")")
@@ -118,11 +117,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "stpserve:", err)
 		return 2
 	}
-	engine, err := wire.ParseEngine(*engineStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpserve:", err)
-		return 2
-	}
 	if *inboxSize < 0 {
 		fmt.Fprintln(os.Stderr, "stpserve: -inbox must be >= 0")
 		return 2
@@ -170,7 +164,7 @@ func run() int {
 		code = runDet(*proto, params, inputs, *seed, opts, *verbose)
 	case "inproc", "udp":
 		code = runLive(*transport, *proto, params, inputs, opts, chaos, metrics.Registry(),
-			liveOptions{engine: engine, inboxSize: *inboxSize, eventSampleEvery: *evSample},
+			liveOptions{inboxSize: *inboxSize, eventSampleEvery: *evSample},
 			*tick, *duration, *deadline, *require, *verbose)
 	default:
 		fmt.Fprintf(os.Stderr, "stpserve: unknown transport %q (have det, inproc, udp)\n", *transport)
@@ -206,9 +200,8 @@ func runNode(master, name, dataHost string, verbose bool) int {
 	return 0
 }
 
-// liveOptions carries the engine-selection flags into runLive.
+// liveOptions carries the session-tuning flags into runLive.
 type liveOptions struct {
-	engine           wire.Engine
 	inboxSize        int
 	eventSampleEvery uint64
 }
@@ -275,7 +268,7 @@ func runLive(transport, proto string, params registry.Params, inputs []seq.Seq,
 	}
 	reports, err := wire.Serve(ctx, wire.ServeConfig{
 		Transport: tr, Sessions: cfgs, Obs: reg,
-		Engine: live.engine, EventSampleEvery: live.eventSampleEvery,
+		EventSampleEvery: live.eventSampleEvery,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stpserve:", err)
@@ -298,8 +291,8 @@ func runLive(transport, proto string, params registry.Params, inputs []seq.Seq,
 				rep.Elapsed.Round(time.Millisecond), rep.GoodputItemsPerSec)
 		}
 	}
-	fmt.Printf("stpserve: transport=%s engine=%s proto=%s sessions=%d complete=%d safety violations %d\n",
-		tr.Name(), live.engine, proto, len(reports), complete, violations)
+	fmt.Printf("stpserve: transport=%s proto=%s sessions=%d complete=%d safety violations %d\n",
+		tr.Name(), proto, len(reports), complete, violations)
 	if violations > 0 {
 		return 1
 	}
@@ -321,7 +314,7 @@ func runSupervised(ctx context.Context, tr wire.Transport, cfgs []wire.SessionCo
 	reports, err := wire.ServeSupervised(ctx, wire.ChaosServeConfig{
 		ServeConfig: wire.ServeConfig{
 			Transport: tr, Sessions: cfgs, Obs: reg,
-			Engine: live.engine, EventSampleEvery: live.eventSampleEvery,
+			EventSampleEvery: live.eventSampleEvery,
 		},
 		Chaos: wire.ChaosConfig{
 			Crashes: chaos.crashes,

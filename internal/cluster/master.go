@@ -115,7 +115,6 @@ func (m *Master) Run(ctx context.Context) (*BenchDoc, error) {
 		Proto:         m.cfg.Sweep.Proto,
 		M:             m.cfg.Sweep.M,
 		Items:         m.cfg.Sweep.Items,
-		Engine:        m.cfg.Sweep.Engine,
 		Servers:       len(servers),
 		Clients:       len(clients),
 		Seed:          m.cfg.Sweep.Seed,
@@ -268,7 +267,6 @@ func (m *Master) runCell(ci int, key CellKey, servers, clients []*node) (*BenchC
 			Seed:       seedBase,
 			TickNS:     int64(sw.Tick),
 			DeadlineNS: int64(sw.Deadline),
-			Engine:     sw.Engine,
 			// Chaos is shared by both ends: each node applies only the
 			// crash points targeting its own half.
 			Chaos:         key.Chaos,

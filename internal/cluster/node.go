@@ -129,10 +129,6 @@ func runCellNode(ctx context.Context, cfg NodeConfig, c *conn, asgn Assignment, 
 			return fail("impair", err)
 		}
 	}
-	engine, err := wire.ParseEngine(asgn.Engine)
-	if err != nil {
-		return fail("engine", err)
-	}
 	chaosOn, chaosPts, chaosPolicy, err := nodeChaos(asgn, cfg.Role)
 	if err != nil {
 		return fail("chaos", err)
@@ -177,7 +173,7 @@ func runCellNode(ctx context.Context, cfg NodeConfig, c *conn, asgn Assignment, 
 		var sreports []wire.SupervisedReport
 		sreports, runErr = wire.ServeSupervised(ctx, wire.ChaosServeConfig{
 			ServeConfig: wire.ServeConfig{
-				Transport: tr, Sessions: cfgs, Obs: reg, Engine: engine,
+				Transport: tr, Sessions: cfgs, Obs: reg,
 			},
 			Chaos: wire.ChaosConfig{Crashes: chaosPts, Policy: chaosPolicy, Seed: asgn.Seed},
 			Rebuild: func(i int) (protocol.Sender, protocol.Receiver, error) {
@@ -187,12 +183,12 @@ func runCellNode(ctx context.Context, cfg NodeConfig, c *conn, asgn Assignment, 
 		rep = summarizeSupervisedNode(cfg, sreports, reg, time.Since(start))
 	case cfg.Role == RoleClient && asgn.Rate > 0:
 		var reports []wire.Report
-		reports, runErr = runPaced(ctx, tr, cfgs, reg, engine, asgn.Rate)
+		reports, runErr = runPaced(ctx, tr, cfgs, reg, asgn.Rate)
 		rep = summarizeNode(cfg, reports, reg, time.Since(start))
 	default:
 		var reports []wire.Report
 		reports, runErr = wire.Serve(ctx, wire.ServeConfig{
-			Transport: tr, Sessions: cfgs, Obs: reg, Engine: engine,
+			Transport: tr, Sessions: cfgs, Obs: reg,
 		})
 		rep = summarizeNode(cfg, reports, reg, time.Since(start))
 	}
@@ -284,9 +280,9 @@ func nodeChaos(asgn Assignment, role string) (on bool, pts []faults.CrashPoint, 
 // starts are spaced 1/rate apart, so a cell ramps load instead of
 // slamming every sender on at once.
 func runPaced(ctx context.Context, tr wire.Transport, cfgs []wire.SessionConfig,
-	reg *obs.Registry, engine wire.Engine, rate float64) ([]wire.Report, error) {
+	reg *obs.Registry, rate float64) ([]wire.Report, error) {
 
-	mux := wire.NewMuxConfig(tr, wire.MuxConfig{Obs: reg, Engine: engine})
+	mux := wire.NewMux(tr, reg)
 	sessions := make([]*wire.Session, len(cfgs))
 	for i, sc := range cfgs {
 		s, err := mux.NewSession(sc)

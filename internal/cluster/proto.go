@@ -89,9 +89,6 @@ type Assignment struct {
 	// the preset shapes both directions of that end's socket.
 	Impair string `json:"impair,omitempty"`
 
-	// Engine selects the session executor ("loop" default, "goroutine").
-	Engine string `json:"engine,omitempty"`
-
 	// Chaos names the crash-restart preset driving wire.ServeSupervised
 	// on this node ("" or "none" = plain wire.Serve). Unlike Impair it is
 	// shared by both ends of a pair: each node applies only the crash

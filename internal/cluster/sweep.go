@@ -42,9 +42,6 @@ type SweepConfig struct {
 	// Seed is the base seed; cell c, session id i derives its input from
 	// Seed + c*CellSeedStride + i, so no two cells share a tape stream.
 	Seed int64
-
-	// Engine selects the node-side session executor ("" = "loop").
-	Engine string
 }
 
 // CellSeedStride spaces the per-cell seed bases far enough apart that no
@@ -126,9 +123,6 @@ func (c *SweepConfig) normalize() error {
 	if c.Deadline <= 0 {
 		c.Deadline = 30 * time.Second
 	}
-	if c.Engine == "" {
-		c.Engine = "loop"
-	}
 	return nil
 }
 
@@ -203,7 +197,6 @@ type BenchDoc struct {
 	Proto    string  `json:"proto"`
 	M        int     `json:"m"`
 	Items    int     `json:"items"`
-	Engine   string  `json:"engine"`
 	Servers  int     `json:"servers"`
 	Clients  int     `json:"clients"`
 	Seed     int64   `json:"seed"`

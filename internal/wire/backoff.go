@@ -19,10 +19,11 @@ const backoffJitter = 0.25
 
 // backoff is the sender's retransmission pacer state: exponential
 // growth under consecutive retransmissions, reset on progress, capped,
-// jittered. The mux pacer (goroutine engine) and the worker timer heap
-// (event-loop engine) both tick at the base interval; backoff decides
-// which of those ticks are due — so the mechanism adds no timers, only
-// a time comparison per tick.
+// jittered. The worker timer heap ticks at the base interval; backoff
+// decides which of those ticks are due — so the mechanism adds no
+// timers, only an integer comparison per tick. Instants (now, next) are
+// nanoseconds on the engine timeline, like every other time the loop
+// compares.
 //
 // The struct is pure (no goroutines, no clocks of its own) so the cap
 // and growth law can be pinned by unit tests. The jitter stream is an
@@ -34,10 +35,10 @@ type backoff struct {
 	max  time.Duration
 	cur  time.Duration
 	rng  uint64
-	next time.Time
+	next int64
 }
 
-func newBackoff(base time.Duration, seed int64, now time.Time) backoff {
+func newBackoff(base time.Duration, seed int64, now int64) backoff {
 	b := backoff{
 		base: base,
 		max:  BackoffCapFactor * base,
@@ -59,11 +60,11 @@ func splitmix64(state *uint64) uint64 {
 }
 
 // due reports whether a spontaneous step may fire at now.
-func (b *backoff) due(now time.Time) bool { return !now.Before(b.next) }
+func (b *backoff) due(now int64) bool { return now >= b.next }
 
 // arm schedules the next spontaneous step one jittered interval after
 // now.
-func (b *backoff) arm(now time.Time) { b.next = now.Add(b.jittered()) }
+func (b *backoff) arm(now int64) { b.next = now + int64(b.jittered()) }
 
 // jittered returns the current interval ±backoffJitter, drawn from the
 // seeded stream.

@@ -11,7 +11,7 @@ import (
 // base interval on progress.
 func TestBackoffCapPinned(t *testing.T) {
 	base := time.Millisecond
-	b := newBackoff(base, 42, time.Now())
+	b := newBackoff(base, 42, 0)
 	if b.cur != base {
 		t.Fatalf("initial interval %v, want %v", b.cur, base)
 	}
@@ -46,13 +46,13 @@ func TestBackoffCapPinned(t *testing.T) {
 // always due by 125% of it.
 func TestBackoffDueness(t *testing.T) {
 	base := 8 * time.Millisecond
-	now := time.Unix(0, 0)
+	const now = int64(1e9)
 	b := newBackoff(base, 7, now)
 	for i := 0; i < 50; i++ {
-		if b.due(now.Add(time.Duration(float64(base) * (1 - backoffJitter - 0.01)))) {
+		if b.due(now + int64(float64(base)*(1-backoffJitter-0.01))) {
 			t.Fatalf("arm %d: due before the jitter floor", i)
 		}
-		if !b.due(now.Add(time.Duration(float64(base) * (1 + backoffJitter + 0.01)))) {
+		if !b.due(now + int64(float64(base)*(1+backoffJitter+0.01))) {
 			t.Fatalf("arm %d: not due after the jitter ceiling", i)
 		}
 		b.arm(now)
@@ -62,9 +62,8 @@ func TestBackoffDueness(t *testing.T) {
 // TestBackoffJitterSeedDeterminism: equal seeds draw equal jitter
 // streams, so a session's pacing replays from its seed.
 func TestBackoffJitterSeedDeterminism(t *testing.T) {
-	now := time.Now()
-	a := newBackoff(time.Millisecond, 99, now)
-	b := newBackoff(time.Millisecond, 99, now)
+	a := newBackoff(time.Millisecond, 99, 0)
+	b := newBackoff(time.Millisecond, 99, 0)
 	for i := 0; i < 64; i++ {
 		if ja, jb := a.jittered(), b.jittered(); ja != jb {
 			t.Fatalf("draw %d diverged: %v vs %v", i, ja, jb)

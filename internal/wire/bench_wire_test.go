@@ -95,8 +95,8 @@ const benchCreditChunk = 64
 
 // benchPump is a closed-loop data-plane pump: nSessions sessions are
 // registered on a mux over tr, sender goroutines push in-alphabet frames
-// round-robin through the mux send path under a credit bound, and
-// per-session drainers count what lands in the inboxes. The reported
+// round-robin through the mux send path under a credit bound, and a
+// drainer counts what lands in the inboxes. The reported
 // ns/op is wall time per *delivered* frame.
 func benchPump(b *testing.B, tr Transport, nSessions, credits int) {
 	b.Helper()
@@ -105,9 +105,9 @@ func benchPump(b *testing.B, tr Transport, nSessions, credits int) {
 	input := seq.Seq{0, 1, 2, 3, 4, 5, 6, 7}
 
 	var delivered, outstanding atomic.Int64
-	var stop sync.Once
 	done := make(chan struct{})
 	payloads := make([]msg.Msg, nSessions)
+	inboxes := make([]*inbox, nSessions)
 	for i := 0; i < nSessions; i++ {
 		s, r, err := registry.Pair("alpha", params, input)
 		if err != nil {
@@ -124,33 +124,36 @@ func benchPump(b *testing.B, tr Transport, nSessions, credits int) {
 			b.Fatalf("NewSession: %v", err)
 		}
 		payloads[i] = s.Alphabet().Msgs()[0]
-		go func(q *inbox) {
-			var batch []msg.Msg
-			for {
+		inboxes[i] = sess.receiverInbox
+	}
+	// One drainer sweeps every inbox (each still has exactly one
+	// consumer, as the SPSC rings require) and yields when a whole sweep
+	// comes up empty — the sessions are registered but never started, so
+	// no loop worker competes for the inboxes.
+	go func() {
+		var batch []msg.Msg
+		for {
+			got := 0
+			for _, q := range inboxes {
 				batch = q.drain(batch)
-				if len(batch) == 0 {
-					if !q.arm() {
-						continue
-					}
-					select {
-					case <-q.notify:
-					case <-done:
-						return
-					}
-					continue
-				}
-				outstanding.Add(int64(-len(batch)))
-				if delivered.Add(int64(len(batch))) >= int64(b.N) {
-					stop.Do(func() { close(done) })
-				}
+				got += len(batch)
+			}
+			if got == 0 {
 				select {
 				case <-done:
 					return
 				default:
+					runtime.Gosched()
 				}
+				continue
 			}
-		}(sess.receiverInbox)
-	}
+			outstanding.Add(int64(-got))
+			if delivered.Add(int64(got)) >= int64(b.N) {
+				close(done)
+				return
+			}
+		}
+	}()
 
 	senders := 2
 	var wg sync.WaitGroup

@@ -1,7 +1,8 @@
 package wire
 
 import (
-	"fmt"
+	"context"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,59 +12,16 @@ import (
 	"seqtx/internal/protocol"
 )
 
-// Engine selects how a mux executes its sessions.
-//
-// The event-loop engine (the default) runs every session as an inline
-// state machine on a fixed pool of workers: frame arrival and pacing
-// ticks become events on a per-worker queue, the protocol Step runs to
-// completion on the loop, and a session at rest costs a struct, two
-// inboxes, and one timer-heap entry — no goroutines, no runtime timers,
-// no contexts. That flat footprint is what lets one mux hold a million
-// concurrent sessions; the goroutine engine's 2N stacks and 2N
-// scheduler entities stop far short of that.
-//
-// The goroutine engine is the original execution model — a dedicated
-// sender+receiver goroutine pair per session — kept as a comparison
-// baseline and as the reference semantics the equivalence suite holds
-// the loop engine to.
-type Engine int
-
-const (
-	// EngineLoop is the event-loop engine (the zero value, so every
-	// config that does not choose gets the scalable engine).
-	EngineLoop Engine = iota
-	// EngineGoroutine is the goroutine-pair-per-session engine.
-	EngineGoroutine
-)
-
-// String names the engine as the -engine flag spells it.
-func (e Engine) String() string {
-	if e == EngineGoroutine {
-		return "goroutine"
-	}
-	return "loop"
-}
-
-// ParseEngine resolves an -engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "loop", "":
-		return EngineLoop, nil
-	case "goroutine":
-		return EngineGoroutine, nil
-	}
-	return 0, fmt.Errorf("wire: unknown engine %q (have loop, goroutine)", s)
-}
-
 // maxLoopWorkers caps the worker pool: past the point where every CPU
 // has a worker, more loops only add queues to migrate sessions across.
 const maxLoopWorkers = 64
 
 // timerEntry is one session's pending wakeup: the earlier of its next
-// pacing tick and its deadline, as nanoseconds since the epoch. Each
-// attached unfinished session has exactly one live entry; a finished
-// session's entry stays in the heap and is discarded when popped
-// (lazy removal keeps pop O(log n) with no search).
+// pacing tick and its deadline, as nanoseconds on the engine timeline
+// (loopEngine.now). Each attached unfinished session has exactly one
+// live entry; a finished session's entry stays in the heap and is
+// discarded when popped (lazy removal keeps pop O(log n) with no
+// search).
 type timerEntry struct {
 	at int64
 	s  *Session
@@ -115,14 +73,28 @@ func (h *timerHeap) pop() timerEntry {
 	return top
 }
 
-// loopEngine is the mux's event-loop executor: a fixed pool of workers,
-// each owning a shard group of sessions. A session is pinned to one
-// worker by id hash for its whole life, so all of its state is
-// single-threaded with no per-field locking — the same ownership
-// discipline the goroutine engine gets from its two loops, at a
-// fraction of the footprint.
+// noDeadline is the deadlineAt of a session that never expires: later
+// than any instant on the engine timeline, so the wake computation and
+// the due-check need no "is there a deadline" branch.
+const noDeadline = math.MaxInt64
+
+// loopEngine is the mux's session executor: a fixed pool of workers,
+// each owning a shard group of sessions. Frame arrivals and pacing
+// ticks become events on a per-worker queue, the protocol Step runs to
+// completion on the loop, and a session at rest costs a struct, two
+// inboxes, and one timer-heap entry — no goroutines, no runtime timers,
+// no contexts; that flat footprint is what lets one mux hold a million
+// concurrent sessions. A session is pinned to one worker by id hash for
+// its whole life, so all of its state is single-threaded with no
+// per-field locking.
+//
+// Every instant the engine compares — heap keys, pacing ticks,
+// deadlines, backoff — is an int64 of nanoseconds since epoch, read
+// from the monotonic clock by now. One clock, one representation: a
+// popped timer entry is due by the same reading fire judges it with.
 type loopEngine struct {
 	m       *Mux
+	epoch   time.Time
 	workers []*loopWorker
 	stop    chan struct{}
 	once    sync.Once
@@ -138,6 +110,7 @@ func newLoopEngine(m *Mux, workers int) *loopEngine {
 	}
 	e := &loopEngine{
 		m:       m,
+		epoch:   time.Now(),
 		workers: make([]*loopWorker, workers),
 		stop:    make(chan struct{}),
 	}
@@ -160,19 +133,32 @@ func (e *loopEngine) workerFor(id uint64) *loopWorker {
 	return e.workers[((id*fibMul)>>32)%uint64(len(e.workers))]
 }
 
+// now reads the engine timeline: monotonic nanoseconds since epoch.
+func (e *loopEngine) now() int64 { return int64(time.Since(e.epoch)) }
+
 // start attaches a registered session to its worker and schedules its
-// first service. deadlineAt zero means no deadline. onDone, when
-// non-nil, receives the report on the worker goroutine as the session
-// finishes; when nil the report is delivered through s.done for Run to
-// collect. The first pacing tick is phase-shifted by a per-session
-// hash so a fleet started together does not put every session's tick
-// on the same instant (the million-session thundering herd).
-func (e *loopEngine) start(s *Session, deadlineAt time.Time, onDone func(Report)) {
-	now := time.Now()
-	s.start = now
-	s.deadlineAt = deadlineAt
-	phase := time.Duration((uint64(s.cfg.Seed) * fibMul) % uint64(s.cfg.Tick))
-	s.tickNext = now.Add(s.cfg.Tick/2 + phase)
+// first service. The session's deadlines — SessionConfig.Deadline and
+// any ctx deadline — collapse here into one instant on the engine
+// timeline, enforced by the worker's timer heap: no context tower, no
+// runtime timers. ctx cancellation is the caller's to relay (cancel).
+// onDone, when non-nil, receives the report on the worker goroutine as
+// the session finishes; when nil the report is delivered through s.done
+// for Run to collect. The first pacing tick is phase-shifted by a
+// per-session hash so a fleet started together does not put every
+// session's tick on the same instant (the million-session thundering
+// herd).
+func (e *loopEngine) start(ctx context.Context, s *Session, onDone func(Report)) {
+	s.start = time.Now()
+	now := int64(s.start.Sub(e.epoch))
+	s.deadlineAt = noDeadline
+	if s.cfg.Deadline > 0 {
+		s.deadlineAt = now + int64(s.cfg.Deadline)
+	}
+	if d, ok := ctx.Deadline(); ok {
+		s.deadlineAt = min(s.deadlineAt, int64(d.Sub(e.epoch)))
+	}
+	phase := int64((uint64(s.cfg.Seed) * fibMul) % uint64(s.cfg.Tick))
+	s.tickNext = now + int64(s.cfg.Tick)/2 + phase
 	s.bo = newBackoff(s.cfg.Tick, s.cfg.Seed, now)
 	s.onDone = onDone
 	if onDone == nil {
@@ -202,10 +188,12 @@ func (e *loopEngine) close() {
 // loopWorker drives one shard group of sessions: a ready queue fed by
 // the routers (frame arrivals) and control operations (start, cancel),
 // plus a timer heap for pacing ticks and deadlines. The ready queue is
-// a mutex-guarded slice with the same Dekker-style sleep handshake as
-// the session inboxes: a producer only touches the notify channel when
-// the worker has declared itself parked, so a busy worker costs
-// producers one atomic load per wakeup attempt, not a channel op.
+// a mutex-guarded slice with a Dekker-style sleep handshake: the worker
+// sets sleeping, then re-checks the queue once before parking, so a
+// schedule either lands in that final check or sees the flag and sends
+// the wakeup token. A producer only touches the notify channel when the
+// worker has declared itself parked, so a busy worker costs producers
+// one atomic load per wakeup attempt, not a channel op.
 type loopWorker struct {
 	eng *loopEngine
 
@@ -276,9 +264,8 @@ func (w *loopWorker) run() {
 			ready[i] = nil // no stale *Session pins in the swap buffer
 		}
 		if len(w.timers) > 0 {
-			now := time.Now()
-			nowNs := now.UnixNano()
-			for len(w.timers) > 0 && w.timers[0].at <= nowNs {
+			now := w.eng.now()
+			for len(w.timers) > 0 && w.timers[0].at <= now {
 				e := w.timers.pop()
 				w.fire(e.s, now)
 				progress = true
@@ -300,7 +287,7 @@ func (w *loopWorker) run() {
 		}
 		d := time.Hour
 		if len(w.timers) > 0 {
-			if d = time.Until(time.Unix(0, w.timers[0].at)); d <= 0 {
+			if d = time.Duration(w.timers[0].at - w.eng.now()); d <= 0 {
 				w.sleeping.Store(false)
 				continue
 			}
@@ -372,7 +359,13 @@ func (w *loopWorker) service(s *Session) {
 // (Complete=false — never a safety verdict), a due pacing tick steps
 // the receiver and, when the retransmission backoff agrees, the
 // sender; then the one live heap entry is re-armed at the next wake.
-func (w *loopWorker) fire(s *Session, now time.Time) {
+// now is the reading that popped the entry, so the entry's instant —
+// the earlier of tickNext and deadlineAt — is due here too: fire either
+// finishes the session or moves tickNext past now, and the entry it
+// pushes back is strictly later than now. That is the worker's
+// progress guarantee; it holds because pop and due-check share one
+// clock reading in one representation.
+func (w *loopWorker) fire(s *Session, now int64) {
 	if s.finished {
 		return // lazily removed entry
 	}
@@ -380,11 +373,11 @@ func (w *loopWorker) fire(s *Session, now time.Time) {
 		w.finish(s)
 		return
 	}
-	if !s.deadlineAt.IsZero() && !now.Before(s.deadlineAt) {
+	if now >= s.deadlineAt {
 		w.finish(s)
 		return
 	}
-	if !now.Before(s.tickNext) {
+	if now >= s.tickNext {
 		if s.runsReceiver() {
 			if s.receiverEvent(protocol.TickEvent()) != stepRunning {
 				w.finish(s)
@@ -403,7 +396,7 @@ func (w *loopWorker) fire(s *Session, now time.Time) {
 				return
 			}
 		}
-		s.tickNext = now.Add(s.cfg.Tick)
+		s.tickNext = now + int64(s.cfg.Tick)
 	}
 	w.timers.push(s.nextWake(), s)
 }

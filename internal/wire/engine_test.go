@@ -17,14 +17,13 @@ import (
 // needs Timeout, the windowed family needs Window).
 var zooParams = registry.Params{M: 8, Timeout: 4, Window: 4}
 
-// equivalenceZoo is the registry zoo the engine-equivalence suite runs,
-// and the impairment presets each protocol must survive. naive is
-// excluded by design: it is the paper's deliberately unsafe strawman.
-// afwz skips dup-replay and reorder because its model assumes a
-// duplication-free FIFO channel — on those presets it (correctly)
-// violates or stalls on either engine, so neither cell says anything
-// about engine equivalence.
-var equivalenceZoo = []struct {
+// zooCells is the registry zoo the outcome suite runs, and the
+// impairment presets each protocol must survive. naive is excluded by
+// design: it is the paper's deliberately unsafe strawman. afwz skips
+// dup-replay and reorder because its model assumes a duplication-free
+// FIFO channel — on those presets it (correctly) violates or stalls, so
+// neither cell says anything about the engine.
+var zooCells = []struct {
 	proto   string
 	presets []string
 }{
@@ -39,21 +38,11 @@ var equivalenceZoo = []struct {
 	{"stab", []string{"none", "burst-drop", "dup-replay"}},
 }
 
-// runZooFleet runs n sessions of one protocol under one impairment
-// preset on the given engine, with per-session seeds fixed by index so
-// both engines draw identical jitter streams.
-func runZooFleet(t *testing.T, engine Engine, proto, preset string, n int) []Report {
+// zooSessions builds n sessions of one protocol on 4-item tapes, with
+// per-session seeds fixed by index (offset by seedBase) so every run
+// draws the same jitter streams.
+func zooSessions(t *testing.T, proto string, n int, tick, deadline time.Duration, seedBase int64) []SessionConfig {
 	t.Helper()
-	var tr Transport = NewInproc(0, nil)
-	if preset != "none" {
-		opts, err := ImpairPreset(preset)
-		if err != nil {
-			t.Fatalf("ImpairPreset: %v", err)
-		}
-		if tr, err = NewImpairment(tr, opts, nil); err != nil {
-			t.Fatalf("NewImpairment: %v", err)
-		}
-	}
 	cfgs := make([]SessionConfig, n)
 	for i := range cfgs {
 		x := make(seq.Seq, 4)
@@ -66,52 +55,58 @@ func runZooFleet(t *testing.T, engine Engine, proto, preset string, n int) []Rep
 		}
 		cfgs[i] = SessionConfig{
 			ID: uint64(i + 1), Sender: s, Receiver: r, Input: x,
-			Tick: 200 * time.Microsecond, Deadline: 30 * time.Second,
-			Seed: int64(1000*i + 7),
+			Tick: tick, Deadline: deadline, Seed: seedBase + int64(1000*i+7),
+		}
+	}
+	return cfgs
+}
+
+// runZooFleet runs n sessions of one protocol under one impairment
+// preset.
+func runZooFleet(t *testing.T, proto, preset string, n int) []Report {
+	t.Helper()
+	var tr Transport = NewInproc(0, nil)
+	if preset != "none" {
+		opts, err := ImpairPreset(preset)
+		if err != nil {
+			t.Fatalf("ImpairPreset: %v", err)
+		}
+		if tr, err = NewImpairment(tr, opts, nil); err != nil {
+			t.Fatalf("NewImpairment: %v", err)
 		}
 	}
 	reports, err := Serve(context.Background(), ServeConfig{
-		Transport: tr, Sessions: cfgs, Engine: engine,
+		Transport: tr,
+		Sessions:  zooSessions(t, proto, n, 200*time.Microsecond, 30*time.Second, 0),
 	})
 	if err != nil {
-		t.Fatalf("Serve(%s/%s/%v): %v", proto, preset, engine, err)
+		t.Fatalf("Serve(%s/%s): %v", proto, preset, err)
 	}
 	return reports
 }
 
-// TestEngineEquivalence is the engine-equivalence suite: the registry
-// zoo × impairment presets, run on both engines with the same seeds.
-// Both engines must reach the same verdict on every cell — every
-// session completes with Output exactly equal to Input and no safety
-// violation. Wall-clock-dependent fields (Elapsed, Retransmits,
-// LearnTimes) legitimately differ between engines on a live transport
-// — the engines schedule real time differently — so equivalence is
-// asserted on the observable protocol outcome, the same observable the
-// DESIGN §8 sim↔wire fidelity argument uses; DESIGN §11 makes the
-// argument for why this is the right equivalence.
+// TestEngineEquivalence is the zoo-outcome suite: the registry zoo ×
+// impairment presets, every cell run on the event loop with fixed
+// seeds. The engine's runs must be observably equivalent to the model's
+// — every session completes with Output exactly equal to Input and no
+// safety violation, the same observable the DESIGN §8 sim↔wire fidelity
+// argument uses (§11 argues why the loop's scheduling cannot change
+// it). Wall-clock-dependent fields (Elapsed, Retransmits, LearnTimes)
+// vary run to run on a live transport and are not asserted.
 func TestEngineEquivalence(t *testing.T) {
-	for _, z := range equivalenceZoo {
+	for _, z := range zooCells {
 		for _, preset := range z.presets {
-			z, preset := z, preset
 			t.Run(fmt.Sprintf("%s/%s", z.proto, preset), func(t *testing.T) {
 				t.Parallel()
-				loop := runZooFleet(t, EngineLoop, z.proto, preset, 2)
-				gor := runZooFleet(t, EngineGoroutine, z.proto, preset, 2)
-				for i := range loop {
-					for eng, rep := range map[string]Report{"loop": loop[i], "goroutine": gor[i]} {
-						if rep.SafetyViolation != nil {
-							t.Errorf("%s engine, session %d: safety violation: %v", eng, rep.ID, rep.SafetyViolation)
-						}
-						if !rep.Complete {
-							t.Errorf("%s engine, session %d: incomplete (%d/%d items)", eng, rep.ID, len(rep.Output), len(rep.Input))
-						}
-						if !rep.Output.Equal(rep.Input) {
-							t.Errorf("%s engine, session %d: output %s != input %s", eng, rep.ID, rep.Output, rep.Input)
-						}
+				for _, rep := range runZooFleet(t, z.proto, preset, 2) {
+					if rep.SafetyViolation != nil {
+						t.Errorf("session %d: safety violation: %v", rep.ID, rep.SafetyViolation)
 					}
-					if !loop[i].Output.Equal(gor[i].Output) {
-						t.Errorf("session %d: engines disagree on output: loop=%s goroutine=%s",
-							loop[i].ID, loop[i].Output, gor[i].Output)
+					if !rep.Complete {
+						t.Errorf("session %d: incomplete (%d/%d items)", rep.ID, len(rep.Output), len(rep.Input))
+					}
+					if !rep.Output.Equal(rep.Input) {
+						t.Errorf("session %d: output %s != input %s", rep.ID, rep.Output, rep.Input)
 					}
 				}
 			})
@@ -120,11 +115,10 @@ func TestEngineEquivalence(t *testing.T) {
 }
 
 // TestLoopDeadlineExpiry is the satellite regression for the context
-// tower's replacement: on the event-loop engine a session deadline is
-// carried in session state and enforced by the worker's timer heap, and
+// tower's replacement: a session deadline is carried in session state and enforced by the worker's timer heap, and
 // its expiry must report Complete=false — never a safety verdict.
 func TestLoopDeadlineExpiry(t *testing.T) {
-	mux := NewMuxConfig(NewInproc(0, nil), MuxConfig{Engine: EngineLoop})
+	mux := NewMux(NewInproc(0, nil), nil)
 	defer mux.Close()
 	x := seq.Seq{0, 1, 2, 3, 4, 5}
 	s, r, err := registry.Pair("alpha", zooParams, x)
@@ -150,11 +144,11 @@ func TestLoopDeadlineExpiry(t *testing.T) {
 	}
 }
 
-// TestLoopRunCtxDeadline: a ctx deadline folds into the same event-loop
-// deadline state as SessionConfig.Deadline, with the same verdict
+// TestLoopRunCtxDeadline: a ctx deadline folds into the same deadline
+// state as SessionConfig.Deadline, with the same verdict
 // contract.
 func TestLoopRunCtxDeadline(t *testing.T) {
-	mux := NewMuxConfig(NewInproc(0, nil), MuxConfig{Engine: EngineLoop})
+	mux := NewMux(NewInproc(0, nil), nil)
 	defer mux.Close()
 	x := seq.Seq{0, 1, 2, 3}
 	s, r, err := registry.Pair("alpha", zooParams, x)
@@ -178,11 +172,11 @@ func TestLoopRunCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestLoopRunContextCancellation: cancelling the Run ctx on the loop
-// engine finishes the session promptly through the engine's cancel
-// path (no contexts inside the loop).
+// TestLoopRunContextCancellation: cancelling the Run ctx finishes the
+// session promptly through the engine's cancel path (no contexts inside
+// the loop).
 func TestLoopRunContextCancellation(t *testing.T) {
-	mux := NewMuxConfig(NewInproc(0, nil), MuxConfig{Engine: EngineLoop})
+	mux := NewMux(NewInproc(0, nil), nil)
 	defer mux.Close()
 	x := seq.Seq{0, 1, 2, 3}
 	s, r, err := registry.Pair("alpha", zooParams, x)
@@ -215,12 +209,93 @@ func TestLoopRunContextCancellation(t *testing.T) {
 	}
 }
 
+// TestTimerProgressInvariant pins the worker's progress guarantee: fired
+// at any reading around its tick or its deadline, a session either
+// finishes or is left with exactly one heap entry strictly later than
+// that reading. An entry re-armed at or before now would be popped again
+// on the same reading, forever — the livelock a pop on the wall clock
+// judged by a due-check on the monotonic clock used to produce.
+func TestTimerProgressInvariant(t *testing.T) {
+	const tick = int64(time.Millisecond)
+	const at = int64(time.Second) // the instant under test
+	for _, tc := range []struct {
+		name               string
+		tickNext, deadline int64
+	}{
+		{"tick", at, noDeadline},
+		{"deadline", at + tick, at},
+		{"tick and deadline together", at, at},
+	} {
+		for _, now := range []int64{at - 1, at, at + 1} {
+			mux := NewMux(NewInproc(0, nil), nil)
+			x := seq.Seq{0, 1, 2, 3}
+			s, r, err := registry.Pair("alpha", zooParams, x)
+			if err != nil {
+				t.Fatalf("Pair: %v", err)
+			}
+			sess, err := mux.NewSession(SessionConfig{ID: 1, Sender: s, Receiver: r, Input: x, Tick: time.Duration(tick)})
+			if err != nil {
+				t.Fatalf("NewSession: %v", err)
+			}
+			// A detached worker: fire runs here, on the test goroutine.
+			w := &loopWorker{eng: mux.loop}
+			sess.start = time.Now()
+			sess.onDone = func(Report) {}
+			sess.bo = newBackoff(sess.cfg.Tick, sess.cfg.Seed, 0)
+			sess.tickNext, sess.deadlineAt = tc.tickNext, tc.deadline
+			w.fire(sess, now)
+			switch {
+			case sess.finished:
+				if now < tc.deadline {
+					t.Errorf("%s, now=at%+d: finished before its deadline", tc.name, now-at)
+				}
+				if len(w.timers) != 0 {
+					t.Errorf("%s, now=at%+d: finished session re-armed %d entries", tc.name, now-at, len(w.timers))
+				}
+			case len(w.timers) != 1:
+				t.Errorf("%s, now=at%+d: %d heap entries for a live session, want 1", tc.name, now-at, len(w.timers))
+			case w.timers[0].at <= now:
+				t.Errorf("%s, now=at%+d: re-armed at now%+d, not after now", tc.name, now-at, w.timers[0].at-now)
+			}
+			mux.Close()
+		}
+	}
+}
+
+// TestServeWaveStress is the livelock regression at fleet scale: wave
+// after wave of 1024 short sessions saturates both workers' timer
+// heaps, which is where a worker used to spin on a not-quite-due entry
+// and starve half a wave past its deadline (about one wave in twenty).
+// Every session of every wave must complete, inside its deadline.
+func TestServeWaveStress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet stress in -short mode")
+	}
+	const waves, n, deadline = 30, 1024, 2 * time.Second
+	for w := 0; w < waves; w++ {
+		cfgs := zooSessions(t, "alpha", n, time.Millisecond, deadline, int64(w))
+		// The ctx outlives the deadline only so that a stuck worker — which
+		// honours cancellation but not deadlines — fails the test instead
+		// of hanging it.
+		reports, err := Serve(contextWithTimeout(t, 2*deadline), ServeConfig{Transport: NewInproc(0, nil), Sessions: cfgs})
+		if err != nil {
+			t.Fatalf("wave %d: Serve: %v", w, err)
+		}
+		for _, rep := range reports {
+			if !rep.Complete || rep.Elapsed >= deadline {
+				t.Fatalf("wave %d, session %d: complete=%v after %v (deadline %v)",
+					w, rep.ID, rep.Complete, rep.Elapsed, deadline)
+			}
+		}
+	}
+}
+
 // TestOverflowSessionIDs drives sessions whose ids are past the dense
 // table's range through the copy-on-write shard path: registration,
 // routing, duplicate rejection, and completion must all behave exactly
 // as for ordinary ids.
 func TestOverflowSessionIDs(t *testing.T) {
-	mux := NewMuxConfig(NewInproc(0, nil), MuxConfig{Engine: EngineLoop})
+	mux := NewMux(NewInproc(0, nil), nil)
 	defer mux.Close()
 	base := denseLimit + 17
 	sessions := make([]*Session, 4)
@@ -324,7 +399,7 @@ func TestLoopPrimitivesZeroAlloc(t *testing.T) {
 // TestLoopFlatMemory is the tentpole's footprint contract in miniature:
 // a fleet of idle event-loop sessions must cost no goroutines and a
 // bounded, flat number of bytes each. 20k sessions keep the test fast;
-// the per-session bound (8 KB) is far under a goroutine-pair's stacks
+// the per-session bound (8 KB) is far under a goroutine pair's stacks
 // and catches regressions like a per-session *rand.Rand (~5 KB) or
 // restored 1024-slot inboxes (~32 KB) immediately.
 func TestLoopFlatMemory(t *testing.T) {
@@ -332,7 +407,7 @@ func TestLoopFlatMemory(t *testing.T) {
 		t.Skip("memory census in -short mode")
 	}
 	const n = 20000
-	mux := NewMuxConfig(NewInproc(0, nil), MuxConfig{Engine: EngineLoop, EventSampleEvery: 1024})
+	mux := NewMuxConfig(NewInproc(0, nil), MuxConfig{EventSampleEvery: 1024})
 	defer mux.Close()
 
 	baseGoroutines := runtime.NumGoroutine()
@@ -357,7 +432,7 @@ func TestLoopFlatMemory(t *testing.T) {
 			t.Fatalf("NewSession: %v", err)
 		}
 		sessions[i] = sess
-		mux.loop.start(sess, time.Time{}, func(Report) {})
+		mux.loop.start(context.Background(), sess, func(Report) {})
 	}
 	// Let the workers attach everything, then census.
 	time.Sleep(50 * time.Millisecond)
@@ -381,7 +456,7 @@ func TestLoopFlatMemory(t *testing.T) {
 // observability contract that makes a small default safe to ship.
 func TestInboxSizeAndDropAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
-	mux := NewMuxConfig(NewInproc(0, reg), MuxConfig{Obs: reg, Engine: EngineLoop})
+	mux := NewMux(NewInproc(0, reg), reg)
 	x := seq.Seq{0, 1, 2, 3}
 	s, r, err := registry.Pair("alpha", zooParams, x)
 	if err != nil {

@@ -239,7 +239,7 @@ func TestModelEndToEndSessions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewImpairment: %v", err)
 	}
-	mux := NewMuxConfig(tr, MuxConfig{Engine: EngineLoop})
+	mux := NewMux(tr, nil)
 	defer mux.Close()
 	for id := uint64(1); id <= 8; id++ {
 		x := seq.Seq{0, 1, 2, 3}

@@ -25,13 +25,11 @@ import (
 // lets a million sessions come and go), each end's outbound traffic is
 // appended into a double-buffered outbox that a flusher goroutine drains
 // in writev-style bursts (sendFrames), and session execution is owned by
-// the configured engine — the event-loop worker pool by default, the
-// goroutine-pair-per-session engine as the comparison baseline.
+// the event-loop worker pool (engine.go).
 type Mux struct {
 	tr  Transport
 	met *muxMetrics
 
-	engine      Engine
 	loop        *loopEngine
 	sampleEvery uint64
 
@@ -46,8 +44,7 @@ type Mux struct {
 	// (copy-on-write stripes, scanned on lookup).
 	shards [sessionShardCount]sessionShard
 
-	out   [2]outbox // indexed End-1
-	pacer *pacer
+	out [2]outbox // indexed End-1
 
 	routerWg  sync.WaitGroup
 	flusherWg sync.WaitGroup
@@ -57,11 +54,8 @@ type Mux struct {
 type MuxConfig struct {
 	// Obs receives the wire metrics and events (nil = no-op sink).
 	Obs *obs.Registry
-	// Engine selects the session executor; the zero value is the
-	// event-loop engine.
-	Engine Engine
 	// LoopWorkers sizes the event-loop worker pool (0 = GOMAXPROCS,
-	// capped at 64). Ignored by the goroutine engine.
+	// capped at 64).
 	LoopWorkers int
 	// EventSampleEvery emits the per-session lifecycle events
 	// (wire.session.start / wire.session.end and the supervisor's crash
@@ -112,7 +106,7 @@ func (m *Mux) shard(id uint64) *sessionShard {
 }
 
 // outboxStripeBits gives 2 append stripes per end, keyed by session id,
-// so concurrent session loops rarely contend on the same append mutex.
+// so concurrent loop workers rarely contend on the same append mutex.
 const (
 	outboxStripeBits  = 1
 	outboxStripeCount = 1 << outboxStripeBits
@@ -239,23 +233,20 @@ func newMuxMetrics(reg *obs.Registry) *muxMetrics {
 func (m *muxMetrics) sessionStarted() { m.active.Set(float64(m.activeN.Add(1))) }
 func (m *muxMetrics) sessionEnded()   { m.active.Set(float64(m.activeN.Add(-1))) }
 
-// NewMux builds a mux over tr with default configuration (event-loop
-// engine, unsampled events) and starts its goroutines. reg may be nil
-// (the obs nil-sink).
+// NewMux builds a mux over tr with default configuration (GOMAXPROCS
+// loop workers, unsampled events) and starts its goroutines. reg may be
+// nil (the obs nil-sink).
 func NewMux(tr Transport, reg *obs.Registry) *Mux {
 	return NewMuxConfig(tr, MuxConfig{Obs: reg})
 }
 
 // NewMuxConfig builds a mux over tr per cfg and starts its router and
-// flusher goroutines, plus the engine's workers (event loop) — the
-// goroutine engine's pacer starts lazily on first subscription.
+// flusher goroutines and the event-loop workers.
 func NewMuxConfig(tr Transport, cfg MuxConfig) *Mux {
 	m := &Mux{
 		tr:          tr,
 		met:         newMuxMetrics(cfg.Obs),
-		engine:      cfg.Engine,
 		sampleEvery: cfg.EventSampleEvery,
-		pacer:       newPacer(),
 	}
 	empty := make([]sessionEntry, 0)
 	for s := range m.shards {
@@ -263,9 +254,7 @@ func NewMuxConfig(tr Transport, cfg MuxConfig) *Mux {
 	}
 	m.out[SenderEnd-1].init()
 	m.out[ReceiverEnd-1].init()
-	if m.engine == EngineLoop {
-		m.loop = newLoopEngine(m, cfg.LoopWorkers)
-	}
+	m.loop = newLoopEngine(m, cfg.LoopWorkers)
 	m.flusherWg.Add(2)
 	go m.flush(SenderEnd)
 	go m.flush(ReceiverEnd)
@@ -277,9 +266,6 @@ func NewMuxConfig(tr Transport, cfg MuxConfig) *Mux {
 
 // Transport returns the mux's transport.
 func (m *Mux) Transport() Transport { return m.tr }
-
-// Engine returns the mux's session executor.
-func (m *Mux) Engine() Engine { return m.engine }
 
 // sampled reports whether per-session lifecycle events should be
 // emitted for this session id (see MuxConfig.EventSampleEvery).
@@ -544,7 +530,7 @@ func (m *Mux) flush(from End) {
 		}
 		if err != nil {
 			// Transport closed under us: refuse further sends so the
-			// session loops see ErrClosed and shut down.
+			// sessions see ErrClosed and shut down.
 			ob.closed.Store(true)
 			return
 		}
@@ -562,14 +548,14 @@ func (m *Mux) flush(from End) {
 // the hot loop touches no shared counters and publishes each inbox once:
 // plain local increments per frame, then one flush per blob (atomic
 // counter Adds for the non-zero tallies, one tail publish per dirty
-// inbox, one ready-queue schedule per dirty loop-engine session).
+// inbox, one ready-queue schedule per dirty live session).
 type routeSink struct {
 	dirty                                     []*inbox
 	rx, decodeErrs, alien, unknown, inboxFull int64
 }
 
-// flush publishes the dirty inboxes, wakes their sessions' event-loop
-// workers, and folds the tallies into the mux metrics. rx is the
+// flush publishes the dirty inboxes, wakes their sessions' workers,
+// and folds the tallies into the mux metrics. rx is the
 // arriving-direction receive counter.
 func (k *routeSink) flush(m *Mux, rx *obs.Counter) {
 	for i, q := range k.dirty {
@@ -709,11 +695,8 @@ func (m *Mux) Close() error {
 		}
 	}
 	m.flusherWg.Wait()
-	m.pacer.close()
 	err := m.tr.Close()
 	m.routerWg.Wait()
-	if m.loop != nil {
-		m.loop.close()
-	}
+	m.loop.close()
 	return err
 }

@@ -8,24 +8,20 @@ import (
 
 // inbox is a session's bounded inbound message queue, built as a
 // single-producer/single-consumer ring: exactly one router goroutine
-// pushes into each inbox (the receiver inbox is fed only by the
+// stages into each inbox (the receiver inbox is fed only by the
 // receiver-end router, the sender inbox only by the sender-end router)
-// and exactly one session loop drains it. That invariant lets both sides
-// run lock-free — a push is two atomic loads, a slot store, and an
-// atomic publish; a drain is one pass over the published slots. The
-// notify channel carries at most one wakeup token, and push only offers
-// it when the consumer has declared itself asleep via the sleeping flag
-// (Dekker-style: the consumer sets sleeping, then re-drains once before
-// blocking, so a push either lands in that final drain or sees the flag
-// and sends the token). A busy consumer therefore costs the producer one
-// predictable atomic load per push, not a channel operation.
+// and exactly one loop worker drains it. That invariant lets both sides
+// run lock-free — a stage is an atomic load and a slot store, a publish
+// one atomic store per burst; a drain is one pass over the published
+// slots. The consumer never blocks on the inbox: the router wakes the
+// session's worker through its ready queue after publishing.
 type inbox struct {
 	slots []msg.Msg // len is a power of two
 	mask  uint64
 
 	// owner is the session this inbox feeds. The routers use it after a
-	// publish to wake the session's event-loop worker (a no-op while
-	// the goroutine engine, or nobody, is driving the session).
+	// publish to wake the session's worker (a no-op until the session
+	// has been handed to the loop).
 	owner *Session
 
 	head   atomic.Uint64 // next slot to read (consumer-owned)
@@ -40,14 +36,9 @@ type inbox struct {
 	// of once per message is one of the data plane's larger savings.
 	stagedTail uint64
 	dirty      bool // set by the router while the inbox has staged messages
-
-	// sleeping is set by the consumer just before it blocks on notify
-	// and cleared by whichever side wakes it.
-	sleeping atomic.Bool
-	notify   chan struct{}
 }
 
-// push outcomes, mapped to the mux's drop-cause counters.
+// stage outcomes, mapped to the mux's drop-cause counters.
 type pushResult int
 
 const (
@@ -62,28 +53,17 @@ func newInbox(limit int) *inbox {
 		size <<= 1
 	}
 	return &inbox{
-		slots:  make([]msg.Msg, size),
-		mask:   uint64(size - 1),
-		notify: make(chan struct{}, 1),
+		slots: make([]msg.Msg, size),
+		mask:  uint64(size - 1),
 	}
-}
-
-// push appends m for the consumer and publishes it immediately. A full
-// inbox drops (the live analogue of channel loss); a closed inbox means
-// the session already finished. Only the owning router goroutine may
-// call push.
-func (q *inbox) push(m msg.Msg) pushResult {
-	r := q.stage(m)
-	if r == pushOK {
-		q.publish()
-	}
-	return r
 }
 
 // stage writes m into the next free slot without making it visible to
 // the consumer; a later publish releases the whole staged run at once.
-// Only the owning router goroutine may call stage, and it must pair
-// every staged run with a publish before blocking.
+// A full inbox drops (the live analogue of channel loss); a closed
+// inbox means the session already finished. Only the owning router
+// goroutine may call stage, and it must pair every staged run with a
+// publish before blocking.
 func (q *inbox) stage(m msg.Msg) pushResult {
 	if q.closed.Load() {
 		return pushClosed
@@ -97,26 +77,17 @@ func (q *inbox) stage(m msg.Msg) pushResult {
 	return pushOK
 }
 
-// publish makes every staged message visible to the consumer and wakes
-// it if it declared itself asleep. It also clears the producer's dirty
-// mark.
+// publish makes every staged message visible to the consumer and
+// clears the producer's dirty mark.
 func (q *inbox) publish() {
 	q.dirty = false
-	if q.stagedTail == q.tail.Load() {
-		return
-	}
-	q.tail.Store(q.stagedTail) // publishes the slot writes to the consumer
-	if q.sleeping.Load() {
-		q.sleeping.Store(false)
-		select {
-		case q.notify <- struct{}{}:
-		default:
-		}
+	if q.stagedTail != q.tail.Load() {
+		q.tail.Store(q.stagedTail) // publishes the slot writes to the consumer
 	}
 }
 
 // drain moves every published message into dst (reusing its capacity)
-// and frees the slots. Only the consuming session loop may call drain.
+// and frees the slots. Only the session's worker may call drain.
 func (q *inbox) drain(dst []msg.Msg) []msg.Msg {
 	dst = dst[:0]
 	h := q.head.Load()
@@ -128,22 +99,6 @@ func (q *inbox) drain(dst []msg.Msg) []msg.Msg {
 	return dst
 }
 
-// arm declares the consumer about to block: it sets the sleeping flag
-// and reports whether the queue is still empty afterwards. The consumer
-// must call arm and get true before waiting on notify; if arm returns
-// false there are messages to drain and the consumer must not block.
-// The set-then-recheck order closes the race with a concurrent push:
-// the push either published its message before the recheck (arm returns
-// false) or observes the flag and sends the wakeup token.
-func (q *inbox) arm() bool {
-	q.sleeping.Store(true)
-	if q.head.Load() != q.tail.Load() {
-		q.sleeping.Store(false)
-		return false
-	}
-	return true
-}
-
-// close marks the inbox closed; later pushes report pushClosed (counted
+// close marks the inbox closed; later stages report pushClosed (counted
 // by the routers as late frames).
 func (q *inbox) close() { q.closed.Store(true) }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"seqtx/internal/obs"
 )
@@ -18,8 +17,6 @@ type ServeConfig struct {
 	Sessions []SessionConfig
 	// Obs receives the wire metrics and events (nil = no-op sink).
 	Obs *obs.Registry
-	// Engine selects the session executor (zero value: event loop).
-	Engine Engine
 	// LoopWorkers sizes the event-loop worker pool (0 = GOMAXPROCS).
 	LoopWorkers int
 	// EventSampleEvery samples per-session lifecycle events (see
@@ -29,9 +26,9 @@ type ServeConfig struct {
 
 // Serve multiplexes every configured session over the transport, runs
 // them all concurrently, and returns their reports (index-aligned with
-// cfg.Sessions). On the event-loop engine the whole fleet runs on the
-// mux's fixed worker pool — Serve adds no goroutines per session, which
-// is what makes million-session fleets a flat-memory affair. It shuts
+// cfg.Sessions). The whole fleet runs on the mux's fixed worker pool —
+// Serve adds no goroutines per session, which is what makes
+// million-session fleets a flat-memory affair. It shuts
 // down gracefully: ctx cancellation (or a per-session deadline) ends
 // the affected sessions, which report Complete=false; the transport and
 // mux are always closed before Serve returns. The error covers setup
@@ -46,7 +43,6 @@ func Serve(ctx context.Context, cfg ServeConfig) ([]Report, error) {
 	}
 	mux := NewMuxConfig(cfg.Transport, MuxConfig{
 		Obs:              cfg.Obs,
-		Engine:           cfg.Engine,
 		LoopWorkers:      cfg.LoopWorkers,
 		EventSampleEvery: cfg.EventSampleEvery,
 	})
@@ -62,46 +58,26 @@ func Serve(ctx context.Context, cfg ServeConfig) ([]Report, error) {
 	reports := make([]Report, len(sessions))
 	var wg sync.WaitGroup
 	wg.Add(len(sessions))
-	if mux.engine == EngineLoop {
-		// Event-loop fleet: hand every session to the worker pool with a
-		// completion callback; one watcher goroutine total relays ctx
-		// cancellation to the engine.
-		ctxDeadline, hasCtxDeadline := ctx.Deadline()
-		for i, s := range sessions {
-			var deadlineAt time.Time
-			if s.cfg.Deadline > 0 {
-				deadlineAt = time.Now().Add(s.cfg.Deadline)
-			}
-			if hasCtxDeadline && (deadlineAt.IsZero() || ctxDeadline.Before(deadlineAt)) {
-				deadlineAt = ctxDeadline
-			}
-			i := i
-			mux.loop.start(s, deadlineAt, func(rep Report) {
-				reports[i] = rep
-				wg.Done()
-			})
-		}
-		stopWatch := make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				for _, s := range sessions {
-					mux.loop.cancel(s)
-				}
-			case <-stopWatch:
-			}
-		}()
-		wg.Wait()
-		close(stopWatch)
-	} else {
-		for i, s := range sessions {
-			go func(i int, s *Session) {
-				defer wg.Done()
-				reports[i] = s.Run(ctx)
-			}(i, s)
-		}
-		wg.Wait()
+	// Hand every session to the worker pool with a completion callback;
+	// one watcher goroutine total relays ctx cancellation to the engine.
+	for i, s := range sessions {
+		mux.loop.start(ctx, s, func(rep Report) {
+			reports[i] = rep
+			wg.Done()
+		})
 	}
+	stopWatch := make(chan struct{})
+	go func() {
+		select {
+		case <-ctx.Done():
+			for _, s := range sessions {
+				mux.loop.cancel(s)
+			}
+		case <-stopWatch:
+		}
+	}()
+	wg.Wait()
+	close(stopWatch)
 	if err := mux.Close(); err != nil {
 		return reports, fmt.Errorf("wire: closing transport: %w", err)
 	}

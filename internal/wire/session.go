@@ -3,7 +3,6 @@ package wire
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -102,13 +101,11 @@ type Report struct {
 }
 
 // Session is one live transfer: a sender and a receiver step machine
-// exchanging frames through the mux. Which engine drives the machines
-// is the mux's choice (MuxConfig.Engine): the event-loop engine runs
-// both inline on the session's pinned worker; the goroutine engine
-// dedicates a goroutine per machine. Either way each protocol state
-// machine is touched by exactly one goroutine at a time, and inbound
-// messages arrive through burst inboxes (one staged write per message,
-// one publish per burst).
+// exchanging frames through the mux. The event loop runs both machines
+// inline on the session's pinned worker, so each protocol state machine
+// is touched by exactly one goroutine, and inbound messages arrive
+// through burst inboxes (one staged write per message, one publish per
+// burst).
 type Session struct {
 	cfg SessionConfig
 	mux *Mux
@@ -136,16 +133,15 @@ type Session struct {
 	// session counter crossing goroutines, hence the only atomic one.
 	inboxDrops atomic.Int64
 
-	// Sender-machine state, touched only by the sender's driver (its
-	// goroutine, or the session's pinned loop worker).
+	// Sender-machine state, touched only by the session's pinned worker.
 	bo               backoff
 	last             msg.Msg
 	haveLast         bool
 	lastRetransmitAt time.Time
 
 	// Outcome state, written by the step machines before the report is
-	// built (the goroutine engine's WaitGroup or the loop worker's
-	// single-threaded service is the happens-before edge).
+	// built (the worker's single-threaded service is the happens-before
+	// edge).
 	framesTx    int
 	acksTx      int
 	retransmits int
@@ -154,19 +150,20 @@ type Session struct {
 	violation   error
 	complete    bool
 
-	// Event-loop engine state. loopLive, scheduled, and cancelReq are
-	// the only fields other goroutines touch while the loop runs the
-	// session; everything else below is owned by the pinned worker
-	// (start/deadline/tick fields are written once in loopEngine.start,
-	// before the first schedule publishes them).
+	// Event-loop state. loopLive, scheduled, and cancelReq are the only
+	// fields other goroutines touch while the loop runs the session;
+	// everything else below is owned by the pinned worker (start,
+	// deadlineAt and tickNext are written once in loopEngine.start,
+	// before the first schedule publishes them). deadlineAt and tickNext
+	// are instants on the engine timeline (loopEngine.now).
 	loopLive  atomic.Bool
 	scheduled atomic.Bool
 	cancelReq atomic.Bool
 	worker    *loopWorker
 
 	start      time.Time
-	deadlineAt time.Time
-	tickNext   time.Time
+	deadlineAt int64
+	tickNext   int64
 	attached   bool
 	finished   bool
 	onDone     func(Report)
@@ -175,8 +172,7 @@ type Session struct {
 }
 
 // NewSession registers a session on the mux. The session does not run
-// until Run is called (or, on the event-loop engine, until Serve or
-// Run hands it to the loop).
+// until Serve or Run hands it to the event loop.
 func (m *Mux) NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.Sender == nil || cfg.Receiver == nil {
 		return nil, fmt.Errorf("wire: session %d missing processes", cfg.ID)
@@ -224,29 +220,11 @@ func (s *Session) senderFinished() bool {
 	return s.cfg.Half == SenderEnd && s.cfg.Sender.Done()
 }
 
-// Run drives the session to completion, violation, deadline, or ctx
-// cancellation, and returns its report. It must be called at most once.
+// Run hands the session to the mux's event loop, waits for completion,
+// violation, deadline, or ctx cancellation, and returns its report. It
+// must be called at most once.
 func (s *Session) Run(ctx context.Context) Report {
-	if s.mux.engine == EngineLoop {
-		return s.runLoop(ctx)
-	}
-	return s.runGoroutine(ctx)
-}
-
-// runLoop hands the session to the mux's event-loop engine and waits
-// for its report. Deadlines (SessionConfig.Deadline and any ctx
-// deadline) collapse into one wall-clock instant carried in session
-// state and enforced by the worker's timer heap — no context tower, no
-// runtime timers, zero allocations beyond the completion channel.
-func (s *Session) runLoop(ctx context.Context) Report {
-	var deadlineAt time.Time
-	if s.cfg.Deadline > 0 {
-		deadlineAt = time.Now().Add(s.cfg.Deadline)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadlineAt.IsZero() || d.Before(deadlineAt)) {
-		deadlineAt = d
-	}
-	s.mux.loop.start(s, deadlineAt, nil)
+	s.mux.loop.start(ctx, s, nil)
 	select {
 	case <-s.done:
 	case <-ctx.Done():
@@ -254,45 +232,6 @@ func (s *Session) runLoop(ctx context.Context) Report {
 		<-s.done
 	}
 	return s.rep
-}
-
-// runGoroutine is the goroutine-pair engine: two blocking loops, one
-// per step machine, joined by a WaitGroup.
-func (s *Session) runGoroutine(ctx context.Context) Report {
-	s.mux.noteSessionStart(s)
-	if s.cfg.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Deadline)
-		defer cancel()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	s.start = time.Now()
-	s.bo = newBackoff(s.cfg.Tick, s.cfg.Seed, s.start)
-	var wg sync.WaitGroup
-	if s.runsSender() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.senderLoop(ctx, cancel)
-		}()
-	}
-	if s.runsReceiver() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.receiverLoop(ctx, cancel)
-		}()
-	}
-	wg.Wait()
-	// Closing the inboxes makes the routers count later frames as late.
-	s.senderInbox.close()
-	s.receiverInbox.close()
-	s.mux.unregister(s.cfg.ID)
-	rep := s.buildReport(time.Since(s.start))
-	s.mux.noteSessionEnd(s, rep)
-	return rep
 }
 
 // buildReport assembles the session's report from its outcome state.
@@ -409,140 +348,4 @@ func (s *Session) receiverEvent(ev protocol.Event) stepOutcome {
 
 // nextWake is the session's earliest pending timer: its next pacing
 // tick, or its deadline if that comes first.
-func (s *Session) nextWake() int64 {
-	at := s.tickNext
-	if !s.deadlineAt.IsZero() && s.deadlineAt.Before(at) {
-		at = s.deadlineAt
-	}
-	return at.UnixNano()
-}
-
-// senderLoop drives S on the goroutine engine: retransmit ticks plus
-// inbound acknowledgements, drained a burst at a time. The pacer fires
-// at the base tick rate; non-due ticks (backoff) are skipped with one
-// time comparison. On a sender half this loop also owns the session's
-// ending: S's quiescence (Done) is completion, since no local receiver
-// will ever reach end-of-tape.
-func (s *Session) senderLoop(ctx context.Context, cancel context.CancelFunc) {
-	sub := s.mux.pacer.subscribe(s.cfg.Tick)
-	defer s.mux.pacer.unsubscribe(sub)
-	// step runs one sender event and folds in the sender-half completion
-	// check; false means this loop (and the session) is over.
-	step := func(ev protocol.Event) bool {
-		if !s.senderEvent(ev) {
-			return false
-		}
-		if s.senderFinished() {
-			s.complete = true
-			cancel()
-			return false
-		}
-		return true
-	}
-	// tick runs one spontaneous step if the backoff says it is due; the
-	// step's own grow/reset lands before re-arming, so a retransmission's
-	// doubled interval takes effect immediately.
-	tick := func() bool {
-		now := time.Now()
-		if !s.bo.due(now) {
-			return true
-		}
-		ok := step(protocol.TickEvent())
-		s.bo.arm(now)
-		return ok
-	}
-	batch := make([]msg.Msg, 0, 64)
-	q := s.senderInbox
-	for {
-		// Non-blocking polls keep cancellation and retransmit ticks live
-		// even when the inbox never goes empty.
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
-		select {
-		case <-sub.ch:
-			if !tick() {
-				return
-			}
-		default:
-		}
-		batch = q.drain(batch)
-		if len(batch) == 0 {
-			if !q.arm() {
-				continue // a message landed between drain and arm
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-q.notify:
-			case <-sub.ch:
-				q.sleeping.Store(false)
-				if !tick() {
-					return
-				}
-			}
-			continue
-		}
-		for _, m := range batch {
-			if !step(protocol.RecvEvent(m)) {
-				return
-			}
-		}
-	}
-}
-
-// receiverLoop drives R on the goroutine engine: deliveries plus
-// ticks; it ends the session on completion or violation.
-func (s *Session) receiverLoop(ctx context.Context, cancel context.CancelFunc) {
-	sub := s.mux.pacer.subscribe(s.cfg.Tick)
-	defer s.mux.pacer.unsubscribe(sub)
-	step := func(ev protocol.Event) bool {
-		switch s.receiverEvent(ev) {
-		case stepRunning:
-			return true
-		case stepDone:
-			cancel()
-		}
-		return false
-	}
-	batch := make([]msg.Msg, 0, 64)
-	q := s.receiverInbox
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
-		select {
-		case <-sub.ch:
-			if !step(protocol.TickEvent()) {
-				return
-			}
-		default:
-		}
-		batch = q.drain(batch)
-		if len(batch) == 0 {
-			if !q.arm() {
-				continue
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-q.notify:
-			case <-sub.ch:
-				q.sleeping.Store(false)
-				if !step(protocol.TickEvent()) {
-					return
-				}
-			}
-			continue
-		}
-		for _, m := range batch {
-			if !step(protocol.RecvEvent(m)) {
-				return
-			}
-		}
-	}
-}
+func (s *Session) nextWake() int64 { return min(s.tickNext, s.deadlineAt) }

@@ -589,7 +589,6 @@ func ServeSupervised(ctx context.Context, cfg ChaosServeConfig) ([]SupervisedRep
 	}
 	mux := NewMuxConfig(cfg.Transport, MuxConfig{
 		Obs:              cfg.Obs,
-		Engine:           cfg.Engine,
 		LoopWorkers:      cfg.LoopWorkers,
 		EventSampleEvery: cfg.EventSampleEvery,
 	})

@@ -1,99 +1,43 @@
 package wire
 
 import (
-	"fmt"
 	"net"
-	"net/netip"
-	"sync"
 
 	"seqtx/internal/obs"
 )
 
-// UDP is the loopback datagram transport: one socket per end on
-// 127.0.0.1. A plain Send puts one frame in one datagram; SendBatch packs
-// an ordered burst into batch-framed datagrams, amortizing the syscall
-// across every session sharing the link. UDP already provides the
-// unreliable channel of the paper — the kernel may drop and reorder
-// datagrams — and the impairment layer can make it arbitrarily worse.
+// UDP is the loopback datagram transport: a sender-hosting and a
+// receiver-hosting UDPPeer on 127.0.0.1, pointed at each other. Loopback
+// is just two peers that happen to share a process, so everything a
+// datagram link does — send, batch packing, source validation, oversize
+// and backpressure accounting — lives in UDPPeer; this type only picks
+// the peer by End. UDP already provides the unreliable channel of the
+// paper — the kernel may drop and reorder datagrams — and the impairment
+// layer can make it arbitrarily worse.
 type UDP struct {
-	senderConn   *net.UDPConn // SenderEnd's socket
-	receiverConn *net.UDPConn // ReceiverEnd's socket
-	// senderPort / receiverPort are the sockets' cached netip addresses:
-	// the AddrPort read/write variants take them by value, so the data
-	// path skips the per-call *net.UDPAddr and sockaddr allocations the
-	// pointer-based API pays.
-	senderPort   netip.AddrPort
-	receiverPort netip.AddrPort
-	toSender     chan []byte
-	toReceiver   chan []byte
-	dropped      *obs.Counter
-	foreign      *obs.Counter
-	oversize     *obs.Counter
-
-	closeOnce sync.Once
-	closeErr  error
-	done      chan struct{}
-	wg        sync.WaitGroup
+	peers [2]*UDPPeer // indexed End-1
 }
 
 var _ Transport = (*UDP)(nil)
 var _ BatchSender = (*UDP)(nil)
 
-// udpMaxPayload caps one datagram's payload: comfortably under the
-// 65,507-byte UDP limit and under blobCap, so batch scratch buffers stay
-// pooled.
-const udpMaxPayload = 60 * 1024
-
-// udpMaxDatagram is the hard UDP payload ceiling (65,535 minus the IP
-// and UDP headers): a single frame larger than this cannot go on the
-// wire at all, so the send path drops and counts it instead of letting
-// the kernel error the whole burst.
-const udpMaxDatagram = 65507
-
-// sameSource reports whether a datagram's source address matches the
-// expected peer. Ports must match exactly; addresses are compared
-// unmapped, so an IPv4 peer seen through an IPv4-in-IPv6 socket still
-// matches its configured IPv4 form.
-func sameSource(got, want netip.AddrPort) bool {
-	return got.Port() == want.Port() && got.Addr().Unmap() == want.Addr().Unmap()
-}
-
-// udpRecvBuffer is the per-end inbound frame buffer; frames arriving
-// while it is full are dropped (as UDP itself would under load).
-const udpRecvBuffer = 4096
-
 // NewUDP returns a UDP loopback transport on two kernel-assigned ports.
-// reg (which may be nil) receives the backpressure-drop counter.
+// reg (which may be nil) receives the drop counters.
 func NewUDP(reg *obs.Registry) (*UDP, error) {
-	senderConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	s, err := NewUDPPeer(SenderEnd, "127.0.0.1:0", "", reg)
 	if err != nil {
-		return nil, fmt.Errorf("wire: udp sender socket: %w", err)
+		return nil, err
 	}
-	receiverConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	r, err := NewUDPPeer(ReceiverEnd, "127.0.0.1:0", s.LocalAddr().String(), reg)
 	if err != nil {
-		senderConn.Close()
-		return nil, fmt.Errorf("wire: udp receiver socket: %w", err)
+		s.Close()
+		return nil, err
 	}
-	t := &UDP{
-		senderConn:   senderConn,
-		receiverConn: receiverConn,
-		senderPort:   senderConn.LocalAddr().(*net.UDPAddr).AddrPort(),
-		receiverPort: receiverConn.LocalAddr().(*net.UDPAddr).AddrPort(),
-		toSender:     make(chan []byte, udpRecvBuffer),
-		toReceiver:   make(chan []byte, udpRecvBuffer),
-		dropped:      reg.Counter(`wire_frames_dropped_total{cause="backpressure"}`),
-		foreign:      reg.Counter(`wire_frames_dropped_total{cause="foreign"}`),
-		oversize:     reg.Counter(`wire_frames_dropped_total{cause="oversize"}`),
-		done:         make(chan struct{}),
+	t := &UDP{peers: [2]*UDPPeer{s, r}}
+	if err := s.SetRemote(r.LocalAddr().String()); err != nil {
+		t.Close()
+		return nil, err
 	}
-	t.wg.Add(2)
-	// Each socket accepts datagrams only from its configured peer — the
-	// opposite end's socket. Anything else (another process that guessed
-	// the port, a stray datagram) is counted as foreign and never copied
-	// toward the mux: the frame checksum proves integrity, the source
-	// check proves origin.
-	go t.read(senderConn, t.toSender, t.receiverPort)
-	go t.read(receiverConn, t.toReceiver, t.senderPort)
 	return t, nil
 }
 
@@ -101,144 +45,26 @@ func NewUDP(reg *obs.Registry) (*UDP, error) {
 func (t *UDP) Name() string { return "udp" }
 
 // Addr returns the local address of the given end's socket.
-func (t *UDP) Addr(e End) *net.UDPAddr {
-	if e == SenderEnd {
-		return t.senderConn.LocalAddr().(*net.UDPAddr)
-	}
-	return t.receiverConn.LocalAddr().(*net.UDPAddr)
-}
+func (t *UDP) Addr(e End) *net.UDPAddr { return t.peers[e-1].LocalAddr() }
 
-// Send implements Transport: one datagram per frame toward the opposite
-// end's socket. A frame past the UDP payload ceiling is dropped and
-// counted — the kernel would reject the write, and a link dropping an
-// unsendable frame is channel loss, not an error.
-func (t *UDP) Send(from End, frame []byte) error {
-	select {
-	case <-t.done:
-		return ErrClosed
-	default:
-	}
-	if len(frame) > udpMaxDatagram {
-		t.oversize.Inc()
-		return nil
-	}
-	var err error
-	if from == SenderEnd {
-		_, err = t.senderConn.WriteToUDPAddrPort(frame, t.receiverPort)
-	} else {
-		_, err = t.receiverConn.WriteToUDPAddrPort(frame, t.senderPort)
-	}
-	if err != nil {
-		select {
-		case <-t.done:
-			return ErrClosed // send raced with Close; report the close
-		default:
-		}
-		return fmt.Errorf("wire: udp send: %w", err)
-	}
-	return nil
-}
+// Send implements Transport: one datagram from the given end's peer.
+func (t *UDP) Send(from End, frame []byte) error { return t.peers[from-1].Send(from, frame) }
 
-// SendBatch implements BatchSender: the burst is packed into as few
-// batch-framed datagrams as fit, one syscall each.
+// SendBatch implements BatchSender through the given end's peer.
 func (t *UDP) SendBatch(from End, frames [][]byte) error {
-	select {
-	case <-t.done:
-		return ErrClosed
-	default:
-	}
-	conn, to := t.senderConn, t.receiverPort
-	if from == ReceiverEnd {
-		conn, to = t.receiverConn, t.senderPort
-	}
-	for start := 0; start < len(frames); {
-		n, size := batchFit(frames[start:], udpMaxPayload)
-		var err error
-		if n == 1 {
-			// A lone frame bigger than udpMaxPayload goes out as a raw
-			// datagram — but past the hard UDP ceiling the kernel write
-			// fails, and that failure used to error out the entire burst.
-			// An unsendable frame is channel loss: drop it, count it, and
-			// keep the rest of the burst moving.
-			if len(frames[start]) > udpMaxDatagram {
-				t.oversize.Inc()
-				start++
-				continue
-			}
-			_, err = conn.WriteToUDPAddrPort(frames[start], to)
-		} else {
-			blob := AppendBatch(getBuf(size), frames[start:start+n])
-			_, err = conn.WriteToUDPAddrPort(blob, to)
-			putBuf(blob)
-		}
-		if err != nil {
-			select {
-			case <-t.done:
-				return ErrClosed // send raced with Close; report the close
-			default:
-			}
-			return fmt.Errorf("wire: udp send: %w", err)
-		}
-		start += n
-	}
-	return nil
+	return t.peers[from-1].SendBatch(from, frames)
 }
 
-// Recv implements Transport.
-func (t *UDP) Recv(at End) <-chan []byte {
-	if at == SenderEnd {
-		return t.toSender
-	}
-	return t.toReceiver
-}
+// Recv implements Transport: the datagrams the given end's peer accepted.
+func (t *UDP) Recv(at End) <-chan []byte { return t.peers[at-1].Recv(at) }
 
-// read pumps datagrams from conn into out until the socket closes, then
-// closes out (read is the channel's only writer). Datagrams whose source
-// is not the configured peer are rejected before any bytes are copied:
-// the checksum downstream verifies integrity but never origin, so
-// without this check any process that learned the port could inject
-// well-formed frames straight into the session mux. The socket is read
-// into one reused scratch buffer; only an accepted datagram's bytes are
-// copied out, into a pooled blob the consumer releases — the loop itself
-// never allocates in steady state. A backpressure drop is charged with
-// the blob's frame count (peeked from the batch header), so drop rates
-// stay comparable with the inproc transport's per-frame accounting.
-func (t *UDP) read(conn *net.UDPConn, out chan []byte, peer netip.AddrPort) {
-	defer t.wg.Done()
-	defer close(out)
-	buf := make([]byte, 64*1024)
-	for {
-		n, from, err := conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			return // socket closed (or fatally broken): stop pumping
-		}
-		if !sameSource(from, peer) {
-			t.foreign.Add(int64(blobFrames(buf[:n])))
-			continue
-		}
-		blob := append(getBuf(n), buf[:n]...)
-		select {
-		case out <- blob:
-		default:
-			t.dropped.Add(int64(blobFrames(blob)))
-			putBuf(blob)
-		}
-	}
-}
-
-// Close implements Transport: closes both sockets and waits for the
-// reader goroutines to close the Recv channels.
+// Close implements Transport: closes both peers, which closes both Recv
+// channels.
 func (t *UDP) Close() error {
-	t.closeOnce.Do(func() {
-		close(t.done)
-		e1 := t.senderConn.Close()
-		e2 := t.receiverConn.Close()
-		t.wg.Wait()
-		if e1 != nil {
-			t.closeErr = e1
-		} else {
-			t.closeErr = e2
-		}
-	})
-	return t.closeErr
+	e1 := t.peers[0].Close()
+	e2 := t.peers[1].Close()
+	if e1 != nil {
+		return e1
+	}
+	return e2
 }

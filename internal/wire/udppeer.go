@@ -10,13 +10,14 @@ import (
 	"seqtx/internal/obs"
 )
 
-// UDPPeer is the distributed datagram transport: ONE socket, bound to a
+// UDPPeer is the datagram transport: ONE socket, bound to a
 // configurable local address, speaking the batch-blob wire format with
-// ONE configured remote peer — the other half of the link, running in a
-// different process (typically on a different machine). This is what
-// replaces the loopback-era UDP transport's two-sockets-one-struct
-// assumption: a cluster node no longer owns both ends of the link, it
-// owns its end and a peer address.
+// ONE configured remote peer — the other half of the link, typically in
+// a different process on a different machine (the loopback UDP
+// transport is two of these in one process). A plain Send puts one
+// frame in one datagram; SendBatch packs an ordered burst into
+// batch-framed datagrams, amortizing the syscall across every session
+// sharing the link.
 //
 // The process hosting a UDPPeer hosts exactly one End (its sessions run
 // as halves, SessionConfig.Half): Send from the hosted end writes
@@ -57,6 +58,29 @@ type UDPPeer struct {
 var _ Transport = (*UDPPeer)(nil)
 var _ BatchSender = (*UDPPeer)(nil)
 
+// udpMaxPayload caps one datagram's payload: comfortably under the
+// 65,507-byte UDP limit and under blobCap, so batch scratch buffers stay
+// pooled.
+const udpMaxPayload = 60 * 1024
+
+// udpMaxDatagram is the hard UDP payload ceiling (65,535 minus the IP
+// and UDP headers): a single frame larger than this cannot go on the
+// wire at all, so the send path drops and counts it instead of letting
+// the kernel error the whole burst.
+const udpMaxDatagram = 65507
+
+// udpRecvBuffer is the default inbound blob buffer; blobs arriving
+// while it is full are dropped (as UDP itself would under load).
+const udpRecvBuffer = 4096
+
+// sameSource reports whether a datagram's source address matches the
+// expected peer. Ports must match exactly; addresses are compared
+// unmapped, so an IPv4 peer seen through an IPv4-in-IPv6 socket still
+// matches its configured IPv4 form.
+func sameSource(got, want netip.AddrPort) bool {
+	return got.Port() == want.Port() && got.Addr().Unmap() == want.Addr().Unmap()
+}
+
 // NewUDPPeer binds one end of a distributed link: host names the End
 // this process runs, laddr the local UDP address to bind (port 0 asks
 // the kernel), raddr the remote peer ("" defers to SetRemote — the
@@ -64,6 +88,11 @@ var _ BatchSender = (*UDPPeer)(nil)
 // coordinator, then points the peers at each other). reg (which may be
 // nil) receives the drop counters.
 func NewUDPPeer(host End, laddr, raddr string, reg *obs.Registry) (*UDPPeer, error) {
+	return newUDPPeer(host, laddr, raddr, reg, udpRecvBuffer)
+}
+
+// newUDPPeer is NewUDPPeer with the inbound buffer sized in blobs.
+func newUDPPeer(host End, laddr, raddr string, reg *obs.Registry, recvBuffer int) (*UDPPeer, error) {
 	if host != SenderEnd && host != ReceiverEnd {
 		return nil, fmt.Errorf("wire: udp peer: bad host end %d", int(host))
 	}
@@ -79,7 +108,7 @@ func NewUDPPeer(host End, laddr, raddr string, reg *obs.Registry) (*UDPPeer, err
 		host:     host,
 		conn:     conn,
 		local:    conn.LocalAddr().(*net.UDPAddr).AddrPort(),
-		inbound:  make(chan []byte, udpRecvBuffer),
+		inbound:  make(chan []byte, recvBuffer),
 		ghost:    make(chan []byte),
 		dropped:  reg.Counter(`wire_frames_dropped_total{cause="backpressure"}`),
 		foreign:  reg.Counter(`wire_frames_dropped_total{cause="foreign"}`),
@@ -124,41 +153,18 @@ func (t *UDPPeer) SetRemote(raddr string) error {
 	return nil
 }
 
-// Send implements Transport: one datagram per frame toward the peer.
-// Oversized frames are dropped and counted, not errored — an unsendable
-// frame is channel loss.
+// Send implements Transport: one datagram per frame toward the peer —
+// a burst of one.
 func (t *UDPPeer) Send(from End, frame []byte) error {
-	select {
-	case <-t.done:
-		return ErrClosed
-	default:
-	}
-	if from != t.host {
-		return fmt.Errorf("wire: udp peer hosts the %s end; cannot send from %s", t.host, from)
-	}
-	remote := t.remote.Load()
-	if remote == nil {
-		return fmt.Errorf("wire: udp peer: no remote configured")
-	}
-	if len(frame) > udpMaxDatagram {
-		t.oversize.Inc()
-		return nil
-	}
-	if _, err := t.conn.WriteToUDPAddrPort(frame, *remote); err != nil {
-		select {
-		case <-t.done:
-			return ErrClosed // send raced with Close; report the close
-		default:
-		}
-		return fmt.Errorf("wire: udp peer send: %w", err)
-	}
-	return nil
+	return t.SendBatch(from, [][]byte{frame})
 }
 
 // SendBatch implements BatchSender: the burst is packed into as few
-// batch-framed datagrams as fit, one syscall each. A lone frame past
-// the UDP payload ceiling is dropped and counted without failing the
-// rest of the burst.
+// batch-framed datagrams as fit, one syscall each. A lone frame bigger
+// than udpMaxPayload goes out as a raw datagram; past the hard UDP
+// ceiling the kernel would reject the write, and an unsendable frame is
+// channel loss, not an error — it is dropped and counted and the rest
+// of the burst keeps moving.
 func (t *UDPPeer) SendBatch(from End, frames [][]byte) error {
 	select {
 	case <-t.done:
@@ -218,6 +224,8 @@ func (t *UDPPeer) Recv(at End) <-chan []byte {
 func (t *UDPPeer) read() {
 	defer t.wg.Done()
 	defer close(t.inbound)
+	// One reused scratch buffer: only an accepted datagram's bytes are
+	// copied out, into a pooled blob the consumer releases.
 	buf := make([]byte, 64*1024)
 	for {
 		n, from, err := t.conn.ReadFromUDPAddrPort(buf)

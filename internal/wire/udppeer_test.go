@@ -29,6 +29,27 @@ func waitCounter(t *testing.T, reg *obs.Registry, name string, want int64) int64
 	}
 }
 
+// peerPair binds a sender-hosting and a receiver-hosting peer on
+// loopback, points them at each other, and closes both with the test.
+// recvBuffer sizes each inbound buffer in blobs.
+func peerPair(t *testing.T, regS, regR *obs.Registry, recvBuffer int) (sEnd, rEnd *UDPPeer) {
+	t.Helper()
+	sEnd, err := newUDPPeer(SenderEnd, "127.0.0.1:0", "", regS, recvBuffer)
+	if err != nil {
+		t.Fatalf("sender peer: %v", err)
+	}
+	t.Cleanup(func() { sEnd.Close() })
+	rEnd, err = newUDPPeer(ReceiverEnd, "127.0.0.1:0", sEnd.LocalAddr().String(), regR, recvBuffer)
+	if err != nil {
+		t.Fatalf("receiver peer: %v", err)
+	}
+	t.Cleanup(func() { rEnd.Close() })
+	if err := sEnd.SetRemote(rEnd.LocalAddr().String()); err != nil {
+		t.Fatalf("SetRemote: %v", err)
+	}
+	return sEnd, rEnd
+}
+
 func TestBlobFrames(t *testing.T) {
 	frame := EncodeFrame(Frame{Session: 7, Dir: channel.SToR, Msg: "d0"})
 	if got := blobFrames(frame); got != 1 {
@@ -73,32 +94,9 @@ func TestBlobFrames(t *testing.T) {
 // frame count (as Inproc.sendBlob does), not as a single unit.
 func TestUDPBackpressureDropCountsBatchFrames(t *testing.T) {
 	reg := obs.NewRegistry()
-	senderConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatalf("sender socket: %v", err)
-	}
-	receiverConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatalf("receiver socket: %v", err)
-	}
-	// Hand-built transport with a 1-blob inbound buffer so the drop path
-	// is deterministic: first blob parks in the channel, the rest drop.
-	tr := &UDP{
-		senderConn:   senderConn,
-		receiverConn: receiverConn,
-		senderPort:   senderConn.LocalAddr().(*net.UDPAddr).AddrPort(),
-		receiverPort: receiverConn.LocalAddr().(*net.UDPAddr).AddrPort(),
-		toSender:     make(chan []byte, 1),
-		toReceiver:   make(chan []byte, 1),
-		dropped:      reg.Counter(`wire_frames_dropped_total{cause="backpressure"}`),
-		foreign:      reg.Counter(`wire_frames_dropped_total{cause="foreign"}`),
-		oversize:     reg.Counter(`wire_frames_dropped_total{cause="oversize"}`),
-		done:         make(chan struct{}),
-	}
-	tr.wg.Add(2)
-	go tr.read(senderConn, tr.toSender, tr.receiverPort)
-	go tr.read(receiverConn, tr.toReceiver, tr.senderPort)
-	defer tr.Close()
+	// A 1-blob inbound buffer makes the drop path deterministic: the
+	// first blob parks in the channel, the rest drop.
+	tr, _ := peerPair(t, nil, reg, 1)
 
 	frames := make([][]byte, 5)
 	for i := range frames {
@@ -116,10 +114,10 @@ func TestUDPBackpressureDropCountsBatchFrames(t *testing.T) {
 	}
 }
 
-// TestUDPForeignInjection is the loopback transport's source-validation
-// test: a third socket injects well-formed frames at both ends; they
-// must be counted as foreign and never surface in the mux — no rx, no
-// unknown-session drops, nothing.
+// TestUDPForeignInjection is the source-validation test through the
+// loopback pair and a live mux: a third socket injects well-formed
+// frames at both ends; they must be counted as foreign and never
+// surface in the mux — no rx, no unknown-session drops, nothing.
 func TestUDPForeignInjection(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr, err := NewUDP(reg)
@@ -140,11 +138,11 @@ func TestUDPForeignInjection(t *testing.T) {
 	const injected = 8
 	for i := 0; i < injected; i++ {
 		data := EncodeFrame(Frame{Session: uint64(i%4 + 1), Dir: channel.SToR, Msg: "evil"})
-		if _, err := attacker.WriteToUDPAddrPort(data, tr.receiverPort); err != nil {
+		if _, err := attacker.WriteToUDPAddrPort(data, tr.Addr(ReceiverEnd).AddrPort()); err != nil {
 			t.Fatalf("inject S→R: %v", err)
 		}
 		ack := EncodeFrame(Frame{Session: uint64(i%4 + 1), Dir: channel.RToS, Msg: "ack"})
-		if _, err := attacker.WriteToUDPAddrPort(ack, tr.senderPort); err != nil {
+		if _, err := attacker.WriteToUDPAddrPort(ack, tr.Addr(SenderEnd).AddrPort()); err != nil {
 			t.Fatalf("inject R→S: %v", err)
 		}
 	}
@@ -166,20 +164,7 @@ func TestUDPForeignInjection(t *testing.T) {
 }
 
 func TestUDPPeerRoundTrip(t *testing.T) {
-	regS, regR := obs.NewRegistry(), obs.NewRegistry()
-	sEnd, err := NewUDPPeer(SenderEnd, "127.0.0.1:0", "", regS)
-	if err != nil {
-		t.Fatalf("sender peer: %v", err)
-	}
-	defer sEnd.Close()
-	rEnd, err := NewUDPPeer(ReceiverEnd, "127.0.0.1:0", sEnd.LocalAddr().String(), regR)
-	if err != nil {
-		t.Fatalf("receiver peer: %v", err)
-	}
-	defer rEnd.Close()
-	if err := sEnd.SetRemote(rEnd.LocalAddr().String()); err != nil {
-		t.Fatalf("SetRemote: %v", err)
-	}
+	sEnd, rEnd := peerPair(t, nil, nil, udpRecvBuffer)
 
 	if err := sEnd.Send(SenderEnd, []byte{1, 2, 3}); err != nil {
 		t.Fatalf("send: %v", err)
@@ -277,94 +262,65 @@ func TestUDPPeerForeignInjection(t *testing.T) {
 	}
 }
 
-// TestUDPOversizedFrameDoesNotFailBurst pins the oversize regression on
-// both datagram transports: a single frame past the 65,507-byte UDP
-// limit is dropped and counted while the rest of the burst goes out —
-// the kernel error no longer aborts the remaining frames.
+// TestUDPOversizedFrameDoesNotFailBurst pins the oversize regression: a
+// single frame past the 65,507-byte UDP limit is dropped and counted
+// while the rest of the burst goes out — the kernel error no longer
+// aborts the remaining frames. One implementation, reached two ways: a
+// bare peer pair and the loopback transport that wraps one.
 func TestUDPOversizedFrameDoesNotFailBurst(t *testing.T) {
+	type batchTransport interface {
+		Transport
+		BatchSender
+	}
 	big := make([]byte, udpMaxDatagram+1)
-
-	t.Run("loopback", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		tr, err := NewUDP(reg)
-		if err != nil {
-			t.Fatalf("NewUDP: %v", err)
-		}
-		defer tr.Close()
-		if err := tr.SendBatch(SenderEnd, [][]byte{{1}, big, {2}}); err != nil {
-			t.Fatalf("SendBatch with oversized frame errored: %v", err)
-		}
-		for want := byte(1); want <= 2; want++ {
-			select {
-			case got := <-tr.Recv(ReceiverEnd):
-				if len(got) != 1 || got[0] != want {
-					t.Fatalf("burst survivor wrong: %v (want [%d])", got, want)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("timeout: frame %d lost with the oversized one", want)
+	for _, tc := range []struct {
+		name string
+		link func(t *testing.T, reg *obs.Registry) (tx batchTransport, rx <-chan []byte)
+	}{
+		{"loopback", func(t *testing.T, reg *obs.Registry) (batchTransport, <-chan []byte) {
+			tr, err := NewUDP(reg)
+			if err != nil {
+				t.Fatalf("NewUDP: %v", err)
 			}
-		}
-		if err := tr.Send(SenderEnd, big); err != nil {
-			t.Fatalf("Send oversized frame errored: %v", err)
-		}
-		if got := reg.Snapshot().Counters[`wire_frames_dropped_total{cause="oversize"}`]; got != 2 {
-			t.Errorf("oversize drops = %d, want 2", got)
-		}
-	})
-
-	t.Run("peer", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		sEnd, err := NewUDPPeer(SenderEnd, "127.0.0.1:0", "", reg)
-		if err != nil {
-			t.Fatalf("sender peer: %v", err)
-		}
-		defer sEnd.Close()
-		rEnd, err := NewUDPPeer(ReceiverEnd, "127.0.0.1:0", sEnd.LocalAddr().String(), nil)
-		if err != nil {
-			t.Fatalf("receiver peer: %v", err)
-		}
-		defer rEnd.Close()
-		if err := sEnd.SetRemote(rEnd.LocalAddr().String()); err != nil {
-			t.Fatalf("SetRemote: %v", err)
-		}
-		if err := sEnd.SendBatch(SenderEnd, [][]byte{{1}, big, {2}}); err != nil {
-			t.Fatalf("SendBatch with oversized frame errored: %v", err)
-		}
-		for want := byte(1); want <= 2; want++ {
-			select {
-			case got := <-rEnd.Recv(ReceiverEnd):
-				if len(got) != 1 || got[0] != want {
-					t.Fatalf("burst survivor wrong: %v (want [%d])", got, want)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("timeout: frame %d lost with the oversized one", want)
+			t.Cleanup(func() { tr.Close() })
+			return tr, tr.Recv(ReceiverEnd)
+		}},
+		{"peer", func(t *testing.T, reg *obs.Registry) (batchTransport, <-chan []byte) {
+			sEnd, rEnd := peerPair(t, reg, nil, udpRecvBuffer)
+			return sEnd, rEnd.Recv(ReceiverEnd)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			tx, rx := tc.link(t, reg)
+			if err := tx.SendBatch(SenderEnd, [][]byte{{1}, big, {2}}); err != nil {
+				t.Fatalf("SendBatch with oversized frame errored: %v", err)
 			}
-		}
-		if err := sEnd.Send(SenderEnd, big); err != nil {
-			t.Fatalf("Send oversized frame errored: %v", err)
-		}
-		if got := reg.Snapshot().Counters[`wire_frames_dropped_total{cause="oversize"}`]; got != 2 {
-			t.Errorf("oversize drops = %d, want 2", got)
-		}
-	})
+			for want := byte(1); want <= 2; want++ {
+				select {
+				case got := <-rx:
+					if len(got) != 1 || got[0] != want {
+						t.Fatalf("burst survivor wrong: %v (want [%d])", got, want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("timeout: frame %d lost with the oversized one", want)
+				}
+			}
+			if err := tx.Send(SenderEnd, big); err != nil {
+				t.Fatalf("Send oversized frame errored: %v", err)
+			}
+			if got := reg.Snapshot().Counters[`wire_frames_dropped_total{cause="oversize"}`]; got != 2 {
+				t.Errorf("oversize drops = %d, want 2", got)
+			}
+		})
+	}
 }
 
 // TestUDPPeerSendCloseRace hammers Send/SendBatch from several
 // goroutines while Close runs (run with -race): sends may fail with
 // ErrClosed but must never panic or return a non-close error.
 func TestUDPPeerSendCloseRace(t *testing.T) {
-	sEnd, err := NewUDPPeer(SenderEnd, "127.0.0.1:0", "", nil)
-	if err != nil {
-		t.Fatalf("sender peer: %v", err)
-	}
-	rEnd, err := NewUDPPeer(ReceiverEnd, "127.0.0.1:0", sEnd.LocalAddr().String(), nil)
-	if err != nil {
-		t.Fatalf("receiver peer: %v", err)
-	}
-	defer rEnd.Close()
-	if err := sEnd.SetRemote(rEnd.LocalAddr().String()); err != nil {
-		t.Fatalf("SetRemote: %v", err)
-	}
+	sEnd, _ := peerPair(t, nil, nil, udpRecvBuffer)
 
 	frame := EncodeFrame(Frame{Session: 1, Dir: channel.SToR, Msg: "d"})
 	var wg sync.WaitGroup
@@ -411,17 +367,7 @@ func TestUDPPeerSendCloseRace(t *testing.T) {
 func TestUDPPeerHalfSessions(t *testing.T) {
 	const n, m, items = 4, 8, 5
 	regS, regR := obs.NewRegistry(), obs.NewRegistry()
-	sEnd, err := NewUDPPeer(SenderEnd, "127.0.0.1:0", "", regS)
-	if err != nil {
-		t.Fatalf("sender peer: %v", err)
-	}
-	rEnd, err := NewUDPPeer(ReceiverEnd, "127.0.0.1:0", sEnd.LocalAddr().String(), regR)
-	if err != nil {
-		t.Fatalf("receiver peer: %v", err)
-	}
-	if err := sEnd.SetRemote(rEnd.LocalAddr().String()); err != nil {
-		t.Fatalf("SetRemote: %v", err)
-	}
+	sEnd, rEnd := peerPair(t, regS, regR, udpRecvBuffer)
 
 	half := func(h End) []SessionConfig {
 		cfgs := make([]SessionConfig, n)

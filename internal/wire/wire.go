@@ -7,11 +7,12 @@
 //
 //   - Transport: a bidirectional frame pipe between two ends (SenderEnd
 //     hosts every session's S, ReceiverEnd every R). Two implementations:
-//     an in-process goroutine/channel transport and a UDP loopback
-//     transport. Both are allowed to drop, reorder, and (after the
-//     impairment layer) duplicate frames — i.e. a live link is a
-//     dup+del channel in the paper's sense, which is exactly the setting
-//     the protocols were verified for.
+//     an in-process channel transport and the peer-addressed datagram
+//     transport UDPPeer (loopback UDP is a pair of them). Both are
+//     allowed to drop, reorder, and (after the impairment layer)
+//     duplicate frames — i.e. a live link is a dup+del channel in the
+//     paper's sense, which is exactly the setting the protocols were
+//     verified for.
 //   - The frame codec (codec.go): frames msg.Msg values from the
 //     protocol's finite alphabet onto the wire with a session id, a
 //     direction, and a checksum, so byte corruption is rejected rather
@@ -20,11 +21,12 @@
 //     partition-heal, corruption, plus wire-native duplication and
 //     reordering — against live links, with fault windows counted in
 //     frames handled instead of adversary steps.
-//   - Session/Mux (session.go, mux.go): multiplexes N concurrent
-//     sender/receiver pairs over one transport, paces each protocol with
-//     retransmit ticks, audits the safety invariant (Y is a prefix of X)
-//     online on every write, and reports per-session goodput and
-//     learning times.
+//   - Session/Mux (session.go, mux.go, engine.go): multiplexes N
+//     concurrent sender/receiver pairs over one transport, runs them as
+//     inline state machines on a fixed event-loop worker pool, paces
+//     each protocol with retransmit ticks, audits the safety invariant
+//     (Y is a prefix of X) online on every write, and reports
+//     per-session goodput and learning times.
 //   - DetRun (det.go): the deterministic option — a seeded single-thread
 //     scheduler that drives one session through the same codec path and
 //     records its schedule as a trace, so the run can be replayed inside
