@@ -1,9 +1,9 @@
 package seqtx_test
 
 // Model-checker micro-benchmarks: the state-space engine's hot path
-// (world cloning, canonical state keys, exhaustive exploration, product
-// refutation). BENCH_mc.json records the baseline/after comparison for
-// the parallel-engine PR.
+// (world cloning and successors, canonical state keys, exhaustive
+// exploration, product refutation). BENCH_mc.json records the
+// baseline/after comparison for the parallel-engine PR.
 
 import (
 	"fmt"
@@ -67,6 +67,21 @@ func BenchmarkWorldClone(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if w.Clone() == nil {
 			b.Fatal("nil clone")
+		}
+	}
+}
+
+// BenchmarkWorldSuccessor is what the explorers pay per transition in
+// place of BenchmarkWorldClone plus an Apply: a child sharing what its
+// action leaves alone, cycling through the enabled actions.
+func BenchmarkWorldSuccessor(b *testing.B) {
+	w := benchWorld(b)
+	acts := w.Enabled()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Successor(acts[i%len(acts)]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -36,11 +36,11 @@ func TestParseRoundTrip(t *testing.T) {
 
 func TestParseTolerantForms(t *testing.T) {
 	cases := map[string]string{
-		" iid-dup( p = 0.25 ) ":  "iid-dup(p=0.25)",
-		"k-del( n=16 , k=2 )":    "k-del(k=2,n=16)", // key order free
-		"ge()":                   "ge(pgb=0.05,pbg=0.5,lg=0.01,lb=0.5)",
-		"ge(lb=0.9)":             "ge(pgb=0.05,pbg=0.5,lg=0.01,lb=0.9)",
-		"iid-loss(p=1e-1)":       "iid-loss(p=0.1)",
+		" iid-dup( p = 0.25 ) ": "iid-dup(p=0.25)",
+		"k-del( n=16 , k=2 )":   "k-del(k=2,n=16)", // key order free
+		"ge()":                  "ge(pgb=0.05,pbg=0.5,lg=0.01,lb=0.5)",
+		"ge(lb=0.9)":            "ge(pgb=0.05,pbg=0.5,lg=0.01,lb=0.9)",
+		"iid-loss(p=1e-1)":      "iid-loss(p=0.1)",
 	}
 	for in, want := range cases {
 		m, err := Parse(in)

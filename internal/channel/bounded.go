@@ -3,6 +3,7 @@ package channel
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"seqtx/internal/msg"
 )
@@ -26,7 +27,7 @@ const DefaultBoundedCap = 2
 // model is the one where corrupted-state recovery is provable with a
 // finite state space.
 type Bounded struct {
-	inflight  msg.Counts
+	inflight  multiset
 	cap       int
 	sentTotal int
 	lost      int
@@ -40,7 +41,7 @@ func NewBounded(capacity int) *Bounded {
 	if capacity < 1 {
 		capacity = DefaultBoundedCap
 	}
-	return &Bounded{inflight: msg.Counts{}, cap: capacity}
+	return &Bounded{cap: capacity}
 }
 
 // Kind returns KindBounded.
@@ -52,37 +53,38 @@ func (b *Bounded) Cap() int { return b.cap }
 // Send adds one in-flight copy of m, or loses it if the channel is full.
 func (b *Bounded) Send(m msg.Msg) {
 	b.sentTotal++
-	if b.inflight.Total() >= b.cap {
+	if b.inflight.total() >= b.cap {
 		b.lost++
 		return
 	}
-	b.inflight.Add(m, 1)
+	b.inflight.add(m)
 }
 
 // Deliverable returns a copy of the in-flight multiset.
-func (b *Bounded) Deliverable() msg.Counts { return b.inflight.Clone() }
+func (b *Bounded) Deliverable() msg.Counts { return b.inflight.counts() }
+
+// Support returns the i-th distinct in-flight message in ascending order.
+func (b *Bounded) Support(i int) (msg.Msg, bool) { return b.inflight.support(i) }
 
 // CanDeliver reports whether at least one copy of m is in flight.
-func (b *Bounded) CanDeliver(m msg.Msg) bool { return b.inflight.Get(m) > 0 }
+func (b *Bounded) CanDeliver(m msg.Msg) bool { return b.inflight.get(m) > 0 }
 
 // Deliver consumes one in-flight copy of m.
 func (b *Bounded) Deliver(m msg.Msg) error {
-	if !b.CanDeliver(m) {
+	if !b.inflight.remove(m) {
 		return fmt.Errorf("channel: bounded: no copy of %q in flight", m)
 	}
-	b.inflight.Add(m, -1)
 	return nil
 }
 
 // CanDrop reports whether a copy of m can be silently deleted.
-func (b *Bounded) CanDrop(m msg.Msg) bool { return b.inflight.Get(m) > 0 }
+func (b *Bounded) CanDrop(m msg.Msg) bool { return b.inflight.get(m) > 0 }
 
 // Drop silently deletes one in-flight copy of m.
 func (b *Bounded) Drop(m msg.Msg) error {
-	if !b.CanDeliver(m) {
+	if !b.inflight.remove(m) {
 		return fmt.Errorf("channel: bounded: no copy of %q in flight to drop", m)
 	}
-	b.inflight.Add(m, -1)
 	b.lost++
 	return nil
 }
@@ -94,27 +96,24 @@ func (b *Bounded) SentTotal() int { return b.sentTotal }
 func (b *Bounded) Lost() int { return b.lost }
 
 // Pending returns the number of copies currently in flight.
-func (b *Bounded) Pending() int { return b.inflight.Total() }
+func (b *Bounded) Pending() int { return b.inflight.total() }
 
 // Clone returns an independent copy.
 func (b *Bounded) Clone() Half {
-	return &Bounded{
-		inflight:  b.inflight.Clone(),
-		cap:       b.cap,
-		sentTotal: b.sentTotal,
-		lost:      b.lost,
-	}
+	cp := *b
+	cp.inflight = slices.Clone(b.inflight)
+	return &cp
 }
 
 // Key returns the canonical in-flight multiset plus the capacity (halves
 // of different capacity behave differently on overflow).
 func (b *Bounded) Key() string {
-	return fmt.Sprintf("bounded(%d){%s}", b.cap, b.inflight.Key())
+	return fmt.Sprintf("bounded(%d){%s}", b.cap, b.inflight.counts().Key())
 }
 
 // EncodeKey appends the binary counterpart of Key.
 func (b *Bounded) EncodeKey(buf []byte) []byte {
 	buf = append(buf, byte(KindBounded))
 	buf = binary.AppendUvarint(buf, uint64(b.cap))
-	return b.inflight.EncodeKey(buf)
+	return b.inflight.encodeKey(buf)
 }

@@ -79,6 +79,12 @@ type Half interface {
 	// count is 1 (delivery never exhausts); for FIFO halves only the head
 	// appears. The result is a fresh copy.
 	Deliverable() msg.Counts
+	// Support walks the support of the dlvrble vector in place: it returns
+	// the i-th distinct deliverable message in ascending order, and false
+	// once i is past the last one. It enumerates exactly
+	// Deliverable().Support() without building the vector — the model
+	// checker asks for every state's enabled actions.
+	Support(i int) (msg.Msg, bool)
 	// CanDeliver reports whether m could be delivered now.
 	CanDeliver(m msg.Msg) bool
 	// Deliver removes (where applicable) and returns confirmation that one

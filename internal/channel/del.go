@@ -2,6 +2,7 @@ package channel
 
 import (
 	"fmt"
+	"slices"
 
 	"seqtx/internal/msg"
 )
@@ -13,7 +14,7 @@ import (
 // what makes counting-based protocols sound: the receiver's received
 // multiset is always a sub-multiset of what was actually sent.
 type Del struct {
-	inflight  msg.Counts
+	inflight  multiset
 	allowDrop bool
 	sentTotal int
 	dropped   int
@@ -23,14 +24,14 @@ var _ Half = (*Del)(nil)
 
 // NewDel returns an empty del half (drops allowed).
 func NewDel() *Del {
-	return &Del{inflight: msg.Counts{}, allowDrop: true}
+	return &Del{allowDrop: true}
 }
 
 // NewReorder returns an empty reorder-only half: a del half whose copies
 // cannot be dropped, so every copy is delivered exactly once. This is the
 // restriction of a del channel to its finite-delay-fair behaviours.
 func NewReorder() *Del {
-	return &Del{inflight: msg.Counts{}}
+	return &Del{}
 }
 
 // Kind returns KindDel or KindReorder depending on drop permission.
@@ -43,37 +44,38 @@ func (d *Del) Kind() Kind {
 
 // Send adds one in-flight copy of m.
 func (d *Del) Send(m msg.Msg) {
-	d.inflight.Add(m, 1)
+	d.inflight.add(m)
 	d.sentTotal++
 }
 
 // Deliverable returns a copy of the in-flight multiset.
-func (d *Del) Deliverable() msg.Counts { return d.inflight.Clone() }
+func (d *Del) Deliverable() msg.Counts { return d.inflight.counts() }
+
+// Support returns the i-th distinct in-flight message in ascending order.
+func (d *Del) Support(i int) (msg.Msg, bool) { return d.inflight.support(i) }
 
 // CanDeliver reports whether at least one copy of m is in flight.
-func (d *Del) CanDeliver(m msg.Msg) bool { return d.inflight.Get(m) > 0 }
+func (d *Del) CanDeliver(m msg.Msg) bool { return d.inflight.get(m) > 0 }
 
 // Deliver consumes one in-flight copy of m.
 func (d *Del) Deliver(m msg.Msg) error {
-	if !d.CanDeliver(m) {
+	if !d.inflight.remove(m) {
 		return fmt.Errorf("channel: %s: no copy of %q in flight", d.Kind(), m)
 	}
-	d.inflight.Add(m, -1)
 	return nil
 }
 
 // CanDrop reports whether the model allows silently deleting a copy of m.
-func (d *Del) CanDrop(m msg.Msg) bool { return d.allowDrop && d.inflight.Get(m) > 0 }
+func (d *Del) CanDrop(m msg.Msg) bool { return d.allowDrop && d.inflight.get(m) > 0 }
 
 // Drop silently deletes one in-flight copy of m.
 func (d *Del) Drop(m msg.Msg) error {
 	if !d.allowDrop {
 		return fmt.Errorf("channel: reorder channels cannot delete messages (%q)", m)
 	}
-	if !d.CanDeliver(m) {
+	if !d.inflight.remove(m) {
 		return fmt.Errorf("channel: del: no copy of %q in flight to drop", m)
 	}
-	d.inflight.Add(m, -1)
 	d.dropped++
 	return nil
 }
@@ -85,27 +87,24 @@ func (d *Del) SentTotal() int { return d.sentTotal }
 func (d *Del) Dropped() int { return d.dropped }
 
 // Pending returns the number of copies currently in flight.
-func (d *Del) Pending() int { return d.inflight.Total() }
+func (d *Del) Pending() int { return d.inflight.total() }
 
 // Clone returns an independent copy.
 func (d *Del) Clone() Half {
-	return &Del{
-		inflight:  d.inflight.Clone(),
-		allowDrop: d.allowDrop,
-		sentTotal: d.sentTotal,
-		dropped:   d.dropped,
-	}
+	cp := *d
+	cp.inflight = slices.Clone(d.inflight)
+	return &cp
 }
 
 // Key returns the canonical in-flight multiset. Totals are excluded: two
 // halves with equal in-flight multisets behave identically forever.
 func (d *Del) Key() string {
-	return d.Kind().String() + "{" + d.inflight.Key() + "}"
+	return d.Kind().String() + "{" + d.inflight.counts().Key() + "}"
 }
 
 // EncodeKey appends the binary counterpart of Key: the kind tag and the
 // canonical in-flight multiset.
 func (d *Del) EncodeKey(buf []byte) []byte {
 	buf = append(buf, byte(d.Kind()))
-	return d.inflight.EncodeKey(buf)
+	return d.inflight.encodeKey(buf)
 }

@@ -18,11 +18,8 @@ import (
 // erase a message type — "all copies deleted" — realizing the full fault
 // menu of the paper's introduction (delay, reorder, lose, duplicate).
 type Dup struct {
-	// sent is the set of messages ever sent, kept sorted. A sorted slice
-	// beats a map here: the model checker clones a half on every explored
-	// transition and keys it right after, so cloning must be one copy and
-	// canonical iteration must be free. Membership tests are binary
-	// searches over a set bounded by the protocol alphabet size.
+	// sent is the set of messages ever sent, kept sorted (a slice, not a
+	// map, for the reasons given on multiset).
 	sent      []msg.Msg
 	allowDrop bool
 	sentTotal int
@@ -65,6 +62,14 @@ func (d *Dup) Deliverable() msg.Counts {
 		c[m] = 1
 	}
 	return c
+}
+
+// Support returns the i-th message ever sent in ascending order.
+func (d *Dup) Support(i int) (msg.Msg, bool) {
+	if i >= len(d.sent) {
+		return "", false
+	}
+	return d.sent[i], true
 }
 
 // CanDeliver reports whether m was ever sent.

@@ -66,6 +66,14 @@ func (f *FIFO) Deliverable() msg.Counts {
 	return c
 }
 
+// Support returns the head message for i == 0 (if any).
+func (f *FIFO) Support(i int) (msg.Msg, bool) {
+	if i > 0 || len(f.queue) == 0 {
+		return "", false
+	}
+	return f.queue[0], true
+}
+
 // CanDeliver reports whether m is the queue head.
 func (f *FIFO) CanDeliver(m msg.Msg) bool {
 	return len(f.queue) > 0 && f.queue[0] == m

@@ -25,7 +25,7 @@ func TestDupDelDeliverableIsSnapshot(t *testing.T) {
 }
 
 // fuzzKinds fixes the kind decode order for the fuzzer.
-var fuzzKinds = []Kind{KindDup, KindDel, KindReorder, KindFIFO, KindDupDel}
+var fuzzKinds = []Kind{KindDup, KindDel, KindReorder, KindFIFO, KindDupDel, KindBounded}
 
 // FuzzHalfCloneKeyConsistency drives every channel kind through an
 // arbitrary interleaving of Send/Deliver/Drop (plus FIFO duplication) and
@@ -33,7 +33,9 @@ var fuzzKinds = []Kind{KindDup, KindDel, KindReorder, KindFIFO, KindDupDel}
 //
 //   - a Clone and its original, fed identical operations, report
 //     identical Keys and identical operation outcomes (determinism);
-//   - mutating a clone never changes the original's Key (independence);
+//   - mutating a clone never changes the original's Key, nor a clone of
+//     the clone taken before (independence: no shared backing array);
+//   - Support(i) walks exactly Deliverable().Support();
 //   - CanDeliver/CanDrop exactly predict Deliver/Drop success;
 //   - everything in Deliverable() is deliverable.
 //
@@ -44,6 +46,7 @@ func FuzzHalfCloneKeyConsistency(f *testing.F) {
 	f.Add(byte(1), []byte{0, 4, 8, 1, 5, 9})
 	f.Add(byte(3), []byte{0, 0, 4, 4, 8, 2, 6, 10})
 	f.Add(byte(4), []byte{3, 7, 11, 3, 7, 11, 0, 1, 2})
+	f.Add(byte(5), []byte{0, 0, 1, 4, 8, 1, 1, 5, 9, 2})
 	f.Fuzz(func(t *testing.T, kindSel byte, ops []byte) {
 		kind := fuzzKinds[int(kindSel)%len(fuzzKinds)]
 		h, err := New(kind)
@@ -67,17 +70,38 @@ func FuzzHalfCloneKeyConsistency(f *testing.F) {
 				t.Fatalf("%s: op %d (%s %q): keys diverged under identical ops:\n  %q\n  %q",
 					kind, i, opName(kindOp), m, h.Key(), mirror.Key())
 			}
-			// Independence: a throwaway clone's mutations must not leak back.
+			// Independence: a throwaway clone's mutations must not leak
+			// back into the original or forward into its own clone.
+			// Re-sending and consuming what is already in flight writes
+			// existing entries in place — exactly what would show through
+			// a shared backing array.
 			before := h.Key()
 			scratch := h.Clone()
+			bystander := scratch.Clone()
 			scratch.Send("zz")
 			_ = scratch.Deliver("zz")
+			for _, letter := range []msg.Msg{"a", "b", "c", "d"} {
+				scratch.Send(letter)
+				_ = scratch.Deliver(letter)
+				_ = scratch.Deliver(letter)
+				_ = scratch.Drop(letter)
+			}
 			if h.Key() != before {
 				t.Fatalf("%s: op %d: mutating a clone changed the original key", kind, i)
 			}
+			if bystander.Key() != before {
+				t.Fatalf("%s: op %d: mutating a clone changed a clone of it", kind, i)
+			}
+			support := h.Deliverable().Support()
+			for j := 0; j <= len(support); j++ {
+				sm, ok := h.Support(j)
+				if ok != (j < len(support)) || (ok && sm != support[j]) {
+					t.Fatalf("%s: op %d: Support(%d) = %q, %v; Deliverable().Support() = %v", kind, i, j, sm, ok, support)
+				}
+			}
 			// Every advertised deliverable must actually deliver on a probe
 			// clone.
-			for _, dm := range h.Deliverable().Support() {
+			for _, dm := range support {
 				if !h.CanDeliver(dm) {
 					t.Fatalf("%s: op %d: %q in Deliverable() but CanDeliver is false", kind, i, dm)
 				}

@@ -112,6 +112,24 @@ func (l *Link) Clone() *Link {
 	}
 }
 
+// Fork returns a new link header over the same two halves. Forks alias
+// their halves: before writing through one, give it its own copy of the
+// half with Unshare. This is how a model-checker successor shares the
+// halves its action does not touch (sim.World.Successor).
+func (l *Link) Fork() *Link {
+	cp := *l
+	return &cp
+}
+
+// Unshare replaces the half in direction d with an independent copy.
+func (l *Link) Unshare(d Dir) {
+	if d == SToR {
+		l.sToR = l.sToR.Clone()
+	} else {
+		l.rToS = l.rToS.Clone()
+	}
+}
+
 // Key returns a canonical encoding of both halves' states.
 func (l *Link) Key() string {
 	return l.sToR.Key() + "|" + l.rToS.Key()

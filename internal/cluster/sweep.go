@@ -163,8 +163,8 @@ type BenchCell struct {
 	Completed  int `json:"completed"`
 	Violations int `json:"violations"`
 
-	ItemsDelivered        int64   `json:"items_delivered"`
-	ThroughputItemsPerSec float64 `json:"throughput_items_per_sec"`
+	ItemsDelivered        int64     `json:"items_delivered"`
+	ThroughputItemsPerSec float64   `json:"throughput_items_per_sec"`
 	Latency               LatencyMS `json:"latency_ms"`
 
 	FramesTx          int64 `json:"frames_tx"`

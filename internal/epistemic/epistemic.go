@@ -102,8 +102,8 @@ func (a *Analysis) explore(spec protocol.Spec, input seq.Seq, kind channel.Kind,
 			continue
 		}
 		for _, act := range cur.w.Enabled() {
-			next := cur.w.Clone()
-			if aerr := next.Apply(act); aerr != nil {
+			next, aerr := cur.w.Successor(act)
+			if aerr != nil {
 				return fmt.Errorf("epistemic: applying %s: %w", act, aerr)
 			}
 			view := cur.view

@@ -59,6 +59,9 @@ func (c *Corrupt) Send(m msg.Msg) {
 // Deliverable delegates to the wrapped half.
 func (c *Corrupt) Deliverable() msg.Counts { return c.inner.Deliverable() }
 
+// Support delegates to the wrapped half.
+func (c *Corrupt) Support(i int) (msg.Msg, bool) { return c.inner.Support(i) }
+
 // CanDeliver delegates to the wrapped half.
 func (c *Corrupt) CanDeliver(m msg.Msg) bool { return c.inner.CanDeliver(m) }
 

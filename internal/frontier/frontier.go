@@ -208,8 +208,8 @@ type Cell struct {
 	// Window is the sliding-window depth for the windowed protocols
 	// (0 for the stop-and-wait family).
 	Window int `json:"window,omitempty"`
-	Items  int  `json:"items"`
-	Trials int  `json:"trials"`
+	Items  int `json:"items"`
+	Trials int `json:"trials"`
 
 	Completed  int `json:"completed"`
 	Stalled    int `json:"stalled"`

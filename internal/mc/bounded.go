@@ -198,6 +198,9 @@ type recoveryCand struct {
 // Like Explore, it expands each level across cfg.Workers goroutines with
 // a deterministic merge, so the result is worker-count independent.
 func recoverySearch(point *sim.World, cfg BoundedConfig) int {
+	// Every world of the search records its own step (successors of a
+	// recording world do), which is how expand learns what a step sent.
+	point.StartTrace()
 	start := &recNode{
 		w:     point,
 		fresh: freshState{channel.SToR: msg.Counts{}, channel.RToS: msg.Counts{}},
@@ -214,18 +217,18 @@ func recoverySearch(point *sim.World, cfg BoundedConfig) int {
 
 	frontier := []*recNode{start}
 	var next []*recNode
+	var bufs [][]recoveryCand // per-chunk candidates, reused across levels
 
 	expand := func(ws *workerScratch, cur *recNode, emit func(recoveryCand)) {
 		ws.acts = appendRecoveryActions(ws.acts[:0], cur, cfg)
 		for _, act := range ws.acts {
-			nw := cur.w.Clone()
-			nw.StartTrace() // observe this step's sends
-			if err := nw.Apply(act); err != nil {
+			nw, err := cur.w.Successor(act)
+			if err != nil {
 				emit(recoveryCand{skip: true}) // impossible action; skip
 				continue
 			}
 			nf := cur.fresh.clone()
-			entry := nw.Trace.Entries[len(nw.Trace.Entries)-1]
+			entry := nw.Trace.Entries[0] // this step's sends
 			sendDir := channel.SToR
 			if act.Kind == trace.ActTickR || (act.Kind == trace.ActDeliver && act.Dir == channel.SToR) || (act.Kind == trace.ActDeliverDup && act.Dir == channel.SToR) {
 				sendDir = channel.RToS
@@ -241,7 +244,6 @@ func recoverySearch(point *sim.World, cfg BoundedConfig) int {
 				emit(recoveryCand{recovered: nw.SafetyViolation == nil, skip: true})
 				continue
 			}
-			nw.Trace = nil
 			ws.keyBuf = nf.encodeKey(nw.EncodeKey(ws.keyBuf[:0]))
 			emit(recoveryCand{
 				node: &recNode{w: nw, fresh: nf, depth: cur.depth + 1},
@@ -285,7 +287,7 @@ func recoverySearch(point *sim.World, cfg BoundedConfig) int {
 			}
 		} else {
 			bounds := chunkBounds(len(frontier), workers*chunksPerWorker)
-			results := make([][]recoveryCand, len(bounds))
+			results := candBufs(&bufs, len(bounds))
 			runChunks(workers, bounds, func(worker, chunk int) {
 				ws := &scratch[worker]
 				out := results[chunk]
@@ -327,9 +329,13 @@ func recoverySearch(point *sim.World, cfg BoundedConfig) int {
 // appends to acts (a reused per-worker buffer) and returns the extension.
 func appendRecoveryActions(acts []trace.Action, cur *recNode, cfg BoundedConfig) []trace.Action {
 	acts = append(acts, trace.TickS(), trace.TickR())
-	for _, dir := range []channel.Dir{channel.SToR, channel.RToS} {
+	for dir := channel.SToR; dir <= channel.RToS; dir++ {
 		half := cur.w.Link.Half(dir)
-		for _, m := range half.Deliverable().Support() {
+		for i := 0; ; i++ {
+			m, ok := half.Support(i)
+			if !ok {
+				break
+			}
 			if !cfg.OldMessagesAllowed && cur.fresh[dir].Get(m) <= 0 {
 				continue
 			}

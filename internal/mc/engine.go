@@ -164,6 +164,21 @@ func chunkBounds(n, k int) [][2]int {
 	return bounds
 }
 
+// candBufs returns n empty per-chunk candidate buffers for one BFS level,
+// reusing the outer slice and the capacity earlier levels left in *bufs.
+// The previous level's candidates are cleared first so the successors the
+// merge rejected (most of them) are garbage as soon as the level ends.
+func candBufs[C any](bufs *[][]C, n int) [][]C {
+	for i, b := range *bufs {
+		clear(b)
+		(*bufs)[i] = b[:0]
+	}
+	for len(*bufs) < n {
+		*bufs = append(*bufs, nil)
+	}
+	return (*bufs)[:n]
+}
+
 // chunksPerWorker oversplits levels for load balancing: chunks are claimed
 // dynamically, so a worker stuck on a heavy chunk sheds the rest.
 const chunksPerWorker = 4

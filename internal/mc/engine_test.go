@@ -177,6 +177,35 @@ func TestBoundedWorkerEquivalence(t *testing.T) {
 	}
 }
 
+// TestExploreAllocBudget gates the explorer's allocations per visited
+// state the way TestStepSteadyStateZeroAlloc gates Step: exactly, not by
+// a timing. The system is the benchmark's (the tight protocol on a
+// deletion channel), cut at depth 12, on the sequential path. The ceiling
+// sits about 15% above the measured 27.7; deep-cloning a world per
+// transition, which Successor replaced, costs 64.
+func TestExploreAllocBudget(t *testing.T) {
+	const ceiling = 32.0
+	spec, err := registry.Protocol("alpha", registry.Params{M: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ExploreConfig{MaxDepth: 12, EngineConfig: EngineConfig{Workers: 1}}
+	states := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		res, err := Explore(spec, seq.FromInts(0, 1, 2), channel.KindDel, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states = res.States
+	})
+	if perState := allocs / float64(states); perState > ceiling {
+		t.Errorf("Explore allocates %.1f objects per state (%.0f over %d states), budget %.0f",
+			perState, allocs, states, ceiling)
+	} else {
+		t.Logf("%.1f allocations per state (%.0f over %d states)", perState, allocs, states)
+	}
+}
+
 // FuzzEncodeKeyMatchesKey drives random walks through random systems and
 // checks the engine's core keying contract: two reached states have equal
 // EncodeKey bytes exactly when their Key strings are equal, so the binary

@@ -140,6 +140,7 @@ func Explore(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg ExploreCo
 	frontier := []*node{{w: w}}
 	depth := 0
 	var next []*node
+	var bufs [][]exploreCand // per-chunk candidates, reused across levels
 
 	// merge admits one candidate, replicating the sequential child
 	// processing exactly: violation and completion checks come before
@@ -183,8 +184,8 @@ func Explore(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg ExploreCo
 	expand := func(ws *workerScratch, cur *node, emit func(exploreCand) error) error {
 		ws.acts = cur.w.AppendEnabled(ws.acts[:0])
 		for _, act := range ws.acts {
-			nw := cur.w.Clone()
-			if aerr := nw.Apply(act); aerr != nil {
+			nw, aerr := cur.w.Successor(act)
+			if aerr != nil {
 				return emit(exploreCand{err: fmt.Errorf("mc: applying %s: %w", act, aerr)})
 			}
 			ws.keyBuf = nw.EncodeKey(ws.keyBuf[:0])
@@ -216,7 +217,7 @@ func Explore(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg ExploreCo
 			}
 		} else {
 			bounds := chunkBounds(len(frontier), workers*chunksPerWorker)
-			results := make([][]exploreCand, len(bounds))
+			results := candBufs(&bufs, len(bounds))
 			runChunks(workers, bounds, func(worker, chunk int) {
 				ws := &scratch[worker]
 				out := results[chunk]

@@ -153,6 +153,7 @@ func Refute(spec protocol.Spec, x1, x2 seq.Seq, kind channel.Kind, cfg ExploreCo
 	frontier := []*productNode{{w1: w1, w2: w2}}
 	depth := 0
 	var next []*productNode
+	var bufs [][]productCand // per-chunk candidates, reused across levels
 
 	merge := func(c productCand) error {
 		if c.err != nil {
@@ -216,7 +217,7 @@ func Refute(spec protocol.Spec, x1, x2 seq.Seq, kind channel.Kind, cfg ExploreCo
 			}
 		} else {
 			bounds := chunkBounds(len(frontier), workers*chunksPerWorker)
-			results := make([][]productCand, len(bounds))
+			results := candBufs(&bufs, len(bounds))
 			runChunks(workers, bounds, func(worker, chunk int) {
 				ws := &scratch[worker]
 				out := results[chunk]
@@ -299,9 +300,13 @@ func appendProductActions(acts []ProductAction, w1, w2 *sim.World) []ProductActi
 	for _, sw := range sides {
 		side, w := sw.side, sw.w
 		acts = append(acts, ProductAction{Side: side, Act: trace.TickS()})
-		for _, dir := range []channel.Dir{channel.SToR, channel.RToS} {
+		for dir := channel.SToR; dir <= channel.RToS; dir++ {
 			half := w.Link.Half(dir)
-			for _, m := range half.Deliverable().Support() {
+			for i := 0; ; i++ {
+				m, ok := half.Support(i)
+				if !ok {
+					break
+				}
 				if dir == channel.RToS {
 					acts = append(acts, ProductAction{Side: side, Act: trace.Deliver(dir, m)})
 					if f, ok := half.(*channel.FIFO); ok && f.AllowsDup() {
@@ -317,7 +322,11 @@ func appendProductActions(acts []ProductAction, w1, w2 *sim.World) []ProductActi
 	}
 	// Receiver-visible synchronized events.
 	acts = append(acts, ProductAction{Side: Both, Act: trace.TickR(), ActRight: trace.TickR()})
-	for _, m := range w1.Link.Half(channel.SToR).Deliverable().Support() {
+	for i := 0; ; i++ {
+		m, ok := w1.Link.Half(channel.SToR).Support(i)
+		if !ok {
+			break
+		}
 		ways1 := feedWays(w1, m)
 		ways2 := feedWays(w2, m)
 		for _, a1 := range ways1 {
@@ -344,24 +353,21 @@ func feedWays(w *sim.World, m msg.Msg) []trace.Action {
 
 func applyProduct(w1, w2 *sim.World, pa ProductAction) (*sim.World, *sim.World, error) {
 	n1, n2 := w1, w2
+	var err error
 	switch pa.Side {
 	case Left:
-		n1 = w1.Clone()
-		if err := n1.Apply(pa.Act); err != nil {
+		if n1, err = w1.Successor(pa.Act); err != nil {
 			return nil, nil, fmt.Errorf("mc: product left %s: %w", pa.Act, err)
 		}
 	case Right:
-		n2 = w2.Clone()
-		if err := n2.Apply(pa.Act); err != nil {
+		if n2, err = w2.Successor(pa.Act); err != nil {
 			return nil, nil, fmt.Errorf("mc: product right %s: %w", pa.Act, err)
 		}
 	case Both:
-		n1 = w1.Clone()
-		n2 = w2.Clone()
-		if err := n1.Apply(pa.Act); err != nil {
+		if n1, err = w1.Successor(pa.Act); err != nil {
 			return nil, nil, fmt.Errorf("mc: product both/left %s: %w", pa.Act, err)
 		}
-		if err := n2.Apply(pa.ActRight); err != nil {
+		if n2, err = w2.Successor(pa.ActRight); err != nil {
 			return nil, nil, fmt.Errorf("mc: product both/right %s: %w", pa.ActRight, err)
 		}
 		if n1.R.Key() != n2.R.Key() {

@@ -75,8 +75,8 @@ func CheckProgressFrom(w *sim.World, cfg ExploreConfig) (*ProgressResult, error)
 			continue
 		}
 		for _, act := range worlds[cur].Enabled() {
-			next := worlds[cur].Clone()
-			if aerr := next.Apply(act); aerr != nil {
+			next, aerr := worlds[cur].Successor(act)
+			if aerr != nil {
 				return nil, fmt.Errorf("mc: applying %s: %w", act, aerr)
 			}
 			key := next.Key()

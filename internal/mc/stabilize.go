@@ -216,6 +216,7 @@ func CheckStabilize(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg St
 
 	var frontier, next []*stabNode
 	var frontierIDs, nextIDs []int32
+	var bufs [][]stabCand // per-chunk candidates, reused across levels
 
 	// merge admits one candidate: edges are recorded for every candidate
 	// (duplicates included — cycles live exactly there); only novel keys
@@ -282,14 +283,13 @@ func CheckStabilize(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg St
 	expand := func(ws *workerScratch, id int32, cur *stabNode, emit func(stabCand) error) error {
 		ws.acts = cur.w.AppendEnabled(ws.acts[:0])
 		for _, act := range ws.acts {
-			nw := cur.w.Clone()
-			before := len(nw.Output)
-			if aerr := nw.Apply(act); aerr != nil {
+			nw, aerr := cur.w.Successor(act)
+			if aerr != nil {
 				return emit(stabCand{err: fmt.Errorf("mc: stabilize: applying %s: %w", act, aerr)})
 			}
 			align := cur.align
 			bad := false
-			for _, v := range nw.Output[before:] {
+			for _, v := range nw.Output[len(cur.w.Output):] {
 				var b bool
 				align, b = align.step(v, input)
 				bad = bad || b
@@ -325,7 +325,7 @@ func CheckStabilize(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg St
 			}
 		} else {
 			bounds := chunkBounds(len(frontier), workers*chunksPerWorker)
-			results := make([][]stabCand, len(bounds))
+			results := candBufs(&bufs, len(bounds))
 			runChunks(workers, bounds, func(worker, chunk int) {
 				ws := &scratch[worker]
 				out := results[chunk]

@@ -30,6 +30,7 @@ package alphaproto
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"seqtx/internal/msg"
@@ -72,7 +73,7 @@ func New(m int) (protocol.Spec, error) {
 			return &sender{m: m, t: InternFor(m), input: input.Clone()}, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{m: m, t: InternFor(m), seen: make(map[seq.Item]bool)}, nil
+			return &receiver{m: m, t: InternFor(m), seen: make([]bool, m)}, nil
 		},
 	}, nil
 }
@@ -137,8 +138,17 @@ func (s *sender) EncodeKey(buf []byte) []byte {
 type receiver struct {
 	m       int
 	t       *Intern
-	seen    map[seq.Item]bool
+	seen    []bool // seen[v] for v in the domain: v is in written
 	written seq.Seq
+}
+
+// hasSeen reports whether v was written. Values outside the domain (only
+// corrupted spellings decode to one) have no flag; written is small.
+func (r *receiver) hasSeen(v seq.Item) bool {
+	if i := int(v); i >= 0 && i < len(r.seen) {
+		return r.seen[i]
+	}
+	return slices.Contains(r.written, v)
 }
 
 var _ protocol.Receiver = (*receiver)(nil)
@@ -151,11 +161,13 @@ func (r *receiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 	if !ok {
 		return nil, nil // not a data message; ignore
 	}
-	if r.seen[v] {
+	if r.hasSeen(v) {
 		// Duplicate: re-acknowledge (repairs lost acks on del channels).
 		return r.t.AckSend(v), nil
 	}
-	r.seen[v] = true
+	if i := int(v); i >= 0 && i < len(r.seen) {
+		r.seen[i] = true
+	}
 	r.written = append(r.written, v)
 	return r.t.AckSend(v), r.t.Write(v)
 }
@@ -163,11 +175,7 @@ func (r *receiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 func (r *receiver) Alphabet() msg.Alphabet { return r.t.ReceiverAlphabet() }
 
 func (r *receiver) Clone() protocol.Receiver {
-	seen := make(map[seq.Item]bool, len(r.seen))
-	for k, v := range r.seen {
-		seen[k] = v
-	}
-	return &receiver{m: r.m, t: r.t, seen: seen, written: r.written.Clone()}
+	return &receiver{m: r.m, t: r.t, seen: slices.Clone(r.seen), written: r.written.Clone()}
 }
 
 func (r *receiver) Key() string {

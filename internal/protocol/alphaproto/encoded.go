@@ -3,6 +3,7 @@ package alphaproto
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"seqtx/internal/alpha"
@@ -140,9 +141,8 @@ type encReceiver struct {
 	alphabet  msg.Alphabet
 	decode    map[string]seq.Seq
 	ackSend   map[msg.Msg][]msg.Msg // interned ack slice per code symbol
-	seen      map[msg.Msg]bool
-	codeSoFar []msg.Msg
-	written   int // items written so far
+	codeSoFar []msg.Msg             // distinct symbols in arrival order
+	written   int                   // items written so far
 }
 
 // ack returns the interned ack slice for symbol m, falling back to
@@ -163,13 +163,9 @@ func (r *encReceiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 		// first spontaneous step.
 		return nil, r.tryWrite()
 	}
-	if r.seen == nil {
-		r.seen = make(map[msg.Msg]bool)
-	}
-	if r.seen[ev.Msg] {
+	if slices.Contains(r.codeSoFar, ev.Msg) {
 		return r.ack(ev.Msg), nil
 	}
-	r.seen[ev.Msg] = true
 	r.codeSoFar = append(r.codeSoFar, ev.Msg)
 	return r.ack(ev.Msg), r.tryWrite()
 }
@@ -188,18 +184,9 @@ func (r *encReceiver) tryWrite() seq.Seq {
 func (r *encReceiver) Alphabet() msg.Alphabet { return r.alphabet }
 
 func (r *encReceiver) Clone() protocol.Receiver {
-	seen := make(map[msg.Msg]bool, len(r.seen))
-	for k, v := range r.seen {
-		seen[k] = v
-	}
-	return &encReceiver{
-		alphabet:  r.alphabet,
-		decode:    r.decode,
-		ackSend:   r.ackSend,
-		seen:      seen,
-		codeSoFar: append([]msg.Msg(nil), r.codeSoFar...),
-		written:   r.written,
-	}
+	cp := *r
+	cp.codeSoFar = slices.Clone(r.codeSoFar)
+	return &cp
 }
 
 func (r *encReceiver) Key() string {

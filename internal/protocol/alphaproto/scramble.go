@@ -27,10 +27,10 @@ func (r *receiver) Scramble(rng *rand.Rand) {
 	if r.m > 0 {
 		k = rng.Intn(r.m + 1)
 	}
-	r.seen = make(map[seq.Item]bool, k)
+	r.seen = make([]bool, r.m)
 	r.written = r.written[:0]
 	for _, v := range perm[:k] {
-		r.seen[seq.Item(v)] = true
+		r.seen[v] = true
 		r.written = append(r.written, seq.Item(v))
 	}
 }
