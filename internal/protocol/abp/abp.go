@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
@@ -25,67 +24,14 @@ import (
 )
 
 // DataMsg encodes item v under alternating bit b.
-func DataMsg(b int, v seq.Item) msg.Msg { return msg.Msg(fmt.Sprintf("b:%d:%d", b&1, int(v))) }
+func DataMsg(b int, v seq.Item) msg.Msg { return msg.Format("b", b&1, int(v)) }
 
 // AckMsg encodes the acknowledgement for bit b.
-func AckMsg(b int) msg.Msg { return msg.Msg(fmt.Sprintf("k:%d", b&1)) }
+func AckMsg(b int) msg.Msg { return msg.Format("k", b&1) }
 
-// tables is the per-m interned codec: every member of M^S/M^R with send
-// singletons, write singletons, and a decode map, byte-identical to
-// DataMsg/AckMsg. Shared read-only by every process built at the same m.
-type tables struct {
-	senderAlpha   msg.Alphabet
-	receiverAlpha msg.Alphabet
-	ack           [2]msg.Msg
-	ackSend       [2][]msg.Msg
-	dataSend      [2][][]msg.Msg // [bit][value]
-	writeOne      []seq.Seq
-	dataVal       map[msg.Msg]bitValue
-}
-
-type bitValue struct{ b, v int }
-
-var tablesCache sync.Map // int (m) → *tables
-
-func tablesFor(m int) *tables {
-	if t, ok := tablesCache.Load(m); ok {
-		return t.(*tables)
-	}
-	if m < 0 {
-		m = 0
-	}
-	t := &tables{
-		writeOne: make([]seq.Seq, m),
-		dataVal:  make(map[msg.Msg]bitValue, 2*m),
-	}
-	senderMsgs := make([]msg.Msg, 0, 2*m)
-	for b := 0; b < 2; b++ {
-		t.ack[b] = AckMsg(b)
-		t.ackSend[b] = []msg.Msg{t.ack[b]}
-		t.dataSend[b] = make([][]msg.Msg, m)
-		for v := 0; v < m; v++ {
-			dm := DataMsg(b, seq.Item(v))
-			senderMsgs = append(senderMsgs, dm)
-			t.dataSend[b][v] = []msg.Msg{dm}
-			t.dataVal[dm] = bitValue{b, v}
-		}
-	}
-	for v := 0; v < m; v++ {
-		t.writeOne[v] = seq.Seq{seq.Item(v)}
-	}
-	t.senderAlpha = msg.MustNewAlphabet(senderMsgs...)
-	t.receiverAlpha = msg.MustNewAlphabet(t.ack[0], t.ack[1])
-	actual, _ := tablesCache.LoadOrStore(m, t)
-	return actual.(*tables)
-}
-
-// write returns the shared one-item tape for v, allocating only for
-// out-of-domain values (which only corrupted messages can carry).
-func (t *tables) write(v int) seq.Seq {
-	if v >= 0 && v < len(t.writeOne) {
-		return t.writeOne[v]
-	}
-	return seq.Seq{seq.Item(v)}
+// Decl declares M^S = b:{2}:{m} and M^R = k:{2}: |M^S| = 2m, |M^R| = 2.
+func Decl(m int) msg.Decl {
+	return msg.Decl{Sender: msg.Kinds{msg.K("b", 2, m)}, Receiver: msg.Kinds{msg.K("k", 2)}}
 }
 
 // New returns the protocol spec for domain size m.
@@ -93,6 +39,7 @@ func New(m int) (protocol.Spec, error) {
 	if m < 0 {
 		return protocol.Spec{}, fmt.Errorf("abp: negative domain size %d", m)
 	}
+	t := msg.TableFor(Decl(m))
 	return protocol.Spec{
 		Name:        fmt.Sprintf("abp(m=%d)", m),
 		Description: "alternating-bit stop-and-wait; safe on FIFO, unsafe under reordering",
@@ -102,10 +49,10 @@ func New(m int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("abp: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &sender{m: m, t: tablesFor(m), input: input.Clone()}, nil
+			return &sender{t: t, input: input.Clone()}, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{m: m, t: tablesFor(m)}, nil
+			return &receiver{t: t}, nil
 		},
 	}, nil
 }
@@ -122,8 +69,7 @@ func MustNew(m int) protocol.Spec {
 // sender transmits input[idx] under bit idx%2, retransmitting each tick,
 // advancing on the matching acknowledgement.
 type sender struct {
-	m     int
-	t     *tables
+	t     *msg.Table
 	input seq.Seq
 	idx   int
 }
@@ -133,16 +79,13 @@ var _ protocol.Sender = (*sender)(nil)
 func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	switch ev.Kind {
 	case protocol.Recv:
-		if s.idx < len(s.input) && ev.Msg == s.t.ack[s.idx&1] {
+		if s.idx < len(s.input) && ev.Msg == s.t.R.Msg(0, msg.Fields{s.idx & 1}) {
 			s.idx++
 		}
 		return nil
 	case protocol.Tick:
 		if s.idx < len(s.input) {
-			if v := int(s.input[s.idx]); v >= 0 && v < s.m {
-				return s.t.dataSend[s.idx&1][v]
-			}
-			return []msg.Msg{DataMsg(s.idx, s.input[s.idx])}
+			return s.t.S.Send(0, msg.Fields{s.idx & 1, int(s.input[s.idx])})
 		}
 		return nil
 	default:
@@ -150,14 +93,14 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	}
 }
 
-func (s *sender) Alphabet() msg.Alphabet { return s.t.senderAlpha }
+func (s *sender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 
 func (s *sender) Done() bool { return s.idx >= len(s.input) }
 
 func (s *sender) Clone() protocol.Sender {
 	// The input tape is never mutated after construction, so clones share
 	// it: the model checker clones on every explored transition.
-	return &sender{m: s.m, t: s.t, input: s.input, idx: s.idx}
+	return &sender{t: s.t, input: s.input, idx: s.idx}
 }
 
 func (s *sender) Key() string { return fmt.Sprintf("abpS{%d}", s.idx) }
@@ -176,9 +119,9 @@ func (s *sender) Scramble(rng *rand.Rand) {
 // receiver accepts data whose bit matches its expectation, acknowledging
 // every data message with the bit it carried.
 type receiver struct {
-	m       int
-	t       *tables
+	t       *msg.Table
 	written int
+	w       [1]seq.Item // the one-item tape Step returns
 }
 
 var _ protocol.Receiver = (*receiver)(nil)
@@ -187,27 +130,22 @@ func (r *receiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 	if ev.Kind != protocol.Recv {
 		return nil, nil
 	}
-	bv, ok := r.t.dataVal[ev.Msg]
+	d, ok := r.t.S.Decode(ev.Msg)
 	if !ok {
-		// Non-canonical spelling (corruption): the pre-interning parse,
-		// which accepts a superset of the table's encodings. The scanned
-		// locals live only in this branch so the fast path stays
-		// allocation-free (&b would otherwise spill bv to the heap on
-		// every call).
-		var b, v int
-		if _, err := fmt.Sscanf(string(ev.Msg), "b:%d:%d", &b, &v); err != nil {
-			return nil, nil
-		}
+		return nil, nil // not in M^S
 	}
-	if bv.b == r.written&1 {
+	b, v := d.F[0], d.F[1]
+	ack := r.t.R.Send(0, msg.Fields{b})
+	if b == r.written&1 {
 		r.written++
-		return r.t.ackSend[bv.b&1], r.t.write(bv.v)
+		r.w[0] = seq.Item(v)
+		return ack, r.w[:]
 	}
 	// Retransmission of the previous item: re-acknowledge its bit.
-	return r.t.ackSend[bv.b&1], nil
+	return ack, nil
 }
 
-func (r *receiver) Alphabet() msg.Alphabet { return r.t.receiverAlpha }
+func (r *receiver) Alphabet() msg.Alphabet { return r.t.R.Alphabet() }
 
 func (r *receiver) Clone() protocol.Receiver {
 	cp := *r

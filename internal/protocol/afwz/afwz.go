@@ -44,7 +44,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
-	"sync"
 
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
@@ -52,7 +51,7 @@ import (
 )
 
 // ItemMsg encodes the reverse-order data message for item v.
-func ItemMsg(v seq.Item) msg.Msg { return msg.Msg(fmt.Sprintf("r:%d", int(v))) }
+func ItemMsg(v seq.Item) msg.Msg { return msg.Format("r", int(v)) }
 
 // EndMsg is the end-of-sequence marker.
 const EndMsg = msg.Msg("end")
@@ -60,45 +59,18 @@ const EndMsg = msg.Msg("end")
 // AckMsg is the receiver's (only) message.
 const AckMsg = msg.Msg("ack")
 
-// ackSend and endSend are the shared one-message send slices for the
-// constant messages (see the Step contract in package protocol).
-var (
-	ackSend = []msg.Msg{AckMsg}
-	endSend = []msg.Msg{EndMsg}
+// Sender message kinds, in declaration order.
+const (
+	kindItem = iota
+	kindEnd
 )
 
-// tables is the per-m interned codec: item messages with send
-// singletons and a decode map, byte-identical to ItemMsg.
-type tables struct {
-	senderAlpha msg.Alphabet
-	itemSend    [][]msg.Msg
-	itemVal     map[msg.Msg]seq.Item
-}
-
-var tablesCache sync.Map // int (m) → *tables
-
-func tablesFor(m int) *tables {
-	if t, ok := tablesCache.Load(m); ok {
-		return t.(*tables)
+// Decl declares M^S = r:{m} + end and M^R = ack: |M^S| = m+1, |M^R| = 1.
+func Decl(m int) msg.Decl {
+	return msg.Decl{
+		Sender:   msg.Kinds{msg.K("r", m), msg.K(string(EndMsg))},
+		Receiver: msg.Kinds{msg.K(string(AckMsg))},
 	}
-	if m < 0 {
-		m = 0
-	}
-	t := &tables{
-		itemSend: make([][]msg.Msg, m),
-		itemVal:  make(map[msg.Msg]seq.Item, m),
-	}
-	msgs := make([]msg.Msg, 0, m+1)
-	for v := 0; v < m; v++ {
-		im := ItemMsg(seq.Item(v))
-		msgs = append(msgs, im)
-		t.itemSend[v] = []msg.Msg{im}
-		t.itemVal[im] = seq.Item(v)
-	}
-	msgs = append(msgs, EndMsg)
-	t.senderAlpha = msg.MustNewAlphabet(msgs...)
-	actual, _ := tablesCache.LoadOrStore(m, t)
-	return actual.(*tables)
 }
 
 // New returns the protocol spec for domain size m. X is every finite
@@ -107,6 +79,7 @@ func New(m int) (protocol.Spec, error) {
 	if m < 0 {
 		return protocol.Spec{}, fmt.Errorf("afwz: negative domain size %d", m)
 	}
+	t := msg.TableFor(Decl(m))
 	return protocol.Spec{
 		Name:        fmt.Sprintf("afwz(m=%d)", m),
 		Description: "gated reverse-order transmission: all finite sequences, unbounded recovery",
@@ -116,10 +89,10 @@ func New(m int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("afwz: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &sender{m: m, t: tablesFor(m), input: input.Clone()}, nil
+			return &sender{t: t, input: input.Clone()}, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{m: m, t: tablesFor(m)}, nil
+			return &receiver{m: m, t: t}, nil
 		},
 	}, nil
 }
@@ -138,8 +111,7 @@ func MustNew(m int) protocol.Spec {
 // only while acks == k, and only once per run — a copy, once sent, is
 // never re-sent, so at most one copy is ever in flight.
 type sender struct {
-	m     int
-	t     *tables
+	t     *msg.Table
 	input seq.Seq
 	acks  int // acknowledgements received
 	sent  int // messages sent (acks <= sent <= acks+1)
@@ -158,28 +130,26 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 		if s.sent > s.acks || s.sent > len(s.input) {
 			return nil // gate closed, or everything (incl. end) sent
 		}
-		defer func() { s.sent++ }()
-		if s.sent == len(s.input) {
-			return endSend
+		k := s.sent
+		s.sent++
+		if k == len(s.input) {
+			return s.t.S.Send(kindEnd, msg.Fields{})
 		}
 		// Reverse order: the k-th message carries x_{n-k} (1-based x).
-		if v := int(s.input[len(s.input)-1-s.sent]); v >= 0 && v < s.m {
-			return s.t.itemSend[v]
-		}
-		return []msg.Msg{ItemMsg(s.input[len(s.input)-1-s.sent])}
+		return s.t.S.Send(kindItem, msg.Fields{int(s.input[len(s.input)-1-k])})
 	default:
 		return nil
 	}
 }
 
-func (s *sender) Alphabet() msg.Alphabet { return s.t.senderAlpha }
+func (s *sender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 
 func (s *sender) Done() bool { return s.acks > len(s.input) }
 
 func (s *sender) Clone() protocol.Sender {
 	// The input tape is never mutated after construction, so clones share
 	// it: the model checker clones on every explored transition.
-	return &sender{m: s.m, t: s.t, input: s.input, acks: s.acks, sent: s.sent}
+	return &sender{t: s.t, input: s.input, acks: s.acks, sent: s.sent}
 }
 
 func (s *sender) Key() string { return fmt.Sprintf("afwzS{a=%d,s=%d}", s.acks, s.sent) }
@@ -193,7 +163,7 @@ func (s *sender) EncodeKey(buf []byte) []byte {
 // receiver buffers reverse-order arrivals and commits them on "end".
 type receiver struct {
 	m      int
-	t      *tables
+	t      *msg.Table
 	buffer seq.Seq // arrivals in order: x_n, x_{n-1}, ...
 	done   bool
 }
@@ -204,36 +174,28 @@ func (r *receiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 	if ev.Kind != protocol.Recv {
 		return nil, nil
 	}
-	if ev.Msg == EndMsg {
-		if r.done {
-			return ackSend, nil
-		}
-		r.done = true
-		// Commit: the buffer holds x_n .. x_1; write it reversed.
-		out := make(seq.Seq, len(r.buffer))
-		for i, v := range r.buffer {
-			out[len(out)-1-i] = v
-		}
-		return ackSend, out
-	}
-	v, ok := r.t.itemVal[ev.Msg]
+	d, ok := r.t.S.Decode(ev.Msg)
 	if !ok {
-		// Non-canonical spelling (corruption): the pre-interning parse,
-		// which accepts a superset of the table's encodings. The scanned
-		// local lives only in this branch so the fast path stays
-		// allocation-free.
-		var pv int
-		if _, err := fmt.Sscanf(string(ev.Msg), "r:%d", &pv); err != nil {
-			return nil, nil
-		}
+		return nil, nil // not in M^S
 	}
-	if !r.done {
-		r.buffer = append(r.buffer, v)
+	ack := r.t.R.Send(0, msg.Fields{})
+	if r.done {
+		return ack, nil
 	}
-	return ackSend, nil
+	if d.Kind == kindItem {
+		r.buffer = append(r.buffer, seq.Item(d.F[0]))
+		return ack, nil
+	}
+	r.done = true
+	// Commit: the buffer holds x_n .. x_1; write it reversed.
+	out := make(seq.Seq, len(r.buffer))
+	for i, v := range r.buffer {
+		out[len(out)-1-i] = v
+	}
+	return ack, out
 }
 
-func (r *receiver) Alphabet() msg.Alphabet { return msg.MustNewAlphabet(AckMsg) }
+func (r *receiver) Alphabet() msg.Alphabet { return r.t.R.Alphabet() }
 
 func (r *receiver) Clone() protocol.Receiver {
 	return &receiver{m: r.m, t: r.t, buffer: r.buffer.Clone(), done: r.done}

@@ -39,16 +39,16 @@ import (
 )
 
 // DataMsg encodes the data message for item v.
-func DataMsg(v seq.Item) msg.Msg { return msg.Msg(fmt.Sprintf("d:%d", int(v))) }
+func DataMsg(v seq.Item) msg.Msg { return msg.Format("d", int(v)) }
 
 // AckMsg encodes the acknowledgement for item v.
-func AckMsg(v seq.Item) msg.Msg { return msg.Msg(fmt.Sprintf("a:%d", int(v))) }
+func AckMsg(v seq.Item) msg.Msg { return msg.Format("a", int(v)) }
 
-// senderAlphabet returns M^S for domain size m.
-func senderAlphabet(m int) msg.Alphabet { return InternFor(m).SenderAlphabet() }
-
-// receiverAlphabet returns M^R for domain size m.
-func receiverAlphabet(m int) msg.Alphabet { return InternFor(m).ReceiverAlphabet() }
+// Decl declares M^S = d:{m} and M^R = a:{m}, so |M^S| = |M^R| = m. Naive
+// and stab speak the same alphabets and share the table.
+func Decl(m int) msg.Decl {
+	return msg.Decl{Sender: msg.Kinds{msg.K("d", m)}, Receiver: msg.Kinds{msg.K("a", m)}}
+}
 
 // New returns the protocol spec for domain size m. Senders reject inputs
 // that repeat an item or leave the domain: those are outside this
@@ -58,6 +58,7 @@ func New(m int) (protocol.Spec, error) {
 	if m < 0 {
 		return protocol.Spec{}, fmt.Errorf("alphaproto: negative domain size %d", m)
 	}
+	t := msg.TableFor(Decl(m))
 	return protocol.Spec{
 		Name:        fmt.Sprintf("alpha(m=%d)", m),
 		Description: "the paper's tight protocol: new-value writes, value acknowledgements",
@@ -70,10 +71,10 @@ func New(m int) (protocol.Spec, error) {
 			if input.HasRepetition() {
 				return nil, fmt.Errorf("alphaproto: input %s repeats an item; X is the repetition-free sequences", input)
 			}
-			return &sender{m: m, t: InternFor(m), input: input.Clone()}, nil
+			return &sender{t: t, input: input.Clone()}, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{m: m, t: InternFor(m), seen: make([]bool, m)}, nil
+			return &receiver{t: t, seen: make([]bool, m)}, nil
 		},
 	}, nil
 }
@@ -89,8 +90,7 @@ func MustNew(m int) protocol.Spec {
 
 // sender is S: transmit input[idx] every tick until its ack arrives.
 type sender struct {
-	m     int
-	t     *Intern
+	t     *msg.Table
 	input seq.Seq
 	idx   int // next unacknowledged position
 }
@@ -100,13 +100,13 @@ var _ protocol.Sender = (*sender)(nil)
 func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	switch ev.Kind {
 	case protocol.Recv:
-		if s.idx < len(s.input) && ev.Msg == s.t.Ack(s.input[s.idx]) {
+		if s.idx < len(s.input) && ev.Msg == s.t.R.Msg(0, msg.Fields{int(s.input[s.idx])}) {
 			s.idx++
 		}
 		return nil
 	case protocol.Tick:
 		if s.idx < len(s.input) {
-			return s.t.DataSend(s.input[s.idx])
+			return s.t.S.Send(0, msg.Fields{int(s.input[s.idx])})
 		}
 		return nil
 	default:
@@ -114,13 +114,13 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	}
 }
 
-func (s *sender) Alphabet() msg.Alphabet { return s.t.SenderAlphabet() }
+func (s *sender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 func (s *sender) Done() bool             { return s.idx >= len(s.input) }
 
 func (s *sender) Clone() protocol.Sender {
 	// The input tape is never mutated after construction, so clones share
 	// it: the model checker clones on every explored transition.
-	return &sender{m: s.m, t: s.t, input: s.input, idx: s.idx}
+	return &sender{t: s.t, input: s.input, idx: s.idx}
 }
 
 func (s *sender) Key() string {
@@ -136,19 +136,10 @@ func (s *sender) EncodeKey(buf []byte) []byte {
 // receiver is R: write each never-before-seen value, acknowledge every
 // data message (first sight or duplicate).
 type receiver struct {
-	m       int
-	t       *Intern
+	t       *msg.Table
 	seen    []bool // seen[v] for v in the domain: v is in written
 	written seq.Seq
-}
-
-// hasSeen reports whether v was written. Values outside the domain (only
-// corrupted spellings decode to one) have no flag; written is small.
-func (r *receiver) hasSeen(v seq.Item) bool {
-	if i := int(v); i >= 0 && i < len(r.seen) {
-		return r.seen[i]
-	}
-	return slices.Contains(r.written, v)
+	w       [1]seq.Item // the one-item tape Step returns
 }
 
 var _ protocol.Receiver = (*receiver)(nil)
@@ -157,25 +148,25 @@ func (r *receiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 	if ev.Kind != protocol.Recv {
 		return nil, nil
 	}
-	v, ok := r.t.DataValue(ev.Msg)
+	d, ok := r.t.S.Decode(ev.Msg)
 	if !ok {
-		return nil, nil // not a data message; ignore
+		return nil, nil // not in M^S; ignore
 	}
-	if r.hasSeen(v) {
+	v := d.F[0]
+	if r.seen[v] {
 		// Duplicate: re-acknowledge (repairs lost acks on del channels).
-		return r.t.AckSend(v), nil
+		return r.t.R.Send(0, d.F), nil
 	}
-	if i := int(v); i >= 0 && i < len(r.seen) {
-		r.seen[i] = true
-	}
-	r.written = append(r.written, v)
-	return r.t.AckSend(v), r.t.Write(v)
+	r.seen[v] = true
+	r.w[0] = seq.Item(v)
+	r.written = append(r.written, r.w[0])
+	return r.t.R.Send(0, d.F), r.w[:]
 }
 
-func (r *receiver) Alphabet() msg.Alphabet { return r.t.ReceiverAlphabet() }
+func (r *receiver) Alphabet() msg.Alphabet { return r.t.R.Alphabet() }
 
 func (r *receiver) Clone() protocol.Receiver {
-	return &receiver{m: r.m, t: r.t, seen: slices.Clone(r.seen), written: r.written.Clone()}
+	return &receiver{t: r.t, seen: slices.Clone(r.seen), written: r.written.Clone()}
 }
 
 func (r *receiver) Key() string {

@@ -22,12 +22,13 @@ var _ protocol.Scrambler = (*sender)(nil)
 // interesting corruption: the receiver will silently refuse values it
 // never actually wrote.
 func (r *receiver) Scramble(rng *rand.Rand) {
-	perm := rng.Perm(r.m)
+	m := len(r.seen)
+	perm := rng.Perm(m)
 	k := 0
-	if r.m > 0 {
-		k = rng.Intn(r.m + 1)
+	if m > 0 {
+		k = rng.Intn(m + 1)
 	}
-	r.seen = make([]bool, r.m)
+	r.seen = make([]bool, m)
 	r.written = r.written[:0]
 	for _, v := range perm[:k] {
 		r.seen[v] = true

@@ -19,7 +19,6 @@ package gobackn
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
@@ -27,74 +26,15 @@ import (
 )
 
 // DataMsg encodes item v under frame number n (modulo window+1).
-func DataMsg(mod, n int, v seq.Item) msg.Msg {
-	return msg.Msg(fmt.Sprintf("g:%d:%d", n%mod, int(v)))
-}
+func DataMsg(mod, n int, v seq.Item) msg.Msg { return msg.Format("g", n%mod, int(v)) }
 
 // AckMsg encodes the cumulative acknowledgement "expecting frame n next".
-func AckMsg(mod, n int) msg.Msg { return msg.Msg(fmt.Sprintf("ga:%d", n%mod)) }
+func AckMsg(mod, n int) msg.Msg { return msg.Format("ga", n%mod) }
 
-// tables is the per-(m, window) interned codec: every member of
-// M^S/M^R with send singletons, write singletons, and decode maps,
-// byte-identical to DataMsg/AckMsg.
-type tables struct {
-	senderAlpha   msg.Alphabet
-	receiverAlpha msg.Alphabet
-	data          [][]msg.Msg   // data[n][v] = "g:n:v"
-	ack           []msg.Msg     // ack[n] = "ga:n"
-	ackSend       [][]msg.Msg   // ackSend[n]
-	dataSend      [][][]msg.Msg // dataSend[n][v]
-	writeOne      []seq.Seq     // writeOne[v]
-	dataVal       map[msg.Msg]frameValue
-	ackVal        map[msg.Msg]int
-}
-
-type frameValue struct{ n, v int }
-
-type tablesKey struct{ m, window int }
-
-var tablesCache sync.Map // tablesKey → *tables
-
-func tablesFor(m, window int) *tables {
-	key := tablesKey{m, window}
-	if t, ok := tablesCache.Load(key); ok {
-		return t.(*tables)
-	}
-	if m < 0 {
-		m = 0
-	}
-	mod := window + 1
-	t := &tables{
-		data:     make([][]msg.Msg, mod),
-		ack:      make([]msg.Msg, mod),
-		ackSend:  make([][]msg.Msg, mod),
-		dataSend: make([][][]msg.Msg, mod),
-		writeOne: make([]seq.Seq, m),
-		dataVal:  make(map[msg.Msg]frameValue, mod*m),
-		ackVal:   make(map[msg.Msg]int, mod),
-	}
-	senderMsgs := make([]msg.Msg, 0, mod*m)
-	for n := 0; n < mod; n++ {
-		t.ack[n] = AckMsg(mod, n)
-		t.ackSend[n] = []msg.Msg{t.ack[n]}
-		t.ackVal[t.ack[n]] = n
-		t.data[n] = make([]msg.Msg, m)
-		t.dataSend[n] = make([][]msg.Msg, m)
-		for v := 0; v < m; v++ {
-			dm := DataMsg(mod, n, seq.Item(v))
-			senderMsgs = append(senderMsgs, dm)
-			t.data[n][v] = dm
-			t.dataSend[n][v] = []msg.Msg{dm}
-			t.dataVal[dm] = frameValue{n, v}
-		}
-	}
-	for v := 0; v < m; v++ {
-		t.writeOne[v] = seq.Seq{seq.Item(v)}
-	}
-	t.senderAlpha = msg.MustNewAlphabet(senderMsgs...)
-	t.receiverAlpha = msg.MustNewAlphabet(t.ack...)
-	actual, _ := tablesCache.LoadOrStore(key, t)
-	return actual.(*tables)
+// Decl declares M^S = g:{W+1}:{m} and M^R = ga:{W+1} for window W:
+// |M^S| = (W+1)·m, |M^R| = W+1.
+func Decl(m, window int) msg.Decl {
+	return msg.Decl{Sender: msg.Kinds{msg.K("g", window+1, m)}, Receiver: msg.Kinds{msg.K("ga", window+1)}}
 }
 
 // New returns the protocol spec for domain size m and window >= 1.
@@ -107,6 +47,7 @@ func New(m, window int) (protocol.Spec, error) {
 	if window < 1 {
 		return protocol.Spec{}, fmt.Errorf("gobackn: window %d < 1", window)
 	}
+	t := msg.TableFor(Decl(m, window))
 	return protocol.Spec{
 		Name:        fmt.Sprintf("gobackn(m=%d,W=%d)", m, window),
 		Description: "Go-Back-N sliding window over FIFO: pipelined stop-and-wait",
@@ -116,10 +57,10 @@ func New(m, window int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("gobackn: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &sender{m: m, window: window, t: tablesFor(m, window), input: input.Clone()}, nil
+			return &sender{window: window, t: t, input: input.Clone()}, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{m: m, window: window, t: tablesFor(m, window)}, nil
+			return &receiver{window: window, t: t}, nil
 		},
 	}, nil
 }
@@ -138,9 +79,8 @@ func MustNew(m, window int) protocol.Spec {
 const timeoutTicks = 6
 
 type sender struct {
-	m      int
 	window int
-	t      *tables
+	t      *msg.Table
 	input  seq.Seq
 
 	base    int // lowest unacknowledged position
@@ -161,18 +101,11 @@ func (s *sender) mod() int { return s.window + 1 }
 func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	switch ev.Kind {
 	case protocol.Recv:
-		n, ok := s.t.ackVal[ev.Msg]
+		d, ok := s.t.R.Decode(ev.Msg)
 		if !ok {
-			// Non-canonical spelling (corruption): the pre-interning
-			// parse, which accepts a superset of the table's encodings.
-			// The scanned local lives only in this branch so the fast
-			// path stays allocation-free.
-			var pn int
-			if _, err := fmt.Sscanf(string(ev.Msg), "ga:%d", &pn); err != nil {
-				return nil
-			}
-			n = pn
+			return nil // not in M^R
 		}
+		n := d.F[0]
 		// Cumulative ack: the receiver expects frame n next. The true
 		// expectation position p lies in [base, next], whose span is at
 		// most the window, so p is the unique position there congruent to
@@ -188,12 +121,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 		}
 		if s.next < len(s.input) && s.next < s.base+s.window {
 			// Pipeline: send a fresh frame.
-			var m []msg.Msg
-			if v := int(s.input[s.next]); v >= 0 && v < s.m {
-				m = s.t.dataSend[s.next%s.mod()][v]
-			} else {
-				m = []msg.Msg{DataMsg(s.mod(), s.next, s.input[s.next])}
-			}
+			m := s.t.S.Send(0, msg.Fields{s.next % s.mod(), int(s.input[s.next])})
 			s.next++
 			return m
 		}
@@ -206,11 +134,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 			// reusing the scratch buffer across bursts.
 			burst := s.scratch[:0]
 			for i := s.base; i < s.next; i++ {
-				if v := int(s.input[i]); v >= 0 && v < s.m {
-					burst = append(burst, s.t.data[i%s.mod()][v])
-				} else {
-					burst = append(burst, DataMsg(s.mod(), i, s.input[i]))
-				}
+				burst = append(burst, s.t.S.Msg(0, msg.Fields{i % s.mod(), int(s.input[i])}))
 			}
 			s.scratch = burst
 			return burst
@@ -221,7 +145,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	}
 }
 
-func (s *sender) Alphabet() msg.Alphabet { return s.t.senderAlpha }
+func (s *sender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 
 func (s *sender) Done() bool { return s.base >= len(s.input) }
 
@@ -250,10 +174,10 @@ func (s *sender) EncodeKey(buf []byte) []byte {
 // next expected frame number (re-acking on out-of-order arrivals, which
 // on FIFO means "frames lost ahead of me — go back").
 type receiver struct {
-	m      int
 	window int
-	t      *tables
-	next   int // positions delivered so far
+	t      *msg.Table
+	next   int         // positions delivered so far
+	w      [1]seq.Item // the one-item tape Step returns
 }
 
 var _ protocol.Receiver = (*receiver)(nil)
@@ -264,31 +188,22 @@ func (r *receiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 	if ev.Kind != protocol.Recv {
 		return nil, nil
 	}
-	fv, ok := r.t.dataVal[ev.Msg]
+	d, ok := r.t.S.Decode(ev.Msg)
 	if !ok {
-		// Non-canonical spelling (corruption): the pre-interning parse,
-		// which accepts a superset of the table's encodings. The scanned
-		// locals live only in this branch so the fast path stays
-		// allocation-free.
-		var n, v int
-		if _, err := fmt.Sscanf(string(ev.Msg), "g:%d:%d", &n, &v); err != nil {
-			return nil, nil
-		}
-		fv = frameValue{n, v}
+		return nil, nil // not in M^S
 	}
-	if fv.n == r.next%r.mod() {
+	var writes seq.Seq
+	if d.F[0] == r.next%r.mod() {
 		r.next++
-		if fv.v >= 0 && fv.v < r.m {
-			return r.t.ackSend[r.next%r.mod()], r.t.writeOne[fv.v]
-		}
-		return r.t.ackSend[r.next%r.mod()], seq.Seq{seq.Item(fv.v)}
+		r.w[0] = seq.Item(d.F[1])
+		writes = r.w[:]
 	}
-	// Unexpected frame: re-ack the current expectation so the sender
-	// learns where to resume.
-	return r.t.ackSend[r.next%r.mod()], nil
+	// Acknowledge the (possibly new) expectation: on an unexpected frame
+	// that is a re-ack telling the sender where to resume.
+	return r.t.R.Send(0, msg.Fields{r.next % r.mod()}), writes
 }
 
-func (r *receiver) Alphabet() msg.Alphabet { return r.t.receiverAlpha }
+func (r *receiver) Alphabet() msg.Alphabet { return r.t.R.Alphabet() }
 
 func (r *receiver) Clone() protocol.Receiver {
 	cp := *r

@@ -62,7 +62,6 @@ package hybrid
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
@@ -70,20 +69,20 @@ import (
 )
 
 // PrefixMsg encodes the forward (ABP) data message: item v under bit b.
-func PrefixMsg(b int, v seq.Item) msg.Msg { return msg.Msg(fmt.Sprintf("p:%d:%d", b&1, int(v))) }
+func PrefixMsg(b int, v seq.Item) msg.Msg { return msg.Format("p", b&1, int(v)) }
 
 // SuffixMsg encodes the backward (AFWZ-style) data message.
-func SuffixMsg(b int, v seq.Item) msg.Msg { return msg.Msg(fmt.Sprintf("s:%d:%d", b&1, int(v))) }
+func SuffixMsg(b int, v seq.Item) msg.Msg { return msg.Format("s", b&1, int(v)) }
 
 // FinMsg is the §5 completeness message; it carries the parity of |X|,
 // from which R resolves the one-position overlap of its two streams.
-func FinMsg(nParity int) msg.Msg { return msg.Msg(fmt.Sprintf("fin:%d", nParity&1)) }
+func FinMsg(nParity int) msg.Msg { return msg.Format("fin", nParity&1) }
 
 // PrefixAck acknowledges a forward data message by bit.
-func PrefixAck(b int) msg.Msg { return msg.Msg(fmt.Sprintf("pk:%d", b&1)) }
+func PrefixAck(b int) msg.Msg { return msg.Format("pk", b&1) }
 
 // SuffixAck acknowledges a backward data message by bit.
-func SuffixAck(b int) msg.Msg { return msg.Msg(fmt.Sprintf("sk:%d", b&1)) }
+func SuffixAck(b int) msg.Msg { return msg.Format("sk", b&1) }
 
 // FinAck acknowledges fin.
 const FinAck = msg.Msg("fk")
@@ -92,97 +91,21 @@ const FinAck = msg.Msg("fk")
 // acknowledgement before the sender assumes a loss and switches streams.
 const DefaultTimeout = 8
 
-// finAckSend is the shared one-message send slice for FinAck.
-var finAckSend = []msg.Msg{FinAck}
-
-// Decoded message kinds (tables.decode).
+// Message kinds, in declaration order: the sender's data stream and the
+// receiver's acknowledgement of it share an index.
 const (
-	kindFin = iota
-	kindPrefix
+	kindPrefix = iota
 	kindSuffix
+	kindFin
 )
 
-// view is a precomputed parse of a canonical sender message: its stream
-// kind, bit (or fin parity, in b), and carried value.
-type view struct {
-	kind int
-	b, v int
-}
-
-// tables is the per-m interned codec: every member of M^S/M^R with send
-// singletons, write singletons, and a decode map, byte-identical to
-// PrefixMsg/SuffixMsg/FinMsg/PrefixAck/SuffixAck.
-type tables struct {
-	senderAlpha   msg.Alphabet
-	receiverAlpha msg.Alphabet
-
-	prefixSend [2][][]msg.Msg // prefixSend[b][v] = {"p:b:v"}
-	suffixSend [2][][]msg.Msg // suffixSend[b][v] = {"s:b:v"}
-	finSend    [2][]msg.Msg   // finSend[par] = {"fin:par"}
-
-	prefixAck     [2]msg.Msg // "pk:b"
-	suffixAck     [2]msg.Msg // "sk:b"
-	prefixAckSend [2][]msg.Msg
-	suffixAckSend [2][]msg.Msg
-
-	writeOne []seq.Seq // writeOne[v]
-
-	decode map[msg.Msg]view
-}
-
-var tablesCache sync.Map // int (m) → *tables
-
-func tablesFor(m int) *tables {
-	if t, ok := tablesCache.Load(m); ok {
-		return t.(*tables)
+// Decl declares M^S = p:{2}:{m} + s:{2}:{m} + fin:{2} and
+// M^R = pk:{2} + sk:{2} + fk: |M^S| = 4m+2, |M^R| = 5.
+func Decl(m int) msg.Decl {
+	return msg.Decl{
+		Sender:   msg.Kinds{msg.K("p", 2, m), msg.K("s", 2, m), msg.K("fin", 2)},
+		Receiver: msg.Kinds{msg.K("pk", 2), msg.K("sk", 2), msg.K(string(FinAck))},
 	}
-	if m < 0 {
-		m = 0
-	}
-	t := &tables{
-		writeOne: make([]seq.Seq, m),
-		decode:   make(map[msg.Msg]view, 4*m+2),
-	}
-	senderMsgs := make([]msg.Msg, 0, 4*m+2)
-	for b := 0; b < 2; b++ {
-		t.prefixSend[b] = make([][]msg.Msg, m)
-		for v := 0; v < m; v++ {
-			pm := PrefixMsg(b, seq.Item(v))
-			senderMsgs = append(senderMsgs, pm)
-			t.prefixSend[b][v] = []msg.Msg{pm}
-			t.decode[pm] = view{kind: kindPrefix, b: b, v: v}
-		}
-	}
-	for b := 0; b < 2; b++ {
-		t.suffixSend[b] = make([][]msg.Msg, m)
-		for v := 0; v < m; v++ {
-			sm := SuffixMsg(b, seq.Item(v))
-			senderMsgs = append(senderMsgs, sm)
-			t.suffixSend[b][v] = []msg.Msg{sm}
-			t.decode[sm] = view{kind: kindSuffix, b: b, v: v}
-		}
-	}
-	for par := 0; par < 2; par++ {
-		fm := FinMsg(par)
-		senderMsgs = append(senderMsgs, fm)
-		t.finSend[par] = []msg.Msg{fm}
-		t.decode[fm] = view{kind: kindFin, b: par}
-	}
-	for b := 0; b < 2; b++ {
-		t.prefixAck[b] = PrefixAck(b)
-		t.suffixAck[b] = SuffixAck(b)
-		t.prefixAckSend[b] = []msg.Msg{t.prefixAck[b]}
-		t.suffixAckSend[b] = []msg.Msg{t.suffixAck[b]}
-	}
-	for v := 0; v < m; v++ {
-		t.writeOne[v] = seq.Seq{seq.Item(v)}
-	}
-	t.senderAlpha = msg.MustNewAlphabet(senderMsgs...)
-	t.receiverAlpha = msg.MustNewAlphabet(
-		PrefixAck(0), PrefixAck(1), SuffixAck(0), SuffixAck(1), FinAck,
-	)
-	actual, _ := tablesCache.LoadOrStore(m, t)
-	return actual.(*tables)
 }
 
 // New returns the protocol spec for domain size m with the given timeout
@@ -194,6 +117,7 @@ func New(m, timeout int) (protocol.Spec, error) {
 	if timeout < 1 {
 		return protocol.Spec{}, fmt.Errorf("hybrid: timeout %d < 1", timeout)
 	}
+	t := msg.TableFor(Decl(m))
 	return protocol.Spec{
 		Name:        fmt.Sprintf("hybrid(m=%d,to=%d)", m, timeout),
 		Description: "§5 ABP/AFWZ alternation on a reordering channel: weakly bounded, not bounded",
@@ -203,10 +127,10 @@ func New(m, timeout int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("hybrid: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &sender{m: m, timeout: timeout, t: tablesFor(m), input: input.Clone(), lo: len(input)}, nil
+			return &sender{timeout: timeout, t: t, input: input.Clone(), lo: len(input)}, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{m: m, t: tablesFor(m)}, nil
+			return &receiver{m: m, t: t}, nil
 		},
 	}, nil
 }
@@ -235,9 +159,8 @@ const (
 // per stream), and hi <= lo+1 (the covered regions overlap in at most one
 // position).
 type sender struct {
-	m       int
 	timeout int
-	t       *tables
+	t       *msg.Table
 	input   seq.Seq
 
 	p  int // acknowledged prefix length
@@ -274,7 +197,7 @@ func (s *sender) recv(m msg.Msg) {
 		if s.covered() {
 			s.finDone = true
 		}
-	case s.t.prefixAck[s.p&1]:
+	case s.t.R.Msg(kindPrefix, msg.Fields{s.p & 1}):
 		if s.hi > s.p {
 			s.p++
 			// "If the old lost message is delivered, the processors
@@ -286,7 +209,7 @@ func (s *sender) recv(m msg.Msg) {
 				s.stalled = 0
 			}
 		}
-	case s.t.suffixAck[s.b&1]:
+	case s.t.R.Msg(kindSuffix, msg.Fields{s.b & 1}):
 		if len(s.input)-s.lo > s.b {
 			s.b++
 			if s.phase == phaseSuffix {
@@ -305,7 +228,7 @@ func (s *sender) tick() []msg.Msg {
 		if s.finDone {
 			return nil
 		}
-		return s.t.finSend[len(s.input)&1]
+		return s.t.S.Send(kindFin, msg.Fields{len(s.input) & 1})
 	}
 	switch s.phase {
 	case phasePrefix:
@@ -327,12 +250,7 @@ func (s *sender) tickPrefix() []msg.Msg {
 	if s.hi <= s.lo && s.hi < len(s.input) {
 		// Fresh position. hi <= lo keeps the overlap at one position: the
 		// boundary item the suffix stream may have in flight.
-		var m []msg.Msg
-		if v := int(s.input[s.hi]); v >= 0 && v < s.m {
-			m = s.t.prefixSend[s.hi&1][v]
-		} else {
-			m = []msg.Msg{PrefixMsg(s.hi, s.input[s.hi])}
-		}
+		m := s.t.S.Send(kindPrefix, msg.Fields{s.hi & 1, int(s.input[s.hi])})
 		s.hi++
 		s.stalled = 0
 		return m
@@ -357,17 +275,14 @@ func (s *sender) tickSuffix() []msg.Msg {
 		// Fresh position lo-1. lo >= hi mirrors the prefix gate.
 		s.lo--
 		s.stalled = 0
-		if v := int(s.input[s.lo]); v >= 0 && v < s.m {
-			return s.t.suffixSend[sent&1][v]
-		}
-		return []msg.Msg{SuffixMsg(sent, s.input[s.lo])}
+		return s.t.S.Send(kindSuffix, msg.Fields{sent & 1, int(s.input[s.lo])})
 	}
 	s.phase = phasePrefix
 	s.stalled = 0
 	return nil
 }
 
-func (s *sender) Alphabet() msg.Alphabet { return s.t.senderAlpha }
+func (s *sender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 
 func (s *sender) Done() bool { return s.finDone }
 
@@ -399,10 +314,11 @@ func (s *sender) EncodeKey(buf []byte) []byte {
 // with the expected bit; the bits are kept as cheap sanity armor.
 type receiver struct {
 	m        int
-	t        *tables
+	t        *msg.Table
 	written  int     // prefix items written (the ABP stream)
 	buffer   seq.Seq // suffix items in arrival order: x_n, x_{n-1}, ...
 	finished bool
+	w        [1]seq.Item // the one-item tape a prefix write returns
 }
 
 var _ protocol.Receiver = (*receiver)(nil)
@@ -411,44 +327,32 @@ func (r *receiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 	if ev.Kind != protocol.Recv {
 		return nil, nil
 	}
-	w, ok := r.t.decode[ev.Msg]
+	d, ok := r.t.S.Decode(ev.Msg)
 	if !ok {
-		// Non-canonical spelling (corruption): the pre-interning parses,
-		// attempted in the original fin → p → s order, which accept a
-		// superset of the table's encodings. The scanned locals live
-		// only in this branch so the fast path stays allocation-free.
-		var b, v int
-		if _, err := fmt.Sscanf(string(ev.Msg), "fin:%d", &b); err == nil {
-			w = view{kind: kindFin, b: b}
-		} else if _, err := fmt.Sscanf(string(ev.Msg), "p:%d:%d", &b, &v); err == nil {
-			w = view{kind: kindPrefix, b: b, v: v}
-		} else if _, err := fmt.Sscanf(string(ev.Msg), "s:%d:%d", &b, &v); err == nil {
-			w = view{kind: kindSuffix, b: b, v: v}
-		} else {
-			return nil, nil
-		}
+		return nil, nil // not in M^S
 	}
-	switch w.kind {
+	b, v := d.F[0], seq.Item(d.F[1])
+	switch d.Kind {
 	case kindFin:
+		ack := r.t.R.Send(kindFin, msg.Fields{})
 		if r.finished {
-			return finAckSend, nil
+			return ack, nil
 		}
 		r.finished = true
-		return finAckSend, r.commit(w.b)
+		return ack, r.commit(b)
 	case kindPrefix:
-		if !r.finished && w.b == r.written&1 {
+		ack := r.t.R.Send(kindPrefix, msg.Fields{b})
+		if !r.finished && b == r.written&1 {
 			r.written++
-			if w.v >= 0 && w.v < r.m {
-				return r.t.prefixAckSend[w.b&1], r.t.writeOne[w.v]
-			}
-			return r.t.prefixAckSend[w.b&1], seq.Seq{seq.Item(w.v)}
+			r.w[0] = v
+			return ack, r.w[:]
 		}
-		return r.t.prefixAckSend[w.b&1], nil
+		return ack, nil
 	default: // kindSuffix
-		if !r.finished && w.b == len(r.buffer)&1 {
-			r.buffer = append(r.buffer, seq.Item(w.v))
+		if !r.finished && b == len(r.buffer)&1 {
+			r.buffer = append(r.buffer, v)
 		}
-		return r.t.suffixAckSend[w.b&1], nil
+		return r.t.R.Send(kindSuffix, msg.Fields{b}), nil
 	}
 }
 
@@ -465,7 +369,7 @@ func (r *receiver) commit(nParity int) seq.Seq {
 	return out
 }
 
-func (r *receiver) Alphabet() msg.Alphabet { return r.t.receiverAlpha }
+func (r *receiver) Alphabet() msg.Alphabet { return r.t.R.Alphabet() }
 
 func (r *receiver) Clone() protocol.Receiver {
 	cp := *r

@@ -23,7 +23,6 @@ package modseq
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
@@ -31,68 +30,15 @@ import (
 )
 
 // DataMsg encodes item v at position i, reduced modulo the window.
-func DataMsg(window, i int, v seq.Item) msg.Msg {
-	return msg.Msg(fmt.Sprintf("d:%d:%d", i%window, int(v)))
-}
+func DataMsg(window, i int, v seq.Item) msg.Msg { return msg.Format("d", i%window, int(v)) }
 
 // AckMsg encodes the acknowledgement for position i modulo the window.
-func AckMsg(window, i int) msg.Msg {
-	return msg.Msg(fmt.Sprintf("a:%d", i%window))
-}
+func AckMsg(window, i int) msg.Msg { return msg.Format("a", i%window) }
 
-// tables is the per-(m, window) interned codec: every member of
-// M^S/M^R with send singletons, write singletons, and a decode map,
-// byte-identical to DataMsg/AckMsg.
-type tables struct {
-	senderAlpha   msg.Alphabet
-	receiverAlpha msg.Alphabet
-	ack           []msg.Msg     // ack[i] = "a:i", i in [0, window)
-	ackSend       [][]msg.Msg   // ackSend[i]
-	dataSend      [][][]msg.Msg // dataSend[i][v]
-	writeOne      []seq.Seq     // writeOne[v]
-	dataVal       map[msg.Msg]posValue
-}
-
-type posValue struct{ i, v int }
-
-type tablesKey struct{ m, window int }
-
-var tablesCache sync.Map // tablesKey → *tables
-
-func tablesFor(m, window int) *tables {
-	key := tablesKey{m, window}
-	if t, ok := tablesCache.Load(key); ok {
-		return t.(*tables)
-	}
-	if m < 0 {
-		m = 0
-	}
-	t := &tables{
-		ack:      make([]msg.Msg, window),
-		ackSend:  make([][]msg.Msg, window),
-		dataSend: make([][][]msg.Msg, window),
-		writeOne: make([]seq.Seq, m),
-		dataVal:  make(map[msg.Msg]posValue, window*m),
-	}
-	senderMsgs := make([]msg.Msg, 0, window*m)
-	for i := 0; i < window; i++ {
-		t.ack[i] = AckMsg(window, i)
-		t.ackSend[i] = []msg.Msg{t.ack[i]}
-		t.dataSend[i] = make([][]msg.Msg, m)
-		for v := 0; v < m; v++ {
-			dm := DataMsg(window, i, seq.Item(v))
-			senderMsgs = append(senderMsgs, dm)
-			t.dataSend[i][v] = []msg.Msg{dm}
-			t.dataVal[dm] = posValue{i, v}
-		}
-	}
-	for v := 0; v < m; v++ {
-		t.writeOne[v] = seq.Seq{seq.Item(v)}
-	}
-	t.senderAlpha = msg.MustNewAlphabet(senderMsgs...)
-	t.receiverAlpha = msg.MustNewAlphabet(t.ack...)
-	actual, _ := tablesCache.LoadOrStore(key, t)
-	return actual.(*tables)
+// Decl declares M^S = d:{M}:{m} and M^R = a:{M} for window M:
+// |M^S| = M·m, |M^R| = M.
+func Decl(m, window int) msg.Decl {
+	return msg.Decl{Sender: msg.Kinds{msg.K("d", window, m)}, Receiver: msg.Kinds{msg.K("a", window)}}
 }
 
 // New returns the protocol spec for domain size m and sequence-number
@@ -105,6 +51,7 @@ func New(m, window int) (protocol.Spec, error) {
 	if window < 1 {
 		return protocol.Spec{}, fmt.Errorf("modseq: window %d < 1", window)
 	}
+	t := msg.TableFor(Decl(m, window))
 	return protocol.Spec{
 		Name:        fmt.Sprintf("modseq(m=%d,M=%d)", m, window),
 		Description: "Stenning with sequence numbers mod M: probabilistic STP (§6 outlook)",
@@ -114,10 +61,10 @@ func New(m, window int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("modseq: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &sender{m: m, window: window, t: tablesFor(m, window), input: input.Clone()}, nil
+			return &sender{window: window, t: t, input: input.Clone()}, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{m: m, window: window, t: tablesFor(m, window)}, nil
+			return &receiver{window: window, t: t}, nil
 		},
 	}, nil
 }
@@ -134,9 +81,8 @@ func MustNew(m, window int) protocol.Spec {
 // sender retransmits the lowest unacknowledged position each tick,
 // advancing on an acknowledgement that matches it modulo the window.
 type sender struct {
-	m      int
 	window int
-	t      *tables
+	t      *msg.Table
 	input  seq.Seq
 	next   int
 }
@@ -146,16 +92,13 @@ var _ protocol.Sender = (*sender)(nil)
 func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	switch ev.Kind {
 	case protocol.Recv:
-		if s.next < len(s.input) && ev.Msg == s.t.ack[s.next%s.window] {
+		if s.next < len(s.input) && ev.Msg == s.t.R.Msg(0, msg.Fields{s.next % s.window}) {
 			s.next++
 		}
 		return nil
 	case protocol.Tick:
 		if s.next < len(s.input) {
-			if v := int(s.input[s.next]); v >= 0 && v < s.m {
-				return s.t.dataSend[s.next%s.window][v]
-			}
-			return []msg.Msg{DataMsg(s.window, s.next, s.input[s.next])}
+			return s.t.S.Send(0, msg.Fields{s.next % s.window, int(s.input[s.next])})
 		}
 		return nil
 	default:
@@ -163,7 +106,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	}
 }
 
-func (s *sender) Alphabet() msg.Alphabet { return s.t.senderAlpha }
+func (s *sender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 
 func (s *sender) Done() bool { return s.next >= len(s.input) }
 
@@ -185,10 +128,10 @@ func (s *sender) EncodeKey(buf []byte) []byte {
 // modulo the window; anything else is re-acknowledged as stale. The
 // soundness hole (by design): a stale copy from M positions ago matches.
 type receiver struct {
-	m      int
 	window int
-	t      *tables
+	t      *msg.Table
 	next   int
+	w      [1]seq.Item // the one-item tape Step returns
 }
 
 var _ protocol.Receiver = (*receiver)(nil)
@@ -197,33 +140,23 @@ func (r *receiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 	if ev.Kind != protocol.Recv {
 		return nil, nil
 	}
-	pv, ok := r.t.dataVal[ev.Msg]
+	d, ok := r.t.S.Decode(ev.Msg)
 	if !ok {
-		// Non-canonical spelling (corruption): the pre-interning parse,
-		// which accepts a superset of the table's encodings. The scanned
-		// locals live only in this branch so the fast path stays
-		// allocation-free.
-		var i, v int
-		if _, err := fmt.Sscanf(string(ev.Msg), "d:%d:%d", &i, &v); err != nil {
-			return nil, nil
-		}
+		return nil, nil // not in M^S
 	}
-	if pv.i == r.next%r.window {
+	i, v := d.F[0], d.F[1]
+	ack := r.t.R.Send(0, msg.Fields{i})
+	if i == r.next%r.window {
 		r.next++
-		if pv.v >= 0 && pv.v < r.m {
-			return r.t.ackSend[pv.i], r.t.writeOne[pv.v]
-		}
-		return r.t.ackSend[pv.i], seq.Seq{seq.Item(pv.v)}
+		r.w[0] = seq.Item(v)
+		return ack, r.w[:]
 	}
 	// Stale (mod-window) retransmission: re-acknowledge it so the sender
 	// can advance past a lost acknowledgement.
-	if pv.i >= 0 && pv.i < r.window {
-		return r.t.ackSend[pv.i], nil
-	}
-	return []msg.Msg{msg.Msg(fmt.Sprintf("a:%d", pv.i))}, nil
+	return ack, nil
 }
 
-func (r *receiver) Alphabet() msg.Alphabet { return r.t.receiverAlpha }
+func (r *receiver) Alphabet() msg.Alphabet { return r.t.R.Alphabet() }
 
 func (r *receiver) Clone() protocol.Receiver {
 	cp := *r

@@ -27,6 +27,7 @@ func NewWriteEveryData(m int) (protocol.Spec, error) {
 	if m < 0 {
 		return protocol.Spec{}, fmt.Errorf("naive: negative domain size %d", m)
 	}
+	t := msg.TableFor(alphaproto.Decl(m))
 	return protocol.Spec{
 		Name:        fmt.Sprintf("naive-write-every(m=%d)", m),
 		Description: "tight protocol minus duplicate suppression: unsafe under duplication",
@@ -36,10 +37,10 @@ func NewWriteEveryData(m int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("naive: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &posSender{m: m, t: alphaproto.InternFor(m), input: input.Clone()}, nil
+			return &posSender{t: t, input: input.Clone()}, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &trustingReceiver{m: m, t: alphaproto.InternFor(m)}, nil
+			return &trustingReceiver{t: t}, nil
 		},
 	}, nil
 }
@@ -48,8 +49,7 @@ func NewWriteEveryData(m int) (protocol.Spec, error) {
 // repeated items in X the value ack is ambiguous — which is precisely the
 // ambiguity the paper's bound formalizes.
 type posSender struct {
-	m     int
-	t     *alphaproto.Intern
+	t     *msg.Table
 	input seq.Seq
 	idx   int
 }
@@ -59,13 +59,13 @@ var _ protocol.Sender = (*posSender)(nil)
 func (s *posSender) Step(ev protocol.Event) []msg.Msg {
 	switch ev.Kind {
 	case protocol.Recv:
-		if s.idx < len(s.input) && ev.Msg == s.t.Ack(s.input[s.idx]) {
+		if s.idx < len(s.input) && ev.Msg == s.t.R.Msg(0, msg.Fields{int(s.input[s.idx])}) {
 			s.idx++
 		}
 		return nil
 	case protocol.Tick:
 		if s.idx < len(s.input) {
-			return s.t.DataSend(s.input[s.idx])
+			return s.t.S.Send(0, msg.Fields{int(s.input[s.idx])})
 		}
 		return nil
 	default:
@@ -73,14 +73,14 @@ func (s *posSender) Step(ev protocol.Event) []msg.Msg {
 	}
 }
 
-func (s *posSender) Alphabet() msg.Alphabet { return s.t.SenderAlphabet() }
+func (s *posSender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 
 func (s *posSender) Done() bool { return s.idx >= len(s.input) }
 
 func (s *posSender) Clone() protocol.Sender {
 	// The input tape is never mutated after construction, so clones share
 	// it: the model checker clones on every explored transition.
-	return &posSender{m: s.m, t: s.t, input: s.input, idx: s.idx}
+	return &posSender{t: s.t, input: s.input, idx: s.idx}
 }
 
 func (s *posSender) Key() string { return fmt.Sprintf("naiveS{idx=%d}", s.idx) }
@@ -97,9 +97,9 @@ func (s *posSender) Scramble(rng *rand.Rand) {
 
 // trustingReceiver writes every data message's value on receipt.
 type trustingReceiver struct {
-	m       int
-	t       *alphaproto.Intern
+	t       *msg.Table
 	written int
+	w       [1]seq.Item // the one-item tape Step returns
 }
 
 var _ protocol.Receiver = (*trustingReceiver)(nil)
@@ -108,15 +108,16 @@ func (r *trustingReceiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 	if ev.Kind != protocol.Recv {
 		return nil, nil
 	}
-	v, ok := r.t.DataValue(ev.Msg)
+	d, ok := r.t.S.Decode(ev.Msg)
 	if !ok {
-		return nil, nil
+		return nil, nil // not in M^S
 	}
 	r.written++
-	return r.t.AckSend(v), r.t.Write(v)
+	r.w[0] = seq.Item(d.F[0])
+	return r.t.R.Send(0, d.F), r.w[:]
 }
 
-func (r *trustingReceiver) Alphabet() msg.Alphabet { return r.t.ReceiverAlphabet() }
+func (r *trustingReceiver) Alphabet() msg.Alphabet { return r.t.R.Alphabet() }
 
 func (r *trustingReceiver) Clone() protocol.Receiver {
 	cp := *r
@@ -147,6 +148,7 @@ func NewFlood(m int) (protocol.Spec, error) {
 	if m < 0 {
 		return protocol.Spec{}, fmt.Errorf("naive: negative domain size %d", m)
 	}
+	t := msg.TableFor(alphaproto.Decl(m))
 	return protocol.Spec{
 		Name:        fmt.Sprintf("naive-flood(m=%d)", m),
 		Description: "no acknowledgements: sender streams, receiver writes arrivals",
@@ -156,18 +158,17 @@ func NewFlood(m int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("naive: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &floodSender{m: m, t: alphaproto.InternFor(m), input: input.Clone()}, nil
+			return &floodSender{t: t, input: input.Clone()}, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &trustingReceiver{m: m, t: alphaproto.InternFor(m)}, nil
+			return &trustingReceiver{t: t}, nil
 		},
 	}, nil
 }
 
 // floodSender sends the next item on each tick, never waiting.
 type floodSender struct {
-	m     int
-	t     *alphaproto.Intern
+	t     *msg.Table
 	input seq.Seq
 	idx   int
 }
@@ -178,19 +179,19 @@ func (s *floodSender) Step(ev protocol.Event) []msg.Msg {
 	if ev.Kind != protocol.Tick || s.idx >= len(s.input) {
 		return nil
 	}
-	m := s.t.DataSend(s.input[s.idx])
+	m := s.t.S.Send(0, msg.Fields{int(s.input[s.idx])})
 	s.idx++
 	return m
 }
 
-func (s *floodSender) Alphabet() msg.Alphabet { return s.t.SenderAlphabet() }
+func (s *floodSender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 
 func (s *floodSender) Done() bool { return s.idx >= len(s.input) }
 
 func (s *floodSender) Clone() protocol.Sender {
 	// The input tape is never mutated after construction, so clones share
 	// it: the model checker clones on every explored transition.
-	return &floodSender{m: s.m, t: s.t, input: s.input, idx: s.idx}
+	return &floodSender{t: s.t, input: s.input, idx: s.idx}
 }
 
 func (s *floodSender) Key() string { return fmt.Sprintf("floodS{idx=%d}", s.idx) }

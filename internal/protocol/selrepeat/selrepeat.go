@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
-	"sync"
 
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
@@ -30,70 +29,15 @@ import (
 )
 
 // DataMsg encodes item v under frame number n (modulo 2·window).
-func DataMsg(mod, n int, v seq.Item) msg.Msg {
-	return msg.Msg(fmt.Sprintf("s:%d:%d", n%mod, int(v)))
-}
+func DataMsg(mod, n int, v seq.Item) msg.Msg { return msg.Format("s", n%mod, int(v)) }
 
 // AckMsg encodes the individual acknowledgement of frame n.
-func AckMsg(mod, n int) msg.Msg { return msg.Msg(fmt.Sprintf("sa:%d", n%mod)) }
+func AckMsg(mod, n int) msg.Msg { return msg.Format("sa", n%mod) }
 
-// tables is the per-(m, window) interned codec: every member of
-// M^S/M^R with send singletons, write singletons, and decode maps,
-// byte-identical to DataMsg/AckMsg.
-type tables struct {
-	senderAlpha   msg.Alphabet
-	receiverAlpha msg.Alphabet
-	data          [][]msg.Msg // data[n][v] = "s:n:v"
-	ack           []msg.Msg   // ack[n] = "sa:n"
-	ackSend       [][]msg.Msg // ackSend[n]
-	writeOne      []seq.Seq   // writeOne[v]
-	dataVal       map[msg.Msg]frameValue
-	ackVal        map[msg.Msg]int
-}
-
-type frameValue struct{ n, v int }
-
-type tablesKey struct{ m, window int }
-
-var tablesCache sync.Map // tablesKey → *tables
-
-func tablesFor(m, window int) *tables {
-	key := tablesKey{m, window}
-	if t, ok := tablesCache.Load(key); ok {
-		return t.(*tables)
-	}
-	if m < 0 {
-		m = 0
-	}
-	mod := 2 * window
-	t := &tables{
-		data:     make([][]msg.Msg, mod),
-		ack:      make([]msg.Msg, mod),
-		ackSend:  make([][]msg.Msg, mod),
-		writeOne: make([]seq.Seq, m),
-		dataVal:  make(map[msg.Msg]frameValue, mod*m),
-		ackVal:   make(map[msg.Msg]int, mod),
-	}
-	senderMsgs := make([]msg.Msg, 0, mod*m)
-	for n := 0; n < mod; n++ {
-		t.ack[n] = AckMsg(mod, n)
-		t.ackSend[n] = []msg.Msg{t.ack[n]}
-		t.ackVal[t.ack[n]] = n
-		t.data[n] = make([]msg.Msg, m)
-		for v := 0; v < m; v++ {
-			dm := DataMsg(mod, n, seq.Item(v))
-			senderMsgs = append(senderMsgs, dm)
-			t.data[n][v] = dm
-			t.dataVal[dm] = frameValue{n, v}
-		}
-	}
-	for v := 0; v < m; v++ {
-		t.writeOne[v] = seq.Seq{seq.Item(v)}
-	}
-	t.senderAlpha = msg.MustNewAlphabet(senderMsgs...)
-	t.receiverAlpha = msg.MustNewAlphabet(t.ack...)
-	actual, _ := tablesCache.LoadOrStore(key, t)
-	return actual.(*tables)
+// Decl declares M^S = s:{2W}:{m} and M^R = sa:{2W} for window W:
+// |M^S| = 2W·m, |M^R| = 2W.
+func Decl(m, window int) msg.Decl {
+	return msg.Decl{Sender: msg.Kinds{msg.K("s", 2*window, m)}, Receiver: msg.Kinds{msg.K("sa", 2*window)}}
 }
 
 // New returns the protocol spec for domain size m and window >= 1.
@@ -105,6 +49,7 @@ func New(m, window int) (protocol.Spec, error) {
 	if window < 1 {
 		return protocol.Spec{}, fmt.Errorf("selrepeat: window %d < 1", window)
 	}
+	t := msg.TableFor(Decl(m, window))
 	return protocol.Spec{
 		Name:        fmt.Sprintf("selrepeat(m=%d,W=%d)", m, window),
 		Description: "Selective Repeat sliding window over FIFO: per-frame retransmission",
@@ -114,10 +59,10 @@ func New(m, window int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("selrepeat: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &sender{m: m, window: window, t: tablesFor(m, window), input: input.Clone(), acked: map[int]bool{}}, nil
+			return &sender{window: window, t: t, input: input.Clone(), acked: map[int]bool{}}, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{m: m, window: window, t: tablesFor(m, window), buffered: map[int]seq.Item{}}, nil
+			return &receiver{m: m, window: window, t: t, buffered: map[int]seq.Item{}}, nil
 		},
 	}, nil
 }
@@ -136,9 +81,8 @@ func MustNew(m, window int) protocol.Spec {
 const timeoutTicks = 6
 
 type sender struct {
-	m      int
 	window int
-	t      *tables
+	t      *msg.Table
 	input  seq.Seq
 
 	base    int          // lowest unacknowledged position
@@ -160,18 +104,11 @@ func (s *sender) mod() int { return 2 * s.window }
 func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	switch ev.Kind {
 	case protocol.Recv:
-		n, ok := s.t.ackVal[ev.Msg]
+		d, ok := s.t.R.Decode(ev.Msg)
 		if !ok {
-			// Non-canonical spelling (corruption): the pre-interning
-			// parse, which accepts a superset of the table's encodings.
-			// The scanned local lives only in this branch so the fast
-			// path stays allocation-free.
-			var pn int
-			if _, err := fmt.Sscanf(string(ev.Msg), "sa:%d", &pn); err != nil {
-				return nil
-			}
-			n = pn
+			return nil // not in M^R
 		}
+		n := d.F[0]
 		// The acknowledged position is the unique one in [base, next)
 		// congruent to n (the window never spans mod() positions).
 		for p := s.base; p < s.next; p++ {
@@ -193,14 +130,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 			return nil
 		}
 		if s.next < len(s.input) && s.next < s.base+s.window {
-			var m []msg.Msg
-			if v := int(s.input[s.next]); v >= 0 && v < s.m {
-				m = s.scratch[:0]
-				m = append(m, s.t.data[s.next%s.mod()][v])
-				s.scratch = m
-			} else {
-				m = []msg.Msg{DataMsg(s.mod(), s.next, s.input[s.next])}
-			}
+			m := s.t.S.Send(0, msg.Fields{s.next % s.mod(), int(s.input[s.next])})
 			s.next++
 			return m
 		}
@@ -212,11 +142,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 			burst := s.scratch[:0]
 			for p := s.base; p < s.next; p++ {
 				if !s.acked[p] {
-					if v := int(s.input[p]); v >= 0 && v < s.m {
-						burst = append(burst, s.t.data[p%s.mod()][v])
-					} else {
-						burst = append(burst, DataMsg(s.mod(), p, s.input[p]))
-					}
+					burst = append(burst, s.t.S.Msg(0, msg.Fields{p % s.mod(), int(s.input[p])}))
 				}
 			}
 			s.scratch = burst
@@ -231,7 +157,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	}
 }
 
-func (s *sender) Alphabet() msg.Alphabet { return s.t.senderAlpha }
+func (s *sender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 
 func (s *sender) Done() bool { return s.base >= len(s.input) }
 
@@ -284,7 +210,7 @@ func (s *sender) EncodeKey(buf []byte) []byte {
 type receiver struct {
 	m        int
 	window   int
-	t        *tables
+	t        *msg.Table
 	next     int              // positions written so far
 	buffered map[int]seq.Item // accepted positions >= next awaiting the gap
 
@@ -301,19 +227,12 @@ func (r *receiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 	if ev.Kind != protocol.Recv {
 		return nil, nil
 	}
-	fv, ok := r.t.dataVal[ev.Msg]
+	d, ok := r.t.S.Decode(ev.Msg)
 	if !ok {
-		// Non-canonical spelling (corruption): the pre-interning parse,
-		// which accepts a superset of the table's encodings. The scanned
-		// locals live only in this branch so the fast path stays
-		// allocation-free.
-		var pn, pvv int
-		if _, err := fmt.Sscanf(string(ev.Msg), "s:%d:%d", &pn, &pvv); err != nil {
-			return nil, nil
-		}
-		fv = frameValue{pn, pvv}
+		return nil, nil // not in M^S
 	}
-	n, v := fv.n, fv.v
+	n, v := d.F[0], d.F[1]
+	ack := r.t.R.Send(0, msg.Fields{n})
 	// Identify the position: within the acceptance window [next,
 	// next+window) it is the unique one congruent to n. A frame congruent
 	// to an already-delivered position (the trailing window) is a
@@ -327,12 +246,7 @@ func (r *receiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 	}
 	if pos < 0 {
 		// Trailing window: a duplicate of something already delivered.
-		// (The raw parsed n, not n%mod: a corrupted frame with an
-		// out-of-range number is echoed back exactly as before.)
-		if n >= 0 && n < r.mod() {
-			return r.t.ackSend[n], nil
-		}
-		return []msg.Msg{msg.Msg(fmt.Sprintf("sa:%d", n))}, nil
+		return ack, nil
 	}
 	r.buffered[pos] = seq.Item(v)
 	writes := r.wscratch[:0]
@@ -347,12 +261,12 @@ func (r *receiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 	}
 	r.wscratch = writes
 	if len(writes) == 0 {
-		return r.t.ackSend[pos%r.mod()], nil
+		return ack, nil
 	}
-	return r.t.ackSend[pos%r.mod()], writes
+	return ack, writes
 }
 
-func (r *receiver) Alphabet() msg.Alphabet { return r.t.receiverAlpha }
+func (r *receiver) Alphabet() msg.Alphabet { return r.t.R.Alphabet() }
 
 func (r *receiver) Clone() protocol.Receiver {
 	cp := *r

@@ -60,6 +60,7 @@ func New(m, c int) (protocol.Spec, error) {
 		c = DefaultCapacity
 	}
 	cc := c
+	t := msg.TableFor(alphaproto.Decl(m))
 	return protocol.Spec{
 		Name:        fmt.Sprintf("stab(m=%d,c=%d)", m, cc),
 		Description: "self-stabilizing bounded-counter resynchronization [DDPT, arXiv 1104.3947]",
@@ -72,10 +73,10 @@ func New(m, c int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("stab: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &sender{m: m, c: cc, t: alphaproto.InternFor(m), input: input.Clone()}, nil
+			return &sender{c: cc, t: t, input: input.Clone()}, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{m: m, c: cc, t: alphaproto.InternFor(m)}, nil
+			return &receiver{m: m, c: cc, t: t}, nil
 		},
 	}, nil
 }
@@ -85,8 +86,8 @@ func New(m, c int) (protocol.Spec, error) {
 // (c+1)-th proves the receiver currently holds input[idx] as its latest
 // accepted value.
 type sender struct {
-	m, c  int
-	t     *alphaproto.Intern
+	c     int
+	t     *msg.Table
 	input seq.Seq
 	idx   int // next item to deliver; len(input) when done
 	acks  int // matching acknowledgements accumulated for input[idx]
@@ -98,7 +99,7 @@ var _ protocol.Scrambler = (*sender)(nil)
 func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	switch ev.Kind {
 	case protocol.Recv:
-		if s.idx < len(s.input) && ev.Msg == s.t.Ack(s.input[s.idx]) {
+		if s.idx < len(s.input) && ev.Msg == s.t.R.Msg(0, msg.Fields{int(s.input[s.idx])}) {
 			s.acks++
 			if s.acks >= s.c+1 {
 				s.idx++
@@ -108,7 +109,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 		return nil
 	case protocol.Tick:
 		if s.idx < len(s.input) {
-			return s.t.DataSend(s.input[s.idx])
+			return s.t.S.Send(0, msg.Fields{int(s.input[s.idx])})
 		}
 		return nil
 	default:
@@ -116,13 +117,13 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	}
 }
 
-func (s *sender) Alphabet() msg.Alphabet { return s.t.SenderAlphabet() }
+func (s *sender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 
 func (s *sender) Done() bool { return s.idx >= len(s.input) }
 
 func (s *sender) Clone() protocol.Sender {
 	// The input tape is never mutated after construction, so clones share it.
-	return &sender{m: s.m, c: s.c, t: s.t, input: s.input, idx: s.idx, acks: s.acks}
+	return &sender{c: s.c, t: s.t, input: s.input, idx: s.idx, acks: s.acks}
 }
 
 func (s *sender) Key() string { return fmt.Sprintf("stabS{idx=%d,acks=%d}", s.idx, s.acks) }
@@ -145,11 +146,12 @@ func (s *sender) Scramble(rng *rand.Rand) {
 // measures genuine acceptances, not echoes).
 type receiver struct {
 	m, c int
-	t    *alphaproto.Intern
-	have bool     // an accepted value exists
-	last seq.Item // most recently accepted (and written) value
-	cand seq.Item // candidate being counted; meaningful when cnt > 0
-	cnt  int      // consecutive-candidate copies seen
+	t    *msg.Table
+	have bool        // an accepted value exists
+	last seq.Item    // most recently accepted (and written) value
+	cand seq.Item    // candidate being counted; meaningful when cnt > 0
+	cnt  int         // consecutive-candidate copies seen
+	w    [1]seq.Item // the one-item tape Step returns
 }
 
 var _ protocol.Receiver = (*receiver)(nil)
@@ -159,18 +161,15 @@ func (r *receiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 	if ev.Kind != protocol.Recv {
 		return nil, nil
 	}
-	v, ok := r.t.DataValue(ev.Msg)
+	d, ok := r.t.S.Decode(ev.Msg)
 	if !ok {
-		return nil, nil
+		return nil, nil // not in M^S
 	}
-	if int(v) < 0 || int(v) >= r.m {
-		return nil, nil
-	}
-	item := v
+	item := seq.Item(d.F[0])
 	if r.have && item == r.last {
 		// Retransmission of the accepted value: re-acknowledge, the
 		// sender may still be collecting its c+1 acks.
-		return r.t.AckSend(item), nil
+		return r.t.R.Send(0, d.F), nil
 	}
 	if r.cnt > 0 && item == r.cand {
 		r.cnt++
@@ -180,12 +179,13 @@ func (r *receiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 	if r.cnt >= r.c+1 {
 		r.have, r.last = true, item
 		r.cnt = 0
-		return r.t.AckSend(item), r.t.Write(item)
+		r.w[0] = item
+		return r.t.R.Send(0, d.F), r.w[:]
 	}
 	return nil, nil
 }
 
-func (r *receiver) Alphabet() msg.Alphabet { return r.t.ReceiverAlphabet() }
+func (r *receiver) Alphabet() msg.Alphabet { return r.t.R.Alphabet() }
 
 func (r *receiver) Clone() protocol.Receiver {
 	cp := *r

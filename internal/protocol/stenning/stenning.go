@@ -21,17 +21,19 @@ import (
 )
 
 // dataMsg encodes item v at position i (0-based).
-func dataMsg(i int, v seq.Item) msg.Msg { return msg.Msg(fmt.Sprintf("d:%d:%d", i, int(v))) }
+func dataMsg(i int, v seq.Item) msg.Msg { return msg.Format("d", i, int(v)) }
 
 // ackMsg encodes the acknowledgement for position i.
-func ackMsg(i int) msg.Msg { return msg.Msg(fmt.Sprintf("a:%d", i)) }
+func ackMsg(i int) msg.Msg { return msg.Format("a", i) }
 
 // internMax bounds the receiver's dynamic decode cache. Stenning's
-// alphabet is unbounded, so unlike the finite-alphabet protocols the
-// codec cannot be precomputed; instead each instance interns decodes as
-// they arrive, up to this many distinct encodings. Past the bound the
-// slow path (the original Sscanf parse) still handles every message
-// correctly — the cache only changes who pays for the parse.
+// alphabet is unbounded, so it cannot be declared and enumerated like
+// the finite ones, and the wire mux, which has no alphabet to check
+// payloads against, hands Step whatever bytes arrive. The receiver
+// therefore parses, with the strict msg.Parse (M^S is exactly the
+// strings msg.Format produces), and interns decodes as they arrive, up
+// to this many distinct encodings; past the bound every message is
+// parsed afresh.
 const internMax = 4096
 
 // New returns the protocol spec. There is no domain-size parameter: the
@@ -73,14 +75,9 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 			s.ackWait = ackMsg(s.next)
 			s.ackFor = s.next
 		}
+		// M^R is exactly the strings ackMsg produces, so the one
+		// acknowledgement that advances S is recognised by comparison.
 		if ev.Msg == s.ackWait {
-			s.next++
-			return nil
-		}
-		// Non-canonical spelling (corruption): the pre-interning parse,
-		// which accepts a superset of the canonical encoding.
-		var i int
-		if _, err := fmt.Sscanf(string(ev.Msg), "a:%d", &i); err == nil && i == s.next {
 			s.next++
 		}
 		return nil
@@ -119,7 +116,7 @@ func (s *sender) EncodeKey(buf []byte) []byte {
 // decoded is a cached parse of a data message, with the interned ack
 // send slice and write singleton for its position and value.
 type decoded struct {
-	i, v    int
+	i       int
 	ackSend []msg.Msg
 	write   seq.Seq
 }
@@ -129,11 +126,9 @@ type decoded struct {
 type receiver struct {
 	next int // number of items written
 
-	// cache dynamically interns decodes (bounded by internMax). It is
-	// keyed by the exact received bytes, so caching non-canonical
-	// spellings is sound: the Sscanf parse is deterministic per byte
-	// string. Not part of behavioural state (Key ignores it), and nil'd
-	// on Clone so model-checker workers never share the map.
+	// cache dynamically interns decodes (bounded by internMax). Not
+	// part of behavioural state (Key ignores it), and nil'd on Clone so
+	// model-checker workers never share the map.
 	cache map[msg.Msg]decoded
 }
 
@@ -145,11 +140,11 @@ func (r *receiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 	}
 	d, ok := r.cache[ev.Msg]
 	if !ok {
-		var i, v int
-		if _, err := fmt.Sscanf(string(ev.Msg), "d:%d:%d", &i, &v); err != nil {
-			return nil, nil
+		var f msg.Fields
+		if !msg.Parse(ev.Msg, "d", f[:]) {
+			return nil, nil // not in M^S
 		}
-		d = decoded{i: i, v: v, ackSend: []msg.Msg{ackMsg(i)}, write: seq.Seq{seq.Item(v)}}
+		d = decoded{i: f[0], ackSend: []msg.Msg{ackMsg(f[0])}, write: seq.Seq{seq.Item(f[1])}}
 		if len(r.cache) < internMax {
 			if r.cache == nil {
 				r.cache = make(map[msg.Msg]decoded)

@@ -13,6 +13,8 @@
 //     message and answering with a re-acknowledgement.
 //   - recv-ack: the warmed sender parsing an acknowledgement that does
 //     not advance it.
+//   - recv-alien: either end handed a message outside both alphabets —
+//     the decode miss, which must cost a table lookup and change nothing.
 package steptest
 
 import (
@@ -49,6 +51,9 @@ type Fixture struct {
 	// Ack is an alphabet-shaped acknowledgement the warmed sender
 	// parses but does not advance on.
 	Ack msg.Msg
+	// Alien is a non-canonical spelling of one of the protocol's own
+	// data messages: in neither alphabet, so both ends must ignore it.
+	Alien msg.Msg
 	// warm drives a freshly constructed pair into the steady state.
 	warm func(s protocol.Sender, r protocol.Receiver)
 }
@@ -100,8 +105,9 @@ func Fixtures() []Fixture {
 			// Fresh sender retransmits d:0 every tick; the receiver has
 			// seen value 0, so a second copy is a dup re-ack.
 			Name: "alpha", Params: params, Input: short, Finite: true,
-			Data: alphaproto.DataMsg(0),
-			Ack:  alphaproto.AckMsg(1),
+			Data:  alphaproto.DataMsg(0),
+			Ack:   alphaproto.AckMsg(1),
+			Alien: "d:07",
 			warm: func(s protocol.Sender, r protocol.Receiver) {
 				deliver(r, alphaproto.DataMsg(0))
 			},
@@ -112,8 +118,9 @@ func Fixtures() []Fixture {
 			// item messages are pure re-acks; the sender ignores acks
 			// once acks == sent.
 			Name: "afwz", Params: params, Input: short, Finite: true,
-			Data: afwz.ItemMsg(0),
-			Ack:  afwz.AckMsg,
+			Data:  afwz.ItemMsg(0),
+			Ack:   afwz.AckMsg,
+			Alien: "r:07",
 			warm: func(s protocol.Sender, r protocol.Receiver) {
 				tick(s, 1)
 				deliver(r, afwz.EndMsg)
@@ -126,8 +133,9 @@ func Fixtures() []Fixture {
 			// receiver re-acks a wrong-parity prefix message; the sender
 			// ignores a wrong-parity suffix ack.
 			Name: "hybrid", Params: params, Input: short, Finite: true,
-			Data: hybrid.PrefixMsg(1, 0),
-			Ack:  hybrid.SuffixAck(1),
+			Data:  hybrid.PrefixMsg(1, 0),
+			Ack:   hybrid.SuffixAck(1),
+			Alien: "p:01:1",
 			warm: func(s protocol.Sender, r protocol.Receiver) {
 				sends := 0
 				for i := 0; i < 64 && sends < 2; i++ {
@@ -141,8 +149,9 @@ func Fixtures() []Fixture {
 			// Receiver expects bit 1 after one delivery, so a bit-0 data
 			// message is a retransmission re-ack; the sender expects k:0.
 			Name: "abp", Params: params, Input: short, Finite: true,
-			Data: abp.DataMsg(0, 0),
-			Ack:  abp.AckMsg(1),
+			Data:  abp.DataMsg(0, 0),
+			Ack:   abp.AckMsg(1),
+			Alien: "b:1:2 junk",
 			warm: func(s protocol.Sender, r protocol.Receiver) {
 				deliver(r, abp.DataMsg(0, 0))
 			},
@@ -151,8 +160,9 @@ func Fixtures() []Fixture {
 			// Unbounded alphabet: steady paths are a stale-position
 			// re-ack and a non-matching ack parse.
 			Name: "stenning", Params: params, Input: short, Finite: false,
-			Data: msg.Msg("d:0:0"),
-			Ack:  msg.Msg("a:1"),
+			Data:  msg.Msg("d:0:0"),
+			Ack:   msg.Msg("a:1"),
+			Alien: "d:01:1",
 			warm: func(s protocol.Sender, r protocol.Receiver) {
 				deliver(r, msg.Msg("d:0:0"))
 			},
@@ -161,15 +171,17 @@ func Fixtures() []Fixture {
 			// The trusting receiver writes every data message; the
 			// position sender ignores acks for values it is not at.
 			Name: "naive", Params: params, Input: short, Finite: true,
-			Data: alphaproto.DataMsg(0),
-			Ack:  alphaproto.AckMsg(1),
+			Data:  alphaproto.DataMsg(0),
+			Ack:   alphaproto.AckMsg(1),
+			Alien: "d:07",
 		},
 		{
 			// The flood sender exhausts its tape during warmup and then
 			// ticks nil; receiver/ack paths match naive's.
 			Name: "flood", Params: params, Input: short, Finite: true,
-			Data: alphaproto.DataMsg(0),
-			Ack:  alphaproto.AckMsg(1),
+			Data:  alphaproto.DataMsg(0),
+			Ack:   alphaproto.AckMsg(1),
+			Alien: "d:+1",
 			warm: func(s protocol.Sender, r protocol.Receiver) {
 				tick(s, len(short))
 			},
@@ -178,8 +190,9 @@ func Fixtures() []Fixture {
 			// Frame 1 is stale while the receiver expects 0; ack a:1
 			// does not match the sender's expected a:0.
 			Name: "modseq", Params: params, Input: short, Finite: true,
-			Data: modseq.DataMsg(4, 1, 0),
-			Ack:  modseq.AckMsg(4, 1),
+			Data:  modseq.DataMsg(4, 1, 0),
+			Ack:   modseq.AckMsg(4, 1),
+			Alien: "d:01:1",
 		},
 		{
 			// Window full after 4 ticks: the sender cycles stall →
@@ -187,8 +200,9 @@ func Fixtures() []Fixture {
 			// second copy re-acks the expectation; ga:0 equals the
 			// sender's base and slides nothing.
 			Name: "gobackn", Params: params, Input: long, Finite: true,
-			Data: gobackn.DataMsg(5, 0, 0),
-			Ack:  gobackn.AckMsg(5, 0),
+			Data:  gobackn.DataMsg(5, 0, 0),
+			Ack:   gobackn.AckMsg(5, 0),
+			Alien: "g:07:3",
 			warm: func(s protocol.Sender, r protocol.Receiver) {
 				tick(s, 4)
 				deliver(r, gobackn.DataMsg(5, 0, 0))
@@ -200,8 +214,9 @@ func Fixtures() []Fixture {
 			// trailing window (pure re-ack); sa:5 is outside [base,
 			// next) and acknowledges nothing.
 			Name: "selrepeat", Params: params, Input: long, Finite: true,
-			Data: selrepeat.DataMsg(8, 0, 0),
-			Ack:  selrepeat.AckMsg(8, 5),
+			Data:  selrepeat.DataMsg(8, 0, 0),
+			Ack:   selrepeat.AckMsg(8, 5),
+			Alien: "s:+1:0",
 			warm: func(s protocol.Sender, r protocol.Receiver) {
 				tick(s, 4)
 				deliver(r, selrepeat.DataMsg(8, 0, 0))
@@ -212,8 +227,9 @@ func Fixtures() []Fixture {
 			// copies are re-acks. The sender expects a:0, so a:1 is
 			// ignored.
 			Name: "stab", Params: params, Input: short, Finite: true,
-			Data: alphaproto.DataMsg(0),
-			Ack:  alphaproto.AckMsg(1),
+			Data:  alphaproto.DataMsg(0),
+			Ack:   alphaproto.AckMsg(1),
+			Alien: "d:0 ",
 			warm: func(s protocol.Sender, r protocol.Receiver) {
 				deliver(r, alphaproto.DataMsg(0), alphaproto.DataMsg(0), alphaproto.DataMsg(0))
 			},
@@ -221,9 +237,10 @@ func Fixtures() []Fixture {
 	}
 }
 
-// Steady asserts the fixture's three paths really are steady: running
-// each path twice on a warmed pair must leave the process state key
-// unchanged by the second run. It returns a descriptive error naming
+// Steady asserts the fixture's paths really are steady: running each
+// path twice on a warmed pair must leave the process state key
+// unchanged by the second run, and the alien message must change and
+// produce nothing at either end. It returns a descriptive error naming
 // the offending path. Used by the contract tests so a fixture that
 // silently drifts (and so measures a cold path) fails loudly.
 func Steady(f Fixture) error {
@@ -270,6 +287,13 @@ func Steady(f Fixture) error {
 	s2.Step(protocol.RecvEvent(f.Ack))
 	if s2.Key() != before {
 		return fmt.Errorf("steptest %s: recv-ack path mutates sender: %q -> %q", f.Name, before, s2.Key())
+	}
+
+	before, beforeR := s2.Key(), r.Key()
+	sends := s2.Step(protocol.RecvEvent(f.Alien))
+	acks, writes := r.Step(protocol.RecvEvent(f.Alien))
+	if len(sends)+len(acks)+len(writes) != 0 || s2.Key() != before || r.Key() != beforeR {
+		return fmt.Errorf("steptest %s: recv-alien path is not a no-op on %q", f.Name, f.Alien)
 	}
 	return nil
 }

@@ -1,9 +1,9 @@
 package registry_test
 
 // Per-protocol Step micro-benchmarks over the shared steady-state
-// fixtures (internal/protocol/steptest): the same three paths the
-// zero-alloc contract tests in internal/wire enforce — sender tick,
-// receiver data parse + re-ack, sender ack parse. Recorded
+// fixtures (internal/protocol/steptest): the same paths the zero-alloc
+// contract tests in internal/wire enforce — sender tick, receiver data
+// parse + re-ack, sender ack parse, receiver decode miss. Recorded
 // before/after the interned-codec refactor in BENCH_step.json.
 
 import (
@@ -50,6 +50,18 @@ func BenchmarkStep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Step(ev)
+			}
+		})
+		b.Run(f.Name+"/recv-alien", func(b *testing.B) {
+			_, r, err := f.New()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ev := protocol.RecvEvent(f.Alien)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Step(ev)
 			}
 		})
 	}

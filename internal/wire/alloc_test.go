@@ -85,9 +85,10 @@ func TestIncrementalBatchZeroAlloc(t *testing.T) {
 }
 
 // TestStepSteadyStateZeroAlloc extends the data-plane contract to the
-// protocol Step path itself: with the interned codec tables, every
+// protocol Step path itself: with the declared message tables, every
 // finite-alphabet protocol's steady-state sender tick, receiver
-// recv-data, and sender recv-ack must not allocate. The steptest
+// recv-data, sender recv-ack, and the decode miss at either end (a
+// message in neither alphabet) must not allocate. The steptest
 // fixtures pin what "steady state" means per protocol (see that
 // package); Stenning is exempt (Finite=false) because its unbounded
 // sequence numbers make the codec dynamic by design.
@@ -114,6 +115,9 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 			assertZeroAlloc(t, f.Name+" receiver recv-data", func() { r.Step(dataEv) })
 			ackEv := protocol.RecvEvent(f.Ack)
 			assertZeroAlloc(t, f.Name+" sender recv-ack", func() { s.Step(ackEv) })
+			alienEv := protocol.RecvEvent(f.Alien)
+			assertZeroAlloc(t, f.Name+" receiver recv-alien", func() { r.Step(alienEv) })
+			assertZeroAlloc(t, f.Name+" sender recv-alien", func() { s.Step(alienEv) })
 		})
 	}
 }
