@@ -1,7 +1,7 @@
 package seqtx_test
 
 // Model-checker micro-benchmarks: the state-space engine's hot path
-// (world cloning and successors, canonical state keys, exhaustive
+// (world cloning, tabulated successors, canonical state keys, exhaustive
 // exploration, product refutation). BENCH_mc.json records the
 // baseline/after comparison for the parallel-engine PR.
 
@@ -72,15 +72,17 @@ func BenchmarkWorldClone(b *testing.B) {
 }
 
 // BenchmarkWorldSuccessor is what the explorers pay per transition in
-// place of BenchmarkWorldClone plus an Apply: a child sharing what its
-// action leaves alone, cycling through the enabled actions.
+// place of BenchmarkWorldClone plus an Apply: a memoised step of the
+// tabulated system, cycling through the enabled moves.
 func BenchmarkWorldSuccessor(b *testing.B) {
 	w := benchWorld(b)
-	acts := w.Enabled()
+	sys := sim.NewSystem(w)
+	r, st := sys.Reader(), sys.Intern(w)
+	moves := r.Moves(nil, st)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Successor(acts[i%len(acts)]); err != nil {
+		if _, err := r.Step(st, moves[i%len(moves)]); err != nil {
 			b.Fatal(err)
 		}
 	}

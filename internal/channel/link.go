@@ -83,9 +83,9 @@ func (l *Link) SenderAlphabetSize() (int, bool) {
 	return l.senderAlp.Size(), true
 }
 
-// Send places one copy of m on the half in direction d, enforcing the
-// declared alphabet if any.
-func (l *Link) Send(d Dir, m msg.Msg) error {
+// Admits reports whether the declared alphabet of direction d allows m;
+// the error is the one Send would return.
+func (l *Link) Admits(d Dir, m msg.Msg) error {
 	switch d {
 	case SToR:
 		if l.senderAlp != nil && !l.senderAlp.Contains(m) {
@@ -97,6 +97,15 @@ func (l *Link) Send(d Dir, m msg.Msg) error {
 		}
 	default:
 		return fmt.Errorf("channel: bad direction %d", int(d))
+	}
+	return nil
+}
+
+// Send places one copy of m on the half in direction d, enforcing the
+// declared alphabet if any.
+func (l *Link) Send(d Dir, m msg.Msg) error {
+	if err := l.Admits(d, m); err != nil {
+		return err
 	}
 	l.Half(d).Send(m)
 	return nil
@@ -112,22 +121,10 @@ func (l *Link) Clone() *Link {
 	}
 }
 
-// Fork returns a new link header over the same two halves. Forks alias
-// their halves: before writing through one, give it its own copy of the
-// half with Unshare. This is how a model-checker successor shares the
-// halves its action does not touch (sim.World.Successor).
-func (l *Link) Fork() *Link {
-	cp := *l
-	return &cp
-}
-
-// Unshare replaces the half in direction d with an independent copy.
-func (l *Link) Unshare(d Dir) {
-	if d == SToR {
-		l.sToR = l.sToR.Clone()
-	} else {
-		l.rToS = l.rToS.Clone()
-	}
+// WithHalves returns a link over the given halves that enforces l's
+// alphabets: how a tabulated state (sim.System) becomes a world again.
+func (l *Link) WithHalves(sToR, rToS Half) *Link {
+	return &Link{sToR: sToR, rToS: rToS, senderAlp: l.senderAlp, recvAlp: l.recvAlp}
 }
 
 // Key returns a canonical encoding of both halves' states.

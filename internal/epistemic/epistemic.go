@@ -24,6 +24,7 @@ package epistemic
 
 import (
 	"fmt"
+	"slices"
 
 	"seqtx/internal/channel"
 	"seqtx/internal/protocol"
@@ -33,14 +34,27 @@ import (
 )
 
 // Analysis indexes, for every receiver view reached in the exploration,
-// the set of inputs whose runs can produce that view.
+// the set of inputs whose runs can produce that view. Views are kept as a
+// trie — a view is its parent plus one event — so a point of the
+// exploration names its view by a node id.
 type Analysis struct {
-	classes map[string]map[string]seq.Seq // view key -> input key -> input
-	views   map[string]trace.View         // view key -> the view itself
+	views    []viewNode         // by id; 0 is the empty view
+	children map[viewEdge]int32 // (view, next event) -> extended view
 	// Truncated reports whether any exploration hit its bounds.
 	Truncated bool
 	// States is the total number of (world, view) nodes visited.
 	States int
+}
+
+type viewNode struct {
+	parent int32
+	ev     trace.ViewEvent    // the view's last event
+	inputs map[string]seq.Seq // input key -> input, for the runs that reach it
+}
+
+type viewEdge struct {
+	parent int32
+	ev     trace.ViewEvent
 }
 
 // Config bounds the exploration.
@@ -62,96 +76,137 @@ func Analyze(spec protocol.Spec, inputs []seq.Seq, kind channel.Kind, cfg Config
 		cfg.MaxStates = 1 << 19
 	}
 	a := &Analysis{
-		classes: make(map[string]map[string]seq.Seq),
-		views:   make(map[string]trace.View),
+		views:    []viewNode{{parent: -1, inputs: make(map[string]seq.Seq)}},
+		children: make(map[viewEdge]int32),
 	}
+	// One tabulated system serves every input: the runs differ in their
+	// senders only, and R must not be able to tell.
+	var sys *sim.System
+	var r *sim.Reader
 	for _, x := range inputs {
-		if err := a.explore(spec, x, kind, cfg); err != nil {
+		link, err := channel.NewLinkOfKind(kind)
+		if err != nil {
+			return nil, err
+		}
+		w, err := sim.New(spec, x, link)
+		if err != nil {
+			return nil, err
+		}
+		if sys == nil {
+			sys = sim.NewSystem(w)
+			r = sys.Reader()
+		}
+		if err := a.explore(r, sys.Intern(w), w.Input, cfg); err != nil {
 			return nil, err
 		}
 	}
 	return a, nil
 }
 
+// epiNode is a point by identity: the global state, |Y| and R's view.
 type epiNode struct {
-	w     *sim.World
-	view  trace.View
-	depth int
+	st   sim.State
+	ylen int32
+	view int32
 }
 
-func (a *Analysis) explore(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg Config) error {
-	link, err := channel.NewLinkOfKind(kind)
-	if err != nil {
-		return err
-	}
-	w, err := sim.New(spec, input, link)
-	if err != nil {
-		return err
-	}
-	start := &epiNode{w: w}
-	a.record(start.view, input)
-	seen := map[string]struct{}{w.Key() + "#" + start.view.Key(): {}}
-	frontier := []*epiNode{start}
-	states := 1
+func (a *Analysis) explore(r *sim.Reader, root sim.State, input seq.Seq, cfg Config) error {
+	a.views[0].inputs[input.Key()] = input.Clone()
+	nodes := []epiNode{{st: root}}
+	depths := []int{0}
+	seen := map[epiNode]struct{}{nodes[0]: {}}
 	a.States++
-	for len(frontier) > 0 {
-		cur := frontier[0]
-		frontier = frontier[1:]
-		if cur.depth >= cfg.Depth {
+	var moves []sim.Move
+	for head := 0; head < len(nodes); head++ {
+		cur := nodes[head]
+		if depths[head] >= cfg.Depth {
 			a.Truncated = true
 			continue
 		}
-		for _, act := range cur.w.Enabled() {
-			next, aerr := cur.w.Successor(act)
-			if aerr != nil {
-				return fmt.Errorf("epistemic: applying %s: %w", act, aerr)
+		moves = r.Moves(moves[:0], cur.st)
+		for _, mv := range moves {
+			step, err := r.Step(cur.st, mv)
+			if err != nil {
+				return fmt.Errorf("epistemic: applying %s: %w", r.Action(mv), err)
 			}
-			view := cur.view
+			next := epiNode{st: step.Next, ylen: cur.ylen + int32(len(step.Writes)), view: cur.view}
 			switch {
-			case act.Kind == trace.ActTickR:
-				view = append(view.CloneView(), trace.ViewEvent{IsTick: true})
-			case (act.Kind == trace.ActDeliver || act.Kind == trace.ActDeliverDup) && act.Dir == channel.SToR:
-				view = append(view.CloneView(), trace.ViewEvent{Msg: act.Msg})
+			case mv.Kind == trace.ActTickR:
+				next.view = a.extend(cur.view, trace.ViewEvent{IsTick: true}, input)
+			case (mv.Kind == trace.ActDeliver || mv.Kind == trace.ActDeliverDup) && mv.Dir == channel.SToR:
+				next.view = a.extend(cur.view, trace.ViewEvent{Msg: r.Action(mv).Msg}, input)
 			}
-			if len(view) != len(cur.view) {
-				a.record(view, input)
-			}
-			key := next.Key() + "#" + view.Key()
-			if _, ok := seen[key]; ok {
+			if _, ok := seen[next]; ok {
 				continue
 			}
-			if states >= cfg.MaxStates {
+			if len(nodes) >= cfg.MaxStates {
 				a.Truncated = true
 				continue
 			}
-			seen[key] = struct{}{}
-			states++
+			seen[next] = struct{}{}
 			a.States++
-			frontier = append(frontier, &epiNode{w: next, view: view, depth: cur.depth + 1})
+			nodes = append(nodes, next)
+			depths = append(depths, depths[head]+1)
 		}
 	}
 	return nil
 }
 
-func (a *Analysis) record(v trace.View, input seq.Seq) {
-	k := v.Key()
-	cls, ok := a.classes[k]
+// extend returns the view one event past parent, recording that a run on
+// input reaches it.
+func (a *Analysis) extend(parent int32, ev trace.ViewEvent, input seq.Seq) int32 {
+	id, ok := a.children[viewEdge{parent, ev}]
 	if !ok {
-		cls = make(map[string]seq.Seq)
-		a.classes[k] = cls
-		a.views[k] = v.CloneView()
+		id = int32(len(a.views))
+		a.children[viewEdge{parent, ev}] = id
+		a.views = append(a.views, viewNode{parent: parent, ev: ev, inputs: make(map[string]seq.Seq)})
 	}
-	cls[input.Key()] = input.Clone()
+	if k := input.Key(); a.views[id].inputs[k] == nil {
+		a.views[id].inputs[k] = input.Clone()
+	}
+	return id
+}
+
+// view spells out view id.
+func (a *Analysis) view(id int32) trace.View {
+	var v trace.View
+	for ; id > 0; id = a.views[id].parent {
+		v = append(v, a.views[id].ev)
+	}
+	slices.Reverse(v)
+	return v
+}
+
+// find walks v down the trie.
+func (a *Analysis) find(v trace.View) (int32, bool) {
+	id := int32(0)
+	for _, ev := range v {
+		if ev.IsTick {
+			ev.Msg = ""
+		}
+		next, ok := a.children[viewEdge{id, ev}]
+		if !ok {
+			return 0, false
+		}
+		id = next
+	}
+	return id, true
 }
 
 // Reached reports whether the view was reached in the exploration.
 func (a *Analysis) Reached(v trace.View) bool {
-	_, ok := a.classes[v.Key()]
+	_, ok := a.find(v)
 	return ok
 }
 
 // ClassSize returns the number of distinct inputs that can produce v.
-func (a *Analysis) ClassSize(v trace.View) int { return len(a.classes[v.Key()]) }
+func (a *Analysis) ClassSize(v trace.View) int {
+	id, ok := a.find(v)
+	if !ok {
+		return 0
+	}
+	return len(a.views[id].inputs)
+}
 
 // Knows evaluates K_R(x_i) at any point with view v (i is 1-based, the
 // paper's convention): it returns the value d with K_R(x_i = d) and true,
@@ -159,20 +214,26 @@ func (a *Analysis) ClassSize(v trace.View) int { return len(a.classes[v.Key()]) 
 // inputs disagree on x_i, or because some indistinguishable input is too
 // short to have an x_i. It errors if the view was never reached.
 func (a *Analysis) Knows(v trace.View, i int) (seq.Item, bool, error) {
-	cls, ok := a.classes[v.Key()]
+	id, ok := a.find(v)
 	if !ok {
 		return 0, false, fmt.Errorf("epistemic: view %q not reached in the exploration", v.Key())
 	}
 	if i < 1 {
 		return 0, false, fmt.Errorf("epistemic: item index %d < 1", i)
 	}
+	val, knows := a.knows(id, i)
+	return val, knows, nil
+}
+
+// knows is Knows on a reached view and a valid index.
+func (a *Analysis) knows(id int32, i int) (seq.Item, bool) {
 	var (
 		val   seq.Item
 		first = true
 	)
-	for _, x := range cls {
+	for _, x := range a.views[id].inputs {
 		if i > len(x) {
-			return 0, false, nil // some indistinguishable run has no x_i
+			return 0, false // some indistinguishable run has no x_i
 		}
 		if first {
 			val = x[i-1]
@@ -180,47 +241,30 @@ func (a *Analysis) Knows(v trace.View, i int) (seq.Item, bool, error) {
 			continue
 		}
 		if x[i-1] != val {
-			return 0, false, nil
+			return 0, false
 		}
 	}
-	if first {
-		return 0, false, fmt.Errorf("epistemic: empty class for view %q", v.Key())
-	}
-	return val, true, nil
+	return val, true
 }
 
 // CheckStability verifies the paper's observation that K_R(x_i) is stable
 // under the complete history interpretation: whenever a view v knows x_i,
 // every reached extension of v knows it with the same value. It returns
 // the first violation found, or nil. Stability is checked for items
-// 1..maxItem over all recorded views.
+// 1..maxItem over all recorded views (every prefix of a recorded view is
+// recorded: the trie grows one event at a time).
 func (a *Analysis) CheckStability(maxItem int) error {
-	for key, v := range a.views {
-		if len(v) == 0 {
-			continue
-		}
-		parent := v[:len(v)-1]
-		if !a.Reached(parent) {
-			// The exploration records every prefix of a recorded view (it
-			// extends views one event at a time), so this cannot happen.
-			return fmt.Errorf("epistemic: view %q reached but its prefix was not", key)
-		}
+	for id := int32(1); int(id) < len(a.views); id++ {
+		parent := a.views[id].parent
 		for i := 1; i <= maxItem; i++ {
-			pv, pknows, err := a.Knows(parent, i)
-			if err != nil {
-				return err
-			}
+			pv, pknows := a.knows(parent, i)
 			if !pknows {
 				continue
 			}
-			cv, cknows, err := a.Knows(v, i)
-			if err != nil {
-				return err
-			}
-			if !cknows || cv != pv {
+			if cv, cknows := a.knows(id, i); !cknows || cv != pv {
 				return fmt.Errorf(
 					"epistemic: stability violated: view %q knows x_%d = %d but extension %q does not",
-					parent.Key(), i, int(pv), key)
+					a.view(parent).Key(), i, int(pv), a.view(id).Key())
 			}
 		}
 	}

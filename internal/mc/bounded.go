@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"seqtx/internal/channel"
-	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
 	"seqtx/internal/sim"
@@ -97,10 +96,17 @@ func CheckBounded(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg Boun
 		return nil, err
 	}
 	rep := &BoundedReport{PerPosition: make(map[int]int), OldMessagesAllowed: cfg.OldMessagesAllowed}
+	if len(points) == 0 {
+		return rep, nil
+	}
+	// One table serves every search: the points lie on one run, so their
+	// extensions ask the same local questions over and over.
+	sys := sim.NewSystem(points[0])
+	scratch := newScratch(sys, cfg.workerCount())
 	for _, p := range points {
 		rep.Samples++
 		pos := len(p.Output)
-		steps := recoverySearch(p, cfg)
+		steps := recoverySearch(sys, scratch, p, cfg)
 		if steps < 0 {
 			rep.Unrecovered++
 			rep.PerPosition[pos] = -1
@@ -152,33 +158,14 @@ func samplePoints(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg Boun
 	return points, nil
 }
 
-// freshState tracks, along an extension, how many copies of each message
-// were sent after the sample point and not yet delivered in the
-// extension. Only these may be delivered under Definition 2.
-type freshState map[channel.Dir]msg.Counts
-
-func (f freshState) clone() freshState {
-	return freshState{
-		channel.SToR: f[channel.SToR].Clone(),
-		channel.RToS: f[channel.RToS].Clone(),
-	}
-}
-
-func (f freshState) key() string {
-	return f[channel.SToR].Key() + "/" + f[channel.RToS].Key()
-}
-
-// encodeKey appends the binary counterpart of key: both directions'
-// self-delimiting multiset encodings.
-func (f freshState) encodeKey(buf []byte) []byte {
-	buf = f[channel.SToR].EncodeKey(buf)
-	return f[channel.RToS].EncodeKey(buf)
-}
-
+// recNode is a point of an extension by identity: the global state and,
+// per direction, the copies sent after the sample point and not yet
+// delivered in the extension — the only ones Definition 2 lets the
+// extension deliver. Such a multiset is exactly the content of a reorder
+// half, so it is kept as one in the system's half table.
 type recNode struct {
-	w     *sim.World
-	fresh freshState
-	depth int
+	st    sim.State
+	fresh [2]int32 // by direction: SToR, RToS
 }
 
 // recoveryCand is one expanded extension step awaiting the level merge.
@@ -186,164 +173,94 @@ type recNode struct {
 // depth, so "some candidate of this level recovered" determines the
 // return value independently of candidate order.
 type recoveryCand struct {
-	node      *recNode
-	key       []byte
-	hash      uint64
+	node      recNode
 	recovered bool
-	skip      bool // apply error or safety-violating "recovery"
 }
 
 // recoverySearch BFS-es extensions of the point until R writes another
 // item, returning the number of steps or -1 if Budget/MaxStates exhaust.
-// Like Explore, it expands each level across cfg.Workers goroutines with
-// a deterministic merge, so the result is worker-count independent.
-func recoverySearch(point *sim.World, cfg BoundedConfig) int {
-	// Every world of the search records its own step (successors of a
-	// recording world do), which is how expand learns what a step sent.
-	point.StartTrace()
-	start := &recNode{
-		w:     point,
-		fresh: freshState{channel.SToR: msg.Counts{}, channel.RToS: msg.Counts{}},
-	}
-	target := len(point.Output)
-	workers := cfg.workerCount()
-	scratch := newScratch(workers)
+// Like Explore, it expands each level across the workers (one scratch
+// each) with a deterministic merge, so the result is worker-count
+// independent. Extension moves are ticks always, and deliveries
+// (duplicating FIFO ones included) of any message under the weak variant
+// but only of messages with fresh copies under Definition 2; drops never
+// help recovery and are left out.
+func recoverySearch(sys *sim.System, scratch []workerScratch, point *sim.World, cfg BoundedConfig) int {
+	workers := len(scratch)
 	em := newEngineMetrics(cfg.Obs, "recovery", workers, false)
+	defer em.flush()
 	em.noteMerge(true) // the sample point itself
-	idx := newStateIndex()
-	rootKey := start.fresh.encodeKey(start.w.EncodeKey(scratch[0].keyBuf))
-	idx.insert(hashBytes(rootKey), stableCopy(rootKey))
-	states := 1
-
-	frontier := []*recNode{start}
-	var next []*recNode
-	var bufs [][]recoveryCand // per-chunk candidates, reused across levels
-
-	expand := func(ws *workerScratch, cur *recNode, emit func(recoveryCand)) {
-		ws.acts = appendRecoveryActions(ws.acts[:0], cur, cfg)
-		for _, act := range ws.acts {
-			nw, err := cur.w.Successor(act)
-			if err != nil {
-				emit(recoveryCand{skip: true}) // impossible action; skip
-				continue
-			}
-			nf := cur.fresh.clone()
-			entry := nw.Trace.Entries[0] // this step's sends
-			sendDir := channel.SToR
-			if act.Kind == trace.ActTickR || (act.Kind == trace.ActDeliver && act.Dir == channel.SToR) || (act.Kind == trace.ActDeliverDup && act.Dir == channel.SToR) {
-				sendDir = channel.RToS
-			}
-			for _, m := range entry.Sends {
-				nf[sendDir].Add(m, 1)
-			}
-			if act.Kind == trace.ActDeliver && !cfg.OldMessagesAllowed {
-				nf[act.Dir].Add(act.Msg, -1)
-			}
-			if len(nw.Output) > target {
-				// A "recovery" that breaks safety does not count.
-				emit(recoveryCand{recovered: nw.SafetyViolation == nil, skip: true})
-				continue
-			}
-			ws.keyBuf = nf.encodeKey(nw.EncodeKey(ws.keyBuf[:0]))
-			emit(recoveryCand{
-				node: &recNode{w: nw, fresh: nf, depth: cur.depth + 1},
-				key:  ws.keyBuf,
-				hash: hashBytes(ws.keyBuf),
-			})
-		}
-	}
+	input, tape := point.Input, sim.TapeOf(point)
+	none := sys.InternHalf(channel.NewReorder())
+	nodes := []recNode{{st: sys.Intern(point), fresh: [2]int32{none, none}}}
+	seen := map[recNode]struct{}{nodes[0]: {}}
+	var bufs [][]recoveryCand // per-worker staged candidates, reused across levels
 
 	recovered := false
-	merge := func(c recoveryCand) {
+	merge := func(c recoveryCand) bool {
 		if c.recovered {
 			recovered = true
+			return false
 		}
-		if c.skip || recovered {
-			return
-		}
-		if idx.contains(c.hash, c.key) {
+		if _, dup := seen[c.node]; dup {
 			em.noteMerge(false)
-			return
+			return true
 		}
-		if states >= cfg.MaxStates {
-			return
+		if len(nodes) >= cfg.MaxStates {
+			return true
 		}
 		em.noteMerge(true)
-		idx.insert(c.hash, stableCopy(c.key))
-		states++
-		next = append(next, c.node)
+		seen[c.node] = struct{}{}
+		nodes = append(nodes, c.node)
+		return true
 	}
 
-	for depth := 0; len(frontier) > 0 && depth < cfg.Budget; depth++ {
-		next = next[:0]
-		if workers == 1 {
-			for _, cur := range frontier {
-				em.noteExpand(0)
-				expand(&scratch[0], cur, merge)
-				if recovered {
-					em.flush()
-					return depth + 1
+	lo := 0
+	for depth := 0; lo < len(nodes) && depth < cfg.Budget; depth++ {
+		level := nodes[lo:]
+		_ = runLevel(workers, len(level), &bufs, func(worker, i int, emit func(recoveryCand) bool) error { // expand never fails
+			em.noteExpand(worker)
+			ws, cur := &scratch[worker], level[i]
+			r := ws.r
+			ws.moves = r.Moves(ws.moves[:0], cur.st)
+			for _, mv := range ws.moves {
+				delivery := mv.Kind == trace.ActDeliver || mv.Kind == trace.ActDeliverDup
+				if mv.Kind == trace.ActDrop || (delivery && !cfg.OldMessagesAllowed && !r.HalfHolds(cur.fresh[mv.Dir-channel.SToR], mv.Msg)) {
+					continue
+				}
+				step, err := r.Step(cur.st, mv)
+				if err != nil {
+					continue // impossible move
+				}
+				if len(step.Writes) > 0 {
+					// A "recovery" that breaks safety does not count.
+					if !tape.Write(input, step.Writes).Violated && !emit(recoveryCand{recovered: true}) {
+						break
+					}
+					continue
+				}
+				child := recNode{st: step.Next, fresh: cur.fresh}
+				for _, m := range step.Sends {
+					out := &child.fresh[step.SendDir-channel.SToR]
+					*out = r.HalfSend(*out, m)
+				}
+				if mv.Kind == trace.ActDeliver && !cfg.OldMessagesAllowed {
+					in := &child.fresh[mv.Dir-channel.SToR]
+					*in, _ = r.HalfDeliver(*in, mv.Msg) // held: checked above
+				}
+				if _, dup := seen[child]; dup {
+					em.noteDup(worker) // see Explore
+				} else if !emit(recoveryCand{node: child}) {
+					break
 				}
 			}
-		} else {
-			bounds := chunkBounds(len(frontier), workers*chunksPerWorker)
-			results := candBufs(&bufs, len(bounds))
-			runChunks(workers, bounds, func(worker, chunk int) {
-				ws := &scratch[worker]
-				out := results[chunk]
-				for _, cur := range frontier[bounds[chunk][0]:bounds[chunk][1]] {
-					em.noteExpand(worker)
-					expand(ws, cur, func(c recoveryCand) {
-						if c.key != nil {
-							c.key = ws.arena.hold(c.key)
-						}
-						out = append(out, c)
-					})
-				}
-				results[chunk] = out
-			})
-			for _, chunk := range results {
-				for _, c := range chunk {
-					merge(c)
-				}
-			}
-			for i := range scratch {
-				scratch[i].arena.reset()
-			}
-			if recovered {
-				em.flush()
-				return depth + 1
-			}
+			return nil
+		}, merge)
+		if recovered {
+			return depth + 1
 		}
-		em.noteLevel(depth, len(frontier))
-		frontier, next = next, frontier
+		em.noteLevel(depth, len(level))
+		lo += len(level)
 	}
-	em.flush()
 	return -1
-}
-
-// appendRecoveryActions enumerates extension moves: ticks always;
-// deliveries of any message under the weak variant, or only messages with
-// fresh copies under Definition 2. Duplicating FIFO deliveries of fresh
-// heads are included; drops never help recovery and are omitted. It
-// appends to acts (a reused per-worker buffer) and returns the extension.
-func appendRecoveryActions(acts []trace.Action, cur *recNode, cfg BoundedConfig) []trace.Action {
-	acts = append(acts, trace.TickS(), trace.TickR())
-	for dir := channel.SToR; dir <= channel.RToS; dir++ {
-		half := cur.w.Link.Half(dir)
-		for i := 0; ; i++ {
-			m, ok := half.Support(i)
-			if !ok {
-				break
-			}
-			if !cfg.OldMessagesAllowed && cur.fresh[dir].Get(m) <= 0 {
-				continue
-			}
-			acts = append(acts, trace.Deliver(dir, m))
-			if f, ok := half.(*channel.FIFO); ok && f.AllowsDup() {
-				acts = append(acts, trace.DeliverDup(dir, m))
-			}
-		}
-	}
-	return acts
 }

@@ -1,15 +1,15 @@
 package mc
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"seqtx/internal/obs"
+	"seqtx/internal/sim"
 	"seqtx/internal/trace"
 )
 
@@ -17,16 +17,16 @@ import (
 // the recovery search behind CheckBounded) expand each BFS level.
 //
 // The engines are level-synchronized: every node of the current depth is
-// expanded before any node of the next, the frontier is split into
-// contiguous chunks handed to a worker pool, and the per-chunk results
-// are merged by a single goroutine in frontier×action order — the exact
-// order the sequential engine processes children in. Results (state
+// expanded before any node of the next, the frontier is split into one
+// contiguous share per worker, and the per-worker results are merged by
+// a single goroutine in frontier×action order — the exact order the
+// sequential engine processes children in. Results (state
 // counts, depth, truncation, the first violation) are therefore identical
 // for every worker count; parallelism changes wall-clock time only.
 type EngineConfig struct {
-	// Workers is the number of goroutines expanding each BFS level.
-	// 0 means GOMAXPROCS; 1 selects the in-line sequential path (no
-	// goroutines, no chunk staging).
+	// Workers is the most goroutines that expand a BFS level (a small
+	// level gets fewer). 0 means GOMAXPROCS; 1 selects the in-line
+	// sequential path (no goroutines, no staging).
 	Workers int
 	// Obs, when non-nil, receives engine metrics (states visited, dedup
 	// hit rate, frontier sizes, per-worker expansion counts, states/sec)
@@ -43,145 +43,56 @@ func (e EngineConfig) workerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// hashBytes is FNV-1a 64 over the canonical binary state key.
-func hashBytes(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
-}
-
-// indexShards is the shard count of stateIndex (a power of two).
-const indexShards = 64
-
-// stateIndex deduplicates explored states by their canonical binary keys.
-// States are bucketed by key hash and verified by byte equality, so hash
-// collisions cannot merge distinct states.
-//
-// Concurrency contract (the level-synchronized engines guarantee it):
-// contains may be called from many goroutines at once, but only while no
-// insert is running; insert is called by the single merge goroutine
-// between expansion phases. A WaitGroup barrier separates the phases, so
-// no locks are needed.
-type stateIndex struct {
-	shards [indexShards]map[uint64][][]byte
-}
-
-func newStateIndex() *stateIndex {
-	ix := &stateIndex{}
-	for i := range ix.shards {
-		ix.shards[i] = make(map[uint64][][]byte)
-	}
-	return ix
-}
-
-func (ix *stateIndex) contains(h uint64, key []byte) bool {
-	for _, rec := range ix.shards[h%indexShards][h] {
-		if bytes.Equal(rec, key) {
-			return true
-		}
-	}
-	return false
-}
-
-// insert records key under h. The caller must have checked contains and
-// must pass a stable slice (never mutated afterwards).
-func (ix *stateIndex) insert(h uint64, key []byte) {
-	shard := ix.shards[h%indexShards]
-	shard[h] = append(shard[h], key)
-}
-
-// stableCopy returns an exact-size private copy of key for the index.
-func stableCopy(key []byte) []byte {
-	return append(make([]byte, 0, len(key)), key...)
-}
-
-// arenaBlock is the keyArena block size.
-const arenaBlock = 64 << 10
-
-// keyArena hands out stable byte slices for candidate keys that must
-// survive until the level merge, without one allocation per candidate.
-// reset recycles the current block; the engines call it once per level,
-// after the merge has copied every admitted key out of the arena.
-type keyArena struct {
-	block []byte
-}
-
-func (a *keyArena) reset() {
-	a.block = a.block[:0]
-}
-
-func (a *keyArena) hold(b []byte) []byte {
-	if len(b) > arenaBlock {
-		return stableCopy(b)
-	}
-	if len(a.block)+len(b) > cap(a.block) {
-		// The outgrown block stays alive while this level's candidates
-		// reference it; it is garbage after the merge.
-		a.block = make([]byte, 0, arenaBlock)
-	}
-	start := len(a.block)
-	a.block = append(a.block, b...)
-	return a.block[start : start+len(b) : start+len(b)]
-}
-
-// workerScratch is the per-worker reusable state: a key encoding buffer,
-// an enabled-action buffer, and the candidate-key arena. Reusing them
-// across transitions is where the engine sheds most of its allocations.
+// workerScratch is one worker's private state: its Reader onto the
+// tabulated system and reused move buffers.
 type workerScratch struct {
-	keyBuf []byte
-	acts   []trace.Action
-	pacts  []ProductAction
-	arena  keyArena
+	r      *sim.Reader
+	moves  []sim.Move
+	pmoves []productMove
 }
 
-func newScratch(workers int) []workerScratch {
-	return make([]workerScratch, workers)
+func newScratch(sys *sim.System, workers int) []workerScratch {
+	scratch := make([]workerScratch, workers)
+	for i := range scratch {
+		scratch[i].r = sys.Reader()
+	}
+	return scratch
 }
 
-// chunkBounds splits n items into at most k contiguous [lo, hi) ranges of
-// near-equal size, in order.
-func chunkBounds(n, k int) [][2]int {
-	if k > n {
-		k = n
+// link records how a BFS first reached a node: from which node (negative
+// for a root) and by which move. The links of a search, indexed by node,
+// are its shortest-path forest.
+type link struct {
+	parent int32
+	mv     sim.Move
+}
+
+// path renders the moves from a root to node i as actions.
+func path(r *sim.Reader, links []link, i int32) []trace.Action {
+	var acts []trace.Action
+	for ; links[i].parent >= 0; i = links[i].parent {
+		acts = append(acts, r.Action(links[i].mv))
 	}
-	if k <= 0 {
-		return nil
-	}
-	bounds := make([][2]int, 0, k)
-	for i := 0; i < k; i++ {
-		lo, hi := i*n/k, (i+1)*n/k
-		if lo < hi {
-			bounds = append(bounds, [2]int{lo, hi})
+	slices.Reverse(acts)
+	return acts
+}
+
+// replay walks a clone of root along acts: how a search that keeps
+// states by identity gets a witness's tape, clock and violation text.
+func replay(root *sim.World, acts []trace.Action) (*sim.World, error) {
+	w := root.Clone()
+	for _, act := range acts {
+		if err := w.Apply(act); err != nil {
+			return nil, fmt.Errorf("mc: replaying %s: %w", act, err)
 		}
 	}
-	return bounds
+	return w, nil
 }
 
-// candBufs returns n empty per-chunk candidate buffers for one BFS level,
-// reusing the outer slice and the capacity earlier levels left in *bufs.
-// The previous level's candidates are cleared first so the successors the
-// merge rejected (most of them) are garbage as soon as the level ends.
-func candBufs[C any](bufs *[][]C, n int) [][]C {
-	for i, b := range *bufs {
-		clear(b)
-		(*bufs)[i] = b[:0]
-	}
-	for len(*bufs) < n {
-		*bufs = append(*bufs, nil)
-	}
-	return (*bufs)[:n]
-}
-
-// chunksPerWorker oversplits levels for load balancing: chunks are claimed
-// dynamically, so a worker stuck on a heavy chunk sheds the rest.
-const chunksPerWorker = 4
+// minNodesPerWorker is the level size below which another worker costs
+// more (a goroutine, staged candidates, a second pass over them) than it
+// saves: a tabulated expansion is a few lookups per successor.
+const minNodesPerWorker = 32
 
 // engineMetrics accumulates one exploration run's observability in plain
 // engine-local scalars and flushes them into the registry when the run
@@ -201,6 +112,7 @@ type engineMetrics struct {
 	dedupMiss   int64
 	levels      int64
 	expansions  []int64 // nodes expanded, per worker
+	dups        []int64 // successors a worker itself saw were visited, per worker
 }
 
 // newEngineMetrics returns nil when reg is nil — the disabled fast path.
@@ -218,6 +130,7 @@ func newEngineMetrics(reg *obs.Registry, scope string, workers int, levelEvents 
 		frontier:    reg.Histogram("mc_"+scope+"_frontier_size", obs.StepBuckets),
 		levelEvents: levelEvents,
 		expansions:  make([]int64, workers),
+		dups:        make([]int64, workers),
 	}
 }
 
@@ -227,6 +140,15 @@ func (m *engineMetrics) noteExpand(worker int) {
 		return
 	}
 	m.expansions[worker]++
+}
+
+// noteDup records a successor that worker found in the visited set and
+// so never handed to the merge: a dedup hit all the same.
+func (m *engineMetrics) noteDup(worker int) {
+	if m == nil {
+		return
+	}
+	m.dups[worker]++
 }
 
 // noteMerge records one candidate's dedup verdict and, for fresh states,
@@ -268,7 +190,11 @@ func (m *engineMetrics) flush() {
 	r.Counter("mc_" + scope + "_runs_total").Inc()
 	r.Counter("mc_" + scope + "_states_total").Add(m.states)
 	r.Counter("mc_" + scope + "_levels_total").Add(m.levels)
-	r.Counter("mc_" + scope + "_dedup_hits_total").Add(m.dedupHits)
+	hits := m.dedupHits
+	for _, n := range m.dups {
+		hits += n
+	}
+	r.Counter("mc_" + scope + "_dedup_hits_total").Add(hits)
 	r.Counter("mc_" + scope + "_dedup_misses_total").Add(m.dedupMiss)
 	if elapsed := time.Since(m.start).Seconds(); elapsed > 0 {
 		r.Gauge("mc_" + scope + "_states_per_sec").Set(float64(m.states) / elapsed)
@@ -278,35 +204,63 @@ func (m *engineMetrics) flush() {
 	}
 }
 
-// runChunks expands the chunks of one BFS level across the worker pool.
-// Worker w owns scratch index w exclusively; chunks are claimed through an
-// atomic cursor, and run must only write state owned by its chunk. The
-// call returns when every chunk is done (the phase barrier that makes the
-// index's lock-free contains sound).
-func runChunks(workers int, bounds [][2]int, run func(worker, chunk int)) {
-	if workers > len(bounds) {
-		workers = len(bounds)
-	}
+// runLevel expands the n nodes of one BFS level and hands every
+// candidate to merge in node × emission order, the order a sequential
+// search produces them in. expand(worker, i, emit) emits node i's
+// candidates, stopping early when emit returns false or with an error
+// when a move fails; merge returns false to end the level (a search
+// that has its answer). runLevel returns the error of the first failing
+// node, after merging exactly the candidates that precede it. With one
+// worker candidates are merged as they are produced; with more, worker w
+// takes the w-th contiguous share of the level, stages its candidates in
+// (*bufs)[w] (reused across levels), and the merge runs after all have
+// finished — the barrier that lets workers read the visited set without
+// locks while they expand.
+func runLevel[C any](workers, n int, bufs *[][]C, expand func(worker, i int, emit func(C) bool) error, merge func(C) bool) error {
+	workers = min(workers, n/minNodesPerWorker)
 	if workers <= 1 {
-		for c := range bounds {
-			run(0, c)
+		more := true
+		emit := func(c C) bool {
+			more = merge(c)
+			return more
 		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				c := int(cursor.Add(1)) - 1
-				if c >= len(bounds) {
-					return
-				}
-				run(w, c)
+		for i := 0; i < n && more; i++ {
+			if err := expand(0, i, emit); err != nil {
+				return err
 			}
-		}(w)
+		}
+		return nil
+	}
+	for len(*bufs) < workers {
+		*bufs = append(*bufs, nil)
+	}
+	staged, errs := (*bufs)[:workers], make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range staged {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := staged[w][:0]
+			emit := func(c C) bool {
+				out = append(out, c)
+				return true
+			}
+			for i := w * n / workers; i < (w+1)*n/workers && errs[w] == nil; i++ {
+				errs[w] = expand(w, i, emit)
+			}
+			staged[w] = out
+		}()
 	}
 	wg.Wait()
+	for w, cands := range staged {
+		for _, c := range cands {
+			if !merge(c) {
+				return nil
+			}
+		}
+		if errs[w] != nil {
+			return errs[w]
+		}
+	}
+	return nil
 }

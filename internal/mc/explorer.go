@@ -21,6 +21,7 @@
 package mc
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -35,7 +36,9 @@ import (
 type ExploreResult struct {
 	// States is the number of distinct states visited.
 	States int
-	// Depth is the deepest level fully expanded.
+	// Depth is the deepest BFS level at which a new state was admitted
+	// (the root is level 0). It is not the deepest level expanded: under
+	// MaxDepth = d a state can be admitted at level d and never expanded.
 	Depth int
 	// Truncated reports whether the state or depth cap stopped expansion
 	// before the frontier emptied (if false, the exploration is complete:
@@ -86,172 +89,130 @@ func (c *ExploreConfig) normalize() error {
 	return nil
 }
 
-type node struct {
-	w      *sim.World
-	parent *node
-	act    trace.Action
-	depth  int
+// exploreKey is a state's identity in Explore: its components and |Y|.
+// The violation flag is not part of it — of two arrivals that differ only
+// there, the first wins.
+type exploreKey struct {
+	st   sim.State
+	ylen int32
 }
 
-func (n *node) path() []trace.Action {
-	var acts []trace.Action
-	for cur := n; cur.parent != nil; cur = cur.parent {
-		acts = append(acts, cur.act)
-	}
-	for i, j := 0, len(acts)-1; i < j; i, j = i+1, j-1 {
-		acts[i], acts[j] = acts[j], acts[i]
-	}
-	return acts
+type exploreNode struct {
+	st   sim.State
+	tape sim.Tape
 }
+
+func (n exploreNode) key() exploreKey { return exploreKey{n.st, n.tape.Len} }
 
 // exploreCand is one expanded transition awaiting the in-order merge.
 type exploreCand struct {
-	child *node
-	key   []byte // canonical binary key; stable until the merge
-	hash  uint64
-	err   error
+	exploreNode
+	link
 }
 
 // Explore runs exhaustive BFS from the initial state of (spec, input,
-// kind), checking the safety property in every state. Levels are expanded
-// across cfg.Workers goroutines and merged deterministically; the result
-// is identical for every worker count (Workers == 1 runs in-line).
+// kind), checking the safety property in every state. States are kept by
+// identity in a tabulated system (sim.System); levels are expanded across
+// cfg.Workers goroutines and merged deterministically, so the result is
+// identical for every worker count (Workers == 1 runs in-line).
 func Explore(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg ExploreConfig) (*ExploreResult, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	link, err := channel.NewLinkOfKind(kind)
+	chLink, err := channel.NewLinkOfKind(kind)
 	if err != nil {
 		return nil, err
 	}
-	w, err := sim.New(spec, input, link)
+	w, err := sim.New(spec, input, chLink)
 	if err != nil {
 		return nil, err
 	}
+	sys := sim.NewSystem(w)
 	res := &ExploreResult{States: 1}
 	workers := cfg.workerCount()
-	scratch := newScratch(workers)
+	scratch := newScratch(sys, workers)
 	em := newEngineMetrics(cfg.Obs, "explore", workers, true)
+	defer em.flush()
 	em.noteMerge(true) // the root state
-	idx := newStateIndex()
-	rootKey := w.EncodeKey(scratch[0].keyBuf)
-	idx.insert(hashBytes(rootKey), stableCopy(rootKey))
 
-	frontier := []*node{{w: w}}
+	// nodes holds every admitted state in admission order, so a BFS level
+	// is a contiguous run of it; links is its shortest-path forest.
+	nodes := []exploreNode{{st: sys.Intern(w), tape: sim.TapeOf(w)}}
+	links := []link{{parent: -1}}
+	seen := map[exploreKey]struct{}{nodes[0].key(): {}}
+	var bufs [][]exploreCand // per-worker staged candidates, reused across levels
+	var failed error
 	depth := 0
-	var next []*node
-	var bufs [][]exploreCand // per-chunk candidates, reused across levels
 
 	// merge admits one candidate, replicating the sequential child
 	// processing exactly: violation and completion checks come before
 	// dedup, dedup before the state cap, and a capped-out NEW child sets
 	// Truncated without being inserted.
-	merge := func(c exploreCand) error {
-		if c.err != nil {
-			return c.err
-		}
-		cw := c.child.w
-		if cw.SafetyViolation != nil && res.Violation == nil {
-			res.Violation = &Witness{
-				Input:   input.Clone(),
-				Actions: c.child.path(),
-				Output:  cw.Output.Clone(),
-				Err:     cw.SafetyViolation,
+	merge := func(c exploreCand) bool {
+		if c.tape.Violated && res.Violation == nil {
+			acts := append(path(scratch[0].r, links, c.parent), scratch[0].r.Action(c.mv))
+			bad, err := replay(w, acts)
+			if err != nil {
+				failed = err // the tables and World.Apply disagree
+				return false
 			}
+			res.Violation = &Witness{Input: input.Clone(), Actions: acts, Output: bad.Output, Err: bad.SafetyViolation}
 		}
-		if cw.OutputComplete() {
+		if c.tape.Complete(input) {
 			res.CompletedState = true
 		}
-		if idx.contains(c.hash, c.key) {
+		if _, dup := seen[c.key()]; dup {
 			em.noteMerge(false)
-			return nil
+			return true
 		}
 		if res.States >= cfg.MaxStates {
 			res.Truncated = true
-			return nil
+			return true
 		}
 		em.noteMerge(true)
-		idx.insert(c.hash, stableCopy(c.key))
+		seen[c.key()] = struct{}{}
 		res.States++
-		if c.child.depth > res.Depth {
-			res.Depth = c.child.depth
-		}
-		next = append(next, c.child)
-		return nil
+		res.Depth = depth + 1
+		nodes = append(nodes, c.exploreNode)
+		links = append(links, c.link)
+		return true
 	}
 
-	// expand produces the candidates of one frontier node in action order.
-	expand := func(ws *workerScratch, cur *node, emit func(exploreCand) error) error {
-		ws.acts = cur.w.AppendEnabled(ws.acts[:0])
-		for _, act := range ws.acts {
-			nw, aerr := cur.w.Successor(act)
-			if aerr != nil {
-				return emit(exploreCand{err: fmt.Errorf("mc: applying %s: %w", act, aerr)})
-			}
-			ws.keyBuf = nw.EncodeKey(ws.keyBuf[:0])
-			if err := emit(exploreCand{
-				child: &node{w: nw, parent: cur, act: act, depth: cur.depth + 1},
-				key:   ws.keyBuf,
-				hash:  hashBytes(ws.keyBuf),
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	for len(frontier) > 0 {
+	for lo := 0; lo < len(nodes); depth++ {
 		if depth >= cfg.MaxDepth {
 			res.Truncated = true
 			break
 		}
-		next = next[:0]
-		if workers == 1 {
-			// Sequential path: candidates are merged as they are produced,
-			// so keys never need a stable staging copy.
-			for _, cur := range frontier {
-				em.noteExpand(0)
-				if err := expand(&scratch[0], cur, merge); err != nil {
-					return nil, err
+		level := nodes[lo:]
+		err := runLevel(workers, len(level), &bufs, func(worker, i int, emit func(exploreCand) bool) error {
+			em.noteExpand(worker)
+			ws, cur := &scratch[worker], level[i]
+			ws.moves = ws.r.Moves(ws.moves[:0], cur.st)
+			for _, mv := range ws.moves {
+				step, err := ws.r.Step(cur.st, mv)
+				if err != nil {
+					return fmt.Errorf("mc: applying %s: %w", ws.r.Action(mv), err)
+				}
+				child := exploreNode{st: step.Next, tape: cur.tape.Write(input, step.Writes)}
+				// Five successors in six are of states already visited. The
+				// visited set only grows, so one seen here is still one at
+				// the merge, which would only count it — unless it breaks
+				// safety or completes, which the merge looks at first.
+				if _, dup := seen[child.key()]; dup && !child.tape.Violated && !child.tape.Complete(input) {
+					em.noteDup(worker)
+					continue
+				}
+				if !emit(exploreCand{child, link{int32(lo + i), mv}}) {
+					break
 				}
 			}
-		} else {
-			bounds := chunkBounds(len(frontier), workers*chunksPerWorker)
-			results := candBufs(&bufs, len(bounds))
-			runChunks(workers, bounds, func(worker, chunk int) {
-				ws := &scratch[worker]
-				out := results[chunk]
-				for _, cur := range frontier[bounds[chunk][0]:bounds[chunk][1]] {
-					em.noteExpand(worker)
-					stop := expand(ws, cur, func(c exploreCand) error {
-						c.key = ws.arena.hold(c.key)
-						out = append(out, c)
-						if c.err != nil {
-							return c.err // halt this chunk; the merge stops here
-						}
-						return nil
-					})
-					if stop != nil {
-						break
-					}
-				}
-				results[chunk] = out
-			})
-			for _, chunk := range results {
-				for _, c := range chunk {
-					if err := merge(c); err != nil {
-						return nil, err
-					}
-				}
-			}
-			for i := range scratch {
-				scratch[i].arena.reset()
-			}
+			return nil
+		}, merge)
+		if err = cmp.Or(err, failed); err != nil {
+			return nil, err
 		}
-		em.noteLevel(depth, len(frontier))
-		frontier, next = next, frontier
-		depth++
+		em.noteLevel(depth, len(level))
+		lo += len(level)
 	}
-	em.flush()
 	return res, nil
 }

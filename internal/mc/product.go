@@ -1,11 +1,12 @@
 package mc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"seqtx/internal/channel"
-	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
 	"seqtx/internal/sim"
@@ -87,28 +88,53 @@ func (w *ProductWitness) String() string {
 
 // ProductResult reports a lockstep exploration.
 type ProductResult struct {
-	States    int
+	States int
+	// Depth is the deepest BFS level at which a new product state was
+	// admitted (see ExploreResult.Depth).
 	Depth     int
 	Truncated bool
 	Violation *ProductWitness
 }
 
-type productNode struct {
-	w1, w2 *sim.World
-	parent *productNode
-	act    ProductAction
-	depth  int
+// productMove is a ProductAction in the tabulated system's vocabulary.
+type productMove struct {
+	side      Side
+	mv, right sim.Move
 }
 
-func (n *productNode) path() []ProductAction {
-	var acts []ProductAction
-	for cur := n; cur.parent != nil; cur = cur.parent {
-		acts = append(acts, cur.act)
+func (pm productMove) action(r *sim.Reader) ProductAction {
+	pa := ProductAction{Side: pm.side, Act: r.Action(pm.mv)}
+	if pm.side == Both {
+		pa.ActRight = r.Action(pm.right)
 	}
-	for i, j := 0, len(acts)-1; i < j; i, j = i+1, j-1 {
-		acts[i], acts[j] = acts[j], acts[i]
-	}
-	return acts
+	return pa
+}
+
+// productNode is a pair of runs by identity. Both runs live in one
+// tabulated system, so their receivers (and messages) compare by id.
+type productNode struct {
+	st1, st2 sim.State
+	t1, t2   sim.Tape
+}
+
+// productKey is a product state's identity: both runs' components and
+// tape lengths.
+type productKey struct {
+	st1, st2 sim.State
+	y1, y2   int32
+}
+
+func (n productNode) key() productKey { return productKey{n.st1, n.st2, n.t1.Len, n.t2.Len} }
+
+type productLink struct {
+	parent int32
+	pm     productMove
+}
+
+// productCand is one expanded product transition awaiting the merge.
+type productCand struct {
+	productNode
+	productLink
 }
 
 // Refute explores the synchronized product of the runs of (spec, x1) and
@@ -141,242 +167,175 @@ func Refute(spec protocol.Spec, x1, x2 seq.Seq, kind channel.Kind, cfg ExploreCo
 	if err != nil {
 		return nil, err
 	}
+	sys := sim.NewSystem(w1)
 	res := &ProductResult{States: 1}
 	workers := cfg.workerCount()
-	scratch := newScratch(workers)
+	scratch := newScratch(sys, workers)
 	em := newEngineMetrics(cfg.Obs, "refute", workers, true)
+	defer em.flush()
 	em.noteMerge(true) // the root product state
-	idx := newStateIndex()
-	rootKey := productKey(scratch[0].keyBuf, w1, w2)
-	idx.insert(hashBytes(rootKey), stableCopy(rootKey))
 
-	frontier := []*productNode{{w1: w1, w2: w2}}
+	nodes := []productNode{{st1: sys.Intern(w1), st2: sys.Intern(w2), t1: sim.TapeOf(w1), t2: sim.TapeOf(w2)}}
+	links := []productLink{{parent: -1}}
+	seen := map[productKey]struct{}{nodes[0].key(): {}}
+	var bufs [][]productCand // per-worker staged candidates, reused across levels
+	var failed error
 	depth := 0
-	var next []*productNode
-	var bufs [][]productCand // per-chunk candidates, reused across levels
 
-	merge := func(c productCand) error {
-		if c.err != nil {
-			return c.err
-		}
-		if res.Violation == nil {
-			if v := violationOf(c.child.w1, c.child.w2, x1, x2); v != nil {
-				v.Actions = c.child.path()
-				res.Violation = v
+	merge := func(c productCand) bool {
+		if (c.t1.Violated || c.t2.Violated) && res.Violation == nil {
+			if res.Violation, failed = productWitness(scratch[0].r, w1, w2, links, c); failed != nil {
+				return false
 			}
 		}
-		if idx.contains(c.hash, c.key) {
+		if _, dup := seen[c.key()]; dup {
 			em.noteMerge(false)
-			return nil
+			return true
 		}
 		if res.States >= cfg.MaxStates {
 			res.Truncated = true
-			return nil
+			return true
 		}
 		em.noteMerge(true)
-		idx.insert(c.hash, stableCopy(c.key))
+		seen[c.key()] = struct{}{}
 		res.States++
-		if c.child.depth > res.Depth {
-			res.Depth = c.child.depth
-		}
-		next = append(next, c.child)
-		return nil
+		res.Depth = depth + 1
+		nodes = append(nodes, c.productNode)
+		links = append(links, c.productLink)
+		return true
 	}
 
-	expand := func(ws *workerScratch, cur *productNode, emit func(productCand) error) error {
-		ws.pacts = appendProductActions(ws.pacts[:0], cur.w1, cur.w2)
-		for _, pa := range ws.pacts {
-			n1, n2, perr := applyProduct(cur.w1, cur.w2, pa)
-			if perr != nil {
-				return emit(productCand{err: perr})
-			}
-			ws.keyBuf = productKey(ws.keyBuf[:0], n1, n2)
-			if err := emit(productCand{
-				child: &productNode{w1: n1, w2: n2, parent: cur, act: pa, depth: cur.depth + 1},
-				key:   ws.keyBuf,
-				hash:  hashBytes(ws.keyBuf),
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	for len(frontier) > 0 {
+	for lo := 0; lo < len(nodes); depth++ {
 		if depth >= cfg.MaxDepth {
 			res.Truncated = true
 			break
 		}
-		next = next[:0]
-		if workers == 1 {
-			for _, cur := range frontier {
-				em.noteExpand(0)
-				if err := expand(&scratch[0], cur, merge); err != nil {
-					return nil, err
+		level := nodes[lo:]
+		err := runLevel(workers, len(level), &bufs, func(worker, i int, emit func(productCand) bool) error {
+			em.noteExpand(worker)
+			ws, cur := &scratch[worker], level[i]
+			ws.pmoves = appendProductMoves(ws.pmoves[:0], ws, cur.st1, cur.st2)
+			for _, pm := range ws.pmoves {
+				child, err := applyProduct(ws.r, cur, pm, x1, x2)
+				if err != nil {
+					return err
+				}
+				if _, dup := seen[child.key()]; dup && !child.t1.Violated && !child.t2.Violated {
+					em.noteDup(worker) // see Explore
+					continue
+				}
+				if !emit(productCand{child, productLink{int32(lo + i), pm}}) {
+					break
 				}
 			}
-		} else {
-			bounds := chunkBounds(len(frontier), workers*chunksPerWorker)
-			results := candBufs(&bufs, len(bounds))
-			runChunks(workers, bounds, func(worker, chunk int) {
-				ws := &scratch[worker]
-				out := results[chunk]
-				for _, cur := range frontier[bounds[chunk][0]:bounds[chunk][1]] {
-					em.noteExpand(worker)
-					stop := expand(ws, cur, func(c productCand) error {
-						c.key = ws.arena.hold(c.key)
-						out = append(out, c)
-						if c.err != nil {
-							return c.err
-						}
-						return nil
-					})
-					if stop != nil {
-						break
-					}
-				}
-				results[chunk] = out
-			})
-			for _, chunk := range results {
-				for _, c := range chunk {
-					if err := merge(c); err != nil {
-						return nil, err
-					}
-				}
-			}
-			for i := range scratch {
-				scratch[i].arena.reset()
-			}
+			return nil
+		}, merge)
+		if err = cmp.Or(err, failed); err != nil {
+			return nil, err
 		}
-		em.noteLevel(depth, len(frontier))
-		frontier, next = next, frontier
-		depth++
+		em.noteLevel(depth, len(level))
+		lo += len(level)
 	}
-	em.flush()
 	return res, nil
 }
 
-// productCand is one expanded product transition awaiting the merge.
-type productCand struct {
-	child *productNode
-	key   []byte
-	hash  uint64
-	err   error
-}
-
-// productKey appends the canonical binary key of the product state: both
-// worlds' self-delimiting encodings back to back.
-func productKey(buf []byte, a, b *sim.World) []byte {
-	buf = a.EncodeKey(buf)
-	return b.EncodeKey(buf)
-}
-
-func violationOf(w1, w2 *sim.World, x1, x2 seq.Seq) *ProductWitness {
-	switch {
-	case w1.SafetyViolation != nil:
-		return &ProductWitness{
-			X1: x1.Clone(), X2: x2.Clone(),
-			Output: w1.Output.Clone(), ViolatedInput: x1.Clone(), Err: w1.SafetyViolation,
-		}
-	case w2.SafetyViolation != nil:
-		return &ProductWitness{
-			X1: x1.Clone(), X2: x2.Clone(),
-			Output: w2.Output.Clone(), ViolatedInput: x2.Clone(), Err: w2.SafetyViolation,
-		}
-	default:
-		return nil
+// productWitness turns candidate c, one of whose runs has left its
+// input, into the counterexample pair: the product path to it, and the
+// broken run (the first when both broke) replayed for its tape.
+func productWitness(r *sim.Reader, w1, w2 *sim.World, links []productLink, c productCand) (*ProductWitness, error) {
+	acts := []ProductAction{c.pm.action(r)}
+	for i := c.parent; links[i].parent >= 0; i = links[i].parent {
+		acts = append(acts, links[i].pm.action(r))
 	}
+	slices.Reverse(acts)
+	bad, side := w1, Left
+	if !c.t1.Violated {
+		bad, side = w2, Right
+	}
+	var run []trace.Action
+	for _, pa := range acts {
+		switch {
+		case pa.Side == side || (pa.Side == Both && side == Left):
+			run = append(run, pa.Act)
+		case pa.Side == Both:
+			run = append(run, pa.ActRight)
+		}
+	}
+	end, err := replay(bad, run)
+	if err != nil {
+		return nil, err
+	}
+	return &ProductWitness{
+		X1: w1.Input.Clone(), X2: w2.Input.Clone(), Actions: acts,
+		Output: end.Output, ViolatedInput: bad.Input.Clone(), Err: end.SafetyViolation,
+	}, nil
 }
 
-// appendProductActions enumerates the product moves: sender-side actions
-// on either run alone (invisible to R) and receiver-visible events applied
-// to both runs. It appends to acts (exploration loops pass a reused
-// buffer) and returns the extended slice.
-func appendProductActions(acts []ProductAction, w1, w2 *sim.World) []ProductAction {
-	sides := []struct {
-		side Side
-		w    *sim.World
-	}{{Left, w1}, {Right, w2}}
-	for _, sw := range sides {
-		side, w := sw.side, sw.w
-		acts = append(acts, ProductAction{Side: side, Act: trace.TickS()})
-		for dir := channel.SToR; dir <= channel.RToS; dir++ {
-			half := w.Link.Half(dir)
-			for i := 0; ; i++ {
-				m, ok := half.Support(i)
-				if !ok {
-					break
-				}
-				if dir == channel.RToS {
-					acts = append(acts, ProductAction{Side: side, Act: trace.Deliver(dir, m)})
-					if f, ok := half.(*channel.FIFO); ok && f.AllowsDup() {
-						acts = append(acts, ProductAction{Side: side, Act: trace.DeliverDup(dir, m)})
-					}
-				}
-				// Drops are invisible to R in both directions.
-				if half.CanDrop(m) {
-					acts = append(acts, ProductAction{Side: side, Act: trace.Drop(dir, m)})
-				}
+// feedsReceiver reports whether mv delivers a message to R.
+func feedsReceiver(mv sim.Move) bool {
+	return mv.Dir == channel.SToR && (mv.Kind == trace.ActDeliver || mv.Kind == trace.ActDeliverDup)
+}
+
+// appendProductMoves enumerates the product moves: the moves of either
+// run that R cannot see, on that run alone (sender ticks, deliveries to
+// S, drops in both directions), then the receiver-visible events applied
+// to both runs — a tick, and every way the two runs can each deliver the
+// same message. It appends to buf (a reused per-worker buffer).
+func appendProductMoves(buf []productMove, ws *workerScratch, st1, st2 sim.State) []productMove {
+	ws.moves = ws.r.Moves(ws.moves[:0], st1)
+	n1 := len(ws.moves)
+	ws.moves = ws.r.Moves(ws.moves, st2)
+	moves1, moves2 := ws.moves[:n1], ws.moves[n1:]
+	for _, mv := range moves1 {
+		if mv.Kind != trace.ActTickR && !feedsReceiver(mv) {
+			buf = append(buf, productMove{side: Left, mv: mv})
+		}
+	}
+	for _, mv := range moves2 {
+		if mv.Kind != trace.ActTickR && !feedsReceiver(mv) {
+			buf = append(buf, productMove{side: Right, mv: mv})
+		}
+	}
+	tick := sim.Move{Kind: trace.ActTickR}
+	buf = append(buf, productMove{Both, tick, tick})
+	for _, a1 := range moves1 {
+		if !feedsReceiver(a1) {
+			continue
+		}
+		for _, a2 := range moves2 {
+			if feedsReceiver(a2) && a2.Msg == a1.Msg {
+				buf = append(buf, productMove{Both, a1, a2})
 			}
 		}
 	}
-	// Receiver-visible synchronized events.
-	acts = append(acts, ProductAction{Side: Both, Act: trace.TickR(), ActRight: trace.TickR()})
-	for i := 0; ; i++ {
-		m, ok := w1.Link.Half(channel.SToR).Support(i)
-		if !ok {
-			break
-		}
-		ways1 := feedWays(w1, m)
-		ways2 := feedWays(w2, m)
-		for _, a1 := range ways1 {
-			for _, a2 := range ways2 {
-				acts = append(acts, ProductAction{Side: Both, Act: a1, ActRight: a2})
-			}
-		}
-	}
-	return acts
+	return buf
 }
 
-// feedWays lists the ways run w can deliver message m to R right now.
-func feedWays(w *sim.World, m msg.Msg) []trace.Action {
-	half := w.Link.Half(channel.SToR)
-	if !half.CanDeliver(m) {
+// applyProduct steps the run(s) pm names and returns the child pair.
+func applyProduct(r *sim.Reader, n productNode, pm productMove, x1, x2 seq.Seq) (productNode, error) {
+	step := func(st *sim.State, t *sim.Tape, x seq.Seq, mv sim.Move, side string) error {
+		s, err := r.Step(*st, mv)
+		if err != nil {
+			return fmt.Errorf("mc: product %s %s: %w", side, r.Action(mv), err)
+		}
+		*st, *t = s.Next, t.Write(x, s.Writes)
 		return nil
 	}
-	ways := []trace.Action{trace.Deliver(channel.SToR, m)}
-	if f, ok := half.(*channel.FIFO); ok && f.AllowsDup() {
-		ways = append(ways, trace.DeliverDup(channel.SToR, m))
-	}
-	return ways
-}
-
-func applyProduct(w1, w2 *sim.World, pa ProductAction) (*sim.World, *sim.World, error) {
-	n1, n2 := w1, w2
 	var err error
-	switch pa.Side {
+	switch pm.side {
 	case Left:
-		if n1, err = w1.Successor(pa.Act); err != nil {
-			return nil, nil, fmt.Errorf("mc: product left %s: %w", pa.Act, err)
-		}
+		err = step(&n.st1, &n.t1, x1, pm.mv, "left")
 	case Right:
-		if n2, err = w2.Successor(pa.Act); err != nil {
-			return nil, nil, fmt.Errorf("mc: product right %s: %w", pa.Act, err)
-		}
+		err = step(&n.st2, &n.t2, x2, pm.mv, "right")
 	case Both:
-		if n1, err = w1.Successor(pa.Act); err != nil {
-			return nil, nil, fmt.Errorf("mc: product both/left %s: %w", pa.Act, err)
+		if err = step(&n.st1, &n.t1, x1, pm.mv, "both/left"); err == nil {
+			err = step(&n.st2, &n.t2, x2, pm.right, "both/right")
 		}
-		if n2, err = w2.Successor(pa.ActRight); err != nil {
-			return nil, nil, fmt.Errorf("mc: product both/right %s: %w", pa.ActRight, err)
-		}
-		if n1.R.Key() != n2.R.Key() {
-			return nil, nil, fmt.Errorf(
+		if err == nil && n.st1.R != n.st2.R {
+			err = fmt.Errorf(
 				"mc: receiver states diverged under identical views (%s vs %s): protocol is nondeterministic",
-				n1.R.Key(), n2.R.Key())
+				r.World(n.st1).R.Key(), r.World(n.st2).R.Key())
 		}
-	default:
-		return nil, nil, fmt.Errorf("mc: bad product side %d", int(pa.Side))
 	}
-	return n1, n2, nil
+	return n, err
 }

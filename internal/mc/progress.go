@@ -7,7 +7,6 @@ import (
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
 	"seqtx/internal/sim"
-	"seqtx/internal/trace"
 )
 
 // ProgressResult reports a liveness-structure analysis: which reachable
@@ -55,79 +54,82 @@ func CheckProgressFrom(w *sim.World, cfg ExploreConfig) (*ProgressResult, error)
 		return nil, err
 	}
 	input := w.Input
+	sys := sim.NewSystem(w)
+	r := sys.Reader()
 
-	type gnode struct {
-		id       int
-		parents  []int
-		complete bool
-		path     []trace.Action // one shortest path from the root
-	}
+	// The reachable graph, nodes in BFS order: identity and tape, the
+	// discovery link (one shortest path from the root), every parent, and
+	// the BFS depth.
 	res := &ProgressResult{}
-	nodes := []*gnode{{id: 0, complete: w.OutputComplete()}}
-	index := map[string]int{w.Key(): 0}
-	worlds := []*sim.World{w}
+	nodes := []exploreNode{{st: sys.Intern(w), tape: sim.TapeOf(w)}}
+	links := []link{{parent: -1}}
+	parents := [][]int32{nil}
 	depths := []int{0}
-	frontier := []int{0}
-	for head := 0; head < len(frontier); head++ {
-		cur := frontier[head]
+	index := map[exploreKey]int32{nodes[0].key(): 0}
+	var moves []sim.Move
+	for cur := int32(0); int(cur) < len(nodes); cur++ {
 		if depths[cur] >= cfg.MaxDepth {
 			res.Truncated = true
 			continue
 		}
-		for _, act := range worlds[cur].Enabled() {
-			next, aerr := worlds[cur].Successor(act)
-			if aerr != nil {
-				return nil, fmt.Errorf("mc: applying %s: %w", act, aerr)
+		n := nodes[cur]
+		moves = r.Moves(moves[:0], n.st)
+		for _, mv := range moves {
+			step, err := r.Step(n.st, mv)
+			if err != nil {
+				return nil, fmt.Errorf("mc: applying %s: %w", r.Action(mv), err)
 			}
-			key := next.Key()
-			if id, ok := index[key]; ok {
-				nodes[id].parents = append(nodes[id].parents, cur)
+			child := exploreNode{st: step.Next, tape: n.tape.Write(input, step.Writes)}
+			if id, ok := index[child.key()]; ok {
+				parents[id] = append(parents[id], cur)
 				continue
 			}
 			if len(nodes) >= cfg.MaxStates {
 				res.Truncated = true
 				continue
 			}
-			id := len(nodes)
-			index[key] = id
-			path := append(append([]trace.Action{}, nodes[cur].path...), act)
-			nodes = append(nodes, &gnode{id: id, parents: []int{cur}, complete: next.OutputComplete(), path: path})
-			worlds = append(worlds, next)
+			index[child.key()] = int32(len(nodes))
+			nodes = append(nodes, child)
+			links = append(links, link{cur, mv})
+			parents = append(parents, []int32{cur})
 			depths = append(depths, depths[cur]+1)
-			frontier = append(frontier, id)
 		}
 	}
 	res.States = len(nodes)
 
 	// Back-propagate completion-reachability.
 	canComplete := make([]bool, len(nodes))
-	var queue []int
-	for _, n := range nodes {
-		if n.complete {
+	var queue []int32
+	for i, n := range nodes {
+		if n.tape.Complete(input) {
 			res.Completed++
-			canComplete[n.id] = true
-			queue = append(queue, n.id)
+			canComplete[i] = true
+			queue = append(queue, int32(i))
 		}
 	}
 	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		for _, p := range nodes[cur].parents {
+		for _, p := range parents[queue[head]] {
 			if !canComplete[p] {
 				canComplete[p] = true
 				queue = append(queue, p)
 			}
 		}
 	}
-	for _, n := range nodes {
-		if canComplete[n.id] {
+	for i := range nodes {
+		if canComplete[i] {
 			continue
 		}
 		res.Doomed++
 		if res.DoomedWitness == nil {
+			acts := path(r, links, int32(i))
+			doomed, err := replay(w, acts)
+			if err != nil {
+				return nil, err
+			}
 			res.DoomedWitness = &Witness{
 				Input:   input.Clone(),
-				Actions: n.path,
-				Output:  worlds[n.id].Output.Clone(),
+				Actions: acts,
+				Output:  doomed.Output,
 				Err:     fmt.Errorf("mc: no completion reachable from this state (horizon %d)", cfg.MaxDepth),
 			}
 		}

@@ -1,16 +1,15 @@
 package mc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"seqtx/internal/channel"
 	"seqtx/internal/faults"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
 	"seqtx/internal/sim"
-	"seqtx/internal/trace"
 )
 
 // This file implements the model checker's stabilization mode: exhaustive
@@ -64,15 +63,6 @@ func (a alignState) converged(input seq.Seq) bool {
 	return a.aligned && int(a.pos) == len(input)
 }
 
-func (a alignState) encode(buf []byte) []byte {
-	b := byte(0)
-	if a.aligned {
-		b = 1
-	}
-	buf = append(buf, b)
-	return binary.AppendUvarint(buf, uint64(a.pos))
-}
-
 // StabilizeConfig bounds a stabilization check.
 type StabilizeConfig struct {
 	// MaxDepth bounds the BFS depth (0 = 512).
@@ -114,7 +104,8 @@ type StabilizeResult struct {
 	Roots int
 	// States is the number of distinct quotient states visited.
 	States int
-	// Depth is the deepest level fully expanded.
+	// Depth is the deepest BFS level at which a new quotient state was
+	// admitted (roots are level 0; see ExploreResult.Depth).
 	Depth int
 	// Exhausted reports that the frontier drained within bounds: the
 	// quotient graph was explored completely from every root.
@@ -157,31 +148,24 @@ func (r *StabilizeResult) Stabilizes() bool { return r.Exhausted && !r.Refuted }
 // stabEdge is one recorded transition of the quotient graph.
 type stabEdge struct {
 	from, to int32
-	act      trace.Action
+	mv       sim.Move
 	bad      bool
 }
 
+// stabNode is a quotient state by identity: the global state and the
+// alignment automaton, and no |Y|.
 type stabNode struct {
-	w     *sim.World
+	st    sim.State
 	align alignState
-	depth int
 }
 
-// stabCand is one expanded transition awaiting the in-order merge.
+// stabCand is one expanded transition awaiting the in-order merge. Its
+// link is how it was reached — also the discovery record of a node it
+// turns into, which makes discovery stems shortest paths from the roots.
 type stabCand struct {
-	parent int32
-	node   *stabNode
-	act    trace.Action
-	key    []byte
-	bad    bool
-	err    error
-}
-
-// stabDiscovery records how a node was first reached (BFS parent), which
-// makes discovery stems shortest paths from the roots.
-type stabDiscovery struct {
-	parent int32
-	act    trace.Action
+	stabNode
+	link
+	bad bool
 }
 
 // CheckStabilize explores the corrupted-frontier quotient graph of
@@ -194,176 +178,103 @@ type stabDiscovery struct {
 func CheckStabilize(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg StabilizeConfig) (*StabilizeResult, error) {
 	cfg.normalize()
 	res := &StabilizeResult{LastBadDepth: -1, WitnessRootScramble: -1, WitnessRootJunk: -1}
-	workers := cfg.workerCount()
-	scratch := newScratch(workers)
-	em := newEngineMetrics(cfg.Obs, "stabilize", workers, true)
-
-	// Quotient bookkeeping: canonical key -> node id, insertion-ordered
-	// node table, full edge list (for SCC analysis and witnesses), and
-	// per-node discovery parent (for shortest stems).
-	ids := make(map[string]int32)
-	var nodes []*stabNode
-	var edges []stabEdge
-	var parents []stabDiscovery
-	var rootIDs []int32
-
-	encodeNode := func(buf []byte, n *stabNode) []byte {
-		buf = protocol.AppendKey(buf, n.w.S)
-		buf = protocol.AppendKey(buf, n.w.R)
-		buf = n.w.Link.EncodeKey(buf)
-		return n.align.encode(buf)
+	roots, lanes, err := corruptedRoots(spec, input, kind, cfg)
+	if err != nil {
+		return nil, err
 	}
+	sys := sim.NewSystem(roots[0])
+	workers := cfg.workerCount()
+	scratch := newScratch(sys, workers)
+	em := newEngineMetrics(cfg.Obs, "stabilize", workers, true)
+	defer em.flush()
 
-	var frontier, next []*stabNode
-	var frontierIDs, nextIDs []int32
-	var bufs [][]stabCand // per-chunk candidates, reused across levels
+	// Quotient bookkeeping: identity -> node id, the nodes in admission
+	// order (so a BFS level is a contiguous run), their discovery links
+	// (shortest stems), and the full edge list (SCC analysis, witnesses).
+	ids := make(map[stabNode]int32)
+	var nodes []stabNode
+	var links []link
+	var edges []stabEdge
+	var rootIDs []int32
+	var bufs [][]stabCand // per-worker staged candidates, reused across levels
+	depth := 0            // of the nodes a merge admits
 
 	// merge admits one candidate: edges are recorded for every candidate
-	// (duplicates included — cycles live exactly there); only novel keys
-	// become nodes.
-	merge := func(c stabCand) error {
-		if c.err != nil {
-			return c.err
-		}
-		id, seen := ids[string(c.key)]
+	// (duplicates included — cycles live exactly there); only novel
+	// identities become nodes.
+	merge := func(c stabCand) bool {
+		id, seen := ids[c.stabNode]
 		if !seen {
 			if len(nodes) >= cfg.MaxStates {
 				res.Truncated = true
 				// The edge's target is unexplored; drop it so the SCC
 				// analysis only reasons about materialized nodes.
-				return nil
+				return true
 			}
 			id = int32(len(nodes))
-			ids[string(c.key)] = id
-			nodes = append(nodes, c.node)
-			parents = append(parents, stabDiscovery{parent: c.parent, act: c.act})
-			if c.node.depth > res.Depth {
-				res.Depth = c.node.depth
-			}
-			next = append(next, c.node)
-			nextIDs = append(nextIDs, id)
+			ids[c.stabNode] = id
+			nodes = append(nodes, c.stabNode)
+			links = append(links, c.link)
+			res.Depth = depth
 			em.noteMerge(true)
 		} else {
 			em.noteMerge(false)
 		}
 		if c.parent >= 0 {
-			edges = append(edges, stabEdge{from: c.parent, to: id, act: c.act, bad: c.bad})
+			edges = append(edges, stabEdge{from: c.parent, to: id, mv: c.mv, bad: c.bad})
 			if c.bad {
 				res.BadWrites++
-				if c.node.depth > res.LastBadDepth {
-					res.LastBadDepth = c.node.depth
-				}
+				res.LastBadDepth = depth
 			}
 		} else if !seen {
 			rootIDs = append(rootIDs, id)
 		}
-		return nil
+		return true
 	}
 
 	// Seed the frontier with corrupted roots through the same merge path.
-	roots, lanes, err := corruptedRoots(spec, input, kind, cfg)
-	if err != nil {
-		return nil, err
-	}
 	rootLane := make(map[int32][2]int)
-	for ri, r := range roots {
-		scratch[0].keyBuf = encodeNode(scratch[0].keyBuf[:0], r)
+	for ri, w := range roots {
 		before := len(rootIDs)
-		if err := merge(stabCand{parent: -1, node: r, key: scratch[0].keyBuf}); err != nil {
-			return nil, err
-		}
+		merge(stabCand{stabNode: stabNode{st: sys.Intern(w)}, link: link{parent: -1}})
 		if len(rootIDs) > before {
 			rootLane[rootIDs[len(rootIDs)-1]] = lanes[ri]
 		}
 	}
 	res.Roots = len(rootIDs)
-	frontier, next = next, frontier[:0]
-	frontierIDs, nextIDs = nextIDs, frontierIDs[:0]
 
-	expand := func(ws *workerScratch, id int32, cur *stabNode, emit func(stabCand) error) error {
-		ws.acts = cur.w.AppendEnabled(ws.acts[:0])
-		for _, act := range ws.acts {
-			nw, aerr := cur.w.Successor(act)
-			if aerr != nil {
-				return emit(stabCand{err: fmt.Errorf("mc: stabilize: applying %s: %w", act, aerr)})
-			}
-			align := cur.align
-			bad := false
-			for _, v := range nw.Output[len(cur.w.Output):] {
-				var b bool
-				align, b = align.step(v, input)
-				bad = bad || b
-			}
-			child := &stabNode{w: nw, align: align, depth: cur.depth + 1}
-			ws.keyBuf = encodeNode(ws.keyBuf[:0], child)
-			if err := emit(stabCand{
-				parent: id,
-				node:   child,
-				act:    act,
-				key:    ws.keyBuf,
-				bad:    bad,
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	depth := 0
-	for len(frontier) > 0 {
+	for lo := 0; lo < len(nodes); {
 		if depth >= cfg.MaxDepth {
 			res.Truncated = true
 			break
 		}
-		next, nextIDs = next[:0], nextIDs[:0]
-		if workers == 1 {
-			for i, cur := range frontier {
-				em.noteExpand(0)
-				if err := expand(&scratch[0], frontierIDs[i], cur, merge); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			bounds := chunkBounds(len(frontier), workers*chunksPerWorker)
-			results := candBufs(&bufs, len(bounds))
-			runChunks(workers, bounds, func(worker, chunk int) {
-				ws := &scratch[worker]
-				out := results[chunk]
-				for i := bounds[chunk][0]; i < bounds[chunk][1]; i++ {
-					em.noteExpand(worker)
-					stop := expand(ws, frontierIDs[i], frontier[i], func(c stabCand) error {
-						if c.key != nil {
-							c.key = ws.arena.hold(c.key)
-						}
-						out = append(out, c)
-						if c.err != nil {
-							return c.err
-						}
-						return nil
-					})
-					if stop != nil {
-						break
-					}
-				}
-				results[chunk] = out
-			})
-			for _, chunk := range results {
-				for _, c := range chunk {
-					if err := merge(c); err != nil {
-						return nil, err
-					}
-				}
-			}
-			for i := range scratch {
-				scratch[i].arena.reset()
-			}
-		}
-		em.noteLevel(depth, len(frontier))
-		frontier, next = next, frontier
-		frontierIDs, nextIDs = nextIDs, frontierIDs
+		level := nodes[lo:]
 		depth++
+		err := runLevel(workers, len(level), &bufs, func(worker, i int, emit func(stabCand) bool) error {
+			em.noteExpand(worker)
+			ws, cur := &scratch[worker], level[i]
+			ws.moves = ws.r.Moves(ws.moves[:0], cur.st)
+			for _, mv := range ws.moves {
+				step, err := ws.r.Step(cur.st, mv)
+				if err != nil {
+					return fmt.Errorf("mc: stabilize: applying %s: %w", ws.r.Action(mv), err)
+				}
+				c := stabCand{stabNode: stabNode{step.Next, cur.align}, link: link{int32(lo + i), mv}}
+				for _, v := range step.Writes {
+					var bad bool
+					c.align, bad = c.align.step(v, input)
+					c.bad = c.bad || bad
+				}
+				emit(c)
+			}
+			return nil
+		}, merge)
+		if err != nil {
+			return nil, err
+		}
+		em.noteLevel(depth-1, len(level))
+		lo += len(level)
 	}
-	em.flush()
 	res.States = len(nodes)
 	res.Exhausted = !res.Truncated
 
@@ -376,10 +287,10 @@ func CheckStabilize(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg St
 		}
 		if e.from == e.to || comp[e.from] == comp[e.to] {
 			res.Refuted = true
-			res.Witness, res.WitnessCycleLen = stabWitness(input, e, edges, parents)
+			res.Witness, res.WitnessCycleLen = stabWitness(scratch[0].r, input, e, edges, links)
 			root := e.from
-			for parents[root].parent >= 0 {
-				root = parents[root].parent
+			for links[root].parent >= 0 {
+				root = links[root].parent
 			}
 			if lane, ok := rootLane[root]; ok {
 				res.WitnessRootScramble, res.WitnessRootJunk = lane[0], lane[1]
@@ -426,8 +337,8 @@ func CheckStabilize(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg St
 // empty link). Junk is drawn from each direction's own alphabet — the
 // adversary corrupts state, not the finite-alphabet assumption — and is
 // bounded per direction so unbounded kinds get a finite frontier too.
-func corruptedRoots(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg StabilizeConfig) ([]*stabNode, [][2]int, error) {
-	var roots []*stabNode
+func corruptedRoots(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg StabilizeConfig) ([]*sim.World, [][2]int, error) {
+	var roots []*sim.World
 	var lanes [][2]int
 	for i := 0; i < cfg.Scrambles; i++ {
 		for j := 0; j < cfg.ChannelJunk; j++ {
@@ -462,7 +373,7 @@ func corruptedRoots(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg St
 					}
 				}
 			}
-			roots = append(roots, &stabNode{w: w, align: alignState{}})
+			roots = append(roots, w)
 			lanes = append(lanes, [2]int{i, j})
 		}
 	}
@@ -473,19 +384,14 @@ func corruptedRoots(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg St
 // discovery stem from a root to e.from, then e itself, then a shortest
 // path from e.to back to e.from (empty for a self-loop). The combined
 // action list replays to a run that can repeat its cycle forever.
-func stabWitness(input seq.Seq, e stabEdge, edges []stabEdge, parents []stabDiscovery) (*Witness, int) {
-	var stem []trace.Action
-	for cur := e.from; parents[cur].parent >= 0; cur = parents[cur].parent {
-		stem = append(stem, parents[cur].act)
-	}
-	for i, j := 0, len(stem)-1; i < j; i, j = i+1, j-1 {
-		stem[i], stem[j] = stem[j], stem[i]
-	}
-	acts := append(stem, e.act)
-	cycleLen := 1
+func stabWitness(r *sim.Reader, input seq.Seq, e stabEdge, edges []stabEdge, links []link) (*Witness, int) {
+	acts := append(path(r, links, e.from), r.Action(e.mv))
+	stemLen, cycleLen := len(acts)-1, 1
 	if e.to != e.from {
 		back := shortestPath(e.to, e.from, edges)
-		acts = append(acts, back...)
+		for _, mv := range back {
+			acts = append(acts, r.Action(mv))
+		}
 		cycleLen += len(back)
 	}
 	return &Witness{
@@ -493,13 +399,13 @@ func stabWitness(input seq.Seq, e stabEdge, edges []stabEdge, parents []stabDisc
 		Actions: acts,
 		Err: fmt.Errorf("stabilization refuted: a bad write lies on a cycle "+
 			"(stem %d steps, cycle %d steps) — the run can repeat it forever",
-			len(stem), cycleLen),
+			stemLen, cycleLen),
 	}, cycleLen
 }
 
 // shortestPath BFS-es from src to dst over the recorded edges and returns
-// the actions along a shortest path.
-func shortestPath(src, dst int32, edges []stabEdge) []trace.Action {
+// the moves along a shortest path.
+func shortestPath(src, dst int32, edges []stabEdge) []sim.Move {
 	n := int32(0)
 	for _, e := range edges {
 		if e.from >= n {
@@ -526,14 +432,12 @@ func shortestPath(src, dst int32, edges []stabEdge) []trace.Action {
 		u := queue[0]
 		queue = queue[1:]
 		if u == dst {
-			var acts []trace.Action
+			var moves []sim.Move
 			for cur := u; hops[cur].prev >= 0; cur = hops[cur].prev {
-				acts = append(acts, edges[hops[cur].edge].act)
+				moves = append(moves, edges[hops[cur].edge].mv)
 			}
-			for i, j := 0, len(acts)-1; i < j; i, j = i+1, j-1 {
-				acts[i], acts[j] = acts[j], acts[i]
-			}
-			return acts
+			slices.Reverse(moves)
+			return moves
 		}
 		for _, ei := range adj[u] {
 			v := edges[ei].to

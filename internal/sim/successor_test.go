@@ -1,17 +1,21 @@
 package sim_test
 
-// Successor is Clone+Apply by structural sharing. Two properties keep it
-// honest: it computes exactly what Clone+Apply computes (differential
-// walks), and no write ever shows through an alias — a world's state
-// never changes because a relative of it was stepped (sharing walks).
+// A model-checker successor is a step of the tabulated system
+// (sim.System). Two properties keep it honest: it computes exactly what
+// Clone+Apply computes (differential walks), and the tables are never
+// written through — a filed state never changes because a relative of it
+// was stepped, materialised and walked on, or filed again (sharing walks).
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"seqtx/internal/channel"
+	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
 	"seqtx/internal/registry"
 	"seqtx/internal/seq"
@@ -88,85 +92,152 @@ func snapshot(w *sim.World) string {
 	return fmt.Sprintf("%s\n%x\nY=%s t=%d violation=%v", w.Key(), w.EncodeKey(nil), w.Output, w.Time, w.SafetyViolation)
 }
 
+// restarts reports whether act replaces a process instead of stepping it.
+// The tables do not hold such actions: they are applied to a world, and
+// the world is filed.
+func restarts(act trace.Action) bool {
+	return act.Kind >= trace.ActCrashS
+}
+
+// tabulated is a state of a walk: its identity in the tables and the tape
+// the tables leave to the caller.
+type tabulated struct {
+	st   sim.State
+	tape sim.Tape
+}
+
+// step takes act from t through the tables (or around them, for a
+// restart) and returns the successor with the step's sends and writes.
+func (t tabulated) step(sys *sim.System, r *sim.Reader, input seq.Seq, act trace.Action) (tabulated, []msg.Msg, seq.Seq, error) {
+	if restarts(act) {
+		w := r.World(t.st)
+		if err := w.Apply(act); err != nil {
+			return t, nil, nil, err
+		}
+		return tabulated{sys.Intern(w), t.tape}, nil, nil, nil
+	}
+	step, err := r.Step(t.st, r.MoveOf(act))
+	if err != nil {
+		return t, nil, nil, err
+	}
+	var sends []msg.Msg
+	for _, id := range step.Sends {
+		sends = append(sends, r.Action(sim.Move{Kind: trace.ActDeliver, Dir: step.SendDir, Msg: id}).Msg)
+	}
+	return tabulated{step.Next, t.tape.Write(input, step.Writes)}, sends, step.Writes, nil
+}
+
+// matches checks that t is ref by identity: its components materialise
+// to ref's key (the tape length aside, which the tables do not hold) and
+// its tape is ref's.
+func (t tabulated) matches(r *sim.Reader, ref *sim.World) error {
+	w := r.World(t.st)
+	w.Output = ref.Output
+	if !bytes.Equal(w.EncodeKey(nil), ref.EncodeKey(nil)) || w.Key() != ref.Key() {
+		return fmt.Errorf("tabulated state\n%s\nClone+Apply\n%s", w.Key(), ref.Key())
+	}
+	if t.tape != sim.TapeOf(ref) {
+		return fmt.Errorf("tabulated tape %+v, Clone+Apply tape %+v", t.tape, sim.TapeOf(ref))
+	}
+	return nil
+}
+
 // TestSuccessorMatchesCloneApply walks every system with seeded random
-// actions and checks at each step that Successor(act) and Clone+Apply(act)
-// agree on the key bytes, the key string, the output, the clock, the
-// violation and the error. The walk continues on the successor, so later
-// steps run on worlds that share most of their state with their ancestors.
+// actions and checks at each step that the tabulated step and
+// Clone+Apply agree on the key bytes, the key string, the tape, the
+// sends, the writes, the enabled actions and the error. The walk
+// continues on the successor, so later steps are memo hits as often as
+// misses.
 func TestSuccessorMatchesCloneApply(t *testing.T) {
 	t.Parallel()
 	forEachSystem(t, func(t *testing.T, spec protocol.Spec, kind channel.Kind) {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			w := newWorld(t, spec, kind)
+			sys := sim.NewSystem(w)
+			r := sys.Reader()
+			cur := tabulated{sys.Intern(w), sim.TapeOf(w)}
 			for step := 0; step < 60; step++ {
-				act := nextAction(w, rng.Intn)
-				before := snapshot(w)
-				succ, serr := w.Successor(act)
-				ref := w.Clone()
-				rerr := ref.Apply(act)
-				if got := snapshot(w); got != before {
-					t.Fatalf("seed %d step %d: %s changed its parent:\nbefore %s\nafter  %s", seed, step, act, before, got)
+				var enabled []trace.Action
+				for _, mv := range r.Moves(nil, cur.st) {
+					enabled = append(enabled, r.Action(mv))
 				}
+				if !slices.Equal(enabled, w.Enabled()) {
+					t.Fatalf("seed %d step %d: tabulated moves %v, enabled actions %v", seed, step, enabled, w.Enabled())
+				}
+				act := nextAction(w, rng.Intn)
+				next, sends, writes, serr := cur.step(sys, r, w.Input, act)
+				ref := w.Clone()
+				ref.StartTrace()
+				rerr := ref.Apply(act)
 				if (serr == nil) != (rerr == nil) || (serr != nil && serr.Error() != rerr.Error()) {
-					t.Fatalf("seed %d step %d: %s: Successor error %v, Clone+Apply error %v", seed, step, act, serr, rerr)
+					t.Fatalf("seed %d step %d: %s: tabulated error %v, Clone+Apply error %v", seed, step, act, serr, rerr)
 				}
 				if serr != nil {
 					continue
 				}
-				if !bytes.Equal(succ.EncodeKey(nil), ref.EncodeKey(nil)) {
-					t.Fatalf("seed %d step %d: %s: EncodeKey bytes differ", seed, step, act)
+				if err := next.matches(r, ref); err != nil {
+					t.Fatalf("seed %d step %d: %s: %v", seed, step, act, err)
 				}
-				if got, want := snapshot(succ), snapshot(ref); got != want {
-					t.Fatalf("seed %d step %d: %s:\nSuccessor   %s\nClone+Apply %s", seed, step, act, got, want)
+				if e := ref.Trace.Entries[0]; !restarts(act) && (!slices.Equal(sends, e.Sends) || !writes.Equal(e.Writes)) {
+					t.Fatalf("seed %d step %d: %s: tabulated sends %v writes %s, Clone+Apply sends %v writes %s",
+						seed, step, act, sends, writes, e.Sends, e.Writes)
 				}
-				w = succ
+				cur, w = next, ref
+			}
+			if err := sys.CheckFiled(); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
 	})
 }
 
-// sharingWalk is the property structural sharing can break. It walks to a
-// parent (itself a successor chain, so it aliases its ancestors), expands
-// it into all its children plus crash and scramble children, and then
-// keeps stepping relatives in every way the API allows — a direct Apply on
-// a child, a grandchild walked on by Apply, a deep Clone of a child walked
-// on — checking after every step that the parent and every other child
-// still read exactly as they did.
+// sharingWalk is the property tabulation can break: the tables hand the
+// same filed objects to every state that shares a component, so nothing
+// may ever write to one. It walks to a parent, expands it into all its
+// children plus crash and scramble children, and then keeps stepping
+// relatives in every way the API allows — a materialised child walked on
+// by Apply, a grandchild reached through the tables and then walked on, a
+// walked-on world filed back and walked on further — checking after
+// every step that the parent and every child still materialise exactly
+// as they did, and that every filed object still has its key.
 func sharingWalk(t testing.TB, spec protocol.Spec, kind channel.Kind, p pick, rounds int) {
-	parent := newWorld(t, spec, kind)
-	// Spare tape capacity, as a world stepped by Apply has after a few
-	// writes: appends by two relatives would land in the same slot.
-	parent.Output = make(seq.Seq, 0, 8)
+	root := newWorld(t, spec, kind)
+	sys := sim.NewSystem(root)
+	r := sys.Reader()
+	parent := tabulated{sys.Intern(root), sim.TapeOf(root)}
 	for i := p(12); i > 0; i-- {
-		if next, err := parent.Successor(nextAction(parent, p)); err == nil {
+		if next, _, _, err := parent.step(sys, r, root.Input, nextAction(r.World(parent.st), p)); err == nil {
 			parent = next
 		}
 	}
-	acts := append(parent.Enabled(), trace.CrashS(), trace.CrashR(), trace.ScrambleS(3), trace.ScrambleR(5))
+	acts := append(r.World(parent.st).Enabled(), trace.CrashS(), trace.CrashR(), trace.ScrambleS(3), trace.ScrambleR(5))
 	// family is the parent, then its children. Each is snapshotted the
-	// moment it exists: a later sibling's first write is already a chance
+	// moment it exists: a later sibling's first step is already a chance
 	// to corrupt it.
-	family := []*sim.World{parent}
-	want := []string{snapshot(parent)}
+	family := []tabulated{parent}
+	want := []string{snapshot(r.World(parent.st))}
 	for _, act := range acts {
-		child, err := parent.Successor(act)
+		child, _, _, err := parent.step(sys, r, root.Input, act)
 		if err != nil {
 			t.Fatalf("expanding %s: %v", act, err)
 		}
 		family = append(family, child)
-		want = append(want, snapshot(child))
+		want = append(want, snapshot(r.World(child.st)))
 	}
 	check := func(what string) {
 		t.Helper()
-		for i, w := range family {
-			if got := snapshot(w); got != want[i] {
-				t.Fatalf("%s wrote through an alias: family[%d] (0 = parent) changed\nbefore %s\nafter  %s", what, i, want[i], got)
+		for i, m := range family {
+			if got := snapshot(r.World(m.st)); got != want[i] {
+				t.Fatalf("%s wrote through the tables: family[%d] (0 = parent) changed\nbefore %s\nafter  %s", what, i, want[i], got)
 			}
+		}
+		if err := sys.CheckFiled(); err != nil {
+			t.Fatalf("%s wrote through the tables: %v", what, err)
 		}
 	}
 	// walk steps w in place a few times. A rejected action is fine: the
-	// property is about the relatives, whatever happened to w itself.
+	// property is about the tables, whatever happened to w itself.
 	walk := func(w *sim.World) {
 		for i := 1 + p(4); i > 0; i-- {
 			_ = w.Apply(nextAction(w, p))
@@ -174,26 +245,27 @@ func sharingWalk(t testing.TB, spec protocol.Spec, kind channel.Kind, p pick, ro
 	}
 	check("expanding the parent")
 	for round := 0; round < rounds; round++ {
-		i := 1 + p(len(family)-1)
-		child := family[i]
+		child := family[1+p(len(family)-1)]
 		switch p(3) {
 		case 0:
-			// Direct Apply on a child: it must unshare before writing.
-			// The child moves on; everyone else must not.
-			walk(child)
-			want[i] = snapshot(child)
-			check("Apply on a child")
+			// A materialised world is made of private clones.
+			walk(r.World(child.st))
+			check("Apply on a materialised child")
 		case 1:
-			g, err := child.Successor(nextAction(child, p))
+			g, _, _, err := child.step(sys, r, root.Input, nextAction(r.World(child.st), p))
 			if err != nil {
 				continue
 			}
-			walk(g)
+			walk(r.World(g.st))
 			check("Apply on a grandchild")
 		case 2:
-			deep := child.Clone()
-			walk(deep)
-			check("Apply on a deep clone of a child")
+			// Filing a world clones what it keeps: the world stays the
+			// caller's to write.
+			w := r.World(child.st)
+			walk(w)
+			sys.Intern(w)
+			walk(w)
+			check("Apply on a world after filing it")
 		}
 	}
 }
@@ -203,6 +275,111 @@ func TestSuccessorSharingIsInvisible(t *testing.T) {
 	forEachSystem(t, func(t *testing.T, spec protocol.Spec, kind channel.Kind) {
 		for seed := int64(1); seed <= 4; seed++ {
 			sharingWalk(t, spec, kind, rand.New(rand.NewSource(seed)).Intn, 24)
+		}
+	})
+}
+
+// TestTabulatedObjectsStayFiled walks each system ten thousand steps
+// through the tables and then re-encodes every object they hold: each
+// must still have the key it was filed under.
+func TestTabulatedObjectsStayFiled(t *testing.T) {
+	t.Parallel()
+	forEachSystem(t, func(t *testing.T, spec protocol.Spec, kind channel.Kind) {
+		rng := rand.New(rand.NewSource(1))
+		w := newWorld(t, spec, kind)
+		sys := sim.NewSystem(w)
+		r := sys.Reader()
+		st, moves := sys.Intern(w), []sim.Move(nil)
+		for step := 0; step < 10000; step++ {
+			moves = r.Moves(moves[:0], st)
+			next, err := r.Step(st, moves[rng.Intn(len(moves))])
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			st = next.Next
+			if rng.Intn(64) == 0 {
+				st = sys.Intern(w) // unbounded halves only grow: start over
+			}
+		}
+		if err := sys.CheckFiled(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestTabulatedStepZeroAlloc gates the memo hit: once a Reader has seen a
+// step, taking it again allocates nothing — with one Reader, and with a
+// second one over tables the first has filled.
+func TestTabulatedStepZeroAlloc(t *testing.T) {
+	spec, err := registry.Protocol("alpha", zooParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWorld(t, spec, channel.KindDel)
+	sys := sim.NewSystem(w)
+	root := sys.Intern(w)
+	for readers := 1; readers <= 2; readers++ {
+		r := sys.Reader()
+		var moves []sim.Move
+		// sweep steps every move of every state of a fixed walk.
+		sweep := func() {
+			st := root
+			for depth := 0; depth < 12; depth++ {
+				moves = r.Moves(moves[:0], st)
+				for _, mv := range moves {
+					if _, err := r.Step(st, mv); err != nil {
+						t.Fatal(err)
+					}
+				}
+				next, _ := r.Step(st, moves[(depth*7)%len(moves)])
+				st = next.Next
+			}
+		}
+		sweep() // fill this Reader's cache
+		if allocs := testing.AllocsPerRun(20, sweep); allocs != 0 {
+			t.Errorf("readers=%d: a sweep of memo hits allocates %.1f objects, want 0", readers, allocs)
+		}
+	}
+}
+
+// TestSystemConcurrentReaders has several goroutines, a Reader each, take
+// the same seeded walk through one System at once: they race to file
+// every state on it, and must all see the same ones (run under -race).
+func TestSystemConcurrentReaders(t *testing.T) {
+	t.Parallel()
+	forEachSystem(t, func(t *testing.T, spec protocol.Spec, kind channel.Kind) {
+		w := newWorld(t, spec, kind)
+		sys := sim.NewSystem(w)
+		root := sys.Intern(w)
+		const walkers = 4
+		ends := make([]string, walkers)
+		var wg sync.WaitGroup
+		for g := 0; g < walkers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(7))
+				r, st, moves := sys.Reader(), root, []sim.Move(nil)
+				for step := 0; step < 300; step++ {
+					moves = r.Moves(moves[:0], st)
+					next, err := r.Step(st, moves[rng.Intn(len(moves))])
+					if err != nil {
+						t.Errorf("walker %d step %d: %v", g, step, err)
+						return
+					}
+					st = next.Next
+				}
+				ends[g] = r.World(st).Key()
+			}()
+		}
+		wg.Wait()
+		for g, end := range ends {
+			if end != ends[0] {
+				t.Errorf("walker %d ended in %s, walker 0 in %s", g, end, ends[0])
+			}
+		}
+		if err := sys.CheckFiled(); err != nil {
+			t.Error(err)
 		}
 	})
 }

@@ -1,0 +1,521 @@
+package sim
+
+import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+	"sync"
+
+	"seqtx/internal/channel"
+	"seqtx/internal/msg"
+	"seqtx/internal/protocol"
+	"seqtx/internal/seq"
+	"seqtx/internal/trace"
+)
+
+// System is the transition system of one protocol over one link,
+// tabulated lazily. The paper's global state is a tuple of local states
+// (§2.2) and its processes are deterministic, so a state space is a
+// product of a few small local ones. A System files every sender state,
+// receiver state and channel half it meets under its EncodeKey bytes
+// and hands out a small dense id; each local move — a process stepping
+// on a tick or a message, a half taking a send, a delivery or a drop —
+// is computed once, on a private clone of the filed object, and
+// remembered. A global successor is then a handful of lookups (Reader),
+// and two global states are equal exactly when their ids are.
+//
+// The memo is sound because Step is deterministic (the Sender/Receiver
+// contract: equal keys imply behaviourally identical states) and
+// interning is injective on key bytes, so ids partition states exactly
+// as EncodeKey does. Filed objects are never written again. Which id a
+// state gets depends on who asked first — callers may compare ids for
+// equality, never order them.
+//
+// Senders are filed per input (a sender's key does not say which X it
+// was built from), so one System serves worlds on different inputs: the
+// two runs of a product share a receiver, its moves and the ids of
+// their messages. A System is safe for concurrent use through Readers.
+type System struct {
+	proto *World // the world the system was built from: spec, link alphabets
+
+	mu        sync.Mutex
+	inputs    []seq.Seq
+	msgs      []msg.Msg
+	msgIDs    map[msg.Msg]int32
+	senders   procs[protocol.Sender]
+	receivers procs[protocol.Receiver]
+	halves    table[halfRow]
+	halfSteps map[[2]int32]int32 // (half id, 3*msg+op) -> half id
+	keyBuf    []byte
+}
+
+// State is a global state by identity: the ids of its sender, receiver
+// and two halves in one System's tables. The output tape is the
+// caller's to track (Tape); the local states never read it.
+type State struct{ S, R, SToR, RToS int32 }
+
+func (st *State) half(d channel.Dir) *int32 {
+	if d == channel.SToR {
+		return &st.SToR
+	}
+	return &st.RToS
+}
+
+// Move is a scheduler action in a System's vocabulary: a trace.Action
+// whose message is an id (Reader.Action converts back).
+type Move struct {
+	Kind trace.ActKind
+	Dir  channel.Dir
+	Msg  int32
+}
+
+// Step is a tabulated successor. Sends and Writes are the memo's own
+// slices: read, never written.
+type Step struct {
+	Next    State
+	Sends   []int32     // ids of the messages the stepped process sent, in order
+	SendDir channel.Dir // the direction they travel
+	Writes  seq.Seq     // the items R wrote
+}
+
+// table files objects of one kind under their key bytes.
+type table[T any] struct {
+	rows []filed[T]
+	ids  map[string]int32
+}
+
+type filed[T any] struct {
+	obj T
+	key []byte
+}
+
+// file appends obj under key (not yet present) and returns its id.
+func (t *table[T]) file(obj T, key []byte) int32 {
+	if t.ids == nil {
+		t.ids = make(map[string]int32)
+	}
+	id := int32(len(t.rows))
+	t.ids[string(key)] = id
+	t.rows = append(t.rows, filed[T]{obj, append([]byte(nil), key...)})
+	return id
+}
+
+// procs is the table of one process, S or R, and the memo of its steps.
+// A process is filed under the index of its run's input (always zero
+// for R, which no input reaches) followed by its own key.
+type procs[P interface{ Key() string }] struct {
+	table[P]
+	steps map[[2]int32]*procStep // (id, event) -> step
+	clone func(P) P
+	step  func(P, protocol.Event) ([]msg.Msg, seq.Seq)
+	out   channel.Dir // the direction its sends travel
+	who   string      // for error text
+}
+
+// procStep is one memoised process step.
+type procStep struct {
+	next   int32
+	sends  []int32
+	writes seq.Seq
+	err    error // a send outside the alphabet
+}
+
+// halfRow is a filed half with its support: each deliverable message
+// and what the model lets the environment do with it.
+type halfRow struct {
+	h     channel.Half
+	moves []halfMove // ascending by message
+}
+
+type halfMove struct {
+	msg       int32
+	dup, drop bool
+}
+
+// Operations on a half, as memo keys.
+const (
+	opSend = iota
+	opDeliver
+	opDrop
+)
+
+// NewSystem returns the empty table of the system w belongs to: its
+// spec over its link's kind and alphabets. w is only read.
+func NewSystem(w *World) *System {
+	return &System{
+		proto:  w.Clone(),
+		msgIDs: make(map[msg.Msg]int32),
+		senders: procs[protocol.Sender]{
+			steps: make(map[[2]int32]*procStep),
+			clone: protocol.Sender.Clone,
+			step:  func(s protocol.Sender, ev protocol.Event) ([]msg.Msg, seq.Seq) { return s.Step(ev), nil },
+			out:   channel.SToR, who: "sender",
+		},
+		receivers: procs[protocol.Receiver]{
+			steps: make(map[[2]int32]*procStep),
+			clone: protocol.Receiver.Clone,
+			step:  protocol.Receiver.Step,
+			out:   channel.RToS, who: "receiver",
+		},
+		halfSteps: make(map[[2]int32]int32),
+	}
+}
+
+// Intern files the components of w (clones; w is only read) and returns
+// its identity. w must be a world of this system's spec and link, on
+// any input.
+func (sys *System) Intern(w *World) State {
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	run := slices.IndexFunc(sys.inputs, w.Input.Equal)
+	if run < 0 {
+		run = len(sys.inputs)
+		sys.inputs = append(sys.inputs, w.Input)
+	}
+	return State{
+		S:    internProc(sys, &sys.senders, w.S, uint64(run), false),
+		R:    internProc(sys, &sys.receivers, w.R, 0, false),
+		SToR: sys.internHalf(w.Link.Half(channel.SToR), false),
+		RToS: sys.internHalf(w.Link.Half(channel.RToS), false),
+	}
+}
+
+// InternHalf files a clone of h and returns its id, for callers that
+// keep a multiset of their own beside a State (the fresh copies of
+// Definition 2 are a reorder half).
+func (sys *System) InternHalf(h channel.Half) int32 {
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	return sys.internHalf(h, false)
+}
+
+// The functions from here to Reader run under sys.mu. owned says an
+// object is a private clone the table may keep; otherwise a new entry
+// clones it.
+
+func internProc[P interface{ Key() string }](sys *System, t *procs[P], p P, run uint64, owned bool) int32 {
+	sys.keyBuf = protocol.AppendKey(binary.AppendUvarint(sys.keyBuf[:0], run), p)
+	if id, ok := t.ids[string(sys.keyBuf)]; ok {
+		return id
+	}
+	if !owned {
+		p = t.clone(p)
+	}
+	return t.file(p, sys.keyBuf)
+}
+
+func (sys *System) internHalf(h channel.Half, owned bool) int32 {
+	sys.keyBuf = h.EncodeKey(sys.keyBuf[:0])
+	if id, ok := sys.halves.ids[string(sys.keyBuf)]; ok {
+		return id
+	}
+	if !owned {
+		h = h.Clone()
+	}
+	row := halfRow{h: h}
+	f, _ := h.(*channel.FIFO)
+	for i := 0; ; i++ {
+		m, ok := h.Support(i)
+		if !ok {
+			break
+		}
+		row.moves = append(row.moves, halfMove{msg: sys.msgID(m), dup: f != nil && f.AllowsDup(), drop: h.CanDrop(m)})
+	}
+	return sys.halves.file(row, sys.keyBuf)
+}
+
+func (sys *System) msgID(m msg.Msg) int32 {
+	id, ok := sys.msgIDs[m]
+	if !ok {
+		id = int32(len(sys.msgs))
+		sys.msgIDs[m] = id
+		sys.msgs = append(sys.msgs, m)
+	}
+	return id
+}
+
+// stepProc computes a step of process id once: on a clone of the filed
+// object, copying the sends out as ids (Step's slices die at the
+// process's next Step) after checking each against the link's alphabet
+// as Link.Send would. Event 0 is a tick, 1+m the delivery of message m.
+// Step runs under the lock: it is pure, and holding the lock is what
+// makes "once" true.
+func stepProc[P interface{ Key() string }](sys *System, t *procs[P], id, ev int32) *procStep {
+	k := [2]int32{id, ev}
+	if e := t.steps[k]; e != nil {
+		return e
+	}
+	event := protocol.TickEvent()
+	if ev > 0 {
+		event = protocol.RecvEvent(sys.msgs[ev-1])
+	}
+	p := t.clone(t.rows[id].obj)
+	sends, writes := t.step(p, event)
+	e := &procStep{writes: writes.Clone()}
+	for _, m := range sends {
+		if err := sys.proto.Link.Admits(t.out, m); err != nil {
+			e.err = fmt.Errorf("sim: %s step: %w", t.who, err)
+			break
+		}
+		e.sends = append(e.sends, sys.msgID(m))
+	}
+	if e.err == nil {
+		run, _ := binary.Uvarint(t.rows[id].key)
+		e.next = internProc(sys, t, p, run, true)
+	}
+	t.steps[k] = e
+	return e
+}
+
+// stepHalf applies op to a clone of half id. A rejected operation is
+// not remembered: its error is the caller's to report, and no search
+// takes one.
+func (sys *System) stepHalf(id, op, m int32) (int32, error) {
+	k := [2]int32{id, 3*m + op}
+	if next, ok := sys.halfSteps[k]; ok {
+		return next, nil
+	}
+	h := sys.halves.rows[id].obj.h.Clone()
+	var err error
+	switch op {
+	case opSend:
+		h.Send(sys.msgs[m])
+	case opDeliver:
+		err = h.Deliver(sys.msgs[m])
+	case opDrop:
+		err = h.Drop(sys.msgs[m])
+	}
+	if err != nil {
+		return 0, fmt.Errorf("sim: %w", err)
+	}
+	next := sys.internHalf(h, true)
+	sys.halfSteps[k] = next
+	return next, nil
+}
+
+// Reader is one goroutine's window onto a System: a private, lock-free
+// cache of every table entry it has used, in front of the shared,
+// mutex-guarded tables. A hit touches only the Reader's own slices and
+// allocates nothing; a miss takes the lock, computes the entry if no
+// one has, and keeps it. Entries are immutable once filed, so the
+// copies never go stale.
+type Reader struct {
+	sys       *System
+	msgs      []msg.Msg
+	halves    []filed[halfRow]
+	sendSteps [][]*procStep // [sender id][event]
+	recvSteps [][]*procStep
+	halfSteps [][]int32 // [half id][3*msg+op], stored +1 so zero means unknown
+}
+
+// Reader returns a new, empty Reader. Each goroutine needs its own.
+func (sys *System) Reader() *Reader { return &Reader{sys: sys} }
+
+// slot returns the address of tab[i][j], growing both levels as needed.
+func slot[T any](tab *[][]T, i, j int32) *T {
+	for int(i) >= len(*tab) {
+		*tab = append(*tab, nil)
+	}
+	if row := &(*tab)[i]; int(j) >= len(*row) {
+		*row = append(*row, make([]T, int(j)+1-len(*row))...)
+	}
+	return &(*tab)[i][j]
+}
+
+// caughtUp returns local[i], first extending local — a Reader's copy of
+// an append-only shared table — if it is too short.
+func caughtUp[T any](mu *sync.Mutex, local, shared *[]T, i int32) T {
+	if int(i) >= len(*local) {
+		mu.Lock()
+		*local = append(*local, (*shared)[len(*local):]...)
+		mu.Unlock()
+	}
+	return (*local)[i]
+}
+
+func (r *Reader) half(id int32) halfRow {
+	return caughtUp(&r.sys.mu, &r.halves, &r.sys.halves.rows, id).obj
+}
+
+func (r *Reader) msg(id int32) msg.Msg { return caughtUp(&r.sys.mu, &r.msgs, &r.sys.msgs, id) }
+
+func readStep[P interface{ Key() string }](r *Reader, cache *[][]*procStep, t *procs[P], id, ev int32) *procStep {
+	e := slot(cache, id, ev)
+	if *e == nil {
+		r.sys.mu.Lock()
+		*e = stepProc(r.sys, t, id, ev)
+		r.sys.mu.Unlock()
+	}
+	return *e
+}
+
+func (r *Reader) stepHalf(id, op, m int32) (int32, error) {
+	e := slot(&r.halfSteps, id, 3*m+op)
+	if *e == 0 {
+		r.sys.mu.Lock()
+		next, err := r.sys.stepHalf(id, op, m)
+		r.sys.mu.Unlock()
+		if err != nil {
+			return 0, err
+		}
+		*e = next + 1
+	}
+	return *e - 1, nil
+}
+
+// HalfSend, HalfDeliver and HalfHolds are the half table by itself:
+// the half after one more copy of m, the half after a delivery of m
+// (an error if it holds none), and whether it holds one.
+
+func (r *Reader) HalfSend(h, m int32) int32 {
+	next, _ := r.stepHalf(h, opSend, m) // a send is never rejected
+	return next
+}
+
+func (r *Reader) HalfDeliver(h, m int32) (int32, error) { return r.stepHalf(h, opDeliver, m) }
+
+func (r *Reader) HalfHolds(h, m int32) bool {
+	for _, hm := range r.half(h).moves {
+		if hm.msg == m {
+			return true
+		}
+	}
+	return false
+}
+
+// Moves appends the moves enabled in st — World.AppendEnabled's actions,
+// in its order — to buf.
+func (r *Reader) Moves(buf []Move, st State) []Move {
+	buf = append(buf, Move{Kind: trace.ActTickS}, Move{Kind: trace.ActTickR})
+	for dir := channel.SToR; dir <= channel.RToS; dir++ {
+		for _, hm := range r.half(*st.half(dir)).moves {
+			buf = append(buf, Move{trace.ActDeliver, dir, hm.msg})
+			if hm.dup {
+				buf = append(buf, Move{trace.ActDeliverDup, dir, hm.msg})
+			}
+			if hm.drop {
+				buf = append(buf, Move{trace.ActDrop, dir, hm.msg})
+			}
+		}
+	}
+	return buf
+}
+
+// Step returns the successor of st under mv: what World.Apply computes
+// on a clone — the same local states, sends, writes and errors — from
+// the tables. Crash and scramble restarts replace a process instead of
+// stepping it and are not tabulated: Apply them to World(st) and Intern
+// the result.
+func (r *Reader) Step(st State, mv Move) (Step, error) {
+	next := st
+	ev, bySender := int32(0), false // the event, and which process takes it
+	switch mv.Kind {
+	case trace.ActTickS:
+		bySender = true
+	case trace.ActTickR:
+	case trace.ActDeliver, trace.ActDeliverDup:
+		h := next.half(mv.Dir)
+		if mv.Kind == trace.ActDeliverDup {
+			f, ok := r.half(*h).h.(*channel.FIFO)
+			if !ok {
+				return Step{}, fmt.Errorf("sim: deliver+dup on non-FIFO half %s", mv.Dir)
+			}
+			if err := f.DeliverKeep(r.msg(mv.Msg)); err != nil { // reads f only
+				return Step{}, fmt.Errorf("sim: %w", err)
+			}
+		} else {
+			after, err := r.stepHalf(*h, opDeliver, mv.Msg)
+			if err != nil {
+				return Step{}, err
+			}
+			*h = after
+		}
+		ev, bySender = 1+mv.Msg, mv.Dir != channel.SToR
+	case trace.ActDrop:
+		h := next.half(mv.Dir)
+		after, err := r.stepHalf(*h, opDrop, mv.Msg)
+		if err != nil {
+			return Step{}, err
+		}
+		*h = after
+		return Step{Next: next}, nil
+	default:
+		return Step{}, fmt.Errorf("sim: %s is not a tabulated move", mv.Kind)
+	}
+	var e *procStep
+	dir := channel.RToS
+	if bySender {
+		e, dir = readStep(r, &r.sendSteps, &r.sys.senders, st.S, ev), channel.SToR
+	} else {
+		e = readStep(r, &r.recvSteps, &r.sys.receivers, st.R, ev)
+	}
+	if e.err != nil {
+		return Step{}, e.err
+	}
+	if bySender {
+		next.S = e.next
+	} else {
+		next.R = e.next
+	}
+	for _, m := range e.sends {
+		out := next.half(dir)
+		*out = r.HalfSend(*out, m)
+	}
+	return Step{Next: next, Sends: e.sends, SendDir: dir, Writes: e.writes}, nil
+}
+
+// Action renders mv as the trace.Action it stands for.
+func (r *Reader) Action(mv Move) trace.Action {
+	act := trace.Action{Kind: mv.Kind}
+	if mv.Kind == trace.ActDeliver || mv.Kind == trace.ActDeliverDup || mv.Kind == trace.ActDrop {
+		act.Dir, act.Msg = mv.Dir, r.msg(mv.Msg)
+	}
+	return act
+}
+
+// World materialises st: private clones of its four components as a
+// world of their own, safe to Apply, with an empty tape at time zero.
+func (r *Reader) World(st State) *World {
+	sys := r.sys
+	sys.mu.Lock()
+	s, rcv := sys.senders.rows[st.S], sys.receivers.rows[st.R]
+	run, _ := binary.Uvarint(s.key)
+	input := sys.inputs[run]
+	sys.mu.Unlock()
+	return &World{
+		Name:  sys.proto.Name,
+		Input: input,
+		S:     s.obj.Clone(),
+		R:     rcv.obj.Clone(),
+		Link:  sys.proto.Link.WithHalves(r.half(st.SToR).h.Clone(), r.half(st.RToS).h.Clone()),
+		spec:  sys.proto.spec,
+	}
+}
+
+// Tape is an output tape by identity: its length and whether Y has left
+// X. While it has not, Y is X's prefix of that length, and once it has
+// it never comes back, so the two decide every later safety verdict.
+type Tape struct {
+	Len      int32
+	Violated bool
+}
+
+// TapeOf returns w's tape.
+func TapeOf(w *World) Tape {
+	return Tape{Len: int32(len(w.Output)), Violated: w.SafetyViolation != nil}
+}
+
+// Write returns the tape after R writes the items, judged against input
+// as World.Apply judges them.
+func (t Tape) Write(input, writes seq.Seq) Tape {
+	for _, item := range writes {
+		if int(t.Len) >= len(input) || input[t.Len] != item {
+			t.Violated = true
+		}
+		t.Len++
+	}
+	return t
+}
+
+// Complete reports Y = X.
+func (t Tape) Complete(input seq.Seq) bool { return int(t.Len) == len(input) && !t.Violated }

@@ -39,24 +39,7 @@ type World struct {
 
 	// Trace, when non-nil, records every applied action.
 	Trace *trace.Trace
-
-	// shared marks the components this world aliases from the world it is
-	// a Successor of. Apply copies a marked component immediately before
-	// its first write to it and clears the mark, so a world only ever
-	// writes to memory it owns. (Output needs no mark: a successor's tape
-	// has no spare capacity, so its first append reallocates.)
-	shared uint8
 }
-
-// Bits of World.shared.
-const (
-	sharedS uint8 = 1 << iota
-	sharedR
-	sharedLink // the Link header
-	sharedSToR
-	sharedRToS
-	sharedAll = sharedS | sharedR | sharedLink | sharedSToR | sharedRToS
-)
 
 // New assembles a world from a protocol spec, an input sequence, and a
 // link. The protocol alphabets are enforced on the link: a send outside
@@ -139,15 +122,13 @@ func (w *World) Apply(act trace.Action) error {
 	)
 	switch act.Kind {
 	case trace.ActTickS:
-		sends = w.ownS().Step(protocol.TickEvent())
+		sends = w.S.Step(protocol.TickEvent())
 		err = w.routeSender(sends)
 	case trace.ActTickR:
-		sends, writes = w.ownR().Step(protocol.TickEvent())
+		sends, writes = w.R.Step(protocol.TickEvent())
 		err = w.routeReceiver(sends, writes)
 	case trace.ActDeliver, trace.ActDeliverDup:
 		if act.Kind == trace.ActDeliverDup {
-			// A duplicating delivery leaves the queue as it is, so the
-			// half can stay shared.
 			f, ok := w.Link.Half(act.Dir).(*channel.FIFO)
 			if !ok {
 				return fmt.Errorf("sim: deliver+dup on non-FIFO half %s", act.Dir)
@@ -155,18 +136,18 @@ func (w *World) Apply(act trace.Action) error {
 			if derr := f.DeliverKeep(act.Msg); derr != nil {
 				return fmt.Errorf("sim: %w", derr)
 			}
-		} else if derr := w.ownHalf(act.Dir).Deliver(act.Msg); derr != nil {
+		} else if derr := w.Link.Half(act.Dir).Deliver(act.Msg); derr != nil {
 			return fmt.Errorf("sim: %w", derr)
 		}
 		if act.Dir == channel.SToR {
-			sends, writes = w.ownR().Step(protocol.RecvEvent(act.Msg))
+			sends, writes = w.R.Step(protocol.RecvEvent(act.Msg))
 			err = w.routeReceiver(sends, writes)
 		} else {
-			sends = w.ownS().Step(protocol.RecvEvent(act.Msg))
+			sends = w.S.Step(protocol.RecvEvent(act.Msg))
 			err = w.routeSender(sends)
 		}
 	case trace.ActDrop:
-		if derr := w.ownHalf(act.Dir).Drop(act.Msg); derr != nil {
+		if derr := w.Link.Half(act.Dir).Drop(act.Msg); derr != nil {
 			return fmt.Errorf("sim: %w", derr)
 		}
 	case trace.ActCrashS, trace.ActCrashR:
@@ -182,13 +163,13 @@ func (w *World) Apply(act trace.Action) error {
 			if cerr != nil {
 				return fmt.Errorf("sim: crash-restart of S: %w", cerr)
 			}
-			w.S, w.shared = s, w.shared&^sharedS
+			w.S = s
 		} else {
 			r, cerr := w.spec.NewReceiver()
 			if cerr != nil {
 				return fmt.Errorf("sim: crash-restart of R: %w", cerr)
 			}
-			w.R, w.shared = r, w.shared&^sharedR
+			w.R = r
 		}
 	case trace.ActScrambleS, trace.ActScrambleR:
 		// Scramble-restart: the process restarts in seeded-arbitrary local
@@ -205,14 +186,14 @@ func (w *World) Apply(act trace.Action) error {
 				return fmt.Errorf("sim: scramble-restart of S: %w", cerr)
 			}
 			protocol.ScrambleState(s, act.Seed)
-			w.S, w.shared = s, w.shared&^sharedS
+			w.S = s
 		} else {
 			r, cerr := w.spec.NewReceiver()
 			if cerr != nil {
 				return fmt.Errorf("sim: scramble-restart of R: %w", cerr)
 			}
 			protocol.ScrambleState(r, act.Seed)
-			w.R, w.shared = r, w.shared&^sharedR
+			w.R = r
 		}
 	default:
 		return fmt.Errorf("sim: unknown action kind %d", int(act.Kind))
@@ -234,41 +215,7 @@ func (w *World) Apply(act trace.Action) error {
 	return nil
 }
 
-// ownS returns the sender, first replacing an aliased one with a private
-// copy; ownR and ownHalf do the same for the receiver and a link half.
-func (w *World) ownS() protocol.Sender {
-	if w.shared&sharedS != 0 {
-		w.S, w.shared = w.S.Clone(), w.shared&^sharedS
-	}
-	return w.S
-}
-
-func (w *World) ownR() protocol.Receiver {
-	if w.shared&sharedR != 0 {
-		w.R, w.shared = w.R.Clone(), w.shared&^sharedR
-	}
-	return w.R
-}
-
-func (w *World) ownHalf(dir channel.Dir) channel.Half {
-	bit := sharedSToR
-	if dir == channel.RToS {
-		bit = sharedRToS
-	}
-	if w.shared&bit != 0 {
-		if w.shared&sharedLink != 0 {
-			w.Link, w.shared = w.Link.Fork(), w.shared&^sharedLink
-		}
-		w.Link.Unshare(dir)
-		w.shared &^= bit
-	}
-	return w.Link.Half(dir)
-}
-
 func (w *World) routeSender(sends []msg.Msg) error {
-	if len(sends) > 0 {
-		w.ownHalf(channel.SToR)
-	}
 	for _, m := range sends {
 		if err := w.Link.Send(channel.SToR, m); err != nil {
 			return fmt.Errorf("sim: sender step: %w", err)
@@ -278,9 +225,6 @@ func (w *World) routeSender(sends []msg.Msg) error {
 }
 
 func (w *World) routeReceiver(sends []msg.Msg, writes seq.Seq) error {
-	if len(sends) > 0 {
-		w.ownHalf(channel.RToS)
-	}
 	for _, m := range sends {
 		if err := w.Link.Send(channel.RToS, m); err != nil {
 			return fmt.Errorf("sim: receiver step: %w", err)
@@ -306,33 +250,6 @@ func (w *World) OutputComplete() bool {
 // remain in flight toward R, i.e. nothing further can change Y.
 func (w *World) Quiescent() bool {
 	return w.S.Done() && w.Link.Half(channel.SToR).Deliverable().Total() == 0
-}
-
-// Successor returns the world after act, leaving w as it is. The child
-// shares with w every component act does not write — the processes, the
-// link header, each half, the output tape — and copies the others just
-// before the write (see shared), so a successor costs what its action
-// touches, not a deep copy. The child is a full world: Apply, Successor
-// and Clone all work on it. The price is that w is frozen while a child
-// is alive: writing to w (a direct Apply) would show through the aliases,
-// so explorers keep expanded worlds immutable; take a Clone of w first to
-// keep walking it. Successor only reads w, so any number of goroutines
-// may expand the same world at once.
-//
-// A child does not inherit w's trace history; if w is recording, the
-// child records this one step (its sends and writes) in a trace of its
-// own.
-func (w *World) Successor(act trace.Action) (*World, error) {
-	child := *w
-	child.Output = w.Output[:len(w.Output):len(w.Output)]
-	child.shared = sharedAll
-	if w.Trace != nil {
-		child.StartTrace()
-	}
-	if err := child.Apply(act); err != nil {
-		return nil, err
-	}
-	return &child, nil
 }
 
 // Clone returns an independent deep copy of the world. The trace recorder
