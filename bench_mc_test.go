@@ -3,11 +3,10 @@ package seqtx_test
 // Model-checker micro-benchmarks: the state-space engine's hot path
 // (world cloning, tabulated successors, canonical state keys, exhaustive
 // exploration, product refutation). BENCH_mc.json records the
-// baseline/after comparison for the parallel-engine PR.
+// baseline/after comparison of the PR that built the (since deleted)
+// in-level worker pool.
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 
 	"seqtx"
@@ -77,46 +76,31 @@ func BenchmarkWorldClone(b *testing.B) {
 func BenchmarkWorldSuccessor(b *testing.B) {
 	w := benchWorld(b)
 	sys := sim.NewSystem(w)
-	r, st := sys.Reader(), sys.Intern(w)
-	moves := r.Moves(nil, st)
+	st := sys.Intern(w)
+	moves := sys.Moves(nil, st)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Step(st, moves[i%len(moves)]); err != nil {
+		if _, err := sys.Step(st, moves[i%len(moves)]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// benchWorkerCounts are the pool sizes each engine benchmark runs as
-// sub-benchmarks: the sequential path and the full machine.
-func benchWorkerCounts() []int {
-	counts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
 func benchExploreDepth(b *testing.B, depth int) {
 	spec := seqtx.TightProtocol(3)
 	input := seqtx.Sequence(0, 1, 2)
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			states := 0
-			for i := 0; i < b.N; i++ {
-				res, err := seqtx.Explore(spec, input, seqtx.ChannelDel,
-					seqtx.ExploreConfig{MaxDepth: depth, MaxStates: 1 << 20,
-						EngineConfig: seqtx.EngineConfig{Workers: workers}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				states += res.States
-			}
-			b.ReportMetric(float64(states)/float64(b.N), "states/op")
-		})
+	b.ReportAllocs()
+	states := 0
+	for i := 0; i < b.N; i++ {
+		res, err := seqtx.Explore(spec, input, seqtx.ChannelDel,
+			seqtx.ExploreConfig{MaxDepth: depth, MaxStates: 1 << 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		states += res.States
 	}
+	b.ReportMetric(float64(states)/float64(b.N), "states/op")
 }
 
 func BenchmarkExploreDepth8(b *testing.B)  { benchExploreDepth(b, 8) }
@@ -127,20 +111,15 @@ func BenchmarkRefute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, rerr := seqtx.RefuteSafety(naive, seqtx.Sequence(0, 1), seqtx.Sequence(0, 1, 0),
-					seqtx.ChannelDup, seqtx.ExploreConfig{MaxDepth: 12, MaxStates: 1 << 15,
-						EngineConfig: seqtx.EngineConfig{Workers: workers}})
-				if rerr != nil {
-					b.Fatal(rerr)
-				}
-				if res.Violation == nil {
-					b.Fatal("violation vanished")
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, rerr := seqtx.RefuteSafety(naive, seqtx.Sequence(0, 1), seqtx.Sequence(0, 1, 0),
+			seqtx.ChannelDup, seqtx.ExploreConfig{MaxDepth: 12, MaxStates: 1 << 15})
+		if rerr != nil {
+			b.Fatal(rerr)
+		}
+		if res.Violation == nil {
+			b.Fatal("violation vanished")
+		}
 	}
 }

@@ -50,7 +50,6 @@ func run() int {
 		states   = fs.Int("states", 1<<17, "state cap")
 		budget   = fs.Int("budget", 40, "recovery budget (bounded)")
 		weak     = fs.Bool("weak", false, "weak boundedness (old messages allowed)")
-		workers  = fs.Int("workers", 0, "BFS worker goroutines (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 		faulty   = fs.Bool("faulty", true, "sample points from a one-loss run (bounded)")
 		outFile  = fs.String("o", "", "write the counterexample run as JSON (explore/stabilize; replay with stpsim -replay)")
 		capBound = fs.Int("cap", 2, "channel-capacity bound assumed by stabilizing protocols")
@@ -64,7 +63,6 @@ func run() int {
 	}
 	for _, check := range []error{
 		cliutil.NonNegative("m", *m),
-		cliutil.NonNegative("workers", *workers),
 		cliutil.NonNegative("budget", *budget),
 		cliutil.Positive("depth", *depth),
 		cliutil.Positive("states", *states),
@@ -102,8 +100,7 @@ func run() int {
 			return 2
 		}
 		res, eerr := mc.Explore(spec, x, kind, mc.ExploreConfig{
-			MaxDepth: *depth, MaxStates: *states,
-			EngineConfig: mc.EngineConfig{Workers: *workers, Obs: reg},
+			MaxDepth: *depth, MaxStates: *states, Obs: reg,
 		})
 		if eerr != nil {
 			fmt.Fprintln(os.Stderr, "stpmc:", eerr)
@@ -132,8 +129,7 @@ func run() int {
 			return 2
 		}
 		res, rerr := mc.Refute(spec, x1, x2, kind, mc.ExploreConfig{
-			MaxDepth: *depth, MaxStates: *states,
-			EngineConfig: mc.EngineConfig{Workers: *workers, Obs: reg},
+			MaxDepth: *depth, MaxStates: *states, Obs: reg,
 		})
 		if rerr != nil {
 			fmt.Fprintln(os.Stderr, "stpmc:", rerr)
@@ -154,8 +150,7 @@ func run() int {
 			return 2
 		}
 		cfg := mc.BoundedConfig{
-			Budget: *budget, OldMessagesAllowed: *weak,
-			EngineConfig: mc.EngineConfig{Workers: *workers, Obs: reg},
+			Budget: *budget, OldMessagesAllowed: *weak, Obs: reg,
 		}
 		if *faulty && !*weak {
 			cfg.Sampler = sim.NewBudgetDropper(1, 1)
@@ -194,8 +189,7 @@ func run() int {
 		}
 		res, serr := mc.CheckStabilize(spec, x, kind, mc.StabilizeConfig{
 			MaxDepth: sdepth, MaxStates: *states,
-			Scrambles: *scramble, ChannelJunk: *junk, Seed: *seed,
-			EngineConfig: mc.EngineConfig{Workers: *workers, Obs: reg},
+			Scrambles: *scramble, ChannelJunk: *junk, Seed: *seed, Obs: reg,
 		})
 		if serr != nil {
 			fmt.Fprintln(os.Stderr, "stpmc:", serr)

@@ -82,7 +82,6 @@ func Analyze(spec protocol.Spec, inputs []seq.Seq, kind channel.Kind, cfg Config
 	// One tabulated system serves every input: the runs differ in their
 	// senders only, and R must not be able to tell.
 	var sys *sim.System
-	var r *sim.Reader
 	for _, x := range inputs {
 		link, err := channel.NewLinkOfKind(kind)
 		if err != nil {
@@ -94,9 +93,8 @@ func Analyze(spec protocol.Spec, inputs []seq.Seq, kind channel.Kind, cfg Config
 		}
 		if sys == nil {
 			sys = sim.NewSystem(w)
-			r = sys.Reader()
 		}
-		if err := a.explore(r, sys.Intern(w), w.Input, cfg); err != nil {
+		if err := a.explore(sys, sys.Intern(w), w.Input, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -110,7 +108,7 @@ type epiNode struct {
 	view int32
 }
 
-func (a *Analysis) explore(r *sim.Reader, root sim.State, input seq.Seq, cfg Config) error {
+func (a *Analysis) explore(sys *sim.System, root sim.State, input seq.Seq, cfg Config) error {
 	a.views[0].inputs[input.Key()] = input.Clone()
 	nodes := []epiNode{{st: root}}
 	depths := []int{0}
@@ -123,18 +121,18 @@ func (a *Analysis) explore(r *sim.Reader, root sim.State, input seq.Seq, cfg Con
 			a.Truncated = true
 			continue
 		}
-		moves = r.Moves(moves[:0], cur.st)
+		moves = sys.Moves(moves[:0], cur.st)
 		for _, mv := range moves {
-			step, err := r.Step(cur.st, mv)
+			step, err := sys.Step(cur.st, mv)
 			if err != nil {
-				return fmt.Errorf("epistemic: applying %s: %w", r.Action(mv), err)
+				return fmt.Errorf("epistemic: applying %s: %w", sys.Action(mv), err)
 			}
 			next := epiNode{st: step.Next, ylen: cur.ylen + int32(len(step.Writes)), view: cur.view}
 			switch {
 			case mv.Kind == trace.ActTickR:
 				next.view = a.extend(cur.view, trace.ViewEvent{IsTick: true}, input)
 			case (mv.Kind == trace.ActDeliver || mv.Kind == trace.ActDeliverDup) && mv.Dir == channel.SToR:
-				next.view = a.extend(cur.view, trace.ViewEvent{Msg: r.Action(mv).Msg}, input)
+				next.view = a.extend(cur.view, trace.ViewEvent{Msg: sys.Action(mv).Msg}, input)
 			}
 			if _, ok := seen[next]; ok {
 				continue

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"seqtx/internal/channel"
+	"seqtx/internal/obs"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
 	"seqtx/internal/sim"
@@ -55,9 +56,9 @@ type BoundedConfig struct {
 	// FAULTY run — e.g. sim.NewBudgetDropper — is the stronger test: it
 	// is exactly where unbounded protocols fail to recover.
 	Sampler sim.Adversary
-	// EngineConfig selects the worker count for each per-point recovery
-	// search (results are identical for every setting).
-	EngineConfig
+	// Obs, when non-nil, receives each per-point recovery search's
+	// metrics (see ExploreConfig.Obs; no per-level events).
+	Obs *obs.Registry
 }
 
 func (c *BoundedConfig) normalize() error {
@@ -99,14 +100,14 @@ func CheckBounded(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg Boun
 	if len(points) == 0 {
 		return rep, nil
 	}
-	// One table serves every search: the points lie on one run, so their
-	// extensions ask the same local questions over and over.
+	// One table serves every search, run in sequence: the points lie on
+	// one run, so their extensions ask the same local questions over and
+	// over.
 	sys := sim.NewSystem(points[0])
-	scratch := newScratch(sys, cfg.workerCount())
 	for _, p := range points {
 		rep.Samples++
 		pos := len(p.Output)
-		steps := recoverySearch(sys, scratch, p, cfg)
+		steps := recoverySearch(sys, p, cfg)
 		if steps < 0 {
 			rep.Unrecovered++
 			rep.PerPosition[pos] = -1
@@ -168,99 +169,65 @@ type recNode struct {
 	fresh [2]int32 // by direction: SToR, RToS
 }
 
-// recoveryCand is one expanded extension step awaiting the level merge.
-// Recovery is decided per level: every node of a level sits at the same
-// depth, so "some candidate of this level recovered" determines the
-// return value independently of candidate order.
-type recoveryCand struct {
-	node      recNode
-	recovered bool
-}
-
 // recoverySearch BFS-es extensions of the point until R writes another
 // item, returning the number of steps or -1 if Budget/MaxStates exhaust.
-// Like Explore, it expands each level across the workers (one scratch
-// each) with a deterministic merge, so the result is worker-count
-// independent. Extension moves are ticks always, and deliveries
-// (duplicating FIFO ones included) of any message under the weak variant
-// but only of messages with fresh copies under Definition 2; drops never
-// help recovery and are left out.
-func recoverySearch(sys *sim.System, scratch []workerScratch, point *sim.World, cfg BoundedConfig) int {
-	workers := len(scratch)
-	em := newEngineMetrics(cfg.Obs, "recovery", workers, false)
+// Extension moves are ticks always, and deliveries (duplicating FIFO ones
+// included) of any message under the weak variant but only of messages
+// with fresh copies under Definition 2; drops never help recovery and are
+// left out.
+func recoverySearch(sys *sim.System, point *sim.World, cfg BoundedConfig) int {
+	em := newEngineMetrics(cfg.Obs, "recovery", false)
 	defer em.flush()
 	em.noteMerge(true) // the sample point itself
 	input, tape := point.Input, sim.TapeOf(point)
 	none := sys.InternHalf(channel.NewReorder())
 	nodes := []recNode{{st: sys.Intern(point), fresh: [2]int32{none, none}}}
 	seen := map[recNode]struct{}{nodes[0]: {}}
-	var bufs [][]recoveryCand // per-worker staged candidates, reused across levels
+	var moves []sim.Move
 
-	recovered := false
-	merge := func(c recoveryCand) bool {
-		if c.recovered {
-			recovered = true
-			return false
-		}
-		if _, dup := seen[c.node]; dup {
-			em.noteMerge(false)
-			return true
-		}
-		if len(nodes) >= cfg.MaxStates {
-			return true
-		}
-		em.noteMerge(true)
-		seen[c.node] = struct{}{}
-		nodes = append(nodes, c.node)
-		return true
-	}
-
-	lo := 0
-	for depth := 0; lo < len(nodes) && depth < cfg.Budget; depth++ {
-		level := nodes[lo:]
-		_ = runLevel(workers, len(level), &bufs, func(worker, i int, emit func(recoveryCand) bool) error { // expand never fails
-			em.noteExpand(worker)
-			ws, cur := &scratch[worker], level[i]
-			r := ws.r
-			ws.moves = r.Moves(ws.moves[:0], cur.st)
-			for _, mv := range ws.moves {
+	for lo, depth := 0, 0; lo < len(nodes) && depth < cfg.Budget; depth++ {
+		hi := len(nodes)
+		for _, cur := range nodes[lo:hi] {
+			moves = sys.Moves(moves[:0], cur.st)
+			for _, mv := range moves {
 				delivery := mv.Kind == trace.ActDeliver || mv.Kind == trace.ActDeliverDup
-				if mv.Kind == trace.ActDrop || (delivery && !cfg.OldMessagesAllowed && !r.HalfHolds(cur.fresh[mv.Dir-channel.SToR], mv.Msg)) {
+				if mv.Kind == trace.ActDrop || (delivery && !cfg.OldMessagesAllowed && !sys.HalfHolds(cur.fresh[mv.Dir-channel.SToR], mv.Msg)) {
 					continue
 				}
-				step, err := r.Step(cur.st, mv)
+				step, err := sys.Step(cur.st, mv)
 				if err != nil {
 					continue // impossible move
 				}
 				if len(step.Writes) > 0 {
 					// A "recovery" that breaks safety does not count.
-					if !tape.Write(input, step.Writes).Violated && !emit(recoveryCand{recovered: true}) {
-						break
+					if !tape.Write(input, step.Writes).Violated {
+						return depth + 1
 					}
 					continue
 				}
 				child := recNode{st: step.Next, fresh: cur.fresh}
 				for _, m := range step.Sends {
 					out := &child.fresh[step.SendDir-channel.SToR]
-					*out = r.HalfSend(*out, m)
+					*out = sys.HalfSend(*out, m)
 				}
 				if mv.Kind == trace.ActDeliver && !cfg.OldMessagesAllowed {
 					in := &child.fresh[mv.Dir-channel.SToR]
-					*in, _ = r.HalfDeliver(*in, mv.Msg) // held: checked above
+					*in, _ = sys.HalfDeliver(*in, mv.Msg) // held: checked above
 				}
 				if _, dup := seen[child]; dup {
-					em.noteDup(worker) // see Explore
-				} else if !emit(recoveryCand{node: child}) {
-					break
+					em.noteMerge(false)
+					continue
 				}
+				if len(nodes) >= cfg.MaxStates {
+					continue
+				}
+				em.noteMerge(true)
+				seen[child] = struct{}{}
+				nodes = append(nodes, child)
 			}
-			return nil
-		}, merge)
-		if recovered {
-			return depth + 1
 		}
-		em.noteLevel(depth, len(level))
-		lo += len(level)
+		em.noteLevel(depth, hi-lo)
+		lo = hi
 	}
 	return -1
 }

@@ -3,7 +3,7 @@ package mc
 import (
 	"bytes"
 	"fmt"
-	"runtime"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -23,16 +23,6 @@ var engineKinds = []channel.Kind{
 	channel.KindFIFO, channel.KindDupDel,
 }
 
-// engineWorkerCounts are the pool sizes the equivalence tests compare
-// against the sequential engine.
-func engineWorkerCounts() []int {
-	counts := []int{1, 4}
-	if n := runtime.GOMAXPROCS(0); n != 1 && n != 4 {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
 func witnessString(w *Witness) string {
 	if w == nil {
 		return "<none>"
@@ -47,10 +37,39 @@ func productWitnessString(w *ProductWitness) string {
 	return w.String()
 }
 
-// TestExploreWorkerEquivalence checks the tentpole determinism contract:
-// for every protocol in the zoo, on every channel kind, the parallel
-// engine reports byte-identical results to the sequential one — same
-// state count, depth, truncation, and the same first violation.
+// runTwice runs a check twice from scratch — a fresh System, fresh ids —
+// and returns the one rendering both runs must produce.
+func runTwice(t *testing.T, run func() (string, error)) string {
+	t.Helper()
+	first, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Fatalf("two runs diverged:\nfirst %s\nagain %s", first, again)
+	}
+	return first
+}
+
+// agreeTwice is runTwice for a check the golden table may have a cell
+// for: the rendering's first line must then be that cell.
+func agreeTwice(t *testing.T, cell string, run func() (string, error)) {
+	t.Helper()
+	line, _, _ := strings.Cut(runTwice(t, run), "\n")
+	if want, ok := readGolden(t)[cell]; ok && !*updateGolden && line != want {
+		t.Errorf("%s: got %s, the golden table has %s", cell, line, want)
+	}
+}
+
+// TestExploreWorkerEquivalence checks the determinism contract: for every
+// protocol in the zoo, on every channel kind, two explorations report
+// identical results — same state count, depth, truncation, and the same
+// first violation, action for action. (The *Worker* test names predate
+// the removal of the in-level worker pool; test ids are kept.)
 func TestExploreWorkerEquivalence(t *testing.T) {
 	t.Parallel()
 	input := seq.FromInts(0, 1)
@@ -63,30 +82,13 @@ func TestExploreWorkerEquivalence(t *testing.T) {
 		for _, kind := range engineKinds {
 			t.Run(fmt.Sprintf("%s/%s", proto, kind), func(t *testing.T) {
 				t.Parallel()
-				var base *ExploreResult
-				for _, workers := range engineWorkerCounts() {
-					cfg := ExploreConfig{
-						MaxDepth: 6, MaxStates: 4000,
-						EngineConfig: EngineConfig{Workers: workers},
-					}
-					res, err := Explore(spec, input, kind, cfg)
+				agreeTwice(t, fmt.Sprintf("explore/%s/%s", proto, kind), func() (string, error) {
+					res, err := Explore(spec, input, kind, ExploreConfig{MaxDepth: 6, MaxStates: 4000})
 					if err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
+						return "", err
 					}
-					if base == nil {
-						base = res
-						continue
-					}
-					if res.States != base.States || res.Depth != base.Depth ||
-						res.Truncated != base.Truncated || res.CompletedState != base.CompletedState {
-						t.Fatalf("workers=%d diverged: got {States:%d Depth:%d Truncated:%v Completed:%v}, sequential {States:%d Depth:%d Truncated:%v Completed:%v}",
-							workers, res.States, res.Depth, res.Truncated, res.CompletedState,
-							base.States, base.Depth, base.Truncated, base.CompletedState)
-					}
-					if got, want := witnessString(res.Violation), witnessString(base.Violation); got != want {
-						t.Fatalf("workers=%d violation diverged:\ngot  %s\nwant %s", workers, got, want)
-					}
-				}
+					return exploreLine(res) + "\n" + witnessString(res.Violation), nil
+				})
 			})
 		}
 	}
@@ -112,72 +114,40 @@ func TestRefuteWorkerEquivalence(t *testing.T) {
 		for _, kind := range engineKinds {
 			t.Run(fmt.Sprintf("%s/%s", tc.proto, kind), func(t *testing.T) {
 				t.Parallel()
-				var base *ProductResult
-				for _, workers := range engineWorkerCounts() {
-					cfg := ExploreConfig{
-						MaxDepth: 6, MaxStates: 4000,
-						EngineConfig: EngineConfig{Workers: workers},
-					}
-					res, err := Refute(spec, tc.x1, tc.x2, kind, cfg)
+				agreeTwice(t, fmt.Sprintf("refute/%s/%s", tc.proto, kind), func() (string, error) {
+					res, err := Refute(spec, tc.x1, tc.x2, kind, ExploreConfig{MaxDepth: 6, MaxStates: 4000})
 					if err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
+						return "", err
 					}
-					if base == nil {
-						base = res
-						continue
-					}
-					if res.States != base.States || res.Depth != base.Depth || res.Truncated != base.Truncated {
-						t.Fatalf("workers=%d diverged: got {States:%d Depth:%d Truncated:%v}, sequential {States:%d Depth:%d Truncated:%v}",
-							workers, res.States, res.Depth, res.Truncated,
-							base.States, base.Depth, base.Truncated)
-					}
-					if got, want := productWitnessString(res.Violation), productWitnessString(base.Violation); got != want {
-						t.Fatalf("workers=%d violation diverged:\ngot  %s\nwant %s", workers, got, want)
-					}
-				}
+					return refuteLine(res) + "\n" + productWitnessString(res.Violation), nil
+				})
 			})
 		}
 	}
 }
 
-// TestBoundedWorkerEquivalence compares full boundedness reports across
-// worker counts, from both fault-free and faulty sample runs.
+// TestBoundedWorkerEquivalence compares full boundedness reports of two
+// checks, from both fault-free and faulty sample runs.
 func TestBoundedWorkerEquivalence(t *testing.T) {
 	t.Parallel()
 	spec, err := registry.Protocol("alpha", registry.Params{M: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, faulty := range []bool{false, true} {
-		faulty := faulty
+	for faulty, cell := range map[bool]string{false: "bounded/alpha/del", true: "bounded/alpha/del/faulty"} {
 		t.Run(fmt.Sprintf("faulty=%v", faulty), func(t *testing.T) {
 			t.Parallel()
-			var base *BoundedReport
-			for _, workers := range engineWorkerCounts() {
-				cfg := BoundedConfig{
-					Budget: 8, MaxStates: 4000,
-					EngineConfig: EngineConfig{Workers: workers},
-				}
+			agreeTwice(t, cell, func() (string, error) {
+				cfg := BoundedConfig{Budget: 8, MaxStates: 4000}
 				if faulty {
 					cfg.Sampler = sim.NewBudgetDropper(1, 1)
 				}
 				rep, err := CheckBounded(spec, seq.FromInts(0, 1), channel.KindDel, cfg)
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					return "", err
 				}
-				if base == nil {
-					base = rep
-					continue
-				}
-				if rep.Samples != base.Samples || rep.MaxRecovery != base.MaxRecovery || rep.Unrecovered != base.Unrecovered {
-					t.Fatalf("workers=%d diverged: got %+v, sequential %+v", workers, rep, base)
-				}
-				for pos, want := range base.PerPosition {
-					if got, ok := rep.PerPosition[pos]; !ok || got != want {
-						t.Fatalf("workers=%d PerPosition[%d] = %d, want %d", workers, pos, got, want)
-					}
-				}
-			}
+				return boundedLine(rep), nil
+			})
 		})
 	}
 }
@@ -185,10 +155,10 @@ func TestBoundedWorkerEquivalence(t *testing.T) {
 // TestExploreAllocBudget gates the explorer's allocations per visited
 // state the way TestStepSteadyStateZeroAlloc gates Step: exactly, not by
 // a timing. The system is the benchmark's (the tight protocol on a
-// deletion channel), cut at depth 12, on the sequential path. A successor
+// deletion channel), cut at depth 12. A successor
 // by table lookup allocates nothing; what is left is building the tables
 // (a few objects per local state, so the share falls as the space
-// grows: 3.4 here, 1.1 at the benchmark's depth 20) and the growth of
+// grows: 3.0 here, 1.0 at the benchmark's depth 20) and the growth of
 // the node list and the visited set. Building a world per transition, as
 // the explorers did, cost 27.7 with structural sharing and 64 without.
 func TestExploreAllocBudget(t *testing.T) {
@@ -197,7 +167,7 @@ func TestExploreAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ExploreConfig{MaxDepth: 12, EngineConfig: EngineConfig{Workers: 1}}
+	cfg := ExploreConfig{MaxDepth: 12}
 	states := 0
 	allocs := testing.AllocsPerRun(5, func() {
 		res, err := Explore(spec, seq.FromInts(0, 1, 2), channel.KindDel, cfg)
@@ -214,67 +184,124 @@ func TestExploreAllocBudget(t *testing.T) {
 	}
 }
 
-// TestResultsIndependentOfNumbering repeats each engine at several worker
-// counts. Which id a local state gets depends on which worker met it
-// first, so it varies from run to run; results, witness text and the
-// dedup counters (hits + misses = transitions), which may only use ids
-// for equality, must not. Small levels are expanded in-line whatever
-// Workers says, so the test also checks that its fixtures are large
-// enough for a second worker to have expanded nodes in some run.
+// warmSystem returns the system of w after a seeded random walk from it:
+// a fresh one's tables filed in another order, so the states a later
+// search meets get other ids. Seed 0 is no walk — the fresh system the
+// public entry points search in.
+func warmSystem(t *testing.T, w *sim.World, seed int64) *sim.System {
+	t.Helper()
+	sys := sim.NewSystem(w)
+	if seed == 0 {
+		return sys
+	}
+	rng := rand.New(rand.NewSource(seed))
+	st, moves := sys.Intern(w), []sim.Move(nil)
+	for step := 0; step < 200; step++ {
+		moves = sys.Moves(moves[:0], st)
+		next, err := sys.Step(st, moves[rng.Intn(len(moves))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = next.Next
+	}
+	return sys
+}
+
+// numbering names the ids sys has given the states of a fixed walk from w.
+func numbering(t *testing.T, sys *sim.System, w *sim.World) string {
+	t.Helper()
+	w, adv := w.Clone(), sim.NewRoundRobin()
+	var ids []sim.State
+	for step := 0; step < 8; step++ {
+		if err := w.Apply(adv.Choose(w, w.Enabled())); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, sys.Intern(w))
+	}
+	return fmt.Sprint(ids)
+}
+
+// TestResultsIndependentOfNumbering runs each engine on a fresh system
+// and on systems pre-warmed by differently seeded walks (from the second
+// input first, for the product). Which id a local state gets depends on
+// what was filed before it, so it differs from system to system; results,
+// witness text and the dedup counters (hits + misses = transitions), which
+// may only use ids for equality, must not. The test also checks that the
+// warm-ups did renumber: the states of a fixed walk got other ids.
 func TestResultsIndependentOfNumbering(t *testing.T) {
 	t.Parallel()
 	naive2, err := registry.Protocol("naive", registry.Params{M: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := map[string]func(engine EngineConfig) (string, error){
-		"explore": func(engine EngineConfig) (string, error) {
-			res, err := Explore(naive2, seq.FromInts(0, 1, 0, 1), channel.KindDel, ExploreConfig{MaxDepth: 14, EngineConfig: engine})
+	world := func(t *testing.T, spec protocol.Spec, x seq.Seq) *sim.World {
+		link, err := channel.NewLinkOfKind(channel.KindDel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := sim.New(spec, x, link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	// Each run searches in the system warmed by seed and returns its
+	// numbering and the rendered result, its counters published in reg.
+	runs := map[string]func(t *testing.T, seed int64, reg *obs.Registry) (ids, got string, err error){
+		"explore": func(t *testing.T, seed int64, reg *obs.Registry) (string, string, error) {
+			w := world(t, naive2, seq.FromInts(0, 1, 0, 1))
+			sys := warmSystem(t, w, seed)
+			res, err := explore(sys, w, ExploreConfig{MaxDepth: 14, MaxStates: 1 << 20, Obs: reg})
 			if err != nil {
-				return "", err
+				return "", "", err
 			}
-			return fmt.Sprintf("%d %d %v %v\n%s", res.States, res.Depth, res.Truncated, res.CompletedState, witnessString(res.Violation)), nil
+			return numbering(t, sys, w), exploreLine(res) + "\n" + witnessString(res.Violation), nil
 		},
-		"refute": func(engine EngineConfig) (string, error) {
-			res, err := Refute(naive2, seq.FromInts(0, 1), seq.FromInts(0, 1, 0), channel.KindDel, ExploreConfig{MaxDepth: 10, EngineConfig: engine})
+		"refute": func(t *testing.T, seed int64, reg *obs.Registry) (string, string, error) {
+			w1, w2 := world(t, naive2, seq.FromInts(0, 1)), world(t, naive2, seq.FromInts(0, 1, 0))
+			sys := warmSystem(t, w2, seed)
+			res, err := refute(sys, w1, w2, ExploreConfig{MaxDepth: 10, MaxStates: 1 << 20, Obs: reg})
 			if err != nil {
-				return "", err
+				return "", "", err
 			}
-			return fmt.Sprintf("%d %d %v\n%s", res.States, res.Depth, res.Truncated, productWitnessString(res.Violation)), nil
+			return numbering(t, sys, w1), refuteLine(res) + "\n" + productWitnessString(res.Violation), nil
 		},
-		"stabilize": func(engine EngineConfig) (string, error) {
-			res, err := CheckStabilize(alphaproto.MustNew(2), seq.FromInts(0, 1), channel.KindDel, StabilizeConfig{
-				Seed: 3, Scrambles: 8, MaxStates: 1 << 12, MaxDepth: 10, EngineConfig: engine,
-			})
+		"stabilize": func(t *testing.T, seed int64, reg *obs.Registry) (string, string, error) {
+			cfg := StabilizeConfig{Seed: 3, Scrambles: 8, MaxStates: 1 << 12, MaxDepth: 10, Obs: reg}
+			cfg.normalize()
+			roots, lanes, err := corruptedRoots(alphaproto.MustNew(2), seq.FromInts(0, 1), channel.KindDel, cfg)
 			if err != nil {
-				return "", err
+				return "", "", err
 			}
-			return fmt.Sprintf("%+v\n%s", *res, witnessString(res.Witness)), nil
+			sys := warmSystem(t, roots[len(roots)-1], seed)
+			res, err := stabilize(sys, roots, lanes, cfg)
+			if err != nil {
+				return "", "", err
+			}
+			return numbering(t, sys, roots[0]), fmt.Sprintf("%+v\n%s", *res, witnessString(res.Witness)), nil
 		},
 	}
 	for scope, run := range runs {
 		t.Run(scope, func(t *testing.T) {
 			t.Parallel()
-			want, byWorker1 := "", int64(0)
-			for rep := 0; rep < 20; rep++ {
-				for _, workers := range []int{1, 2, 4} {
-					reg := obs.NewRegistry()
-					got, err := run(EngineConfig{Workers: workers, Obs: reg})
-					if err != nil {
-						t.Fatal(err)
-					}
-					c := reg.Snapshot().Counters
-					got += fmt.Sprintf("\ndedup hits %d misses %d", c["mc_"+scope+"_dedup_hits_total"], c["mc_"+scope+"_dedup_misses_total"])
-					if want == "" {
-						want = got
-					} else if got != want {
-						t.Fatalf("repetition %d, workers=%d:\ngot  %s\nwant %s", rep, workers, got, want)
-					}
-					byWorker1 += c[fmt.Sprintf(`mc_worker_expansions_total{scope=%q,worker="1"}`, scope)]
+			want, fresh, renumbered := "", "", false
+			for seed := int64(0); seed < 6; seed++ {
+				reg := obs.NewRegistry()
+				ids, got, err := run(t, seed, reg)
+				if err != nil {
+					t.Fatal(err)
 				}
+				c := reg.Snapshot().Counters
+				got += fmt.Sprintf("\ndedup hits %d misses %d", c["mc_"+scope+"_dedup_hits_total"], c["mc_"+scope+"_dedup_misses_total"])
+				if seed == 0 {
+					want, fresh = got, ids
+				} else if got != want {
+					t.Fatalf("warm-up seed %d:\ngot  %s\nwant %s", seed, got, want)
+				}
+				renumbered = renumbered || ids != fresh
 			}
-			if byWorker1 == 0 {
-				t.Error("no second worker ever expanded a node: the fixture is too small to leave the in-line path")
+			if !renumbered {
+				t.Errorf("every system numbered the probe walk %s: the warm-ups did not vary the numbering", fresh)
 			}
 		})
 	}
@@ -316,32 +343,29 @@ func TestFailedRunStillPublishesMetrics(t *testing.T) {
 		NewReceiver: func() (protocol.Receiver, error) { return idleReceiver{}, nil },
 	}
 	x := seq.FromInts(0, 1)
-	for _, workers := range []int{1, 2} {
-		engine := func(reg *obs.Registry) EngineConfig { return EngineConfig{Workers: workers, Obs: reg} }
-		runs := map[string]func(reg *obs.Registry) error{
-			"explore": func(reg *obs.Registry) error {
-				_, err := Explore(spec, x, channel.KindDel, ExploreConfig{MaxDepth: 8, EngineConfig: engine(reg)})
-				return err
-			},
-			"refute": func(reg *obs.Registry) error {
-				_, err := Refute(spec, x, seq.FromInts(1), channel.KindDel, ExploreConfig{MaxDepth: 8, EngineConfig: engine(reg)})
-				return err
-			},
-			"stabilize": func(reg *obs.Registry) error {
-				_, err := CheckStabilize(spec, x, channel.KindDel, StabilizeConfig{MaxDepth: 8, Scrambles: 1, ChannelJunk: 1, EngineConfig: engine(reg)})
-				return err
-			},
+	runs := map[string]func(reg *obs.Registry) error{
+		"explore": func(reg *obs.Registry) error {
+			_, err := Explore(spec, x, channel.KindDel, ExploreConfig{MaxDepth: 8, Obs: reg})
+			return err
+		},
+		"refute": func(reg *obs.Registry) error {
+			_, err := Refute(spec, x, seq.FromInts(1), channel.KindDel, ExploreConfig{MaxDepth: 8, Obs: reg})
+			return err
+		},
+		"stabilize": func(reg *obs.Registry) error {
+			_, err := CheckStabilize(spec, x, channel.KindDel, StabilizeConfig{MaxDepth: 8, Scrambles: 1, ChannelJunk: 1, Obs: reg})
+			return err
+		},
+	}
+	for scope, run := range runs {
+		reg := obs.NewRegistry()
+		err := run(reg)
+		if err == nil || !strings.Contains(err.Error(), `"rogue" outside M^S`) {
+			t.Fatalf("%s: error %v, want the out-of-alphabet send", scope, err)
 		}
-		for scope, run := range runs {
-			reg := obs.NewRegistry()
-			err := run(reg)
-			if err == nil || !strings.Contains(err.Error(), `"rogue" outside M^S`) {
-				t.Fatalf("%s workers=%d: error %v, want the out-of-alphabet send", scope, workers, err)
-			}
-			counters := reg.Snapshot().Counters
-			if counters["mc_"+scope+"_runs_total"] != 1 || counters["mc_"+scope+"_states_total"] == 0 {
-				t.Errorf("%s workers=%d: a failed run published %v", scope, workers, counters)
-			}
+		counters := reg.Snapshot().Counters
+		if counters["mc_"+scope+"_runs_total"] != 1 || counters["mc_"+scope+"_states_total"] == 0 {
+			t.Errorf("%s: a failed run published %v", scope, counters)
 		}
 	}
 }

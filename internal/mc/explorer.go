@@ -21,11 +21,11 @@
 package mc
 
 import (
-	"cmp"
 	"fmt"
 	"strings"
 
 	"seqtx/internal/channel"
+	"seqtx/internal/obs"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
 	"seqtx/internal/sim"
@@ -74,9 +74,11 @@ type ExploreConfig struct {
 	MaxDepth int
 	// MaxStates caps the visited-state count (0 = 1<<20).
 	MaxStates int
-	// EngineConfig selects the worker count (see its doc; results are
-	// identical for every setting).
-	EngineConfig
+	// Obs, when non-nil, receives engine metrics (states visited, dedup
+	// hits and misses, frontier sizes, states/sec) and per-level BFS
+	// events, flushed once per run; nil disables them for the cost of a
+	// few branches.
+	Obs *obs.Registry
 }
 
 func (c *ExploreConfig) normalize() error {
@@ -104,17 +106,11 @@ type exploreNode struct {
 
 func (n exploreNode) key() exploreKey { return exploreKey{n.st, n.tape.Len} }
 
-// exploreCand is one expanded transition awaiting the in-order merge.
-type exploreCand struct {
-	exploreNode
-	link
-}
-
 // Explore runs exhaustive BFS from the initial state of (spec, input,
 // kind), checking the safety property in every state. States are kept by
-// identity in a tabulated system (sim.System); levels are expanded across
-// cfg.Workers goroutines and merged deterministically, so the result is
-// identical for every worker count (Workers == 1 runs in-line).
+// identity in a tabulated system (sim.System) and expanded level by
+// level, each node's moves in Moves order: a deterministic function of
+// its arguments.
 func Explore(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg ExploreConfig) (*ExploreResult, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -127,11 +123,16 @@ func Explore(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg ExploreCo
 	if err != nil {
 		return nil, err
 	}
-	sys := sim.NewSystem(w)
+	return explore(sim.NewSystem(w), w, cfg)
+}
+
+// explore is Explore (cfg normalized) from w in sys, a system of w's spec
+// and link that may already hold anything: a search compares ids and
+// never orders them, so results do not depend on what was filed before.
+func explore(sys *sim.System, w *sim.World, cfg ExploreConfig) (*ExploreResult, error) {
+	input := w.Input
 	res := &ExploreResult{States: 1}
-	workers := cfg.workerCount()
-	scratch := newScratch(sys, workers)
-	em := newEngineMetrics(cfg.Obs, "explore", workers, true)
+	em := newEngineMetrics(cfg.Obs, "explore", true)
 	defer em.flush()
 	em.noteMerge(true) // the root state
 
@@ -140,79 +141,56 @@ func Explore(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg ExploreCo
 	nodes := []exploreNode{{st: sys.Intern(w), tape: sim.TapeOf(w)}}
 	links := []link{{parent: -1}}
 	seen := map[exploreKey]struct{}{nodes[0].key(): {}}
-	var bufs [][]exploreCand // per-worker staged candidates, reused across levels
-	var failed error
-	depth := 0
+	var moves []sim.Move
 
-	// merge admits one candidate, replicating the sequential child
-	// processing exactly: violation and completion checks come before
-	// dedup, dedup before the state cap, and a capped-out NEW child sets
-	// Truncated without being inserted.
-	merge := func(c exploreCand) bool {
-		if c.tape.Violated && res.Violation == nil {
-			acts := append(path(scratch[0].r, links, c.parent), scratch[0].r.Action(c.mv))
-			bad, err := replay(w, acts)
-			if err != nil {
-				failed = err // the tables and World.Apply disagree
-				return false
-			}
-			res.Violation = &Witness{Input: input.Clone(), Actions: acts, Output: bad.Output, Err: bad.SafetyViolation}
-		}
-		if c.tape.Complete(input) {
-			res.CompletedState = true
-		}
-		if _, dup := seen[c.key()]; dup {
-			em.noteMerge(false)
-			return true
-		}
-		if res.States >= cfg.MaxStates {
-			res.Truncated = true
-			return true
-		}
-		em.noteMerge(true)
-		seen[c.key()] = struct{}{}
-		res.States++
-		res.Depth = depth + 1
-		nodes = append(nodes, c.exploreNode)
-		links = append(links, c.link)
-		return true
-	}
-
-	for lo := 0; lo < len(nodes); depth++ {
+	for lo, depth := 0, 0; lo < len(nodes); depth++ {
 		if depth >= cfg.MaxDepth {
 			res.Truncated = true
 			break
 		}
-		level := nodes[lo:]
-		err := runLevel(workers, len(level), &bufs, func(worker, i int, emit func(exploreCand) bool) error {
-			em.noteExpand(worker)
-			ws, cur := &scratch[worker], level[i]
-			ws.moves = ws.r.Moves(ws.moves[:0], cur.st)
-			for _, mv := range ws.moves {
-				step, err := ws.r.Step(cur.st, mv)
+		hi := len(nodes)
+		for i := lo; i < hi; i++ {
+			cur := nodes[i]
+			moves = sys.Moves(moves[:0], cur.st)
+			for _, mv := range moves {
+				step, err := sys.Step(cur.st, mv)
 				if err != nil {
-					return fmt.Errorf("mc: applying %s: %w", ws.r.Action(mv), err)
+					return nil, fmt.Errorf("mc: applying %s: %w", sys.Action(mv), err)
 				}
+				// Violation and completion checks come before dedup (the
+				// violation flag is not part of a state's identity), dedup
+				// before the state cap, and a capped-out NEW child sets
+				// Truncated without being inserted.
 				child := exploreNode{st: step.Next, tape: cur.tape.Write(input, step.Writes)}
-				// Five successors in six are of states already visited. The
-				// visited set only grows, so one seen here is still one at
-				// the merge, which would only count it — unless it breaks
-				// safety or completes, which the merge looks at first.
-				if _, dup := seen[child.key()]; dup && !child.tape.Violated && !child.tape.Complete(input) {
-					em.noteDup(worker)
+				if child.tape.Violated && res.Violation == nil {
+					acts := append(path(sys, links, int32(i)), sys.Action(mv))
+					bad, err := replay(w, acts)
+					if err != nil {
+						return nil, err // the tables and World.Apply disagree
+					}
+					res.Violation = &Witness{Input: input.Clone(), Actions: acts, Output: bad.Output, Err: bad.SafetyViolation}
+				}
+				if child.tape.Complete(input) {
+					res.CompletedState = true
+				}
+				if _, dup := seen[child.key()]; dup {
+					em.noteMerge(false)
 					continue
 				}
-				if !emit(exploreCand{child, link{int32(lo + i), mv}}) {
-					break
+				if res.States >= cfg.MaxStates {
+					res.Truncated = true
+					continue
 				}
+				em.noteMerge(true)
+				seen[child.key()] = struct{}{}
+				res.States++
+				res.Depth = depth + 1
+				nodes = append(nodes, child)
+				links = append(links, link{int32(i), mv})
 			}
-			return nil
-		}, merge)
-		if err = cmp.Or(err, failed); err != nil {
-			return nil, err
 		}
-		em.noteLevel(depth, len(level))
-		lo += len(level)
+		em.noteLevel(depth, hi-lo)
+		lo = hi
 	}
 	return res, nil
 }

@@ -24,16 +24,15 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/statespace_golden.json")
 
+var goldenPath = filepath.Join("testdata", "statespace_golden.json")
+
 // goldenKinds is engineKinds plus the bounded channel: every model whose
 // state representation a refactor could touch.
 var goldenKinds = append(append([]channel.Kind(nil), engineKinds...), channel.KindBounded)
 
-// goldenWorkers are the worker counts every cell must agree across.
-var goldenWorkers = []int{1, 2}
-
 // TestStateSpaceGolden pins the explored state spaces to a committed
 // table: state counts, depths, truncation and verdicts for the zoo ×
-// kinds cells of the worker-equivalence tests (at Workers 1 and 2), plus
+// kinds cells of the equivalence tests (each run twice from scratch), plus
 // the Refute, CheckBounded, CheckStabilize and CheckProgress fixtures. A
 // change to how worlds, halves or processes are represented or keyed
 // must reproduce it without -update-golden: a merged or split state
@@ -45,37 +44,24 @@ func TestStateSpaceGolden(t *testing.T) {
 		got = make(map[string]string)
 	)
 	t.Run("cells", func(t *testing.T) {
-		// cell runs one golden row at every worker count and records the
+		// cell runs one golden row twice from scratch and records the
 		// (identical) verdict line.
-		cell := func(name string, run func(workers int) (string, error)) {
+		cell := func(name string, run func() (string, error)) {
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				var line string
-				for _, workers := range goldenWorkers {
-					l, err := run(workers)
-					if err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
-					}
-					if line != "" && l != line {
-						t.Fatalf("workers=%d diverged:\ngot  %s\nwant %s", workers, l, line)
-					}
-					line = l
-				}
+				line := runTwice(t, run)
 				mu.Lock()
 				got[name] = line
 				mu.Unlock()
 			})
 		}
 		exploreCell := func(name string, spec protocol.Spec, input seq.Seq, kind channel.Kind, depth, states int) {
-			cell(name, func(workers int) (string, error) {
-				res, err := Explore(spec, input, kind, ExploreConfig{
-					MaxDepth: depth, MaxStates: states, EngineConfig: EngineConfig{Workers: workers},
-				})
+			cell(name, func() (string, error) {
+				res, err := Explore(spec, input, kind, ExploreConfig{MaxDepth: depth, MaxStates: states})
 				if err != nil {
 					return "", err
 				}
-				return fmt.Sprintf("states=%d depth=%d truncated=%v completed=%v violation=%s",
-					res.States, res.Depth, res.Truncated, res.CompletedState, witnessLen(res.Violation)), nil
+				return exploreLine(res), nil
 			})
 		}
 		params := registry.Params{M: 2, Timeout: 3, Window: 2}
@@ -108,19 +94,12 @@ func TestStateSpaceGolden(t *testing.T) {
 			}
 			for _, kind := range goldenKinds {
 				tc, kind := tc, kind
-				cell(fmt.Sprintf("refute/%s/%s", tc.proto, kind), func(workers int) (string, error) {
-					res, err := Refute(spec, tc.x1, tc.x2, kind, ExploreConfig{
-						MaxDepth: 6, MaxStates: 4000, EngineConfig: EngineConfig{Workers: workers},
-					})
+				cell(fmt.Sprintf("refute/%s/%s", tc.proto, kind), func() (string, error) {
+					res, err := Refute(spec, tc.x1, tc.x2, kind, ExploreConfig{MaxDepth: 6, MaxStates: 4000})
 					if err != nil {
 						return "", err
 					}
-					v := "none"
-					if res.Violation != nil {
-						v = fmt.Sprintf("%d-steps-on-%s", len(res.Violation.Actions), res.Violation.ViolatedInput)
-					}
-					return fmt.Sprintf("states=%d depth=%d truncated=%v violation=%s",
-						res.States, res.Depth, res.Truncated, v), nil
+					return refuteLine(res), nil
 				})
 			}
 		}
@@ -143,9 +122,8 @@ func TestStateSpaceGolden(t *testing.T) {
 		}
 		for _, tc := range boundeds {
 			tc := tc
-			cell("bounded/"+tc.name, func(workers int) (string, error) {
+			cell("bounded/"+tc.name, func() (string, error) {
 				cfg := tc.cfg
-				cfg.Workers = workers
 				if tc.drop {
 					cfg.Sampler = sim.NewBudgetDropper(1, 1)
 				}
@@ -153,17 +131,7 @@ func TestStateSpaceGolden(t *testing.T) {
 				if err != nil {
 					return "", err
 				}
-				pos := make([]int, 0, len(rep.PerPosition))
-				for p := range rep.PerPosition {
-					pos = append(pos, p)
-				}
-				sort.Ints(pos)
-				per := ""
-				for _, p := range pos {
-					per += fmt.Sprintf(" %d:%d", p, rep.PerPosition[p])
-				}
-				return fmt.Sprintf("samples=%d maxRecovery=%d unrecovered=%d perPosition=[%s ]",
-					rep.Samples, rep.MaxRecovery, rep.Unrecovered, per), nil
+				return boundedLine(rep), nil
 			})
 		}
 
@@ -182,16 +150,12 @@ func TestStateSpaceGolden(t *testing.T) {
 		}
 		for _, tc := range stabs {
 			tc := tc
-			cell("stabilize/"+tc.name, func(workers int) (string, error) {
-				cfg := tc.cfg
-				cfg.Workers = workers
-				res, err := CheckStabilize(tc.spec, tc.input, tc.kind, cfg)
+			cell("stabilize/"+tc.name, func() (string, error) {
+				res, err := CheckStabilize(tc.spec, tc.input, tc.kind, tc.cfg)
 				if err != nil {
 					return "", err
 				}
-				return fmt.Sprintf("roots=%d states=%d depth=%d truncated=%v badWrites=%d lastBadDepth=%d refuted=%v cycle=%d convergedRoots=%d",
-					res.Roots, res.States, res.Depth, res.Truncated, res.BadWrites, res.LastBadDepth,
-					res.Refuted, res.WitnessCycleLen, res.ConvergedRoots), nil
+				return stabilizeLine(res), nil
 			})
 		}
 
@@ -209,7 +173,7 @@ func TestStateSpaceGolden(t *testing.T) {
 		}
 		for _, tc := range progresses {
 			tc := tc
-			cell("progress/"+tc.name, func(int) (string, error) {
+			cell("progress/"+tc.name, func() (string, error) {
 				res, err := CheckProgress(tc.spec, tc.input, tc.kind, tc.cfg)
 				if err != nil {
 					return "", err
@@ -223,7 +187,6 @@ func TestStateSpaceGolden(t *testing.T) {
 		return
 	}
 
-	path := filepath.Join("testdata", "statespace_golden.json")
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -232,18 +195,11 @@ func TestStateSpaceGolden(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update-golden)", err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("golden file does not unmarshal: %v", err)
-	}
+	want := readGolden(t)
 	for name, w := range want {
 		if g, ok := got[name]; !ok {
 			t.Errorf("golden cell %s no longer produced", name)
@@ -256,6 +212,55 @@ func TestStateSpaceGolden(t *testing.T) {
 			t.Errorf("cell %s missing from the golden table (regenerate with -update-golden)", name)
 		}
 	}
+}
+
+// readGolden loads the committed table.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update-golden)", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("golden file does not unmarshal: %v", err)
+	}
+	return want
+}
+
+// The golden table's verdict lines, one renderer per engine.
+
+func exploreLine(res *ExploreResult) string {
+	return fmt.Sprintf("states=%d depth=%d truncated=%v completed=%v violation=%s",
+		res.States, res.Depth, res.Truncated, res.CompletedState, witnessLen(res.Violation))
+}
+
+func refuteLine(res *ProductResult) string {
+	v := "none"
+	if res.Violation != nil {
+		v = fmt.Sprintf("%d-steps-on-%s", len(res.Violation.Actions), res.Violation.ViolatedInput)
+	}
+	return fmt.Sprintf("states=%d depth=%d truncated=%v violation=%s", res.States, res.Depth, res.Truncated, v)
+}
+
+func boundedLine(rep *BoundedReport) string {
+	pos := make([]int, 0, len(rep.PerPosition))
+	for p := range rep.PerPosition {
+		pos = append(pos, p)
+	}
+	sort.Ints(pos)
+	per := ""
+	for _, p := range pos {
+		per += fmt.Sprintf(" %d:%d", p, rep.PerPosition[p])
+	}
+	return fmt.Sprintf("samples=%d maxRecovery=%d unrecovered=%d perPosition=[%s ]",
+		rep.Samples, rep.MaxRecovery, rep.Unrecovered, per)
+}
+
+func stabilizeLine(res *StabilizeResult) string {
+	return fmt.Sprintf("roots=%d states=%d depth=%d truncated=%v badWrites=%d lastBadDepth=%d refuted=%v cycle=%d convergedRoots=%d",
+		res.Roots, res.States, res.Depth, res.Truncated, res.BadWrites, res.LastBadDepth,
+		res.Refuted, res.WitnessCycleLen, res.ConvergedRoots)
 }
 
 func mustSpec(spec protocol.Spec, err error) protocol.Spec {

@@ -1,7 +1,6 @@
 package mc
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -102,10 +101,10 @@ type productMove struct {
 	mv, right sim.Move
 }
 
-func (pm productMove) action(r *sim.Reader) ProductAction {
-	pa := ProductAction{Side: pm.side, Act: r.Action(pm.mv)}
+func (pm productMove) action(sys *sim.System) ProductAction {
+	pa := ProductAction{Side: pm.side, Act: sys.Action(pm.mv)}
 	if pm.side == Both {
-		pa.ActRight = r.Action(pm.right)
+		pa.ActRight = sys.Action(pm.right)
 	}
 	return pa
 }
@@ -129,12 +128,6 @@ func (n productNode) key() productKey { return productKey{n.st1, n.st2, n.t1.Len
 type productLink struct {
 	parent int32
 	pm     productMove
-}
-
-// productCand is one expanded product transition awaiting the merge.
-type productCand struct {
-	productNode
-	productLink
 }
 
 // Refute explores the synchronized product of the runs of (spec, x1) and
@@ -167,85 +160,72 @@ func Refute(spec protocol.Spec, x1, x2 seq.Seq, kind channel.Kind, cfg ExploreCo
 	if err != nil {
 		return nil, err
 	}
-	sys := sim.NewSystem(w1)
+	return refute(sim.NewSystem(w1), w1, w2, cfg)
+}
+
+// refute is Refute from the pair (w1, w2) in sys (see explore).
+func refute(sys *sim.System, w1, w2 *sim.World, cfg ExploreConfig) (*ProductResult, error) {
+	x1, x2 := w1.Input, w2.Input
 	res := &ProductResult{States: 1}
-	workers := cfg.workerCount()
-	scratch := newScratch(sys, workers)
-	em := newEngineMetrics(cfg.Obs, "refute", workers, true)
+	em := newEngineMetrics(cfg.Obs, "refute", true)
 	defer em.flush()
 	em.noteMerge(true) // the root product state
 
 	nodes := []productNode{{st1: sys.Intern(w1), st2: sys.Intern(w2), t1: sim.TapeOf(w1), t2: sim.TapeOf(w2)}}
 	links := []productLink{{parent: -1}}
 	seen := map[productKey]struct{}{nodes[0].key(): {}}
-	var bufs [][]productCand // per-worker staged candidates, reused across levels
-	var failed error
-	depth := 0
+	var moves []sim.Move
+	var pmoves []productMove
 
-	merge := func(c productCand) bool {
-		if (c.t1.Violated || c.t2.Violated) && res.Violation == nil {
-			if res.Violation, failed = productWitness(scratch[0].r, w1, w2, links, c); failed != nil {
-				return false
-			}
-		}
-		if _, dup := seen[c.key()]; dup {
-			em.noteMerge(false)
-			return true
-		}
-		if res.States >= cfg.MaxStates {
-			res.Truncated = true
-			return true
-		}
-		em.noteMerge(true)
-		seen[c.key()] = struct{}{}
-		res.States++
-		res.Depth = depth + 1
-		nodes = append(nodes, c.productNode)
-		links = append(links, c.productLink)
-		return true
-	}
-
-	for lo := 0; lo < len(nodes); depth++ {
+	for lo, depth := 0, 0; lo < len(nodes); depth++ {
 		if depth >= cfg.MaxDepth {
 			res.Truncated = true
 			break
 		}
-		level := nodes[lo:]
-		err := runLevel(workers, len(level), &bufs, func(worker, i int, emit func(productCand) bool) error {
-			em.noteExpand(worker)
-			ws, cur := &scratch[worker], level[i]
-			ws.pmoves = appendProductMoves(ws.pmoves[:0], ws, cur.st1, cur.st2)
-			for _, pm := range ws.pmoves {
-				child, err := applyProduct(ws.r, cur, pm, x1, x2)
+		hi := len(nodes)
+		for i := lo; i < hi; i++ {
+			cur := nodes[i]
+			moves, pmoves = appendProductMoves(sys, moves[:0], pmoves[:0], cur.st1, cur.st2)
+			for _, pm := range pmoves {
+				child, err := applyProduct(sys, cur, pm, x1, x2)
 				if err != nil {
-					return err
+					return nil, err
 				}
-				if _, dup := seen[child.key()]; dup && !child.t1.Violated && !child.t2.Violated {
-					em.noteDup(worker) // see Explore
+				via := productLink{int32(i), pm}
+				if (child.t1.Violated || child.t2.Violated) && res.Violation == nil { // before dedup: see Explore
+					if res.Violation, err = productWitness(sys, w1, w2, links, child, via); err != nil {
+						return nil, err
+					}
+				}
+				if _, dup := seen[child.key()]; dup {
+					em.noteMerge(false)
 					continue
 				}
-				if !emit(productCand{child, productLink{int32(lo + i), pm}}) {
-					break
+				if res.States >= cfg.MaxStates {
+					res.Truncated = true
+					continue
 				}
+				em.noteMerge(true)
+				seen[child.key()] = struct{}{}
+				res.States++
+				res.Depth = depth + 1
+				nodes = append(nodes, child)
+				links = append(links, via)
 			}
-			return nil
-		}, merge)
-		if err = cmp.Or(err, failed); err != nil {
-			return nil, err
 		}
-		em.noteLevel(depth, len(level))
-		lo += len(level)
+		em.noteLevel(depth, hi-lo)
+		lo = hi
 	}
 	return res, nil
 }
 
-// productWitness turns candidate c, one of whose runs has left its
-// input, into the counterexample pair: the product path to it, and the
-// broken run (the first when both broke) replayed for its tape.
-func productWitness(r *sim.Reader, w1, w2 *sim.World, links []productLink, c productCand) (*ProductWitness, error) {
-	acts := []ProductAction{c.pm.action(r)}
-	for i := c.parent; links[i].parent >= 0; i = links[i].parent {
-		acts = append(acts, links[i].pm.action(r))
+// productWitness turns node c reached by via, one of whose runs has left
+// its input, into the counterexample pair: the product path to it, and
+// the broken run (the first when both broke) replayed for its tape.
+func productWitness(sys *sim.System, w1, w2 *sim.World, links []productLink, c productNode, via productLink) (*ProductWitness, error) {
+	acts := []ProductAction{via.pm.action(sys)}
+	for i := via.parent; links[i].parent >= 0; i = links[i].parent {
+		acts = append(acts, links[i].pm.action(sys))
 	}
 	slices.Reverse(acts)
 	bad, side := w1, Left
@@ -280,12 +260,13 @@ func feedsReceiver(mv sim.Move) bool {
 // run that R cannot see, on that run alone (sender ticks, deliveries to
 // S, drops in both directions), then the receiver-visible events applied
 // to both runs — a tick, and every way the two runs can each deliver the
-// same message. It appends to buf (a reused per-worker buffer).
-func appendProductMoves(buf []productMove, ws *workerScratch, st1, st2 sim.State) []productMove {
-	ws.moves = ws.r.Moves(ws.moves[:0], st1)
-	n1 := len(ws.moves)
-	ws.moves = ws.r.Moves(ws.moves, st2)
-	moves1, moves2 := ws.moves[:n1], ws.moves[n1:]
+// same message. It appends the runs' own moves to moves and the product
+// moves to buf (both reused across nodes) and returns the two.
+func appendProductMoves(sys *sim.System, moves []sim.Move, buf []productMove, st1, st2 sim.State) ([]sim.Move, []productMove) {
+	moves = sys.Moves(moves, st1)
+	n1 := len(moves)
+	moves = sys.Moves(moves, st2)
+	moves1, moves2 := moves[:n1], moves[n1:]
 	for _, mv := range moves1 {
 		if mv.Kind != trace.ActTickR && !feedsReceiver(mv) {
 			buf = append(buf, productMove{side: Left, mv: mv})
@@ -308,15 +289,15 @@ func appendProductMoves(buf []productMove, ws *workerScratch, st1, st2 sim.State
 			}
 		}
 	}
-	return buf
+	return moves, buf
 }
 
 // applyProduct steps the run(s) pm names and returns the child pair.
-func applyProduct(r *sim.Reader, n productNode, pm productMove, x1, x2 seq.Seq) (productNode, error) {
+func applyProduct(sys *sim.System, n productNode, pm productMove, x1, x2 seq.Seq) (productNode, error) {
 	step := func(st *sim.State, t *sim.Tape, x seq.Seq, mv sim.Move, side string) error {
-		s, err := r.Step(*st, mv)
+		s, err := sys.Step(*st, mv)
 		if err != nil {
-			return fmt.Errorf("mc: product %s %s: %w", side, r.Action(mv), err)
+			return fmt.Errorf("mc: product %s %s: %w", side, sys.Action(mv), err)
 		}
 		*st, *t = s.Next, t.Write(x, s.Writes)
 		return nil
@@ -334,7 +315,7 @@ func applyProduct(r *sim.Reader, n productNode, pm productMove, x1, x2 seq.Seq) 
 		if err == nil && n.st1.R != n.st2.R {
 			err = fmt.Errorf(
 				"mc: receiver states diverged under identical views (%s vs %s): protocol is nondeterministic",
-				r.World(n.st1).R.Key(), r.World(n.st2).R.Key())
+				sys.World(n.st1).R.Key(), sys.World(n.st2).R.Key())
 		}
 	}
 	return n, err

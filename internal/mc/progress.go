@@ -55,7 +55,6 @@ func CheckProgressFrom(w *sim.World, cfg ExploreConfig) (*ProgressResult, error)
 	}
 	input := w.Input
 	sys := sim.NewSystem(w)
-	r := sys.Reader()
 
 	// The reachable graph, nodes in BFS order: identity and tape, the
 	// discovery link (one shortest path from the root), every parent, and
@@ -73,11 +72,11 @@ func CheckProgressFrom(w *sim.World, cfg ExploreConfig) (*ProgressResult, error)
 			continue
 		}
 		n := nodes[cur]
-		moves = r.Moves(moves[:0], n.st)
+		moves = sys.Moves(moves[:0], n.st)
 		for _, mv := range moves {
-			step, err := r.Step(n.st, mv)
+			step, err := sys.Step(n.st, mv)
 			if err != nil {
-				return nil, fmt.Errorf("mc: applying %s: %w", r.Action(mv), err)
+				return nil, fmt.Errorf("mc: applying %s: %w", sys.Action(mv), err)
 			}
 			child := exploreNode{st: step.Next, tape: n.tape.Write(input, step.Writes)}
 			if id, ok := index[child.key()]; ok {
@@ -121,7 +120,7 @@ func CheckProgressFrom(w *sim.World, cfg ExploreConfig) (*ProgressResult, error)
 		}
 		res.Doomed++
 		if res.DoomedWitness == nil {
-			acts := path(r, links, int32(i))
+			acts := path(sys, links, int32(i))
 			doomed, err := replay(w, acts)
 			if err != nil {
 				return nil, err

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"seqtx/internal/channel"
 	"seqtx/internal/msg"
@@ -178,10 +177,6 @@ type SearchConfig struct {
 	// space (default: GOMAXPROCS). The tally is independent of the worker
 	// count — receivers are judged in isolation.
 	Parallelism int
-	// Engine configures the per-candidate safety explorations. Workers
-	// defaults to 1 here, not GOMAXPROCS: the receiver pool above already
-	// saturates the cores, so nested level parallelism only adds overhead.
-	Engine EngineConfig
 }
 
 // SearchResult tallies the outcome.
@@ -211,33 +206,17 @@ func SearchProtocols(cfg SearchConfig) (*SearchResult, error) {
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Engine.Workers == 0 {
-		cfg.Engine.Workers = 1
-	}
 	// Hardest input first: most receivers die on 0.0 without paying for
 	// the rest.
 	inputs := []seq.Seq{seq.FromInts(0, 0), seq.FromInts(0), {}}
 	senders := enumerateSenderTables(cfg.SenderStates)
 	receivers := enumerateReceiverTables(cfg.ReceiverStates)
 
-	// Receivers are independent: judge them across a worker pool.
+	// Receivers are independent: judge them side by side.
 	verdicts := make([]receiverVerdict, len(receivers))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ri := range work {
-				verdicts[ri] = judgeReceiver(receivers[ri], senders, inputs, cfg)
-			}
-		}()
-	}
-	for ri := range receivers {
-		work <- ri
-	}
-	close(work)
-	wg.Wait()
+	sim.ForEach(len(receivers), cfg.Parallelism, func(ri int) {
+		verdicts[ri] = judgeReceiver(receivers[ri], senders, inputs, cfg)
+	})
 
 	res := &SearchResult{Receivers: len(receivers)}
 	for _, v := range verdicts {
@@ -370,7 +349,7 @@ func candidateWorks(st fsmSenderTable, rt fsmReceiverTable, input seq.Seq, cfg S
 		return false, nil
 	}
 	// Exhaustive safety to depth.
-	ex, err := Explore(spec, input, cfg.Kind, ExploreConfig{MaxDepth: cfg.Depth, MaxStates: 1 << 16, EngineConfig: cfg.Engine})
+	ex, err := Explore(spec, input, cfg.Kind, ExploreConfig{MaxDepth: cfg.Depth, MaxStates: 1 << 16})
 	if err != nil {
 		return false, err
 	}

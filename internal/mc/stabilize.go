@@ -7,6 +7,7 @@ import (
 
 	"seqtx/internal/channel"
 	"seqtx/internal/faults"
+	"seqtx/internal/obs"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
 	"seqtx/internal/sim"
@@ -78,9 +79,8 @@ type StabilizeConfig struct {
 	// derived per root via faults.SubSeed, so one seed reproduces the
 	// whole frontier).
 	Seed int64
-	// EngineConfig selects the worker count (results are identical for
-	// every setting).
-	EngineConfig
+	// Obs, when non-nil, receives engine metrics (see ExploreConfig.Obs).
+	Obs *obs.Registry
 }
 
 func (c *StabilizeConfig) normalize() {
@@ -159,33 +159,26 @@ type stabNode struct {
 	align alignState
 }
 
-// stabCand is one expanded transition awaiting the in-order merge. Its
-// link is how it was reached — also the discovery record of a node it
-// turns into, which makes discovery stems shortest paths from the roots.
-type stabCand struct {
-	stabNode
-	link
-	bad bool
-}
-
 // CheckStabilize explores the corrupted-frontier quotient graph of
 // (spec, input, kind) and decides self-stabilization over it. Roots are
 // built by scrambling both processes (protocol.ScrambleState) and seeding
 // the link with in-alphabet junk; protocols without Scrambler hooks fall
 // back to initial-state roots (amnesia), which still exercises channel
-// corruption. Levels are expanded across cfg.Workers goroutines with a
-// deterministic merge; results are identical for every worker count.
+// corruption.
 func CheckStabilize(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg StabilizeConfig) (*StabilizeResult, error) {
 	cfg.normalize()
-	res := &StabilizeResult{LastBadDepth: -1, WitnessRootScramble: -1, WitnessRootJunk: -1}
 	roots, lanes, err := corruptedRoots(spec, input, kind, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sys := sim.NewSystem(roots[0])
-	workers := cfg.workerCount()
-	scratch := newScratch(sys, workers)
-	em := newEngineMetrics(cfg.Obs, "stabilize", workers, true)
+	return stabilize(sim.NewSystem(roots[0]), roots, lanes, cfg)
+}
+
+// stabilize is CheckStabilize from the given roots in sys (see explore).
+func stabilize(sys *sim.System, roots []*sim.World, lanes [][2]int, cfg StabilizeConfig) (*StabilizeResult, error) {
+	input := roots[0].Input
+	res := &StabilizeResult{LastBadDepth: -1, WitnessRootScramble: -1, WitnessRootJunk: -1}
+	em := newEngineMetrics(cfg.Obs, "stabilize", true)
 	defer em.flush()
 
 	// Quotient bookkeeping: identity -> node id, the nodes in admission
@@ -196,84 +189,78 @@ func CheckStabilize(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg St
 	var links []link
 	var edges []stabEdge
 	var rootIDs []int32
-	var bufs [][]stabCand // per-worker staged candidates, reused across levels
-	depth := 0            // of the nodes a merge admits
+	depth := 0 // of the nodes being admitted
 
-	// merge admits one candidate: edges are recorded for every candidate
-	// (duplicates included — cycles live exactly there); only novel
-	// identities become nodes.
-	merge := func(c stabCand) bool {
-		id, seen := ids[c.stabNode]
+	// admit takes one transition into the graph: n reached by via (also
+	// the discovery record of a node n turns into, which makes discovery
+	// stems shortest paths from the roots), over a bad write or not. An
+	// edge is recorded for every transition (duplicates included — cycles
+	// live exactly there); only novel identities become nodes.
+	admit := func(n stabNode, via link, bad bool) {
+		id, seen := ids[n]
 		if !seen {
 			if len(nodes) >= cfg.MaxStates {
 				res.Truncated = true
 				// The edge's target is unexplored; drop it so the SCC
 				// analysis only reasons about materialized nodes.
-				return true
+				return
 			}
 			id = int32(len(nodes))
-			ids[c.stabNode] = id
-			nodes = append(nodes, c.stabNode)
-			links = append(links, c.link)
+			ids[n] = id
+			nodes = append(nodes, n)
+			links = append(links, via)
 			res.Depth = depth
-			em.noteMerge(true)
-		} else {
-			em.noteMerge(false)
 		}
-		if c.parent >= 0 {
-			edges = append(edges, stabEdge{from: c.parent, to: id, mv: c.mv, bad: c.bad})
-			if c.bad {
+		em.noteMerge(!seen)
+		if via.parent >= 0 {
+			edges = append(edges, stabEdge{from: via.parent, to: id, mv: via.mv, bad: bad})
+			if bad {
 				res.BadWrites++
 				res.LastBadDepth = depth
 			}
 		} else if !seen {
 			rootIDs = append(rootIDs, id)
 		}
-		return true
 	}
 
-	// Seed the frontier with corrupted roots through the same merge path.
+	// Seed the frontier with corrupted roots through the same path.
 	rootLane := make(map[int32][2]int)
 	for ri, w := range roots {
 		before := len(rootIDs)
-		merge(stabCand{stabNode: stabNode{st: sys.Intern(w)}, link: link{parent: -1}})
+		admit(stabNode{st: sys.Intern(w)}, link{parent: -1}, false)
 		if len(rootIDs) > before {
 			rootLane[rootIDs[len(rootIDs)-1]] = lanes[ri]
 		}
 	}
 	res.Roots = len(rootIDs)
 
+	var moves []sim.Move
 	for lo := 0; lo < len(nodes); {
 		if depth >= cfg.MaxDepth {
 			res.Truncated = true
 			break
 		}
-		level := nodes[lo:]
+		hi := len(nodes)
 		depth++
-		err := runLevel(workers, len(level), &bufs, func(worker, i int, emit func(stabCand) bool) error {
-			em.noteExpand(worker)
-			ws, cur := &scratch[worker], level[i]
-			ws.moves = ws.r.Moves(ws.moves[:0], cur.st)
-			for _, mv := range ws.moves {
-				step, err := ws.r.Step(cur.st, mv)
+		for i := lo; i < hi; i++ {
+			cur := nodes[i]
+			moves = sys.Moves(moves[:0], cur.st)
+			for _, mv := range moves {
+				step, err := sys.Step(cur.st, mv)
 				if err != nil {
-					return fmt.Errorf("mc: stabilize: applying %s: %w", ws.r.Action(mv), err)
+					return nil, fmt.Errorf("mc: stabilize: applying %s: %w", sys.Action(mv), err)
 				}
-				c := stabCand{stabNode: stabNode{step.Next, cur.align}, link: link{int32(lo + i), mv}}
+				child, bad := stabNode{step.Next, cur.align}, false
 				for _, v := range step.Writes {
-					var bad bool
-					c.align, bad = c.align.step(v, input)
-					c.bad = c.bad || bad
+					var b bool
+					child.align, b = child.align.step(v, input)
+					bad = bad || b
 				}
-				emit(c)
+				admit(child, link{int32(i), mv}, bad)
 			}
-			return nil
-		}, merge)
-		if err != nil {
-			return nil, err
 		}
-		em.noteLevel(depth-1, len(level))
-		lo += len(level)
+		em.noteLevel(depth-1, hi-lo)
+		lo = hi
 	}
 	res.States = len(nodes)
 	res.Exhausted = !res.Truncated
@@ -287,7 +274,7 @@ func CheckStabilize(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg St
 		}
 		if e.from == e.to || comp[e.from] == comp[e.to] {
 			res.Refuted = true
-			res.Witness, res.WitnessCycleLen = stabWitness(scratch[0].r, input, e, edges, links)
+			res.Witness, res.WitnessCycleLen = stabWitness(sys, input, e, edges, links)
 			root := e.from
 			for links[root].parent >= 0 {
 				root = links[root].parent
@@ -384,13 +371,13 @@ func corruptedRoots(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg St
 // discovery stem from a root to e.from, then e itself, then a shortest
 // path from e.to back to e.from (empty for a self-loop). The combined
 // action list replays to a run that can repeat its cycle forever.
-func stabWitness(r *sim.Reader, input seq.Seq, e stabEdge, edges []stabEdge, links []link) (*Witness, int) {
-	acts := append(path(r, links, e.from), r.Action(e.mv))
+func stabWitness(sys *sim.System, input seq.Seq, e stabEdge, edges []stabEdge, links []link) (*Witness, int) {
+	acts := append(path(sys, links, e.from), sys.Action(e.mv))
 	stemLen, cycleLen := len(acts)-1, 1
 	if e.to != e.from {
 		back := shortestPath(e.to, e.from, edges)
 		for _, mv := range back {
-			acts = append(acts, r.Action(mv))
+			acts = append(acts, sys.Action(mv))
 		}
 		cycleLen += len(back)
 	}

@@ -53,34 +53,22 @@ func TestStabilizingProvenOnBoundedChannel(t *testing.T) {
 	}
 }
 
-// TestStabilizeWorkerCountInvariant pins the engine contract for the new
-// mode: the verdict and the explored graph's shape are identical for
-// every worker count.
+// TestStabilizeWorkerCountInvariant pins the engine contract for the
+// stabilization mode: the verdict and the explored graph's shape are the
+// same in two runs, and the golden table's.
 func TestStabilizeWorkerCountInvariant(t *testing.T) {
 	t.Parallel()
 	spec, err := stab.New(2, channel.DefaultBoundedCap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	input := seq.FromInts(1, 0)
-	var base *StabilizeResult
-	for _, workers := range []int{1, 4} {
-		cfg := StabilizeConfig{Seed: 7, Scrambles: 8}
-		cfg.Workers = workers
-		res, err := CheckStabilize(spec, input, channel.KindBounded, cfg)
+	agreeTwice(t, "stabilize/stab2/bounded", func() (string, error) {
+		res, err := CheckStabilize(spec, seq.FromInts(1, 0), channel.KindBounded, StabilizeConfig{Seed: 7, Scrambles: 8})
 		if err != nil {
-			t.Fatal(err)
+			return "", err
 		}
-		if base == nil {
-			base = res
-			continue
-		}
-		if res.States != base.States || res.Depth != base.Depth ||
-			res.BadWrites != base.BadWrites || res.LastBadDepth != base.LastBadDepth ||
-			res.Refuted != base.Refuted || res.ConvergedRoots != base.ConvergedRoots {
-			t.Fatalf("workers=%d diverged: %+v vs %+v", workers, res, base)
-		}
-	}
+		return stabilizeLine(res) + "\n" + witnessString(res.Witness), nil
+	})
 }
 
 // TestStabRefutedOnUnboundedDup is the boundary of the positive claim:

@@ -19,7 +19,7 @@ const (
 )
 
 // splitName separates an optional baked-in label suffix from a metric
-// name: `foo{worker="3"}` -> (`foo`, `worker="3"`).
+// name: `foo{cause="x"}` -> (`foo`, `cause="x"`).
 func splitName(name string) (base, labels string) {
 	if i := strings.IndexByte(name, '{'); i >= 0 && strings.HasSuffix(name, "}") {
 		return name[:i], name[i+1 : len(name)-1]

@@ -16,8 +16,8 @@ import (
 func buildSnapshot() Snapshot {
 	r := NewRegistry()
 	r.Counter("soak_cells_total").Add(17)
-	r.Counter(`mc_worker_expansions_total{worker="0"}`).Add(5)
-	r.Counter(`mc_worker_expansions_total{worker="1"}`).Add(7)
+	r.Counter(`wire_frames_dropped_total{cause="foreign"}`).Add(5)
+	r.Counter(`wire_frames_dropped_total{cause="inbox_full"}`).Add(7)
 	r.Gauge("mc_explore_states_per_sec").Set(1234.5)
 	h := r.Histogram("sim_learn_time_steps", []float64{1, 2, 4})
 	h.Observe(1)
@@ -88,7 +88,7 @@ func TestWritePrometheusParses(t *testing.T) {
 	if got := series["soak_cells_total"]; got != 17 {
 		t.Errorf("soak_cells_total = %g", got)
 	}
-	if got := series[`mc_worker_expansions_total{worker="1"}`]; got != 7 {
+	if got := series[`wire_frames_dropped_total{cause="inbox_full"}`]; got != 7 {
 		t.Errorf("labeled counter = %g", got)
 	}
 	if got := series["mc_explore_states_per_sec"]; got != 1234.5 {

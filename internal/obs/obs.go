@@ -92,7 +92,7 @@ func NewRegistry() *Registry {
 
 // Counter returns (registering on first use) the named counter. Names may
 // carry a baked-in Prometheus label suffix, e.g.
-// `mc_worker_expansions_total{worker="3"}`.
+// `wire_frames_dropped_total{cause="inbox_full"}`.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil

@@ -13,7 +13,6 @@ package prob
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"seqtx/internal/chanmodel"
 	"seqtx/internal/channel"
@@ -137,43 +136,30 @@ func Run(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg Config) (Esti
 		err       error
 	}
 	outcomes := make([]outcome, cfg.Trials)
-	trials := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range trials {
-				var adv sim.Adversary
-				switch {
-				case cfg.Model != nil:
-					adv = chanmodel.NewAdversary(cfg.Model, cfg.Seed+int64(i))
-				case cfg.NewAdversary != nil:
-					adv = cfg.NewAdversary(i)
-				case cfg.DropWeight > 0:
-					adv = sim.NewFinDelay(sim.NewRandomDropper(cfg.Seed+int64(i), cfg.DropWeight), cfg.FairnessBudget)
-				default:
-					adv = sim.NewFinDelay(sim.NewRandom(cfg.Seed+int64(i)), cfg.FairnessBudget)
-				}
-				res, err := sim.RunProtocol(spec, input, kind, adv, sim.Config{
-					MaxSteps:         cfg.MaxSteps,
-					StopWhenComplete: true,
-				})
-				outcomes[i] = outcome{
-					violation: res.SafetyViolation != nil,
-					completed: res.OutputComplete,
-					steps:     res.Steps,
-					items:     len(res.Output),
-					err:       err,
-				}
-			}
-		}()
-	}
-	for i := 0; i < cfg.Trials; i++ {
-		trials <- i
-	}
-	close(trials)
-	wg.Wait()
+	sim.ForEach(cfg.Trials, cfg.Parallelism, func(i int) {
+		var adv sim.Adversary
+		switch {
+		case cfg.Model != nil:
+			adv = chanmodel.NewAdversary(cfg.Model, cfg.Seed+int64(i))
+		case cfg.NewAdversary != nil:
+			adv = cfg.NewAdversary(i)
+		case cfg.DropWeight > 0:
+			adv = sim.NewFinDelay(sim.NewRandomDropper(cfg.Seed+int64(i), cfg.DropWeight), cfg.FairnessBudget)
+		default:
+			adv = sim.NewFinDelay(sim.NewRandom(cfg.Seed+int64(i)), cfg.FairnessBudget)
+		}
+		res, err := sim.RunProtocol(spec, input, kind, adv, sim.Config{
+			MaxSteps:         cfg.MaxSteps,
+			StopWhenComplete: true,
+		})
+		outcomes[i] = outcome{
+			violation: res.SafetyViolation != nil,
+			completed: res.OutputComplete,
+			steps:     res.Steps,
+			items:     len(res.Output),
+			err:       err,
+		}
+	})
 
 	var est Estimate
 	for i, o := range outcomes {

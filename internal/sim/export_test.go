@@ -13,8 +13,6 @@ import (
 // first whose bytes are no longer the key it was filed under: a filed
 // object that something wrote to.
 func (sys *System) CheckFiled() error {
-	sys.mu.Lock()
-	defer sys.mu.Unlock()
 	stale := func(kind string, id int, key, now []byte) error {
 		if bytes.Equal(key, now) {
 			return nil
@@ -40,10 +38,8 @@ func (sys *System) CheckFiled() error {
 	return nil
 }
 
-// MoveOf is the inverse of Reader.Action, for driving moves no state
-// enables (a scramble's seed is not carried).
-func (r *Reader) MoveOf(act trace.Action) Move {
-	r.sys.mu.Lock()
-	defer r.sys.mu.Unlock()
-	return Move{Kind: act.Kind, Dir: act.Dir, Msg: r.sys.msgID(act.Msg)}
+// MoveOf is the inverse of Action, for driving moves no state enables (a
+// scramble's seed is not carried).
+func (sys *System) MoveOf(act trace.Action) Move {
+	return Move{Kind: act.Kind, Dir: act.Dir, Msg: sys.msgID(act.Msg)}
 }

@@ -108,21 +108,21 @@ type tabulated struct {
 
 // step takes act from t through the tables (or around them, for a
 // restart) and returns the successor with the step's sends and writes.
-func (t tabulated) step(sys *sim.System, r *sim.Reader, input seq.Seq, act trace.Action) (tabulated, []msg.Msg, seq.Seq, error) {
+func (t tabulated) step(sys *sim.System, input seq.Seq, act trace.Action) (tabulated, []msg.Msg, seq.Seq, error) {
 	if restarts(act) {
-		w := r.World(t.st)
+		w := sys.World(t.st)
 		if err := w.Apply(act); err != nil {
 			return t, nil, nil, err
 		}
 		return tabulated{sys.Intern(w), t.tape}, nil, nil, nil
 	}
-	step, err := r.Step(t.st, r.MoveOf(act))
+	step, err := sys.Step(t.st, sys.MoveOf(act))
 	if err != nil {
 		return t, nil, nil, err
 	}
 	var sends []msg.Msg
 	for _, id := range step.Sends {
-		sends = append(sends, r.Action(sim.Move{Kind: trace.ActDeliver, Dir: step.SendDir, Msg: id}).Msg)
+		sends = append(sends, sys.Action(sim.Move{Kind: trace.ActDeliver, Dir: step.SendDir, Msg: id}).Msg)
 	}
 	return tabulated{step.Next, t.tape.Write(input, step.Writes)}, sends, step.Writes, nil
 }
@@ -130,8 +130,8 @@ func (t tabulated) step(sys *sim.System, r *sim.Reader, input seq.Seq, act trace
 // matches checks that t is ref by identity: its components materialise
 // to ref's key (the tape length aside, which the tables do not hold) and
 // its tape is ref's.
-func (t tabulated) matches(r *sim.Reader, ref *sim.World) error {
-	w := r.World(t.st)
+func (t tabulated) matches(sys *sim.System, ref *sim.World) error {
+	w := sys.World(t.st)
 	w.Output = ref.Output
 	if !bytes.Equal(w.EncodeKey(nil), ref.EncodeKey(nil)) || w.Key() != ref.Key() {
 		return fmt.Errorf("tabulated state\n%s\nClone+Apply\n%s", w.Key(), ref.Key())
@@ -155,18 +155,17 @@ func TestSuccessorMatchesCloneApply(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			w := newWorld(t, spec, kind)
 			sys := sim.NewSystem(w)
-			r := sys.Reader()
 			cur := tabulated{sys.Intern(w), sim.TapeOf(w)}
 			for step := 0; step < 60; step++ {
 				var enabled []trace.Action
-				for _, mv := range r.Moves(nil, cur.st) {
-					enabled = append(enabled, r.Action(mv))
+				for _, mv := range sys.Moves(nil, cur.st) {
+					enabled = append(enabled, sys.Action(mv))
 				}
 				if !slices.Equal(enabled, w.Enabled()) {
 					t.Fatalf("seed %d step %d: tabulated moves %v, enabled actions %v", seed, step, enabled, w.Enabled())
 				}
 				act := nextAction(w, rng.Intn)
-				next, sends, writes, serr := cur.step(sys, r, w.Input, act)
+				next, sends, writes, serr := cur.step(sys, w.Input, act)
 				ref := w.Clone()
 				ref.StartTrace()
 				rerr := ref.Apply(act)
@@ -176,7 +175,7 @@ func TestSuccessorMatchesCloneApply(t *testing.T) {
 				if serr != nil {
 					continue
 				}
-				if err := next.matches(r, ref); err != nil {
+				if err := next.matches(sys, ref); err != nil {
 					t.Fatalf("seed %d step %d: %s: %v", seed, step, act, err)
 				}
 				if e := ref.Trace.Entries[0]; !restarts(act) && (!slices.Equal(sends, e.Sends) || !writes.Equal(e.Writes)) {
@@ -204,31 +203,30 @@ func TestSuccessorMatchesCloneApply(t *testing.T) {
 func sharingWalk(t testing.TB, spec protocol.Spec, kind channel.Kind, p pick, rounds int) {
 	root := newWorld(t, spec, kind)
 	sys := sim.NewSystem(root)
-	r := sys.Reader()
 	parent := tabulated{sys.Intern(root), sim.TapeOf(root)}
 	for i := p(12); i > 0; i-- {
-		if next, _, _, err := parent.step(sys, r, root.Input, nextAction(r.World(parent.st), p)); err == nil {
+		if next, _, _, err := parent.step(sys, root.Input, nextAction(sys.World(parent.st), p)); err == nil {
 			parent = next
 		}
 	}
-	acts := append(r.World(parent.st).Enabled(), trace.CrashS(), trace.CrashR(), trace.ScrambleS(3), trace.ScrambleR(5))
+	acts := append(sys.World(parent.st).Enabled(), trace.CrashS(), trace.CrashR(), trace.ScrambleS(3), trace.ScrambleR(5))
 	// family is the parent, then its children. Each is snapshotted the
 	// moment it exists: a later sibling's first step is already a chance
 	// to corrupt it.
 	family := []tabulated{parent}
-	want := []string{snapshot(r.World(parent.st))}
+	want := []string{snapshot(sys.World(parent.st))}
 	for _, act := range acts {
-		child, _, _, err := parent.step(sys, r, root.Input, act)
+		child, _, _, err := parent.step(sys, root.Input, act)
 		if err != nil {
 			t.Fatalf("expanding %s: %v", act, err)
 		}
 		family = append(family, child)
-		want = append(want, snapshot(r.World(child.st)))
+		want = append(want, snapshot(sys.World(child.st)))
 	}
 	check := func(what string) {
 		t.Helper()
 		for i, m := range family {
-			if got := snapshot(r.World(m.st)); got != want[i] {
+			if got := snapshot(sys.World(m.st)); got != want[i] {
 				t.Fatalf("%s wrote through the tables: family[%d] (0 = parent) changed\nbefore %s\nafter  %s", what, i, want[i], got)
 			}
 		}
@@ -249,19 +247,19 @@ func sharingWalk(t testing.TB, spec protocol.Spec, kind channel.Kind, p pick, ro
 		switch p(3) {
 		case 0:
 			// A materialised world is made of private clones.
-			walk(r.World(child.st))
+			walk(sys.World(child.st))
 			check("Apply on a materialised child")
 		case 1:
-			g, _, _, err := child.step(sys, r, root.Input, nextAction(r.World(child.st), p))
+			g, _, _, err := child.step(sys, root.Input, nextAction(sys.World(child.st), p))
 			if err != nil {
 				continue
 			}
-			walk(r.World(g.st))
+			walk(sys.World(g.st))
 			check("Apply on a grandchild")
 		case 2:
 			// Filing a world clones what it keeps: the world stays the
 			// caller's to write.
-			w := r.World(child.st)
+			w := sys.World(child.st)
 			walk(w)
 			sys.Intern(w)
 			walk(w)
@@ -288,11 +286,10 @@ func TestTabulatedObjectsStayFiled(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		w := newWorld(t, spec, kind)
 		sys := sim.NewSystem(w)
-		r := sys.Reader()
 		st, moves := sys.Intern(w), []sim.Move(nil)
 		for step := 0; step < 10000; step++ {
-			moves = r.Moves(moves[:0], st)
-			next, err := r.Step(st, moves[rng.Intn(len(moves))])
+			moves = sys.Moves(moves[:0], st)
+			next, err := sys.Step(st, moves[rng.Intn(len(moves))])
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
@@ -307,9 +304,8 @@ func TestTabulatedObjectsStayFiled(t *testing.T) {
 	})
 }
 
-// TestTabulatedStepZeroAlloc gates the memo hit: once a Reader has seen a
-// step, taking it again allocates nothing — with one Reader, and with a
-// second one over tables the first has filled.
+// TestTabulatedStepZeroAlloc gates the memo hit: once a System has seen a
+// step, taking it again allocates nothing.
 func TestTabulatedStepZeroAlloc(t *testing.T) {
 	spec, err := registry.Protocol("alpha", zooParams)
 	if err != nil {
@@ -318,58 +314,60 @@ func TestTabulatedStepZeroAlloc(t *testing.T) {
 	w := newWorld(t, spec, channel.KindDel)
 	sys := sim.NewSystem(w)
 	root := sys.Intern(w)
-	for readers := 1; readers <= 2; readers++ {
-		r := sys.Reader()
-		var moves []sim.Move
-		// sweep steps every move of every state of a fixed walk.
-		sweep := func() {
-			st := root
-			for depth := 0; depth < 12; depth++ {
-				moves = r.Moves(moves[:0], st)
-				for _, mv := range moves {
-					if _, err := r.Step(st, mv); err != nil {
-						t.Fatal(err)
-					}
+	var moves []sim.Move
+	// sweep steps every move of every state of a fixed walk.
+	sweep := func() {
+		st := root
+		for depth := 0; depth < 12; depth++ {
+			moves = sys.Moves(moves[:0], st)
+			for _, mv := range moves {
+				if _, err := sys.Step(st, mv); err != nil {
+					t.Fatal(err)
 				}
-				next, _ := r.Step(st, moves[(depth*7)%len(moves)])
-				st = next.Next
 			}
+			next, _ := sys.Step(st, moves[(depth*7)%len(moves)])
+			st = next.Next
 		}
-		sweep() // fill this Reader's cache
-		if allocs := testing.AllocsPerRun(20, sweep); allocs != 0 {
-			t.Errorf("readers=%d: a sweep of memo hits allocates %.1f objects, want 0", readers, allocs)
-		}
+	}
+	sweep() // fill the memo
+	if allocs := testing.AllocsPerRun(20, sweep); allocs != 0 {
+		t.Errorf("a sweep of memo hits allocates %.1f objects, want 0", allocs)
 	}
 }
 
-// TestSystemConcurrentReaders has several goroutines, a Reader each, take
-// the same seeded walk through one System at once: they race to file
-// every state on it, and must all see the same ones (run under -race).
+// TestSystemConcurrentReaders has several goroutines, a System each built
+// from the same spec, take the same seeded walk at once. A System has one
+// owner, but independent Systems run side by side (SearchProtocols, soak
+// campaigns, parallel tests) and share the spec's message tables and
+// closures: they must not write to them (run under -race), and must all
+// end in the same state with every filed object intact.
 func TestSystemConcurrentReaders(t *testing.T) {
 	t.Parallel()
 	forEachSystem(t, func(t *testing.T, spec protocol.Spec, kind channel.Kind) {
-		w := newWorld(t, spec, kind)
-		sys := sim.NewSystem(w)
-		root := sys.Intern(w)
 		const walkers = 4
 		ends := make([]string, walkers)
 		var wg sync.WaitGroup
 		for g := 0; g < walkers; g++ {
+			w := newWorld(t, spec, kind)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(7))
-				r, st, moves := sys.Reader(), root, []sim.Move(nil)
+				sys := sim.NewSystem(w)
+				st, moves := sys.Intern(w), []sim.Move(nil)
 				for step := 0; step < 300; step++ {
-					moves = r.Moves(moves[:0], st)
-					next, err := r.Step(st, moves[rng.Intn(len(moves))])
+					moves = sys.Moves(moves[:0], st)
+					next, err := sys.Step(st, moves[rng.Intn(len(moves))])
 					if err != nil {
 						t.Errorf("walker %d step %d: %v", g, step, err)
 						return
 					}
 					st = next.Next
 				}
-				ends[g] = r.World(st).Key()
+				ends[g] = sys.World(st).Key()
+				if err := sys.CheckFiled(); err != nil {
+					t.Errorf("walker %d: %v", g, err)
+				}
 			}()
 		}
 		wg.Wait()
@@ -377,9 +375,6 @@ func TestSystemConcurrentReaders(t *testing.T) {
 			if end != ends[0] {
 				t.Errorf("walker %d ended in %s, walker 0 in %s", g, end, ends[0])
 			}
-		}
-		if err := sys.CheckFiled(); err != nil {
-			t.Error(err)
 		}
 	})
 }

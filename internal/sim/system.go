@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
 
 	"seqtx/internal/channel"
 	"seqtx/internal/msg"
@@ -21,31 +20,34 @@ import (
 // and hands out a small dense id; each local move — a process stepping
 // on a tick or a message, a half taking a send, a delivery or a drop —
 // is computed once, on a private clone of the filed object, and
-// remembered. A global successor is then a handful of lookups (Reader),
-// and two global states are equal exactly when their ids are.
+// remembered. A global successor is then a handful of lookups (Step), and
+// two global states are equal exactly when their ids are.
 //
 // The memo is sound because Step is deterministic (the Sender/Receiver
 // contract: equal keys imply behaviourally identical states) and
 // interning is injective on key bytes, so ids partition states exactly
 // as EncodeKey does. Filed objects are never written again. Which id a
-// state gets depends on who asked first — callers may compare ids for
-// equality, never order them.
+// state gets depends on the order questions were asked in — callers may
+// compare ids for equality, never order them.
 //
 // Senders are filed per input (a sender's key does not say which X it
 // was built from), so one System serves worlds on different inputs: the
 // two runs of a product share a receiver, its moves and the ids of
-// their messages. A System is safe for concurrent use through Readers.
+// their messages.
+//
+// One goroutine per System: every method may file or memoise, and nothing
+// is locked. Checks that run side by side build a System each; they share
+// only what the spec shares (message tables, closures), which is read-only.
 type System struct {
 	proto *World // the world the system was built from: spec, link alphabets
 
-	mu        sync.Mutex
 	inputs    []seq.Seq
 	msgs      []msg.Msg
 	msgIDs    map[msg.Msg]int32
 	senders   procs[protocol.Sender]
 	receivers procs[protocol.Receiver]
 	halves    table[halfRow]
-	halfSteps map[[2]int32]int32 // (half id, 3*msg+op) -> half id
+	halfSteps [][]int32 // [half id][3*msg+op] -> half id, stored +1 so zero means unknown
 	keyBuf    []byte
 }
 
@@ -62,7 +64,7 @@ func (st *State) half(d channel.Dir) *int32 {
 }
 
 // Move is a scheduler action in a System's vocabulary: a trace.Action
-// whose message is an id (Reader.Action converts back).
+// whose message is an id (System.Action converts back).
 type Move struct {
 	Kind trace.ActKind
 	Dir  channel.Dir
@@ -105,7 +107,7 @@ func (t *table[T]) file(obj T, key []byte) int32 {
 // for R, which no input reaches) followed by its own key.
 type procs[P interface{ Key() string }] struct {
 	table[P]
-	steps map[[2]int32]*procStep // (id, event) -> step
+	steps [][]*procStep // [id][event], nil until computed
 	clone func(P) P
 	step  func(P, protocol.Event) ([]msg.Msg, seq.Seq)
 	out   channel.Dir // the direction its sends travel
@@ -146,18 +148,15 @@ func NewSystem(w *World) *System {
 		proto:  w.Clone(),
 		msgIDs: make(map[msg.Msg]int32),
 		senders: procs[protocol.Sender]{
-			steps: make(map[[2]int32]*procStep),
 			clone: protocol.Sender.Clone,
 			step:  func(s protocol.Sender, ev protocol.Event) ([]msg.Msg, seq.Seq) { return s.Step(ev), nil },
 			out:   channel.SToR, who: "sender",
 		},
 		receivers: procs[protocol.Receiver]{
-			steps: make(map[[2]int32]*procStep),
 			clone: protocol.Receiver.Clone,
 			step:  protocol.Receiver.Step,
 			out:   channel.RToS, who: "receiver",
 		},
-		halfSteps: make(map[[2]int32]int32),
 	}
 }
 
@@ -165,8 +164,6 @@ func NewSystem(w *World) *System {
 // its identity. w must be a world of this system's spec and link, on
 // any input.
 func (sys *System) Intern(w *World) State {
-	sys.mu.Lock()
-	defer sys.mu.Unlock()
 	run := slices.IndexFunc(sys.inputs, w.Input.Equal)
 	if run < 0 {
 		run = len(sys.inputs)
@@ -183,15 +180,10 @@ func (sys *System) Intern(w *World) State {
 // InternHalf files a clone of h and returns its id, for callers that
 // keep a multiset of their own beside a State (the fresh copies of
 // Definition 2 are a reorder half).
-func (sys *System) InternHalf(h channel.Half) int32 {
-	sys.mu.Lock()
-	defer sys.mu.Unlock()
-	return sys.internHalf(h, false)
-}
+func (sys *System) InternHalf(h channel.Half) int32 { return sys.internHalf(h, false) }
 
-// The functions from here to Reader run under sys.mu. owned says an
-// object is a private clone the table may keep; otherwise a new entry
-// clones it.
+// owned says an object is a private clone the table may keep; otherwise
+// a new entry clones it.
 
 func internProc[P interface{ Key() string }](sys *System, t *procs[P], p P, run uint64, owned bool) int32 {
 	sys.keyBuf = protocol.AppendKey(binary.AppendUvarint(sys.keyBuf[:0], run), p)
@@ -234,15 +226,24 @@ func (sys *System) msgID(m msg.Msg) int32 {
 	return id
 }
 
-// stepProc computes a step of process id once: on a clone of the filed
-// object, copying the sends out as ids (Step's slices die at the
-// process's next Step) after checking each against the link's alphabet
-// as Link.Send would. Event 0 is a tick, 1+m the delivery of message m.
-// Step runs under the lock: it is pure, and holding the lock is what
-// makes "once" true.
+// slot returns the address of tab[i][j], growing both levels as needed.
+func slot[T any](tab *[][]T, i, j int32) *T {
+	for int(i) >= len(*tab) {
+		*tab = append(*tab, nil)
+	}
+	if row := &(*tab)[i]; int(j) >= len(*row) {
+		*row = append(*row, make([]T, int(j)+1-len(*row))...)
+	}
+	return &(*tab)[i][j]
+}
+
+// stepProc returns the step of process id on event ev (0 is a tick, 1+m
+// the delivery of message m), computing it on first use: on a clone of
+// the filed object, copying the sends out as ids (Step's slices die at
+// the process's next Step) after checking each against the link's
+// alphabet as Link.Send would. A hit is an index into a slice.
 func stepProc[P interface{ Key() string }](sys *System, t *procs[P], id, ev int32) *procStep {
-	k := [2]int32{id, ev}
-	if e := t.steps[k]; e != nil {
+	if e := *slot(&t.steps, id, ev); e != nil {
 		return e
 	}
 	event := protocol.TickEvent()
@@ -263,17 +264,16 @@ func stepProc[P interface{ Key() string }](sys *System, t *procs[P], id, ev int3
 		run, _ := binary.Uvarint(t.rows[id].key)
 		e.next = internProc(sys, t, p, run, true)
 	}
-	t.steps[k] = e
+	t.steps[id][ev] = e
 	return e
 }
 
-// stepHalf applies op to a clone of half id. A rejected operation is
-// not remembered: its error is the caller's to report, and no search
-// takes one.
+// stepHalf returns half id after op on message m, applying it to a clone
+// on first use. A rejected operation is not remembered: its error is the
+// caller's to report, and no search takes one.
 func (sys *System) stepHalf(id, op, m int32) (int32, error) {
-	k := [2]int32{id, 3*m + op}
-	if next, ok := sys.halfSteps[k]; ok {
-		return next, nil
+	if next := *slot(&sys.halfSteps, id, 3*m+op); next != 0 {
+		return next - 1, nil
 	}
 	h := sys.halves.rows[id].obj.h.Clone()
 	var err error
@@ -289,93 +289,25 @@ func (sys *System) stepHalf(id, op, m int32) (int32, error) {
 		return 0, fmt.Errorf("sim: %w", err)
 	}
 	next := sys.internHalf(h, true)
-	sys.halfSteps[k] = next
+	sys.halfSteps[id][3*m+op] = next + 1
 	return next, nil
 }
 
-// Reader is one goroutine's window onto a System: a private, lock-free
-// cache of every table entry it has used, in front of the shared,
-// mutex-guarded tables. A hit touches only the Reader's own slices and
-// allocates nothing; a miss takes the lock, computes the entry if no
-// one has, and keeps it. Entries are immutable once filed, so the
-// copies never go stale.
-type Reader struct {
-	sys       *System
-	msgs      []msg.Msg
-	halves    []filed[halfRow]
-	sendSteps [][]*procStep // [sender id][event]
-	recvSteps [][]*procStep
-	halfSteps [][]int32 // [half id][3*msg+op], stored +1 so zero means unknown
-}
-
-// Reader returns a new, empty Reader. Each goroutine needs its own.
-func (sys *System) Reader() *Reader { return &Reader{sys: sys} }
-
-// slot returns the address of tab[i][j], growing both levels as needed.
-func slot[T any](tab *[][]T, i, j int32) *T {
-	for int(i) >= len(*tab) {
-		*tab = append(*tab, nil)
-	}
-	if row := &(*tab)[i]; int(j) >= len(*row) {
-		*row = append(*row, make([]T, int(j)+1-len(*row))...)
-	}
-	return &(*tab)[i][j]
-}
-
-// caughtUp returns local[i], first extending local — a Reader's copy of
-// an append-only shared table — if it is too short.
-func caughtUp[T any](mu *sync.Mutex, local, shared *[]T, i int32) T {
-	if int(i) >= len(*local) {
-		mu.Lock()
-		*local = append(*local, (*shared)[len(*local):]...)
-		mu.Unlock()
-	}
-	return (*local)[i]
-}
-
-func (r *Reader) half(id int32) halfRow {
-	return caughtUp(&r.sys.mu, &r.halves, &r.sys.halves.rows, id).obj
-}
-
-func (r *Reader) msg(id int32) msg.Msg { return caughtUp(&r.sys.mu, &r.msgs, &r.sys.msgs, id) }
-
-func readStep[P interface{ Key() string }](r *Reader, cache *[][]*procStep, t *procs[P], id, ev int32) *procStep {
-	e := slot(cache, id, ev)
-	if *e == nil {
-		r.sys.mu.Lock()
-		*e = stepProc(r.sys, t, id, ev)
-		r.sys.mu.Unlock()
-	}
-	return *e
-}
-
-func (r *Reader) stepHalf(id, op, m int32) (int32, error) {
-	e := slot(&r.halfSteps, id, 3*m+op)
-	if *e == 0 {
-		r.sys.mu.Lock()
-		next, err := r.sys.stepHalf(id, op, m)
-		r.sys.mu.Unlock()
-		if err != nil {
-			return 0, err
-		}
-		*e = next + 1
-	}
-	return *e - 1, nil
-}
+func (sys *System) half(id int32) halfRow { return sys.halves.rows[id].obj }
 
 // HalfSend, HalfDeliver and HalfHolds are the half table by itself:
 // the half after one more copy of m, the half after a delivery of m
 // (an error if it holds none), and whether it holds one.
 
-func (r *Reader) HalfSend(h, m int32) int32 {
-	next, _ := r.stepHalf(h, opSend, m) // a send is never rejected
+func (sys *System) HalfSend(h, m int32) int32 {
+	next, _ := sys.stepHalf(h, opSend, m) // a send is never rejected
 	return next
 }
 
-func (r *Reader) HalfDeliver(h, m int32) (int32, error) { return r.stepHalf(h, opDeliver, m) }
+func (sys *System) HalfDeliver(h, m int32) (int32, error) { return sys.stepHalf(h, opDeliver, m) }
 
-func (r *Reader) HalfHolds(h, m int32) bool {
-	for _, hm := range r.half(h).moves {
+func (sys *System) HalfHolds(h, m int32) bool {
+	for _, hm := range sys.half(h).moves {
 		if hm.msg == m {
 			return true
 		}
@@ -385,10 +317,10 @@ func (r *Reader) HalfHolds(h, m int32) bool {
 
 // Moves appends the moves enabled in st — World.AppendEnabled's actions,
 // in its order — to buf.
-func (r *Reader) Moves(buf []Move, st State) []Move {
+func (sys *System) Moves(buf []Move, st State) []Move {
 	buf = append(buf, Move{Kind: trace.ActTickS}, Move{Kind: trace.ActTickR})
 	for dir := channel.SToR; dir <= channel.RToS; dir++ {
-		for _, hm := range r.half(*st.half(dir)).moves {
+		for _, hm := range sys.half(*st.half(dir)).moves {
 			buf = append(buf, Move{trace.ActDeliver, dir, hm.msg})
 			if hm.dup {
 				buf = append(buf, Move{trace.ActDeliverDup, dir, hm.msg})
@@ -406,7 +338,7 @@ func (r *Reader) Moves(buf []Move, st State) []Move {
 // the tables. Crash and scramble restarts replace a process instead of
 // stepping it and are not tabulated: Apply them to World(st) and Intern
 // the result.
-func (r *Reader) Step(st State, mv Move) (Step, error) {
+func (sys *System) Step(st State, mv Move) (Step, error) {
 	next := st
 	ev, bySender := int32(0), false // the event, and which process takes it
 	switch mv.Kind {
@@ -416,15 +348,15 @@ func (r *Reader) Step(st State, mv Move) (Step, error) {
 	case trace.ActDeliver, trace.ActDeliverDup:
 		h := next.half(mv.Dir)
 		if mv.Kind == trace.ActDeliverDup {
-			f, ok := r.half(*h).h.(*channel.FIFO)
+			f, ok := sys.half(*h).h.(*channel.FIFO)
 			if !ok {
 				return Step{}, fmt.Errorf("sim: deliver+dup on non-FIFO half %s", mv.Dir)
 			}
-			if err := f.DeliverKeep(r.msg(mv.Msg)); err != nil { // reads f only
+			if err := f.DeliverKeep(sys.msgs[mv.Msg]); err != nil { // reads f only
 				return Step{}, fmt.Errorf("sim: %w", err)
 			}
 		} else {
-			after, err := r.stepHalf(*h, opDeliver, mv.Msg)
+			after, err := sys.stepHalf(*h, opDeliver, mv.Msg)
 			if err != nil {
 				return Step{}, err
 			}
@@ -433,7 +365,7 @@ func (r *Reader) Step(st State, mv Move) (Step, error) {
 		ev, bySender = 1+mv.Msg, mv.Dir != channel.SToR
 	case trace.ActDrop:
 		h := next.half(mv.Dir)
-		after, err := r.stepHalf(*h, opDrop, mv.Msg)
+		after, err := sys.stepHalf(*h, opDrop, mv.Msg)
 		if err != nil {
 			return Step{}, err
 		}
@@ -445,9 +377,9 @@ func (r *Reader) Step(st State, mv Move) (Step, error) {
 	var e *procStep
 	dir := channel.RToS
 	if bySender {
-		e, dir = readStep(r, &r.sendSteps, &r.sys.senders, st.S, ev), channel.SToR
+		e, dir = stepProc(sys, &sys.senders, st.S, ev), channel.SToR
 	} else {
-		e = readStep(r, &r.recvSteps, &r.sys.receivers, st.R, ev)
+		e = stepProc(sys, &sys.receivers, st.R, ev)
 	}
 	if e.err != nil {
 		return Step{}, e.err
@@ -459,35 +391,31 @@ func (r *Reader) Step(st State, mv Move) (Step, error) {
 	}
 	for _, m := range e.sends {
 		out := next.half(dir)
-		*out = r.HalfSend(*out, m)
+		*out = sys.HalfSend(*out, m)
 	}
 	return Step{Next: next, Sends: e.sends, SendDir: dir, Writes: e.writes}, nil
 }
 
 // Action renders mv as the trace.Action it stands for.
-func (r *Reader) Action(mv Move) trace.Action {
+func (sys *System) Action(mv Move) trace.Action {
 	act := trace.Action{Kind: mv.Kind}
 	if mv.Kind == trace.ActDeliver || mv.Kind == trace.ActDeliverDup || mv.Kind == trace.ActDrop {
-		act.Dir, act.Msg = mv.Dir, r.msg(mv.Msg)
+		act.Dir, act.Msg = mv.Dir, sys.msgs[mv.Msg]
 	}
 	return act
 }
 
 // World materialises st: private clones of its four components as a
 // world of their own, safe to Apply, with an empty tape at time zero.
-func (r *Reader) World(st State) *World {
-	sys := r.sys
-	sys.mu.Lock()
-	s, rcv := sys.senders.rows[st.S], sys.receivers.rows[st.R]
+func (sys *System) World(st State) *World {
+	s := sys.senders.rows[st.S]
 	run, _ := binary.Uvarint(s.key)
-	input := sys.inputs[run]
-	sys.mu.Unlock()
 	return &World{
 		Name:  sys.proto.Name,
-		Input: input,
+		Input: sys.inputs[run],
 		S:     s.obj.Clone(),
-		R:     rcv.obj.Clone(),
-		Link:  sys.proto.Link.WithHalves(r.half(st.SToR).h.Clone(), r.half(st.RToS).h.Clone()),
+		R:     sys.receivers.rows[st.R].obj.Clone(),
+		Link:  sys.proto.Link.WithHalves(sys.half(st.SToR).h.Clone(), sys.half(st.RToS).h.Clone()),
 		spec:  sys.proto.spec,
 	}
 }

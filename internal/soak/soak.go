@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"seqtx/internal/channel"
@@ -201,22 +200,9 @@ func (cmp *Campaign) Run() *Report {
 	cfg.Obs.Emit("soak.campaign.started",
 		"campaign", cmp.Name, "cases", strconv.Itoa(len(cmp.Cases)))
 	runs := make([]RunReport, len(cmp.Cases))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range idx {
-				runs[j] = RunCase(cmp.Cases[j], cfg)
-			}
-		}()
-	}
-	for j := range cmp.Cases {
-		idx <- j
-	}
-	close(idx)
-	wg.Wait()
+	sim.ForEach(len(cmp.Cases), cfg.Workers, func(j int) {
+		runs[j] = RunCase(cmp.Cases[j], cfg)
+	})
 	rep := &Report{Campaign: cmp.Name, Runs: runs}
 	rep.summarize()
 	cfg.Obs.Emit("soak.campaign.finished",

@@ -222,9 +222,6 @@ func Transmit(spec Spec, input Seq, kind ChannelKind, adv Adversary) (RunResult,
 
 // Model checking (the executable impossibility proofs).
 type (
-	// EngineConfig selects the exploration worker count (0 = GOMAXPROCS,
-	// 1 = sequential; results are identical for every setting).
-	EngineConfig = mc.EngineConfig
 	// ExploreConfig bounds an exhaustive exploration.
 	ExploreConfig = mc.ExploreConfig
 	// ExploreResult reports an exhaustive exploration.
