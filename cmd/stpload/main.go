@@ -125,7 +125,7 @@ func run() int {
 		restart   = flag.String("restart-policy", "preset", "restart state for crashed processes: preset|amnesia|scramble")
 		capBound  = flag.Int("cap", 0, "channel-capacity bound c for the stab protocol (0 = its default)")
 		seed      = flag.Int64("seed", 1, "base seed (wave w, session i uses seed+w*sessions+i)")
-		tick      = flag.Duration("tick", wire.DefaultTick, "per-process pacing tick")
+		tick      = flag.Duration("tick", wire.DefaultTick, "timer tick: retransmission-timeout base and receiver pacing (fresh sends do not wait for it)")
 		deadline  = flag.Duration("deadline", 30*time.Second, "per-session deadline (0 = none)")
 		reportTo  = flag.String("report", "", "write the JSON report to this file (\"-\" = stdout)")
 		verbose   = flag.Bool("v", false, "print one line per wave")

@@ -69,7 +69,7 @@ func run() int {
 		chaos    = fs.String("crash-presets", "none", "comma-separated crash-restart preset axis (process-fault presets from "+strings.Join(faults.PresetNames(), "|")+"); cells run under wire.ServeSupervised, each node crashing its own half")
 		restart  = fs.String("restart-policy", "preset", "chaos restart policy: preset|amnesia|scramble")
 		cellTO   = fs.Duration("cell-timeout", 0, "per-cell node timeout: a node that misses it fails only that cell (its pair is dropped, the sweep continues); 0 = any node failure aborts the sweep")
-		tick     = fs.Duration("tick", wire.DefaultTick, "per-process pacing tick")
+		tick     = fs.Duration("tick", wire.DefaultTick, "timer tick: retransmission-timeout base and receiver pacing (fresh sends do not wait for it)")
 		deadline = fs.Duration("deadline", 30*time.Second, "per-session deadline")
 		seed     = fs.Int64("seed", 1, "base seed (cell c, session i derives from seed+c*stride+i)")
 		assemble = fs.Duration("assemble-timeout", 60*time.Second, "how long to wait for the fleet to connect")

@@ -70,7 +70,7 @@ func run() int {
 		restart   = flag.String("restart-policy", "preset", "restart state for crashed processes: preset|amnesia|scramble")
 		capBound  = flag.Int("cap", 0, "channel-capacity bound c for the stab protocol (0 = its default)")
 		seed      = flag.Int64("seed", 1, "base seed (session i uses seed+i)")
-		tick      = flag.Duration("tick", wire.DefaultTick, "per-process pacing tick")
+		tick      = flag.Duration("tick", wire.DefaultTick, "timer tick: retransmission-timeout base and receiver pacing (fresh sends do not wait for it)")
 		duration  = flag.Duration("duration", 0, "overall wall-clock cap (0 = until sessions settle)")
 		deadline  = flag.Duration("deadline", 30*time.Second, "per-session deadline (0 = none)")
 		require   = flag.Bool("require-complete", false, "also fail if any session did not finish its tape")

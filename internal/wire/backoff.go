@@ -5,7 +5,7 @@ import (
 )
 
 // BackoffCapFactor bounds the retransmission backoff: the interval
-// between spontaneous sender steps doubles on every retransmission but
+// between the timer's sender steps doubles on every retransmission but
 // never exceeds BackoffCapFactor times the session's base tick. The cap
 // keeps a session recoverable — even after a long outage the sender
 // probes at least every 32 ticks, so healing a partition is noticed
@@ -17,13 +17,15 @@ const BackoffCapFactor = 32
 // sessions on a shared transport without costing replay determinism.
 const backoffJitter = 0.25
 
-// backoff is the sender's retransmission pacer state: exponential
-// growth under consecutive retransmissions, reset on progress, capped,
-// jittered. The worker timer heap ticks at the base interval; backoff
-// decides which of those ticks are due — so the mechanism adds no
-// timers, only an integer comparison per tick. Instants (now, next) are
-// nanoseconds on the engine timeline, like every other time the loop
-// compares.
+// backoff is the sender's retransmission clock: exponential growth
+// under consecutive retransmissions, reset on progress, capped,
+// jittered. Every spontaneous step re-arms it — the progress-clocked
+// ones in service as well as the timer's — so it times the silence since
+// the last send. The worker timer heap ticks at the base interval;
+// backoff decides which of those ticks are due — so the mechanism adds
+// no timers, only an integer comparison per tick. Instants (now, next)
+// are nanoseconds on the engine timeline, like every other time the
+// loop compares.
 //
 // The struct is pure (no goroutines, no clocks of its own) so the cap
 // and growth law can be pinned by unit tests. The jitter stream is an
@@ -59,11 +61,11 @@ func splitmix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// due reports whether a spontaneous step may fire at now.
+// due reports whether the timer may grant a spontaneous step at now.
 func (b *backoff) due(now int64) bool { return now >= b.next }
 
-// arm schedules the next spontaneous step one jittered interval after
-// now.
+// arm puts the timer's next spontaneous step one jittered interval
+// after now.
 func (b *backoff) arm(now int64) { b.next = now + int64(b.jittered()) }
 
 // jittered returns the current interval ±backoffJitter, drawn from the

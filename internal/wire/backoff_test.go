@@ -3,6 +3,9 @@ package wire
 import (
 	"testing"
 	"time"
+
+	"seqtx/internal/protocol/alphaproto"
+	"seqtx/internal/registry"
 )
 
 // TestBackoffCapPinned pins the retransmission backoff law: doubling
@@ -72,5 +75,31 @@ func TestBackoffJitterSeedDeterminism(t *testing.T) {
 			a.grow()
 			b.grow()
 		}
+	}
+}
+
+// TestBackoffResetOnlyOnProgress: the interval grown by an outage's
+// retransmissions survives any run of stale and duplicate
+// acknowledgements — they are not progress — and returns to the base on
+// the first acknowledgement that moves the sender forward.
+func TestBackoffResetOnlyOnProgress(t *testing.T) {
+	w, s := detachedSession(t, "alpha", registry.Params{M: 8}, rampTape(4))
+	w.service(s)
+	deliverAcks(w, s, alphaproto.AckMsg(0)) // d:1 is now the frame in flight
+	for i := 0; i < 3; i++ {                // the outage: three timer retransmissions of d:1
+		if !s.spontaneous(w.eng.now()) {
+			t.Fatal("transport closed")
+		}
+	}
+	grown := s.bo.cur
+	if grown != 8*s.bo.base {
+		t.Fatalf("three retransmissions left the interval at %v, want %v", grown, 8*s.bo.base)
+	}
+	stale := alphaproto.AckMsg(0)
+	if n := deliverAcks(w, s, stale, stale, stale); n != 0 || s.bo.cur != grown {
+		t.Errorf("stale acknowledgements: %d sends, interval %v -> %v; want none and unchanged", n, grown, s.bo.cur)
+	}
+	if n := deliverAcks(w, s, alphaproto.AckMsg(1)); n != 1 || s.bo.cur != s.bo.base {
+		t.Errorf("progress acknowledgement: %d sends, interval %v; want 1 and the base %v", n, s.bo.cur, s.bo.base)
 	}
 }

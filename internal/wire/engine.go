@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"runtime"
@@ -119,7 +120,9 @@ func newLoopEngine(m *Mux, workers int) *loopEngine {
 			eng:    e,
 			notify: make(chan struct{}, 1),
 			batch:  make([]msg.Msg, 0, 64),
+			ready:  make([]*Session, 0, 256), // as run's swap buffer: a wave readies together
 		}
+		w.key, w.keyWas = w.keyBuf[0][:0], w.keyBuf[1][:0]
 		e.workers[i] = w
 		e.wg.Add(1)
 		go w.run()
@@ -143,10 +146,10 @@ func (e *loopEngine) now() int64 { return int64(time.Since(e.epoch)) }
 // runtime timers. ctx cancellation is the caller's to relay (cancel).
 // onDone, when non-nil, receives the report on the worker goroutine as
 // the session finishes; when nil the report is delivered through s.done
-// for Run to collect. The first pacing tick is phase-shifted by a
-// per-session hash so a fleet started together does not put every
-// session's tick on the same instant (the million-session thundering
-// herd).
+// for Run to collect. The sender first steps at attach (service); the
+// first timer tick is phase-shifted by a per-session hash so a fleet
+// started together does not put every session's tick on the same
+// instant (the million-session thundering herd).
 func (e *loopEngine) start(ctx context.Context, s *Session, onDone func(Report)) {
 	s.start = time.Now()
 	now := int64(s.start.Sub(e.epoch))
@@ -204,11 +207,13 @@ type loopWorker struct {
 	sleeping atomic.Bool
 	notify   chan struct{}
 
-	// Worker-owned (no locking): the timer heap and the drain scratch
-	// buffer shared by every session on this worker — per-session state
-	// stays flat because the burst buffer is pooled here, not there.
-	timers timerHeap
-	batch  []msg.Msg
+	// Worker-owned (no locking): the timer heap, the drain scratch buffer
+	// and the progress probe's two sender-state keys (they start in keyBuf),
+	// shared by every session here so per-session state stays flat.
+	timers      timerHeap
+	batch       []msg.Msg
+	key, keyWas []byte
+	keyBuf      [2][24]byte
 }
 
 // schedule queues s for service. The scheduled flag makes the queue
@@ -317,12 +322,23 @@ func (w *loopWorker) run() {
 // the race with a concurrent router publish — a frame staged after the
 // drain re-queues the session; a frame published before the clear is
 // seen by this drain.
+//
+// Fresh sends are clocked here, by progress, not by the timer: the
+// model's environment may grant a spontaneous step at any instant (paper
+// §2, Property 1), so the sender takes its first at attach and one more
+// after each delivery that sent nothing but changed its state — an
+// acknowledgement that moved it forward. One per such delivery, not per
+// burst: a windowed sender emits one fresh frame a step, so each new
+// acknowledgement replaces the frame it retired. Only on a state change:
+// a stale acknowledgement answered with a send would circulate for ever.
+// Each step re-arms the backoff: the timer only times retransmission.
 func (w *loopWorker) service(s *Session) {
 	s.scheduled.Store(false)
 	if s.finished {
 		return
 	}
-	if !s.attached {
+	first := !s.attached
+	if first {
 		s.attached = true
 		w.timers.push(s.nextWake(), s)
 	}
@@ -331,12 +347,29 @@ func (w *loopWorker) service(s *Session) {
 		return
 	}
 	if s.runsSender() {
+		if first && !s.spontaneous(w.eng.now()) {
+			w.finish(s)
+			return
+		}
 		w.batch = s.senderInbox.drain(w.batch)
+		if len(w.batch) > 0 {
+			w.key = protocol.AppendKey(w.key[:0], s.cfg.Sender)
+		}
 		for _, mg := range w.batch {
+			sent := s.framesTx
 			if !s.senderEvent(protocol.RecvEvent(mg)) {
 				w.finish(s)
 				return
 			}
+			if !w.senderMoved(s) || s.framesTx != sent {
+				continue
+			}
+			s.bo.reset()
+			if !s.spontaneous(w.eng.now()) {
+				w.finish(s)
+				return
+			}
+			w.key = protocol.AppendKey(w.key[:0], s.cfg.Sender)
 		}
 		if s.senderFinished() {
 			s.complete = true
@@ -353,6 +386,14 @@ func (w *loopWorker) service(s *Session) {
 			}
 		}
 	}
+}
+
+// senderMoved reports whether the sender's local state differs from the
+// one w.key encodes, and leaves the current state's key in w.key. The
+// two buffers swap, so a warm probe allocates nothing.
+func (w *loopWorker) senderMoved(s *Session) bool {
+	w.key, w.keyWas = protocol.AppendKey(w.keyWas[:0], s.cfg.Sender), w.key
+	return !bytes.Equal(w.key, w.keyWas)
 }
 
 // fire handles a session's timer wakeup: deadline expiry finishes it
@@ -385,11 +426,10 @@ func (w *loopWorker) fire(s *Session, now int64) {
 			}
 		}
 		if s.runsSender() && s.bo.due(now) {
-			if !s.senderEvent(protocol.TickEvent()) {
+			if !s.spontaneous(now) {
 				w.finish(s)
 				return
 			}
-			s.bo.arm(now)
 			if s.senderFinished() {
 				s.complete = true
 				w.finish(s)

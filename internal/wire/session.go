@@ -11,10 +11,10 @@ import (
 	"seqtx/internal/seq"
 )
 
-// DefaultTick is the pacing interval used when SessionConfig.Tick is not
-// positive: how often each process gets a spontaneous step (the live
-// counterpart of the scheduler granting a tick — retransmissions hang off
-// these).
+// DefaultTick is the timer interval used when SessionConfig.Tick is not
+// positive: the base of the sender's retransmission timeout and the
+// receiver's pacing edge. It is not the send clock — fresh sends follow
+// acknowledged progress (loopWorker.service), whatever the tick.
 const DefaultTick = time.Millisecond
 
 // DefaultInboxSize buffers inbound messages per process when
@@ -36,8 +36,8 @@ type SessionConfig struct {
 	Receiver protocol.Receiver
 	// Input is the tape X the sender was built from.
 	Input seq.Seq
-	// Tick is the spontaneous-step pacing for both processes
-	// (DefaultTick when not positive).
+	// Tick is the timer interval (DefaultTick when not positive): the
+	// receiver's pacing and the retransmission backoff's base, no more.
 	Tick time.Duration
 	// Deadline, when positive, bounds the session's wall-clock life; an
 	// expired session reports Complete=false (never a safety verdict).
@@ -255,14 +255,14 @@ func (s *Session) buildReport(elapsed time.Duration) Report {
 	return rep
 }
 
-// senderEvent runs one sender step (a delivery or a spontaneous tick):
-// protocol Step, retransmit bookkeeping, outbound sends, and backoff
-// control. Spontaneous steps are paced by a capped exponential backoff
-// instead of the raw tick: consecutive retransmissions double the
-// interval (up to BackoffCapFactor ticks, ±25% seeded jitter), and any
-// progress — a fresh send, or an acknowledgement the sender does not
-// answer with a retransmission — resets it to the base tick. It
-// returns false when the transport closed under the session.
+// senderEvent runs one sender step (a delivery or a spontaneous step):
+// protocol Step, retransmit bookkeeping, outbound sends, and the send
+// side of backoff control. The timer's steps are paced by a capped
+// exponential backoff instead of the raw tick: a retransmission doubles
+// the interval (up to BackoffCapFactor ticks, ±25% seeded jitter), a
+// fresh send resets it to the base tick. The other kind of progress, an
+// acknowledgement that moved the sender forward (not a stale one), is
+// service's to detect. It returns false when the transport closed.
 func (s *Session) senderEvent(ev protocol.Event) bool {
 	retrans, fresh := false, false
 	for _, mg := range s.cfg.Sender.Step(ev) {
@@ -284,12 +284,20 @@ func (s *Session) senderEvent(ev protocol.Event) bool {
 		}
 	}
 	switch {
-	case fresh, ev.Kind == protocol.Recv && !retrans:
+	case fresh:
 		s.bo.reset()
 	case retrans:
 		s.bo.grow()
 	}
 	return true
+}
+
+// spontaneous steps the sender once, unprompted, and re-arms the
+// retransmission backoff from now; false means the transport closed.
+func (s *Session) spontaneous(now int64) bool {
+	ok := s.senderEvent(protocol.TickEvent())
+	s.bo.arm(now)
+	return ok
 }
 
 // stepOutcome is receiverEvent's verdict on the session's life.
