@@ -25,7 +25,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -37,7 +36,7 @@ import (
 	"seqtx/internal/cliutil"
 	"seqtx/internal/cluster"
 	"seqtx/internal/faults"
-	"seqtx/internal/registry"
+	"seqtx/internal/fleet"
 	"seqtx/internal/wire"
 )
 
@@ -53,25 +52,18 @@ func run() int {
 		args = args[1:]
 	}
 	fs := flag.NewFlagSet("stpmaster", flag.ExitOnError)
+	sweep := cluster.SweepConfig{Spec: fleet.Default()}
+	sweep.Timeout = 0 // stpmaster's default: assignments then omit it
+	sweep.AddParamFlags(fs)
 	var (
 		listen   = fs.String("listen", "127.0.0.1:7700", "control-plane listen address (host:port; :0 = kernel-assigned)")
 		servers  = fs.Int("servers", 2, "stpserve nodes to wait for (must equal -clients)")
 		clients  = fs.Int("clients", 2, "stpload nodes to wait for")
-		proto    = fs.String("proto", "alpha", "protocol: "+strings.Join(registry.ProtocolNames(), "|"))
-		m        = fs.Int("m", 8, "domain / sender-alphabet size parameter")
-		items    = fs.Int("items", 6, "input items per session (repetition-free, so at most -m)")
-		timeout  = fs.Int("timeout", 0, "hybrid timeout (ticks; 0 = protocol default)")
-		window   = fs.Int("window", 4, "modseq sequence-number window")
-		capBound = fs.Int("cap", 0, "channel-capacity bound c for the stab protocol (0 = its default)")
 		sessions = fs.String("sessions", "8", "comma-separated sessions-per-cell axis, e.g. 4,16,64")
 		rates    = fs.String("rates", "0", "comma-separated client session-start rates per second (0 = unpaced), e.g. 0,100")
 		impairs  = fs.String("impairs", "none", "comma-separated impairment presets ("+strings.Join(wire.ImpairPresetNames(), "|")+") or channel-model specs ("+chanmodel.SpecSyntax+"; commas inside parentheses do not split)")
 		chaos    = fs.String("crash-presets", "none", "comma-separated crash-restart preset axis (process-fault presets from "+strings.Join(faults.PresetNames(), "|")+"); cells run under wire.ServeSupervised, each node crashing its own half")
-		restart  = fs.String("restart-policy", "preset", "chaos restart policy: preset|amnesia|scramble")
 		cellTO   = fs.Duration("cell-timeout", 0, "per-cell node timeout: a node that misses it fails only that cell (its pair is dropped, the sweep continues); 0 = any node failure aborts the sweep")
-		tick     = fs.Duration("tick", wire.DefaultTick, "timer tick: retransmission-timeout base and receiver pacing (fresh sends do not wait for it)")
-		deadline = fs.Duration("deadline", 30*time.Second, "per-session deadline")
-		seed     = fs.Int64("seed", 1, "base seed (cell c, session i derives from seed+c*stride+i)")
 		assemble = fs.Duration("assemble-timeout", 60*time.Second, "how long to wait for the fleet to connect")
 		reportTo = fs.String("report", "BENCH_cluster.json", "write the bench document to this file (\"-\" = stdout)")
 		verbose  = fs.Bool("v", false, "log fleet assembly and per-cell progress")
@@ -82,45 +74,31 @@ func run() int {
 		cliutil.HostPort("listen", *listen),
 		cliutil.Positive("servers", *servers),
 		cliutil.Positive("clients", *clients),
-		cliutil.Positive("m", *m),
-		cliutil.Positive("items", *items),
-		cliutil.NonNegative("timeout", *timeout),
 	} {
 		if check != nil {
 			fmt.Fprintln(os.Stderr, "stpmaster:", check)
 			return 2
 		}
 	}
-	sessionsAxis, err := parseInts(*sessions)
-	if err != nil {
+	var err error
+	if sweep.Sessions, err = parseAxis(*sessions, strconv.Atoi); err != nil {
 		fmt.Fprintf(os.Stderr, "stpmaster: -sessions: %v\n", err)
 		return 2
 	}
-	ratesAxis, err := parseFloats(*rates)
-	if err != nil {
+	if sweep.Rates, err = parseAxis(*rates, func(f string) (float64, error) { return strconv.ParseFloat(f, 64) }); err != nil {
 		fmt.Fprintf(os.Stderr, "stpmaster: -rates: %v\n", err)
 		return 2
 	}
 	// Depth-aware split: model specs like k-del(k=2,n=16) carry commas.
-	impairAxis := chanmodel.SplitSpecs(*impairs)
-	for _, im := range impairAxis {
-		if _, err := wire.ImpairSpec(im, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "stpmaster:", err)
-			return 2
-		}
-	}
+	sweep.Impairs = chanmodel.SplitSpecs(*impairs)
+	sweep.CrashPresets = splitList(*chaos)
 
+	// NewMaster validates every cell of the grid (fleet.Spec.Validate).
 	cfg := cluster.MasterConfig{
-		Listen:  *listen,
-		Servers: *servers,
-		Clients: *clients,
-		Sweep: cluster.SweepConfig{
-			Proto: *proto, M: *m, Items: *items,
-			Timeout: *timeout, Window: *window, Cap: *capBound,
-			Sessions: sessionsAxis, Rates: ratesAxis, Impairs: impairAxis,
-			CrashPresets: splitList(*chaos), RestartPolicy: *restart,
-			Tick: *tick, Deadline: *deadline, Seed: *seed,
-		},
+		Listen:          *listen,
+		Servers:         *servers,
+		Clients:         *clients,
+		Sweep:           sweep,
 		AssembleTimeout: *assemble,
 		CellTimeout:     *cellTO,
 	}
@@ -159,7 +137,7 @@ func run() int {
 		len(doc.Cells), doc.FailedCells, doc.TotalSessions, doc.TotalCompleted, doc.TotalViolations)
 
 	if *reportTo != "" {
-		if err := writeDoc(*reportTo, doc); err != nil {
+		if err := cliutil.WriteJSON(*reportTo, doc); err != nil {
 			fmt.Fprintln(os.Stderr, "stpmaster:", err)
 			return 1
 		}
@@ -181,10 +159,11 @@ func splitList(s string) []string {
 	return out
 }
 
-func parseInts(s string) ([]int, error) {
-	var out []int
+// parseAxis parses a comma-separated axis flag with parse.
+func parseAxis[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, f := range splitList(s) {
-		v, err := strconv.Atoi(f)
+		v, err := parse(f)
 		if err != nil {
 			return nil, fmt.Errorf("bad value %q: %w", f, err)
 		}
@@ -194,33 +173,4 @@ func parseInts(s string) ([]int, error) {
 		return nil, fmt.Errorf("empty axis")
 	}
 	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range splitList(s) {
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q: %w", f, err)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty axis")
-	}
-	return out, nil
-}
-
-// writeDoc marshals the bench document to path ("-" = stdout).
-func writeDoc(path string, doc *cluster.BenchDoc) error {
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }

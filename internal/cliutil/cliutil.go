@@ -6,9 +6,11 @@
 package cliutil
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
+	"os"
 	"strconv"
 	"strings"
 
@@ -63,6 +65,21 @@ func HostPort(name, v string) error {
 		return fmt.Errorf("-%s must be host:port: %v", name, err)
 	}
 	return nil
+}
+
+// WriteJSON writes v, indented, to path ("-" = stdout): the -report flag
+// of stpload and stpmaster.
+func WriteJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if path == "-" {
+		_, err = os.Stdout.Write(data)
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
 }
 
 // Metrics bundles the -metrics/-metrics-format flag pair and the

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"seqtx/internal/fleet"
 )
 
 // TestClusterChaosCell drives a sweep with a crash-restart axis: the
@@ -19,14 +21,10 @@ import (
 // still completes with zero post-stabilization violations.
 func TestClusterChaosCell(t *testing.T) {
 	doc := runFleet(t, 1, 1, SweepConfig{
-		Proto: "alpha", M: 24, Items: 24,
-		Sessions:      []int{2},
-		Impairs:       []string{"burst-drop"},
-		CrashPresets:  []string{"none", "crash-sender"},
-		RestartPolicy: "amnesia",
-		Tick:          time.Millisecond,
-		Deadline:      30 * time.Second,
-		Seed:          5,
+		Spec:         fleet.Spec{Proto: "alpha", M: 24, Items: 24, RestartPolicy: "amnesia", Tick: time.Millisecond, Deadline: 30 * time.Second, Seed: 5},
+		Sessions:     []int{2},
+		Impairs:      []string{"burst-drop"},
+		CrashPresets: []string{"none", "crash-sender"},
 	})
 	if len(doc.Cells) != 2 {
 		t.Fatalf("cells = %d, want 2", len(doc.Cells))
@@ -62,11 +60,12 @@ func TestClusterChaosCell(t *testing.T) {
 // rejected.
 func TestClusterChaosValidation(t *testing.T) {
 	base := func() MasterConfig {
-		return MasterConfig{Listen: "127.0.0.1:0", Servers: 1, Clients: 1}
+		return MasterConfig{Listen: "127.0.0.1:0", Servers: 1, Clients: 1,
+			Sweep: SweepConfig{Spec: fleet.Default()}}
 	}
 	cfg := base()
 	cfg.Sweep.CrashPresets = []string{"burst-drop"}
-	if _, err := NewMaster(cfg); err == nil || !strings.Contains(err.Error(), "impairs axis") {
+	if _, err := NewMaster(cfg); err == nil || !strings.Contains(err.Error(), "link impairments go via -impair") {
 		t.Errorf("link preset accepted on chaos axis: %v", err)
 	}
 	cfg = base()
@@ -132,11 +131,8 @@ func TestClusterCellTimeoutDropsWedgedPair(t *testing.T) {
 	master, err := NewMaster(MasterConfig{
 		Listen: "127.0.0.1:0", Servers: 2, Clients: 2,
 		Sweep: SweepConfig{
-			Proto: "alpha", M: 8, Items: 3,
+			Spec:     fleet.Spec{Proto: "alpha", M: 8, Items: 3, Tick: 500 * time.Microsecond, Deadline: 2 * time.Second, Seed: 9},
 			Sessions: []int{2, 2},
-			Tick:     500 * time.Microsecond,
-			Deadline: 2 * time.Second,
-			Seed:     9,
 		},
 		AssembleTimeout: 10 * time.Second,
 		CellTimeout:     5 * time.Second,

@@ -2,10 +2,14 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"seqtx/internal/fleet"
 )
 
 // runFleet starts a master plus the named fleet in-process over real
@@ -67,9 +71,11 @@ func TestMasterConfigValidation(t *testing.T) {
 	if _, err := NewMaster(MasterConfig{Listen: "127.0.0.1:0", Servers: 0, Clients: 0}); err == nil {
 		t.Error("empty fleet accepted")
 	}
+	tooLong := fleet.Default()
+	tooLong.M, tooLong.Items = 4, 9
 	if _, err := NewMaster(MasterConfig{
 		Listen: "127.0.0.1:0", Servers: 1, Clients: 1,
-		Sweep: SweepConfig{M: 4, Items: 9},
+		Sweep: SweepConfig{Spec: tooLong},
 	}); err == nil || !strings.Contains(err.Error(), "repetition-free") {
 		t.Errorf("items > m accepted: %v", err)
 	}
@@ -84,11 +90,8 @@ func TestMasterConfigValidation(t *testing.T) {
 // data plane genuinely crossed sockets (frames on both sides).
 func TestClusterSingleCell(t *testing.T) {
 	doc := runFleet(t, 1, 1, SweepConfig{
-		Proto: "alpha", M: 8, Items: 5,
+		Spec:     fleet.Spec{Proto: "alpha", M: 8, Items: 5, Tick: 500 * time.Microsecond, Deadline: 30 * time.Second, Seed: 7},
 		Sessions: []int{6},
-		Tick:     500 * time.Microsecond,
-		Deadline: 30 * time.Second,
-		Seed:     7,
 	})
 	if len(doc.Cells) != 1 {
 		t.Fatalf("cells = %d, want 1", len(doc.Cells))
@@ -127,13 +130,10 @@ func TestClusterSweepGrid(t *testing.T) {
 		t.Skip("multi-cell sweep in -short mode")
 	}
 	sweep := SweepConfig{
-		Proto: "alpha", M: 8, Items: 4,
+		Spec:     fleet.Spec{Proto: "alpha", M: 8, Items: 4, Tick: 500 * time.Microsecond, Deadline: 20 * time.Second, Seed: 11},
 		Sessions: []int{2, 4},
 		Rates:    []float64{0, 200},
 		Impairs:  []string{"none", "burst-drop"},
-		Tick:     500 * time.Microsecond,
-		Deadline: 20 * time.Second,
-		Seed:     11,
 	}
 	doc := runFleet(t, 2, 2, sweep)
 	if want := 8; len(doc.Cells) != want {
@@ -166,11 +166,8 @@ func TestClusterSweepGrid(t *testing.T) {
 // or incomplete tapes in cell 2).
 func TestClusterCellIsolation(t *testing.T) {
 	doc := runFleet(t, 1, 1, SweepConfig{
-		Proto: "alpha", M: 8, Items: 3,
+		Spec:     fleet.Spec{Proto: "alpha", M: 8, Items: 3, Tick: 500 * time.Microsecond, Deadline: 20 * time.Second, Seed: 3},
 		Sessions: []int{3, 3},
-		Tick:     500 * time.Microsecond,
-		Deadline: 20 * time.Second,
-		Seed:     3,
 	})
 	if len(doc.Cells) != 2 {
 		t.Fatalf("cells = %d, want 2", len(doc.Cells))
@@ -179,5 +176,50 @@ func TestClusterCellIsolation(t *testing.T) {
 		if cell.Completed != 3 || cell.Violations != 0 {
 			t.Errorf("cell %d: completed=%d violations=%d, want 3/0", i, cell.Completed, cell.Violations)
 		}
+	}
+}
+
+// TestAssignmentWireFormat pins the control plane across the fold of the
+// assignment's fleet fields into the embedded fleet.Spec: a prepare
+// envelope marshalled before the fold unmarshals into the same values,
+// and what is marshalled now carries the same keys (a node from either
+// side of the change serves a master from the other).
+func TestAssignmentWireFormat(t *testing.T) {
+	const before = `{"type":"prepare","prepare":{"cell":{"sessions":16,"rate":100,"impair":"burst-drop","chaos":"crash-sender"},"proto":"modseq","m":24,"items":12,"timeout":8,"window":4,"cap":3,"sessions":8,"first_id":5,"seed":1048583,"tick_ns":500000,"deadline_ns":30000000000,"rate":100,"impair":"burst-drop","chaos":"crash-sender","restart_policy":"amnesia"}}`
+	want := Assignment{
+		Cell: CellKey{Sessions: 16, Rate: 100, Impair: "burst-drop", Chaos: "crash-sender"},
+		Spec: fleet.Spec{
+			Proto: "modseq", M: 24, Items: 12, Timeout: 8, Window: 4, Cap: 3,
+			Sessions: 8, FirstID: 5, Seed: 1048583,
+			Tick: 500 * time.Microsecond, Deadline: 30 * time.Second,
+			Impair: "burst-drop", Chaos: "crash-sender", RestartPolicy: "amnesia",
+		},
+		Rate: 100,
+	}
+	var env envelope
+	if err := json.Unmarshal([]byte(before), &env); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if env.Type != TypePrepare || env.Prepare == nil || *env.Prepare != want {
+		t.Errorf("a pre-fold prepare unmarshals to %+v, want %+v", env.Prepare, want)
+	}
+	after, err := json.Marshal(envelope{Type: TypePrepare, Prepare: &want})
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var was, now map[string]any
+	json.Unmarshal([]byte(before), &was)
+	json.Unmarshal(after, &now)
+	if !reflect.DeepEqual(was, now) {
+		t.Errorf("prepare now marshals to %s, want the members of %s", after, before)
+	}
+
+	// The optional members stay omitted when unset.
+	const bare = `{"cell":{"sessions":4,"rate":0,"impair":"none"},"proto":"alpha","m":8,"items":6,"sessions":4,"first_id":1,"seed":1,"tick_ns":1000000,"deadline_ns":30000000000}`
+	a := Assignment{Cell: CellKey{Sessions: 4, Impair: "none"}, Spec: fleet.Spec{
+		Proto: "alpha", M: 8, Items: 6, Sessions: 4, FirstID: 1, Seed: 1,
+		Tick: time.Millisecond, Deadline: 30 * time.Second}}
+	if got, _ := json.Marshal(a); string(got) != bare {
+		t.Errorf("bare assignment marshals to %s, want %s", got, bare)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"os/exec"
 	"testing"
 	"time"
+
+	"seqtx/internal/fleet"
 )
 
 // TestClusterHelperProcess is not a test: it is the node entry point the
@@ -43,11 +45,8 @@ func TestClusterTwoProcessRoundTrip(t *testing.T) {
 	master, err := NewMaster(MasterConfig{
 		Listen: "127.0.0.1:0", Servers: 1, Clients: 1,
 		Sweep: SweepConfig{
-			Proto: "alpha", M: 8, Items: 5,
+			Spec:     fleet.Spec{Proto: "alpha", M: 8, Items: 5, Tick: time.Millisecond, Deadline: 30 * time.Second, Seed: 21},
 			Sessions: []int{4},
-			Tick:     time.Millisecond,
-			Deadline: 30 * time.Second,
-			Seed:     21,
 		},
 		AssembleTimeout: 15 * time.Second,
 		Logf:            t.Logf,

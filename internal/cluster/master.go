@@ -254,24 +254,12 @@ func (m *Master) runCell(ci int, key CellKey, servers, clients []*node) (*BenchC
 		if p < key.Sessions%pairs {
 			n++
 		}
-		asgn[p] = Assignment{
-			Cell:       key,
-			Proto:      sw.Proto,
-			M:          sw.M,
-			Items:      sw.Items,
-			Timeout:    sw.Timeout,
-			Window:     sw.Window,
-			Cap:        sw.Cap,
-			Sessions:   n,
-			FirstID:    firstID,
-			Seed:       seedBase,
-			TickNS:     int64(sw.Tick),
-			DeadlineNS: int64(sw.Deadline),
-			// Chaos is shared by both ends: each node applies only the
-			// crash points targeting its own half.
-			Chaos:         key.Chaos,
-			RestartPolicy: sw.RestartPolicy,
-		}
+		// Chaos is shared by both ends (each node applies only the crash
+		// points targeting its own half); Impair goes on the client's copy.
+		spec := sw.cell(key)
+		spec.Sessions, spec.FirstID, spec.Seed = n, firstID, seedBase
+		spec.Impair = ""
+		asgn[p] = Assignment{Cell: key, Spec: spec}
 		firstID += uint64(n)
 	}
 

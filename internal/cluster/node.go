@@ -3,17 +3,14 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net"
-	"strings"
+	"os"
 	"sync"
 	"time"
 
-	"seqtx/internal/faults"
+	"seqtx/internal/cliutil"
+	"seqtx/internal/fleet"
 	"seqtx/internal/obs"
-	"seqtx/internal/protocol"
-	"seqtx/internal/registry"
-	"seqtx/internal/seq"
 	"seqtx/internal/wire"
 )
 
@@ -94,9 +91,38 @@ func RunNode(ctx context.Context, cfg NodeConfig) error {
 	}
 }
 
-// runCellNode serves one assignment end to end: bind → ready → start →
-// run → report. Node-level failures are reported to the master (in the
-// ready or report envelope) AND returned, so both sides see them.
+// NodeMain is the -master mode of stpserve and stpload: it joins the
+// cluster as a node of the given role, serves assignments until the
+// master shuts the sweep down, and returns the process exit code.
+func NodeMain(prog, role, master, name, dataHost string, verbose bool) int {
+	if err := cliutil.HostPort("master", master); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+		return 2
+	}
+	if name == "" {
+		prefix := "cli"
+		if role == RoleServer {
+			prefix = "srv"
+		}
+		name = fmt.Sprintf("%s-%d", prefix, os.Getpid())
+	}
+	cfg := NodeConfig{Master: master, Role: role, Name: name, DataHost: dataHost}
+	if verbose {
+		cfg.Logf = func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, prog+": "+format+"\n", args...)
+		}
+	}
+	if err := RunNode(context.Background(), cfg); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+		return 1
+	}
+	fmt.Printf("%s: node %s done\n", prog, name)
+	return 0
+}
+
+// runCellNode serves one assignment end to end: build → bind → ready →
+// start → run → report. Node-level failures are reported to the master
+// (in the ready or report envelope) AND returned, so both sides see them.
 func runCellNode(ctx context.Context, cfg NodeConfig, c *conn, asgn Assignment, logf func(string, ...any)) error {
 	host := wire.SenderEnd
 	if cfg.Role == RoleServer {
@@ -110,6 +136,16 @@ func runCellNode(ctx context.Context, cfg NodeConfig, c *conn, asgn Assignment, 
 		return werr
 	}
 
+	// Sessions before sockets: a bad assignment fails here, holding
+	// nothing. Both ends of a pair derive session id i's tape from the
+	// same cell seed (fleet.Spec.Build).
+	if err := asgn.Validate(); err != nil {
+		return fail("assignment", err)
+	}
+	cfgs, err := asgn.Build(host, asgn.Seed)
+	if err != nil {
+		return fail("sessions", err)
+	}
 	peer, err := wire.NewUDPPeer(host, net.JoinHostPort(cfg.DataHost, "0"), "", reg)
 	if err != nil {
 		return fail("bind", err)
@@ -117,25 +153,13 @@ func runCellNode(ctx context.Context, cfg NodeConfig, c *conn, asgn Assignment, 
 	defer peer.Close()
 
 	// The transport the sessions see: the raw peer, or the peer behind
-	// the cell's impairment preset (the peer reference stays in hand for
+	// the cell's impairment (the peer reference stays in hand for
 	// SetRemote/LocalAddr, which the wrapper hides).
 	var tr wire.Transport = peer
 	if asgn.Impair != "" && asgn.Impair != "none" {
-		opts, err := wire.ImpairSpec(asgn.Impair, asgn.Seed)
-		if err != nil {
+		if tr, err = asgn.Impaired(peer, reg); err != nil {
 			return fail("impair", err)
 		}
-		if tr, err = wire.NewImpairment(peer, opts, reg); err != nil {
-			return fail("impair", err)
-		}
-	}
-	chaosOn, chaosPts, chaosPolicy, err := nodeChaos(asgn, cfg.Role)
-	if err != nil {
-		return fail("chaos", err)
-	}
-	cfgs, err := buildHalves(asgn, host)
-	if err != nil {
-		return fail("sessions", err)
 	}
 
 	if err := c.send(envelope{Type: TypeReady, Ready: &Ready{DataAddr: peer.LocalAddr().String()}}); err != nil {
@@ -157,41 +181,28 @@ func runCellNode(ctx context.Context, cfg NodeConfig, c *conn, asgn Assignment, 
 		cfg.Name, asgn.Cell, asgn.Sessions, peer.LocalAddr(), env.Start.PeerAddr)
 
 	start := time.Now()
-	var rep NodeReport
-	var runErr error
-	switch {
-	case chaosOn:
+	var (
+		out    fleet.Reports
+		tally  fleet.Tally
+		runErr error
+	)
+	paced := cfg.Role == RoleClient && asgn.Rate > 0
+	if paced && !asgn.Supervised() {
+		out.Plain, runErr = runPaced(ctx, tr, cfgs, reg, asgn.Rate)
+		tally.Add(out)
+	} else {
 		// Chaos cells run every session under crash-restart supervision,
 		// BOTH halves: the node with the preset's crash points injects
 		// them, and the peer node still needs the supervised audit — a
 		// restarted remote process legitimately replays or rewrites, which
 		// the strict prefix audit would misread as a violation. Rate
 		// pacing does not compose with supervision and is ignored.
-		if cfg.Role == RoleClient && asgn.Rate > 0 {
+		if paced {
 			logf("node %s: cell %v: chaos cell ignores rate pacing", cfg.Name, asgn.Cell)
 		}
-		var sreports []wire.SupervisedReport
-		sreports, runErr = wire.ServeSupervised(ctx, wire.ChaosServeConfig{
-			ServeConfig: wire.ServeConfig{
-				Transport: tr, Sessions: cfgs, Obs: reg,
-			},
-			Chaos: wire.ChaosConfig{Crashes: chaosPts, Policy: chaosPolicy, Seed: asgn.Seed},
-			Rebuild: func(i int) (protocol.Sender, protocol.Receiver, error) {
-				return registry.Pair(asgn.Proto, asgnParams(asgn), cfgs[i].Input)
-			},
-		})
-		rep = summarizeSupervisedNode(cfg, sreports, reg, time.Since(start))
-	case cfg.Role == RoleClient && asgn.Rate > 0:
-		var reports []wire.Report
-		reports, runErr = runPaced(ctx, tr, cfgs, reg, asgn.Rate)
-		rep = summarizeNode(cfg, reports, reg, time.Since(start))
-	default:
-		var reports []wire.Report
-		reports, runErr = wire.Serve(ctx, wire.ServeConfig{
-			Transport: tr, Sessions: cfgs, Obs: reg,
-		})
-		rep = summarizeNode(cfg, reports, reg, time.Since(start))
+		out, runErr = asgn.Serve(ctx, wire.ServeConfig{Transport: tr, Sessions: cfgs, Obs: reg}, asgn.Seed, &tally)
 	}
+	rep := nodeReport(cfg, out, &tally, reg, time.Since(start))
 	if runErr != nil {
 		rep.Err = runErr.Error()
 	}
@@ -201,79 +212,6 @@ func runCellNode(ctx context.Context, cfg NodeConfig, c *conn, asgn Assignment, 
 	logf("node %s: cell %v: complete=%d/%d violations=%d foreign=%d",
 		cfg.Name, asgn.Cell, rep.Completed, rep.Sessions, rep.Violations, rep.ForeignDrops)
 	return runErr
-}
-
-// buildHalves derives this node's session configs from the assignment.
-// Both ends of a pair call this with the same assignment (modulo Rate
-// and Impair) and different hosts, so session id i's input tape X is
-// derived identically on both machines — the receiver half needs X for
-// the prefix audit, and shipping tapes through the control plane would
-// couple its size to the data plane's.
-func buildHalves(asgn Assignment, host wire.End) ([]wire.SessionConfig, error) {
-	if asgn.Sessions <= 0 {
-		return nil, fmt.Errorf("non-positive session count %d", asgn.Sessions)
-	}
-	params := asgnParams(asgn)
-	tick := time.Duration(asgn.TickNS)
-	deadline := time.Duration(asgn.DeadlineNS)
-	src := rand.NewSource(0)
-	rng := rand.New(src)
-	cfgs := make([]wire.SessionConfig, asgn.Sessions)
-	for j := range cfgs {
-		id := asgn.FirstID + uint64(j)
-		sessSeed := asgn.Seed + int64(id)
-		src.Seed(sessSeed)
-		x, err := seq.RandomRepetitionFree(rng, asgn.M, asgn.Items)
-		if err != nil {
-			return nil, err
-		}
-		s, r, err := registry.Pair(asgn.Proto, params, x)
-		if err != nil {
-			return nil, err
-		}
-		cfgs[j] = wire.SessionConfig{
-			ID: id, Sender: s, Receiver: r, Input: x,
-			Tick: tick, Deadline: deadline, Seed: sessSeed,
-			Half: host,
-		}
-	}
-	return cfgs, nil
-}
-
-// asgnParams maps an assignment's protocol parameters to the registry's.
-func asgnParams(asgn Assignment) registry.Params {
-	return registry.Params{
-		M: asgn.M, Timeout: asgn.Timeout, Window: asgn.Window,
-		Seed: asgn.Seed, Cap: asgn.Cap,
-	}
-}
-
-// nodeChaos resolves an assignment's chaos preset for this node: whether
-// supervision is on at all, and which of the preset's crash points this
-// node injects — only those targeting its own half, since the other
-// half's process lives on the peer machine.
-func nodeChaos(asgn Assignment, role string) (on bool, pts []faults.CrashPoint, policy wire.RestartPolicy, err error) {
-	policy, err = wire.ParseRestartPolicy(asgn.RestartPolicy)
-	if err != nil {
-		return false, nil, 0, err
-	}
-	if asgn.Chaos == "" || asgn.Chaos == "none" {
-		return false, nil, policy, nil
-	}
-	spec, err := faults.PresetSpec(asgn.Chaos)
-	if err != nil {
-		return false, nil, 0, err
-	}
-	who := faults.Sender
-	if role == RoleServer {
-		who = faults.Receiver
-	}
-	for _, p := range spec.Crashes {
-		if p.Who == who {
-			pts = append(pts, p)
-		}
-	}
-	return true, pts, policy, nil
 }
 
 // runPaced is the client-side rate-paced variant of wire.Serve: session
@@ -329,85 +267,35 @@ pacing:
 	return reports, nil
 }
 
-// summarizeNode folds the node's session reports and wire counters into
-// its NodeReport for the cell.
-func summarizeNode(cfg NodeConfig, reports []wire.Report,
+// nodeReport turns the cell's tally and wire counters into the node's
+// report. A session's safety verdict is the strict prefix audit, or in a
+// chaos cell its post-stabilization bad-write count (bad writes inside a
+// recovery window are stabilization debt, not violations). Latencies
+// come from clients (a sender half's life spans first send to final
+// ack), deliveries from servers (the receiver half owns the tape).
+func nodeReport(cfg NodeConfig, out fleet.Reports, t *fleet.Tally,
 	reg *obs.Registry, elapsed time.Duration) NodeReport {
 
 	rep := NodeReport{
 		Node: cfg.Name, Role: cfg.Role,
-		Sessions:       len(reports),
+		Sessions: t.Sessions, Completed: t.Completed,
+		Violations:     t.Violations + t.Unstable,
 		ElapsedSeconds: elapsed.Seconds(),
+		Incarnations:   t.Incarnations, BadWrites: t.BadWrites,
+		PostStabViolations:  t.PostStabViolations,
+		WatchdogEscalations: t.WatchdogEscalations,
 	}
-	for _, r := range reports {
-		if r.Complete {
-			rep.Completed++
-			if cfg.Role == RoleClient && r.Elapsed > 0 {
-				rep.LatenciesMS = append(rep.LatenciesMS,
-					float64(r.Elapsed)/float64(time.Millisecond))
-			}
-		}
-		if r.SafetyViolation != nil {
-			rep.Violations++
-		}
-		if cfg.Role == RoleServer {
-			rep.ItemsDelivered += int64(len(r.Output))
+	if cfg.Role == RoleServer {
+		rep.ItemsDelivered = t.ItemsDelivered
+	} else {
+		for _, d := range out.Latencies() {
+			rep.LatenciesMS = append(rep.LatenciesMS, float64(d)/float64(time.Millisecond))
 		}
 	}
-	foldWireCounters(&rep, reg)
+	var drops map[string]int64
+	rep.FramesTx, rep.FramesRx, drops = fleet.WireCounters(reg.Snapshot().Counters)
+	rep.ForeignDrops = drops["foreign"]
+	rep.BackpressureDrops = drops["backpressure"]
+	rep.OversizeDrops = drops["oversize"]
 	return rep
-}
-
-// summarizeSupervisedNode is the chaos-cell counterpart: a session's
-// safety verdict is its post-stabilization bad-write count (bad writes
-// inside a recovery window are stabilization debt, not violations), and
-// the incarnation/watchdog totals ride along for the cell report.
-func summarizeSupervisedNode(cfg NodeConfig, reports []wire.SupervisedReport,
-	reg *obs.Registry, elapsed time.Duration) NodeReport {
-
-	rep := NodeReport{
-		Node: cfg.Name, Role: cfg.Role,
-		Sessions:       len(reports),
-		ElapsedSeconds: elapsed.Seconds(),
-	}
-	for _, r := range reports {
-		if r.Complete {
-			rep.Completed++
-			if cfg.Role == RoleClient && r.Elapsed > 0 {
-				rep.LatenciesMS = append(rep.LatenciesMS,
-					float64(r.Elapsed)/float64(time.Millisecond))
-			}
-		}
-		if r.PostStabViolations > 0 {
-			rep.Violations++
-		}
-		rep.Incarnations += len(r.Incarnations)
-		rep.BadWrites += r.BadWrites
-		rep.PostStabViolations += r.PostStabViolations
-		rep.WatchdogEscalations += r.WatchdogEscalations
-		if cfg.Role == RoleServer {
-			rep.ItemsDelivered += int64(len(r.Output))
-		}
-	}
-	foldWireCounters(&rep, reg)
-	return rep
-}
-
-// foldWireCounters copies the cell registry's wire counters into the
-// report.
-func foldWireCounters(rep *NodeReport, reg *obs.Registry) {
-	for name, v := range reg.Snapshot().Counters {
-		switch {
-		case strings.HasPrefix(name, "wire_frames_tx_total"):
-			rep.FramesTx += v
-		case strings.HasPrefix(name, "wire_frames_rx_total"):
-			rep.FramesRx += v
-		case name == `wire_frames_dropped_total{cause="foreign"}`:
-			rep.ForeignDrops = v
-		case name == `wire_frames_dropped_total{cause="backpressure"}`:
-			rep.BackpressureDrops = v
-		case name == `wire_frames_dropped_total{cause="oversize"}`:
-			rep.OversizeDrops = v
-		}
-	}
 }

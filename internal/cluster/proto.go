@@ -29,6 +29,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+
+	"seqtx/internal/fleet"
 )
 
 // Node roles.
@@ -53,52 +55,25 @@ type Hello struct {
 	Name string `json:"name"`
 }
 
-// Assignment is one node's share of one sweep cell: which sessions to
-// run, as which half, derived from which seed. The sender and receiver
-// assignments for a pair differ only in Rate and Impair (client-side
-// concerns); everything the session machines are built from — proto,
-// params, ids, seeds — is identical, which is what lets both processes
-// derive the same input tape X independently.
+// Assignment is one node's share of one sweep cell: the fleet to run —
+// session ids FirstID.., every tape and session seed drawn from
+// Seed+int64(id) — and, by the node's role, as which half. The sender
+// and receiver assignments of a pair differ only in Rate and Impair
+// (client-side concerns); everything the session machines are built from
+// is identical, which is what lets both processes derive the same input
+// tape X independently. Impairing one end suffices: the impairment
+// shapes both directions of that end's socket. Chaos is shared by both
+// ends — each node applies only the crash points that target its own
+// half — so one preset name describes the whole pair's process-fault
+// schedule.
 type Assignment struct {
 	Cell CellKey `json:"cell"`
 
-	// Protocol construction parameters (mirror registry.Params).
-	Proto   string `json:"proto"`
-	M       int    `json:"m"`
-	Items   int    `json:"items"`
-	Timeout int    `json:"timeout,omitempty"`
-	Window  int    `json:"window,omitempty"`
-	Cap     int    `json:"cap,omitempty"`
-
-	// Sessions is this node's share of the cell; session j of this node
-	// has wire id FirstID+j and derives its input from Seed+int64(id).
-	Sessions int    `json:"sessions"`
-	FirstID  uint64 `json:"first_id"`
-	Seed     int64  `json:"seed"`
-
-	// TickNS / DeadlineNS pace the sessions (nanoseconds; JSON-friendly).
-	TickNS     int64 `json:"tick_ns"`
-	DeadlineNS int64 `json:"deadline_ns"`
+	fleet.Spec
 
 	// Rate paces client-side session starts (sessions/sec; 0 = all at
 	// once). Servers ignore it — receiver halves just wait for traffic.
 	Rate float64 `json:"rate,omitempty"`
-
-	// Impair names the wire impairment preset the client applies to its
-	// transport ("" or "none" = clean link). Impairing one end suffices:
-	// the preset shapes both directions of that end's socket.
-	Impair string `json:"impair,omitempty"`
-
-	// Chaos names the crash-restart preset driving wire.ServeSupervised
-	// on this node ("" or "none" = plain wire.Serve). Unlike Impair it is
-	// shared by both ends of a pair: each node applies only the crash
-	// points that target its own half — the client crashes senders, the
-	// server crashes receivers — so one preset name describes the whole
-	// pair's process-fault schedule.
-	Chaos string `json:"chaos,omitempty"`
-	// RestartPolicy optionally overrides the preset's per-point scramble
-	// flags ("preset", "amnesia", "scramble").
-	RestartPolicy string `json:"restart_policy,omitempty"`
 }
 
 // Ready carries the concrete data-plane address a node bound for the

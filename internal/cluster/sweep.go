@@ -4,22 +4,20 @@ import (
 	"fmt"
 	"time"
 
-	"seqtx/internal/faults"
+	"seqtx/internal/fleet"
 	"seqtx/internal/stats"
-	"seqtx/internal/wire"
 )
 
 // SweepConfig is the evaluation grid the master drives: every
-// combination of Sessions × Rates × Impairs is one cell, run across the
-// whole node fleet before the next cell starts.
+// combination of Sessions × Rates × Impairs × CrashPresets is one cell,
+// run across the whole node fleet before the next cell starts.
 type SweepConfig struct {
-	// Protocol construction parameters, shared by every cell.
-	Proto   string
-	M       int
-	Items   int
-	Timeout int
-	Window  int
-	Cap     int
+	// Spec is what every cell shares: the protocol parameters, the
+	// pacing, the restart policy, and the base Seed — cell c, session id
+	// i derives its input from Seed + c*CellSeedStride + i, so no two
+	// cells share a tape stream. Its Sessions, FirstID, Impair and Chaos
+	// are per-cell values the master fills from the axes below.
+	fleet.Spec
 
 	// The grid axes. Zero-length axes default to a single neutral value.
 	Sessions []int     // total concurrent sessions per cell (split across node pairs)
@@ -29,19 +27,6 @@ type SweepConfig struct {
 	// faults.PresetNames) whose crash points each node applies to its
 	// own half under wire.ServeSupervised ("none" = unsupervised).
 	CrashPresets []string
-
-	// RestartPolicy overrides the chaos presets' per-point scramble
-	// flags for every supervised cell ("", "preset", "amnesia",
-	// "scramble").
-	RestartPolicy string
-
-	// Pacing shared by every session.
-	Tick     time.Duration
-	Deadline time.Duration
-
-	// Seed is the base seed; cell c, session id i derives its input from
-	// Seed + c*CellSeedStride + i, so no two cells share a tape stream.
-	Seed int64
 }
 
 // CellSeedStride spaces the per-cell seed bases far enough apart that no
@@ -66,35 +51,14 @@ func (k CellKey) String() string {
 	return s
 }
 
-// normalize fills defaulted axes and validates the grid.
+// normalize fills defaulted axes and validates every cell of the grid
+// with the one fleet check; it clamps no field a CLI would reject.
 func (c *SweepConfig) normalize() error {
-	if c.Proto == "" {
-		c.Proto = "alpha"
-	}
-	if c.M <= 0 {
-		c.M = 8
-	}
-	if c.Items <= 0 {
-		c.Items = 6
-	}
-	if c.Items > c.M {
-		return fmt.Errorf("cluster: sweep items %d exceeds m %d (inputs are repetition-free)", c.Items, c.M)
-	}
 	if len(c.Sessions) == 0 {
 		c.Sessions = []int{8}
 	}
-	for _, n := range c.Sessions {
-		if n <= 0 {
-			return fmt.Errorf("cluster: sweep sessions axis has non-positive value %d", n)
-		}
-	}
 	if len(c.Rates) == 0 {
 		c.Rates = []float64{0}
-	}
-	for _, r := range c.Rates {
-		if r < 0 {
-			return fmt.Errorf("cluster: sweep rates axis has negative value %g", r)
-		}
 	}
 	if len(c.Impairs) == 0 {
 		c.Impairs = []string{"none"}
@@ -102,28 +66,24 @@ func (c *SweepConfig) normalize() error {
 	if len(c.CrashPresets) == 0 {
 		c.CrashPresets = []string{"none"}
 	}
-	for _, name := range c.CrashPresets {
-		if name == "none" {
-			continue
+	for _, key := range c.cells() {
+		if key.Rate < 0 {
+			return fmt.Errorf("cluster: sweep rates axis has negative value %g", key.Rate)
 		}
-		spec, err := faults.PresetSpec(name)
-		if err != nil {
-			return fmt.Errorf("cluster: sweep crash-presets axis: %w", err)
+		cell := c.cell(key)
+		if err := cell.Validate(); err != nil {
+			return fmt.Errorf("cluster: sweep cell %v: %w", key, err)
 		}
-		if !spec.ProcessFaults() {
-			return fmt.Errorf("cluster: sweep crash preset %q injects no process faults — link impairments belong on the impairs axis", name)
-		}
-	}
-	if _, err := wire.ParseRestartPolicy(c.RestartPolicy); err != nil {
-		return err
-	}
-	if c.Tick <= 0 {
-		c.Tick = time.Millisecond
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 30 * time.Second
 	}
 	return nil
+}
+
+// cell is the fleet description of one grid cell, before the master
+// splits its sessions across node pairs.
+func (c *SweepConfig) cell(key CellKey) fleet.Spec {
+	spec := c.Spec
+	spec.Sessions, spec.Impair, spec.Chaos = key.Sessions, key.Impair, key.Chaos
+	return spec
 }
 
 // cells enumerates the grid in deterministic order: sessions outermost,

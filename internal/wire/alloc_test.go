@@ -56,34 +56,6 @@ func TestCodecSteadyStateZeroAlloc(t *testing.T) {
 	})
 }
 
-func TestIncrementalBatchZeroAlloc(t *testing.T) {
-	frame := Frame{Session: 42, Dir: channel.SToR, Msg: "d:3"}
-	buf := make([]byte, 0, 4096)
-	var slot [batchLenPrefix]byte
-	assertZeroAlloc(t, "seed + append + patch incremental blob", func() {
-		buf = seedBatchBlob(buf[:0])
-		for i := 0; i < 8; i++ {
-			pfx := len(buf)
-			buf = append(buf, slot[:]...)
-			buf = AppendFrame(buf, frame)
-			putPaddedUvarint(buf[pfx:pfx+batchLenPrefix], uint64(len(buf)-pfx-batchLenPrefix))
-		}
-		patchBatchCount(buf, 8)
-	})
-	// The accumulated blob must be a valid batch.
-	n := 0
-	var v FrameView
-	if err := SplitBatch(buf, func(f []byte) error {
-		n++
-		return DecodeFrameInto(&v, f)
-	}); err != nil {
-		t.Fatalf("SplitBatch of incremental blob: %v", err)
-	}
-	if n != 8 {
-		t.Fatalf("incremental blob split into %d frames, want 8", n)
-	}
-}
-
 // TestStepSteadyStateZeroAlloc extends the data-plane contract to the
 // protocol Step path itself: with the declared message tables, every
 // finite-alphabet protocol's steady-state sender tick, receiver

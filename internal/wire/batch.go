@@ -70,45 +70,6 @@ func blobFrames(blob []byte) int {
 	return int(count)
 }
 
-// In-place batch accumulation: the mux's outboxes build batch blobs
-// incrementally — frames are appended as they are sent, so the finished
-// blob can be handed to a blobSender transport without re-encoding or
-// copying. Incremental building needs fixed-width slots for the values
-// that are not known until later (the frame count, each frame's length),
-// so those are written as padded uvarints: continuation bits forced on
-// all but the last byte. binary.Uvarint accepts non-minimal encodings,
-// so SplitBatch reads these blobs exactly like AppendBatch's output.
-const (
-	// batchHeaderLen is magic + version + a padded frame-count slot.
-	batchHeaderLen = 2 + binary.MaxVarintLen64
-	// batchLenPrefix is the padded per-frame length slot: 3 bytes cover
-	// up to 2^21-1, beyond maxBatchFrameLen.
-	batchLenPrefix = 3
-)
-
-// putPaddedUvarint writes v as a uvarint padded to exactly len(dst)
-// bytes. v must fit in 7*(len(dst)-1)+7 bits with the final byte < 0x80.
-func putPaddedUvarint(dst []byte, v uint64) {
-	for i := 0; i < len(dst)-1; i++ {
-		dst[i] = byte(v&0x7f) | 0x80
-		v >>= 7
-	}
-	dst[len(dst)-1] = byte(v)
-}
-
-// seedBatchBlob appends an incremental-batch header (with a zeroed count
-// slot) to buf.
-func seedBatchBlob(buf []byte) []byte {
-	buf = append(buf, batchMagic, batchVersion)
-	var slot [binary.MaxVarintLen64]byte
-	return append(buf, slot[:]...)
-}
-
-// patchBatchCount fills the count slot of a seeded blob.
-func patchBatchCount(blob []byte, count int) {
-	putPaddedUvarint(blob[2:batchHeaderLen], uint64(count))
-}
-
 // SplitBatch iterates the frames of a batch blob in order, calling fn on
 // each (the slice aliases data). It is strict: a bad header, a count or
 // length prefix out of bounds, a frame running past the blob, or trailing

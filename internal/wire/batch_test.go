@@ -53,55 +53,6 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIncrementalBlobSplitsIdentically: a blob accumulated in place (the
-// outbox path — seeded header, padded length prefixes, patched count)
-// must split into exactly the same frames as AppendBatch's minimal
-// encoding of the same burst.
-func TestIncrementalBlobSplitsIdentically(t *testing.T) {
-	frames := testFrames(t)
-	blob := seedBatchBlob(nil)
-	for _, fr := range frames {
-		pfx := len(blob)
-		blob = append(blob, 0, 0, 0)
-		blob = append(blob, fr...)
-		putPaddedUvarint(blob[pfx:pfx+batchLenPrefix], uint64(len(fr)))
-	}
-	patchBatchCount(blob, len(frames))
-
-	got, err := splitAll(blob)
-	if err != nil {
-		t.Fatalf("SplitBatch of incremental blob: %v", err)
-	}
-	want, err := splitAll(AppendBatch(nil, frames))
-	if err != nil {
-		t.Fatalf("SplitBatch of AppendBatch blob: %v", err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("incremental blob split %d frames, minimal %d", len(got), len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("frame %d differs between encodings: %x vs %x", i, got[i], want[i])
-		}
-	}
-}
-
-func TestPutPaddedUvarintMatchesUvarint(t *testing.T) {
-	for _, v := range []uint64{0, 1, 127, 128, 300, 65535, 1<<21 - 1} {
-		var slot [batchLenPrefix]byte
-		putPaddedUvarint(slot[:], v)
-		dec, n := binary.Uvarint(slot[:])
-		if n != batchLenPrefix || dec != v {
-			t.Fatalf("padded uvarint %d decoded to %d (n=%d)", v, dec, n)
-		}
-	}
-	var wide [binary.MaxVarintLen64]byte
-	putPaddedUvarint(wide[:], 1<<60)
-	if dec, n := binary.Uvarint(wide[:]); n != len(wide) || dec != 1<<60 {
-		t.Fatalf("padded 10-byte uvarint decoded to %d (n=%d)", 1<<60, n)
-	}
-}
-
 func TestSplitBatchRejectsDamage(t *testing.T) {
 	frames := testFrames(t)
 	blob := AppendBatch(nil, frames)
@@ -173,17 +124,11 @@ func FuzzBatchCodec(f *testing.F) {
 		EncodeFrame(Frame{Session: 7, Dir: channel.RToS, Msg: "a:3"}),
 	}
 	valid := AppendBatch(nil, frames)
-	incremental := func() []byte {
-		b := seedBatchBlob(nil)
-		pfx := len(b)
-		b = append(b, 0, 0, 0)
-		b = append(b, frames[0]...)
-		putPaddedUvarint(b[pfx:pfx+batchLenPrefix], uint64(len(frames[0])))
-		patchBatchCount(b, 1)
-		return b
-	}()
+	// Non-minimal uvarints (count 1 and the length, each padded with a
+	// continuation byte): binary.Uvarint reads them, so SplitBatch does.
+	padded := append([]byte{batchMagic, batchVersion, 0x81, 0x00, 0x80 | byte(len(frames[0])), 0x00}, frames[0]...)
 	f.Add(valid, 0, byte(0))
-	f.Add(incremental, 5, byte(0xff))
+	f.Add(padded, 5, byte(0xff))
 	f.Add([]byte{batchMagic, batchVersion, 2, 1, 0}, 2, byte(1))
 	f.Add([]byte{}, 0, byte(0))
 	f.Fuzz(func(t *testing.T, data []byte, flipPos int, flipXor byte) {

@@ -102,13 +102,8 @@ type loopEngine struct {
 	wg      sync.WaitGroup
 }
 
-func newLoopEngine(m *Mux, workers int) *loopEngine {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > maxLoopWorkers {
-		workers = maxLoopWorkers
-	}
+func newLoopEngine(m *Mux) *loopEngine {
+	workers := min(runtime.GOMAXPROCS(0), maxLoopWorkers)
 	e := &loopEngine{
 		m:       m,
 		epoch:   time.Now(),
@@ -131,7 +126,7 @@ func newLoopEngine(m *Mux, workers int) *loopEngine {
 }
 
 // workerFor pins a session id to a worker (Fibonacci hash, like the
-// mux's shard and stripe selection, so sequential ids spread evenly).
+// mux's stripe selection, so sequential ids spread evenly).
 func (e *loopEngine) workerFor(id uint64) *loopWorker {
 	return e.workers[((id*fibMul)>>32)%uint64(len(e.workers))]
 }

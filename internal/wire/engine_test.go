@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"seqtx/internal/channel"
 	"seqtx/internal/obs"
 	"seqtx/internal/protocol"
 	"seqtx/internal/protocol/steptest"
@@ -308,49 +310,56 @@ func TestServeWaveStress(t *testing.T) {
 	}
 }
 
-// TestOverflowSessionIDs drives sessions whose ids are past the dense
-// table's range through the copy-on-write shard path: registration,
-// routing, duplicate rejection, and completion must all behave exactly
-// as for ordinary ids.
-func TestOverflowSessionIDs(t *testing.T) {
-	mux := NewMux(NewInproc(0, nil), nil)
+// TestSessionIDOutOfRange pins the session table's one bound: an id at
+// or past MaxSessionID is rejected at registration with an error naming
+// the limit (there is no overflow table behind the dense one), the
+// largest ordinary ids register and reject duplicates as ever, and an
+// inbound frame naming an out-of-range id is an unknown_session drop.
+func TestSessionIDOutOfRange(t *testing.T) {
+	reg := obs.NewRegistry()
+	tr := NewInproc(0, reg)
+	mux := NewMux(tr, reg)
 	defer mux.Close()
-	base := denseLimit + 17
-	sessions := make([]*Session, 4)
-	for i := range sessions {
-		x := seq.Seq{0, 1, 2}
+	x := seq.Seq{0, 1, 2}
+	session := func(id uint64) (*Session, error) {
 		s, r, err := registry.Pair("alpha", zooParams, x)
 		if err != nil {
 			t.Fatalf("Pair: %v", err)
 		}
-		sess, err := mux.NewSession(SessionConfig{
-			ID: base + uint64(i)*denseLimit, Sender: s, Receiver: r, Input: x,
+		return mux.NewSession(SessionConfig{
+			ID: id, Sender: s, Receiver: r, Input: x,
 			Tick: 200 * time.Microsecond, Deadline: 30 * time.Second,
 		})
-		if err != nil {
-			t.Fatalf("NewSession(overflow id): %v", err)
+	}
+	for _, id := range []uint64{MaxSessionID, MaxSessionID + 17, 1 << 40} {
+		if _, err := session(id); err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxSessionID)) {
+			t.Errorf("NewSession(id %d) = %v, want an error naming the limit %d", id, err, MaxSessionID)
 		}
-		sessions[i] = sess
-	}
-	if got := mux.lookup(base); got != sessions[0] {
-		t.Fatal("overflow lookup did not find the registered session")
-	}
-	if mux.lookup(base+1) != nil {
-		t.Fatal("overflow lookup found an unregistered id")
-	}
-	x := seq.Seq{0}
-	s2, r2, _ := registry.Pair("alpha", zooParams, x)
-	if _, err := mux.NewSession(SessionConfig{ID: base, Sender: s2, Receiver: r2, Input: x}); err == nil {
-		t.Fatal("duplicate overflow session id accepted")
-	}
-	for _, sess := range sessions {
-		rep := sess.Run(context.Background())
-		if rep.SafetyViolation != nil || !rep.Complete {
-			t.Errorf("overflow session %d: complete=%v violation=%v", rep.ID, rep.Complete, rep.SafetyViolation)
+		if mux.lookup(id) != nil {
+			t.Errorf("lookup(%d) found a session past the limit", id)
 		}
 	}
-	if mux.lookup(base) != nil {
-		t.Error("finished overflow session still registered")
+	// Before any session runs, so no late frame of a finished one can
+	// share the counter.
+	frame := EncodeFrame(Frame{Session: MaxSessionID + 17, Dir: channel.SToR, Msg: "d:0"})
+	if err := tr.Send(SenderEnd, frame); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	if got := waitCounter(t, reg, `wire_frames_dropped_total{cause="unknown_session"}`, 1); got != 1 {
+		t.Errorf("unknown_session drops = %d, want 1 (the out-of-range frame)", got)
+	}
+	sess, err := session(70000)
+	if err != nil {
+		t.Fatalf("NewSession(70000): %v", err)
+	}
+	if _, err := session(70000); err == nil {
+		t.Error("duplicate session id accepted")
+	}
+	if rep := sess.Run(context.Background()); rep.SafetyViolation != nil || !rep.Complete {
+		t.Errorf("session %d: complete=%v violation=%v", rep.ID, rep.Complete, rep.SafetyViolation)
+	}
+	if mux.lookup(70000) != nil {
+		t.Error("finished session still registered")
 	}
 }
 

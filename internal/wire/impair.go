@@ -52,7 +52,7 @@ func (o Options) active() bool {
 		len(o.Spec.Corruptions) > 0 || o.DupEveryN > 0 || o.ReorderEveryN > 0
 }
 
-// Name returns the display name of the configured impairment: the fault
+// ImpairName returns the display name of the configured impairment: the fault
 // spec's preset name, the model spec, or "none".
 func (o Options) ImpairName() string {
 	switch {

@@ -127,29 +127,6 @@ func batchFit(frames [][]byte, limit int) (n, size int) {
 	return len(frames), total
 }
 
-// sendBlob implements blobSender: the pre-encoded batch blob changes
-// hands without a copy — one channel handoff moves the whole burst, and
-// the buffer is released here only if the handoff fails.
-func (t *Inproc) sendBlob(from End, blob []byte, nFrames int) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.closed {
-		putBuf(blob)
-		return ErrClosed
-	}
-	ch := t.toReceiver
-	if from == ReceiverEnd {
-		ch = t.toSender
-	}
-	select {
-	case ch <- blob:
-	default:
-		t.dropped.Add(int64(nFrames))
-		putBuf(blob)
-	}
-	return nil
-}
-
 // Recv implements Transport.
 func (t *Inproc) Recv(at End) <-chan []byte {
 	if at == SenderEnd {

@@ -20,9 +20,9 @@ import (
 // enforcement.
 //
 // The hot paths are built to scale with session count on one transport:
-// the session table is a dense direct-index array for realistic id
-// ranges (registration, lookup, and removal are O(1) — the property that
-// lets a million sessions come and go), each end's outbound traffic is
+// the session table is a dense direct-index array (registration, lookup,
+// and removal are O(1) — the property that lets a million sessions come
+// and go; ids are bounded by MaxSessionID), each end's outbound traffic is
 // appended into a double-buffered outbox that a flusher goroutine drains
 // in writev-style bursts (sendFrames), and session execution is owned by
 // the event-loop worker pool (engine.go).
@@ -33,16 +33,17 @@ type Mux struct {
 	loop        *loopEngine
 	sampleEvery uint64
 
-	// dense is the direct-index session table for ids below denseLimit:
-	// lookup is a bounds check plus two atomic loads, registration a
-	// slot store (amortized over rare doublings). denseMu serializes
-	// writers; readers go through the atomic pointers only.
+	// dense is the direct-index session table: lookup is a bounds check
+	// plus two atomic loads, registration a slot store (amortized over
+	// rare doublings). denseMu serializes writers; readers go through the
+	// atomic pointers only.
 	denseMu sync.Mutex
 	dense   atomic.Pointer[[]atomic.Pointer[Session]]
 
-	// shards is the overflow table for ids at or above denseLimit
-	// (copy-on-write stripes, scanned on lookup).
-	shards [sessionShardCount]sessionShard
+	// A cache line of distance between what the routers read on every
+	// frame (the table and the fields above) and what every sender writes
+	// (the stripe locks). Side by side, BenchmarkMuxImpairedPump64 halves.
+	_ [64]byte
 
 	out [2]outbox // indexed End-1
 
@@ -54,9 +55,6 @@ type Mux struct {
 type MuxConfig struct {
 	// Obs receives the wire metrics and events (nil = no-op sink).
 	Obs *obs.Registry
-	// LoopWorkers sizes the event-loop worker pool (0 = GOMAXPROCS,
-	// capped at 64).
-	LoopWorkers int
 	// EventSampleEvery emits the per-session lifecycle events
 	// (wire.session.start / wire.session.end and the supervisor's crash
 	// and watchdog events) for one session in every EventSampleEvery;
@@ -67,43 +65,21 @@ type MuxConfig struct {
 	EventSampleEvery uint64
 }
 
-// denseBits bounds the direct-index session table: ids below 1<<22
-// (~4.2M, comfortably past the million-session target) take the O(1)
-// path; larger ids fall back to the copy-on-write shard scan.
-const (
-	denseBits  = 22
-	denseLimit = uint64(1) << denseBits
-	// denseSeed is the table's initial capacity; it doubles as needed.
-	denseSeed = 1024
-)
+// MaxSessionID bounds session ids: the direct-index table grows to at
+// most 1<<22 slots (~4.2M, comfortably past the million-session target).
+// NewSession rejects an id at or past it, and inbound frames naming one
+// count as unknown_session.
+const MaxSessionID = uint64(1) << 22
 
-// sessionShardBits gives 64 overflow shards; lookups there are one
-// atomic pointer load plus a linear scan.
 const (
-	sessionShardBits  = 6
-	sessionShardCount = 1 << sessionShardBits
+	// denseSeed is the session table's initial capacity; it doubles as
+	// needed.
+	denseSeed = 1024
 	// fibMul is the 64-bit Fibonacci hashing multiplier: sequential
-	// session ids (the common case) spread uniformly over shards.
+	// session ids (the common case) spread uniformly over outbox stripes
+	// and loop workers.
 	fibMul = 0x9E3779B97F4A7C15
 )
-
-// sessionShard holds one stripe of the overflow session table as a
-// copy-on-write slice: register/unregister (rare) rebuild the slice
-// under the stripe mutex, while lookups are one atomic pointer load
-// plus a linear scan — no reader lock, no hashing.
-type sessionShard struct {
-	mu   sync.Mutex // serializes writers; readers go through list only
-	list atomic.Pointer[[]sessionEntry]
-}
-
-type sessionEntry struct {
-	id uint64
-	s  *Session
-}
-
-func (m *Mux) shard(id uint64) *sessionShard {
-	return &m.shards[(id*fibMul)>>(64-sessionShardBits)]
-}
 
 // outboxStripeBits gives 2 append stripes per end, keyed by session id,
 // so concurrent loop workers rarely contend on the same append mutex.
@@ -112,25 +88,20 @@ const (
 	outboxStripeCount = 1 << outboxStripeBits
 )
 
-// outChunk is one outbox buffer generation: a pooled blobCap buffer
-// pre-seeded with an incremental batch header, frames appended in batch
-// wire format (padded length prefix, then the frame), with ends[i] the
-// exclusive end offset of frame i in buf. Kept in this shape, the chunk
-// IS the wire blob: a blobSender transport takes it whole with no
-// re-encoding, while other transports get per-frame views sliced from
-// it. A full chunk (bytes or maxBatchFrames) drops further sends
-// (counted as outbox_full) — backpressure surfacing as loss, the same
-// contract every other hop honors.
+// outChunk is one outbox buffer generation: encoded frames appended
+// back to back into a pooled blobCap buffer, with ends[i] the exclusive
+// end offset of frame i in buf. The flusher slices per-frame views out
+// of it and ships them in one sendFrames burst. A full chunk (bytes or
+// maxBatchFrames) drops further sends (counted as outbox_full) —
+// backpressure surfacing as loss, the same contract every other hop
+// honors.
 type outChunk struct {
 	buf  []byte
 	ends []int
 }
 
 func newOutChunk() *outChunk {
-	return &outChunk{
-		buf:  seedBatchBlob(getBuf(blobCap)),
-		ends: make([]int, 0, 512),
-	}
+	return &outChunk{buf: getBuf(blobCap), ends: make([]int, 0, 512)}
 }
 
 // outStripe is one append lane: senders append under the mutex; the
@@ -233,8 +204,8 @@ func newMuxMetrics(reg *obs.Registry) *muxMetrics {
 func (m *muxMetrics) sessionStarted() { m.active.Set(float64(m.activeN.Add(1))) }
 func (m *muxMetrics) sessionEnded()   { m.active.Set(float64(m.activeN.Add(-1))) }
 
-// NewMux builds a mux over tr with default configuration (GOMAXPROCS
-// loop workers, unsampled events) and starts its goroutines. reg may be
+// NewMux builds a mux over tr with default configuration (unsampled
+// events) and starts its goroutines. reg may be
 // nil (the obs nil-sink).
 func NewMux(tr Transport, reg *obs.Registry) *Mux {
 	return NewMuxConfig(tr, MuxConfig{Obs: reg})
@@ -248,13 +219,9 @@ func NewMuxConfig(tr Transport, cfg MuxConfig) *Mux {
 		met:         newMuxMetrics(cfg.Obs),
 		sampleEvery: cfg.EventSampleEvery,
 	}
-	empty := make([]sessionEntry, 0)
-	for s := range m.shards {
-		m.shards[s].list.Store(&empty)
-	}
 	m.out[SenderEnd-1].init()
 	m.out[ReceiverEnd-1].init()
-	m.loop = newLoopEngine(m, cfg.LoopWorkers)
+	m.loop = newLoopEngine(m)
 	m.flusherWg.Add(2)
 	go m.flush(SenderEnd)
 	go m.flush(ReceiverEnd)
@@ -319,95 +286,56 @@ func (m *Mux) noteViolation(s *Session) {
 		"output", s.output.String())
 }
 
-// register adds a session to the routing table: a slot store in the
-// dense table for ordinary ids, a copy-on-write rebuild in the overflow
-// shards otherwise. The dense path is what keeps registering a million
-// sessions linear — the old all-shards copy-on-write rebuild was
-// O(fleet) per registration, O(fleet²/shards) for a fleet.
+// register adds a session to the routing table: a slot store, which is
+// what keeps registering a million sessions linear.
 func (m *Mux) register(s *Session) error {
 	id := s.cfg.ID
-	if id < denseLimit {
-		m.denseMu.Lock()
-		defer m.denseMu.Unlock()
-		tbl := m.dense.Load()
-		if tbl == nil || uint64(len(*tbl)) <= id {
-			n := uint64(denseSeed)
-			if tbl != nil {
-				n = uint64(len(*tbl))
-			}
-			for n <= id {
-				n <<= 1
-			}
-			next := make([]atomic.Pointer[Session], n)
-			if tbl != nil {
-				// Slot-by-slot atomic copy: concurrent lookups read the
-				// old table until the pointer swap publishes the new one.
-				for i := range *tbl {
-					next[i].Store((*tbl)[i].Load())
-				}
-			}
-			m.dense.Store(&next)
-			tbl = &next
-		}
-		if (*tbl)[id].Load() != nil {
-			return fmt.Errorf("wire: duplicate session id %d", id)
-		}
-		(*tbl)[id].Store(s)
-		return nil
+	if id >= MaxSessionID {
+		return fmt.Errorf("wire: session id %d out of range (ids must be below %d)", id, MaxSessionID)
 	}
-	sh := m.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old := *sh.list.Load()
-	for _, e := range old {
-		if e.id == id {
-			return fmt.Errorf("wire: duplicate session id %d", id)
+	m.denseMu.Lock()
+	defer m.denseMu.Unlock()
+	tbl := m.dense.Load()
+	if tbl == nil || uint64(len(*tbl)) <= id {
+		n := uint64(denseSeed)
+		if tbl != nil {
+			n = uint64(len(*tbl))
 		}
+		for n <= id {
+			n <<= 1
+		}
+		next := make([]atomic.Pointer[Session], n)
+		if tbl != nil {
+			// Slot-by-slot atomic copy: concurrent lookups read the
+			// old table until the pointer swap publishes the new one.
+			for i := range *tbl {
+				next[i].Store((*tbl)[i].Load())
+			}
+		}
+		m.dense.Store(&next)
+		tbl = &next
 	}
-	next := make([]sessionEntry, len(old), len(old)+1)
-	copy(next, old)
-	next = append(next, sessionEntry{id: id, s: s})
-	sh.list.Store(&next)
+	if (*tbl)[id].Load() != nil {
+		return fmt.Errorf("wire: duplicate session id %d", id)
+	}
+	(*tbl)[id].Store(s)
 	return nil
 }
 
 // unregister removes a finished session; late frames for it count as
 // unknown-session drops.
 func (m *Mux) unregister(id uint64) {
-	if id < denseLimit {
-		m.denseMu.Lock()
-		defer m.denseMu.Unlock()
-		if tbl := m.dense.Load(); tbl != nil && id < uint64(len(*tbl)) {
-			(*tbl)[id].Store(nil)
-		}
-		return
+	m.denseMu.Lock()
+	defer m.denseMu.Unlock()
+	if tbl := m.dense.Load(); tbl != nil && id < uint64(len(*tbl)) {
+		(*tbl)[id].Store(nil)
 	}
-	sh := m.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old := *sh.list.Load()
-	next := make([]sessionEntry, 0, len(old))
-	for _, e := range old {
-		if e.id != id {
-			next = append(next, e)
-		}
-	}
-	sh.list.Store(&next)
 }
 
-// lookup finds a live session: a bounds check plus two atomic loads on
-// the dense path, an atomic load plus a short scan on the overflow one.
+// lookup finds a live session: a bounds check plus two atomic loads.
 func (m *Mux) lookup(id uint64) *Session {
-	if id < denseLimit {
-		if tbl := m.dense.Load(); tbl != nil && id < uint64(len(*tbl)) {
-			return (*tbl)[id].Load()
-		}
-		return nil
-	}
-	for _, e := range *m.shard(id).list.Load() {
-		if e.id == id {
-			return e.s
-		}
+	if tbl := m.dense.Load(); tbl != nil && id < uint64(len(*tbl)) {
+		return (*tbl)[id].Load()
 	}
 	return nil
 }
@@ -430,8 +358,8 @@ func (m *Mux) send(id uint64, dir channel.Dir, mg msg.Msg) error {
 	// bound is a worst-case encoded size for this frame: header(2) +
 	// session varint(<=10) + dir(1) + payload length varint(<=3) +
 	// payload + checksum(4).
-	bound := batchLenPrefix + 20 + len(mg)
-	if batchHeaderLen+bound > blobCap {
+	bound := 20 + len(mg)
+	if bound > blobCap {
 		// The message cannot fit any chunk — put the lone frame on the
 		// wire directly. Rare (a near-64KB payload), so the allocation
 		// does not matter.
@@ -448,10 +376,7 @@ func (m *Mux) send(id uint64, dir channel.Dir, mg msg.Msg) error {
 		m.met.outboxFull.Inc()
 		return nil
 	}
-	pfx := len(st.cur.buf)
-	st.cur.buf = append(st.cur.buf, 0, 0, 0) // length slot, patched below
 	st.cur.buf = AppendFrame(st.cur.buf, Frame{Session: id, Dir: dir, Msg: mg})
-	putPaddedUvarint(st.cur.buf[pfx:pfx+batchLenPrefix], uint64(len(st.cur.buf)-pfx-batchLenPrefix))
 	st.cur.ends = append(st.cur.ends, len(st.cur.buf))
 	first := len(st.cur.ends) == 1
 	st.mu.Unlock()
@@ -467,12 +392,10 @@ func (m *Mux) send(id uint64, dir channel.Dir, mg msg.Msg) error {
 }
 
 // flush is one end's outbox flusher: swap each non-empty stripe's
-// accumulating chunk for its drained spare and put the burst on the
-// wire. A blobSender transport takes each chunk as-is — the accumulated
-// batch blob changes hands with zero copies and the stripe gets a fresh
-// pooled buffer. Other transports get per-frame views sliced from the
-// chunks, shipped in one sendFrames call. Runs until the outbox is
-// closed and drained.
+// accumulating chunk for its drained spare and put the burst on the wire
+// as per-frame views sliced from the chunks, in one sendFrames call —
+// the one path to every transport. Runs until the outbox is closed and
+// drained.
 func (m *Mux) flush(from End) {
 	defer m.flusherWg.Done()
 	ob := &m.out[from-1]
@@ -480,14 +403,11 @@ func (m *Mux) flush(from End) {
 	if from == ReceiverEnd {
 		tx = m.met.txRToS
 	}
-	blobTr, _ := m.tr.(blobSender)
 	views := make([][]byte, 0, 512)
 	drained := make([]*outChunk, 0, outboxStripeCount)
 	for {
 		views = views[:0]
 		drained = drained[:0]
-		var err error
-		sent := false
 		for i := range ob.stripes {
 			st := &ob.stripes[i]
 			st.mu.Lock()
@@ -498,23 +418,9 @@ func (m *Mux) flush(from End) {
 			ch := st.cur
 			st.cur, st.spare = st.spare, ch
 			st.mu.Unlock()
-			if blobTr != nil {
-				n := len(ch.ends)
-				m.met.batchFrames.Observe(float64(n))
-				tx.Add(int64(n))
-				patchBatchCount(ch.buf, n)
-				err = blobTr.sendBlob(from, ch.buf, n)
-				ch.buf = seedBatchBlob(getBuf(blobCap)) // ownership moved with the blob
-				ch.ends = ch.ends[:0]
-				sent = true
-				if err != nil {
-					break
-				}
-				continue
-			}
-			start := batchHeaderLen
+			start := 0
 			for _, e := range ch.ends {
-				views = append(views, ch.buf[start+batchLenPrefix:e])
+				views = append(views, ch.buf[start:e])
 				start = e
 			}
 			drained = append(drained, ch)
@@ -522,19 +428,16 @@ func (m *Mux) flush(from End) {
 		if len(views) > 0 {
 			m.met.batchFrames.Observe(float64(len(views)))
 			tx.Add(int64(len(views)))
-			err = sendFrames(m.tr, from, views)
+			err := sendFrames(m.tr, from, views)
 			for _, ch := range drained {
-				ch.buf, ch.ends = ch.buf[:batchHeaderLen], ch.ends[:0]
+				ch.buf, ch.ends = ch.buf[:0], ch.ends[:0]
 			}
-			sent = true
-		}
-		if err != nil {
-			// Transport closed under us: refuse further sends so the
-			// sessions see ErrClosed and shut down.
-			ob.closed.Store(true)
-			return
-		}
-		if sent {
+			if err != nil {
+				// Transport closed under us: refuse further sends so the
+				// sessions see ErrClosed and shut down.
+				ob.closed.Store(true)
+				return
+			}
 			continue
 		}
 		if ob.closed.Load() {

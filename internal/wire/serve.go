@@ -17,8 +17,6 @@ type ServeConfig struct {
 	Sessions []SessionConfig
 	// Obs receives the wire metrics and events (nil = no-op sink).
 	Obs *obs.Registry
-	// LoopWorkers sizes the event-loop worker pool (0 = GOMAXPROCS).
-	LoopWorkers int
 	// EventSampleEvery samples per-session lifecycle events (see
 	// MuxConfig.EventSampleEvery); 0 emits for every session.
 	EventSampleEvery uint64
@@ -43,7 +41,6 @@ func Serve(ctx context.Context, cfg ServeConfig) ([]Report, error) {
 	}
 	mux := NewMuxConfig(cfg.Transport, MuxConfig{
 		Obs:              cfg.Obs,
-		LoopWorkers:      cfg.LoopWorkers,
 		EventSampleEvery: cfg.EventSampleEvery,
 	})
 	sessions := make([]*Session, len(cfg.Sessions))

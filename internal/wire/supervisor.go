@@ -589,7 +589,6 @@ func ServeSupervised(ctx context.Context, cfg ChaosServeConfig) ([]SupervisedRep
 	}
 	mux := NewMuxConfig(cfg.Transport, MuxConfig{
 		Obs:              cfg.Obs,
-		LoopWorkers:      cfg.LoopWorkers,
 		EventSampleEvery: cfg.EventSampleEvery,
 	})
 	reports := make([]SupervisedReport, len(cfg.Sessions))

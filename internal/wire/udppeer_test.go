@@ -63,19 +63,6 @@ func TestBlobFrames(t *testing.T) {
 	if got := blobFrames(blob); got != 5 {
 		t.Errorf("batch of 5 counts %d, want 5", got)
 	}
-	// The incremental (padded-uvarint) encoding the outboxes build must
-	// count identically.
-	inc := seedBatchBlob(nil)
-	for _, f := range frames {
-		pfx := len(inc)
-		inc = append(inc, 0, 0, 0)
-		inc = append(inc, f...)
-		putPaddedUvarint(inc[pfx:pfx+batchLenPrefix], uint64(len(f)))
-	}
-	patchBatchCount(inc, len(frames))
-	if got := blobFrames(inc); got != 5 {
-		t.Errorf("incremental batch of 5 counts %d, want 5", got)
-	}
 	// Damaged headers fall back to 1 — never a wild count.
 	if got := blobFrames([]byte{batchMagic}); got != 1 {
 		t.Errorf("truncated blob counts %d, want 1", got)
@@ -91,7 +78,7 @@ func TestBlobFrames(t *testing.T) {
 
 // TestUDPBackpressureDropCountsBatchFrames pins the drop-accounting fix:
 // a batch blob lost to a full inbound buffer must be charged with its
-// frame count (as Inproc.sendBlob does), not as a single unit.
+// frame count (as Inproc.SendBatch does), not as a single unit.
 func TestUDPBackpressureDropCountsBatchFrames(t *testing.T) {
 	reg := obs.NewRegistry()
 	// A 1-blob inbound buffer makes the drop path deterministic: the

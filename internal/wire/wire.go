@@ -129,16 +129,6 @@ type BatchSender interface {
 	SendBatch(from End, frames [][]byte) error
 }
 
-// blobSender is the zero-copy fast path an in-process transport may
-// implement: the caller hands over an already-encoded batch blob in a
-// pooled buffer and OWNERSHIP TRANSFERS with the call — the transport
-// either delivers the blob to its Recv consumer (who releases it) or
-// releases it itself on drop/close. nFrames is the blob's frame count,
-// for drop accounting.
-type blobSender interface {
-	sendBlob(from End, blob []byte, nFrames int) error
-}
-
 // sendFrames hands frames to tr's batch path when it has one (and the
 // burst is genuinely plural), falling back to per-frame Send.
 func sendFrames(tr Transport, from End, frames [][]byte) error {
