@@ -8,7 +8,7 @@
 // down or keep them from finishing, never to corrupt them.
 //
 // With -crash-preset, every session runs under crash-restart supervision
-// (wire.ServeSupervised): live endpoint processes are killed mid-run at
+// (wire.ServeConfig.Chaos): live endpoint processes are killed mid-run at
 // the preset's scheduled ticks and restarted with amnesia or into
 // seeded-arbitrary scrambled state, and the report gains the chaos block
 // (incarnations, stabilization times, post-stabilization violations, and

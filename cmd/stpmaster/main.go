@@ -62,7 +62,7 @@ func run() int {
 		sessions = fs.String("sessions", "8", "comma-separated sessions-per-cell axis, e.g. 4,16,64")
 		rates    = fs.String("rates", "0", "comma-separated client session-start rates per second (0 = unpaced), e.g. 0,100")
 		impairs  = fs.String("impairs", "none", "comma-separated impairment presets ("+strings.Join(wire.ImpairPresetNames(), "|")+") or channel-model specs ("+chanmodel.SpecSyntax+"; commas inside parentheses do not split)")
-		chaos    = fs.String("crash-presets", "none", "comma-separated crash-restart preset axis (process-fault presets from "+strings.Join(faults.PresetNames(), "|")+"); cells run under wire.ServeSupervised, each node crashing its own half")
+		chaos    = fs.String("crash-presets", "none", "comma-separated crash-restart preset axis (process-fault presets from "+strings.Join(faults.PresetNames(), "|")+"); cells run supervised, each node crashing its own half")
 		cellTO   = fs.Duration("cell-timeout", 0, "per-cell node timeout: a node that misses it fails only that cell (its pair is dropped, the sweep continues); 0 = any node failure aborts the sweep")
 		assemble = fs.Duration("assemble-timeout", 60*time.Second, "how long to wait for the fleet to connect")
 		reportTo = fs.String("report", "BENCH_cluster.json", "write the bench document to this file (\"-\" = stdout)")

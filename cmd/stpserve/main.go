@@ -150,21 +150,23 @@ func runLive(spec *fleet.Spec, transport string, cfg wire.ServeConfig,
 // printSessions is -v: one line per session, chaos outcomes (incarnations,
 // bad writes, the replayable schedule digest) for a supervised fleet.
 func printSessions(out fleet.Reports) {
-	for _, rep := range out.Plain {
-		fmt.Printf("session %3d: complete=%-5v items=%d/%d frames=%d acks=%d retransmits=%d elapsed=%v goodput=%.1f items/s\n",
-			rep.ID, rep.Complete, len(rep.Output), len(rep.Input),
-			rep.FramesTx, rep.AcksTx, rep.Retransmits,
-			rep.Elapsed.Round(time.Millisecond), rep.GoodputItemsPerSec)
-	}
-	for _, rep := range out.Supervised {
+	for _, rep := range out {
+		c := rep.Chaos
+		if c == nil {
+			fmt.Printf("session %3d: complete=%-5v items=%d/%d frames=%d acks=%d retransmits=%d elapsed=%v goodput=%.1f items/s\n",
+				rep.ID, rep.Complete, len(rep.Output), len(rep.Input),
+				rep.FramesTx, rep.AcksTx, rep.Retransmits,
+				rep.Elapsed.Round(time.Millisecond), rep.GoodputItemsPerSec)
+			continue
+		}
 		var worst time.Duration
-		for _, t := range rep.StabilizeTimes {
+		for _, t := range c.StabilizeTimes {
 			worst = max(worst, t)
 		}
 		fmt.Printf("session %3d: complete=%-5v incarnations=%d crashes+watchdogs=%d bad_writes=%d post_stab=%d worst_stabilize=%v digest=%016x\n",
-			rep.ID, rep.Complete, len(rep.Incarnations),
-			len(rep.Incarnations)-1, rep.BadWrites, rep.PostStabViolations,
-			worst.Round(time.Millisecond), rep.CrashScheduleDigest)
+			rep.ID, rep.Complete, len(c.Incarnations),
+			len(c.Incarnations)-1, c.BadWrites, c.PostStabViolations,
+			worst.Round(time.Millisecond), c.CrashScheduleDigest)
 	}
 }
 

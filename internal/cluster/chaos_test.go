@@ -13,7 +13,7 @@ import (
 
 // TestClusterChaosCell drives a sweep with a crash-restart axis: the
 // "none" cell runs unsupervised, the crash-sender cell runs every
-// session under wire.ServeSupervised with the client crashing its
+// session supervised (wire.ServeConfig.Chaos), the client crashing its
 // sender halves on the preset schedule. The burst-drop impairment
 // keeps sessions alive past the preset's crash ticks, so the crashes
 // genuinely fire; amnesia restarts of an alpha sender replay the tape

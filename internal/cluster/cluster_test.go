@@ -123,8 +123,10 @@ func TestClusterSingleCell(t *testing.T) {
 // TestClusterSweepGrid drives a multi-node fleet through a 2×2×2 grid —
 // sessions × rate × impairment — the shape the stpmaster CLI runs. The
 // impaired, rate-paced cells may finish slower but must stay safe, and
-// the rate>0 cells exercise the paced client path (goroutine starts over
-// a shared mux) against Serve-driven servers.
+// the rate>0 cells exercise paced clients (wire.ServeConfig.StartEvery)
+// against servers that start every half at once. Pacing is an attribute
+// of the one runner, so it composes with the chaos axis: a crash-preset
+// cell at rate 200 ramps its starts like any other.
 func TestClusterSweepGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell sweep in -short mode")
@@ -156,6 +158,31 @@ func TestClusterSweepGrid(t *testing.T) {
 		// 2-session cells run 1 per pair. Every node must have reported.
 		if len(cell.Nodes) != 4 {
 			t.Errorf("cell %v: node reports = %d, want 4", cell.Cell, len(cell.Nodes))
+		}
+	}
+
+	sweep.RestartPolicy = "amnesia"
+	sweep.Sessions, sweep.Rates, sweep.Impairs, sweep.CrashPresets = []int{16}, []float64{200}, nil, []string{"crash-sender"}
+	doc = runFleet(t, 2, 2, sweep)
+	if len(doc.Cells) != 1 {
+		t.Fatalf("chaos sweep: cells = %d, want 1", len(doc.Cells))
+	}
+	cell := doc.Cells[0]
+	if cell.Cell.Chaos != "crash-sender" || cell.Cell.Rate != 200 || cell.Completed != 16 || cell.PostStabViolations != 0 || cell.Violations != 0 {
+		t.Errorf("chaos cell %v: completed %d/16, %d post-stabilization violations, %d violations",
+			cell.Cell, cell.Completed, cell.PostStabViolations, cell.Violations)
+	}
+	// Each client starts its 8 sessions 5 ms apart, so it is busy for the
+	// 35 ms to its last start and then that session's life; started
+	// together, for little more than the slowest session's life.
+	for _, n := range cell.Nodes {
+		if n.Role != RoleClient {
+			continue
+		}
+		spread := time.Duration((n.ElapsedSeconds*1000 - cell.Latency.Max) * float64(time.Millisecond))
+		if want := 7 * time.Second / 200 / 2; n.Sessions != 8 || spread < want {
+			t.Errorf("client %s: %d sessions, busy %v longer than the slowest session lived, want 8 and at least %v: the starts were not paced",
+				n.Node, n.Sessions, spread, want)
 		}
 	}
 }

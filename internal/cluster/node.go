@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"sync"
 	"time"
 
 	"seqtx/internal/cliutil"
@@ -180,28 +179,20 @@ func runCellNode(ctx context.Context, cfg NodeConfig, c *conn, asgn Assignment, 
 	logf("node %s: cell %v: %d sessions, data %s ↔ %s",
 		cfg.Name, asgn.Cell, asgn.Sessions, peer.LocalAddr(), env.Start.PeerAddr)
 
-	start := time.Now()
-	var (
-		out    fleet.Reports
-		tally  fleet.Tally
-		runErr error
-	)
-	paced := cfg.Role == RoleClient && asgn.Rate > 0
-	if paced && !asgn.Supervised() {
-		out.Plain, runErr = runPaced(ctx, tr, cfgs, reg, asgn.Rate)
-		tally.Add(out)
-	} else {
-		// Chaos cells run every session under crash-restart supervision,
-		// BOTH halves: the node with the preset's crash points injects
-		// them, and the peer node still needs the supervised audit — a
-		// restarted remote process legitimately replays or rewrites, which
-		// the strict prefix audit would misread as a violation. Rate
-		// pacing does not compose with supervision and is ignored.
-		if paced {
-			logf("node %s: cell %v: chaos cell ignores rate pacing", cfg.Name, asgn.Cell)
-		}
-		out, runErr = asgn.Serve(ctx, wire.ServeConfig{Transport: tr, Sessions: cfgs, Obs: reg}, asgn.Seed, &tally)
+	// A chaos cell supervises every session on BOTH halves: the node with
+	// the preset's crash points injects them, and the peer node still
+	// needs the stabilization audit — a restarted remote process
+	// legitimately replays or rewrites, which the strict prefix audit
+	// would misread as a violation. A client spaces its session starts
+	// 1/rate apart, so a cell ramps load instead of slamming every sender
+	// on at once.
+	serve := wire.ServeConfig{Transport: tr, Sessions: cfgs, Obs: reg}
+	if cfg.Role == RoleClient && asgn.Rate > 0 {
+		serve.StartEvery = time.Duration(float64(time.Second) / asgn.Rate)
 	}
+	start := time.Now()
+	var tally fleet.Tally
+	out, runErr := asgn.Serve(ctx, serve, asgn.Seed, &tally)
 	rep := nodeReport(cfg, out, &tally, reg, time.Since(start))
 	if runErr != nil {
 		rep.Err = runErr.Error()
@@ -212,59 +203,6 @@ func runCellNode(ctx context.Context, cfg NodeConfig, c *conn, asgn Assignment, 
 	logf("node %s: cell %v: complete=%d/%d violations=%d foreign=%d",
 		cfg.Name, asgn.Cell, rep.Completed, rep.Sessions, rep.Violations, rep.ForeignDrops)
 	return runErr
-}
-
-// runPaced is the client-side rate-paced variant of wire.Serve: session
-// starts are spaced 1/rate apart, so a cell ramps load instead of
-// slamming every sender on at once.
-func runPaced(ctx context.Context, tr wire.Transport, cfgs []wire.SessionConfig,
-	reg *obs.Registry, rate float64) ([]wire.Report, error) {
-
-	mux := wire.NewMux(tr, reg)
-	sessions := make([]*wire.Session, len(cfgs))
-	for i, sc := range cfgs {
-		s, err := mux.NewSession(sc)
-		if err != nil {
-			mux.Close()
-			return nil, err
-		}
-		sessions[i] = s
-	}
-	interval := time.Duration(float64(time.Second) / rate)
-	reports := make([]wire.Report, len(sessions))
-	var wg sync.WaitGroup
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-pacing:
-	for i, s := range sessions {
-		wg.Add(1)
-		go func(i int, s *wire.Session) {
-			defer wg.Done()
-			reports[i] = s.Run(ctx)
-		}(i, s)
-		if i == len(sessions)-1 {
-			break
-		}
-		select {
-		case <-ticker.C:
-		case <-ctx.Done():
-			// Start the rest unpaced so every session still runs (and
-			// reports) before shutdown.
-			for j := i + 1; j < len(sessions); j++ {
-				wg.Add(1)
-				go func(j int, s *wire.Session) {
-					defer wg.Done()
-					reports[j] = s.Run(ctx)
-				}(j, sessions[j])
-			}
-			break pacing
-		}
-	}
-	wg.Wait()
-	if err := mux.Close(); err != nil {
-		return reports, fmt.Errorf("cluster: closing transport: %w", err)
-	}
-	return reports, nil
 }
 
 // nodeReport turns the cell's tally and wire counters into the node's

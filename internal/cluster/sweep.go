@@ -25,7 +25,7 @@ type SweepConfig struct {
 	Impairs  []string  // wire impairment presets ("none" = clean)
 	// CrashPresets is the chaos axis: process-fault preset names (from
 	// faults.PresetNames) whose crash points each node applies to its
-	// own half under wire.ServeSupervised ("none" = unsupervised).
+	// own half supervised (wire.ServeConfig.Chaos; "none" = unsupervised).
 	CrashPresets []string
 }
 

@@ -58,9 +58,10 @@ type Spec struct {
 	// Impair is the link impairment: a preset name or a channel-model
 	// spec ("" or "none" = clean link).
 	Impair string `json:"impair,omitempty"`
-	// Chaos names the crash-restart preset; set, the fleet runs under
-	// wire.ServeSupervised ("" or "none" = plain wire.Serve). A half
-	// fleet applies only the crash points that target its own half.
+	// Chaos names the crash-restart preset; set, wire.Serve runs the
+	// fleet's sessions supervised, crash-restarting them in place on the
+	// preset's schedule ("" or "none" = plain sessions). A half fleet
+	// applies only the crash points that target its own half.
 	Chaos string `json:"chaos,omitempty"`
 	// RestartPolicy optionally overrides the preset's per-point scramble
 	// flags ("", "preset", "amnesia", "scramble").
@@ -243,51 +244,35 @@ func (s *Spec) Impaired(tr wire.Transport, reg *obs.Registry) (wire.Transport, e
 	return nil, err
 }
 
-// Serve runs cfg's sessions — wire.ServeSupervised with the crash
-// schedule seeded chaosSeed when the spec names a chaos preset, else
-// wire.Serve — and folds the reports into t. Like both, it closes the
-// transport on every path.
+// Serve runs cfg's sessions through wire.Serve — supervised, on a crash
+// schedule seeded chaosSeed, when the spec names a chaos preset — and folds
+// the reports into t. Like wire.Serve, it closes the transport on every path.
 func (s *Spec) Serve(ctx context.Context, cfg wire.ServeConfig, chaosSeed int64, t *Tally) (Reports, error) {
 	var half wire.End
 	if len(cfg.Sessions) > 0 {
 		half = cfg.Sessions[0].Half
 	}
-	chaos, err := s.chaos(chaosSeed, half)
-	var out Reports
-	switch {
-	case err != nil:
+	var err error
+	if cfg.Chaos, err = s.chaos(chaosSeed, half); err != nil {
 		cfg.Transport.Close()
-	case chaos == nil:
-		out.Plain, err = wire.Serve(ctx, cfg)
-	default:
-		params := s.Params()
-		out.Supervised, err = wire.ServeSupervised(ctx, wire.ChaosServeConfig{
-			ServeConfig: cfg, Chaos: *chaos,
-			Rebuild: func(i int) (protocol.Sender, protocol.Receiver, error) {
-				return registry.Pair(s.Proto, params, cfg.Sessions[i].Input)
-			},
-		})
+		return nil, err
 	}
+	params := s.Params()
+	cfg.Rebuild = func(i int) (protocol.Sender, protocol.Receiver, error) {
+		return registry.Pair(s.Proto, params, cfg.Sessions[i].Input)
+	}
+	out, err := wire.Serve(ctx, cfg)
 	t.Add(out)
 	return out, err
 }
 
-// Reports are a fleet's per-session reports: Plain from wire.Serve,
-// Supervised from wire.ServeSupervised, never both.
-type Reports struct {
-	Plain      []wire.Report
-	Supervised []wire.SupervisedReport
-}
+// Reports are a fleet's per-session reports, in session order.
+type Reports []wire.Report
 
 // Latencies lists the completed sessions' lifetimes in session order.
 func (r Reports) Latencies() []time.Duration {
 	var out []time.Duration
-	for _, p := range r.Plain {
-		if p.Complete && p.Elapsed > 0 {
-			out = append(out, p.Elapsed)
-		}
-	}
-	for _, p := range r.Supervised {
+	for _, p := range r {
 		if p.Complete && p.Elapsed > 0 {
 			out = append(out, p.Elapsed)
 		}
@@ -300,14 +285,12 @@ func (r Reports) Latencies() []time.Duration {
 // outside every recovery window.
 func (r Reports) Violations() []error {
 	var out []error
-	for _, p := range r.Plain {
+	for _, p := range r {
 		if p.SafetyViolation != nil {
 			out = append(out, p.SafetyViolation)
 		}
-	}
-	for _, p := range r.Supervised {
-		if p.PostStabViolations > 0 {
-			out = append(out, fmt.Errorf("session %d: %d post-stabilization violations", p.ID, p.PostStabViolations))
+		if c := p.Chaos; c != nil && c.PostStabViolations > 0 {
+			out = append(out, fmt.Errorf("session %d: %d post-stabilization violations", p.ID, c.PostStabViolations))
 		}
 	}
 	return out
@@ -332,7 +315,7 @@ type Tally struct {
 
 // Add folds one fleet's reports into the tally.
 func (t *Tally) Add(r Reports) {
-	for _, p := range r.Plain {
+	for _, p := range r {
 		t.Sessions++
 		if p.Complete {
 			t.Completed++
@@ -345,25 +328,18 @@ func (t *Tally) Add(r Reports) {
 			t.goodputSum += p.GoodputItemsPerSec
 			t.goodputN++
 		}
-	}
-	for _, p := range r.Supervised {
-		t.Sessions++
-		if p.Complete {
-			t.Completed++
-			if p.Elapsed > 0 {
-				t.goodputSum += float64(len(p.Output)) / p.Elapsed.Seconds()
-				t.goodputN++
-			}
+		c := p.Chaos
+		if c == nil {
+			continue
 		}
-		if p.PostStabViolations > 0 {
+		if c.PostStabViolations > 0 {
 			t.Unstable++
 		}
-		t.ItemsDelivered += int64(len(p.Output))
-		t.Incarnations += len(p.Incarnations)
-		t.BadWrites += p.BadWrites
-		t.PostStabViolations += p.PostStabViolations
-		t.WatchdogEscalations += p.WatchdogEscalations
-		for _, ic := range p.Incarnations {
+		t.Incarnations += len(c.Incarnations)
+		t.BadWrites += c.BadWrites
+		t.PostStabViolations += c.PostStabViolations
+		t.WatchdogEscalations += c.WatchdogEscalations
+		for _, ic := range c.Incarnations {
 			if ic.Ended == "crash" {
 				t.Crashes++
 				if ic.Scrambled {
@@ -374,7 +350,7 @@ func (t *Tally) Add(r Reports) {
 		if t.digest == nil {
 			t.digest = fnv.New64a()
 		}
-		t.digest.Write(binary.LittleEndian.AppendUint64(nil, p.CrashScheduleDigest))
+		t.digest.Write(binary.LittleEndian.AppendUint64(nil, c.CrashScheduleDigest))
 	}
 }
 

@@ -233,9 +233,8 @@ func TestSetupErrorsCloseTheTransport(t *testing.T) {
 	}
 }
 
-// TestServeTallies runs one small fleet each way and checks the fold:
-// plain through wire.Serve, supervised through wire.ServeSupervised,
-// both into one accumulating tally.
+// TestServeTallies runs one small fleet each way through wire.Serve,
+// plain and supervised, and checks the fold into one accumulating tally.
 func TestServeTallies(t *testing.T) {
 	var tally Tally
 	run := func(s Spec) Reports {
@@ -256,16 +255,16 @@ func TestServeTallies(t *testing.T) {
 	}
 	plain := parse(t, Default(), "-sessions", "5", "-impair", "burst-drop")
 	out := run(plain)
-	if len(out.Plain) != 5 || out.Supervised != nil || len(out.Latencies()) != 5 || len(out.Violations()) != 0 {
-		t.Errorf("plain fleet: %d plain, %d supervised reports, %d latencies, %v", len(out.Plain), len(out.Supervised), len(out.Latencies()), out.Violations())
+	if len(out) != 5 || out[0].Chaos != nil || len(out.Latencies()) != 5 || len(out.Violations()) != 0 {
+		t.Errorf("plain fleet: %d reports (chaos %v), %d latencies, %v", len(out), out[0].Chaos, len(out.Latencies()), out.Violations())
 	}
 	if tally.Sessions != 5 || tally.Completed != 5 || tally.Violations != 0 || tally.ItemsDelivered != 30 ||
 		tally.GoodputMean() <= 0 || tally.CrashScheduleDigest() != "" {
 		t.Errorf("after the plain fleet: %+v", tally)
 	}
 	out = run(parse(t, Default(), "-proto", "stab", "-sessions", "3", "-crash-preset", "crash-scramble-both"))
-	if out.Plain != nil || len(out.Supervised) != 3 {
-		t.Errorf("supervised fleet: %d plain, %d supervised reports", len(out.Plain), len(out.Supervised))
+	if len(out) != 3 || out[0].Chaos == nil || len(out.Latencies()) != 3 || len(out.Violations()) != 0 {
+		t.Errorf("supervised fleet: %d reports (chaos %v), %d latencies, %v", len(out), out[0].Chaos, len(out.Latencies()), out.Violations())
 	}
 	if tally.Sessions != 8 || tally.Completed != 8 || tally.Incarnations < 3 || tally.Crashes == 0 ||
 		tally.PostStabViolations != 0 || tally.Unstable != 0 || len(tally.CrashScheduleDigest()) != 16 {

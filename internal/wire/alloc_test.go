@@ -5,6 +5,7 @@ import (
 
 	"seqtx/internal/channel"
 	"seqtx/internal/protocol"
+	"seqtx/internal/protocol/alphaproto"
 	"seqtx/internal/protocol/steptest"
 )
 
@@ -104,4 +105,31 @@ func TestBufferPoolZeroAlloc(t *testing.T) {
 	assertZeroAlloc(t, "blob buffer get/put cycle", func() {
 		putBuf(getBuf(blobCap))
 	})
+}
+
+// TestSessionEventsSteadyStateZeroAlloc extends the contract to the
+// loop's per-event path for a plain session: a timer wakeup — the
+// receiver's tick, the sender's retransmission when the backoff agrees,
+// the heap entry's re-arm — and a service call that drains a stale
+// acknowledgement allocate nothing, whatever supervision and paced
+// starts added to Session and to fire: a plain session pays a nil check.
+func TestSessionEventsSteadyStateZeroAlloc(t *testing.T) {
+	w, s := detachedSession(t, "alpha", zooParams, rampTape(4))
+	s.tickNext, s.ctxDeadline = 0, noDeadline
+	w.service(s)
+	now := int64(0)
+	wakeup := func() {
+		now += int64(s.cfg.Tick)
+		w.fire(w.timers.pop().s, now)
+	}
+	for i := 0; i < 64; i++ { // past the backoff's growth, so both kinds of tick recur
+		wakeup()
+	}
+	sent := s.framesTx
+	assertZeroAlloc(t, "plain session timer wakeup", wakeup)
+	if s.framesTx == sent || s.finished || len(w.timers) != 1 {
+		t.Fatalf("the measured wakeups retransmitted %d frames (finished=%v, %d heap entries)", s.framesTx-sent, s.finished, len(w.timers))
+	}
+	stale := alphaproto.AckMsg(3)
+	assertZeroAlloc(t, "plain session service", func() { deliverAcks(w, s, stale) })
 }

@@ -17,12 +17,11 @@ import (
 // has a worker, more loops only add queues to migrate sessions across.
 const maxLoopWorkers = 64
 
-// timerEntry is one session's pending wakeup: the earlier of its next
-// pacing tick and its deadline, as nanoseconds on the engine timeline
-// (loopEngine.now). Each attached unfinished session has exactly one
-// live entry; a finished session's entry stays in the heap and is
-// discarded when popped (lazy removal keeps pop O(log n) with no
-// search).
+// timerEntry is one session's pending wakeup — its start instant, then
+// its nextWake — as nanoseconds on the engine timeline (loopEngine.now).
+// Each unfinished session the worker has seen has exactly one live
+// entry; a finished session's entry stays in the heap and is discarded
+// when popped (lazy removal keeps pop O(log n) with no search).
 type timerEntry struct {
 	at int64
 	s  *Session
@@ -80,14 +79,14 @@ func (h *timerHeap) pop() timerEntry {
 const noDeadline = math.MaxInt64
 
 // loopEngine is the mux's session executor: a fixed pool of workers,
-// each owning a shard group of sessions. Frame arrivals and pacing
-// ticks become events on a per-worker queue, the protocol Step runs to
-// completion on the loop, and a session at rest costs a struct, two
-// inboxes, and one timer-heap entry — no goroutines, no runtime timers,
-// no contexts; that flat footprint is what lets one mux hold a million
-// concurrent sessions. A session is pinned to one worker by id hash for
-// its whole life, so all of its state is single-threaded with no
-// per-field locking.
+// each owning a shard group of sessions. Frame arrivals, pacing ticks,
+// paced starts and crash-restarts become events on a per-worker queue,
+// the protocol Step runs to completion on the loop, and a session at
+// rest costs a struct, two inboxes, and one timer-heap entry — no
+// goroutines, no runtime timers, no contexts; that flat footprint is
+// what lets one mux hold a million concurrent sessions. A session is
+// pinned to one worker by id hash for its whole life, so all of its
+// state is single-threaded with no per-field locking.
 //
 // Every instant the engine compares — heap keys, pacing ticks,
 // deadlines, backoff — is an int64 of nanoseconds since epoch, read
@@ -134,39 +133,24 @@ func (e *loopEngine) workerFor(id uint64) *loopWorker {
 // now reads the engine timeline: monotonic nanoseconds since epoch.
 func (e *loopEngine) now() int64 { return int64(time.Since(e.epoch)) }
 
-// start attaches a registered session to its worker and schedules its
-// first service. The session's deadlines — SessionConfig.Deadline and
-// any ctx deadline — collapse here into one instant on the engine
-// timeline, enforced by the worker's timer heap: no context tower, no
-// runtime timers. ctx cancellation is the caller's to relay (cancel).
-// onDone, when non-nil, receives the report on the worker goroutine as
-// the session finishes; when nil the report is delivered through s.done
-// for Run to collect. The sender first steps at attach (service); the
-// first timer tick is phase-shifted by a per-session hash so a fleet
-// started together does not put every session's tick on the same
-// instant (the million-session thundering herd).
-func (e *loopEngine) start(ctx context.Context, s *Session, onDone func(Report)) {
-	s.start = time.Now()
-	now := int64(s.start.Sub(e.epoch))
-	s.deadlineAt = noDeadline
-	if s.cfg.Deadline > 0 {
-		s.deadlineAt = now + int64(s.cfg.Deadline)
-	}
+// start hands a registered session to its worker, its life to begin
+// delay from now (a paced fleet's start instants; until then it holds a
+// table slot and one heap entry, and frames for it wait in its inboxes).
+// The session's deadlines — SessionConfig.Deadline and any ctx deadline
+// — collapse into one instant on the engine timeline (arm), enforced by
+// the worker's timer heap: no context tower, no runtime timers. ctx
+// cancellation is the caller's to relay (cancel). onDone receives the
+// report on the worker goroutine as the session finishes.
+func (e *loopEngine) start(ctx context.Context, s *Session, delay time.Duration, onDone func(Report)) {
+	s.startAt = e.now() + int64(delay)
+	s.ctxDeadline = noDeadline
 	if d, ok := ctx.Deadline(); ok {
-		s.deadlineAt = min(s.deadlineAt, int64(d.Sub(e.epoch)))
+		s.ctxDeadline = int64(d.Sub(e.epoch))
 	}
-	phase := int64((uint64(s.cfg.Seed) * fibMul) % uint64(s.cfg.Tick))
-	s.tickNext = now + int64(s.cfg.Tick)/2 + phase
-	s.bo = newBackoff(s.cfg.Tick, s.cfg.Seed, now)
+	s.arm(s.startAt)
 	s.onDone = onDone
-	if onDone == nil {
-		s.done = make(chan struct{})
-	}
-	w := e.workerFor(s.cfg.ID)
-	s.worker = w
-	s.mux.noteSessionStart(s)
-	s.loopLive.Store(true)
-	w.schedule(s)
+	s.worker = e.workerFor(s.cfg.ID)
+	s.worker.schedule(s)
 }
 
 // cancel requests a session finish early (the event-loop counterpart
@@ -311,7 +295,8 @@ func (w *loopWorker) run() {
 	}
 }
 
-// service runs one session's queued work: first-time attach, pending
+// service runs one session's queued work: first-time attach (put off to
+// the session's start instant unless it has been cancelled), pending
 // cancellation, then a burst drain of both inboxes through the shared
 // step machines. Clearing the scheduled flag before draining closes
 // the race with a concurrent router publish — a frame staged after the
@@ -334,7 +319,11 @@ func (w *loopWorker) service(s *Session) {
 	}
 	first := !s.attached
 	if first {
-		s.attached = true
+		if s.startAt > w.eng.now() && !s.cancelReq.Load() {
+			w.timers.push(s.startAt, s)
+			return
+		}
+		w.attach(s)
 		w.timers.push(s.nextWake(), s)
 	}
 	if s.cancelReq.Load() {
@@ -383,6 +372,15 @@ func (w *loopWorker) service(s *Session) {
 	}
 }
 
+// attach begins the session's life on its worker: from here the routers
+// wake it for its frames (one published earlier woke no one; the drain
+// that follows in service picks it up).
+func (w *loopWorker) attach(s *Session) {
+	s.attached = true
+	s.mux.noteSessionStart(s)
+	s.loopLive.Store(true)
+}
+
 // senderMoved reports whether the sender's local state differs from the
 // one w.key encodes, and leaves the current state's key in w.key. The
 // two buffers swap, so a warm probe allocates nothing.
@@ -391,22 +389,34 @@ func (w *loopWorker) senderMoved(s *Session) bool {
 	return !bytes.Equal(w.key, w.keyWas)
 }
 
-// fire handles a session's timer wakeup: deadline expiry finishes it
-// (Complete=false — never a safety verdict), a due pacing tick steps
-// the receiver and, when the retransmission backoff agrees, the
-// sender; then the one live heap entry is re-armed at the next wake.
-// now is the reading that popped the entry, so the entry's instant —
-// the earlier of tickNext and deadlineAt — is due here too: fire either
-// finishes the session or moves tickNext past now, and the entry it
-// pushes back is strictly later than now. That is the worker's
-// progress guarantee; it holds because pop and due-check share one
-// clock reading in one representation.
+// fire handles a session's timer wakeup: its start instant attaches it,
+// a due crash or watchdog restarts a supervised one in place, deadline
+// expiry finishes it (Complete=false — never a safety verdict), a due
+// pacing tick steps the receiver and, when the retransmission backoff
+// agrees, the sender; then the one live heap entry is re-armed at the
+// next wake. now is the reading that popped the entry, so the entry's
+// instant — nextWake — is due here too: fire finishes the session, or
+// consumes a crash, or moves what was due past now, and but for a second
+// crash due at this reading (the next pop's) the entry it pushes back is
+// strictly later than now. That is the worker's progress guarantee; it
+// holds because pop and due-check share one clock reading in one
+// representation.
 func (w *loopWorker) fire(s *Session, now int64) {
 	if s.finished {
 		return // lazily removed entry
 	}
+	if !s.attached {
+		w.service(s)
+		return
+	}
 	if s.cancelReq.Load() {
 		w.finish(s)
+		return
+	}
+	// A restart comes before the incarnation's deadline, so a crash due
+	// together with it is a crash; the caller's deadline comes before both.
+	if c := s.sup; c != nil && now < s.ctxDeadline && now >= c.wake(s) {
+		w.restart(s, now)
 		return
 	}
 	if now >= s.deadlineAt {
@@ -436,24 +446,26 @@ func (w *loopWorker) fire(s *Session, now int64) {
 	w.timers.push(s.nextWake(), s)
 }
 
-// finish retires a session on its worker: close the inboxes (late
+// finish retires a session on its worker, once: close the inboxes (late
 // frames count as late), drop it from the routing table, build and
 // deliver the report, and fold the aggregate metrics. The session's
 // timer entry, if still in the heap, is discarded lazily on pop.
 func (w *loopWorker) finish(s *Session) {
+	if !s.attached {
+		w.attach(s) // shut down before its start instant: a zero-length life
+	}
 	s.finished = true
 	s.loopLive.Store(false)
 	s.senderInbox.close()
 	s.receiverInbox.close()
 	s.mux.unregister(s.cfg.ID)
-	rep := s.buildReport(time.Since(s.start))
-	s.mux.noteSessionEnd(s, rep)
-	if s.onDone != nil {
-		s.onDone(rep)
-	} else {
-		s.rep = rep
-		close(s.done)
+	now := w.eng.now()
+	rep := s.buildReport(time.Duration(max(0, now-s.startAt)))
+	if c := s.sup; c != nil {
+		rep.Chaos = c.conclude(s, now)
 	}
+	s.mux.noteSessionEnd(s, rep)
+	s.onDone(rep)
 }
 
 // shutdown finishes every session still owned by this worker — queued,

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"seqtx/internal/channel"
+	"seqtx/internal/faults"
 	"seqtx/internal/obs"
 	"seqtx/internal/protocol"
 	"seqtx/internal/protocol/steptest"
@@ -229,6 +230,86 @@ func TestLoopRunContextCancellation(t *testing.T) {
 	}
 }
 
+// TestServePacedStarts: StartEvery spaces the fleet's starts on the
+// workers' timer heaps — for a supervised fleet like any other, the two
+// are attributes of one Serve — and a session cancelled before its start
+// instant finishes at once, incomplete, having sent nothing.
+func TestServePacedStarts(t *testing.T) {
+	t.Run("spread", func(t *testing.T) {
+		const n, every = 8, 5 * time.Millisecond
+		reg := obs.NewRegistry()
+		cfgs, rebuild := stabConfigs(t, n, 8, 3, 500*time.Microsecond)
+		done := make(chan []Report, 1)
+		go func() {
+			reports, err := Serve(context.Background(), ServeConfig{
+				Transport: NewInproc(0, reg), Sessions: cfgs, Obs: reg, StartEvery: every,
+				Chaos:   &ChaosConfig{Crashes: []faults.CrashPoint{{Who: faults.Sender, At: []int{4}, Scramble: true}}, Seed: 5},
+				Rebuild: rebuild,
+			})
+			if err != nil {
+				t.Errorf("Serve: %v", err)
+			}
+			done <- reports
+		}()
+		// Start events carry no timestamp: watch for the first and the last.
+		var first, last time.Time
+		for last.IsZero() {
+			starts := 0
+			for _, ev := range reg.Snapshot().Events {
+				if ev.Kind == "wire.session.start" {
+					starts++
+				}
+			}
+			if starts > 0 && first.IsZero() {
+				first = time.Now()
+			}
+			if starts == n {
+				last = time.Now()
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+		if spread := last.Sub(first); spread < (n-1)*every/2 {
+			t.Errorf("%d starts spread over %v, want about %v", n, spread, (n-1)*every)
+		}
+		for _, rep := range <-done {
+			if !rep.Complete || rep.Chaos.PostStabViolations != 0 || len(rep.Chaos.Incarnations) < 2 {
+				t.Errorf("session %d: complete=%v chaos=%+v", rep.ID, rep.Complete, rep.Chaos)
+			}
+		}
+	})
+	t.Run("cancelled before the start instant", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(20*time.Millisecond, cancel)
+		began := time.Now()
+		reports, err := Serve(ctx, ServeConfig{
+			Transport: blackHole{NewInproc(0, reg)}, Obs: reg, StartEvery: time.Hour,
+			Sessions: zooSessions(t, "alpha", 4, time.Millisecond, 0, 0),
+		})
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+		if took := time.Since(began); took > 10*time.Second {
+			t.Errorf("Serve returned %v after the cancellation", took)
+		}
+		for i, rep := range reports {
+			if rep.Complete || rep.SafetyViolation != nil {
+				t.Errorf("session %d: complete=%v violation=%v", rep.ID, rep.Complete, rep.SafetyViolation)
+			}
+			if started := i == 0; started != (rep.FramesTx > 0) || started != (rep.Elapsed > 0) {
+				t.Errorf("session %d: %d frames over %v; only the first session's start instant came", rep.ID, rep.FramesTx, rep.Elapsed)
+			}
+		}
+		snap := reg.Snapshot()
+		if got := snap.Counters["wire_sessions_unfinished_total"]; got != 4 {
+			t.Errorf("wire_sessions_unfinished_total = %d, want 4", got)
+		}
+		if got := snap.Gauges["wire_sessions_active"]; got != 0 {
+			t.Errorf("wire_sessions_active = %v after the fleet ended", got)
+		}
+	})
+}
+
 // TestTimerProgressInvariant pins the worker's progress guarantee: fired
 // at any reading around its tick or its deadline, a session either
 // finishes or is left with exactly one heap entry strictly later than
@@ -259,7 +340,7 @@ func TestTimerProgressInvariant(t *testing.T) {
 			}
 			// A detached worker: fire runs here, on the test goroutine.
 			w := &loopWorker{eng: mux.loop}
-			sess.start = time.Now()
+			sess.startAt, sess.attached = mux.loop.now(), true
 			sess.onDone = func(Report) {}
 			sess.bo = newBackoff(sess.cfg.Tick, sess.cfg.Seed, 0)
 			sess.tickNext, sess.deadlineAt = tc.tickNext, tc.deadline
@@ -480,7 +561,7 @@ func TestLoopFlatMemory(t *testing.T) {
 			t.Fatalf("NewSession: %v", err)
 		}
 		sessions[i] = sess
-		mux.loop.start(context.Background(), sess, func(Report) {})
+		mux.loop.start(context.Background(), sess, 0, func(Report) {})
 	}
 	// Let the workers attach everything, then census.
 	time.Sleep(50 * time.Millisecond)

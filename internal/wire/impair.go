@@ -83,7 +83,7 @@ func ImpairPreset(name string) (Options, error) {
 	}
 	if s.ProcessFaults() {
 		return Options{}, fmt.Errorf(
-			"wire: preset %q injects process faults (crash-restart), which belong to the session supervisor, not the link — pass it via -crash-preset (wire.ServeSupervised) instead; link impairments are %s",
+			"wire: preset %q injects process faults (crash-restart), which belong to the session supervisor, not the link — pass it via -crash-preset (wire.ServeConfig.Chaos) instead; link impairments are %s",
 			name, strings.Join(ImpairPresetNames(), ", "))
 	}
 	return Options{Spec: s}, nil
@@ -164,7 +164,7 @@ var _ BatchSender = (*Impairment)(nil)
 func NewImpairment(inner Transport, o Options, reg *obs.Registry) (*Impairment, error) {
 	if o.Spec.ProcessFaults() {
 		return nil, fmt.Errorf(
-			"wire: fault spec %q injects process faults, which belong to the session supervisor (wire.ServeSupervised / -crash-preset), not the link",
+			"wire: fault spec %q injects process faults, which belong to the session supervisor (wire.ServeConfig.Chaos / -crash-preset), not the link",
 			o.Spec.Name)
 	}
 	var stage *modelStage

@@ -231,9 +231,6 @@ func NewMuxConfig(tr Transport, cfg MuxConfig) *Mux {
 	return m
 }
 
-// Transport returns the mux's transport.
-func (m *Mux) Transport() Transport { return m.tr }
-
 // sampled reports whether per-session lifecycle events should be
 // emitted for this session id (see MuxConfig.EventSampleEvery).
 func (m *Mux) sampled(id uint64) bool {
@@ -267,6 +264,15 @@ func (m *Mux) noteSessionEnd(s *Session, rep Report) {
 		met.completed.Inc()
 	default:
 		met.unfinished.Inc()
+	}
+	if c := rep.Chaos; c != nil {
+		met.stabIncarnations.Add(int64(len(c.Incarnations)))
+		met.stabEscalations.Add(int64(c.WatchdogEscalations))
+		met.stabBadWrites.Add(int64(c.BadWrites))
+		met.stabPostViol.Add(int64(c.PostStabViolations))
+		for _, t := range c.StabilizeTimes {
+			met.stabTime.Observe(t.Seconds())
+		}
 	}
 	if m.sampled(s.cfg.ID) {
 		met.reg.Emit("wire.session.end",

@@ -57,11 +57,12 @@ func detachedSession(t *testing.T, proto string, p registry.Params, x seq.Seq) (
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
-	sess.start = time.Now()
+	w := &loopWorker{eng: mux.loop}
+	sess.worker, sess.startAt = w, mux.loop.now()
 	sess.onDone = func(Report) {}
 	sess.bo = newBackoff(sess.cfg.Tick, sess.cfg.Seed, 0)
 	sess.tickNext, sess.deadlineAt = noDeadline, noDeadline
-	return &loopWorker{eng: mux.loop}, sess
+	return w, sess
 }
 
 // deliverAcks publishes acks to the sender inbox as one burst and

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"seqtx/internal/obs"
+	"seqtx/internal/protocol"
 )
 
 // ServeConfig describes a fleet of sessions over one transport.
@@ -20,18 +22,29 @@ type ServeConfig struct {
 	// EventSampleEvery samples per-session lifecycle events (see
 	// MuxConfig.EventSampleEvery); 0 emits for every session.
 	EventSampleEvery uint64
+	// StartEvery paces the fleet: session i starts i×StartEvery after
+	// Serve is called (0 = all at once).
+	StartEvery time.Duration
+	// Chaos, when non-nil, supervises every session on this crash-restart
+	// schedule (supervisor.go): the stabilization audit replaces the strict
+	// prefix audit, each Report carries a ChaosReport, and a zero Seed
+	// defaults to faults.SubSeed(Chaos.Seed, ID).
+	Chaos *ChaosConfig
+	// Rebuild returns a fresh initial-state process pair for session
+	// index i (index into Sessions); required with Chaos.
+	Rebuild func(i int) (protocol.Sender, protocol.Receiver, error)
 }
 
 // Serve multiplexes every configured session over the transport, runs
 // them all concurrently, and returns their reports (index-aligned with
 // cfg.Sessions). The whole fleet runs on the mux's fixed worker pool —
-// Serve adds no goroutines per session, which is what makes
-// million-session fleets a flat-memory affair. It shuts
+// Serve adds no goroutines per session, paced or supervised, which is
+// what makes million-session fleets a flat-memory affair. It shuts
 // down gracefully: ctx cancellation (or a per-session deadline) ends
-// the affected sessions, which report Complete=false; the transport and
-// mux are always closed before Serve returns. The error covers setup
-// failures only — per-session outcomes, including safety violations,
-// live in the reports.
+// the affected sessions, started or not, which report Complete=false;
+// the transport and mux are always closed before Serve returns. The
+// error covers setup failures and a failing Rebuild — per-session
+// outcomes, including safety violations, live in the reports.
 func Serve(ctx context.Context, cfg ServeConfig) ([]Report, error) {
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("wire: serve needs a transport")
@@ -39,10 +52,17 @@ func Serve(ctx context.Context, cfg ServeConfig) ([]Report, error) {
 	if len(cfg.Sessions) == 0 {
 		return nil, fmt.Errorf("wire: serve needs at least one session")
 	}
+	if cfg.Chaos != nil && cfg.Rebuild == nil {
+		return nil, fmt.Errorf("wire: supervised serve needs a rebuild constructor")
+	}
 	mux := NewMuxConfig(cfg.Transport, MuxConfig{
 		Obs:              cfg.Obs,
 		EventSampleEvery: cfg.EventSampleEvery,
 	})
+	var plan *chaosPlan
+	if cfg.Chaos != nil {
+		plan = &chaosPlan{*cfg.Chaos, cfg.Chaos.schedule(), cfg.Rebuild}
+	}
 	sessions := make([]*Session, len(cfg.Sessions))
 	for i, sc := range cfg.Sessions {
 		s, err := mux.NewSession(sc)
@@ -50,32 +70,39 @@ func Serve(ctx context.Context, cfg ServeConfig) ([]Report, error) {
 			mux.Close()
 			return nil, err
 		}
+		if plan != nil {
+			plan.supervise(s, i)
+			if sc.Seed == 0 {
+				s.cfg.Seed = s.sup.seed
+			}
+		}
 		sessions[i] = s
 	}
 	reports := make([]Report, len(sessions))
 	var wg sync.WaitGroup
 	wg.Add(len(sessions))
 	// Hand every session to the worker pool with a completion callback;
-	// one watcher goroutine total relays ctx cancellation to the engine.
+	// ctx cancellation is relayed to the engine, not watched per session.
 	for i, s := range sessions {
-		mux.loop.start(ctx, s, func(rep Report) {
+		mux.loop.start(ctx, s, time.Duration(i)*cfg.StartEvery, func(rep Report) {
 			reports[i] = rep
 			wg.Done()
 		})
 	}
-	stopWatch := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			for _, s := range sessions {
-				mux.loop.cancel(s)
-			}
-		case <-stopWatch:
+	stop := context.AfterFunc(ctx, func() {
+		for _, s := range sessions {
+			mux.loop.cancel(s)
 		}
-	}()
+	})
 	wg.Wait()
-	close(stopWatch)
-	if err := mux.Close(); err != nil {
+	stop()
+	err := mux.Close()
+	for i := range reports {
+		if c := reports[i].Chaos; c != nil && c.Err != nil {
+			return reports, c.Err
+		}
+	}
+	if err != nil {
 		return reports, fmt.Errorf("wire: closing transport: %w", err)
 	}
 	return reports, nil

@@ -59,12 +59,6 @@ type SessionConfig struct {
 	// quiescence; a receiver half keeps the usual tape audit (it knows X
 	// from the coordinator's seed). Zero runs both ends in-process.
 	Half End
-	// Stabilize, when non-nil, replaces the strict prefix audit with the
-	// supervisor's suffix-alignment audit: transient bad writes after a
-	// scrambled crash-restart are measured instead of fatal, and
-	// completion means the audit reached aligned end-of-tape. Plain
-	// (unsupervised) sessions leave it nil and keep the hard audit.
-	Stabilize *StabilizeAudit
 }
 
 // Report is one session's outcome.
@@ -98,6 +92,9 @@ type Report struct {
 	LearnTimes []time.Duration
 	// GoodputItemsPerSec is len(Output)/Elapsed.
 	GoodputItemsPerSec float64
+	// Chaos is the crash-restart record of a session served under
+	// ServeConfig.Chaos; nil for a plain one.
+	Chaos *ChaosReport
 }
 
 // Session is one live transfer: a sender and a receiver step machine
@@ -137,7 +134,7 @@ type Session struct {
 	bo               backoff
 	last             msg.Msg
 	haveLast         bool
-	lastRetransmitAt time.Time
+	lastRetransmitAt int64 // engine timeline; 0 = none yet
 
 	// Outcome state, written by the step machines before the report is
 	// built (the worker's single-threaded service is the happens-before
@@ -152,23 +149,26 @@ type Session struct {
 
 	// Event-loop state. loopLive, scheduled, and cancelReq are the only
 	// fields other goroutines touch while the loop runs the session;
-	// everything else below is owned by the pinned worker (start,
-	// deadlineAt and tickNext are written once in loopEngine.start,
-	// before the first schedule publishes them). deadlineAt and tickNext
-	// are instants on the engine timeline (loopEngine.now).
+	// everything else below is owned by the pinned worker (loopEngine.start
+	// writes it before the first schedule publishes it). startAt,
+	// ctxDeadline, deadlineAt and tickNext are instants on the engine
+	// timeline (loopEngine.now).
 	loopLive  atomic.Bool
 	scheduled atomic.Bool
 	cancelReq atomic.Bool
 	worker    *loopWorker
 
-	start      time.Time
-	deadlineAt int64
-	tickNext   int64
-	attached   bool
-	finished   bool
-	onDone     func(Report)
-	rep        Report
-	done       chan struct{}
+	startAt     int64
+	ctxDeadline int64
+	deadlineAt  int64
+	tickNext    int64
+	attached    bool
+	finished    bool
+	onDone      func(Report)
+
+	// sup is the crash-restart supervision of a session served under
+	// ServeConfig.Chaos (supervisor.go); nil for a plain one.
+	sup *supervision
 }
 
 // NewSession registers a session on the mux. The session does not run
@@ -224,14 +224,10 @@ func (s *Session) senderFinished() bool {
 // violation, deadline, or ctx cancellation, and returns its report. It
 // must be called at most once.
 func (s *Session) Run(ctx context.Context) Report {
-	s.mux.loop.start(ctx, s, nil)
-	select {
-	case <-s.done:
-	case <-ctx.Done():
-		s.mux.loop.cancel(s)
-		<-s.done
-	}
-	return s.rep
+	done := make(chan Report, 1)
+	s.mux.loop.start(ctx, s, 0, func(rep Report) { done <- rep })
+	defer context.AfterFunc(ctx, func() { s.mux.loop.cancel(s) })()
+	return <-done
 }
 
 // buildReport assembles the session's report from its outcome state.
@@ -269,9 +265,9 @@ func (s *Session) senderEvent(ev protocol.Event) bool {
 		if s.haveLast && mg == s.last {
 			s.retransmits++
 			retrans = true
-			now := time.Now()
-			if !s.lastRetransmitAt.IsZero() {
-				s.mux.met.retransmitIvl.Observe(now.Sub(s.lastRetransmitAt).Seconds())
+			now := s.mux.loop.now()
+			if s.lastRetransmitAt != 0 {
+				s.mux.met.retransmitIvl.Observe(time.Duration(now - s.lastRetransmitAt).Seconds())
 			}
 			s.lastRetransmitAt = now
 		} else {
@@ -315,9 +311,8 @@ const (
 
 // receiverEvent runs one receiver step (a delivery or a tick): protocol
 // Step, acknowledgement sends, and the write audit — strict prefix
-// safety for plain sessions, the supervisor's suffix-alignment audit
-// for stabilizing ones. It stops mid-burst on a verdict so no writes
-// land after it.
+// safety for plain sessions, the suffix-alignment audit for supervised
+// ones. It stops mid-burst on a verdict so no writes land after it.
 func (s *Session) receiverEvent(ev protocol.Event) stepOutcome {
 	sends, writes := s.cfg.Receiver.Step(ev)
 	for _, mg := range sends {
@@ -328,12 +323,14 @@ func (s *Session) receiverEvent(ev protocol.Event) stepOutcome {
 	}
 	for _, item := range writes {
 		s.output = append(s.output, item)
-		s.learnTimes = append(s.learnTimes, time.Since(s.start))
-		if a := s.cfg.Stabilize; a != nil {
-			// Supervised session: the audit judges suffix alignment
-			// across incarnations; done means aligned through the end
-			// of the tape with no stabilization window open.
-			if a.observe(item) {
+		now := s.mux.loop.now()
+		s.learnTimes = append(s.learnTimes, time.Duration(now-s.startAt))
+		if c := s.sup; c != nil {
+			// Supervised session: transient bad writes after a scrambled
+			// restart are measured, not fatal, and done means aligned
+			// through the end of the tape with no recovery window open.
+			c.progressAt = now
+			if c.audit.observe(item, now) {
 				s.complete = true
 				return stepDone
 			}
@@ -347,13 +344,36 @@ func (s *Session) receiverEvent(ev protocol.Event) stepOutcome {
 			return stepDone
 		}
 	}
-	if s.cfg.Stabilize == nil && len(s.output) == len(s.cfg.Input) {
+	if s.sup == nil && len(s.output) == len(s.cfg.Input) {
 		s.complete = true
 		return stepDone
 	}
 	return stepRunning
 }
 
+// arm starts a life at now — the session's, or under supervision an
+// incarnation's: its deadline (SessionConfig.Deadline from now, or the
+// ctx deadline if that comes first), its first timer tick, phase-shifted
+// by a per-session hash so a fleet started together does not put every
+// session's tick on the same instant (the million-session thundering
+// herd), and its backoff.
+func (s *Session) arm(now int64) {
+	s.deadlineAt = s.ctxDeadline
+	if s.cfg.Deadline > 0 {
+		s.deadlineAt = min(s.deadlineAt, now+int64(s.cfg.Deadline))
+	}
+	phase := int64((uint64(s.cfg.Seed) * fibMul) % uint64(s.cfg.Tick))
+	s.tickNext = now + int64(s.cfg.Tick)/2 + phase
+	s.bo = newBackoff(s.cfg.Tick, s.cfg.Seed, now)
+}
+
 // nextWake is the session's earliest pending timer: its next pacing
-// tick, or its deadline if that comes first.
-func (s *Session) nextWake() int64 { return min(s.tickNext, s.deadlineAt) }
+// tick or its deadline, or under supervision its next crash or watchdog
+// expiry.
+func (s *Session) nextWake() int64 {
+	at := min(s.tickNext, s.deadlineAt)
+	if c := s.sup; c != nil {
+		at = min(at, c.wake(s))
+	}
+	return at
+}

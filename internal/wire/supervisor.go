@@ -1,14 +1,11 @@
 package wire
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"seqtx/internal/faults"
@@ -16,14 +13,20 @@ import (
 	"seqtx/internal/seq"
 )
 
-// This file is the live-runtime half of the self-stabilization story: a
-// session supervisor that crash-restarts real endpoint processes mid-run
-// on a seeded schedule, optionally restarting them into scrambled
-// (seeded-arbitrary) local state — the wire analogue of the sim's
-// scramble restart policy and the model checker's corrupted-root
-// frontier. The same faults.CrashPoint schedule and the same
-// faults.SubSeed derivation drive all three layers, so one preset name
-// plus one seed means the same adversary everywhere.
+// This file is the live-runtime half of the self-stabilization story:
+// crash-restart supervision of real endpoint processes on a seeded
+// schedule, optionally restarting them into scrambled (seeded-arbitrary)
+// local state — the wire analogue of the sim's scramble restart policy
+// and the model checker's corrupted-root frontier. The same
+// faults.CrashPoint schedule and the same faults.SubSeed derivation drive
+// all three layers, so one preset name plus one seed means the same
+// adversary everywhere.
+//
+// A crash is one more event in a session's run, not a second runtime
+// around it: a supervised session is a plain Session whose pinned worker
+// also holds its crash schedule, audit and watchdog instant (supervision),
+// and the next crash and the watchdog are timer-heap entries like the tick
+// and the deadline. Nothing here starts a goroutine or reads a clock.
 //
 // Because a scrambled restart legitimately produces transient bad
 // writes, supervised sessions trade the strict online prefix audit for a
@@ -42,18 +45,17 @@ import (
 // stabilization time — after stabilizeLockWrites consecutive good
 // writes (or an aligned end of tape), and bad writes OUTSIDE any window
 // are post-stabilization violations — the chaos campaign's failure
-// signal.
+// signal. It is owned by the session's worker; instants are nanoseconds
+// on the engine timeline.
 type StabilizeAudit struct {
-	mu    sync.Mutex
 	input seq.Seq
 
 	pos      int
 	aligned  bool
 	seeking  bool
 	seekGood int
-	seekFrom time.Time
+	seekFrom int64
 
-	writes         int64
 	badWrites      int
 	postViolations int
 	stabTimes      []time.Duration
@@ -69,17 +71,9 @@ type StabilizeAudit struct {
 // guarantee at least one is fresh.
 const stabilizeLockWrites = 3
 
-// NewStabilizeAudit builds the audit for one session's input tape.
-func NewStabilizeAudit(input seq.Seq) *StabilizeAudit {
-	return &StabilizeAudit{input: input.Clone(), aligned: true}
-}
-
-// observe judges one receiver write and reports whether the tape is
-// done: aligned through the end with no recovery window open.
-func (a *StabilizeAudit) observe(item seq.Item) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.writes++
+// observe judges one receiver write made at now and reports whether the
+// tape is done: aligned through the end with no recovery window open.
+func (a *StabilizeAudit) observe(item seq.Item, now int64) bool {
 	good, bad := false, false
 	switch {
 	case a.aligned && a.pos < len(a.input) && item == a.input[a.pos]:
@@ -120,7 +114,7 @@ func (a *StabilizeAudit) observe(item seq.Item) bool {
 		if a.seekGood >= stabilizeLockWrites || a.pos == len(a.input) {
 			a.seeking = false
 			a.seekGood = 0
-			a.stabTimes = append(a.stabTimes, time.Since(a.seekFrom))
+			a.stabTimes = append(a.stabTimes, time.Duration(now-a.seekFrom))
 		}
 	}
 	if a.aligned && !a.seeking && a.pos == len(a.input) {
@@ -143,9 +137,7 @@ func (a *StabilizeAudit) firstIndex(item seq.Item) int {
 // fresh or arbitrary, so its next writes start a new candidate suffix.
 // An already-open window keeps its original start time, so overlapping
 // crashes measure one combined stabilization episode.
-func (a *StabilizeAudit) onCrash(receiver bool, now time.Time) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *StabilizeAudit) onCrash(receiver bool, now int64) {
 	if receiver {
 		a.aligned = false
 	}
@@ -154,34 +146,6 @@ func (a *StabilizeAudit) onCrash(receiver bool, now time.Time) {
 		a.seeking = true
 		a.seekFrom = now
 	}
-}
-
-// Done reports whether the tape finished: aligned through the end.
-func (a *StabilizeAudit) Done() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.done
-}
-
-// Writes returns the total write count (the watchdog's progress stamp).
-func (a *StabilizeAudit) Writes() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.writes
-}
-
-// Seeking reports whether a recovery window is open.
-func (a *StabilizeAudit) Seeking() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.seeking
-}
-
-// snapshot returns the final tallies.
-func (a *StabilizeAudit) snapshot() (badWrites, postViolations int, stabTimes []time.Duration) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.badWrites, a.postViolations, append([]time.Duration(nil), a.stabTimes...)
 }
 
 // RestartPolicy selects what state a crashed process restarts into.
@@ -240,9 +204,12 @@ type ChaosConfig struct {
 	// window makes no write progress for this long, the supervisor
 	// restarts BOTH processes into clean initial state (0 = 512 ticks).
 	Watchdog time.Duration
-	// MaxIncarnations caps the restart loop (0 = schedule length + 8).
-	MaxIncarnations int
 }
+
+// spareIncarnations is how many lives past its crash schedule a session
+// is given before supervision gives up on it: room for watchdog
+// escalations, and the bound on a protocol that never stabilizes.
+const spareIncarnations = 8
 
 // crashEvent is one resolved schedule entry.
 type crashEvent struct {
@@ -271,15 +238,14 @@ func (c ChaosConfig) schedule() []crashEvent {
 	return evs
 }
 
-// Incarnation records one supervised session lifetime and why it ended.
+// Incarnation records one stretch of a supervised session's life — from
+// its start, or the previous restart, to the event that ended it.
 type Incarnation struct {
-	// Index is the incarnation number, from 0.
-	Index int
 	// Ended is "crash", "watchdog", "done", "ctx", or "deadline".
 	Ended string
 	// Victim is the crashed process when Ended is "crash".
 	Victim faults.Process
-	// AtTick is the scheduled crash tick (-1 for watchdog escalations).
+	// AtTick is the scheduled crash tick (-1 for anything but a crash).
 	AtTick int
 	// Scrambled reports whether the restart landed in scrambled state.
 	Scrambled bool
@@ -288,20 +254,12 @@ type Incarnation struct {
 	// RestartKey is the restarted process state's canonical key — for a
 	// watchdog escalation, both keys joined with "|".
 	RestartKey string
-	// Report is the incarnation's session report.
-	Report Report
 }
 
-// SupervisedReport aggregates a session's incarnations.
-type SupervisedReport struct {
-	// ID is the session id.
-	ID uint64
-	// Input is the tape X.
-	Input seq.Seq
-	// Output concatenates every incarnation's writes.
-	Output seq.Seq
-	// Complete reports the audit reached aligned end-of-tape.
-	Complete bool
+// ChaosReport is the crash-restart half of a supervised session's Report,
+// whose Output holds every incarnation's writes, whose Complete is the
+// audit's verdict (aligned end of tape), and whose counts span the life.
+type ChaosReport struct {
 	// Incarnations lists the lifetimes in order.
 	Incarnations []Incarnation
 	// CrashScheduleDigest hashes the realized crash schedule and restart
@@ -316,226 +274,159 @@ type SupervisedReport struct {
 	StabilizeTimes []time.Duration
 	// WatchdogEscalations counts forced clean restarts.
 	WatchdogEscalations int
-	// Elapsed is the supervised run's total wall-clock life.
-	Elapsed time.Duration
-	// FramesTx, AcksTx, Retransmits sum across incarnations.
-	FramesTx    int
-	AcksTx      int
-	Retransmits int
+	// Err is the restart constructor's failure, if it ended the session.
+	Err error
 }
 
-// Supervise runs one session under crash-restart supervision: each
-// incarnation runs until the next scheduled crash (or completion, the
-// watchdog, or ctx), then the victim process is rebuilt — into initial
-// state, or scrambled per the schedule — while the surviving process
-// carries its live state into the next incarnation. rebuild must return
-// a fresh initial-state process pair.
-func Supervise(ctx context.Context, mux *Mux, cfg SessionConfig,
-	rebuild func() (protocol.Sender, protocol.Receiver, error),
-	chaos ChaosConfig) (SupervisedReport, error) {
+// chaosPlan is what the sessions of one supervised fleet share: the
+// config, its resolved schedule and the restart constructor.
+type chaosPlan struct {
+	ChaosConfig
+	events  []crashEvent
+	rebuild func(i int) (protocol.Sender, protocol.Receiver, error)
+}
 
-	if rebuild == nil {
-		return SupervisedReport{}, fmt.Errorf("wire: supervise needs a rebuild constructor")
-	}
-	if cfg.Sender == nil || cfg.Receiver == nil {
-		return SupervisedReport{}, fmt.Errorf("wire: session %d missing processes", cfg.ID)
-	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = DefaultTick
-	}
-	sessSeed := faults.SubSeed(chaos.Seed, cfg.ID)
-	if cfg.Seed == 0 {
-		cfg.Seed = sessSeed
-	}
-	events := chaos.schedule()
-	watchdog := chaos.Watchdog
+// supervision is a supervised session's chaos state. Like the rest of
+// the session's run state it is touched only by the pinned worker.
+type supervision struct {
+	plan  *chaosPlan
+	index int   // in ServeConfig.Sessions: the restart constructor's argument
+	seed  int64 // faults.SubSeed(chaos seed, session id): its scramble seeds' parent
+	next  int   // the schedule entry not yet fired
+	// watchdog is the escalation interval, measured from progressAt, the
+	// instant of the latest write or restart.
+	watchdog   int64
+	progressAt int64
+	audit      StabilizeAudit
+	rep        ChaosReport
+}
+
+// supervise puts a registered, not yet started session under the plan.
+func (p *chaosPlan) supervise(s *Session, index int) {
+	watchdog := p.Watchdog
 	if watchdog <= 0 {
-		watchdog = 512 * cfg.Tick
+		watchdog = 512 * s.cfg.Tick
 	}
-	maxInc := chaos.MaxIncarnations
-	if maxInc <= 0 {
-		maxInc = len(events) + 8
+	s.sup = &supervision{
+		plan:     p,
+		index:    index,
+		seed:     faults.SubSeed(p.Seed, s.cfg.ID),
+		watchdog: int64(watchdog),
+		audit:    StabilizeAudit{input: s.cfg.Input, aligned: true},
 	}
-	audit := NewStabilizeAudit(cfg.Input)
-	cfg.Stabilize = audit
-	met := mux.met
-	// A sender half (cluster client) hosts no receiver, so the audit
-	// never observes writes: its completion verdict is the session
-	// report's (the local S transmitted its tape and holds every ack),
-	// and crash recovery windows stay closed — the output tape, and
-	// with it the stabilization accounting, lives on the peer node.
-	senderHalf := cfg.Half == SenderEnd
+}
 
-	srep := SupervisedReport{ID: cfg.ID, Input: cfg.Input.Clone()}
-	sender, receiver := cfg.Sender, cfg.Receiver
-	start := time.Now()
-	next := 0 // next scheduled crash event
-	for inc := 0; inc < maxInc; inc++ {
-		sc := cfg
-		sc.Sender, sc.Receiver = sender, receiver
-		s, err := mux.NewSession(sc)
-		if err != nil {
-			srep.Elapsed = time.Since(start)
-			return srep, err
-		}
-		met.stabIncarnations.Inc()
-
-		ictx := ctx
-		var cancelCrash context.CancelFunc
-		var ev *crashEvent
-		var crashAt time.Time
-		if next < len(events) {
-			ev = &events[next]
-			crashAt = start.Add(time.Duration(ev.atTick) * sc.Tick)
-			ictx, cancelCrash = context.WithDeadline(ctx, crashAt)
-		}
-		wctx, wcancel := context.WithCancel(ictx)
-		var escalate atomic.Bool
-		stop := make(chan struct{})
-		var wwg sync.WaitGroup
-		wwg.Add(1)
-		go func() {
-			// Watchdog: escalate when a recovery window stays open with no
-			// write progress for a full watchdog interval.
-			defer wwg.Done()
-			interval := watchdog / 4
-			if interval <= 0 {
-				interval = watchdog
-			}
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			lastWrites := audit.Writes()
-			lastChange := time.Now()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-wctx.Done():
-					return
-				case <-t.C:
-					if cur := audit.Writes(); cur != lastWrites {
-						lastWrites, lastChange = cur, time.Now()
-						continue
-					}
-					if audit.Seeking() && time.Since(lastChange) >= watchdog {
-						escalate.Store(true)
-						wcancel()
-						return
-					}
-				}
-			}
-		}()
-
-		rep := s.Run(wctx)
-		close(stop)
-		wcancel()
-		if cancelCrash != nil {
-			cancelCrash()
-		}
-		wwg.Wait()
-
-		irec := Incarnation{Index: inc, AtTick: -1, Report: rep}
-		srep.Output = append(srep.Output, rep.Output...)
-		srep.FramesTx += rep.FramesTx
-		srep.AcksTx += rep.AcksTx
-		srep.Retransmits += rep.Retransmits
-		now := time.Now()
-
-		if audit.Done() || (senderHalf && rep.Complete) {
-			irec.Ended = "done"
-			srep.Incarnations = append(srep.Incarnations, irec)
-			srep.Complete = true
-			break
-		}
-		if ctx.Err() != nil {
-			irec.Ended = "ctx"
-			srep.Incarnations = append(srep.Incarnations, irec)
-			break
-		}
-		if escalate.Load() {
-			// Watchdog escalation: a stuck recovery (a scrambled process
-			// wedged past the end of its tape, say) is resolved the way a
-			// supervision tree resolves it — restart the whole pair clean.
-			ns, nr, rerr := rebuild()
-			if rerr != nil {
-				srep.Incarnations = append(srep.Incarnations, irec)
-				srep.Elapsed = time.Since(start)
-				return srep, rerr
-			}
-			sender, receiver = ns, nr
-			audit.onCrash(true, now)
-			irec.Ended = "watchdog"
-			irec.RestartKey = sender.Key() + "|" + receiver.Key()
-			srep.Incarnations = append(srep.Incarnations, irec)
-			srep.WatchdogEscalations++
-			met.stabEscalations.Inc()
-			if mux.sampled(cfg.ID) {
-				met.reg.Emit("wire.session.watchdog",
-					"session", strconv.FormatUint(cfg.ID, 10),
-					"incarnation", strconv.Itoa(inc))
-			}
-			continue
-		}
-		if ev != nil && !now.Before(crashAt) {
-			// The scheduled crash fired: rebuild the victim; the survivor
-			// keeps its live state across the incarnation boundary.
-			lane := uint64(next)
-			next++
-			ns, nr, rerr := rebuild()
-			if rerr != nil {
-				srep.Incarnations = append(srep.Incarnations, irec)
-				srep.Elapsed = time.Since(start)
-				return srep, rerr
-			}
-			var victim interface{ Key() string }
-			if ev.who == faults.Sender {
-				sender, victim = ns, ns
-			} else {
-				receiver, victim = nr, nr
-			}
-			irec.Ended = "crash"
-			irec.Victim = ev.who
-			irec.AtTick = ev.atTick
-			if ev.scramble {
-				irec.ScrambleSeed = faults.SubSeed(sessSeed, lane)
-				irec.Scrambled = protocol.ScrambleState(victim, irec.ScrambleSeed)
-			}
-			irec.RestartKey = victim.Key()
-			if !senderHalf {
-				audit.onCrash(ev.who == faults.Receiver, now)
-			}
-			srep.Incarnations = append(srep.Incarnations, irec)
-			if mux.sampled(cfg.ID) {
-				met.reg.Emit("wire.session.crash",
-					"session", strconv.FormatUint(cfg.ID, 10),
-					"victim", ev.who.String(),
-					"scrambled", strconv.FormatBool(irec.Scrambled))
-			}
-			continue
-		}
-		// Ended on its own (per-incarnation deadline) with no crash due:
-		// the session gave up.
-		irec.Ended = "deadline"
-		srep.Incarnations = append(srep.Incarnations, irec)
-		break
+// wake is the earliest instant supervision needs the worker: the next
+// scheduled crash — CrashPoint.At counts ticks from the session's start
+// — or, while a recovery window is open, the watchdog.
+func (c *supervision) wake(s *Session) int64 {
+	at := int64(noDeadline)
+	if c.next < len(c.plan.events) {
+		at = s.startAt + int64(c.plan.events[c.next].atTick)*int64(s.cfg.Tick)
 	}
+	if c.audit.seeking {
+		at = min(at, c.progressAt+c.watchdog)
+	}
+	return at
+}
 
-	bad, post, times := audit.snapshot()
-	srep.BadWrites = bad
-	srep.PostStabViolations = post
-	srep.StabilizeTimes = times
-	for _, t := range times {
-		met.stabTime.Observe(t.Seconds())
+// restart is the crash-restart event, run by fire at a reading now at
+// which wake is due. A scheduled crash rebuilds the victim — into initial
+// state, or scrambled per the schedule — while the survivor carries its
+// live state across; a watchdog expiry (a scrambled process wedged past
+// the end of its tape, say) is resolved as a supervision tree would, by
+// restarting the whole pair clean. The session itself stays — table slot,
+// output tape, counters, audit, the survivor's state and inbox — and what
+// the dead process held goes: its state, the frames queued for it, the
+// retransmission memory. The new incarnation then starts as a session
+// does: fresh deadline, tick phase and backoff, the sender's attach step.
+func (w *loopWorker) restart(s *Session, now int64) {
+	c := s.sup
+	ns, nr, err := c.plan.rebuild(c.index)
+	if err != nil {
+		c.rep.Err = err
+		w.finish(s)
+		return
 	}
-	if bad > 0 {
-		met.stabBadWrites.Add(int64(bad))
+	rec := Incarnation{AtTick: -1}
+	if c.audit.seeking && now >= c.progressAt+c.watchdog {
+		s.cfg.Sender, s.cfg.Receiver = ns, nr
+		w.batch = s.senderInbox.drain(w.batch)
+		w.batch = s.receiverInbox.drain(w.batch)
+		c.audit.onCrash(true, now)
+		rec.Ended = "watchdog"
+		rec.RestartKey = ns.Key() + "|" + nr.Key()
+		c.rep.WatchdogEscalations++
+		if s.mux.sampled(s.cfg.ID) {
+			s.mux.met.reg.Emit("wire.session.watchdog",
+				"session", strconv.FormatUint(s.cfg.ID, 10),
+				"incarnation", strconv.Itoa(len(c.rep.Incarnations)))
+		}
+	} else {
+		ev := c.plan.events[c.next]
+		lane := uint64(c.next)
+		c.next++
+		var victim interface{ Key() string }
+		if ev.who == faults.Sender {
+			s.cfg.Sender, victim = ns, ns
+			w.batch = s.senderInbox.drain(w.batch)
+		} else {
+			s.cfg.Receiver, victim = nr, nr
+			w.batch = s.receiverInbox.drain(w.batch)
+		}
+		rec.Ended, rec.Victim, rec.AtTick = "crash", ev.who, ev.atTick
+		if ev.scramble {
+			rec.ScrambleSeed = faults.SubSeed(c.seed, lane)
+			rec.Scrambled = protocol.ScrambleState(victim, rec.ScrambleSeed)
+		}
+		rec.RestartKey = victim.Key()
+		// A sender half (cluster client) hosts no receiver: its audit sees
+		// no write, so a window opened here could never close. The tape,
+		// and with it the stabilization accounting, lives on the peer node.
+		if s.cfg.Half != SenderEnd {
+			c.audit.onCrash(ev.who == faults.Receiver, now)
+		}
+		if s.mux.sampled(s.cfg.ID) {
+			s.mux.met.reg.Emit("wire.session.crash",
+				"session", strconv.FormatUint(s.cfg.ID, 10),
+				"victim", ev.who.String(),
+				"scrambled", strconv.FormatBool(rec.Scrambled))
+		}
 	}
-	if post > 0 {
-		met.stabPostViol.Add(int64(post))
+	c.rep.Incarnations = append(c.rep.Incarnations, rec)
+	if len(c.rep.Incarnations) == len(c.plan.events)+spareIncarnations {
+		w.finish(s) // out of lives: the restart just recorded is its last word
+		return
 	}
-	srep.Elapsed = time.Since(start)
-	srep.CrashScheduleDigest = digestIncarnations(srep.Incarnations)
-	return srep, nil
+	c.progressAt = now
+	s.haveLast, s.lastRetransmitAt = false, 0
+	s.arm(now)
+	if s.runsSender() && !s.spontaneous(now) {
+		w.finish(s)
+		return
+	}
+	w.timers.push(s.nextWake(), s)
+}
+
+// conclude closes the supervision as the session finishes at now: the
+// last incarnation's record, the audit's tallies and the digest.
+func (c *supervision) conclude(s *Session, now int64) *ChaosReport {
+	if n := len(c.rep.Incarnations); n < len(c.plan.events)+spareIncarnations {
+		// Neither done nor cancelled: it gave up (deadline, transport closed).
+		ended := "deadline"
+		switch {
+		case s.complete:
+			ended = "done"
+		case s.cancelReq.Load() || now >= s.ctxDeadline:
+			ended = "ctx"
+		}
+		c.rep.Incarnations = append(c.rep.Incarnations, Incarnation{Ended: ended, AtTick: -1})
+	}
+	c.rep.BadWrites = c.audit.badWrites
+	c.rep.PostStabViolations = c.audit.postViolations
+	c.rep.StabilizeTimes = c.audit.stabTimes
+	c.rep.CrashScheduleDigest = digestIncarnations(c.rep.Incarnations)
+	return &c.rep
 }
 
 // digestIncarnations hashes the realized crash schedule: for each
@@ -560,58 +451,4 @@ func digestIncarnations(incs []Incarnation) uint64 {
 		h.Write([]byte(ic.RestartKey))
 	}
 	return h.Sum64()
-}
-
-// ChaosServeConfig describes a supervised fleet: a ServeConfig plus the
-// crash schedule and the per-session restart constructors.
-type ChaosServeConfig struct {
-	ServeConfig
-	// Chaos is the shared crash schedule (session seeds derive from
-	// Chaos.Seed and each session's ID).
-	Chaos ChaosConfig
-	// Rebuild returns a fresh initial-state process pair for session
-	// index i (index into Sessions).
-	Rebuild func(i int) (protocol.Sender, protocol.Receiver, error)
-}
-
-// ServeSupervised is Serve with crash-restart supervision: every session
-// runs under Supervise with the shared chaos schedule. Reports are
-// index-aligned with cfg.Sessions; the error covers setup failures only.
-func ServeSupervised(ctx context.Context, cfg ChaosServeConfig) ([]SupervisedReport, error) {
-	if cfg.Transport == nil {
-		return nil, fmt.Errorf("wire: serve needs a transport")
-	}
-	if len(cfg.Sessions) == 0 {
-		return nil, fmt.Errorf("wire: serve needs at least one session")
-	}
-	if cfg.Rebuild == nil {
-		return nil, fmt.Errorf("wire: supervised serve needs a rebuild constructor")
-	}
-	mux := NewMuxConfig(cfg.Transport, MuxConfig{
-		Obs:              cfg.Obs,
-		EventSampleEvery: cfg.EventSampleEvery,
-	})
-	reports := make([]SupervisedReport, len(cfg.Sessions))
-	errs := make([]error, len(cfg.Sessions))
-	var wg sync.WaitGroup
-	wg.Add(len(cfg.Sessions))
-	for i, sc := range cfg.Sessions {
-		go func(i int, sc SessionConfig) {
-			defer wg.Done()
-			reports[i], errs[i] = Supervise(ctx, mux, sc,
-				func() (protocol.Sender, protocol.Receiver, error) { return cfg.Rebuild(i) },
-				cfg.Chaos)
-		}(i, sc)
-	}
-	wg.Wait()
-	cerr := mux.Close()
-	for _, e := range errs {
-		if e != nil {
-			return reports, e
-		}
-	}
-	if cerr != nil {
-		return reports, fmt.Errorf("wire: closing transport: %w", cerr)
-	}
-	return reports, nil
 }

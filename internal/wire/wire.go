@@ -26,7 +26,9 @@
 //     inline state machines on a fixed event-loop worker pool, paces
 //     each protocol with retransmit ticks, audits the safety invariant
 //     (Y is a prefix of X) online on every write, and reports
-//     per-session goodput and learning times.
+//     per-session goodput and learning times. Serve (serve.go) is the
+//     one fleet runner; paced starts and crash-restart supervision
+//     (supervisor.go) are timer events on the same workers.
 //   - DetRun (det.go): the deterministic option — a seeded single-thread
 //     scheduler that drives one session through the same codec path and
 //     records its schedule as a trace, so the run can be replayed inside
