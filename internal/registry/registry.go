@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"seqtx/internal/channel"
 	"seqtx/internal/protocol"
@@ -122,14 +123,36 @@ func StabilizingNames() []string {
 	return names
 }
 
-// Protocol builds the named protocol with the given parameters.
+// specKey is everything a protocol constructor reads of its Params (Seed
+// and Budget are the adversaries').
+type specKey struct {
+	name                    string
+	m, timeout, window, cap int
+}
+
+// specs holds every Spec built so far, by specKey. A Spec is a name and
+// two constructors closed over immutable message tables — goroutines share
+// one read-only already (sim.ForEach) — so a fleet's sessions need not
+// each build their own.
+var specs sync.Map
+
+// Protocol returns the named protocol with the given parameters, building
+// each distinct one once per process.
 func Protocol(name string, p Params) (protocol.Spec, error) {
+	key := specKey{name, p.M, p.Timeout, p.Window, p.Cap}
+	if spec, ok := specs.Load(key); ok {
+		return spec.(protocol.Spec), nil
+	}
 	e, ok := protocols[name]
 	if !ok {
 		return protocol.Spec{}, fmt.Errorf("registry: unknown protocol %q (have %s)",
 			name, strings.Join(ProtocolNames(), ", "))
 	}
-	return e.build(p)
+	spec, err := e.build(p)
+	if err == nil {
+		specs.Store(key, spec)
+	}
+	return spec, err
 }
 
 // ProtocolNames lists the registered protocol names, sorted.

@@ -1,9 +1,13 @@
 package registry
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"seqtx/internal/channel"
+	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
 	"seqtx/internal/sim"
 )
@@ -111,5 +115,61 @@ func TestInvalidParamsPropagate(t *testing.T) {
 	p.Window = 0
 	if _, err := Protocol("modseq", p); err == nil {
 		t.Error("zero window accepted by modseq")
+	}
+}
+
+// lockstep runs a fresh Pair of the named protocol over a perfect link —
+// a sender tick, its messages delivered in order, the replies delivered
+// back — and returns everything either process sent or wrote.
+func lockstep(name string, input seq.Seq) (string, error) {
+	s, r, err := Pair(name, defaults(), input)
+	if err != nil {
+		return "", err
+	}
+	var log strings.Builder
+	for round := 0; round < 64; round++ {
+		for _, d := range s.Step(protocol.TickEvent()) {
+			acks, writes := r.Step(protocol.RecvEvent(d))
+			fmt.Fprintf(&log, "%s>%v", d, writes)
+			for _, a := range acks {
+				fmt.Fprintf(&log, "<%s", a)
+				s.Step(protocol.RecvEvent(a))
+			}
+		}
+	}
+	return log.String(), nil
+}
+
+// TestPairsOfOneSpecShareNoMutableState: Protocol hands every caller the
+// same cached Spec, so what its constructors close over must be read-only.
+// Two goroutines run the zoo at once, each on pairs of its own; the race
+// detector sees any write through the shared Spec, and the transcripts
+// must equal a run made alone.
+func TestPairsOfOneSpecShareNoMutableState(t *testing.T) {
+	t.Parallel()
+	input := seq.FromInts(0, 1)
+	names := ProtocolNames()
+	var got [2][]string
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([]string, len(names))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, name := range names {
+				log, err := lockstep(name, input)
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+				got[g][i] = log
+			}
+		}()
+	}
+	wg.Wait()
+	for i, name := range names {
+		alone, _ := lockstep(name, input)
+		if alone == "" || got[0][i] != alone || got[1][i] != alone {
+			t.Errorf("%s: concurrent runs %q and %q, alone %q", name, got[0][i], got[1][i], alone)
+		}
 	}
 }

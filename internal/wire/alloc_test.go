@@ -110,17 +110,28 @@ func TestBufferPoolZeroAlloc(t *testing.T) {
 // TestSessionEventsSteadyStateZeroAlloc extends the contract to the
 // loop's per-event path for a plain session: a timer wakeup — the
 // receiver's tick, the sender's retransmission when the backoff agrees,
-// the heap entry's re-arm — and a service call that drains a stale
-// acknowledgement allocate nothing, whatever supervision and paced
-// starts added to Session and to fire: a plain session pays a nil check.
+// the heap entry's re-arm, the worker shipping what that sent — and a
+// service call that drains a stale acknowledgement allocate nothing,
+// whatever supervision and paced starts added to Session and to fire: a
+// plain session pays a nil check. Nor does a whole burst appended and
+// shipped, from the first one on: the worker's chunks are born at size.
 func TestSessionEventsSteadyStateZeroAlloc(t *testing.T) {
 	w, s := detachedSession(t, "alpha", zooParams, rampTape(4))
+	assertZeroAlloc(t, "worker send + flushOut", func() {
+		for i := 0; i < 64; i++ {
+			if err := w.send(1, SenderEnd, "d:0"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.flushOut()
+	})
 	s.tickNext, s.ctxDeadline = 0, noDeadline
 	w.service(s)
 	now := int64(0)
 	wakeup := func() {
 		now += int64(s.cfg.Tick)
 		w.fire(w.timers.pop().s, now)
+		w.flushOut()
 	}
 	for i := 0; i < 64; i++ { // past the backoff's growth, so both kinds of tick recur
 		wakeup()

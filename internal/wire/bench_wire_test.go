@@ -59,7 +59,7 @@ func BenchmarkDecodeFrameInto(b *testing.B) {
 }
 
 // BenchmarkBatchRoundTrip packs 64 frames into one blob and splits it
-// again — the per-flush cost the outbox flusher and the routers pay.
+// again — the per-burst cost a shipping worker and the routers pay.
 func BenchmarkBatchRoundTrip(b *testing.B) {
 	raw := EncodeFrame(benchFrame)
 	frames := make([][]byte, 64)
@@ -94,10 +94,11 @@ const benchCredits = 16384
 const benchCreditChunk = 64
 
 // benchPump is a closed-loop data-plane pump: nSessions sessions are
-// registered on a mux over tr, sender goroutines push in-alphabet frames
-// round-robin through the mux send path under a credit bound, and a
-// drainer counts what lands in the inboxes. The reported
-// ns/op is wall time per *delivered* frame.
+// registered on a mux over tr, sender goroutines — each driving a detached
+// loop worker of its own, as a running worker drives its send path — push
+// in-alphabet frames round-robin under a credit bound, shipping once per
+// credit chunk, and a drainer counts what lands in the inboxes. The
+// reported ns/op is wall time per *delivered* frame.
 func benchPump(b *testing.B, tr Transport, nSessions, credits int) {
 	b.Helper()
 	mux := NewMux(tr, nil)
@@ -124,7 +125,7 @@ func benchPump(b *testing.B, tr Transport, nSessions, credits int) {
 			b.Fatalf("NewSession: %v", err)
 		}
 		payloads[i] = s.Alphabet().Msgs()[0]
-		inboxes[i] = sess.receiverInbox
+		inboxes[i] = &sess.receiverInbox
 	}
 	// One drainer sweeps every inbox (each still has exactly one
 	// consumer, as the SPSC rings require) and yields when a whole sweep
@@ -164,6 +165,7 @@ func benchPump(b *testing.B, tr Transport, nSessions, credits int) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			lw := newLoopWorker(mux.loop)
 			i := w
 			local := 0
 			for {
@@ -171,6 +173,7 @@ func benchPump(b *testing.B, tr Transport, nSessions, credits int) {
 				// chunk so the harness's own bookkeeping stays off the
 				// per-frame cost.
 				if local == 0 {
+					lw.flushOut()
 					select {
 					case <-done:
 						return
@@ -185,7 +188,7 @@ func benchPump(b *testing.B, tr Transport, nSessions, credits int) {
 				}
 				local--
 				id := uint64(i%nSessions + 1)
-				_ = mux.send(id, channel.SToR, payloads[i%nSessions])
+				_ = lw.send(id, SenderEnd, payloads[i%nSessions])
 				i++
 			}
 		}(w)

@@ -110,22 +110,31 @@ func newLoopEngine(m *Mux) *loopEngine {
 		stop:    make(chan struct{}),
 	}
 	for i := range e.workers {
-		w := &loopWorker{
-			eng:    e,
-			notify: make(chan struct{}, 1),
-			batch:  make([]msg.Msg, 0, 64),
-			ready:  make([]*Session, 0, 256), // as run's swap buffer: a wave readies together
-		}
-		w.key, w.keyWas = w.keyBuf[0][:0], w.keyBuf[1][:0]
-		e.workers[i] = w
+		e.workers[i] = newLoopWorker(e)
 		e.wg.Add(1)
-		go w.run()
+		go e.workers[i].run()
 	}
 	return e
 }
 
-// workerFor pins a session id to a worker (Fibonacci hash, like the
-// mux's stripe selection, so sequential ids spread evenly).
+// newLoopWorker builds a worker with its buffers at working size; the
+// caller decides what goroutine, if any, runs it.
+func newLoopWorker(e *loopEngine) *loopWorker {
+	w := &loopWorker{
+		eng:    e,
+		notify: make(chan struct{}, 1),
+		batch:  make([]msg.Msg, 0, 64),
+		ready:  make([]*Session, 0, 256), // as run's swap buffer: a wave readies together
+	}
+	w.key, w.keyWas = w.keyBuf[0][:0], w.keyBuf[1][:0]
+	for i := range w.out {
+		w.out[i] = outChunk{buf: getBuf(blobCap), frames: make([][]byte, 0, 512)}
+	}
+	return w
+}
+
+// workerFor pins a session id to a worker (Fibonacci hash, so sequential
+// ids spread evenly).
 func (e *loopEngine) workerFor(id uint64) *loopWorker {
 	return e.workers[((id*fibMul)>>32)%uint64(len(e.workers))]
 }
@@ -176,6 +185,12 @@ func (e *loopEngine) close() {
 // the wakeup token. A producer only touches the notify channel when the
 // worker has declared itself parked, so a busy worker costs producers
 // one atomic load per wakeup attempt, not a channel op.
+//
+// The worker is also the only hand that puts its sessions' frames on the
+// wire: send appends to out, run ships both chunks at the end of each
+// burst of service. The channel owes the processes no ordering and no
+// timing (paper §2, Property 1), so who ships a burst, and when, is free;
+// and Transport.Send must not block, so shipping is a step, not a wait.
 type loopWorker struct {
 	eng *loopEngine
 
@@ -186,13 +201,84 @@ type loopWorker struct {
 	sleeping atomic.Bool
 	notify   chan struct{}
 
-	// Worker-owned (no locking): the timer heap, the drain scratch buffer
-	// and the progress probe's two sender-state keys (they start in keyBuf),
-	// shared by every session here so per-session state stays flat.
+	// Worker-owned (no locking): the timer heap, the drain scratch buffer,
+	// the progress probe's two sender-state keys (they start in keyBuf) and
+	// the pending outbound burst of each end (indexed End-1), shared by
+	// every session here so per-session state stays flat.
 	timers      timerHeap
 	batch       []msg.Msg
 	key, keyWas []byte
 	keyBuf      [2][24]byte
+	out         [2]outChunk
+}
+
+// outChunk is what a worker's sessions have sent from one end since the
+// worker last shipped: encoded frames appended back to back into a pooled
+// blobCap buffer, and the per-frame views of it that sendFrames takes.
+type outChunk struct {
+	buf    []byte
+	frames [][]byte
+}
+
+// send encodes one protocol message of session id into the chunk of the
+// end it leaves from: an append, no lock, no channel, no allocation. The
+// frame goes out with the rest of the worker's burst (flushOut); a chunk
+// with no room for it (bytes or maxBatchFrames) is shipped first, so
+// nothing is dropped here. Only the worker's own goroutine may call it.
+func (w *loopWorker) send(id uint64, from End, mg msg.Msg) error {
+	m := w.eng.m
+	if m.closed.Load() {
+		return ErrClosed
+	}
+	frame := Frame{Session: id, Dir: from.Dir(), Msg: mg}
+	// bound is a worst-case encoded size for this frame: header(2) +
+	// session varint(<=10) + dir(1) + payload length varint(<=3) +
+	// payload + checksum(4).
+	bound := 20 + len(mg)
+	if bound > blobCap {
+		// The message cannot fit any chunk — put the lone frame on the
+		// wire directly. Rare (a near-64KB payload), so the allocation
+		// does not matter.
+		if err := m.tr.Send(from, EncodeFrame(frame)); err != nil {
+			return err
+		}
+		m.met.tx(from).Inc()
+		return nil
+	}
+	ch := &w.out[from-1]
+	if len(ch.frames) >= maxBatchFrames || len(ch.buf)+bound > blobCap {
+		w.ship(from)
+	}
+	start := len(ch.buf)
+	ch.buf = AppendFrame(ch.buf, frame)
+	ch.frames = append(ch.frames, ch.buf[start:])
+	return nil
+}
+
+// ship puts one end's pending frames on the wire in one sendFrames call —
+// the one path to every transport — and empties the chunk. A session is
+// pinned to this worker, so its frames leave in the order it sent them.
+// Frames are counted as transmitted here, when they actually go to the
+// transport. A transport that refuses the burst has closed under the mux:
+// the flag makes every later send report it, and the sessions shut down.
+func (w *loopWorker) ship(from End) {
+	ch := &w.out[from-1]
+	if len(ch.frames) == 0 {
+		return
+	}
+	m := w.eng.m
+	m.met.batchFrames.Observe(float64(len(ch.frames)))
+	m.met.tx(from).Add(int64(len(ch.frames)))
+	if err := sendFrames(m.tr, from, ch.frames); err != nil {
+		m.closed.Store(true)
+	}
+	ch.buf, ch.frames = ch.buf[:0], ch.frames[:0]
+}
+
+// flushOut ships what the worker's sessions sent since the last call.
+func (w *loopWorker) flushOut() {
+	w.ship(SenderEnd)
+	w.ship(ReceiverEnd)
 }
 
 // schedule queues s for service. The scheduled flag makes the queue
@@ -226,7 +312,8 @@ func (w *loopWorker) schedule(s *Session) {
 }
 
 // run is the worker loop: swap the ready queue, service each session,
-// fire due timers, park when idle until the next event or timer.
+// fire due timers, ship the frames all that produced, park when idle
+// until the next event or timer.
 func (w *loopWorker) run() {
 	defer w.eng.wg.Done()
 	timer := time.NewTimer(time.Hour)
@@ -256,6 +343,7 @@ func (w *loopWorker) run() {
 			}
 		}
 		if progress {
+			w.flushOut()
 			continue
 		}
 		// Idle: arm the sleep flag, re-check the queue once (the Dekker
@@ -471,10 +559,11 @@ func (w *loopWorker) finish(s *Session) {
 // shutdown finishes every session still owned by this worker — queued,
 // attached, or both — under the mutex, so a racing schedule on another
 // goroutine either hands its session to this sweep or finishes it
-// itself, never both.
+// itself, never both. Then it ships whatever is still pending (the mux
+// closes the transport only after its workers have stopped) and returns
+// the chunk buffers to the pool.
 func (w *loopWorker) shutdown() {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.stopped = true
 	for _, s := range w.ready {
 		if !s.finished {
@@ -487,5 +576,11 @@ func (w *loopWorker) shutdown() {
 		if !e.s.finished {
 			w.finish(e.s)
 		}
+	}
+	w.mu.Unlock()
+	w.flushOut()
+	for i := range w.out {
+		putBuf(w.out[i].buf)
+		w.out[i].buf = nil
 	}
 }

@@ -339,7 +339,8 @@ func TestTimerProgressInvariant(t *testing.T) {
 				t.Fatalf("NewSession: %v", err)
 			}
 			// A detached worker: fire runs here, on the test goroutine.
-			w := &loopWorker{eng: mux.loop}
+			w := newLoopWorker(mux.loop)
+			sess.worker = w
 			sess.startAt, sess.attached = mux.loop.now(), true
 			sess.onDone = func(Report) {}
 			sess.bo = newBackoff(sess.cfg.Tick, sess.cfg.Seed, 0)
@@ -488,7 +489,8 @@ func TestLoopPrimitivesZeroAlloc(t *testing.T) {
 		}
 	})
 
-	q := newInbox(64)
+	var q inbox
+	q.init(64)
 	batch := q.drain(nil)
 	assertZeroAlloc(t, "inbox stage/publish/drain cycle", func() {
 		for i := 0; i < 16; i++ {
@@ -536,10 +538,10 @@ func TestLoopFlatMemory(t *testing.T) {
 		t.Skip("memory census in -short mode")
 	}
 	const n = 20000
+	baseGoroutines := runtime.NumGoroutine()
 	mux := NewMuxConfig(NewInproc(0, nil), MuxConfig{EventSampleEvery: 1024})
 	defer mux.Close()
 
-	baseGoroutines := runtime.NumGoroutine()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -573,9 +575,11 @@ func TestLoopFlatMemory(t *testing.T) {
 	if perSession > 8192 {
 		t.Errorf("per-session heap %.0f B exceeds the 8 KB flat-memory bound", perSession)
 	}
-	if g := runtime.NumGoroutine(); g > baseGoroutines+maxLoopWorkers+8 {
-		t.Errorf("%d goroutines for %d loop sessions (started with %d): engine is not goroutine-free",
-			g, n, baseGoroutines)
+	// The mux is its workers and two routers (Inproc has no goroutine of
+	// its own), whatever the fleet's size.
+	if g := runtime.NumGoroutine(); g > baseGoroutines+len(mux.loop.workers)+2 {
+		t.Errorf("%d goroutines for %d loop sessions (%d before the mux, %d workers): engine is not goroutine-free",
+			g, n, baseGoroutines, len(mux.loop.workers))
 	}
 }
 
@@ -600,14 +604,16 @@ func TestInboxSizeAndDropAccounting(t *testing.T) {
 	if got := len(sess.receiverInbox.slots); got != 1 {
 		t.Fatalf("InboxSize 1 allocated %d slots", got)
 	}
-	// Flood the unstarted session's receiver inbox: nothing drains it, so
-	// everything past the first frame must drop.
+	// Flood the unstarted session's receiver inbox from a detached worker:
+	// nothing drains it, so everything past the first frame must drop.
 	payload := s.Alphabet().Msgs()[0]
+	w := newLoopWorker(mux.loop)
 	for i := 0; i < 64; i++ {
-		if err := mux.send(1, SenderEnd.Dir(), payload); err != nil {
+		if err := w.send(1, SenderEnd, payload); err != nil {
 			t.Fatalf("send: %v", err)
 		}
 	}
+	w.flushOut()
 	deadline := time.Now().Add(5 * time.Second)
 	for sess.inboxDrops.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

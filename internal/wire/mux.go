@@ -22,10 +22,11 @@ import (
 // The hot paths are built to scale with session count on one transport:
 // the session table is a dense direct-index array (registration, lookup,
 // and removal are O(1) — the property that lets a million sessions come
-// and go; ids are bounded by MaxSessionID), each end's outbound traffic is
-// appended into a double-buffered outbox that a flusher goroutine drains
-// in writev-style bursts (sendFrames), and session execution is owned by
-// the event-loop worker pool (engine.go).
+// and go; ids are bounded by MaxSessionID), and session execution is
+// owned by the event-loop worker pool (engine.go), each worker putting
+// the frames its own service burst produced on the wire in one
+// writev-style call (sendFrames) — the mux has no goroutine between a
+// Step and the transport.
 type Mux struct {
 	tr  Transport
 	met *muxMetrics
@@ -40,15 +41,11 @@ type Mux struct {
 	denseMu sync.Mutex
 	dense   atomic.Pointer[[]atomic.Pointer[Session]]
 
-	// A cache line of distance between what the routers read on every
-	// frame (the table and the fields above) and what every sender writes
-	// (the stripe locks). Side by side, BenchmarkMuxImpairedPump64 halves.
-	_ [64]byte
+	// closed is set by the first sendFrames the transport refuses; from
+	// then on every send returns ErrClosed and the sessions finish.
+	closed atomic.Bool
 
-	out [2]outbox // indexed End-1
-
-	routerWg  sync.WaitGroup
-	flusherWg sync.WaitGroup
+	routerWg sync.WaitGroup
 }
 
 // MuxConfig tunes a mux beyond its transport and metrics sink.
@@ -76,61 +73,9 @@ const (
 	// needed.
 	denseSeed = 1024
 	// fibMul is the 64-bit Fibonacci hashing multiplier: sequential
-	// session ids (the common case) spread uniformly over outbox stripes
-	// and loop workers.
+	// session ids (the common case) spread uniformly over loop workers.
 	fibMul = 0x9E3779B97F4A7C15
 )
-
-// outboxStripeBits gives 2 append stripes per end, keyed by session id,
-// so concurrent loop workers rarely contend on the same append mutex.
-const (
-	outboxStripeBits  = 1
-	outboxStripeCount = 1 << outboxStripeBits
-)
-
-// outChunk is one outbox buffer generation: encoded frames appended
-// back to back into a pooled blobCap buffer, with ends[i] the exclusive
-// end offset of frame i in buf. The flusher slices per-frame views out
-// of it and ships them in one sendFrames burst. A full chunk (bytes or
-// maxBatchFrames) drops further sends (counted as outbox_full) —
-// backpressure surfacing as loss, the same contract every other hop
-// honors.
-type outChunk struct {
-	buf  []byte
-	ends []int
-}
-
-func newOutChunk() *outChunk {
-	return &outChunk{buf: getBuf(blobCap), ends: make([]int, 0, 512)}
-}
-
-// outStripe is one append lane: senders append under the mutex; the
-// flusher swaps cur for the drained spare and ships the burst.
-type outStripe struct {
-	mu    sync.Mutex
-	cur   *outChunk
-	spare *outChunk
-}
-
-// outbox collects one end's outbound frames between flushes, striped by
-// session id. notify carries at most one wakeup token (offered on each
-// stripe's empty→non-empty transition), so a burst of appends costs one
-// channel op total; a frame's per-session order is preserved because a
-// session always lands in the same stripe and the flusher drains stripes
-// in order within one sendFrames burst.
-type outbox struct {
-	stripes [outboxStripeCount]outStripe
-	closed  atomic.Bool
-	notify  chan struct{}
-}
-
-func (ob *outbox) init() {
-	for i := range ob.stripes {
-		ob.stripes[i].cur = newOutChunk()
-		ob.stripes[i].spare = newOutChunk()
-	}
-	ob.notify = make(chan struct{}, 1)
-}
 
 // muxMetrics bundles the obs handles, resolved once at mux creation (the
 // nil-registry fast path makes every update a no-op).
@@ -141,7 +86,6 @@ type muxMetrics struct {
 	alien          *obs.Counter
 	unknown        *obs.Counter
 	inboxFull      *obs.Counter
-	outboxFull     *obs.Counter
 	batchFrames    *obs.Histogram
 
 	activeN       atomic.Int64
@@ -180,7 +124,6 @@ func newMuxMetrics(reg *obs.Registry) *muxMetrics {
 		alien:        reg.Counter(`wire_frames_dropped_total{cause="alien"}`),
 		unknown:      reg.Counter(`wire_frames_dropped_total{cause="unknown_session"}`),
 		inboxFull:    reg.Counter(`wire_frames_dropped_total{cause="inbox_full"}`),
-		outboxFull:   reg.Counter(`wire_frames_dropped_total{cause="outbox_full"}`),
 		batchFrames:  reg.Histogram("wire_batch_frames", obs.BatchBuckets),
 		active:       reg.Gauge("wire_sessions_active"),
 		completed:    reg.Counter("wire_sessions_completed_total"),
@@ -200,6 +143,14 @@ func newMuxMetrics(reg *obs.Registry) *muxMetrics {
 	}
 }
 
+// tx is the counter of frames transmitted from the given end.
+func (m *muxMetrics) tx(from End) *obs.Counter {
+	if from == ReceiverEnd {
+		return m.txRToS
+	}
+	return m.txSToR
+}
+
 // sessionStarted / sessionEnded maintain the active-session gauge.
 func (m *muxMetrics) sessionStarted() { m.active.Set(float64(m.activeN.Add(1))) }
 func (m *muxMetrics) sessionEnded()   { m.active.Set(float64(m.activeN.Add(-1))) }
@@ -211,20 +162,15 @@ func NewMux(tr Transport, reg *obs.Registry) *Mux {
 	return NewMuxConfig(tr, MuxConfig{Obs: reg})
 }
 
-// NewMuxConfig builds a mux over tr per cfg and starts its router and
-// flusher goroutines and the event-loop workers.
+// NewMuxConfig builds a mux over tr per cfg and starts its two router
+// goroutines and the event-loop workers.
 func NewMuxConfig(tr Transport, cfg MuxConfig) *Mux {
 	m := &Mux{
 		tr:          tr,
 		met:         newMuxMetrics(cfg.Obs),
 		sampleEvery: cfg.EventSampleEvery,
 	}
-	m.out[SenderEnd-1].init()
-	m.out[ReceiverEnd-1].init()
 	m.loop = newLoopEngine(m)
-	m.flusherWg.Add(2)
-	go m.flush(SenderEnd)
-	go m.flush(ReceiverEnd)
 	m.routerWg.Add(2)
 	go m.route(SenderEnd)
 	go m.route(ReceiverEnd)
@@ -346,113 +292,6 @@ func (m *Mux) lookup(id uint64) *Session {
 	return nil
 }
 
-// send encodes one protocol message straight into the end's outbox — an
-// append under a short lock, no allocation, no transport call; the
-// flusher ships it with the rest of the burst. A full outbox drops the
-// frame (counted), like every other saturated hop.
-func (m *Mux) send(id uint64, dir channel.Dir, mg msg.Msg) error {
-	from := SenderEnd
-	tx := m.met.txSToR
-	if dir == channel.RToS {
-		from = ReceiverEnd
-		tx = m.met.txRToS
-	}
-	ob := &m.out[from-1]
-	if ob.closed.Load() {
-		return ErrClosed
-	}
-	// bound is a worst-case encoded size for this frame: header(2) +
-	// session varint(<=10) + dir(1) + payload length varint(<=3) +
-	// payload + checksum(4).
-	bound := 20 + len(mg)
-	if bound > blobCap {
-		// The message cannot fit any chunk — put the lone frame on the
-		// wire directly. Rare (a near-64KB payload), so the allocation
-		// does not matter.
-		if err := m.tr.Send(from, EncodeFrame(Frame{Session: id, Dir: dir, Msg: mg})); err != nil {
-			return err
-		}
-		tx.Inc()
-		return nil
-	}
-	st := &ob.stripes[(id*fibMul)>>(64-outboxStripeBits)]
-	st.mu.Lock()
-	if len(st.cur.ends) >= maxBatchFrames || len(st.cur.buf)+bound > blobCap {
-		st.mu.Unlock()
-		m.met.outboxFull.Inc()
-		return nil
-	}
-	st.cur.buf = AppendFrame(st.cur.buf, Frame{Session: id, Dir: dir, Msg: mg})
-	st.cur.ends = append(st.cur.ends, len(st.cur.buf))
-	first := len(st.cur.ends) == 1
-	st.mu.Unlock()
-	if first {
-		select {
-		case ob.notify <- struct{}{}:
-		default:
-		}
-	}
-	// tx is counted by the flusher, one Add per chunk, when the frames
-	// actually go to the transport.
-	return nil
-}
-
-// flush is one end's outbox flusher: swap each non-empty stripe's
-// accumulating chunk for its drained spare and put the burst on the wire
-// as per-frame views sliced from the chunks, in one sendFrames call —
-// the one path to every transport. Runs until the outbox is closed and
-// drained.
-func (m *Mux) flush(from End) {
-	defer m.flusherWg.Done()
-	ob := &m.out[from-1]
-	tx := m.met.txSToR
-	if from == ReceiverEnd {
-		tx = m.met.txRToS
-	}
-	views := make([][]byte, 0, 512)
-	drained := make([]*outChunk, 0, outboxStripeCount)
-	for {
-		views = views[:0]
-		drained = drained[:0]
-		for i := range ob.stripes {
-			st := &ob.stripes[i]
-			st.mu.Lock()
-			if len(st.cur.ends) == 0 {
-				st.mu.Unlock()
-				continue
-			}
-			ch := st.cur
-			st.cur, st.spare = st.spare, ch
-			st.mu.Unlock()
-			start := 0
-			for _, e := range ch.ends {
-				views = append(views, ch.buf[start:e])
-				start = e
-			}
-			drained = append(drained, ch)
-		}
-		if len(views) > 0 {
-			m.met.batchFrames.Observe(float64(len(views)))
-			tx.Add(int64(len(views)))
-			err := sendFrames(m.tr, from, views)
-			for _, ch := range drained {
-				ch.buf, ch.ends = ch.buf[:0], ch.ends[:0]
-			}
-			if err != nil {
-				// Transport closed under us: refuse further sends so the
-				// sessions see ErrClosed and shut down.
-				ob.closed.Store(true)
-				return
-			}
-			continue
-		}
-		if ob.closed.Load() {
-			return
-		}
-		<-ob.notify
-	}
-}
-
 // routeSink accumulates one router's per-frame effects across a blob so
 // the hot loop touches no shared counters and publishes each inbox once:
 // plain local increments per frame, then one flush per blob (atomic
@@ -552,11 +391,11 @@ func (m *Mux) dispatch(at End, wantDir channel.Dir, sink *routeSink, frame []byt
 	// in front of it makes back-to-back repeats (retransmissions, the
 	// dominant STP traffic) a plain byte compare.
 	alp := s.receiverAlphabet
-	q := s.senderInbox
+	q := &s.senderInbox
 	ce := &s.rxCache[1]
 	if at == ReceiverEnd {
 		alp = s.senderAlphabet
-		q = s.receiverInbox
+		q = &s.receiverInbox
 		ce = &s.rxCache[0]
 	}
 	var mg msg.Msg
@@ -591,21 +430,16 @@ func (m *Mux) dispatch(at End, wantDir channel.Dir, sink *routeSink, frame []byt
 	}
 }
 
-// Close flushes and stops the outboxes, closes the transport, waits for
-// the routers to drain, and stops the engine — the loop workers finish
-// any still-attached sessions so no Run or Serve caller hangs.
+// Close stops the engine — the loop workers finish any still-attached
+// sessions, so no Run or Serve caller hangs, and ship what they appended
+// — then closes the transport and waits for the routers to drain. In that
+// order, so a finishing session's last frames (a receiver half's final
+// acknowledgement, which its remote sender needs to be Done) are on the
+// wire before the transport goes; a router that outlives its session's
+// worker is schedule's stopped branch.
 func (m *Mux) Close() error {
-	for i := range m.out {
-		ob := &m.out[i]
-		ob.closed.Store(true)
-		select {
-		case ob.notify <- struct{}{}:
-		default:
-		}
-	}
-	m.flusherWg.Wait()
+	m.loop.close()
 	err := m.tr.Close()
 	m.routerWg.Wait()
-	m.loop.close()
 	return err
 }

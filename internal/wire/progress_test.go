@@ -57,7 +57,7 @@ func detachedSession(t *testing.T, proto string, p registry.Params, x seq.Seq) (
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
-	w := &loopWorker{eng: mux.loop}
+	w := newLoopWorker(mux.loop)
 	sess.worker, sess.startAt = w, mux.loop.now()
 	sess.onDone = func(Report) {}
 	sess.bo = newBackoff(sess.cfg.Tick, sess.cfg.Seed, 0)

@@ -47,15 +47,15 @@ const (
 	pushClosed
 )
 
-func newInbox(limit int) *inbox {
+// init sizes an inbox (a Session holds its two by value) for at least
+// limit messages.
+func (q *inbox) init(limit int) {
 	size := 1
 	for size < limit {
 		size <<= 1
 	}
-	return &inbox{
-		slots: make([]msg.Msg, size),
-		mask:  uint64(size - 1),
-	}
+	q.slots = make([]msg.Msg, size)
+	q.mask = uint64(size - 1)
 }
 
 // stage writes m into the next free slot without making it visible to

@@ -110,8 +110,8 @@ type Session struct {
 	senderAlphabet   msg.Alphabet
 	receiverAlphabet msg.Alphabet
 
-	senderInbox   *inbox
-	receiverInbox *inbox
+	senderInbox   inbox
+	receiverInbox inbox
 
 	// rxCache is a one-entry decode cache per inbound direction (index 0
 	// feeds the receiver inbox, 1 the sender inbox), each owned
@@ -194,11 +194,11 @@ func (m *Mux) NewSession(cfg SessionConfig) (*Session, error) {
 		mux:              m,
 		senderAlphabet:   cfg.Sender.Alphabet(),
 		receiverAlphabet: cfg.Receiver.Alphabet(),
-		senderInbox:      newInbox(cfg.InboxSize),
-		receiverInbox:    newInbox(cfg.InboxSize),
 		output:           make(seq.Seq, 0, len(cfg.Input)),
 		learnTimes:       make([]time.Duration, 0, len(cfg.Input)),
 	}
+	s.senderInbox.init(cfg.InboxSize)
+	s.receiverInbox.init(cfg.InboxSize)
 	s.senderInbox.owner = s
 	s.receiverInbox.owner = s
 	if err := m.register(s); err != nil {
@@ -275,7 +275,7 @@ func (s *Session) senderEvent(ev protocol.Event) bool {
 		}
 		s.last, s.haveLast = mg, true
 		s.framesTx++
-		if err := s.mux.send(s.cfg.ID, SenderEnd.Dir(), mg); err != nil {
+		if err := s.worker.send(s.cfg.ID, SenderEnd, mg); err != nil {
 			return false // transport closed under us: shut down
 		}
 	}
@@ -317,7 +317,7 @@ func (s *Session) receiverEvent(ev protocol.Event) stepOutcome {
 	sends, writes := s.cfg.Receiver.Step(ev)
 	for _, mg := range sends {
 		s.acksTx++
-		if err := s.mux.send(s.cfg.ID, ReceiverEnd.Dir(), mg); err != nil {
+		if err := s.worker.send(s.cfg.ID, ReceiverEnd, mg); err != nil {
 			return stepClosed
 		}
 	}

@@ -283,7 +283,7 @@ func supervisedDetached(t *testing.T, chaos ChaosConfig, deadline time.Duration)
 		t.Fatalf("NewSession: %v", err)
 	}
 	(&chaosPlan{chaos, chaos.schedule(), rebuild}).supervise(s, 0)
-	w := &loopWorker{eng: mux.loop}
+	w := newLoopWorker(mux.loop)
 	s.worker, s.ctxDeadline = w, noDeadline
 	s.onDone = func(Report) {}
 	s.arm(0)

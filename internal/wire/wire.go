@@ -23,7 +23,9 @@
 //     frames handled instead of adversary steps.
 //   - Session/Mux (session.go, mux.go, engine.go): multiplexes N
 //     concurrent sender/receiver pairs over one transport, runs them as
-//     inline state machines on a fixed event-loop worker pool, paces
+//     inline state machines on a fixed event-loop worker pool (a worker
+//     puts what its sessions sent on the transport itself, one burst per
+//     round of service; two router goroutines bring frames in), paces
 //     each protocol with retransmit ticks, audits the safety invariant
 //     (Y is a prefix of X) online on every write, and reports
 //     per-session goodput and learning times. Serve (serve.go) is the
