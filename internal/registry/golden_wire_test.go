@@ -5,11 +5,19 @@ package registry_test
 // sender/receiver alphabet enumerations (order included — encode
 // tables index by alphabet position) and digests of deterministic wire
 // runs (DetRun schedules + output tapes) across several seeds and dup
-// cadences. The goldens were recorded before the interned-codec
-// refactor; any change to a message encoding, an alphabet enumeration
-// order, or a DetRun schedule is a regression, not data.
+// cadences. Any change to a message encoding or an alphabet enumeration
+// order is a regression, not data.
 //
-// Regenerate (only for an intentional format change) with:
+// DetRun is the production engine under a seeded schedule, so the det
+// digests also pin engine policy — the tick phase, the backoff and its
+// jitter stream, progress clocking, the order of a worker's turn — and
+// the det scheduler's choice law. A PR that means to change that policy
+// re-pins the digests and says why; the alphabets and spec names must
+// still come out byte-identical. (The det link is a dup channel: it
+// holds one copy of a frame however many the impairment makes, so the
+// two dup cadences of a seed share a digest.)
+//
+// Regenerate (only for an intentional change) with:
 //
 //	go test ./internal/registry/ -run TestGoldenWireFormat -update-golden
 
@@ -85,11 +93,11 @@ func buildGoldenEntry(t *testing.T, name string) goldenEntry {
 				t.Fatalf("%s receiver: %v", name, err)
 			}
 			res, err := wire.DetRun(wire.DetConfig{
-				Sender:    s,
-				Receiver:  r,
-				Input:     goldenInput(),
-				Seed:      seed,
-				DupEveryN: dup,
+				Sender:   s,
+				Receiver: r,
+				Input:    goldenInput(),
+				Seed:     seed,
+				Impair:   wire.Options{DupEveryN: dup},
 			})
 			if err != nil {
 				t.Fatalf("%s det seed=%d dup=%d: %v", name, seed, dup, err)

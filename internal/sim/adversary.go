@@ -143,11 +143,13 @@ func (a *RoundRobin) nextDeliverable(w *World, d channel.Dir) (msg.Msg, bool) {
 }
 
 // Scripted plays a fixed prefix of actions, then delegates to a fallback.
-// Actions in the script that are not currently enabled are skipped. Useful
-// for reproducing specific counterexample runs.
+// Actions in the script that are not currently enabled are skipped, and
+// counted: a replay that must be exact checks Skipped. Useful for
+// reproducing specific counterexample runs.
 type Scripted struct {
 	script   []trace.Action
 	pos      int
+	skipped  int
 	fallback Adversary
 }
 
@@ -160,6 +162,10 @@ func NewScripted(script []trace.Action, fallback Adversary) *Scripted {
 
 // Name implements Adversary.
 func (a *Scripted) Name() string { return "scripted+" + a.fallback.Name() }
+
+// Skipped is the number of script actions passed over so far because they
+// were not enabled when their turn came.
+func (a *Scripted) Skipped() int { return a.skipped }
 
 // Choose implements Adversary.
 func (a *Scripted) Choose(w *World, enabled []trace.Action) trace.Action {
@@ -178,6 +184,7 @@ func (a *Scripted) Choose(w *World, enabled []trace.Action) trace.Action {
 		if _, ok := en[act.Key()]; ok {
 			return act
 		}
+		a.skipped++
 	}
 	return a.fallback.Choose(w, enabled)
 }

@@ -248,6 +248,9 @@ func TestScriptedAdversarySkipsDisabled(t *testing.T) {
 	if !res.OutputComplete {
 		t.Fatal("scripted run incomplete")
 	}
+	if adv.Skipped() != 1 {
+		t.Errorf("Skipped() = %d, want the one disabled delivery", adv.Skipped())
+	}
 }
 
 func TestTraceRecordsViews(t *testing.T) {

@@ -125,13 +125,10 @@ func TestSessionEventsSteadyStateZeroAlloc(t *testing.T) {
 		}
 		w.flushOut()
 	})
-	s.tickNext, s.ctxDeadline = 0, noDeadline
-	w.service(s)
-	now := int64(0)
-	wakeup := func() {
-		now += int64(s.cfg.Tick)
-		w.fire(w.timers.pop().s, now)
-		w.flushOut()
+	w.turn()
+	wakeup := func() { // a whole turn: the ready-queue swap, the due timer, the shipping
+		w.eng.clock += int64(s.cfg.Tick)
+		w.turn()
 	}
 	for i := 0; i < 64; i++ { // past the backoff's growth, so both kinds of tick recur
 		wakeup()

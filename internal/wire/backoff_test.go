@@ -84,7 +84,7 @@ func TestBackoffJitterSeedDeterminism(t *testing.T) {
 // the first acknowledgement that moves the sender forward.
 func TestBackoffResetOnlyOnProgress(t *testing.T) {
 	w, s := detachedSession(t, "alpha", registry.Params{M: 8}, rampTape(4))
-	w.service(s)
+	w.turn()
 	deliverAcks(w, s, alphaproto.AckMsg(0)) // d:1 is now the frame in flight
 	for i := 0; i < 3; i++ {                // the outage: three timer retransmissions of d:1
 		if !s.spontaneous(w.eng.now()) {

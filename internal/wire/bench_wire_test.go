@@ -101,7 +101,12 @@ const benchCreditChunk = 64
 // reported ns/op is wall time per *delivered* frame.
 func benchPump(b *testing.B, tr Transport, nSessions, credits int) {
 	b.Helper()
-	mux := NewMux(tr, nil)
+	// The routers are the path under test; the engine has nothing to run —
+	// the pumping goroutines below each drive a worker of their own.
+	mux := newMux(tr, MuxConfig{}, true)
+	mux.routerWg.Add(2)
+	go mux.route(SenderEnd)
+	go mux.route(ReceiverEnd)
 	params := registry.Params{M: 8}
 	input := seq.Seq{0, 1, 2, 3, 4, 5, 6, 7}
 

@@ -1,217 +1,128 @@
 package wire
 
 import (
-	"fmt"
+	"context"
 	"math/rand"
 
-	"seqtx/internal/channel"
-	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
 	"seqtx/internal/trace"
 )
 
-// DetConfig configures a deterministic wire run: same codec path as the
-// live transports, but a single goroutine with a seeded scheduler instead
-// of real concurrency, so the run is exactly reproducible and — because
-// every recorded action is enabled on a dup link — replayable in the
-// lock-step simulator via sim.NewScripted.
+// DetConfig configures a deterministic wire run: a real Session on a real
+// Mux, stepped by the production loopWorker, with a seeded scheduler in
+// place of goroutines and the wall clock — exactly reproducible and,
+// because every recorded action is enabled on a dup link, replayable in
+// the lock-step simulator via sim.NewScripted (DESIGN.md §8).
 type DetConfig struct {
 	// Sender and Receiver are fresh protocol processes.
 	Sender   protocol.Sender
 	Receiver protocol.Receiver
 	// Input is the tape X given to the sender.
 	Input seq.Seq
-	// Seed drives the scheduler.
+	// Seed drives the scheduler and the session's jitter streams.
 	Seed int64
 	// MaxSteps bounds the run (default 64 + 512 per input item).
 	MaxSteps int
-	// DupEveryN, when > 0, delivers every Nth chosen S→R delivery twice —
-	// the deterministic counterpart of the dup-replay impairment.
-	DupEveryN int
+	// Impair is the link impairment, as on a live transport.
+	Impair Options
 	// SessionID is the wire session id stamped into frames (default 1).
 	SessionID uint64
 }
 
 // DetResult is the outcome of a deterministic wire run.
 type DetResult struct {
-	// Output is the tape Y the receiver wrote.
-	Output seq.Seq
-	// Complete reports Y = X.
-	Complete bool
-	// SafetyViolation is the first "Y not a prefix of X" error, if any.
-	SafetyViolation error
-	// Script is the recorded schedule: replaying it through
-	// sim.NewScripted on a dup link reproduces Output byte for byte
+	// Report is the session's own report; its durations are readings of
+	// the run's virtual timeline.
+	Report
+	// Script is the schedule, recorded by the session as it stepped:
+	// replaying it through sim.NewScripted on a dup link reproduces Output
 	// (every recorded action is enabled there — ticks always are, and a
 	// dup half keeps every ever-sent message deliverable).
 	Script []trace.Action
 	// Steps is the number of scheduler choices taken.
 	Steps int
-	// FramesTx and AcksTx count codec round-trips per direction.
-	FramesTx, AcksTx int
 }
 
-// detState is the single-goroutine run state: per-direction stores of
-// every message ever put on the wire (the dup dlvrble vector), kept in
-// insertion order so the seeded scheduler is deterministic.
-type detState struct {
-	cfg    DetConfig
-	rng    *rand.Rand
-	stores map[channel.Dir]*detStore
-	res    DetResult
-	output seq.Seq
-	// scratch is the reused encode buffer: every emitted message is
-	// framed into it and decoded back out, so the codec round-trip costs
-	// no per-message allocation. The decoded payload is copied into an
-	// owned Msg before scratch is overwritten.
-	scratch []byte
+// detLink is the transport under a deterministic run: it delivers nothing
+// by itself and keeps every distinct frame an end ever put on it, in
+// arrival order — the dup channel's dlvrble, never consumed — for the
+// scheduler to deliver as often as it likes. A second copy adds nothing,
+// so a duplicating impairment is absorbed here (the scheduler is the dup
+// adversary already); the others decide what enters, and when.
+type detLink struct {
+	sent [2][][]byte // indexed End-1
+	seen map[string]struct{}
 }
 
-type detStore struct {
-	msgs []msg.Msg // insertion-ordered, deduped (dup delivery never consumes)
-	seen map[msg.Msg]struct{}
-}
+func (l *detLink) Name() string { return "det" }
 
-func (st *detStore) add(m msg.Msg) {
-	if _, ok := st.seen[m]; ok {
-		return
+// Send implements Transport. The frame aliases the sending worker's chunk,
+// which the next burst overwrites: the link keeps a copy.
+func (l *detLink) Send(from End, frame []byte) error {
+	if _, held := l.seen[string(frame)]; !held {
+		l.seen[string(frame)] = struct{}{}
+		l.sent[from-1] = append(l.sent[from-1], append([]byte(nil), frame...))
 	}
-	st.seen[m] = struct{}{}
-	st.msgs = append(st.msgs, m)
+	return nil
 }
 
-// DetRun executes one deterministic wire run. Every message a process
-// emits is encoded with AppendFrame and decoded with DecodeFrame before
-// entering the deliverable store, so the codec sits on the data path
-// exactly as in the live transports.
+func (l *detLink) Recv(End) <-chan []byte { return nil }
+func (l *detLink) Close() error           { return nil }
+
+// deliver routes one encoded frame arriving at an end as a router would:
+// dispatch stages it in its session's inbox, flush publishes the inbox and
+// readies the session on its worker.
+func (m *Mux) deliver(at End, sink *routeSink, frame []byte) {
+	var v FrameView
+	m.dispatch(at, at.Opposite().Dir(), sink, frame, &v)
+	sink.flush(m, at)
+}
+
+// DetRun executes one deterministic wire run. Each seeded choice is time —
+// the clock jumps to the worker's next timer, whose fire is the tick, the
+// backoff and the retransmission of a live run — or a delivery: one frame
+// the link holds goes through the router's dispatch into the session's
+// inbox. Either way the worker then takes one turn.
 func DetRun(cfg DetConfig) (DetResult, error) {
-	if cfg.Sender == nil || cfg.Receiver == nil {
-		return DetResult{}, fmt.Errorf("wire: det run missing processes")
-	}
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = 64 + 512*len(cfg.Input)
 	}
 	if cfg.SessionID == 0 {
 		cfg.SessionID = 1
 	}
-	d := &detState{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-		stores: map[channel.Dir]*detStore{
-			channel.SToR: {seen: make(map[msg.Msg]struct{})},
-			channel.RToS: {seen: make(map[msg.Msg]struct{})},
-		},
+	link := &detLink{seen: make(map[string]struct{})}
+	tr, err := NewImpairment(link, cfg.Impair, nil)
+	if err != nil {
+		return DetResult{}, err
 	}
-	dupCountdown := 0
-	for d.res.Steps < cfg.MaxSteps {
-		act := d.choose()
-		if err := d.apply(act); err != nil {
-			return d.res, err
-		}
-		d.res.Steps++
-		if act.Kind == trace.ActDeliver && act.Dir == channel.SToR && cfg.DupEveryN > 0 {
-			dupCountdown++
-			if dupCountdown%cfg.DupEveryN == 0 && !d.done() {
-				// The dup impairment: the same frame arrives again. On the
-				// dup link the message is still deliverable, so the replay
-				// accepts the repeated action.
-				if err := d.apply(act); err != nil {
-					return d.res, err
-				}
-				d.res.Steps++
-			}
-		}
-		if d.done() {
-			break
-		}
+	m := newMux(tr, MuxConfig{}, true)
+	s, err := m.NewSession(SessionConfig{
+		ID: cfg.SessionID, Sender: cfg.Sender, Receiver: cfg.Receiver, Input: cfg.Input, Seed: cfg.Seed,
+	})
+	if err != nil {
+		m.Close()
+		return DetResult{}, err
 	}
-	d.res.Output = d.output.Clone()
-	d.res.Complete = d.res.SafetyViolation == nil && len(d.output) == len(cfg.Input)
-	return d.res, nil
-}
-
-func (d *detState) done() bool {
-	return d.res.SafetyViolation != nil || len(d.output) == len(d.cfg.Input)
-}
-
-// choose picks the next action with the seeded rng: ticks are always
-// enabled; each ever-sent message on each direction is deliverable.
-// Deliveries carry extra weight (each candidate message appears twice)
-// so lossy-free runs converge quickly, but ticks always stay reachable —
-// the retransmission path is exercised on every seed.
-func (d *detState) choose() trace.Action {
-	acts := []trace.Action{trace.TickS(), trace.TickR()}
-	for _, dir := range []channel.Dir{channel.SToR, channel.RToS} {
-		for _, m := range d.stores[dir].msgs {
-			a := trace.Deliver(dir, m)
-			acts = append(acts, a, a)
-		}
-	}
-	return acts[d.rng.Intn(len(acts))]
-}
-
-// apply executes one action, routing every emitted message through the
-// frame codec into the opposite store and recording the action.
-func (d *detState) apply(act trace.Action) error {
-	switch act.Kind {
-	case trace.ActTickS:
-		if err := d.route(channel.SToR, d.cfg.Sender.Step(protocol.TickEvent())); err != nil {
-			return err
-		}
-	case trace.ActTickR:
-		sends, writes := d.cfg.Receiver.Step(protocol.TickEvent())
-		if err := d.route(channel.RToS, sends); err != nil {
-			return err
-		}
-		d.write(writes)
-	case trace.ActDeliver:
-		if act.Dir == channel.SToR {
-			sends, writes := d.cfg.Receiver.Step(protocol.RecvEvent(act.Msg))
-			if err := d.route(channel.RToS, sends); err != nil {
-				return err
-			}
-			d.write(writes)
+	var res DetResult
+	s.script = &res.Script
+	done := false
+	m.loop.start(context.Background(), s, 0, func(rep Report) { res.Report, done = rep, true })
+	w, sink, rng := s.worker, &routeSink{}, rand.New(rand.NewSource(cfg.Seed))
+	for w.turn(); !done && res.Steps < cfg.MaxSteps; res.Steps++ {
+		// One choice in four is time, so the timer path runs on every seed
+		// and a lossy link is retransmitted over however long the tape; the
+		// rest are deliveries, so a clean run converges.
+		toR, toS := link.sent[SenderEnd-1], link.sent[ReceiverEnd-1]
+		if n := len(toR) + len(toS); n == 0 || rng.Intn(4) == 0 {
+			m.loop.clock = w.timers[0].at
+		} else if k := rng.Intn(n); k < len(toR) {
+			m.deliver(ReceiverEnd, sink, toR[k])
 		} else {
-			if err := d.route(channel.SToR, d.cfg.Sender.Step(protocol.RecvEvent(act.Msg))); err != nil {
-				return err
-			}
+			m.deliver(SenderEnd, sink, toS[k-len(toR)])
 		}
-	default:
-		return fmt.Errorf("wire: det run cannot apply %s", act.Kind)
+		w.turn()
 	}
-	d.res.Script = append(d.res.Script, act)
-	return nil
-}
-
-// route pushes emitted messages through the codec into dir's store.
-func (d *detState) route(dir channel.Dir, sends []msg.Msg) error {
-	for _, m := range sends {
-		d.scratch = AppendFrame(d.scratch[:0], Frame{Session: d.cfg.SessionID, Dir: dir, Msg: m})
-		var v FrameView
-		if err := DecodeFrameInto(&v, d.scratch); err != nil {
-			return fmt.Errorf("wire: det codec round-trip: %w", err)
-		}
-		if dir == channel.SToR {
-			d.res.FramesTx++
-		} else {
-			d.res.AcksTx++
-		}
-		// v.Payload aliases scratch, which the next iteration overwrites;
-		// the store needs an owned copy.
-		d.stores[dir].add(msg.Msg(v.Payload))
-	}
-	return nil
-}
-
-// write appends R's writes to Y and audits safety online.
-func (d *detState) write(writes seq.Seq) {
-	for _, item := range writes {
-		d.output = append(d.output, item)
-		if d.res.SafetyViolation == nil && !d.output.IsPrefixOf(d.cfg.Input) {
-			d.res.SafetyViolation = fmt.Errorf(
-				"wire: det run safety violated at step %d: Y = %s is not a prefix of X = %s",
-				d.res.Steps, d.output, d.cfg.Input)
-		}
-	}
+	m.Close() // a session still running reports here, incomplete
+	return res, nil
 }

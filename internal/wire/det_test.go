@@ -1,170 +1,195 @@
 package wire
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"seqtx/internal/channel"
+	"seqtx/internal/msg"
 	"seqtx/internal/registry"
 	"seqtx/internal/seq"
 	"seqtx/internal/sim"
-	"seqtx/internal/trace"
 )
 
-// replayInSim replays a det-run schedule through the lock-step simulator
-// on a dup link and returns its result.
-func replayInSim(t *testing.T, proto string, params registry.Params, input seq.Seq, res DetResult) sim.Result {
+// detRun runs one fresh pair of proto through DetRun under the impairment
+// spec names (a preset or a channel-model spec).
+func detRun(t *testing.T, proto string, params registry.Params, input seq.Seq, seed int64, impair string) DetResult {
 	t.Helper()
+	s, r, err := registry.Pair(proto, params, input)
+	if err != nil {
+		t.Fatalf("Pair(%s): %v", proto, err)
+	}
+	opts, err := ImpairSpec(impair, seed)
+	if err != nil {
+		t.Fatalf("ImpairSpec(%s): %v", impair, err)
+	}
+	res, err := DetRun(DetConfig{Sender: s, Receiver: r, Input: input, Seed: seed, Impair: opts})
+	if err != nil {
+		t.Fatalf("%s/%s seed %d: DetRun: %v", proto, impair, seed, err)
+	}
+	return res
+}
+
+// replayInSim replays a det-run schedule through the lock-step simulator
+// on a dup link, strictly — an action the simulator had to skip means the
+// engine took a step the model does not allow — and returns an error
+// unless the two runs agree: equal verdicts and equal tapes. A session's
+// audit stops a burst at the first bad write where World.routeReceiver
+// appends the whole step's writes, so on a violating run the wire tape is
+// the simulator's through the first violating write.
+func replayInSim(proto string, params registry.Params, input seq.Seq, res DetResult) error {
 	spec, err := registry.Protocol(proto, params)
 	if err != nil {
-		t.Fatalf("Protocol: %v", err)
+		return err
 	}
 	link, err := channel.NewLinkOfKind(channel.KindDup)
 	if err != nil {
-		t.Fatalf("NewLinkOfKind: %v", err)
+		return err
 	}
 	w, err := sim.New(spec, input, link)
 	if err != nil {
-		t.Fatalf("sim.New: %v", err)
+		return err
 	}
-	simRes, err := sim.Run(w, sim.NewScripted(res.Script, sim.NewRoundRobin()),
-		sim.Config{MaxSteps: len(res.Script), StopWhenComplete: true})
+	if len(res.Script) == 0 {
+		return fmt.Errorf("the run recorded no step")
+	}
+	adv := sim.NewScripted(res.Script, sim.NewRoundRobin())
+	simRes, err := sim.Run(w, adv, sim.Config{MaxSteps: len(res.Script), StopWhenComplete: true})
 	if err != nil {
-		t.Fatalf("sim.Run: %v", err)
+		return err
 	}
-	return simRes
+	if n := adv.Skipped(); n != 0 {
+		return fmt.Errorf("%d of %d recorded actions were not enabled in the simulator", n, len(res.Script))
+	}
+	if (simRes.SafetyViolation == nil) != (res.SafetyViolation == nil) {
+		return fmt.Errorf("safety verdicts disagree: wire %v, sim %v", res.SafetyViolation, simRes.SafetyViolation)
+	}
+	simTape := simRes.Output
+	if res.SafetyViolation != nil && len(simTape) > len(res.Output) {
+		simTape = simTape[:len(res.Output)]
+	}
+	if !simTape.Equal(res.Output) || simRes.OutputComplete != res.Complete {
+		return fmt.Errorf("wire output %s (complete=%v) != sim output %s (complete=%v)",
+			res.Output, res.Complete, simRes.Output, simRes.OutputComplete)
+	}
+	return nil
 }
 
 // TestDetRunMatchesSimulator is the subsystem's fidelity acceptance
-// test: a seeded in-process wire run of alphaproto under the dup-replay
-// impairment must produce an output tape byte-for-byte identical to the
-// lock-step simulator replaying the same schedule on a dup link.
+// test: a seeded run of alphaproto on the production engine under the
+// dup-replay impairment must produce an output tape byte-for-byte
+// identical to the lock-step simulator replaying the same schedule on a
+// dup link.
 func TestDetRunMatchesSimulator(t *testing.T) {
 	params := registry.Params{M: 6}
 	input := seq.Seq{3, 0, 5, 1, 4, 2}
 	for seed := int64(1); seed <= 20; seed++ {
-		s, r, err := registry.Pair("alpha", params, input)
-		if err != nil {
-			t.Fatalf("Pair: %v", err)
-		}
-		res, err := DetRun(DetConfig{
-			Sender:    s,
-			Receiver:  r,
-			Input:     input,
-			Seed:      seed,
-			DupEveryN: 4, // the dup-replay impairment
-		})
-		if err != nil {
-			t.Fatalf("seed %d: DetRun: %v", seed, err)
-		}
+		res := detRun(t, "alpha", params, input, seed, "dup-replay")
 		if res.SafetyViolation != nil {
 			t.Fatalf("seed %d: %v", seed, res.SafetyViolation)
 		}
 		if !res.Complete {
 			t.Fatalf("seed %d: incomplete after %d steps: %s", seed, res.Steps, res.Output)
 		}
-		simRes := replayInSim(t, "alpha", params, input, res)
-		if simRes.SafetyViolation != nil {
-			t.Fatalf("seed %d: sim replay violation: %v", seed, simRes.SafetyViolation)
-		}
-		if !simRes.Output.Equal(res.Output) {
-			t.Fatalf("seed %d: wire output %s != sim output %s", seed, res.Output, simRes.Output)
-		}
-		if !simRes.OutputComplete {
-			t.Fatalf("seed %d: sim replay incomplete: %s", seed, simRes.Output)
+		if err := replayInSim("alpha", params, input, res); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
 
-// TestDetRunDeterministic: identical configs yield identical schedules
-// and outputs.
+// TestDetRunDeterministic: identical configs yield identical runs — the
+// whole report, virtual-clock durations included, and the whole schedule.
 func TestDetRunDeterministic(t *testing.T) {
 	params := registry.Params{M: 4}
 	input := seq.Seq{2, 0, 3, 1}
-	run := func() DetResult {
-		s, r, err := registry.Pair("alpha", params, input)
-		if err != nil {
-			t.Fatalf("Pair: %v", err)
-		}
-		res, err := DetRun(DetConfig{Sender: s, Receiver: r, Input: input, Seed: 7})
-		if err != nil {
-			t.Fatalf("DetRun: %v", err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if !a.Output.Equal(b.Output) || a.Steps != b.Steps || len(a.Script) != len(b.Script) {
-		t.Fatalf("two identical det runs diverged: %d/%d steps, %s vs %s",
-			a.Steps, b.Steps, a.Output, b.Output)
-	}
-	for i := range a.Script {
-		if a.Script[i].Key() != b.Script[i].Key() {
-			t.Fatalf("schedules diverge at step %d: %s vs %s", i, a.Script[i], b.Script[i])
+	for _, impair := range []string{"none", "reorder", "iid-loss(p=0.3)"} {
+		a, b := detRun(t, "alpha", params, input, 7, impair), detRun(t, "alpha", params, input, 7, impair)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: two identical det runs diverged:\n%+v\n%+v", impair, a, b)
 		}
 	}
 }
 
-// TestDetRunScheduleSurvivesScratchReuse pins the encode-scratch reuse
-// in route: every message recorded in the schedule must be byte-identical
-// to a fresh, independently allocated codec round-trip of itself. If a
-// recorded message ever aliased the reused scratch buffer, a later
-// encode would have rewritten its bytes and this comparison would break.
-func TestDetRunScheduleSurvivesScratchReuse(t *testing.T) {
+// TestDetRunImpaired is the regression for a det run that ignored its
+// impairment: behind the real Impairment a lossy link costs the run
+// retransmissions and changes its schedule, reproducibly.
+func TestDetRunImpaired(t *testing.T) {
 	params := registry.Params{M: 6}
 	input := seq.Seq{3, 0, 5, 1, 4, 2}
-	s, r, err := registry.Pair("alpha", params, input)
-	if err != nil {
-		t.Fatalf("Pair: %v", err)
-	}
-	res, err := DetRun(DetConfig{Sender: s, Receiver: r, Input: input, Seed: 11, DupEveryN: 3})
-	if err != nil {
-		t.Fatalf("DetRun: %v", err)
-	}
-	delivers := 0
-	for i, act := range res.Script {
-		if act.Kind != trace.ActDeliver {
-			continue
+	for _, impair := range []string{"burst-drop", "iid-loss(p=0.3)"} {
+		retransmits, differs := 0, false
+		for seed := int64(1); seed <= 10; seed++ {
+			clean, res := detRun(t, "alpha", params, input, seed, "none"), detRun(t, "alpha", params, input, seed, impair)
+			retransmits += res.Retransmits
+			differs = differs || !reflect.DeepEqual(clean.Script, res.Script)
+			if again := detRun(t, "alpha", params, input, seed, impair); !reflect.DeepEqual(res, again) {
+				t.Errorf("%s seed %d: two runs differ", impair, seed)
+			}
+			if err := replayInSim("alpha", params, input, res); err != nil {
+				t.Errorf("%s seed %d: %v", impair, seed, err)
+			}
 		}
-		delivers++
-		fresh := AppendFrame(nil, Frame{Session: 1, Dir: act.Dir, Msg: act.Msg})
-		f, err := DecodeFrame(fresh)
-		if err != nil {
-			t.Fatalf("step %d: fresh round-trip of recorded msg %q: %v", i, act.Msg, err)
+		if retransmits == 0 || !differs {
+			t.Errorf("%s: %d retransmissions, schedule differs from the unimpaired one: %v", impair, retransmits, differs)
 		}
-		if f.Msg != act.Msg {
-			t.Fatalf("step %d: recorded msg %q != fresh round-trip %q", i, act.Msg, f.Msg)
-		}
-	}
-	if delivers == 0 {
-		t.Fatal("schedule recorded no deliveries; test exercised nothing")
 	}
 }
 
-// TestDetRunOtherProtocols: the codec path carries every registered
-// protocol without mechanical failure. The det scheduler is a full dup
-// adversary (any ever-sent message, any time), so protocols that are
-// unsafe on dup channels — the paper's counterexamples — may rightly
+// TestDetRunScheduleSurvivesScratchReuse guards detLink's copy: a frame
+// reaches the link as a view of the sending worker's chunk, which the next
+// burst overwrites from the start, and the link must still hold every
+// frame as it was sent — the scheduler delivers from it for the rest of
+// the run.
+func TestDetRunScheduleSurvivesScratchReuse(t *testing.T) {
+	link := &detLink{seen: make(map[string]struct{})}
+	mux := newMux(link, MuxConfig{}, true)
+	defer mux.Close()
+	w := mux.loop.workers[0]
+	sent := []msg.Msg{"d:3", "d:0", "d:5", "d:1"}
+	for _, mg := range sent {
+		if err := w.send(1, SenderEnd, mg); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		w.flushOut() // the chunk is empty again: the next frame lands on this one's bytes
+	}
+	held := link.sent[SenderEnd-1]
+	if len(held) != len(sent) {
+		t.Fatalf("the link holds %d frames, %d were sent", len(held), len(sent))
+	}
+	for i, raw := range held {
+		if f, err := DecodeFrame(raw); err != nil || f.Msg != sent[i] {
+			t.Errorf("frame %d on the link reads %q (%v), sent as %q", i, f.Msg, err, sent[i])
+		}
+	}
+}
+
+// TestDetRunOtherProtocols: the production engine carries every
+// registered protocol under every link impairment, and each run is a run
+// of the model — the simulator replays its schedule with no action
+// skipped and reaches the same tape and verdict. The det scheduler is a
+// full dup adversary (any ever-sent message, any time), so protocols that
+// are unsafe on dup channels — the paper's counterexamples — may rightly
 // violate safety here; that verdict is the runner working, not failing.
-// Replaying any violating schedule in the simulator must reproduce the
-// same tape, violation included.
 func TestDetRunOtherProtocols(t *testing.T) {
 	params := registry.Params{M: 4, Timeout: 8, Window: 4}
 	input := seq.Seq{1, 0, 3, 2}
+	impairs := []string{"none", "dup-replay", "burst-drop", "reorder", "corrupt", "partition-heal", "iid-loss(p=0.3)", "iid-dup(p=0.5)"}
+	retransmits, runs := 0, 0
 	for _, name := range registry.ProtocolNames() {
-		s, r, err := registry.Pair(name, params, input)
-		if err != nil {
-			t.Fatalf("Pair(%s): %v", name, err)
-		}
-		res, err := DetRun(DetConfig{Sender: s, Receiver: r, Input: input, Seed: 3})
-		if err != nil {
-			t.Fatalf("%s: DetRun: %v", name, err)
-		}
-		simRes := replayInSim(t, name, params, input, res)
-		if !simRes.Output.Equal(res.Output) {
-			t.Errorf("%s: wire output %s != sim output %s", name, res.Output, simRes.Output)
-		}
-		if (simRes.SafetyViolation == nil) != (res.SafetyViolation == nil) {
-			t.Errorf("%s: safety verdicts disagree: wire %v, sim %v",
-				name, res.SafetyViolation, simRes.SafetyViolation)
+		for _, impair := range impairs {
+			for seed := int64(1); seed <= 10; seed++ {
+				res := detRun(t, name, params, input, seed, impair)
+				if err := replayInSim(name, params, input, res); err != nil {
+					t.Errorf("%s/%s seed %d: %v", name, impair, seed, err)
+				}
+				retransmits += res.Retransmits
+				runs++
+			}
 		}
 	}
+	if retransmits == 0 {
+		t.Errorf("%d runs and not one retransmission: the timer path never ran", runs)
+	}
+	t.Logf("%d runs, %d retransmissions", runs, retransmits)
 }

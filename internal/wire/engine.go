@@ -92,29 +92,47 @@ const noDeadline = math.MaxInt64
 // deadlines, backoff — is an int64 of nanoseconds since epoch, read
 // from the monotonic clock by now. One clock, one representation: a
 // popped timer entry is due by the same reading fire judges it with.
+//
+// A manual engine is the same engine with no goroutine in it: one worker,
+// whose turn its builder calls, and a now that returns clock, which only
+// that caller moves. DetRun and the tests that fire timers at chosen
+// readings drive the shipped service, fire and flushOut this way.
 type loopEngine struct {
 	m       *Mux
 	epoch   time.Time
+	manual  bool
+	clock   int64
 	workers []*loopWorker
 	stop    chan struct{}
 	once    sync.Once
 	wg      sync.WaitGroup
 }
 
-func newLoopEngine(m *Mux) *loopEngine {
-	workers := min(runtime.GOMAXPROCS(0), maxLoopWorkers)
+// newLoopEngine builds the engine and its workers; spawn starts them.
+func newLoopEngine(m *Mux, manual bool) *loopEngine {
+	workers := 1
+	if !manual {
+		workers = min(runtime.GOMAXPROCS(0), maxLoopWorkers)
+	}
 	e := &loopEngine{
 		m:       m,
 		epoch:   time.Now(),
+		manual:  manual,
 		workers: make([]*loopWorker, workers),
 		stop:    make(chan struct{}),
 	}
 	for i := range e.workers {
 		e.workers[i] = newLoopWorker(e)
-		e.wg.Add(1)
-		go e.workers[i].run()
 	}
 	return e
+}
+
+// spawn gives every worker its goroutine.
+func (e *loopEngine) spawn() {
+	for _, w := range e.workers {
+		e.wg.Add(1)
+		go w.run()
+	}
 }
 
 // newLoopWorker builds a worker with its buffers at working size; the
@@ -124,7 +142,8 @@ func newLoopWorker(e *loopEngine) *loopWorker {
 		eng:    e,
 		notify: make(chan struct{}, 1),
 		batch:  make([]msg.Msg, 0, 64),
-		ready:  make([]*Session, 0, 256), // as run's swap buffer: a wave readies together
+		ready:  make([]*Session, 0, 256), // as its swap buffer: a wave readies together
+		swap:   make([]*Session, 0, 256),
 	}
 	w.key, w.keyWas = w.keyBuf[0][:0], w.keyBuf[1][:0]
 	for i := range w.out {
@@ -139,8 +158,14 @@ func (e *loopEngine) workerFor(id uint64) *loopWorker {
 	return e.workers[((id*fibMul)>>32)%uint64(len(e.workers))]
 }
 
-// now reads the engine timeline: monotonic nanoseconds since epoch.
-func (e *loopEngine) now() int64 { return int64(time.Since(e.epoch)) }
+// now reads the engine timeline: monotonic nanoseconds since epoch, or
+// the instant a manual engine's driver has set.
+func (e *loopEngine) now() int64 {
+	if e.manual {
+		return e.clock
+	}
+	return int64(time.Since(e.epoch))
+}
 
 // start hands a registered session to its worker, its life to begin
 // delay from now (a paced fleet's start instants; until then it holds a
@@ -170,9 +195,15 @@ func (e *loopEngine) cancel(s *Session) {
 }
 
 // close stops the workers and finishes any sessions still attached, so
-// no Run or Serve caller is left waiting on a report.
+// no Run or Serve caller is left waiting on a report. A manual engine's
+// worker has no goroutine to do its shutdown; close does it here.
 func (e *loopEngine) close() {
-	e.once.Do(func() { close(e.stop) })
+	e.once.Do(func() {
+		close(e.stop)
+		if e.manual {
+			e.workers[0].shutdown()
+		}
+	})
 	e.wg.Wait()
 }
 
@@ -201,10 +232,11 @@ type loopWorker struct {
 	sleeping atomic.Bool
 	notify   chan struct{}
 
-	// Worker-owned (no locking): the timer heap, the drain scratch buffer,
-	// the progress probe's two sender-state keys (they start in keyBuf) and
-	// the pending outbound burst of each end (indexed End-1), shared by
-	// every session here so per-session state stays flat.
+	// Worker-owned (no locking): ready's swap buffer, the timer heap, the
+	// drain scratch buffer, the progress probe's two sender-state keys (they
+	// start in keyBuf) and the pending outbound burst of each end (indexed
+	// End-1), shared by every session here so per-session state stays flat.
+	swap        []*Session
 	timers      timerHeap
 	batch       []msg.Msg
 	key, keyWas []byte
@@ -242,7 +274,7 @@ func (w *loopWorker) send(id uint64, from End, mg msg.Msg) error {
 		if err := m.tr.Send(from, EncodeFrame(frame)); err != nil {
 			return err
 		}
-		m.met.tx(from).Inc()
+		m.met.tx[from-1].Inc()
 		return nil
 	}
 	ch := &w.out[from-1]
@@ -268,7 +300,7 @@ func (w *loopWorker) ship(from End) {
 	}
 	m := w.eng.m
 	m.met.batchFrames.Observe(float64(len(ch.frames)))
-	m.met.tx(from).Add(int64(len(ch.frames)))
+	m.met.tx[from-1].Add(int64(len(ch.frames)))
 	if err := sendFrames(m.tr, from, ch.frames); err != nil {
 		m.closed.Store(true)
 	}
@@ -311,14 +343,38 @@ func (w *loopWorker) schedule(s *Session) {
 	}
 }
 
-// run is the worker loop: swap the ready queue, service each session,
-// fire due timers, ship the frames all that produced, park when idle
-// until the next event or timer.
+// turn is one round of the worker's work: swap the ready queue, service
+// each session, fire the timers due at this reading, ship the frames all
+// that produced. It reports whether there was anything to do.
+func (w *loopWorker) turn() bool {
+	w.mu.Lock()
+	w.swap, w.ready = w.ready, w.swap[:0]
+	w.mu.Unlock()
+	progress := len(w.swap) > 0
+	for i, s := range w.swap {
+		w.service(s)
+		w.swap[i] = nil // no stale *Session pins in the swap buffer
+	}
+	if len(w.timers) > 0 {
+		now := w.eng.now()
+		for len(w.timers) > 0 && w.timers[0].at <= now {
+			e := w.timers.pop()
+			w.fire(e.s, now)
+			progress = true
+		}
+	}
+	if progress {
+		w.flushOut()
+	}
+	return progress
+}
+
+// run is the worker loop: turn while there is work, park when idle until
+// the next event or timer.
 func (w *loopWorker) run() {
 	defer w.eng.wg.Done()
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
-	ready := make([]*Session, 0, 256)
 	for {
 		select {
 		case <-w.eng.stop:
@@ -326,24 +382,7 @@ func (w *loopWorker) run() {
 			return
 		default:
 		}
-		w.mu.Lock()
-		ready, w.ready = w.ready, ready[:0]
-		w.mu.Unlock()
-		progress := len(ready) > 0
-		for i, s := range ready {
-			w.service(s)
-			ready[i] = nil // no stale *Session pins in the swap buffer
-		}
-		if len(w.timers) > 0 {
-			now := w.eng.now()
-			for len(w.timers) > 0 && w.timers[0].at <= now {
-				e := w.timers.pop()
-				w.fire(e.s, now)
-				progress = true
-			}
-		}
-		if progress {
-			w.flushOut()
+		if w.turn() {
 			continue
 		}
 		// Idle: arm the sleep flag, re-check the queue once (the Dekker

@@ -328,7 +328,7 @@ func TestTimerProgressInvariant(t *testing.T) {
 		{"tick and deadline together", at, at},
 	} {
 		for _, now := range []int64{at - 1, at, at + 1} {
-			mux := NewMux(NewInproc(0, nil), nil)
+			mux, w := manualMux(t, discard{})
 			x := seq.Seq{0, 1, 2, 3}
 			s, r, err := registry.Pair("alpha", zooParams, x)
 			if err != nil {
@@ -338,14 +338,11 @@ func TestTimerProgressInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewSession: %v", err)
 			}
-			// A detached worker: fire runs here, on the test goroutine.
-			w := newLoopWorker(mux.loop)
-			sess.worker = w
-			sess.startAt, sess.attached = mux.loop.now(), true
-			sess.onDone = func(Report) {}
-			sess.bo = newBackoff(sess.cfg.Tick, sess.cfg.Seed, 0)
+			// Attached at instant 0; fire runs here, at the reading under test.
+			mux.loop.start(context.Background(), sess, 0, func(Report) {})
+			w.turn()
 			sess.tickNext, sess.deadlineAt = tc.tickNext, tc.deadline
-			w.fire(sess, now)
+			fireAt(w, now)
 			switch {
 			case sess.finished:
 				if now < tc.deadline {
@@ -359,7 +356,6 @@ func TestTimerProgressInvariant(t *testing.T) {
 			case w.timers[0].at <= now:
 				t.Errorf("%s, now=at%+d: re-armed at now%+d, not after now", tc.name, now-at, w.timers[0].at-now)
 			}
-			mux.Close()
 		}
 	}
 }
@@ -589,7 +585,7 @@ func TestLoopFlatMemory(t *testing.T) {
 // observability contract that makes a small default safe to ship.
 func TestInboxSizeAndDropAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
-	mux := NewMux(NewInproc(0, reg), reg)
+	mux := newMux(discard{}, MuxConfig{Obs: reg}, true)
 	x := seq.Seq{0, 1, 2, 3}
 	s, r, err := registry.Pair("alpha", zooParams, x)
 	if err != nil {
@@ -604,38 +600,28 @@ func TestInboxSizeAndDropAccounting(t *testing.T) {
 	if got := len(sess.receiverInbox.slots); got != 1 {
 		t.Fatalf("InboxSize 1 allocated %d slots", got)
 	}
-	// Flood the unstarted session's receiver inbox from a detached worker:
-	// nothing drains it, so everything past the first frame must drop.
-	payload := s.Alphabet().Msgs()[0]
-	w := newLoopWorker(mux.loop)
-	for i := 0; i < 64; i++ {
-		if err := w.send(1, SenderEnd, payload); err != nil {
-			t.Fatalf("send: %v", err)
-		}
+	var rep Report
+	mux.loop.start(context.Background(), sess, 0, func(r Report) { rep = r })
+	// Flood the receiver inbox by hand, as one router blob would: no turn
+	// of the worker drains it, so everything past the first frame drops.
+	const flood = 64
+	frame := EncodeFrame(Frame{Session: 1, Dir: channel.SToR, Msg: s.Alphabet().Msgs()[0]})
+	var v FrameView
+	sink := &routeSink{}
+	for i := 0; i < flood; i++ {
+		mux.dispatch(ReceiverEnd, channel.SToR, sink, frame, &v)
 	}
-	w.flushOut()
-	deadline := time.Now().Add(5 * time.Second)
-	for sess.inboxDrops.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	sink.flush(mux, ReceiverEnd)
+	if drops := sess.inboxDrops.Load(); drops != flood-1 {
+		t.Fatalf("%d inbox drops for a 1-slot inbox under a %d-frame flood, want %d", drops, flood, flood-1)
 	}
-	drops := sess.inboxDrops.Load()
-	if drops == 0 {
-		t.Fatal("no inbox drops recorded for a 1-slot inbox under a 64-frame flood")
-	}
-	// The router counts a drop against the session as it happens and folds
-	// the mux-wide tally in once per blob, so give the blob time to end.
-	muxDrops := func() int64 { return reg.Snapshot().Counters[`wire_frames_dropped_total{cause="inbox_full"}`] }
-	for muxDrops() < drops && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := muxDrops(); got < drops {
-		t.Errorf("mux inbox_full counter %d < session drops %d", got, drops)
-	}
-	rep := sess.Run(contextWithTimeout(t, 50*time.Millisecond))
-	if rep.InboxDrops < int(drops) {
-		t.Errorf("Report.InboxDrops = %d, want >= %d", rep.InboxDrops, drops)
+	if got := reg.Snapshot().Counters[`wire_frames_dropped_total{cause="inbox_full"}`]; got != flood-1 {
+		t.Errorf("mux inbox_full counter %d, want the session's %d drops", got, flood-1)
 	}
 	mux.Close()
+	if rep.InboxDrops != flood-1 {
+		t.Errorf("Report.InboxDrops = %d, want %d", rep.InboxDrops, flood-1)
+	}
 }
 
 func contextWithTimeout(t *testing.T, d time.Duration) context.Context {

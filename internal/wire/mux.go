@@ -80,13 +80,14 @@ const (
 // muxMetrics bundles the obs handles, resolved once at mux creation (the
 // nil-registry fast path makes every update a no-op).
 type muxMetrics struct {
-	txSToR, txRToS *obs.Counter
-	rxSToR, rxRToS *obs.Counter
-	decodeErrors   *obs.Counter
-	alien          *obs.Counter
-	unknown        *obs.Counter
-	inboxFull      *obs.Counter
-	batchFrames    *obs.Histogram
+	// tx counts the frames shipped from an end, rx the frames that
+	// arrived at one; both indexed End-1.
+	tx, rx       [2]*obs.Counter
+	decodeErrors *obs.Counter
+	alien        *obs.Counter
+	unknown      *obs.Counter
+	inboxFull    *obs.Counter
+	batchFrames  *obs.Histogram
 
 	activeN       atomic.Int64
 	active        *obs.Gauge
@@ -116,10 +117,14 @@ var GoodputBuckets = obs.ExpBuckets(0.5, 2, 16)
 
 func newMuxMetrics(reg *obs.Registry) *muxMetrics {
 	return &muxMetrics{
-		txSToR:       reg.Counter(`wire_frames_tx_total{dir="s_to_r"}`),
-		txRToS:       reg.Counter(`wire_frames_tx_total{dir="r_to_s"}`),
-		rxSToR:       reg.Counter(`wire_frames_rx_total{dir="s_to_r"}`),
-		rxRToS:       reg.Counter(`wire_frames_rx_total{dir="r_to_s"}`),
+		tx: [2]*obs.Counter{
+			reg.Counter(`wire_frames_tx_total{dir="s_to_r"}`),
+			reg.Counter(`wire_frames_tx_total{dir="r_to_s"}`),
+		},
+		rx: [2]*obs.Counter{ // what arrives at the sender end travelled R→S
+			reg.Counter(`wire_frames_rx_total{dir="r_to_s"}`),
+			reg.Counter(`wire_frames_rx_total{dir="s_to_r"}`),
+		},
 		decodeErrors: reg.Counter("wire_decode_errors_total"),
 		alien:        reg.Counter(`wire_frames_dropped_total{cause="alien"}`),
 		unknown:      reg.Counter(`wire_frames_dropped_total{cause="unknown_session"}`),
@@ -143,14 +148,6 @@ func newMuxMetrics(reg *obs.Registry) *muxMetrics {
 	}
 }
 
-// tx is the counter of frames transmitted from the given end.
-func (m *muxMetrics) tx(from End) *obs.Counter {
-	if from == ReceiverEnd {
-		return m.txRToS
-	}
-	return m.txSToR
-}
-
 // sessionStarted / sessionEnded maintain the active-session gauge.
 func (m *muxMetrics) sessionStarted() { m.active.Set(float64(m.activeN.Add(1))) }
 func (m *muxMetrics) sessionEnded()   { m.active.Set(float64(m.activeN.Add(-1))) }
@@ -165,15 +162,24 @@ func NewMux(tr Transport, reg *obs.Registry) *Mux {
 // NewMuxConfig builds a mux over tr per cfg and starts its two router
 // goroutines and the event-loop workers.
 func NewMuxConfig(tr Transport, cfg MuxConfig) *Mux {
+	m := newMux(tr, cfg, false)
+	m.loop.spawn()
+	m.routerWg.Add(2)
+	go m.route(SenderEnd)
+	go m.route(ReceiverEnd)
+	return m
+}
+
+// newMux builds a mux and starts nothing. With manual set its engine is a
+// manual one (loopEngine) and no router reads the transport: the caller
+// turns the one worker and hands frames to dispatch itself.
+func newMux(tr Transport, cfg MuxConfig, manual bool) *Mux {
 	m := &Mux{
 		tr:          tr,
 		met:         newMuxMetrics(cfg.Obs),
 		sampleEvery: cfg.EventSampleEvery,
 	}
-	m.loop = newLoopEngine(m)
-	m.routerWg.Add(2)
-	go m.route(SenderEnd)
-	go m.route(ReceiverEnd)
+	m.loop = newLoopEngine(m, manual)
 	return m
 }
 
@@ -303,9 +309,9 @@ type routeSink struct {
 }
 
 // flush publishes the dirty inboxes, wakes their sessions' workers,
-// and folds the tallies into the mux metrics. rx is the
-// arriving-direction receive counter.
-func (k *routeSink) flush(m *Mux, rx *obs.Counter) {
+// and folds the tallies into the mux metrics; at is the end the frames
+// arrived at.
+func (k *routeSink) flush(m *Mux, at End) {
 	for i, q := range k.dirty {
 		q.publish()
 		if o := q.owner; o.loopLive.Load() {
@@ -315,7 +321,7 @@ func (k *routeSink) flush(m *Mux, rx *obs.Counter) {
 	}
 	k.dirty = k.dirty[:0]
 	if k.rx > 0 {
-		rx.Add(k.rx)
+		m.met.rx[at-1].Add(k.rx)
 	}
 	if k.decodeErrs > 0 {
 		m.met.decodeErrors.Add(k.decodeErrs)
@@ -337,10 +343,6 @@ func (k *routeSink) flush(m *Mux, rx *obs.Counter) {
 // channel closes.
 func (m *Mux) route(at End) {
 	defer m.routerWg.Done()
-	rx := m.met.rxSToR
-	if at == SenderEnd {
-		rx = m.met.rxRToS
-	}
 	wantDir := at.Opposite().Dir() // frames arriving here were sent by the opposite end
 	var v FrameView
 	sink := &routeSink{dirty: make([]*inbox, 0, 64)}
@@ -356,7 +358,7 @@ func (m *Mux) route(at End) {
 		} else {
 			m.dispatch(at, wantDir, sink, raw, &v)
 		}
-		sink.flush(m, rx)
+		sink.flush(m, at)
 		ReleaseBuf(raw)
 	}
 }

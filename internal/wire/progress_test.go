@@ -41,14 +41,32 @@ func runOne(t *testing.T, tr Transport, proto string, p registry.Params, x seq.S
 	return reports[0]
 }
 
-// detachedSession registers one session of proto on a mux over a link
-// that delivers nothing S→R and hands it to a worker no goroutine runs,
-// so the test drives service itself and is the sender inbox's only
-// producer.
+// discard is the transport of a test that looks at no frame: it takes
+// them all and delivers none.
+type discard struct{}
+
+func (discard) Name() string           { return "discard" }
+func (discard) Send(End, []byte) error { return nil }
+func (discard) Recv(End) <-chan []byte { return nil }
+func (discard) Close() error           { return nil }
+
+// manualMux builds a mux with a manual engine over tr — no worker
+// goroutine, no router — and returns it with its one worker: the test
+// turns the worker, moves mux.loop.clock, and is the only producer of
+// every inbox. Nothing reads tr: what the sessions send goes no further.
+func manualMux(t testing.TB, tr Transport) (*Mux, *loopWorker) {
+	t.Helper()
+	mux := newMux(tr, MuxConfig{}, true)
+	t.Cleanup(func() { mux.Close() })
+	return mux, mux.loop.workers[0]
+}
+
+// detachedSession starts one session of proto, at an hour's tick, on a
+// manual mux: it attaches at the worker's first turn, and from then on
+// the test services it by hand (deliverAcks).
 func detachedSession(t *testing.T, proto string, p registry.Params, x seq.Seq) (*loopWorker, *Session) {
 	t.Helper()
-	mux := NewMux(blackHole{NewInproc(0, nil)}, nil)
-	t.Cleanup(func() { mux.Close() })
+	mux, w := manualMux(t, discard{})
 	s, r, err := registry.Pair(proto, p, x)
 	if err != nil {
 		t.Fatalf("Pair(%s): %v", proto, err)
@@ -57,11 +75,7 @@ func detachedSession(t *testing.T, proto string, p registry.Params, x seq.Seq) (
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
-	w := newLoopWorker(mux.loop)
-	sess.worker, sess.startAt = w, mux.loop.now()
-	sess.onDone = func(Report) {}
-	sess.bo = newBackoff(sess.cfg.Tick, sess.cfg.Seed, 0)
-	sess.tickNext, sess.deadlineAt = noDeadline, noDeadline
+	mux.loop.start(context.Background(), sess, 0, func(Report) {})
 	return w, sess
 }
 
@@ -134,7 +148,7 @@ func TestProgressClockedStep(t *testing.T) {
 	// progress-making delivery, inside the service call that drained it.
 	t.Run("gated on progress", func(t *testing.T) {
 		w, s := detachedSession(t, "alpha", registry.Params{M: 8}, rampTape(4))
-		if w.service(s); s.framesTx != 1 {
+		if w.turn(); s.framesTx != 1 {
 			t.Fatalf("attach sent %d frames, want the first spontaneous step's 1", s.framesTx)
 		}
 		a0, a1 := alphaproto.AckMsg(0), alphaproto.AckMsg(1)
@@ -157,7 +171,7 @@ func TestProgressClockedStep(t *testing.T) {
 	t.Run("one step per acknowledgement, not per burst", func(t *testing.T) {
 		const window = 4
 		w, s := detachedSession(t, "selrepeat", registry.Params{M: 16, Window: window}, rampTape(16))
-		w.service(s)
+		w.turn()
 		for s.framesTx < window { // what the timer would add, a tick at a time
 			if !s.spontaneous(w.eng.now()) {
 				t.Fatal("transport closed")
@@ -173,26 +187,42 @@ func TestProgressClockedStep(t *testing.T) {
 	})
 
 	// (iv): retransmission stayed on the timer. Over a link that delivers
-	// nothing, the frames of a fixed window are the attach step plus the
-	// capped backoff schedule — no faster than its jitter floor allows.
+	// nothing, on a clock the test owns, the frames of a 150-tick life are
+	// exactly the attach step plus the capped backoff law, drawn from the
+	// session's own jitter stream: a twin backoff says which ticks were due.
 	t.Run("retransmission is timer-governed", func(t *testing.T) {
-		t.Parallel()
-		const tick = time.Millisecond
-		rep := runOne(t, blackHole{NewInproc(0, nil)}, "alpha", registry.Params{M: 8}, rampTape(4), tick, 150*time.Millisecond)
-		if rep.Complete || rep.SafetyViolation != nil {
-			t.Fatalf("complete=%v violation=%v over a link that delivers nothing", rep.Complete, rep.SafetyViolation)
+		const tick, life = time.Millisecond, 150 * time.Millisecond
+		mux, w := manualMux(t, discard{})
+		x := rampTape(4)
+		s, r, err := registry.Pair("alpha", registry.Params{M: 8}, x)
+		if err != nil {
+			t.Fatalf("Pair: %v", err)
 		}
-		most, ivl, at := 1, tick, time.Duration(0)
-		for {
-			at += time.Duration(float64(ivl) * (1 - backoffJitter))
-			if at > rep.Elapsed {
-				break
+		sess, err := mux.NewSession(SessionConfig{ID: 1, Sender: s, Receiver: r, Input: x, Tick: tick, Deadline: life, Seed: 9})
+		if err != nil {
+			t.Fatalf("NewSession: %v", err)
+		}
+		var rep *Report
+		mux.loop.start(context.Background(), sess, 0, func(r Report) { rep = &r })
+		twin := newBackoff(tick, 9, 0) // arm's draw, then the attach step's
+		twin.arm(0)
+		want, at := 1, sess.tickNext
+		for w.turn(); rep == nil; w.turn() {
+			mux.loop.clock = w.timers[0].at
+			if mux.loop.clock == at && at < int64(life) { // a tick edge: the sender's, if the twin is due
+				if twin.due(at) {
+					want++
+					twin.grow()
+					twin.arm(at)
+				}
+				at += int64(tick)
 			}
-			most++
-			ivl = min(2*ivl, BackoffCapFactor*tick)
 		}
-		if rep.FramesTx > most || rep.FramesTx < 4 {
-			t.Errorf("FramesTx = %d in %v, want 4..%d under the capped backoff law", rep.FramesTx, rep.Elapsed, most)
+		if rep.Complete || rep.SafetyViolation != nil || rep.Elapsed != life {
+			t.Fatalf("complete=%v violation=%v after %v over a link that delivers nothing", rep.Complete, rep.SafetyViolation, rep.Elapsed)
+		}
+		if rep.FramesTx != want || want < 8 {
+			t.Errorf("FramesTx = %d in %v, want the capped backoff law's %d", rep.FramesTx, rep.Elapsed, want)
 		}
 		if rep.Retransmits != rep.FramesTx-1 {
 			t.Errorf("Retransmits = %d of %d frames, want all but the first", rep.Retransmits, rep.FramesTx)

@@ -6,9 +6,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"seqtx/internal/channel"
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
+	"seqtx/internal/trace"
 )
 
 // DefaultTick is the timer interval used when SessionConfig.Tick is not
@@ -169,6 +171,10 @@ type Session struct {
 	// sup is the crash-restart supervision of a session served under
 	// ServeConfig.Chaos (supervisor.go); nil for a plain one.
 	sup *supervision
+
+	// script, when non-nil, receives the model action of every step the
+	// session takes, in order (DetRun's schedule); nil on the live path.
+	script *[]trace.Action
 }
 
 // NewSession registers a session on the mux. The session does not run
@@ -260,6 +266,7 @@ func (s *Session) buildReport(elapsed time.Duration) Report {
 // acknowledgement that moved the sender forward (not a stale one), is
 // service's to detect. It returns false when the transport closed.
 func (s *Session) senderEvent(ev protocol.Event) bool {
+	s.record(trace.TickS(), channel.RToS, ev)
 	retrans, fresh := false, false
 	for _, mg := range s.cfg.Sender.Step(ev) {
 		if s.haveLast && mg == s.last {
@@ -288,6 +295,19 @@ func (s *Session) senderEvent(ev protocol.Event) bool {
 	return true
 }
 
+// record appends the model action a step is to the script, when one is
+// kept: tick for a spontaneous step, the delivery of ev's message off the
+// dir half else. On the live path it is one inlined nil check.
+func (s *Session) record(tick trace.Action, dir channel.Dir, ev protocol.Event) {
+	if s.script == nil {
+		return
+	}
+	if ev.Kind == protocol.Recv {
+		tick = trace.Deliver(dir, ev.Msg)
+	}
+	*s.script = append(*s.script, tick)
+}
+
 // spontaneous steps the sender once, unprompted, and re-arms the
 // retransmission backoff from now; false means the transport closed.
 func (s *Session) spontaneous(now int64) bool {
@@ -314,6 +334,7 @@ const (
 // safety for plain sessions, the suffix-alignment audit for supervised
 // ones. It stops mid-burst on a verdict so no writes land after it.
 func (s *Session) receiverEvent(ev protocol.Event) stepOutcome {
+	s.record(trace.TickR(), channel.SToR, ev)
 	sends, writes := s.cfg.Receiver.Step(ev)
 	for _, mg := range sends {
 		s.acksTx++

@@ -86,12 +86,11 @@ func (r *recorder) shipped() (calls []shipment, frames int) {
 // early, not dropped from.
 func TestWorkerShipsItsBurst(t *testing.T) {
 	rec := newRecorder()
-	mux := NewMux(rec, nil)
-	defer mux.Close()
+	mux, w := manualMux(t, rec)
 	const window = 4
 	params := registry.Params{M: 16, Window: window}
 	x := rampTape(16)
-	session := func(id uint64) *Session {
+	session := func(mux *Mux, id uint64) *Session {
 		s, r, err := registry.Pair("selrepeat", params, x)
 		if err != nil {
 			t.Fatalf("Pair: %v", err)
@@ -103,19 +102,16 @@ func TestWorkerShipsItsBurst(t *testing.T) {
 		return sess
 	}
 
-	// One burst, driven by hand on a detached worker: three sessions open
-	// their windows a frame a round, interleaved, then each receiver
+	// One burst, driven by hand on a manual engine's worker: three sessions
+	// open their windows a frame a round, interleaved, then each receiver
 	// acknowledges one delivery. A twin sender per session, stepped the same
 	// way, says what was sent and in which order.
-	w := newLoopWorker(mux.loop)
 	var want [2][]Frame // indexed End-1
 	var burst []*Session
 	var twins []protocol.Sender
 	for id := uint64(1); id <= 3; id++ {
-		s := session(id)
-		s.worker, s.startAt, s.ctxDeadline = w, mux.loop.now(), noDeadline
-		s.onDone = func(Report) {}
-		s.arm(s.startAt)
+		s := session(mux, id)
+		mux.loop.start(context.Background(), s, 0, func(Report) {})
 		burst = append(burst, s)
 		twin, _, err := registry.Pair("selrepeat", params, x)
 		if err != nil {
@@ -182,21 +178,23 @@ func TestWorkerShipsItsBurst(t *testing.T) {
 	// A running worker ships its bursts unasked and parks with nothing
 	// pending: every session's attach frame reaches the transport though no
 	// timer (an hour's tick) and no other goroutine will ever flush it.
-	_, before := rec.shipped()
+	rec = newRecorder()
+	live := NewMux(rec, nil)
+	defer live.Close()
 	const n = 32
 	for id := uint64(100); id < 100+n; id++ {
-		mux.loop.start(context.Background(), session(id), 0, func(Report) {})
+		live.loop.start(context.Background(), session(live, id), 0, func(Report) {})
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, got := rec.shipped(); got == before+n {
+		if _, got := rec.shipped(); got == n {
 			break
 		} else if time.Now().After(deadline) {
-			t.Fatalf("%d of %d attach frames reached the transport", got-before, n)
+			t.Fatalf("%d of %d attach frames reached the transport", got, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	for _, lw := range mux.loop.workers {
+	for _, lw := range live.loop.workers {
 		for !lw.sleeping.Load() {
 			if time.Now().After(deadline) {
 				t.Fatal("a worker with nothing to do never parked")

@@ -267,15 +267,13 @@ func TestSupervisedChaosDeterminism(t *testing.T) {
 	}
 }
 
-// supervisedDetached registers one supervised stab session (6 items,
-// m = 8, tick 1 ms, started at instant 0) over a link that delivers
-// nothing S→R, on a worker no goroutine runs, so the test fires its
-// timers itself at the readings it chooses and is the receiver inbox's
-// only producer.
+// supervisedDetached starts one supervised stab session (6 items, m = 8,
+// tick 1 ms, at instant 0) on a manual mux and attaches it, so the test
+// fires its timers itself at the readings it chooses (fireAt) and is the
+// receiver inbox's only producer.
 func supervisedDetached(t *testing.T, chaos ChaosConfig, deadline time.Duration) (*loopWorker, *Session) {
 	t.Helper()
-	mux := NewMux(blackHole{NewInproc(0, nil)}, nil)
-	t.Cleanup(func() { mux.Close() })
+	mux, w := manualMux(t, discard{})
 	cfgs, rebuild := stabConfigs(t, 1, 8, 6, time.Millisecond)
 	cfgs[0].Deadline = deadline
 	s, err := mux.NewSession(cfgs[0])
@@ -283,12 +281,16 @@ func supervisedDetached(t *testing.T, chaos ChaosConfig, deadline time.Duration)
 		t.Fatalf("NewSession: %v", err)
 	}
 	(&chaosPlan{chaos, chaos.schedule(), rebuild}).supervise(s, 0)
-	w := newLoopWorker(mux.loop)
-	s.worker, s.ctxDeadline = w, noDeadline
-	s.onDone = func(Report) {}
-	s.arm(0)
-	w.service(s)
+	mux.loop.start(context.Background(), s, 0, func(Report) {})
+	w.turn()
 	return w, s
+}
+
+// fireAt moves the worker's clock to now and fires its next timer entry
+// there, due or not.
+func fireAt(w *loopWorker, now int64) {
+	w.eng.clock = now
+	w.fire(w.timers.pop().s, now)
 }
 
 // TestRestartInPlace drives the restart event by hand, at chosen
@@ -304,12 +306,12 @@ func TestRestartInPlace(t *testing.T) {
 	t.Run("survivor state carried across a crash", func(t *testing.T) {
 		w, s := supervisedDetached(t, crashR, 0)
 		for now := tick; now < 5*tick; now += tick {
-			w.fire(w.timers.pop().s, now)
+			fireAt(w, now)
 		}
 		sender, receiver, key := s.cfg.Sender, s.cfg.Receiver, s.cfg.Sender.Key()
 		s.receiverInbox.stage("d:0")
 		s.receiverInbox.publish()
-		w.fire(w.timers.pop().s, 5*tick)
+		fireAt(w, 5*tick)
 		c := s.sup.rep
 		if len(c.Incarnations) != 1 || c.Incarnations[0].Ended != "crash" || c.Incarnations[0].Victim != faults.Receiver ||
 			c.Incarnations[0].AtTick != 5 || !c.Incarnations[0].Scrambled {
@@ -340,7 +342,7 @@ func TestRestartInPlace(t *testing.T) {
 		chaos := crashR
 		chaos.Watchdog = 20 * time.Millisecond
 		w, s := supervisedDetached(t, chaos, 0)
-		w.fire(w.timers.pop().s, 5*tick)
+		fireAt(w, 5*tick)
 		if !s.sup.audit.seeking {
 			t.Fatal("no recovery window after the crash")
 		}
@@ -348,11 +350,10 @@ func TestRestartInPlace(t *testing.T) {
 		// the crash and the expiry leave the window open.
 		now := int64(0)
 		for len(s.sup.rep.Incarnations) == 1 {
-			e := w.timers.pop()
-			if now = e.at; now > 26*tick {
+			if now = w.timers[0].at; now > 26*tick {
 				t.Fatalf("no escalation by %v", time.Duration(now))
 			}
-			w.fire(e.s, now)
+			fireAt(w, now)
 		}
 		if want := 5*tick + int64(chaos.Watchdog); now != want {
 			t.Errorf("escalated at %v, want the crash reading plus the interval, %v", time.Duration(now), time.Duration(want))
@@ -377,7 +378,7 @@ func TestRestartInPlace(t *testing.T) {
 		w, s := supervisedDetached(t, crashR, time.Duration(5*tick))
 		var rep Report
 		s.onDone = func(r Report) { rep = r }
-		w.fire(w.timers.pop().s, 5*tick)
+		fireAt(w, 5*tick)
 		if s.finished || len(s.sup.rep.Incarnations) != 1 || s.sup.rep.Incarnations[0].Ended != "crash" {
 			t.Fatalf("finished=%v incarnations=%+v at a reading where crash and deadline are both due", s.finished, s.sup.rep.Incarnations)
 		}
@@ -385,8 +386,7 @@ func TestRestartInPlace(t *testing.T) {
 			t.Errorf("deadline re-armed at %v, want %v", time.Duration(s.deadlineAt), time.Duration(10*tick))
 		}
 		for !s.finished {
-			e := w.timers.pop()
-			w.fire(e.s, e.at)
+			fireAt(w, w.timers[0].at)
 		}
 		if rep.Complete || rep.Chaos == nil || len(rep.Chaos.Incarnations) != 2 || rep.Chaos.Incarnations[1].Ended != "deadline" {
 			t.Errorf("report complete=%v chaos=%+v, want crash then deadline", rep.Complete, rep.Chaos)

@@ -31,11 +31,14 @@
 //     per-session goodput and learning times. Serve (serve.go) is the
 //     one fleet runner; paced starts and crash-restart supervision
 //     (supervisor.go) are timer events on the same workers.
-//   - DetRun (det.go): the deterministic option — a seeded single-thread
-//     scheduler that drives one session through the same codec path and
-//     records its schedule as a trace, so the run can be replayed inside
-//     internal/sim and the two worlds compared output-tape for
-//     output-tape (the fidelity argument in DESIGN.md §8).
+//   - DetRun (det.go): the deterministic option — the same Session, Mux
+//     and loop worker with no goroutine and no wall clock: a seeded
+//     driver chooses, step by step, between moving the engine's clock to
+//     the worker's next timer and routing one frame its link holds, and
+//     turns the worker. The session records the model action of every
+//     step it takes, so the run can be replayed inside internal/sim and
+//     the two worlds compared output-tape for output-tape (the fidelity
+//     argument in DESIGN.md §8).
 //
 // Everything is instrumented through internal/obs (frames tx/rx, drops
 // by cause, dup deliveries, retransmits, an active-session gauge, goodput
