@@ -12,7 +12,7 @@ import (
 // Adversary realizes a channel model inside the simulator: a
 // sim.Adversary whose S→R deliveries and drops follow the model's
 // decision schedule exactly, while ticks and the R→S direction run the
-// fair round-robin rotation (the model impairs the data direction, as
+// fair rotation, sim.Rotation (the model impairs the data direction, as
 // the wire impairment layer does).
 //
 // The schedule is consumed one decision per offered symbol:
@@ -37,9 +37,8 @@ type Adversary struct {
 	seed  int64
 	sched *Schedule
 
-	phase   int
+	rot     sim.Rotation
 	rotS2R  int
-	rotR2S  int
 	dupLeft map[msg.Msg]int // dup family: remaining deliveries per value
 	pending map[msg.Msg][]Decision
 	done    map[msg.Msg]int // loss family: copies delivered or dropped by us
@@ -70,7 +69,7 @@ func NewAdversary(model Model, seed int64) *Adversary {
 // of fresh worlds off a single continuous schedule — the sim analogue
 // of one wire impairment instance serving session after session.
 func (a *Adversary) Reset() {
-	a.phase, a.rotS2R, a.rotR2S = 0, 0, 0
+	a.rot, a.rotS2R = sim.Rotation{}, 0
 	a.dupLeft = make(map[msg.Msg]int)
 	a.pending = make(map[msg.Msg][]Decision)
 	a.done = make(map[msg.Msg]int)
@@ -97,32 +96,15 @@ func (a *Adversary) draw() Decision {
 	return d
 }
 
-// Choose implements sim.Adversary: the 4-phase fair rotation
-// (tickS → S→R → tickR → R→S), with the S→R phase scripted by the model.
+// Choose implements sim.Adversary: the fair rotation with the S→R phase
+// scripted by the model.
 func (a *Adversary) Choose(w *sim.World, _ []trace.Action) trace.Action {
-	for i := 0; i < 4; i++ {
-		phase := (a.phase + i) % 4
-		switch phase {
-		case 0:
-			a.phase = (phase + 1) % 4
-			return trace.TickS()
-		case 1:
-			if act, ok := a.chooseS2R(w); ok {
-				a.phase = (phase + 1) % 4
-				return act
-			}
-		case 2:
-			a.phase = (phase + 1) % 4
-			return trace.TickR()
-		case 3:
-			if m, ok := a.nextFair(w, channel.RToS); ok {
-				a.phase = (phase + 1) % 4
-				return trace.Deliver(channel.RToS, m)
-			}
+	return a.rot.Next(w, func(w *sim.World, dir channel.Dir) (trace.Action, bool) {
+		if dir == channel.SToR {
+			return a.chooseS2R(w)
 		}
-	}
-	a.phase = 1
-	return trace.TickS()
+		return a.rot.Fair(w, dir)
+	})
 }
 
 // chooseS2R picks the next scripted action on the data direction, or
@@ -195,16 +177,4 @@ func (a *Adversary) chooseLoss(w *sim.World) (trace.Action, bool) {
 		return trace.Drop(channel.SToR, m), true
 	}
 	return trace.Deliver(channel.SToR, m), true
-}
-
-// nextFair rotates through the sorted deliverable set of a direction —
-// the un-modeled side's fair scheduler.
-func (a *Adversary) nextFair(w *sim.World, d channel.Dir) (msg.Msg, bool) {
-	sup := w.Link.Half(d).Deliverable().Support()
-	if len(sup) == 0 {
-		return "", false
-	}
-	m := sup[a.rotR2S%len(sup)]
-	a.rotR2S++
-	return m, true
 }

@@ -312,8 +312,10 @@ func LearnTimes(a *Analysis, spec protocol.Spec, input seq.Seq, kind channel.Kin
 	if err := checkNow(0); err != nil {
 		return nil, err
 	}
+	var enabled []trace.Action
 	for step := 0; step < maxSteps && learned < len(input); step++ {
-		if err := w.Apply(adv.Choose(w, w.Enabled())); err != nil {
+		enabled = w.AppendEnabled(enabled[:0])
+		if err := w.Apply(adv.Choose(w, enabled)); err != nil {
 			return nil, err
 		}
 		if err := checkNow(w.Time); err != nil {

@@ -23,6 +23,8 @@ package faults
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"seqtx/internal/channel"
 	"seqtx/internal/sim"
@@ -104,15 +106,20 @@ func (p *Plan) WithBurstDrop(dir channel.Dir, from, length int) *Plan {
 // WithPartition schedules a partition window: during adversary steps
 // [from, from+length) no message is delivered or dropped on any of dirs
 // (messages are delayed, not lost); the processes keep ticking and any
-// non-partitioned direction keeps a round-robin delivery rotation. The
-// window then heals. Pure delay — in-model, fair in the limit.
+// non-partitioned direction keeps its turn in the fair rotation
+// (sim.Partition). The window then heals. Pure delay — in-model, fair in
+// the limit.
 func (p *Plan) WithPartition(from, length int, dirs ...channel.Dir) *Plan {
-	blocked := make(map[channel.Dir]bool, len(dirs))
-	for _, d := range dirs {
-		blocked[d] = true
+	var shut []string
+	for _, d := range []channel.Dir{channel.SToR, channel.RToS} {
+		if slices.Contains(dirs, d) {
+			shut = append(shut, d.String())
+		}
 	}
+	until := from + length
 	p.advWraps = append(p.advWraps, func(inner sim.Adversary) sim.Adversary {
-		return &partitionAdv{inner: inner, blocked: blocked, from: from, until: from + length}
+		name := fmt.Sprintf("partition(%s,%d..%d)+%s", strings.Join(shut, ","), from, until, inner.Name())
+		return sim.NewPartition(name, inner, func(step int) bool { return step >= from && step < until }, dirs...)
 	})
 	return p
 }
@@ -165,17 +172,30 @@ func (p *Plan) WithScramble(who Process, seed int64, at ...int) *Plan {
 	return p
 }
 
-// SubSeed derives a decorrelated sub-seed from seed and lane via the
-// SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014). Scramble
-// schedules use it to give every crash point its own corruption stream;
-// the wire supervisor uses the same derivation so a sim scramble and a
-// live scramble with equal (seed, lane) corrupt a process identically.
-func SubSeed(seed int64, lane uint64) int64 {
-	x := uint64(seed) ^ lane
-	x += 0x9e3779b97f4a7c15
+// SplitMixGamma is what a SplitMix64 stream advances its state by per draw.
+const SplitMixGamma = 0x9e3779b97f4a7c15
+
+// SplitMix64 is the repository's one copy of the SplitMix64 step (Steele,
+// Lea & Flood, OOPSLA 2014): add the increment, mix. A stream keeps a
+// state x, draws SplitMix64(x) and advances x by SplitMixGamma. Changing
+// it breaks seed-exact replay of recorded campaigns; the soak, wire and
+// chanmodel seed tests pin its outputs.
+func SplitMix64(x uint64) uint64 {
+	x += SplitMixGamma
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return int64(x ^ (x >> 31))
+	return x ^ (x >> 31)
+}
+
+// SubSeed derives a decorrelated sub-seed from seed and lane. One raw seed
+// threaded into two consumers hands them identical streams — correlated
+// randomness that silently narrows what a campaign explores — so each
+// draws from its own lane: every scramble point's corruption, each soak
+// stream, each channel-model schedule. The wire supervisor uses the same
+// derivation, so a sim scramble and a live scramble with equal (seed,
+// lane) corrupt a process identically.
+func SubSeed(seed int64, lane uint64) int64 {
+	return int64(SplitMix64(uint64(seed) ^ lane))
 }
 
 // Link builds a link of the given kind with the plan's channel-fault
@@ -233,74 +253,6 @@ func (a *burstAdv) Choose(w *sim.World, enabled []trace.Action) trace.Action {
 		}
 	}
 	return a.inner.Choose(w, enabled)
-}
-
-// partitionAdv suppresses deliveries (and drops) on blocked directions
-// during its window, running its own deterministic schedule there; the
-// inner adversary resumes outside the window.
-type partitionAdv struct {
-	inner       sim.Adversary
-	blocked     map[channel.Dir]bool
-	from, until int
-	step        int
-	phase       int
-	rotation    map[channel.Dir]int
-}
-
-// Name implements sim.Adversary.
-func (a *partitionAdv) Name() string {
-	dirs := ""
-	for _, d := range []channel.Dir{channel.SToR, channel.RToS} {
-		if a.blocked[d] {
-			if dirs != "" {
-				dirs += ","
-			}
-			dirs += d.String()
-		}
-	}
-	return fmt.Sprintf("partition(%s,%d..%d)+%s", dirs, a.from, a.until, a.inner.Name())
-}
-
-// Choose implements sim.Adversary.
-func (a *partitionAdv) Choose(w *sim.World, enabled []trace.Action) trace.Action {
-	s := a.step
-	a.step++
-	if s < a.from || s >= a.until {
-		return a.inner.Choose(w, enabled)
-	}
-	if a.rotation == nil {
-		a.rotation = make(map[channel.Dir]int)
-	}
-	// Inside the window: tickS → deliver on an open dir → tickR → deliver.
-	for i := 0; i < 4; i++ {
-		phase := (a.phase + i) % 4
-		switch phase {
-		case 0:
-			a.phase = (phase + 1) % 4
-			return trace.TickS()
-		case 2:
-			a.phase = (phase + 1) % 4
-			return trace.TickR()
-		case 1, 3:
-			dir := channel.SToR
-			if phase == 3 {
-				dir = channel.RToS
-			}
-			if a.blocked[dir] {
-				continue
-			}
-			sup := w.Link.Half(dir).Deliverable().Support()
-			if len(sup) == 0 {
-				continue
-			}
-			m := sup[a.rotation[dir]%len(sup)]
-			a.rotation[dir]++
-			a.phase = (phase + 1) % 4
-			return trace.Deliver(dir, m)
-		}
-	}
-	a.phase = 1
-	return trace.TickS()
 }
 
 // crashAdv injects crash-restart (or scramble-restart) actions at fixed

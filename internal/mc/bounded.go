@@ -141,6 +141,7 @@ func samplePoints(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg Boun
 	var points []*sim.World
 	maxSteps := 200 * (len(input) + 2)
 	prevWritten := -1
+	var enabled []trace.Action
 	for step := 0; step < maxSteps && !w.OutputComplete(); step++ {
 		if cfg.OldMessagesAllowed {
 			// Weak variant: sample the paper's t_i points — immediately
@@ -152,7 +153,8 @@ func samplePoints(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg Boun
 		} else if step%cfg.SampleEvery == 0 {
 			points = append(points, w.Clone())
 		}
-		if err := w.Apply(adv.Choose(w, w.Enabled())); err != nil {
+		enabled = w.AppendEnabled(enabled[:0])
+		if err := w.Apply(adv.Choose(w, enabled)); err != nil {
 			return nil, err
 		}
 	}

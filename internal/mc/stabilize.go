@@ -31,39 +31,6 @@ import (
 // component, every run eventually stops writing badly — a full proof of
 // stabilization over the explored corrupted frontier.
 
-// alignState is the suffix-alignment automaton. pos/aligned track the
-// candidate "good suffix": while aligned, the next good write is
-// Input[pos]. Roots start unaligned — the first write defines where the
-// suffix begins.
-type alignState struct {
-	pos     int32
-	aligned bool
-}
-
-// step consumes one written item and returns the successor state and
-// whether the write was bad. Aligned writes must continue the run
-// (Input[pos], pos < n); anything else is bad and re-aligns to just past
-// the item's first occurrence in X, or to unaligned for junk outside X.
-// An unaligned write of an X value is NOT bad: it is the candidate start
-// of the converging suffix (how a corrupted receiver's first write is
-// judged).
-func (a alignState) step(v seq.Item, input seq.Seq) (alignState, bool) {
-	if a.aligned && int(a.pos) < len(input) && input[a.pos] == v {
-		return alignState{pos: a.pos + 1, aligned: true}, false
-	}
-	for i, x := range input {
-		if x == v {
-			return alignState{pos: int32(i) + 1, aligned: true}, a.aligned
-		}
-	}
-	return alignState{}, true
-}
-
-// converged reports the target condition: the suffix ran to the end of X.
-func (a alignState) converged(input seq.Seq) bool {
-	return a.aligned && int(a.pos) == len(input)
-}
-
 // StabilizeConfig bounds a stabilization check.
 type StabilizeConfig struct {
 	// MaxDepth bounds the BFS depth (0 = 512).
@@ -153,10 +120,10 @@ type stabEdge struct {
 }
 
 // stabNode is a quotient state by identity: the global state and the
-// alignment automaton, and no |Y|.
+// suffix-alignment automaton (roots start unaligned), and no |Y|.
 type stabNode struct {
 	st    sim.State
-	align alignState
+	align seq.Align
 }
 
 // CheckStabilize explores the corrupted-frontier quotient graph of
@@ -253,7 +220,7 @@ func stabilize(sys *sim.System, roots []*sim.World, lanes [][2]int, cfg Stabiliz
 				child, bad := stabNode{step.Next, cur.align}, false
 				for _, v := range step.Writes {
 					var b bool
-					child.align, b = child.align.step(v, input)
+					child.align, b = child.align.Step(v, input)
 					bad = bad || b
 				}
 				admit(child, link{int32(i), mv}, bad)
@@ -295,7 +262,7 @@ func stabilize(sys *sim.System, roots []*sim.World, lanes [][2]int, cfg Stabiliz
 		canReach := make([]bool, len(nodes))
 		var queue []int32
 		for i, n := range nodes {
-			if n.align.converged(input) {
+			if n.align.Converged(input) {
 				canReach[i] = true
 				queue = append(queue, int32(i))
 			}

@@ -3,10 +3,9 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"seqtx/internal/channel"
-	"seqtx/internal/msg"
 	"seqtx/internal/trace"
 )
 
@@ -82,16 +81,10 @@ func (a *Random) weight(act trace.Action) int {
 	return 1
 }
 
-// RoundRobin is the friendly deterministic scheduler: it cycles
-// tickS → deliver S→R → tickR → deliver R→S, skipping phases with nothing
-// to do. Deliveries rotate through the sorted deliverable set (on dup
-// channels old messages stay deliverable forever, so always picking the
-// smallest would starve new ones). Deterministic, hence reproducible. It
-// never drops or duplicates.
-type RoundRobin struct {
-	phase   int
-	deliver map[channel.Dir]int
-}
+// RoundRobin is the friendly deterministic scheduler: the fair Rotation
+// and nothing else. Deterministic, hence reproducible. It never drops or
+// duplicates.
+type RoundRobin struct{ rot Rotation }
 
 var _ Adversary = (*RoundRobin)(nil)
 
@@ -103,43 +96,7 @@ func (a *RoundRobin) Name() string { return "round-robin" }
 
 // Choose implements Adversary.
 func (a *RoundRobin) Choose(w *World, _ []trace.Action) trace.Action {
-	if a.deliver == nil {
-		a.deliver = make(map[channel.Dir]int)
-	}
-	for i := 0; i < 4; i++ {
-		phase := (a.phase + i) % 4
-		switch phase {
-		case 0:
-			a.phase = (phase + 1) % 4
-			return trace.TickS()
-		case 1:
-			if m, ok := a.nextDeliverable(w, channel.SToR); ok {
-				a.phase = (phase + 1) % 4
-				return trace.Deliver(channel.SToR, m)
-			}
-		case 2:
-			a.phase = (phase + 1) % 4
-			return trace.TickR()
-		case 3:
-			if m, ok := a.nextDeliverable(w, channel.RToS); ok {
-				a.phase = (phase + 1) % 4
-				return trace.Deliver(channel.RToS, m)
-			}
-		}
-	}
-	a.phase = 1
-	return trace.TickS()
-}
-
-func (a *RoundRobin) nextDeliverable(w *World, d channel.Dir) (msg.Msg, bool) {
-	sup := w.Link.Half(d).Deliverable().Support()
-	if len(sup) == 0 {
-		return "", false
-	}
-	sort.Slice(sup, func(i, j int) bool { return sup[i] < sup[j] })
-	m := sup[a.deliver[d]%len(sup)]
-	a.deliver[d]++
-	return m, true
+	return a.rot.Next(w, a.rot.Fair)
 }
 
 // Scripted plays a fixed prefix of actions, then delegates to a fallback.
@@ -169,19 +126,16 @@ func (a *Scripted) Skipped() int { return a.skipped }
 
 // Choose implements Adversary.
 func (a *Scripted) Choose(w *World, enabled []trace.Action) trace.Action {
-	en := make(map[string]struct{}, len(enabled))
-	for _, act := range enabled {
-		en[act.Key()] = struct{}{}
-	}
 	for a.pos < len(a.script) {
 		act := a.script[a.pos]
 		a.pos++
-		// Crash-restarts are fault injections, never part of the enabled
-		// set; a replayed counterexample must still perform them.
-		if act.Kind == trace.ActCrashS || act.Kind == trace.ActCrashR {
+		// Crash- and scramble-restarts are fault injections, never part of
+		// the enabled set; a replayed counterexample must still perform them.
+		switch act.Kind {
+		case trace.ActCrashS, trace.ActCrashR, trace.ActScrambleS, trace.ActScrambleR:
 			return act
 		}
-		if _, ok := en[act.Key()]; ok {
+		if slices.Contains(enabled, act) {
 			return act
 		}
 		a.skipped++
@@ -224,39 +178,13 @@ func (a *Replayer) Choose(w *World, enabled []trace.Action) trace.Action {
 	return a.inner.Choose(w, enabled)
 }
 
-// Withholder delays: for its first holdSteps steps it only ticks the
-// processes (no deliveries at all — Property 1b(i) iterated), after which
-// it behaves like RoundRobin. It exhibits the arbitrary-delay power of
-// the channel.
-type Withholder struct {
-	inner     *RoundRobin
-	initial   int
-	holdSteps int
-	tickS     bool
-}
-
-var _ Adversary = (*Withholder)(nil)
-
-// NewWithholder returns an adversary that stalls all deliveries for
-// holdSteps steps.
-func NewWithholder(holdSteps int) *Withholder {
-	return &Withholder{inner: NewRoundRobin(), initial: holdSteps, holdSteps: holdSteps}
-}
-
-// Name implements Adversary.
-func (a *Withholder) Name() string { return fmt.Sprintf("withholder(%d)", a.initial) }
-
-// Choose implements Adversary.
-func (a *Withholder) Choose(w *World, enabled []trace.Action) trace.Action {
-	if a.holdSteps > 0 {
-		a.holdSteps--
-		a.tickS = !a.tickS
-		if a.tickS {
-			return trace.TickS()
-		}
-		return trace.TickR()
-	}
-	return a.inner.Choose(w, enabled)
+// NewWithholder returns an adversary that stalls all deliveries for its
+// first holdSteps steps — a Partition of both directions, so it only ticks
+// the processes (Property 1b(i) iterated) — after which it behaves like
+// RoundRobin. It exhibits the arbitrary-delay power of the channel.
+func NewWithholder(holdSteps int) *Partition {
+	return NewPartition(fmt.Sprintf("withholder(%d)", holdSteps), NewRoundRobin(),
+		func(step int) bool { return step < holdSteps }, channel.SToR, channel.RToS)
 }
 
 // BudgetDropper drops the first budget deliverable copies it sees (on del

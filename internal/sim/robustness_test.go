@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -282,15 +283,22 @@ func TestCrashActionsRejectedOnHandAssembledWorld(t *testing.T) {
 	}
 }
 
+// A replayed witness performs every restart it recorded: crashes and
+// scrambles are fault injections, never in the enabled set, and Scripted
+// passes all four through (it used to skip the two scrambles).
 func TestScriptedPassesThroughCrashActions(t *testing.T) {
 	t.Parallel()
 	w := newWorld(t, 2, seq.FromInts(0, 1), channel.KindDup)
-	script := []trace.Action{trace.TickS(), trace.CrashS(), trace.TickR()}
-	res, err := Run(w, NewScripted(script, NewRoundRobin()), Config{MaxSteps: 3})
+	script := []trace.Action{trace.TickS(), trace.ScrambleR(7), trace.CrashS(), trace.TickR()}
+	adv := NewScripted(script, NewRoundRobin())
+	res, err := Run(w, adv, Config{MaxSteps: len(script), RecordTrace: true})
 	if err != nil {
 		t.Fatalf("scripted crash replay failed: %v", err)
 	}
-	if res.Steps != 3 {
-		t.Fatalf("steps = %d, want 3", res.Steps)
+	if got := w.Trace.Actions(); !slices.Equal(got, script) {
+		t.Errorf("played %v, want %v", got, script)
+	}
+	if res.Steps != len(script) || adv.Skipped() != 0 {
+		t.Errorf("steps = %d, skipped = %d, want %d and 0", res.Steps, adv.Skipped(), len(script))
 	}
 }

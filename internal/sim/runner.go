@@ -9,6 +9,7 @@ import (
 	"seqtx/internal/obs"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
+	"seqtx/internal/trace"
 )
 
 // Result summarizes one run.
@@ -96,6 +97,7 @@ func Run(w *World, adv Adversary, cfg Config) (Result, error) {
 	var res Result
 	start := time.Now()
 	lastProgress := 0
+	var enabled []trace.Action // one buffer: no adversary keeps it past Choose
 	for step := 0; step < cfg.MaxSteps; step++ {
 		if w.SafetyViolation != nil {
 			break
@@ -115,7 +117,7 @@ func Run(w *World, adv Adversary, cfg Config) (Result, error) {
 			break
 		}
 		before := len(w.Output)
-		enabled := w.Enabled()
+		enabled = w.AppendEnabled(enabled[:0])
 		act := adv.Choose(w, enabled)
 		if err := w.Apply(act); err != nil {
 			return res, fmt.Errorf("sim: step %d (%s): %w", step, act, err)

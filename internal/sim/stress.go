@@ -2,36 +2,35 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"seqtx/internal/channel"
 	"seqtx/internal/msg"
 	"seqtx/internal/trace"
 )
 
-// Starver maximally delays the oldest undelivered message: whenever it
-// delivers, it picks the *youngest* deliverable (most recently seen on
-// the channel), so the oldest message is starved for as long as any
-// alternative exists. On dup channels, where the deliverable set only
-// grows, the oldest message is never delivered at all. It is therefore
-// unfair by construction — wrap it in FinDelay for a fair schedule that
-// still realizes the worst legal delay on every message. Deterministic.
+// Starver maximally delays the oldest undelivered message: it runs the
+// fair Rotation, but whenever it delivers it picks the *youngest*
+// deliverable (most recently seen on the channel), so the oldest message
+// is starved for as long as any alternative exists. On dup channels, where
+// the deliverable set only grows, the oldest message is never delivered at
+// all. It is therefore unfair by construction — wrap it in FinDelay for a
+// fair schedule that still realizes the worst legal delay on every
+// message. Deterministic.
 type Starver struct {
-	phase   int
-	now     int
-	seen    map[string]int // dir|msg -> step first observed deliverable
-	deliver map[channel.Dir]int
+	rot  Rotation
+	now  int
+	seen map[string]int // dir|msg -> step first observed deliverable
 }
 
 var _ Adversary = (*Starver)(nil)
 
 // NewStarver returns the oldest-message-starving adversary.
-func NewStarver() *Starver {
-	return &Starver{seen: make(map[string]int), deliver: make(map[channel.Dir]int)}
-}
+func NewStarver() *Starver { return &Starver{seen: make(map[string]int)} }
 
 // Name implements Adversary.
 func (a *Starver) Name() string { return "starver" }
+
+func seenKey(d channel.Dir, m msg.Msg) string { return d.String() + "|" + string(m) }
 
 // Choose implements Adversary.
 func (a *Starver) Choose(w *World, _ []trace.Action) trace.Action {
@@ -40,8 +39,13 @@ func (a *Starver) Choose(w *World, _ []trace.Action) trace.Action {
 	// bounded by the current deliverable support.
 	live := make(map[string]struct{})
 	for _, dir := range []channel.Dir{channel.SToR, channel.RToS} {
-		for _, m := range w.Link.Half(dir).Deliverable().Support() {
-			k := dir.String() + "|" + string(m)
+		half := w.Link.Half(dir)
+		for i := 0; ; i++ {
+			m, ok := half.Support(i)
+			if !ok {
+				break
+			}
+			k := seenKey(dir, m)
 			live[k] = struct{}{}
 			if _, ok := a.seen[k]; !ok {
 				a.seen[k] = a.now
@@ -53,47 +57,24 @@ func (a *Starver) Choose(w *World, _ []trace.Action) trace.Action {
 			delete(a.seen, k)
 		}
 	}
-	for i := 0; i < 4; i++ {
-		phase := (a.phase + i) % 4
-		switch phase {
-		case 0:
-			a.phase = (phase + 1) % 4
-			return trace.TickS()
-		case 1:
-			if m, ok := a.youngest(w, channel.SToR); ok {
-				a.phase = (phase + 1) % 4
-				return trace.Deliver(channel.SToR, m)
-			}
-		case 2:
-			a.phase = (phase + 1) % 4
-			return trace.TickR()
-		case 3:
-			if m, ok := a.youngest(w, channel.RToS); ok {
-				a.phase = (phase + 1) % 4
-				return trace.Deliver(channel.RToS, m)
-			}
-		}
-	}
-	a.phase = 1
-	return trace.TickS()
+	return a.rot.Next(w, a.youngest)
 }
 
-// youngest returns the deliverable message observed most recently,
+// youngest delivers the deliverable message observed most recently,
 // excluding the single oldest one while any alternative exists (that is
 // the starvation); ties break lexicographically for determinism.
-func (a *Starver) youngest(w *World, d channel.Dir) (msg.Msg, bool) {
-	sup := w.Link.Half(d).Deliverable().Support()
-	if len(sup) == 0 {
-		return "", false
+func (a *Starver) youngest(w *World, d channel.Dir) (trace.Action, bool) {
+	half := w.Link.Half(d)
+	best, ok := half.Support(0)
+	if !ok {
+		return trace.Action{}, false
 	}
-	if len(sup) == 1 {
-		return sup[0], true
-	}
-	sort.Slice(sup, func(i, j int) bool { return sup[i] < sup[j] })
-	oldest, best := sup[0], sup[0]
-	oldestAt, bestAt := a.seen[d.String()+"|"+string(sup[0])], a.seen[d.String()+"|"+string(sup[0])]
-	for _, m := range sup[1:] {
-		at := a.seen[d.String()+"|"+string(m)]
+	bestAt := a.seen[seenKey(d, best)]
+	oldest, oldestAt := best, bestAt
+	n := 1
+	for m, ok := half.Support(n); ok; m, ok = half.Support(n) {
+		n++
+		at := a.seen[seenKey(d, m)]
 		if at < oldestAt {
 			oldest, oldestAt = m, at
 		}
@@ -101,119 +82,36 @@ func (a *Starver) youngest(w *World, d channel.Dir) (msg.Msg, bool) {
 			best, bestAt = m, at
 		}
 	}
-	if best == oldest {
-		// All equally old; rotate like round-robin to avoid livelocking on
-		// one message.
-		m := sup[a.deliver[d]%len(sup)]
-		a.deliver[d]++
-		return m, true
+	if n > 1 && best == oldest {
+		// All equally old; take turns like round-robin to avoid
+		// livelocking on one message.
+		return a.rot.Fair(w, d)
 	}
-	return best, true
+	return trace.Deliver(d, best), true
 }
 
-// Eclipse isolates one direction of the link for a window: during the
-// first holdSteps steps no message on the eclipsed direction is
-// delivered, while the opposite direction and both processes run
-// normally. After the window it behaves like RoundRobin (the eclipse
-// heals). With an infinite window it models a one-way partition; with a
-// finite one it is still a legal arbitrary-delay schedule (Property 1b),
-// unfair during the window but fair in the limit.
-type Eclipse struct {
-	dir       channel.Dir
-	initial   int
-	remaining int
-	inner     *RoundRobin
-	phase     int
-	deliver   int
+// NewEclipse returns an adversary isolating one direction of the link for
+// a window: a Partition that shuts dir for its first holdSteps steps,
+// while the opposite direction and both processes keep the rotation's
+// order (tickS → S→R → tickR → R→S with the eclipsed phase passed over).
+// After the window it behaves like RoundRobin (the eclipse heals). With an
+// infinite window it models a one-way partition; with a finite one it is
+// still a legal arbitrary-delay schedule (Property 1b), unfair during the
+// window but fair in the limit.
+func NewEclipse(dir channel.Dir, holdSteps int) *Partition {
+	return NewPartition(fmt.Sprintf("eclipse(%s,%d)", dir, holdSteps), NewRoundRobin(),
+		func(step int) bool { return step < holdSteps }, dir)
 }
 
-var _ Adversary = (*Eclipse)(nil)
-
-// NewEclipse returns an adversary eclipsing dir for holdSteps steps.
-func NewEclipse(dir channel.Dir, holdSteps int) *Eclipse {
-	return &Eclipse{dir: dir, initial: holdSteps, remaining: holdSteps, inner: NewRoundRobin()}
-}
-
-// Name implements Adversary.
-func (a *Eclipse) Name() string { return fmt.Sprintf("eclipse(%s,%d)", a.dir, a.initial) }
-
-// Choose implements Adversary.
-func (a *Eclipse) Choose(w *World, enabled []trace.Action) trace.Action {
-	if a.remaining <= 0 {
-		return a.inner.Choose(w, enabled)
-	}
-	a.remaining--
-	open := channel.RToS
-	if a.dir == channel.RToS {
-		open = channel.SToR
-	}
-	for i := 0; i < 3; i++ {
-		phase := (a.phase + i) % 3
-		switch phase {
-		case 0:
-			a.phase = (phase + 1) % 3
-			return trace.TickS()
-		case 1:
-			a.phase = (phase + 1) % 3
-			return trace.TickR()
-		case 2:
-			sup := w.Link.Half(open).Deliverable().Support()
-			if len(sup) > 0 {
-				sort.Slice(sup, func(i, j int) bool { return sup[i] < sup[j] })
-				m := sup[a.deliver%len(sup)]
-				a.deliver++
-				a.phase = (phase + 1) % 3
-				return trace.Deliver(open, m)
-			}
-		}
-	}
-	a.phase = 1
-	return trace.TickS()
-}
-
-// PhasedPartition alternates healthy and fully partitioned phases
-// forever: healthy steps run the fair RoundRobin schedule, partitioned
-// steps only tick the processes (no deliveries in either direction).
-// Every message is eventually delivered in some healthy phase, so the
-// schedule is fair in the limit — liveness must survive it, at a latency
-// cost proportional to the duty cycle.
-type PhasedPartition struct {
-	inner       *RoundRobin
-	healthy     int
-	partitioned int
-	pos         int
-	tickS       bool
-}
-
-var _ Adversary = (*PhasedPartition)(nil)
-
-// NewPhasedPartition returns the alternating scheduler; both phase
-// lengths are clamped to at least 1.
-func NewPhasedPartition(healthy, partitioned int) *PhasedPartition {
-	if healthy < 1 {
-		healthy = 1
-	}
-	if partitioned < 1 {
-		partitioned = 1
-	}
-	return &PhasedPartition{inner: NewRoundRobin(), healthy: healthy, partitioned: partitioned}
-}
-
-// Name implements Adversary.
-func (a *PhasedPartition) Name() string {
-	return fmt.Sprintf("phased-partition(%d/%d)", a.healthy, a.partitioned)
-}
-
-// Choose implements Adversary.
-func (a *PhasedPartition) Choose(w *World, enabled []trace.Action) trace.Action {
-	pos := a.pos % (a.healthy + a.partitioned)
-	a.pos++
-	if pos < a.healthy {
-		return a.inner.Choose(w, enabled)
-	}
-	a.tickS = !a.tickS
-	if a.tickS {
-		return trace.TickS()
-	}
-	return trace.TickR()
+// NewPhasedPartition returns the scheduler that alternates healthy and
+// fully partitioned phases forever (both lengths clamped to at least 1):
+// healthy steps run the fair RoundRobin schedule, partitioned steps are a
+// Partition of both directions, so they only tick the processes. Every
+// message is eventually delivered in some healthy phase, so the schedule
+// is fair in the limit — liveness must survive it, at a latency cost
+// proportional to the duty cycle.
+func NewPhasedPartition(healthy, partitioned int) *Partition {
+	healthy, partitioned = max(healthy, 1), max(partitioned, 1)
+	return NewPartition(fmt.Sprintf("phased-partition(%d/%d)", healthy, partitioned), NewRoundRobin(),
+		func(step int) bool { return step%(healthy+partitioned) >= healthy }, channel.SToR, channel.RToS)
 }

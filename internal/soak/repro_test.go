@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"seqtx/internal/channel"
+	"seqtx/internal/faults"
 	"seqtx/internal/sim"
 )
 
@@ -35,17 +36,17 @@ func TestSubSeedDerivation(t *testing.T) {
 		{1 << 62, -594431027414656056, 4286315861617638626},
 	}
 	for _, g := range golden {
-		if got := subSeed(g.seed, streamProtocol); got != g.protocol {
-			t.Errorf("subSeed(%d, protocol) = %d, want %d", g.seed, got, g.protocol)
+		if got := faults.SubSeed(g.seed, streamProtocol); got != g.protocol {
+			t.Errorf("faults.SubSeed(%d, protocol) = %d, want %d", g.seed, got, g.protocol)
 		}
-		if got := subSeed(g.seed, streamAdversary); got != g.adversary {
-			t.Errorf("subSeed(%d, adversary) = %d, want %d", g.seed, got, g.adversary)
+		if got := faults.SubSeed(g.seed, streamAdversary); got != g.adversary {
+			t.Errorf("faults.SubSeed(%d, adversary) = %d, want %d", g.seed, got, g.adversary)
 		}
 	}
 	// Decorrelation: across a spread of seeds the two streams never
 	// coincide with each other or with the raw seed.
 	for seed := int64(-1000); seed <= 1000; seed++ {
-		p, a := subSeed(seed, streamProtocol), subSeed(seed, streamAdversary)
+		p, a := faults.SubSeed(seed, streamProtocol), faults.SubSeed(seed, streamAdversary)
 		if p == a {
 			t.Errorf("seed %d: protocol and adversary streams coincide (%d)", seed, p)
 		}
@@ -72,8 +73,8 @@ func TestStreamsDecorrelated(t *testing.T) {
 	}
 	// The derived protocol seed placed into Params must differ from both
 	// the raw case seed and the adversary's sub-seed.
-	ps := subSeed(c.Seed, streamProtocol)
-	as := subSeed(c.Seed, streamAdversary)
+	ps := faults.SubSeed(c.Seed, streamProtocol)
+	as := faults.SubSeed(c.Seed, streamAdversary)
 	if ps == c.Seed || as == c.Seed || ps == as {
 		t.Fatalf("sub-seeds not decorrelated: case=%d protocol=%d adversary=%d", c.Seed, ps, as)
 	}

@@ -78,32 +78,13 @@ func (c Case) planName() string {
 	return c.Plan
 }
 
-// Stream tags for subSeed: arbitrary fixed 64-bit constants, one per
+// Stream tags for faults.SubSeed: arbitrary fixed 64-bit constants, one per
 // randomness consumer, so each draws from its own decorrelated stream.
 const (
 	streamProtocol  uint64 = 0x70726f746f636f6c // "protocol"
 	streamAdversary uint64 = 0x6164766572736172 // "adversar(y)"
 	streamFaults    uint64 = 0x736372616d626c65 // "scramble"
 )
-
-// splitmix64 is the SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA
-// 2014) — the standard mixer for expanding one seed into independent
-// streams. Changing it breaks seed-exact replay of recorded campaigns;
-// repro_test.go pins its outputs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// subSeed derives the tagged stream's seed from the case seed. Threading
-// the raw case seed into two consumers would hand the protocol's RNG and
-// the adversary's scheduler identical streams — correlated randomness
-// that silently narrows what a campaign explores.
-func subSeed(seed int64, tag uint64) int64 {
-	return int64(splitmix64(uint64(seed) ^ tag))
-}
 
 // build assembles the world, the plan-wrapped adversary, and the plan for
 // one fresh execution of the case. Every call returns independent state,
@@ -112,7 +93,7 @@ func (c Case) build() (*sim.World, sim.Adversary, *faults.Plan, error) {
 	spec := c.Spec
 	if spec.NewSender == nil {
 		p := c.Params
-		p.Seed = subSeed(c.Seed, streamProtocol)
+		p.Seed = faults.SubSeed(c.Seed, streamProtocol)
 		var err error
 		spec, err = registry.Protocol(c.Protocol, p)
 		if err != nil {
@@ -126,7 +107,7 @@ func (c Case) build() (*sim.World, sim.Adversary, *faults.Plan, error) {
 	// The scramble-corruption stream is its own sub-seed: recorded traces
 	// carry the realized per-point seeds in their scramble actions, so
 	// replays are exact even though the plan is rebuilt fresh.
-	plan := fs.PlanSeeded(subSeed(c.Seed, streamFaults))
+	plan := fs.PlanSeeded(faults.SubSeed(c.Seed, streamFaults))
 	link, err := plan.Link(c.Kind)
 	if err != nil {
 		return nil, nil, nil, err
@@ -136,7 +117,7 @@ func (c Case) build() (*sim.World, sim.Adversary, *faults.Plan, error) {
 		return nil, nil, nil, err
 	}
 	p := c.Params
-	p.Seed = subSeed(c.Seed, streamAdversary)
+	p.Seed = faults.SubSeed(c.Seed, streamAdversary)
 	adv, err := registry.Adversary(c.Adversary, p)
 	if err != nil {
 		return nil, nil, nil, err

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"time"
+
+	"seqtx/internal/faults"
 )
 
 // BackoffCapFactor bounds the retransmission backoff: the interval
@@ -51,16 +53,6 @@ func newBackoff(base time.Duration, seed int64, now int64) backoff {
 	return b
 }
 
-// splitmix64 advances the eight-byte jitter state and returns the next
-// draw (Steele–Lea–Flood mixing, the same law as faults.SubSeed).
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // due reports whether the timer may grant a spontaneous step at now.
 func (b *backoff) due(now int64) bool { return now >= b.next }
 
@@ -71,7 +63,8 @@ func (b *backoff) arm(now int64) { b.next = now + int64(b.jittered()) }
 // jittered returns the current interval ±backoffJitter, drawn from the
 // seeded stream.
 func (b *backoff) jittered() time.Duration {
-	u := float64(splitmix64(&b.rng)>>11) / (1 << 53) // uniform [0,1)
+	u := float64(faults.SplitMix64(b.rng)>>11) / (1 << 53) // uniform [0,1)
+	b.rng += faults.SplitMixGamma
 	f := 1 + backoffJitter*(2*u-1)
 	return time.Duration(float64(b.cur) * f)
 }

@@ -445,10 +445,9 @@ func TestSessionIDOutOfRange(t *testing.T) {
 // come out in non-decreasing wake order whatever the push order.
 func TestTimerHeapOrdering(t *testing.T) {
 	var h timerHeap
-	rng := uint64(42)
 	want := make([]int64, 0, 200)
 	for i := 0; i < 200; i++ {
-		at := int64(splitmix64(&rng) % 1_000_000)
+		at := int64(faults.SplitMix64(uint64(i)) % 1_000_000)
 		want = append(want, at)
 		h.push(at, nil)
 	}

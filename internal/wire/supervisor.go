@@ -30,28 +30,25 @@ import (
 //
 // Because a scrambled restart legitimately produces transient bad
 // writes, supervised sessions trade the strict online prefix audit for a
-// StabilizeAudit: a suffix-alignment automaton (the same transition
-// rules as the checker's quotient alignment) that counts bad writes,
-// measures per-crash stabilization times, and flags only
-// post-stabilization violations — a bad write landing while no recovery
-// window is open — as genuine failures.
+// StabilizeAudit: the suffix-alignment automaton the checker's quotient
+// states carry (seq.Align), around which it counts bad writes, measures
+// per-crash stabilization times, and flags only post-stabilization
+// violations — a bad write landing while no recovery window is open — as
+// genuine failures.
 
 // StabilizeAudit judges a supervised session's writes across
-// incarnations. It starts aligned at the head of the input; a matching
-// write advances, a mismatching or out-of-tape write is a bad write that
-// re-aligns to the written item's first occurrence (or drops alignment
-// for junk). Crash-restarts open a seeking window: bad writes inside it
-// are stabilization debt; the window locks closed — recording the
-// stabilization time — after stabilizeLockWrites consecutive good
-// writes (or an aligned end of tape), and bad writes OUTSIDE any window
-// are post-stabilization violations — the chaos campaign's failure
-// signal. It is owned by the session's worker; instants are nanoseconds
+// incarnations. It starts aligned at the head of the input and judges
+// each write with seq.Align.Step. Crash-restarts open a seeking window:
+// bad writes inside it are stabilization debt; the window locks closed —
+// recording the stabilization time — after stabilizeLockWrites
+// consecutive good writes (or an aligned end of tape), and bad writes
+// OUTSIDE any window are post-stabilization violations — the chaos
+// campaign's failure signal. It is owned by the session's worker; instants are nanoseconds
 // on the engine timeline.
 type StabilizeAudit struct {
 	input seq.Seq
 
-	pos      int
-	aligned  bool
+	align    seq.Align
 	seeking  bool
 	seekGood int
 	seekFrom int64
@@ -74,31 +71,13 @@ const stabilizeLockWrites = 3
 // observe judges one receiver write made at now and reports whether the
 // tape is done: aligned through the end with no recovery window open.
 func (a *StabilizeAudit) observe(item seq.Item, now int64) bool {
-	good, bad := false, false
-	switch {
-	case a.aligned && a.pos < len(a.input) && item == a.input[a.pos]:
-		a.pos++
-		good = true
-	case a.aligned:
-		// Mismatch or past-the-end while aligned: a bad write. A tape
-		// value restarts a candidate suffix at its first occurrence —
-		// the checker's re-alignment rule; junk drops alignment.
-		bad = true
-		if idx := a.firstIndex(item); idx >= 0 {
-			a.pos = idx + 1
-		} else {
-			a.aligned = false
-		}
-	default:
-		// Unaligned: a tape value starts a candidate suffix (not bad —
-		// a cleanly restarted receiver rewriting the head lands here);
-		// junk is another bad write.
-		if idx := a.firstIndex(item); idx >= 0 {
-			a.pos, a.aligned = idx+1, true
-		} else {
-			bad = true
-		}
-	}
+	was := a.align
+	var bad bool
+	a.align, bad = was.Step(item, a.input)
+	// A good write continues an aligned suffix; an unaligned tape value
+	// only starts a candidate one (a cleanly restarted receiver rewriting
+	// the head lands there) and is neither good nor bad.
+	good := was.Aligned && !bad
 	if bad {
 		a.badWrites++
 		a.seekGood = 0
@@ -111,25 +90,16 @@ func (a *StabilizeAudit) observe(item seq.Item, now int64) bool {
 		// Lock the window after stabilizeLockWrites consecutive good
 		// writes, or when an aligned suffix reaches the end of the tape
 		// (no further writes can strengthen the evidence).
-		if a.seekGood >= stabilizeLockWrites || a.pos == len(a.input) {
+		if a.seekGood >= stabilizeLockWrites || a.align.Converged(a.input) {
 			a.seeking = false
 			a.seekGood = 0
 			a.stabTimes = append(a.stabTimes, time.Duration(now-a.seekFrom))
 		}
 	}
-	if a.aligned && !a.seeking && a.pos == len(a.input) {
+	if !a.seeking && a.align.Converged(a.input) {
 		a.done = true
 	}
 	return a.done
-}
-
-func (a *StabilizeAudit) firstIndex(item seq.Item) int {
-	for i, v := range a.input {
-		if v == item {
-			return i
-		}
-	}
-	return -1
 }
 
 // onCrash opens a recovery window for a crash-restart. A receiver crash
@@ -139,7 +109,7 @@ func (a *StabilizeAudit) firstIndex(item seq.Item) int {
 // crashes measure one combined stabilization episode.
 func (a *StabilizeAudit) onCrash(receiver bool, now int64) {
 	if receiver {
-		a.aligned = false
+		a.align.Aligned = false
 	}
 	a.seekGood = 0
 	if !a.seeking {
@@ -312,7 +282,7 @@ func (p *chaosPlan) supervise(s *Session, index int) {
 		index:    index,
 		seed:     faults.SubSeed(p.Seed, s.cfg.ID),
 		watchdog: int64(watchdog),
-		audit:    StabilizeAudit{input: s.cfg.Input, aligned: true},
+		audit:    StabilizeAudit{input: s.cfg.Input, align: seq.Align{Aligned: true}},
 	}
 }
 

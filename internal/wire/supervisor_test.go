@@ -50,7 +50,7 @@ func stabConfigs(t *testing.T, n, m, items int, tick time.Duration) ([]SessionCo
 // are engine-timeline nanoseconds.
 func TestStabilizeAuditTransitions(t *testing.T) {
 	in := seq.FromInts(4, 1, 3)
-	a := &StabilizeAudit{input: in, aligned: true}
+	a := &StabilizeAudit{input: in, align: seq.Align{Aligned: true}}
 	if a.observe(4, 10) {
 		t.Fatal("done after one of three items")
 	}
@@ -72,7 +72,7 @@ func TestStabilizeAuditTransitions(t *testing.T) {
 	}
 
 	// A bad write with no window open is a post-stabilization violation.
-	b := &StabilizeAudit{input: in, aligned: true}
+	b := &StabilizeAudit{input: in, align: seq.Align{Aligned: true}}
 	b.observe(1, 10)
 	if b.badWrites != 1 || b.postViolations != 1 {
 		t.Fatalf("uncovered bad write: bad=%d post=%d, want 1 and 1", b.badWrites, b.postViolations)
