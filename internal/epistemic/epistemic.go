@@ -110,22 +110,16 @@ type epiNode struct {
 
 func (a *Analysis) explore(sys *sim.System, root sim.State, input seq.Seq, cfg Config) error {
 	a.views[0].inputs[input.Key()] = input.Clone()
-	nodes := []epiNode{{st: root}}
-	depths := []int{0}
-	seen := map[epiNode]struct{}{nodes[0]: {}}
-	a.States++
+	g := sim.NewGraph[epiNode, epiNode, struct{}](cfg.MaxStates)
+	g.Admit(epiNode{st: root}, epiNode{st: root}, -1, struct{}{})
 	var moves []sim.Move
-	for head := 0; head < len(nodes); head++ {
-		cur := nodes[head]
-		if depths[head] >= cfg.Depth {
-			a.Truncated = true
-			continue
-		}
+	err := g.Levels(cfg.Depth, func(i int32) (bool, error) {
+		cur := g.Nodes[i]
 		moves = sys.Moves(moves[:0], cur.st)
 		for _, mv := range moves {
 			step, err := sys.Step(cur.st, mv)
 			if err != nil {
-				return fmt.Errorf("epistemic: applying %s: %w", sys.Action(mv), err)
+				return false, fmt.Errorf("epistemic: applying %s: %w", sys.Action(mv), err)
 			}
 			next := epiNode{st: step.Next, ylen: cur.ylen + int32(len(step.Writes)), view: cur.view}
 			switch {
@@ -134,20 +128,13 @@ func (a *Analysis) explore(sys *sim.System, root sim.State, input seq.Seq, cfg C
 			case (mv.Kind == trace.ActDeliver || mv.Kind == trace.ActDeliverDup) && mv.Dir == channel.SToR:
 				next.view = a.extend(cur.view, trace.ViewEvent{Msg: sys.Action(mv).Msg}, input)
 			}
-			if _, ok := seen[next]; ok {
-				continue
-			}
-			if len(nodes) >= cfg.MaxStates {
-				a.Truncated = true
-				continue
-			}
-			seen[next] = struct{}{}
-			a.States++
-			nodes = append(nodes, next)
-			depths = append(depths, depths[head]+1)
+			g.Admit(next, next, i, struct{}{})
 		}
-	}
-	return nil
+		return false, nil
+	})
+	a.States += len(g.Nodes)
+	a.Truncated = a.Truncated || g.Cut
+	return err
 }
 
 // extend returns the view one event past parent, recording that a run on

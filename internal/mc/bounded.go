@@ -107,7 +107,10 @@ func CheckBounded(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg Boun
 	for _, p := range points {
 		rep.Samples++
 		pos := len(p.Output)
-		steps := recoverySearch(sys, p, cfg)
+		steps, err := recoverySearch(sys, p, cfg)
+		if err != nil {
+			return nil, err
+		}
 		if steps < 0 {
 			rep.Unrecovered++
 			rep.PerPosition[pos] = -1
@@ -177,59 +180,48 @@ type recNode struct {
 // included) of any message under the weak variant but only of messages
 // with fresh copies under Definition 2; drops never help recovery and are
 // left out.
-func recoverySearch(sys *sim.System, point *sim.World, cfg BoundedConfig) int {
-	em := newEngineMetrics(cfg.Obs, "recovery", false)
-	defer em.flush()
-	em.noteMerge(true) // the sample point itself
+func recoverySearch(sys *sim.System, point *sim.World, cfg BoundedConfig) (int, error) {
+	g := sim.NewGraph[recNode, recNode, struct{}](cfg.MaxStates)
+	defer flush(newEngineMetrics(cfg.Obs, "recovery", false), g)
 	input, tape := point.Input, sim.TapeOf(point)
 	none := sys.InternHalf(channel.NewReorder())
-	nodes := []recNode{{st: sys.Intern(point), fresh: [2]int32{none, none}}}
-	seen := map[recNode]struct{}{nodes[0]: {}}
-	var moves []sim.Move
+	root := recNode{st: sys.Intern(point), fresh: [2]int32{none, none}}
+	g.Admit(root, root, -1, struct{}{})
 
-	for lo, depth := 0, 0; lo < len(nodes) && depth < cfg.Budget; depth++ {
-		hi := len(nodes)
-		for _, cur := range nodes[lo:hi] {
-			moves = sys.Moves(moves[:0], cur.st)
-			for _, mv := range moves {
-				delivery := mv.Kind == trace.ActDeliver || mv.Kind == trace.ActDeliverDup
-				if mv.Kind == trace.ActDrop || (delivery && !cfg.OldMessagesAllowed && !sys.HalfHolds(cur.fresh[mv.Dir-channel.SToR], mv.Msg)) {
-					continue
-				}
-				step, err := sys.Step(cur.st, mv)
-				if err != nil {
-					continue // impossible move
-				}
-				if len(step.Writes) > 0 {
-					// A "recovery" that breaks safety does not count.
-					if !tape.Write(input, step.Writes).Violated {
-						return depth + 1
-					}
-					continue
-				}
-				child := recNode{st: step.Next, fresh: cur.fresh}
-				for _, m := range step.Sends {
-					out := &child.fresh[step.SendDir-channel.SToR]
-					*out = sys.HalfSend(*out, m)
-				}
-				if mv.Kind == trace.ActDeliver && !cfg.OldMessagesAllowed {
-					in := &child.fresh[mv.Dir-channel.SToR]
-					*in, _ = sys.HalfDeliver(*in, mv.Msg) // held: checked above
-				}
-				if _, dup := seen[child]; dup {
-					em.noteMerge(false)
-					continue
-				}
-				if len(nodes) >= cfg.MaxStates {
-					continue
-				}
-				em.noteMerge(true)
-				seen[child] = struct{}{}
-				nodes = append(nodes, child)
+	steps := -1
+	var moves []sim.Move
+	err := g.Levels(cfg.Budget, func(i int32) (bool, error) {
+		cur := g.Nodes[i]
+		moves = sys.Moves(moves[:0], cur.st)
+		for _, mv := range moves {
+			delivery := mv.Kind == trace.ActDeliver || mv.Kind == trace.ActDeliverDup
+			if mv.Kind == trace.ActDrop || (delivery && !cfg.OldMessagesAllowed && !sys.HalfHolds(cur.fresh[mv.Dir-channel.SToR], mv.Msg)) {
+				continue
 			}
+			step, err := sys.Step(cur.st, mv)
+			if err != nil {
+				return false, fmt.Errorf("mc: recovery: applying %s: %w", sys.Action(mv), err)
+			}
+			if len(step.Writes) > 0 {
+				// A "recovery" that breaks safety does not count.
+				if !tape.Write(input, step.Writes).Violated {
+					steps = g.Level
+					return true, nil
+				}
+				continue
+			}
+			child := recNode{st: step.Next, fresh: cur.fresh}
+			for _, m := range step.Sends {
+				out := &child.fresh[step.SendDir-channel.SToR]
+				*out = sys.HalfSend(*out, m)
+			}
+			if mv.Kind == trace.ActDeliver && !cfg.OldMessagesAllowed {
+				in := &child.fresh[mv.Dir-channel.SToR]
+				*in, _ = sys.HalfDeliver(*in, mv.Msg) // held: checked above
+			}
+			g.Admit(child, child, i, struct{}{})
 		}
-		em.noteLevel(depth, hi-lo)
-		lo = hi
-	}
-	return -1
+		return false, nil
+	})
+	return steps, err
 }

@@ -2,7 +2,6 @@ package mc
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"time"
 
@@ -11,21 +10,12 @@ import (
 	"seqtx/internal/trace"
 )
 
-// link records how a BFS first reached a node: from which node (negative
-// for a root) and by which move. The links of a search, indexed by node,
-// are its shortest-path forest.
-type link struct {
-	parent int32
-	mv     sim.Move
-}
-
-// path renders the moves from a root to node i as actions.
-func path(sys *sim.System, links []link, i int32) []trace.Action {
-	var acts []trace.Action
-	for ; links[i].parent >= 0; i = links[i].parent {
-		acts = append(acts, sys.Action(links[i].mv))
+// actions renders moves as actions.
+func actions(sys *sim.System, moves []sim.Move) []trace.Action {
+	acts := make([]trace.Action, len(moves))
+	for i, mv := range moves {
+		acts[i] = sys.Action(mv)
 	}
-	slices.Reverse(acts)
 	return acts
 }
 
@@ -41,21 +31,15 @@ func replay(root *sim.World, acts []trace.Action) (*sim.World, error) {
 	return w, nil
 }
 
-// engineMetrics accumulates one exploration run's observability in plain
-// engine-local scalars and flushes them into the registry when the run
-// ends, so metrics cannot affect exploration order or results. A nil
-// *engineMetrics (observability off) makes every method a single-branch
-// no-op.
+// engineMetrics is where one search publishes its observability. It
+// reads the search's graph once, when the search is over (finished or
+// failed), so metrics cannot affect exploration order or results. A nil
+// *engineMetrics (observability off) makes flush a single-branch no-op.
 type engineMetrics struct {
 	reg         *obs.Registry
-	scope       string // "explore", "refute", "recovery", "stabilize"
+	scope       string // "explore", "refute", "recovery", "stabilize", "progress"
 	start       time.Time
-	frontier    *obs.Histogram
 	levelEvents bool
-	states      int64
-	dedupHits   int64
-	dedupMiss   int64
-	levels      int64
 }
 
 // newEngineMetrics returns nil when reg is nil — the disabled fast path.
@@ -66,57 +50,37 @@ func newEngineMetrics(reg *obs.Registry, scope string, levelEvents bool) *engine
 	if reg == nil {
 		return nil
 	}
-	return &engineMetrics{
-		reg:         reg,
-		scope:       scope,
-		start:       time.Now(),
-		frontier:    reg.Histogram("mc_"+scope+"_frontier_size", obs.StepBuckets),
-		levelEvents: levelEvents,
-	}
+	return &engineMetrics{reg: reg, scope: scope, start: time.Now(), levelEvents: levelEvents}
 }
 
-// noteMerge records one successor's dedup verdict and, for fresh states,
-// the growing state count.
-func (m *engineMetrics) noteMerge(fresh bool) {
-	if m == nil {
-		return
-	}
-	if fresh {
-		m.dedupMiss++
-		m.states++
-	} else {
-		m.dedupHits++
-	}
-}
-
-// noteLevel records a completed BFS level and emits its event.
-func (m *engineMetrics) noteLevel(depth, frontierSize int) {
-	if m == nil {
-		return
-	}
-	m.levels++
-	m.frontier.Observe(float64(frontierSize))
-	if m.levelEvents {
-		m.reg.Emit("mc.bfs.level",
-			"scope", m.scope,
-			"depth", strconv.Itoa(depth),
-			"frontier", strconv.Itoa(frontierSize),
-			"states", strconv.FormatInt(m.states, 10))
-	}
-}
-
-// flush publishes the accumulated run into the registry.
-func (m *engineMetrics) flush() {
+// flush publishes the search g into m's registry: one run, its states
+// (every admission a dedup miss), its dedup hits, and per level expanded
+// in full the frontier size and, with levelEvents, an event.
+func flush[K comparable, N, E any](m *engineMetrics, g *sim.Graph[K, N, E]) {
 	if m == nil {
 		return
 	}
 	r, scope := m.reg, m.scope
+	frontier := r.Histogram("mc_"+scope+"_frontier_size", obs.StepBuckets)
+	levels := max(len(g.Bounds)-2, 0)
+	for d := 0; d < levels; d++ {
+		size := g.Bounds[d+1] - g.Bounds[d]
+		frontier.Observe(float64(size))
+		if m.levelEvents {
+			r.Emit("mc.bfs.level",
+				"scope", scope,
+				"depth", strconv.Itoa(d),
+				"frontier", strconv.Itoa(int(size)),
+				"states", strconv.Itoa(int(g.Bounds[d+2])))
+		}
+	}
+	states := int64(len(g.Nodes))
 	r.Counter("mc_" + scope + "_runs_total").Inc()
-	r.Counter("mc_" + scope + "_states_total").Add(m.states)
-	r.Counter("mc_" + scope + "_levels_total").Add(m.levels)
-	r.Counter("mc_" + scope + "_dedup_hits_total").Add(m.dedupHits)
-	r.Counter("mc_" + scope + "_dedup_misses_total").Add(m.dedupMiss)
+	r.Counter("mc_" + scope + "_states_total").Add(states)
+	r.Counter("mc_" + scope + "_levels_total").Add(int64(levels))
+	r.Counter("mc_" + scope + "_dedup_hits_total").Add(int64(g.Hits))
+	r.Counter("mc_" + scope + "_dedup_misses_total").Add(states)
 	if elapsed := time.Since(m.start).Seconds(); elapsed > 0 {
-		r.Gauge("mc_" + scope + "_states_per_sec").Set(float64(m.states) / elapsed)
+		r.Gauge("mc_" + scope + "_states_per_sec").Set(float64(states) / elapsed)
 	}
 }

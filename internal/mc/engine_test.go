@@ -15,6 +15,7 @@ import (
 	"seqtx/internal/registry"
 	"seqtx/internal/seq"
 	"seqtx/internal/sim"
+	"seqtx/internal/trace"
 )
 
 // engineKinds is every channel model, fixed order.
@@ -280,6 +281,36 @@ func TestResultsIndependentOfNumbering(t *testing.T) {
 			}
 			return numbering(t, sys, roots[0]), fmt.Sprintf("%+v\n%s", *res, witnessString(res.Witness)), nil
 		},
+		"recovery": func(t *testing.T, seed int64, reg *obs.Registry) (string, string, error) {
+			cfg := BoundedConfig{Budget: 8, MaxStates: 4000, Sampler: sim.NewBudgetDropper(1, 1), Obs: reg}
+			if err := cfg.normalize(); err != nil {
+				return "", "", err
+			}
+			points, err := samplePoints(naive2, seq.FromInts(0, 1, 0, 1), channel.KindDel, cfg)
+			if err != nil {
+				return "", "", err
+			}
+			sys := warmSystem(t, points[0], seed)
+			var steps []int
+			for _, p := range points {
+				n, err := recoverySearch(sys, p, cfg)
+				if err != nil {
+					return "", "", err
+				}
+				steps = append(steps, n)
+			}
+			return numbering(t, sys, points[0]), fmt.Sprint(steps), nil
+		},
+		"progress": func(t *testing.T, seed int64, reg *obs.Registry) (string, string, error) {
+			w := world(t, alphaproto.MustNew(2), seq.FromInts(0, 1))
+			sys := warmSystem(t, w, seed)
+			res, err := progress(sys, w, ExploreConfig{MaxDepth: 10, MaxStates: 1 << 20, Obs: reg})
+			if err != nil {
+				return "", "", err
+			}
+			return numbering(t, sys, w), fmt.Sprintf("states=%d completed=%d doomed=%d truncated=%v\n%s",
+				res.States, res.Completed, res.Doomed, res.Truncated, witnessString(res.DoomedWitness)), nil
+		},
 	}
 	for scope, run := range runs {
 		t.Run(scope, func(t *testing.T) {
@@ -332,6 +363,12 @@ func (idleReceiver) Alphabet() msg.Alphabet                   { return msg.MustN
 func (r idleReceiver) Clone() protocol.Receiver               { return r }
 func (idleReceiver) Key() string                              { return "idle" }
 
+// tickROnly is a sampler that only ever ticks R.
+type tickROnly struct{}
+
+func (tickROnly) Name() string                                   { return "tickR-only" }
+func (tickROnly) Choose(*sim.World, []trace.Action) trace.Action { return trace.TickR() }
+
 // TestFailedRunStillPublishesMetrics: an engine that stops on an error
 // has still run, and says so — its run, state and dedup counters are
 // flushed on every way out.
@@ -354,6 +391,16 @@ func TestFailedRunStillPublishesMetrics(t *testing.T) {
 		},
 		"stabilize": func(reg *obs.Registry) error {
 			_, err := CheckStabilize(spec, x, channel.KindDel, StabilizeConfig{MaxDepth: 8, Scrambles: 1, ChannelJunk: 1, Obs: reg})
+			return err
+		},
+		// The sampled run never ticks S, so it stays clean: only an
+		// extension reaches the third tick.
+		"recovery": func(reg *obs.Registry) error {
+			_, err := CheckBounded(spec, x, channel.KindDel, BoundedConfig{Budget: 8, Sampler: tickROnly{}, Obs: reg})
+			return err
+		},
+		"progress": func(reg *obs.Registry) error {
+			_, err := CheckProgress(spec, x, channel.KindDel, ExploreConfig{MaxDepth: 8, Obs: reg})
 			return err
 		},
 	}

@@ -131,66 +131,42 @@ func Explore(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg ExploreCo
 // never orders them, so results do not depend on what was filed before.
 func explore(sys *sim.System, w *sim.World, cfg ExploreConfig) (*ExploreResult, error) {
 	input := w.Input
-	res := &ExploreResult{States: 1}
-	em := newEngineMetrics(cfg.Obs, "explore", true)
-	defer em.flush()
-	em.noteMerge(true) // the root state
+	res := &ExploreResult{}
+	g := sim.NewGraph[exploreKey, exploreNode, sim.Move](cfg.MaxStates)
+	defer flush(newEngineMetrics(cfg.Obs, "explore", true), g)
+	root := exploreNode{st: sys.Intern(w), tape: sim.TapeOf(w)}
+	g.Admit(root.key(), root, -1, sim.Move{})
 
-	// nodes holds every admitted state in admission order, so a BFS level
-	// is a contiguous run of it; links is its shortest-path forest.
-	nodes := []exploreNode{{st: sys.Intern(w), tape: sim.TapeOf(w)}}
-	links := []link{{parent: -1}}
-	seen := map[exploreKey]struct{}{nodes[0].key(): {}}
 	var moves []sim.Move
-
-	for lo, depth := 0, 0; lo < len(nodes); depth++ {
-		if depth >= cfg.MaxDepth {
-			res.Truncated = true
-			break
-		}
-		hi := len(nodes)
-		for i := lo; i < hi; i++ {
-			cur := nodes[i]
-			moves = sys.Moves(moves[:0], cur.st)
-			for _, mv := range moves {
-				step, err := sys.Step(cur.st, mv)
-				if err != nil {
-					return nil, fmt.Errorf("mc: applying %s: %w", sys.Action(mv), err)
-				}
-				// Violation and completion checks come before dedup (the
-				// violation flag is not part of a state's identity), dedup
-				// before the state cap, and a capped-out NEW child sets
-				// Truncated without being inserted.
-				child := exploreNode{st: step.Next, tape: cur.tape.Write(input, step.Writes)}
-				if child.tape.Violated && res.Violation == nil {
-					acts := append(path(sys, links, int32(i)), sys.Action(mv))
-					bad, err := replay(w, acts)
-					if err != nil {
-						return nil, err // the tables and World.Apply disagree
-					}
-					res.Violation = &Witness{Input: input.Clone(), Actions: acts, Output: bad.Output, Err: bad.SafetyViolation}
-				}
-				if child.tape.Complete(input) {
-					res.CompletedState = true
-				}
-				if _, dup := seen[child.key()]; dup {
-					em.noteMerge(false)
-					continue
-				}
-				if res.States >= cfg.MaxStates {
-					res.Truncated = true
-					continue
-				}
-				em.noteMerge(true)
-				seen[child.key()] = struct{}{}
-				res.States++
-				res.Depth = depth + 1
-				nodes = append(nodes, child)
-				links = append(links, link{int32(i), mv})
+	err := g.Levels(cfg.MaxDepth, func(i int32) (bool, error) {
+		cur := g.Nodes[i]
+		moves = sys.Moves(moves[:0], cur.st)
+		for _, mv := range moves {
+			step, err := sys.Step(cur.st, mv)
+			if err != nil {
+				return false, fmt.Errorf("mc: applying %s: %w", sys.Action(mv), err)
 			}
+			// Violation and completion checks come before dedup: the
+			// violation flag is not part of a state's identity.
+			child := exploreNode{st: step.Next, tape: cur.tape.Write(input, step.Writes)}
+			if child.tape.Violated && res.Violation == nil {
+				acts := actions(sys, append(g.Path(i), mv))
+				bad, err := replay(w, acts)
+				if err != nil {
+					return false, err // the tables and World.Apply disagree
+				}
+				res.Violation = &Witness{Input: input.Clone(), Actions: acts, Output: bad.Output, Err: bad.SafetyViolation}
+			}
+			if child.tape.Complete(input) {
+				res.CompletedState = true
+			}
+			g.Admit(child.key(), child, i, mv)
 		}
-		em.noteLevel(depth, hi-lo)
-		lo = hi
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	res.States, res.Depth, res.Truncated = len(g.Nodes), g.Depth, g.Cut
 	return res, nil
 }

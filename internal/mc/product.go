@@ -2,7 +2,6 @@ package mc
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"seqtx/internal/channel"
@@ -125,11 +124,6 @@ type productKey struct {
 
 func (n productNode) key() productKey { return productKey{n.st1, n.st2, n.t1.Len, n.t2.Len} }
 
-type productLink struct {
-	parent int32
-	pm     productMove
-}
-
 // Refute explores the synchronized product of the runs of (spec, x1) and
 // (spec, x2) over the channel kind: the receiver experiences identical
 // event sequences in both runs, while each sender side moves freely. It
@@ -166,68 +160,46 @@ func Refute(spec protocol.Spec, x1, x2 seq.Seq, kind channel.Kind, cfg ExploreCo
 // refute is Refute from the pair (w1, w2) in sys (see explore).
 func refute(sys *sim.System, w1, w2 *sim.World, cfg ExploreConfig) (*ProductResult, error) {
 	x1, x2 := w1.Input, w2.Input
-	res := &ProductResult{States: 1}
-	em := newEngineMetrics(cfg.Obs, "refute", true)
-	defer em.flush()
-	em.noteMerge(true) // the root product state
+	res := &ProductResult{}
+	g := sim.NewGraph[productKey, productNode, productMove](cfg.MaxStates)
+	defer flush(newEngineMetrics(cfg.Obs, "refute", true), g)
+	root := productNode{st1: sys.Intern(w1), st2: sys.Intern(w2), t1: sim.TapeOf(w1), t2: sim.TapeOf(w2)}
+	g.Admit(root.key(), root, -1, productMove{})
 
-	nodes := []productNode{{st1: sys.Intern(w1), st2: sys.Intern(w2), t1: sim.TapeOf(w1), t2: sim.TapeOf(w2)}}
-	links := []productLink{{parent: -1}}
-	seen := map[productKey]struct{}{nodes[0].key(): {}}
 	var moves []sim.Move
 	var pmoves []productMove
-
-	for lo, depth := 0, 0; lo < len(nodes); depth++ {
-		if depth >= cfg.MaxDepth {
-			res.Truncated = true
-			break
-		}
-		hi := len(nodes)
-		for i := lo; i < hi; i++ {
-			cur := nodes[i]
-			moves, pmoves = appendProductMoves(sys, moves[:0], pmoves[:0], cur.st1, cur.st2)
-			for _, pm := range pmoves {
-				child, err := applyProduct(sys, cur, pm, x1, x2)
-				if err != nil {
-					return nil, err
-				}
-				via := productLink{int32(i), pm}
-				if (child.t1.Violated || child.t2.Violated) && res.Violation == nil { // before dedup: see Explore
-					if res.Violation, err = productWitness(sys, w1, w2, links, child, via); err != nil {
-						return nil, err
-					}
-				}
-				if _, dup := seen[child.key()]; dup {
-					em.noteMerge(false)
-					continue
-				}
-				if res.States >= cfg.MaxStates {
-					res.Truncated = true
-					continue
-				}
-				em.noteMerge(true)
-				seen[child.key()] = struct{}{}
-				res.States++
-				res.Depth = depth + 1
-				nodes = append(nodes, child)
-				links = append(links, via)
+	err := g.Levels(cfg.MaxDepth, func(i int32) (bool, error) {
+		cur := g.Nodes[i]
+		moves, pmoves = appendProductMoves(sys, moves[:0], pmoves[:0], cur.st1, cur.st2)
+		for _, pm := range pmoves {
+			child, err := applyProduct(sys, cur, pm, x1, x2)
+			if err != nil {
+				return false, err
 			}
+			if (child.t1.Violated || child.t2.Violated) && res.Violation == nil { // before dedup: see explore
+				if res.Violation, err = productWitness(sys, w1, w2, append(g.Path(i), pm), child); err != nil {
+					return false, err
+				}
+			}
+			g.Admit(child.key(), child, i, pm)
 		}
-		em.noteLevel(depth, hi-lo)
-		lo = hi
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	res.States, res.Depth, res.Truncated = len(g.Nodes), g.Depth, g.Cut
 	return res, nil
 }
 
-// productWitness turns node c reached by via, one of whose runs has left
+// productWitness turns node c reached by path, one of whose runs has left
 // its input, into the counterexample pair: the product path to it, and
 // the broken run (the first when both broke) replayed for its tape.
-func productWitness(sys *sim.System, w1, w2 *sim.World, links []productLink, c productNode, via productLink) (*ProductWitness, error) {
-	acts := []ProductAction{via.pm.action(sys)}
-	for i := via.parent; links[i].parent >= 0; i = links[i].parent {
-		acts = append(acts, links[i].pm.action(sys))
+func productWitness(sys *sim.System, w1, w2 *sim.World, path []productMove, c productNode) (*ProductWitness, error) {
+	acts := make([]ProductAction, len(path))
+	for k, pm := range path {
+		acts[k] = pm.action(sys)
 	}
-	slices.Reverse(acts)
 	bad, side := w1, Left
 	if !c.t1.Violated {
 		bad, side = w2, Right

@@ -53,74 +53,57 @@ func CheckProgressFrom(w *sim.World, cfg ExploreConfig) (*ProgressResult, error)
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	input := w.Input
-	sys := sim.NewSystem(w)
+	return progress(sim.NewSystem(w), w, cfg)
+}
 
-	// The reachable graph, nodes in BFS order: identity and tape, the
-	// discovery link (one shortest path from the root), every parent, and
-	// the BFS depth.
-	res := &ProgressResult{}
-	nodes := []exploreNode{{st: sys.Intern(w), tape: sim.TapeOf(w)}}
-	links := []link{{parent: -1}}
-	parents := [][]int32{nil}
-	depths := []int{0}
-	index := map[exploreKey]int32{nodes[0].key(): 0}
+// progress is CheckProgressFrom (cfg normalized) in sys (see explore).
+func progress(sys *sim.System, w *sim.World, cfg ExploreConfig) (*ProgressResult, error) {
+	input := w.Input
+	g := sim.NewGraph[exploreKey, exploreNode, sim.Move](cfg.MaxStates)
+	defer flush(newEngineMetrics(cfg.Obs, "progress", true), g)
+	root := exploreNode{st: sys.Intern(w), tape: sim.TapeOf(w)}
+	g.Admit(root.key(), root, -1, sim.Move{})
+
+	// The reachable graph: the graph's nodes and shortest paths, and an
+	// edge for every transition into it.
+	var edges []edge
 	var moves []sim.Move
-	for cur := int32(0); int(cur) < len(nodes); cur++ {
-		if depths[cur] >= cfg.MaxDepth {
-			res.Truncated = true
-			continue
-		}
-		n := nodes[cur]
+	err := g.Levels(cfg.MaxDepth, func(i int32) (bool, error) {
+		n := g.Nodes[i]
 		moves = sys.Moves(moves[:0], n.st)
 		for _, mv := range moves {
 			step, err := sys.Step(n.st, mv)
 			if err != nil {
-				return nil, fmt.Errorf("mc: applying %s: %w", sys.Action(mv), err)
+				return false, fmt.Errorf("mc: applying %s: %w", sys.Action(mv), err)
 			}
 			child := exploreNode{st: step.Next, tape: n.tape.Write(input, step.Writes)}
-			if id, ok := index[child.key()]; ok {
-				parents[id] = append(parents[id], cur)
-				continue
+			if id, _ := g.Admit(child.key(), child, i, mv); id >= 0 {
+				edges = append(edges, edge{from: i, to: id})
 			}
-			if len(nodes) >= cfg.MaxStates {
-				res.Truncated = true
-				continue
-			}
-			index[child.key()] = int32(len(nodes))
-			nodes = append(nodes, child)
-			links = append(links, link{cur, mv})
-			parents = append(parents, []int32{cur})
-			depths = append(depths, depths[cur]+1)
 		}
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.States = len(nodes)
+	res := &ProgressResult{States: len(g.Nodes), Truncated: g.Cut}
 
 	// Back-propagate completion-reachability.
-	canComplete := make([]bool, len(nodes))
-	var queue []int32
-	for i, n := range nodes {
+	canComplete := make([]bool, len(g.Nodes))
+	for i, n := range g.Nodes {
 		if n.tape.Complete(input) {
 			res.Completed++
 			canComplete[i] = true
-			queue = append(queue, int32(i))
 		}
 	}
-	for head := 0; head < len(queue); head++ {
-		for _, p := range parents[queue[head]] {
-			if !canComplete[p] {
-				canComplete[p] = true
-				queue = append(queue, p)
-			}
-		}
-	}
-	for i := range nodes {
+	coreach(canComplete, edges)
+	for i := range g.Nodes {
 		if canComplete[i] {
 			continue
 		}
 		res.Doomed++
 		if res.DoomedWitness == nil {
-			acts := path(sys, links, int32(i))
+			acts := actions(sys, g.Path(int32(i)))
 			doomed, err := replay(w, acts)
 			if err != nil {
 				return nil, err

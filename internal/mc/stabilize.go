@@ -112,8 +112,9 @@ type StabilizeResult struct {
 // writes on every run.
 func (r *StabilizeResult) Stabilizes() bool { return r.Exhausted && !r.Refuted }
 
-// stabEdge is one recorded transition of the quotient graph.
-type stabEdge struct {
+// edge is one recorded transition of a search graph: from node, to node,
+// by mv, over a bad write or not.
+type edge struct {
 	from, to int32
 	mv       sim.Move
 	bad      bool
@@ -145,106 +146,72 @@ func CheckStabilize(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg St
 func stabilize(sys *sim.System, roots []*sim.World, lanes [][2]int, cfg StabilizeConfig) (*StabilizeResult, error) {
 	input := roots[0].Input
 	res := &StabilizeResult{LastBadDepth: -1, WitnessRootScramble: -1, WitnessRootJunk: -1}
-	em := newEngineMetrics(cfg.Obs, "stabilize", true)
-	defer em.flush()
+	g := sim.NewGraph[stabNode, stabNode, sim.Move](cfg.MaxStates)
+	defer flush(newEngineMetrics(cfg.Obs, "stabilize", true), g)
 
-	// Quotient bookkeeping: identity -> node id, the nodes in admission
-	// order (so a BFS level is a contiguous run), their discovery links
-	// (shortest stems), and the full edge list (SCC analysis, witnesses).
-	ids := make(map[stabNode]int32)
-	var nodes []stabNode
-	var links []link
-	var edges []stabEdge
+	// Besides the graph's nodes and shortest stems, the quotient keeps an
+	// edge for every transition, duplicates included — cycles live
+	// exactly there. A transition whose target the state cap refused is
+	// dropped, so the SCC analysis only reasons about admitted nodes.
+	var edges []edge
 	var rootIDs []int32
-	depth := 0 // of the nodes being admitted
-
-	// admit takes one transition into the graph: n reached by via (also
-	// the discovery record of a node n turns into, which makes discovery
-	// stems shortest paths from the roots), over a bad write or not. An
-	// edge is recorded for every transition (duplicates included — cycles
-	// live exactly there); only novel identities become nodes.
-	admit := func(n stabNode, via link, bad bool) {
-		id, seen := ids[n]
-		if !seen {
-			if len(nodes) >= cfg.MaxStates {
-				res.Truncated = true
-				// The edge's target is unexplored; drop it so the SCC
-				// analysis only reasons about materialized nodes.
-				return
-			}
-			id = int32(len(nodes))
-			ids[n] = id
-			nodes = append(nodes, n)
-			links = append(links, via)
-			res.Depth = depth
-		}
-		em.noteMerge(!seen)
-		if via.parent >= 0 {
-			edges = append(edges, stabEdge{from: via.parent, to: id, mv: via.mv, bad: bad})
-			if bad {
-				res.BadWrites++
-				res.LastBadDepth = depth
-			}
-		} else if !seen {
-			rootIDs = append(rootIDs, id)
-		}
-	}
-
-	// Seed the frontier with corrupted roots through the same path.
 	rootLane := make(map[int32][2]int)
 	for ri, w := range roots {
-		before := len(rootIDs)
-		admit(stabNode{st: sys.Intern(w)}, link{parent: -1}, false)
-		if len(rootIDs) > before {
-			rootLane[rootIDs[len(rootIDs)-1]] = lanes[ri]
+		n := stabNode{st: sys.Intern(w)}
+		if id, fresh := g.Admit(n, n, -1, sim.Move{}); fresh {
+			rootIDs = append(rootIDs, id)
+			rootLane[id] = lanes[ri]
 		}
 	}
 	res.Roots = len(rootIDs)
 
 	var moves []sim.Move
-	for lo := 0; lo < len(nodes); {
-		if depth >= cfg.MaxDepth {
-			res.Truncated = true
-			break
-		}
-		hi := len(nodes)
-		depth++
-		for i := lo; i < hi; i++ {
-			cur := nodes[i]
-			moves = sys.Moves(moves[:0], cur.st)
-			for _, mv := range moves {
-				step, err := sys.Step(cur.st, mv)
-				if err != nil {
-					return nil, fmt.Errorf("mc: stabilize: applying %s: %w", sys.Action(mv), err)
-				}
-				child, bad := stabNode{step.Next, cur.align}, false
-				for _, v := range step.Writes {
-					var b bool
-					child.align, b = child.align.Step(v, input)
-					bad = bad || b
-				}
-				admit(child, link{int32(i), mv}, bad)
+	err := g.Levels(cfg.MaxDepth, func(i int32) (bool, error) {
+		cur := g.Nodes[i]
+		moves = sys.Moves(moves[:0], cur.st)
+		for _, mv := range moves {
+			step, err := sys.Step(cur.st, mv)
+			if err != nil {
+				return false, fmt.Errorf("mc: stabilize: applying %s: %w", sys.Action(mv), err)
+			}
+			child, bad := stabNode{step.Next, cur.align}, false
+			for _, v := range step.Writes {
+				var b bool
+				child.align, b = child.align.Step(v, input)
+				bad = bad || b
+			}
+			id, _ := g.Admit(child, child, i, mv)
+			if id < 0 {
+				continue
+			}
+			edges = append(edges, edge{from: i, to: id, mv: mv, bad: bad})
+			if bad {
+				res.BadWrites++
+				res.LastBadDepth = g.Level
 			}
 		}
-		em.noteLevel(depth-1, hi-lo)
-		lo = hi
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.States = len(nodes)
+	res.States, res.Depth, res.Truncated = len(g.Nodes), g.Depth, g.Cut
 	res.Exhausted = !res.Truncated
+	n := int32(len(g.Nodes))
 
 	// Lasso analysis: a bad edge whose endpoints share an SCC (or a bad
 	// self-loop) witnesses a run with infinitely many bad writes.
-	comp := sccOf(int32(len(nodes)), edges)
+	comp := sccOf(n, edges)
 	for _, e := range edges {
 		if !e.bad {
 			continue
 		}
 		if e.from == e.to || comp[e.from] == comp[e.to] {
 			res.Refuted = true
-			res.Witness, res.WitnessCycleLen = stabWitness(sys, input, e, edges, links)
+			res.Witness, res.WitnessCycleLen = stabWitness(sys, input, g.Path(e.from), e, edges, n)
 			root := e.from
-			for links[root].parent >= 0 {
-				root = links[root].parent
+			for g.Links[root].Parent >= 0 {
+				root = g.Links[root].Parent
 			}
 			if lane, ok := rootLane[root]; ok {
 				res.WitnessRootScramble, res.WitnessRootJunk = lane[0], lane[1]
@@ -253,34 +220,16 @@ func stabilize(sys *sim.System, roots []*sim.World, lanes [][2]int, cfg Stabiliz
 		}
 	}
 
-	// Convergence reachability: reverse-BFS from converged states.
-	if len(nodes) > 0 && len(rootIDs) > 0 {
-		radj := make([][]int32, len(nodes))
-		for _, e := range edges {
-			radj[e.to] = append(radj[e.to], e.from)
-		}
-		canReach := make([]bool, len(nodes))
-		var queue []int32
-		for i, n := range nodes {
-			if n.align.Converged(input) {
-				canReach[i] = true
-				queue = append(queue, int32(i))
-			}
-		}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, u := range radj[v] {
-				if !canReach[u] {
-					canReach[u] = true
-					queue = append(queue, u)
-				}
-			}
-		}
-		for _, r := range rootIDs {
-			if canReach[r] {
-				res.ConvergedRoots++
-			}
+	// Convergence reachability: the nodes a converged state is reachable
+	// from.
+	converges := make([]bool, n)
+	for i, node := range g.Nodes {
+		converges[i] = node.align.Converged(input)
+	}
+	coreach(converges, edges)
+	for _, r := range rootIDs {
+		if converges[r] {
+			res.ConvergedRoots++
 		}
 	}
 	return res, nil
@@ -336,39 +285,28 @@ func corruptedRoots(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg St
 
 // stabWitness assembles the refutation lasso for bad edge e: the shortest
 // discovery stem from a root to e.from, then e itself, then a shortest
-// path from e.to back to e.from (empty for a self-loop). The combined
-// action list replays to a run that can repeat its cycle forever.
-func stabWitness(sys *sim.System, input seq.Seq, e stabEdge, edges []stabEdge, links []link) (*Witness, int) {
-	acts := append(path(sys, links, e.from), sys.Action(e.mv))
-	stemLen, cycleLen := len(acts)-1, 1
+// path from e.to back to e.from (empty for a self-loop) in the graph of
+// n nodes. The combined action list replays to a run that can repeat its
+// cycle forever.
+func stabWitness(sys *sim.System, input seq.Seq, stem []sim.Move, e edge, edges []edge, n int32) (*Witness, int) {
+	moves := append(stem, e.mv)
 	if e.to != e.from {
-		back := shortestPath(e.to, e.from, edges)
-		for _, mv := range back {
-			acts = append(acts, sys.Action(mv))
-		}
-		cycleLen += len(back)
+		moves = append(moves, shortestPath(n, e.to, e.from, edges)...)
 	}
+	stemLen := len(stem)
+	cycleLen := len(moves) - stemLen
 	return &Witness{
 		Input:   input.Clone(),
-		Actions: acts,
+		Actions: actions(sys, moves),
 		Err: fmt.Errorf("stabilization refuted: a bad write lies on a cycle "+
 			"(stem %d steps, cycle %d steps) — the run can repeat it forever",
 			stemLen, cycleLen),
 	}, cycleLen
 }
 
-// shortestPath BFS-es from src to dst over the recorded edges and returns
-// the moves along a shortest path.
-func shortestPath(src, dst int32, edges []stabEdge) []sim.Move {
-	n := int32(0)
-	for _, e := range edges {
-		if e.from >= n {
-			n = e.from + 1
-		}
-		if e.to >= n {
-			n = e.to + 1
-		}
-	}
+// shortestPath BFS-es from src to dst over the recorded edges of a graph
+// of n nodes and returns the moves along a shortest path.
+func shortestPath(n, src, dst int32, edges []edge) []sim.Move {
 	adj := make([][]int, n)
 	for i, e := range edges {
 		adj[e.from] = append(adj[e.from], i)
@@ -405,9 +343,35 @@ func shortestPath(src, dst int32, edges []stabEdge) []sim.Move {
 	return nil
 }
 
+// coreach extends the marked set of nodes (mark has one entry per node)
+// to every node from which a marked one is reachable over edges: a
+// reverse BFS from the marked nodes.
+func coreach(mark []bool, edges []edge) {
+	radj := make([][]int32, len(mark))
+	for _, e := range edges {
+		radj[e.to] = append(radj[e.to], e.from)
+	}
+	var queue []int32
+	for i, m := range mark {
+		if m {
+			queue = append(queue, int32(i))
+		}
+	}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		for _, u := range radj[v] {
+			if !mark[u] {
+				mark[u] = true
+				queue = append(queue, u)
+			}
+		}
+	}
+}
+
 // sccOf computes strongly connected components (iterative Tarjan) and
 // returns the component id of every node.
-func sccOf(n int32, edges []stabEdge) []int32 {
+func sccOf(n int32, edges []edge) []int32 {
 	adj := make([][]int32, n)
 	for _, e := range edges {
 		adj[e.from] = append(adj[e.from], e.to)
