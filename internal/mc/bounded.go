@@ -183,7 +183,7 @@ type recNode struct {
 func recoverySearch(sys *sim.System, point *sim.World, cfg BoundedConfig) (int, error) {
 	g := sim.NewGraph[recNode, recNode, struct{}](cfg.MaxStates)
 	defer flush(newEngineMetrics(cfg.Obs, "recovery", false), g)
-	input, tape := point.Input, sim.TapeOf(point)
+	input, tape := point.Input, point.Tape()
 	none := sys.InternHalf(channel.NewReorder())
 	root := recNode{st: sys.Intern(point), fresh: [2]int32{none, none}}
 	g.Admit(root, root, -1, struct{}{})

@@ -101,7 +101,7 @@ type exploreKey struct {
 
 type exploreNode struct {
 	st   sim.State
-	tape sim.Tape
+	tape seq.Tape
 }
 
 func (n exploreNode) key() exploreKey { return exploreKey{n.st, n.tape.Len} }
@@ -134,7 +134,7 @@ func explore(sys *sim.System, w *sim.World, cfg ExploreConfig) (*ExploreResult, 
 	res := &ExploreResult{}
 	g := sim.NewGraph[exploreKey, exploreNode, sim.Move](cfg.MaxStates)
 	defer flush(newEngineMetrics(cfg.Obs, "explore", true), g)
-	root := exploreNode{st: sys.Intern(w), tape: sim.TapeOf(w)}
+	root := exploreNode{st: sys.Intern(w), tape: w.Tape()}
 	g.Admit(root.key(), root, -1, sim.Move{})
 
 	var moves []sim.Move

@@ -112,7 +112,7 @@ func (pm productMove) action(sys *sim.System) ProductAction {
 // tabulated system, so their receivers (and messages) compare by id.
 type productNode struct {
 	st1, st2 sim.State
-	t1, t2   sim.Tape
+	t1, t2   seq.Tape
 }
 
 // productKey is a product state's identity: both runs' components and
@@ -163,7 +163,7 @@ func refute(sys *sim.System, w1, w2 *sim.World, cfg ExploreConfig) (*ProductResu
 	res := &ProductResult{}
 	g := sim.NewGraph[productKey, productNode, productMove](cfg.MaxStates)
 	defer flush(newEngineMetrics(cfg.Obs, "refute", true), g)
-	root := productNode{st1: sys.Intern(w1), st2: sys.Intern(w2), t1: sim.TapeOf(w1), t2: sim.TapeOf(w2)}
+	root := productNode{st1: sys.Intern(w1), st2: sys.Intern(w2), t1: w1.Tape(), t2: w2.Tape()}
 	g.Admit(root.key(), root, -1, productMove{})
 
 	var moves []sim.Move
@@ -266,7 +266,7 @@ func appendProductMoves(sys *sim.System, moves []sim.Move, buf []productMove, st
 
 // applyProduct steps the run(s) pm names and returns the child pair.
 func applyProduct(sys *sim.System, n productNode, pm productMove, x1, x2 seq.Seq) (productNode, error) {
-	step := func(st *sim.State, t *sim.Tape, x seq.Seq, mv sim.Move, side string) error {
+	step := func(st *sim.State, t *seq.Tape, x seq.Seq, mv sim.Move, side string) error {
 		s, err := sys.Step(*st, mv)
 		if err != nil {
 			return fmt.Errorf("mc: product %s %s: %w", side, sys.Action(mv), err)

@@ -61,7 +61,7 @@ func progress(sys *sim.System, w *sim.World, cfg ExploreConfig) (*ProgressResult
 	input := w.Input
 	g := sim.NewGraph[exploreKey, exploreNode, sim.Move](cfg.MaxStates)
 	defer flush(newEngineMetrics(cfg.Obs, "progress", true), g)
-	root := exploreNode{st: sys.Intern(w), tape: sim.TapeOf(w)}
+	root := exploreNode{st: sys.Intern(w), tape: w.Tape()}
 	g.Admit(root.key(), root, -1, sim.Move{})
 
 	// The reachable graph: the graph's nodes and shortest paths, and an

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
 	"seqtx/internal/sim"
+	"seqtx/internal/trace"
 )
 
 // This file implements the model checker's stabilization mode: exhaustive
@@ -129,7 +131,7 @@ type stabNode struct {
 
 // CheckStabilize explores the corrupted-frontier quotient graph of
 // (spec, input, kind) and decides self-stabilization over it. Roots are
-// built by scrambling both processes (protocol.ScrambleState) and seeding
+// built by scramble-restarting both processes (World.Apply) and seeding
 // the link with in-alphabet junk; protocols without Scrambler hooks fall
 // back to initial-state roots (amnesia), which still exercises channel
 // corruption.
@@ -254,8 +256,10 @@ func corruptedRoots(spec protocol.Spec, input seq.Seq, kind channel.Kind, cfg St
 				return nil, nil, err
 			}
 			lane := uint64(i)<<8 | uint64(j)
-			protocol.ScrambleState(w.S, faults.SubSeed(cfg.Seed, lane|1<<32))
-			protocol.ScrambleState(w.R, faults.SubSeed(cfg.Seed, lane|2<<32))
+			if err := errors.Join(w.Apply(trace.ScrambleS(faults.SubSeed(cfg.Seed, lane|1<<32))),
+				w.Apply(trace.ScrambleR(faults.SubSeed(cfg.Seed, lane|2<<32)))); err != nil {
+				return nil, nil, err
+			}
 			if j > 0 {
 				rng := rand.New(rand.NewSource(faults.SubSeed(cfg.Seed, lane|3<<32)))
 				for _, dir := range []channel.Dir{channel.SToR, channel.RToS} {

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"seqtx/internal/channel"
 	"seqtx/internal/trace"
@@ -129,13 +128,7 @@ func (a *Scripted) Choose(w *World, enabled []trace.Action) trace.Action {
 	for a.pos < len(a.script) {
 		act := a.script[a.pos]
 		a.pos++
-		// Crash- and scramble-restarts are fault injections, never part of
-		// the enabled set; a replayed counterexample must still perform them.
-		switch act.Kind {
-		case trace.ActCrashS, trace.ActCrashR, trace.ActScrambleS, trace.ActScrambleR:
-			return act
-		}
-		if slices.Contains(enabled, act) {
+		if w.Replayable(act) {
 			return act
 		}
 		a.skipped++

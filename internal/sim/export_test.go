@@ -43,3 +43,9 @@ func (sys *System) CheckFiled() error {
 func (sys *System) MoveOf(act trace.Action) Move {
 	return Move{Kind: act.Kind, Dir: act.Dir, Msg: sys.msgID(act.Msg)}
 }
+
+// Filed is the number of objects the system has filed: sender and
+// receiver states and channel halves.
+func (sys *System) Filed() int {
+	return len(sys.senders.rows) + len(sys.receivers.rows) + len(sys.halves.rows)
+}

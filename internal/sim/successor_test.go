@@ -103,7 +103,7 @@ func restarts(act trace.Action) bool {
 // the tables leave to the caller.
 type tabulated struct {
 	st   sim.State
-	tape sim.Tape
+	tape seq.Tape
 }
 
 // step takes act from t through the tables (or around them, for a
@@ -136,8 +136,8 @@ func (t tabulated) matches(sys *sim.System, ref *sim.World) error {
 	if !bytes.Equal(w.EncodeKey(nil), ref.EncodeKey(nil)) || w.Key() != ref.Key() {
 		return fmt.Errorf("tabulated state\n%s\nClone+Apply\n%s", w.Key(), ref.Key())
 	}
-	if t.tape != sim.TapeOf(ref) {
-		return fmt.Errorf("tabulated tape %+v, Clone+Apply tape %+v", t.tape, sim.TapeOf(ref))
+	if t.tape != ref.Tape() {
+		return fmt.Errorf("tabulated tape %+v, Clone+Apply tape %+v", t.tape, ref.Tape())
 	}
 	return nil
 }
@@ -155,7 +155,7 @@ func TestSuccessorMatchesCloneApply(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			w := newWorld(t, spec, kind)
 			sys := sim.NewSystem(w)
-			cur := tabulated{sys.Intern(w), sim.TapeOf(w)}
+			cur := tabulated{sys.Intern(w), w.Tape()}
 			for step := 0; step < 60; step++ {
 				var enabled []trace.Action
 				for _, mv := range sys.Moves(nil, cur.st) {
@@ -203,7 +203,7 @@ func TestSuccessorMatchesCloneApply(t *testing.T) {
 func sharingWalk(t testing.TB, spec protocol.Spec, kind channel.Kind, p pick, rounds int) {
 	root := newWorld(t, spec, kind)
 	sys := sim.NewSystem(root)
-	parent := tabulated{sys.Intern(root), sim.TapeOf(root)}
+	parent := tabulated{sys.Intern(root), root.Tape()}
 	for i := p(12); i > 0; i-- {
 		if next, _, _, err := parent.step(sys, root.Input, nextAction(sys.World(parent.st), p)); err == nil {
 			parent = next

@@ -47,8 +47,9 @@ type System struct {
 	senders   procs[protocol.Sender]
 	receivers procs[protocol.Receiver]
 	halves    table[halfRow]
-	halfSteps [][]int32 // [half id][3*msg+op] -> half id, stored +1 so zero means unknown
+	halfSteps [][]int32 // [half id][halfOps*msg+op-opSend] -> half id, stored +1 so zero means unknown
 	keyBuf    []byte
+	moveBuf   []halfMove // internHalf's scratch
 }
 
 // State is a global state by identity: the ids of its sender, receiver
@@ -111,7 +112,6 @@ type procs[P interface{ Key() string }] struct {
 	clone func(P) P
 	step  func(P, protocol.Event) ([]msg.Msg, seq.Seq)
 	out   channel.Dir // the direction its sends travel
-	who   string      // for error text
 }
 
 // procStep is one memoised process step.
@@ -122,23 +122,24 @@ type procStep struct {
 	err    error // a send outside the alphabet
 }
 
-// halfRow is a filed half with its support: each deliverable message
-// and what the model lets the environment do with it.
+// halfRow is a filed half with its moves: the move walk over its
+// support (halfMoves), in its order.
 type halfRow struct {
 	h     channel.Half
-	moves []halfMove // ascending by message
+	moves []halfMove
 }
 
 type halfMove struct {
-	msg       int32
-	dup, drop bool
+	kind trace.ActKind
+	msg  int32
 }
 
-// Operations on a half, as memo keys.
+// A half's memo has a column per message and operation: a send, or the
+// half operation of a channel action kind. opSend is the kind just before
+// those three, which names no half operation of its own.
 const (
-	opSend = iota
-	opDeliver
-	opDrop
+	opSend  = trace.ActDeliver - 1
+	halfOps = int32(trace.ActDrop - opSend + 1)
 )
 
 // NewSystem returns the empty table of the system w belongs to: its
@@ -150,12 +151,12 @@ func NewSystem(w *World) *System {
 		senders: procs[protocol.Sender]{
 			clone: protocol.Sender.Clone,
 			step:  func(s protocol.Sender, ev protocol.Event) ([]msg.Msg, seq.Seq) { return s.Step(ev), nil },
-			out:   channel.SToR, who: "sender",
+			out:   channel.SToR,
 		},
 		receivers: procs[protocol.Receiver]{
 			clone: protocol.Receiver.Clone,
 			step:  protocol.Receiver.Step,
-			out:   channel.RToS, who: "receiver",
+			out:   channel.RToS,
 		},
 	}
 }
@@ -204,16 +205,12 @@ func (sys *System) internHalf(h channel.Half, owned bool) int32 {
 	if !owned {
 		h = h.Clone()
 	}
-	row := halfRow{h: h}
-	f, _ := h.(*channel.FIFO)
-	for i := 0; ; i++ {
-		m, ok := h.Support(i)
-		if !ok {
-			break
-		}
-		row.moves = append(row.moves, halfMove{msg: sys.msgID(m), dup: f != nil && f.AllowsDup(), drop: h.CanDrop(m)})
-	}
-	return sys.halves.file(row, sys.keyBuf)
+	moves := sys.moveBuf[:0]
+	halfMoves(h, func(kind trace.ActKind, m msg.Msg) {
+		moves = append(moves, halfMove{kind, sys.msgID(m)})
+	})
+	sys.moveBuf = moves
+	return sys.halves.file(halfRow{h, slices.Clone(moves)}, sys.keyBuf)
 }
 
 func (sys *System) msgID(m msg.Msg) int32 {
@@ -240,8 +237,8 @@ func slot[T any](tab *[][]T, i, j int32) *T {
 // stepProc returns the step of process id on event ev (0 is a tick, 1+m
 // the delivery of message m), computing it on first use: on a clone of
 // the filed object, copying the sends out as ids (Step's slices die at
-// the process's next Step) after checking each against the link's
-// alphabet as Link.Send would. A hit is an index into a slice.
+// the process's next Step) after the send check. A hit is an index into
+// a slice.
 func stepProc[P interface{ Key() string }](sys *System, t *procs[P], id, ev int32) *procStep {
 	if e := *slot(&t.steps, id, ev); e != nil {
 		return e
@@ -255,7 +252,7 @@ func stepProc[P interface{ Key() string }](sys *System, t *procs[P], id, ev int3
 	e := &procStep{writes: writes.Clone()}
 	for _, m := range sends {
 		if err := sys.proto.Link.Admits(t.out, m); err != nil {
-			e.err = fmt.Errorf("sim: %s step: %w", t.who, err)
+			e.err = sendErr(t.out, err)
 			break
 		}
 		e.sends = append(e.sends, sys.msgID(m))
@@ -268,28 +265,23 @@ func stepProc[P interface{ Key() string }](sys *System, t *procs[P], id, ev int3
 	return e
 }
 
-// stepHalf returns half id after op on message m, applying it to a clone
+// stepHalf returns half id after op on message m — a send, or halfOp of
+// a channel action on the half in direction dir — applying it to a clone
 // on first use. A rejected operation is not remembered: its error is the
 // caller's to report, and no search takes one.
-func (sys *System) stepHalf(id, op, m int32) (int32, error) {
-	if next := *slot(&sys.halfSteps, id, 3*m+op); next != 0 {
+func (sys *System) stepHalf(id int32, op trace.ActKind, dir channel.Dir, m int32) (int32, error) {
+	i := halfOps*m + int32(op-opSend)
+	if next := *slot(&sys.halfSteps, id, i); next != 0 {
 		return next - 1, nil
 	}
 	h := sys.halves.rows[id].obj.h.Clone()
-	var err error
-	switch op {
-	case opSend:
+	if op == opSend {
 		h.Send(sys.msgs[m])
-	case opDeliver:
-		err = h.Deliver(sys.msgs[m])
-	case opDrop:
-		err = h.Drop(sys.msgs[m])
-	}
-	if err != nil {
-		return 0, fmt.Errorf("sim: %w", err)
+	} else if err := halfOp(h, op, dir, sys.msgs[m]); err != nil {
+		return 0, err
 	}
 	next := sys.internHalf(h, true)
-	sys.halfSteps[id][3*m+op] = next + 1
+	sys.halfSteps[id][i] = next + 1
 	return next, nil
 }
 
@@ -300,11 +292,13 @@ func (sys *System) half(id int32) halfRow { return sys.halves.rows[id].obj }
 // (an error if it holds none), and whether it holds one.
 
 func (sys *System) HalfSend(h, m int32) int32 {
-	next, _ := sys.stepHalf(h, opSend, m) // a send is never rejected
+	next, _ := sys.stepHalf(h, opSend, 0, m) // a send is never rejected
 	return next
 }
 
-func (sys *System) HalfDeliver(h, m int32) (int32, error) { return sys.stepHalf(h, opDeliver, m) }
+func (sys *System) HalfDeliver(h, m int32) (int32, error) {
+	return sys.stepHalf(h, trace.ActDeliver, 0, m)
+}
 
 func (sys *System) HalfHolds(h, m int32) bool {
 	for _, hm := range sys.half(h).moves {
@@ -321,13 +315,7 @@ func (sys *System) Moves(buf []Move, st State) []Move {
 	buf = append(buf, Move{Kind: trace.ActTickS}, Move{Kind: trace.ActTickR})
 	for dir := channel.SToR; dir <= channel.RToS; dir++ {
 		for _, hm := range sys.half(*st.half(dir)).moves {
-			buf = append(buf, Move{trace.ActDeliver, dir, hm.msg})
-			if hm.dup {
-				buf = append(buf, Move{trace.ActDeliverDup, dir, hm.msg})
-			}
-			if hm.drop {
-				buf = append(buf, Move{trace.ActDrop, dir, hm.msg})
-			}
+			buf = append(buf, Move{hm.kind, dir, hm.msg})
 		}
 	}
 	return buf
@@ -345,49 +333,30 @@ func (sys *System) Step(st State, mv Move) (Step, error) {
 	case trace.ActTickS:
 		bySender = true
 	case trace.ActTickR:
-	case trace.ActDeliver, trace.ActDeliverDup:
+	case trace.ActDeliver, trace.ActDeliverDup, trace.ActDrop:
 		h := next.half(mv.Dir)
-		if mv.Kind == trace.ActDeliverDup {
-			f, ok := sys.half(*h).h.(*channel.FIFO)
-			if !ok {
-				return Step{}, fmt.Errorf("sim: deliver+dup on non-FIFO half %s", mv.Dir)
-			}
-			if err := f.DeliverKeep(sys.msgs[mv.Msg]); err != nil { // reads f only
-				return Step{}, fmt.Errorf("sim: %w", err)
-			}
-		} else {
-			after, err := sys.stepHalf(*h, opDeliver, mv.Msg)
-			if err != nil {
-				return Step{}, err
-			}
-			*h = after
-		}
-		ev, bySender = 1+mv.Msg, mv.Dir != channel.SToR
-	case trace.ActDrop:
-		h := next.half(mv.Dir)
-		after, err := sys.stepHalf(*h, opDrop, mv.Msg)
+		after, err := sys.stepHalf(*h, mv.Kind, mv.Dir, mv.Msg)
 		if err != nil {
 			return Step{}, err
 		}
 		*h = after
-		return Step{Next: next}, nil
+		if mv.Kind == trace.ActDrop {
+			return Step{Next: next}, nil
+		}
+		ev, bySender = 1+mv.Msg, mv.Dir != channel.SToR
 	default:
 		return Step{}, fmt.Errorf("sim: %s is not a tabulated move", mv.Kind)
 	}
-	var e *procStep
-	dir := channel.RToS
+	dir, e := channel.RToS, (*procStep)(nil)
 	if bySender {
-		e, dir = stepProc(sys, &sys.senders, st.S, ev), channel.SToR
+		dir, e = channel.SToR, stepProc(sys, &sys.senders, st.S, ev)
+		next.S = e.next
 	} else {
 		e = stepProc(sys, &sys.receivers, st.R, ev)
+		next.R = e.next
 	}
 	if e.err != nil {
 		return Step{}, e.err
-	}
-	if bySender {
-		next.S = e.next
-	} else {
-		next.R = e.next
 	}
 	for _, m := range e.sends {
 		out := next.half(dir)
@@ -399,7 +368,7 @@ func (sys *System) Step(st State, mv Move) (Step, error) {
 // Action renders mv as the trace.Action it stands for.
 func (sys *System) Action(mv Move) trace.Action {
 	act := trace.Action{Kind: mv.Kind}
-	if mv.Kind == trace.ActDeliver || mv.Kind == trace.ActDeliverDup || mv.Kind == trace.ActDrop {
+	if mv.Kind.OnChannel() {
 		act.Dir, act.Msg = mv.Dir, sys.msgs[mv.Msg]
 	}
 	return act
@@ -419,31 +388,3 @@ func (sys *System) World(st State) *World {
 		spec:  sys.proto.spec,
 	}
 }
-
-// Tape is an output tape by identity: its length and whether Y has left
-// X. While it has not, Y is X's prefix of that length, and once it has
-// it never comes back, so the two decide every later safety verdict.
-type Tape struct {
-	Len      int32
-	Violated bool
-}
-
-// TapeOf returns w's tape.
-func TapeOf(w *World) Tape {
-	return Tape{Len: int32(len(w.Output)), Violated: w.SafetyViolation != nil}
-}
-
-// Write returns the tape after R writes the items, judged against input
-// as World.Apply judges them.
-func (t Tape) Write(input, writes seq.Seq) Tape {
-	for _, item := range writes {
-		if int(t.Len) >= len(input) || input[t.Len] != item {
-			t.Violated = true
-		}
-		t.Len++
-	}
-	return t
-}
-
-// Complete reports Y = X.
-func (t Tape) Complete(input seq.Seq) bool { return int(t.Len) == len(input) && !t.Violated }

@@ -92,21 +92,9 @@ func (w *World) Enabled() []trace.Action {
 func (w *World) AppendEnabled(acts []trace.Action) []trace.Action {
 	acts = append(acts, trace.TickS(), trace.TickR())
 	for dir := channel.SToR; dir <= channel.RToS; dir++ {
-		half := w.Link.Half(dir)
-		f, _ := half.(*channel.FIFO)
-		for i := 0; ; i++ {
-			m, ok := half.Support(i)
-			if !ok {
-				break
-			}
-			acts = append(acts, trace.Deliver(dir, m))
-			if f != nil && f.AllowsDup() {
-				acts = append(acts, trace.DeliverDup(dir, m))
-			}
-			if half.CanDrop(m) {
-				acts = append(acts, trace.Drop(dir, m))
-			}
-		}
+		halfMoves(w.Link.Half(dir), func(kind trace.ActKind, m msg.Msg) {
+			acts = append(acts, trace.Action{Kind: kind, Dir: dir, Msg: m})
+		})
 	}
 	return acts
 }
@@ -115,88 +103,40 @@ func (w *World) AppendEnabled(acts []trace.Action) []trace.Action {
 // steps the affected process, routes its sends onto the link, appends R's
 // writes to Y, checks safety online, and advances the clock.
 func (w *World) Apply(act trace.Action) error {
+	ev, byS := protocol.TickEvent(), act.Kind == trace.ActTickS // the event, and whether S takes it
+	switch act.Kind {
+	case trace.ActTickS, trace.ActTickR:
+	case trace.ActDeliver, trace.ActDeliverDup, trace.ActDrop:
+		if err := halfOp(w.Link.Half(act.Dir), act.Kind, act.Dir, act.Msg); err != nil {
+			return err
+		}
+		ev, byS = protocol.RecvEvent(act.Msg), act.Dir == channel.RToS
+	case trace.ActCrashS, trace.ActCrashR, trace.ActScrambleS, trace.ActScrambleR:
+		s, r, err := restart(w.spec, w.Input, act)
+		if err != nil {
+			return err
+		}
+		if s != nil {
+			w.S = s
+		} else {
+			w.R = r
+		}
+	default:
+		return fmt.Errorf("sim: unknown action kind %d", int(act.Kind))
+	}
 	var (
 		sends  []msg.Msg
 		writes seq.Seq
 		err    error
 	)
-	switch act.Kind {
-	case trace.ActTickS:
-		sends = w.S.Step(protocol.TickEvent())
-		err = w.routeSender(sends)
-	case trace.ActTickR:
-		sends, writes = w.R.Step(protocol.TickEvent())
-		err = w.routeReceiver(sends, writes)
-	case trace.ActDeliver, trace.ActDeliverDup:
-		if act.Kind == trace.ActDeliverDup {
-			f, ok := w.Link.Half(act.Dir).(*channel.FIFO)
-			if !ok {
-				return fmt.Errorf("sim: deliver+dup on non-FIFO half %s", act.Dir)
-			}
-			if derr := f.DeliverKeep(act.Msg); derr != nil {
-				return fmt.Errorf("sim: %w", derr)
-			}
-		} else if derr := w.Link.Half(act.Dir).Deliver(act.Msg); derr != nil {
-			return fmt.Errorf("sim: %w", derr)
-		}
-		if act.Dir == channel.SToR {
-			sends, writes = w.R.Step(protocol.RecvEvent(act.Msg))
-			err = w.routeReceiver(sends, writes)
-		} else {
-			sends = w.S.Step(protocol.RecvEvent(act.Msg))
-			err = w.routeSender(sends)
-		}
-	case trace.ActDrop:
-		if derr := w.Link.Half(act.Dir).Drop(act.Msg); derr != nil {
-			return fmt.Errorf("sim: %w", derr)
-		}
-	case trace.ActCrashS, trace.ActCrashR:
-		// Crash-restart: the process loses its local state and restarts in
-		// its initial state. In-flight messages and the tapes survive. This
-		// fault is outside the paper's model (never in Enabled()); it is
-		// injected only by fault plans and replayed counterexamples.
-		if w.spec.NewSender == nil || w.spec.NewReceiver == nil {
-			return fmt.Errorf("sim: %s requires a spec-built world", act.Kind)
-		}
-		if act.Kind == trace.ActCrashS {
-			s, cerr := w.spec.NewSender(w.Input)
-			if cerr != nil {
-				return fmt.Errorf("sim: crash-restart of S: %w", cerr)
-			}
-			w.S = s
-		} else {
-			r, cerr := w.spec.NewReceiver()
-			if cerr != nil {
-				return fmt.Errorf("sim: crash-restart of R: %w", cerr)
-			}
-			w.R = r
-		}
-	case trace.ActScrambleS, trace.ActScrambleR:
-		// Scramble-restart: the process restarts in seeded-arbitrary local
-		// state (the self-stabilization adversary of [DDPT, arXiv
-		// 1104.3947]: a transient fault corrupts memory instead of
-		// clearing it). Rebuild-from-spec then corrupt, so processes
-		// without a Scrambler hook degrade to plain crash-restart.
-		if w.spec.NewSender == nil || w.spec.NewReceiver == nil {
-			return fmt.Errorf("sim: %s requires a spec-built world", act.Kind)
-		}
-		if act.Kind == trace.ActScrambleS {
-			s, cerr := w.spec.NewSender(w.Input)
-			if cerr != nil {
-				return fmt.Errorf("sim: scramble-restart of S: %w", cerr)
-			}
-			protocol.ScrambleState(s, act.Seed)
-			w.S = s
-		} else {
-			r, cerr := w.spec.NewReceiver()
-			if cerr != nil {
-				return fmt.Errorf("sim: scramble-restart of R: %w", cerr)
-			}
-			protocol.ScrambleState(r, act.Seed)
-			w.R = r
-		}
+	switch {
+	case act.Kind >= trace.ActDrop: // a drop or a restart: no process steps
+	case byS:
+		sends = w.S.Step(ev)
+		err = w.route(channel.SToR, sends, nil)
 	default:
-		return fmt.Errorf("sim: unknown action kind %d", int(act.Kind))
+		sends, writes = w.R.Step(ev)
+		err = w.routeReceiver(sends, writes)
 	}
 	if err != nil {
 		return err
@@ -215,30 +155,36 @@ func (w *World) Apply(act trace.Action) error {
 	return nil
 }
 
-func (w *World) routeSender(sends []msg.Msg) error {
+// route puts a step's sends onto the link in direction dir, each through
+// the send check, and its writes onto Y, each judged by the tape. The
+// write that flips the tape to violated records the violation.
+func (w *World) route(dir channel.Dir, sends []msg.Msg, writes seq.Seq) error {
 	for _, m := range sends {
-		if err := w.Link.Send(channel.SToR, m); err != nil {
-			return fmt.Errorf("sim: sender step: %w", err)
+		if err := w.Link.Send(dir, m); err != nil {
+			return sendErr(dir, err)
 		}
 	}
-	return nil
-}
-
-func (w *World) routeReceiver(sends []msg.Msg, writes seq.Seq) error {
-	for _, m := range sends {
-		if err := w.Link.Send(channel.RToS, m); err != nil {
-			return fmt.Errorf("sim: receiver step: %w", err)
-		}
-	}
-	for _, item := range writes {
+	for i, item := range writes {
+		t := w.Tape().Write(w.Input, writes[i:i+1])
 		w.Output = append(w.Output, item)
-		if w.SafetyViolation == nil && !w.Output.IsPrefixOf(w.Input) {
+		if t.Violated && w.SafetyViolation == nil {
 			w.SafetyViolation = fmt.Errorf(
 				"sim: safety violated at t=%d: Y = %s is not a prefix of X = %s",
 				w.Time, w.Output, w.Input)
 		}
 	}
 	return nil
+}
+
+// routeReceiver routes a receiver step.
+func (w *World) routeReceiver(sends []msg.Msg, writes seq.Seq) error {
+	return w.route(channel.RToS, sends, writes)
+}
+
+// Tape returns Y as the prefix judge sees it: its length and whether a
+// violation has been recorded.
+func (w *World) Tape() seq.Tape {
+	return seq.Tape{Len: int32(len(w.Output)), Violated: w.SafetyViolation != nil}
 }
 
 // OutputComplete reports whether R has written all of X.

@@ -3,7 +3,6 @@ package soak
 import (
 	"strconv"
 
-	"seqtx/internal/channel"
 	"seqtx/internal/obs"
 	"seqtx/internal/sim"
 	"seqtx/internal/trace"
@@ -27,11 +26,12 @@ type Counterexample struct {
 
 // Replay re-executes a recorded action sequence against a fresh build of
 // the case (fresh processes, fresh link, fresh fault wrappers) and
-// returns the resulting world. Actions that are not applicable in the
-// rebuilt world — a delivery whose copy no longer exists because ddmin
-// removed the send that produced it — are skipped, which keeps every
-// subsequence of a valid run itself replayable. The replay stops early
-// once safety is violated (the oracle needs nothing further).
+// returns the resulting world. Actions that are not replayable in the
+// rebuilt world (World.Replayable) — a delivery whose copy no longer
+// exists because ddmin removed the send that produced it — are skipped,
+// which keeps every subsequence of a valid run itself replayable. The
+// replay stops early once safety is violated (the oracle needs nothing
+// further).
 func Replay(c Case, actions []trace.Action) (*sim.World, error) {
 	w, _, _, err := c.build()
 	if err != nil {
@@ -39,7 +39,7 @@ func Replay(c Case, actions []trace.Action) (*sim.World, error) {
 	}
 	w.StartTrace()
 	for _, act := range actions {
-		if !applicable(w, act) {
+		if !w.Replayable(act) {
 			continue
 		}
 		if err := w.Apply(act); err != nil {
@@ -50,26 +50,6 @@ func Replay(c Case, actions []trace.Action) (*sim.World, error) {
 		}
 	}
 	return w, nil
-}
-
-// applicable reports whether the world can legally apply act right now.
-// Ticks and crash-restarts are always applicable; channel actions need
-// the copy to actually be there.
-func applicable(w *sim.World, act trace.Action) bool {
-	switch act.Kind {
-	case trace.ActTickS, trace.ActTickR, trace.ActCrashS, trace.ActCrashR,
-		trace.ActScrambleS, trace.ActScrambleR:
-		return true
-	case trace.ActDeliver:
-		return w.Link.Half(act.Dir).CanDeliver(act.Msg)
-	case trace.ActDeliverDup:
-		f, ok := w.Link.Half(act.Dir).(*channel.FIFO)
-		return ok && f.AllowsDup() && f.CanDeliver(act.Msg)
-	case trace.ActDrop:
-		return w.Link.Half(act.Dir).CanDrop(act.Msg)
-	default:
-		return false
-	}
 }
 
 // shrinkCase minimizes a failing trace and double-checks the result with

@@ -48,16 +48,6 @@ var kindNames = map[ActKind]string{
 	ActScrambleR:  "scrambleR",
 }
 
-// hasDirMsg reports whether the kind carries a direction and message.
-func hasDirMsg(k ActKind) bool {
-	switch k {
-	case ActTickS, ActTickR, ActCrashS, ActCrashR, ActScrambleS, ActScrambleR:
-		return false
-	default:
-		return true
-	}
-}
-
 // hasSeed reports whether the kind carries a corruption seed.
 func hasSeed(k ActKind) bool { return k == ActScrambleS || k == ActScrambleR }
 
@@ -87,7 +77,7 @@ func (t *Trace) MarshalJSON() ([]byte, error) {
 		if ej.Act.Kind == "" {
 			return nil, fmt.Errorf("trace: unknown action kind %d", int(e.Act.Kind))
 		}
-		if hasDirMsg(e.Act.Kind) {
+		if e.Act.Kind.OnChannel() {
 			ej.Act.Dir = dirNames[e.Act.Dir]
 			ej.Act.Msg = string(e.Act.Msg)
 		}
@@ -118,7 +108,7 @@ func (t *Trace) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("trace: entry %d: unknown action kind %q", i, ej.Act.Kind)
 		}
 		act := Action{Kind: kind}
-		if hasDirMsg(kind) {
+		if kind.OnChannel() {
 			dir, ok := dirValues[ej.Act.Dir]
 			if !ok {
 				return fmt.Errorf("trace: entry %d: unknown direction %q", i, ej.Act.Dir)

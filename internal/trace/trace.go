@@ -51,6 +51,10 @@ const (
 	ActScrambleR
 )
 
+// OnChannel reports whether the kind is a channel action — a delivery, a
+// duplicating delivery or a drop — and so carries a direction and message.
+func (k ActKind) OnChannel() bool { return k >= ActDeliver && k <= ActDrop }
+
 // String names the kind.
 func (k ActKind) String() string {
 	switch k {

@@ -35,9 +35,9 @@ func detRun(t *testing.T, proto string, params registry.Params, input seq.Seq, s
 // on a dup link, strictly — an action the simulator had to skip means the
 // engine took a step the model does not allow — and returns an error
 // unless the two runs agree: equal verdicts and equal tapes. A session's
-// audit stops a burst at the first bad write where World.routeReceiver
-// appends the whole step's writes, so on a violating run the wire tape is
-// the simulator's through the first violating write.
+// audit stops a burst at the first bad write where World.Apply appends
+// the whole step's writes, so on a violating run the wire tape is the
+// simulator's through the first violating write.
 func replayInSim(proto string, params registry.Params, input seq.Seq, res DetResult) error {
 	spec, err := registry.Protocol(proto, params)
 	if err != nil {

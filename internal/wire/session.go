@@ -342,7 +342,8 @@ func (s *Session) receiverEvent(ev protocol.Event) stepOutcome {
 			return stepClosed
 		}
 	}
-	for _, item := range writes {
+	for i, item := range writes {
+		prefix := seq.Tape{Len: int32(len(s.output))} // a plain session stops at its first bad write
 		s.output = append(s.output, item)
 		now := s.mux.loop.now()
 		s.learnTimes = append(s.learnTimes, time.Duration(now-s.startAt))
@@ -357,7 +358,7 @@ func (s *Session) receiverEvent(ev protocol.Event) stepOutcome {
 			}
 			continue
 		}
-		if !s.output.IsPrefixOf(s.cfg.Input) {
+		if prefix.Write(s.cfg.Input, writes[i:i+1]).Violated {
 			s.violation = fmt.Errorf(
 				"wire: session %d safety violated: Y = %s is not a prefix of X = %s",
 				s.cfg.ID, s.output, s.cfg.Input)

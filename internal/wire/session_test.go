@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"seqtx/internal/msg"
 	"seqtx/internal/obs"
+	"seqtx/internal/protocol"
 	"seqtx/internal/registry"
 	"seqtx/internal/seq"
 )
@@ -185,5 +187,52 @@ func TestMuxRejectsDuplicateSessionID(t *testing.T) {
 	}
 	if _, err := mux.NewSession(cfgs[0]); err == nil {
 		t.Fatal("duplicate session id accepted")
+	}
+}
+
+// rogueReceiver is a real receiver that, on its first delivery, writes a
+// burst of its own instead: X's first item, a wrong one, then X's third.
+type rogueReceiver struct {
+	protocol.Receiver
+	burst seq.Seq
+}
+
+func (r *rogueReceiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
+	sends, writes := r.Receiver.Step(ev)
+	if ev.Kind == protocol.Recv && r.burst != nil {
+		writes, r.burst = r.burst, nil
+	}
+	return sends, writes
+}
+
+// TestPlainSessionDetectsViolation makes a plain session's write judge
+// fire: the session reports the violation with its exact text, its
+// output ends at the first bad item (nothing lands after the verdict,
+// even within the burst), and the fleet counts one violation.
+func TestPlainSessionDetectsViolation(t *testing.T) {
+	x := seq.FromInts(0, 1, 2)
+	s, r, err := registry.Pair("alpha", registry.Params{M: 3}, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cfg := SessionConfig{
+		ID: 1, Sender: s, Receiver: &rogueReceiver{r, seq.FromInts(0, 2, 1)}, Input: x,
+		Tick: 200 * time.Microsecond, Deadline: 30 * time.Second,
+	}
+	reports, err := Serve(context.Background(), ServeConfig{Transport: NewInproc(0, reg), Sessions: []SessionConfig{cfg}, Obs: reg})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	rep := reports[0]
+	const want = "wire: session 1 safety violated: Y = 0.2 is not a prefix of X = 0.1.2"
+	if rep.SafetyViolation == nil || rep.SafetyViolation.Error() != want {
+		t.Fatalf("violation %v, want %q", rep.SafetyViolation, want)
+	}
+	if !rep.Output.Equal(seq.FromInts(0, 2)) || rep.Complete {
+		t.Errorf("output %s complete %v, want 0.2 and incomplete", rep.Output, rep.Complete)
+	}
+	if got := reg.Snapshot().Counters["wire_safety_violations_total"]; got != 1 {
+		t.Errorf("violations counter = %d, want 1", got)
 	}
 }
