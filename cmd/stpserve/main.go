@@ -33,12 +33,10 @@ import (
 	"os"
 	"time"
 
-	"seqtx/internal/channel"
 	"seqtx/internal/cliutil"
 	"seqtx/internal/cluster"
 	"seqtx/internal/fleet"
 	"seqtx/internal/registry"
-	"seqtx/internal/sim"
 	"seqtx/internal/wire"
 )
 
@@ -172,10 +170,9 @@ func printSessions(out fleet.Reports) {
 
 // runDet runs each session through the deterministic wire runner — the
 // production engine under a seeded schedule, behind the impairment the
-// flags name — and cross-checks the recorded schedule against the
-// lock-step simulator on a dup link: no recorded action may be disabled
-// there, and the two output tapes must agree byte for byte (through the
-// first violating write, where a session's audit stops).
+// flags name — and cross-checks each recorded schedule with
+// DetResult.Accept: it must be a run of the model on a dup link that
+// reaches the wire's verdict and tape.
 func runDet(spec *fleet.Spec, cfgs []wire.SessionConfig, verbose bool) int {
 	opts, _ := spec.Impairment() // resolved once already, by Validate
 	pspec, err := registry.Protocol(spec.Proto, spec.Params())
@@ -201,37 +198,13 @@ func runDet(spec *fleet.Spec, cfgs []wire.SessionConfig, verbose bool) int {
 			violations++
 			fmt.Fprintln(os.Stderr, "stpserve:", res.SafetyViolation)
 		}
-
-		link, err := channel.NewLinkOfKind(channel.KindDup)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stpserve:", err)
-			return 1
-		}
-		w, err := sim.New(pspec, c.Input, link)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stpserve:", err)
-			return 1
-		}
-		adv := sim.NewScripted(res.Script, sim.NewRoundRobin())
-		simRes, err := sim.Run(w, adv, sim.Config{MaxSteps: len(res.Script), StopWhenComplete: true})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stpserve: sim replay:", err)
-			return 1
-		}
-		simTape := simRes.Output
-		if res.SafetyViolation != nil && len(simTape) > len(res.Output) {
-			simTape = simTape[:len(res.Output)]
-		}
-		match := adv.Skipped() == 0 && simTape.Equal(res.Output) &&
-			(simRes.SafetyViolation == nil) == (res.SafetyViolation == nil)
-		if !match {
+		if err = res.Accept(pspec); err != nil {
 			mismatches++
-			fmt.Fprintf(os.Stderr, "stpserve: session %d: wire output %s != sim output %s (%d recorded actions not enabled in the simulator)\n",
-				c.ID, res.Output, simRes.Output, adv.Skipped())
+			fmt.Fprintf(os.Stderr, "stpserve: session %d: %v\n", c.ID, err)
 		}
 		if verbose {
 			fmt.Printf("session %3d: complete=%-5v steps=%d frames=%d acks=%d retransmits=%d sim-match=%v\n",
-				c.ID, res.Complete, res.Steps, res.FramesTx, res.AcksTx, res.Retransmits, match)
+				c.ID, res.Complete, res.Steps, res.FramesTx, res.AcksTx, res.Retransmits, err == nil)
 		}
 	}
 	fmt.Printf("stpserve: transport=det proto=%s sessions=%d sim-mismatches=%d safety violations %d\n",

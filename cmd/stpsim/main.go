@@ -41,7 +41,7 @@ func run() int {
 		budget    = flag.Int("budget", 2, "dropper budget / replayer period / withholder hold")
 		maxSteps  = flag.Int("max-steps", 5000, "step bound")
 		showTrace = flag.Bool("trace", false, "print the full trace")
-		replay    = flag.String("replay", "", "JSON witness file (from stpmc -o): replay its schedule, then round-robin")
+		replay    = flag.String("replay", "", "JSON witness file (from stpmc -o or a soak counterexample): play exactly its schedule; the flags must build the protocol it names")
 	)
 	metrics.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -78,7 +78,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "stpsim:", err)
 		return 2
 	}
-	replaySteps := 0
+	var script []trace.Action
 	if *replay != "" {
 		data, rerr := os.ReadFile(*replay)
 		if rerr != nil {
@@ -90,11 +90,14 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "stpsim:", jerr)
 			return 2
 		}
+		if tr.Name != "" && tr.Name != spec.Name {
+			fmt.Fprintf(os.Stderr, "stpsim: %s was recorded for %s, the flags build %s\n", *replay, tr.Name, spec.Name)
+			return 2
+		}
 		if len(tr.Input) > 0 {
 			x = tr.Input
 		}
-		adv = sim.NewScripted(tr.Actions(), sim.NewRoundRobin())
-		replaySteps = tr.Len()
+		script = tr.Actions()
 	}
 
 	link, err := channel.NewLinkOfKind(kind)
@@ -111,15 +114,17 @@ func run() int {
 		w.StartTrace()
 	}
 	cfg := sim.Config{MaxSteps: *maxSteps, StopWhenComplete: true, Obs: metrics.Registry()}
+	var res sim.Result
+	advLine := adv.Name()
 	if *replay != "" {
-		// Replay the whole witness schedule: the violating action is often
-		// the very last one, after the output already looks complete.
+		// Play the whole witness schedule, exactly: the violating action is
+		// often the very last one, after the output already looks complete.
 		cfg.StopWhenComplete = false
-		if n := replaySteps; n > 0 && n < cfg.MaxSteps {
-			cfg.MaxSteps = n
-		}
+		advLine = fmt.Sprintf("replay of %d recorded actions", len(script))
+		res, err = sim.Accept(w, script, cfg)
+	} else {
+		res, err = sim.Run(w, adv, cfg)
 	}
-	res, err := sim.Run(w, adv, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stpsim:", err)
 		return 1
@@ -130,7 +135,7 @@ func run() int {
 	if *showTrace {
 		fmt.Print(w.Trace)
 	}
-	fmt.Printf("protocol   %s\nchannel    %s\nadversary  %s\n", spec.Name, kind, adv.Name())
+	fmt.Printf("protocol   %s\nchannel    %s\nadversary  %s\n", spec.Name, kind, advLine)
 	fmt.Printf("input X    %s\noutput Y   %s\n", x, res.Output)
 	fmt.Printf("steps      %d\ncomplete   %v\nquiescent  %v\n", res.Steps, res.OutputComplete, res.Quiescent)
 	if res.SafetyViolation != nil {

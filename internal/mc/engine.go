@@ -1,7 +1,6 @@
 package mc
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 
@@ -17,18 +16,6 @@ func actions(sys *sim.System, moves []sim.Move) []trace.Action {
 		acts[i] = sys.Action(mv)
 	}
 	return acts
-}
-
-// replay walks a clone of root along acts: how a search that keeps
-// states by identity gets a witness's tape, clock and violation text.
-func replay(root *sim.World, acts []trace.Action) (*sim.World, error) {
-	w := root.Clone()
-	for _, act := range acts {
-		if err := w.Apply(act); err != nil {
-			return nil, fmt.Errorf("mc: replaying %s: %w", act, err)
-		}
-	}
-	return w, nil
 }
 
 // engineMetrics is where one search publishes its observability. It

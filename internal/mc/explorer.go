@@ -91,6 +91,20 @@ func (c *ExploreConfig) normalize() error {
 	return nil
 }
 
+// witness is the run from w along path, as sim.Accept plays it on a clone:
+// a search keeps states by identity, so this is where a witness gets its
+// tape, clock and violation text. The run ends at its first safety
+// violation, as a run does; an error means the tables and World.Apply
+// disagree.
+func witness(sys *sim.System, w *sim.World, path []sim.Move) (*Witness, error) {
+	acts := actions(sys, path)
+	run, err := sim.Accept(w.Clone(), acts, sim.Config{})
+	if err != nil {
+		return nil, err
+	}
+	return &Witness{Input: w.Input.Clone(), Actions: acts[:run.Steps], Output: run.Output, Err: run.SafetyViolation}, nil
+}
+
 // exploreKey is a state's identity in Explore: its components and |Y|.
 // The violation flag is not part of it — of two arrivals that differ only
 // there, the first wins.
@@ -150,12 +164,9 @@ func explore(sys *sim.System, w *sim.World, cfg ExploreConfig) (*ExploreResult, 
 			// violation flag is not part of a state's identity.
 			child := exploreNode{st: step.Next, tape: cur.tape.Write(input, step.Writes)}
 			if child.tape.Violated && res.Violation == nil {
-				acts := actions(sys, append(g.Path(i), mv))
-				bad, err := replay(w, acts)
-				if err != nil {
-					return false, err // the tables and World.Apply disagree
+				if res.Violation, err = witness(sys, w, append(g.Path(i), mv)); err != nil {
+					return false, err
 				}
-				res.Violation = &Witness{Input: input.Clone(), Actions: acts, Output: bad.Output, Err: bad.SafetyViolation}
 			}
 			if child.tape.Complete(input) {
 				res.CompletedState = true

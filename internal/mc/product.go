@@ -213,7 +213,7 @@ func productWitness(sys *sim.System, w1, w2 *sim.World, path []productMove, c pr
 			run = append(run, pa.ActRight)
 		}
 	}
-	end, err := replay(bad, run)
+	end, err := sim.Accept(bad.Clone(), run, sim.Config{})
 	if err != nil {
 		return nil, err
 	}

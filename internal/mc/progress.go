@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"errors"
 	"fmt"
 
 	"seqtx/internal/channel"
@@ -28,7 +29,8 @@ type ProgressResult struct {
 	// "doomed" is an over-approximation (a deeper path might recover) and
 	// should be read as "cannot complete within the horizon".
 	Truncated bool
-	// DoomedWitness reaches one doomed state, if any.
+	// DoomedWitness reaches one doomed state, if any: the shortest path to
+	// the first doomed node, cut at its first safety violation.
 	DoomedWitness *Witness
 }
 
@@ -103,17 +105,13 @@ func progress(sys *sim.System, w *sim.World, cfg ExploreConfig) (*ProgressResult
 		}
 		res.Doomed++
 		if res.DoomedWitness == nil {
-			acts := actions(sys, g.Path(int32(i)))
-			doomed, err := replay(w, acts)
+			// A path that breaks safety ends there; Err keeps both verdicts.
+			wit, err := witness(sys, w, g.Path(int32(i)))
 			if err != nil {
 				return nil, err
 			}
-			res.DoomedWitness = &Witness{
-				Input:   input.Clone(),
-				Actions: acts,
-				Output:  doomed.Output,
-				Err:     fmt.Errorf("mc: no completion reachable from this state (horizon %d)", cfg.MaxDepth),
-			}
+			wit.Err = errors.Join(fmt.Errorf("mc: no completion reachable from this state (horizon %d)", cfg.MaxDepth), wit.Err)
+			res.DoomedWitness = wit
 		}
 	}
 	return res, nil

@@ -1,11 +1,13 @@
 package mc
 
 import (
+	"strings"
 	"testing"
 
 	"seqtx/internal/channel"
 	"seqtx/internal/protocol/alphaproto"
 	"seqtx/internal/protocol/hybrid"
+	"seqtx/internal/protocol/naive"
 	"seqtx/internal/seq"
 	"seqtx/internal/sim"
 	"seqtx/internal/trace"
@@ -123,5 +125,44 @@ func TestProgressConfigValidation(t *testing.T) {
 	t.Parallel()
 	if _, err := CheckProgress(alphaproto.MustNew(1), seq.Seq{}, channel.KindDup, ExploreConfig{}); err == nil {
 		t.Fatal("zero depth accepted")
+	}
+}
+
+// TestDoomedWitnessReplaysAsPrinted: a doomed witness is a run that
+// sim.Accept plays in full to the witness's own output, also when the
+// shortest path to the doomed state breaks safety on the way (naive on a
+// duplicating FIFO: the witness then ends at the violating step).
+func TestDoomedWitnessReplaysAsPrinted(t *testing.T) {
+	t.Parallel()
+	spec, err := naive.NewWriteEveryData(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := seq.FromInts(0, 1)
+	for _, kind := range []channel.Kind{channel.KindFIFO, channel.KindDup, channel.KindDel} {
+		res, err := CheckProgress(spec, input, kind, ExploreConfig{MaxDepth: 6, MaxStates: 1 << 13})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wit := res.DoomedWitness
+		if wit == nil {
+			t.Fatalf("%s: no doomed witness", kind)
+		}
+		link, err := channel.NewLinkOfKind(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := sim.New(spec, input, link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sim.Accept(w, wit.Actions, sim.Config{})
+		if err != nil || got.Steps != len(wit.Actions) || !got.Output.Equal(wit.Output) {
+			t.Errorf("%s: witness of %d actions with output %s replays %d steps to %s (%v)",
+				kind, len(wit.Actions), wit.Output, got.Steps, got.Output, err)
+		}
+		if v := got.SafetyViolation; v != nil && !strings.Contains(wit.Err.Error(), v.Error()) {
+			t.Errorf("%s: witness error %q drops the violation %q", kind, wit.Err, v)
+		}
 	}
 }

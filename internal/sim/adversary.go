@@ -98,44 +98,6 @@ func (a *RoundRobin) Choose(w *World, _ []trace.Action) trace.Action {
 	return a.rot.Next(w, a.rot.Fair)
 }
 
-// Scripted plays a fixed prefix of actions, then delegates to a fallback.
-// Actions in the script that are not currently enabled are skipped, and
-// counted: a replay that must be exact checks Skipped. Useful for
-// reproducing specific counterexample runs.
-type Scripted struct {
-	script   []trace.Action
-	pos      int
-	skipped  int
-	fallback Adversary
-}
-
-var _ Adversary = (*Scripted)(nil)
-
-// NewScripted returns an adversary playing script then fallback.
-func NewScripted(script []trace.Action, fallback Adversary) *Scripted {
-	return &Scripted{script: script, fallback: fallback}
-}
-
-// Name implements Adversary.
-func (a *Scripted) Name() string { return "scripted+" + a.fallback.Name() }
-
-// Skipped is the number of script actions passed over so far because they
-// were not enabled when their turn came.
-func (a *Scripted) Skipped() int { return a.skipped }
-
-// Choose implements Adversary.
-func (a *Scripted) Choose(w *World, enabled []trace.Action) trace.Action {
-	for a.pos < len(a.script) {
-		act := a.script[a.pos]
-		a.pos++
-		if w.Replayable(act) {
-			return act
-		}
-		a.skipped++
-	}
-	return a.fallback.Choose(w, enabled)
-}
-
 // Replayer exercises duplication: it follows RoundRobin but every period
 // steps it re-delivers a random already-sent message on the S→R half.
 // Meaningful on dup channels, where old messages remain deliverable.

@@ -91,6 +91,23 @@ func Run(w *World, adv Adversary, cfg Config) (Result, error) {
 	if cfg.MaxSteps <= 0 {
 		return Result{}, fmt.Errorf("sim: MaxSteps must be positive, got %d", cfg.MaxSteps)
 	}
+	return run(w, adv, nil, cfg)
+}
+
+// Accept is the one judge of a recorded schedule: it plays script on w
+// exactly, through Run's step loop, and fails at the first action
+// World.Replayable rejects — nothing is skipped or chosen in its place.
+// A positive cfg.MaxSteps only shortens the script; Run's other stops end
+// the play as they end a run.
+func Accept(w *World, script []trace.Action, cfg Config) (Result, error) {
+	if cfg.MaxSteps <= 0 || cfg.MaxSteps > len(script) {
+		cfg.MaxSteps = len(script)
+	}
+	return run(w, nil, script, cfg)
+}
+
+// run is the step loop of Run (adv chooses) and Accept (adv nil, script).
+func run(w *World, adv Adversary, script []trace.Action, cfg Config) (Result, error) {
 	if cfg.RecordTrace && w.Trace == nil {
 		w.StartTrace()
 	}
@@ -117,8 +134,13 @@ func Run(w *World, adv Adversary, cfg Config) (Result, error) {
 			break
 		}
 		before := len(w.Output)
-		enabled = w.AppendEnabled(enabled[:0])
-		act := adv.Choose(w, enabled)
+		var act trace.Action
+		if adv != nil {
+			enabled = w.AppendEnabled(enabled[:0])
+			act = adv.Choose(w, enabled)
+		} else if act = script[step]; !w.Replayable(act) {
+			return res, fmt.Errorf("sim: accept step %d: %s not enabled", step, act)
+		}
 		if err := w.Apply(act); err != nil {
 			return res, fmt.Errorf("sim: step %d (%s): %w", step, act, err)
 		}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -22,6 +24,15 @@ func newWorld(t *testing.T, m int, input seq.Seq, kind channel.Kind) *World {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// must unwraps a constructor's result in a test table; an error is a bug
+// in the table.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 func TestWorldEnabledAlwaysHasTicks(t *testing.T) {
@@ -233,23 +244,83 @@ func TestWithholderDelaysButFairSuffixDelivers(t *testing.T) {
 	}
 }
 
+// TestScriptedAdversarySkipsDisabled pins that Accept rejects each kind of
+// disabled action at its own step and plays nothing after it. The name is
+// kept from before Accept: renaming would retire a tier-1 test id.
 func TestScriptedAdversarySkipsDisabled(t *testing.T) {
 	t.Parallel()
-	w := newWorld(t, 2, seq.FromInts(1), channel.KindDup)
-	script := []trace.Action{
-		trace.Deliver(channel.SToR, alphaproto.DataMsg(1)), // not enabled yet: skipped
-		trace.TickS(),
+	fifo := func() *channel.Link {
+		return channel.NewLink(channel.NewFIFO(true, false), channel.NewFIFO(true, false))
 	}
-	adv := NewScripted(script, NewRoundRobin())
-	res, err := Run(w, adv, Config{MaxSteps: 100, StopWhenComplete: true})
-	if err != nil {
-		t.Fatal(err)
+	d1 := alphaproto.DataMsg(1)
+	cases := []struct {
+		name   string
+		link   *channel.Link
+		script []trace.Action
+		step   int
+	}{
+		{"delivery of a message never sent (dup)", must(channel.NewLinkOfKind(channel.KindDup)),
+			[]trace.Action{trace.TickS(), trace.Deliver(channel.SToR, alphaproto.DataMsg(0))}, 1},
+		{"second delivery of a consumed copy (del)", must(channel.NewLinkOfKind(channel.KindDel)),
+			[]trace.Action{trace.TickS(), trace.Deliver(channel.SToR, d1), trace.TickR(), trace.Deliver(channel.SToR, d1)}, 3},
+		{"deliver+dup on a FIFO without duplication", fifo(),
+			[]trace.Action{trace.TickS(), trace.DeliverDup(channel.SToR, d1)}, 1},
+		{"drop on a dup half", must(channel.NewLinkOfKind(channel.KindDup)),
+			[]trace.Action{trace.TickS(), trace.TickS(), trace.Drop(channel.SToR, d1)}, 2},
 	}
-	if !res.OutputComplete {
-		t.Fatal("scripted run incomplete")
+	for _, c := range cases {
+		w, err := New(alphaproto.MustNew(2), seq.FromInts(1), c.link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Accept(w, append(c.script, trace.TickS()), Config{})
+		want := fmt.Sprintf("sim: accept step %d: %s not enabled", c.step, c.script[c.step])
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: Accept = %v, want %q", c.name, err, want)
+		}
+		if res.Steps != c.step || w.Time != c.step {
+			t.Errorf("%s: %d steps played (clock %d), want the %d before the rejected one", c.name, res.Steps, w.Time, c.step)
+		}
 	}
-	if adv.Skipped() != 1 {
-		t.Errorf("Skipped() = %d, want the one disabled delivery", adv.Skipped())
+}
+
+// TestAcceptMatchesRun: a recorded run, accepted on a fresh world under the
+// same config, gives the Result the run gave — steps, tape, verdicts and
+// learn times — including a run that breaks safety.
+func TestAcceptMatchesRun(t *testing.T) {
+	t.Parallel()
+	worlds := map[string]func() *World{
+		"alpha on del, dropping": func() *World { return newWorld(t, 3, seq.FromInts(2, 0, 1), channel.KindDel) },
+		"naive on dup": func() *World {
+			w, err := New(must(naive.NewWriteEveryData(2)), seq.FromInts(0, 1, 0), must(channel.NewLinkOfKind(channel.KindDup)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w
+		},
+	}
+	violated := false
+	for name, fresh := range worlds {
+		for seed := int64(1); seed <= 5; seed++ {
+			cfg := Config{MaxSteps: 400, StopWhenComplete: true}
+			rec := fresh()
+			rec.StartTrace()
+			want, err := Run(rec, NewRandomDropper(seed, 1), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Accept(fresh(), rec.Trace.Actions(), cfg)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s seed %d: Accept gave %+v, Run gave %+v", name, seed, got, want)
+			}
+			violated = violated || want.SafetyViolation != nil
+		}
+	}
+	if !violated {
+		t.Error("no recorded run broke safety: the violating case went untested")
 	}
 }
 
@@ -329,7 +400,6 @@ func TestAdversaryNames(t *testing.T) {
 		NewRandom(1).Name(),
 		NewRandomDropper(1, 2).Name(),
 		NewRoundRobin().Name(),
-		NewScripted(nil, NewRoundRobin()).Name(),
 		NewReplayer(1, 2).Name(),
 		NewWithholder(3).Name(),
 		NewBudgetDropper(1, 2).Name(),

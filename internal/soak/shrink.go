@@ -19,19 +19,20 @@ type Counterexample struct {
 	// ReplayOK confirms a final fresh replay of the shrunk actions still
 	// reproduces the violation.
 	ReplayOK bool `json:"replay_ok"`
-	// Trace is the shrunk run, replayable via Replay / the Scripted
-	// adversary.
+	// Trace is the shrunk run as the final replay recorded it: only the
+	// actions that replay applied, so sim.Accept (stpsim -replay) plays it
+	// in full on a fresh world of the case's protocol and channel.
 	Trace *trace.Trace `json:"trace"`
 }
 
 // Replay re-executes a recorded action sequence against a fresh build of
 // the case (fresh processes, fresh link, fresh fault wrappers) and
-// returns the resulting world. Actions that are not replayable in the
-// rebuilt world (World.Replayable) — a delivery whose copy no longer
-// exists because ddmin removed the send that produced it — are skipped,
-// which keeps every subsequence of a valid run itself replayable. The
-// replay stops early once safety is violated (the oracle needs nothing
-// further).
+// returns the resulting world. Unlike sim.Accept it is lenient on
+// purpose: ddmin's subsequences legitimately lose the send behind a
+// delivery, so an action that is not replayable in the rebuilt world
+// (World.Replayable) is skipped, which keeps every subsequence of a valid
+// run itself replayable. The replay stops early once safety is violated
+// (the oracle needs nothing further).
 func Replay(c Case, actions []trace.Action) (*sim.World, error) {
 	w, _, _, err := c.build()
 	if err != nil {

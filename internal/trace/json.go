@@ -10,8 +10,8 @@ import (
 )
 
 // The wire format keeps traces readable as artifacts: counterexample runs
-// from the model checker can be saved, diffed, and replayed (the Scripted
-// adversary accepts a trace's action list).
+// from the model checker can be saved, diffed, and replayed (sim.Accept
+// plays a trace's action list).
 
 // actionJSON is the wire form of an Action.
 type actionJSON struct {
@@ -128,8 +128,8 @@ func (t *Trace) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Actions returns the recorded action sequence — directly replayable by a
-// Scripted adversary.
+// Actions returns the recorded action sequence, the script sim.Accept
+// plays.
 func (t *Trace) Actions() []Action {
 	acts := make([]Action, len(t.Entries))
 	for i, e := range t.Entries {

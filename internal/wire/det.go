@@ -2,18 +2,22 @@ package wire
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 
+	"seqtx/internal/channel"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
+	"seqtx/internal/sim"
 	"seqtx/internal/trace"
 )
 
 // DetConfig configures a deterministic wire run: a real Session on a real
 // Mux, stepped by the production loopWorker, with a seeded scheduler in
 // place of goroutines and the wall clock — exactly reproducible and,
-// because every recorded action is enabled on a dup link, replayable in
-// the lock-step simulator via sim.NewScripted (DESIGN.md §8).
+// because every recorded action is enabled on a dup link, a run of the
+// model that DetResult.Accept checks in the lock-step simulator
+// (DESIGN.md §8).
 type DetConfig struct {
 	// Sender and Receiver are fresh protocol processes.
 	Sender   protocol.Sender
@@ -36,9 +40,9 @@ type DetResult struct {
 	// the run's virtual timeline.
 	Report
 	// Script is the schedule, recorded by the session as it stepped:
-	// replaying it through sim.NewScripted on a dup link reproduces Output
-	// (every recorded action is enabled there — ticks always are, and a
-	// dup half keeps every ever-sent message deliverable).
+	// sim.Accept plays it on a dup link and reproduces Output (every
+	// recorded action is enabled there — ticks always are, and a dup half
+	// keeps every ever-sent message deliverable); Accept is that check.
 	Script []trace.Action
 	// Steps is the number of scheduler choices taken.
 	Steps int
@@ -125,4 +129,40 @@ func DetRun(cfg DetConfig) (DetResult, error) {
 	}
 	m.Close() // a session still running reports here, incomplete
 	return res, nil
+}
+
+// Accept is the det cross-check: the recorded schedule, played by
+// sim.Accept on a dup link from a fresh world of spec, must be a run of the
+// model that reaches the wire's verdict and tape. A session's audit stops
+// a burst at the first bad write where World.Apply finishes the step, so
+// on a violating run the tapes are compared through the wire's last write.
+// A run that recorded no step proves nothing and is rejected.
+func (r DetResult) Accept(spec protocol.Spec) error {
+	if len(r.Script) == 0 {
+		return fmt.Errorf("the run recorded no step")
+	}
+	link, err := channel.NewLinkOfKind(channel.KindDup)
+	if err != nil {
+		return err
+	}
+	w, err := sim.New(spec, r.Input, link)
+	if err != nil {
+		return err
+	}
+	got, err := sim.Accept(w, r.Script, sim.Config{})
+	if err != nil {
+		return err
+	}
+	if (got.SafetyViolation == nil) != (r.SafetyViolation == nil) {
+		return fmt.Errorf("safety verdicts disagree: wire %v, sim %v", r.SafetyViolation, got.SafetyViolation)
+	}
+	tape := got.Output
+	if r.SafetyViolation != nil && len(tape) > len(r.Output) {
+		tape = tape[:len(r.Output)]
+	}
+	if !tape.Equal(r.Output) || got.OutputComplete != r.Complete {
+		return fmt.Errorf("wire output %s (complete=%v) != sim output %s (complete=%v)",
+			r.Output, r.Complete, got.Output, got.OutputComplete)
+	}
+	return nil
 }

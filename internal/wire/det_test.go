@@ -3,13 +3,16 @@ package wire
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"seqtx/internal/channel"
 	"seqtx/internal/msg"
+	"seqtx/internal/protocol"
 	"seqtx/internal/registry"
 	"seqtx/internal/seq"
 	"seqtx/internal/sim"
+	"seqtx/internal/trace"
 )
 
 // detRun runs one fresh pair of proto through DetRun under the impairment
@@ -31,49 +34,15 @@ func detRun(t *testing.T, proto string, params registry.Params, input seq.Seq, s
 	return res
 }
 
-// replayInSim replays a det-run schedule through the lock-step simulator
-// on a dup link, strictly — an action the simulator had to skip means the
-// engine took a step the model does not allow — and returns an error
-// unless the two runs agree: equal verdicts and equal tapes. A session's
-// audit stops a burst at the first bad write where World.Apply appends
-// the whole step's writes, so on a violating run the wire tape is the
-// simulator's through the first violating write.
-func replayInSim(proto string, params registry.Params, input seq.Seq, res DetResult) error {
+// specOf is the spec a det run's pair of proto was built from: what
+// DetResult.Accept replays the schedule against.
+func specOf(t *testing.T, proto string, params registry.Params) protocol.Spec {
+	t.Helper()
 	spec, err := registry.Protocol(proto, params)
 	if err != nil {
-		return err
+		t.Fatalf("Protocol(%s): %v", proto, err)
 	}
-	link, err := channel.NewLinkOfKind(channel.KindDup)
-	if err != nil {
-		return err
-	}
-	w, err := sim.New(spec, input, link)
-	if err != nil {
-		return err
-	}
-	if len(res.Script) == 0 {
-		return fmt.Errorf("the run recorded no step")
-	}
-	adv := sim.NewScripted(res.Script, sim.NewRoundRobin())
-	simRes, err := sim.Run(w, adv, sim.Config{MaxSteps: len(res.Script), StopWhenComplete: true})
-	if err != nil {
-		return err
-	}
-	if n := adv.Skipped(); n != 0 {
-		return fmt.Errorf("%d of %d recorded actions were not enabled in the simulator", n, len(res.Script))
-	}
-	if (simRes.SafetyViolation == nil) != (res.SafetyViolation == nil) {
-		return fmt.Errorf("safety verdicts disagree: wire %v, sim %v", res.SafetyViolation, simRes.SafetyViolation)
-	}
-	simTape := simRes.Output
-	if res.SafetyViolation != nil && len(simTape) > len(res.Output) {
-		simTape = simTape[:len(res.Output)]
-	}
-	if !simTape.Equal(res.Output) || simRes.OutputComplete != res.Complete {
-		return fmt.Errorf("wire output %s (complete=%v) != sim output %s (complete=%v)",
-			res.Output, res.Complete, simRes.Output, simRes.OutputComplete)
-	}
-	return nil
+	return spec
 }
 
 // TestDetRunMatchesSimulator is the subsystem's fidelity acceptance
@@ -92,7 +61,7 @@ func TestDetRunMatchesSimulator(t *testing.T) {
 		if !res.Complete {
 			t.Fatalf("seed %d: incomplete after %d steps: %s", seed, res.Steps, res.Output)
 		}
-		if err := replayInSim("alpha", params, input, res); err != nil {
+		if err := res.Accept(specOf(t, "alpha", params)); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -126,7 +95,7 @@ func TestDetRunImpaired(t *testing.T) {
 			if again := detRun(t, "alpha", params, input, seed, impair); !reflect.DeepEqual(res, again) {
 				t.Errorf("%s seed %d: two runs differ", impair, seed)
 			}
-			if err := replayInSim("alpha", params, input, res); err != nil {
+			if err := res.Accept(specOf(t, "alpha", params)); err != nil {
 				t.Errorf("%s seed %d: %v", impair, seed, err)
 			}
 		}
@@ -166,8 +135,8 @@ func TestDetRunScheduleSurvivesScratchReuse(t *testing.T) {
 
 // TestDetRunOtherProtocols: the production engine carries every
 // registered protocol under every link impairment, and each run is a run
-// of the model — the simulator replays its schedule with no action
-// skipped and reaches the same tape and verdict. The det scheduler is a
+// of the model — sim.Accept plays its whole schedule and reaches the same
+// tape and verdict. The det scheduler is a
 // full dup adversary (any ever-sent message, any time), so protocols that
 // are unsafe on dup channels — the paper's counterexamples — may rightly
 // violate safety here; that verdict is the runner working, not failing.
@@ -180,7 +149,7 @@ func TestDetRunOtherProtocols(t *testing.T) {
 		for _, impair := range impairs {
 			for seed := int64(1); seed <= 10; seed++ {
 				res := detRun(t, name, params, input, seed, impair)
-				if err := replayInSim(name, params, input, res); err != nil {
+				if err := res.Accept(specOf(t, name, params)); err != nil {
 					t.Errorf("%s/%s seed %d: %v", name, impair, seed, err)
 				}
 				retransmits += res.Retransmits
@@ -192,4 +161,61 @@ func TestDetRunOtherProtocols(t *testing.T) {
 		t.Errorf("%d runs and not one retransmission: the timer path never ran", runs)
 	}
 	t.Logf("%d runs, %d retransmissions", runs, retransmits)
+}
+
+// TestDetRunRejectsTamperedScript: a clean recorded schedule with one
+// delivery spliced in, at position k, of a message the sender has not yet
+// sent is not a run of the model. Accept must fail and name step k; an
+// acceptor that skipped the action would pass it.
+func TestDetRunRejectsTamperedScript(t *testing.T) {
+	params := registry.Params{M: 6}
+	input := seq.Seq{3, 0, 5, 1, 4, 2}
+	spec := specOf(t, "alpha", params)
+	res := detRun(t, "alpha", params, input, 1, "none")
+	if err := res.Accept(spec); err != nil {
+		t.Fatalf("clean schedule rejected: %v", err)
+	}
+	// The simulator's trace of the clean schedule says at which step each
+	// message is first sent; of the messages delivered to R, splice in the
+	// one sent last, just before the step that sends it.
+	link, err := channel.NewLinkOfKind(channel.KindDup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := sim.New(spec, input, link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.StartTrace()
+	if _, err := sim.Accept(w, res.Script, sim.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	firstSent := map[msg.Msg]int{}
+	for i, e := range w.Trace.Entries {
+		for _, m := range e.Sends {
+			if _, ok := firstSent[m]; !ok {
+				firstSent[m] = i
+			}
+		}
+	}
+	k, late := 0, msg.Msg("")
+	for _, act := range res.Script {
+		if act.Kind == trace.ActDeliver && act.Dir == channel.SToR && firstSent[act.Msg] > k {
+			k, late = firstSent[act.Msg], act.Msg
+		}
+	}
+	if k == 0 {
+		t.Fatal("every delivered message was sent at the first step: nothing to splice")
+	}
+	tampered := slices.Insert(slices.Clone(res.Script), k, trace.Deliver(channel.SToR, late))
+	res.Script = tampered
+	err = res.Accept(spec)
+	if want := fmt.Sprintf("sim: accept step %d: %s not enabled", k, tampered[k]); err == nil || err.Error() != want {
+		t.Fatalf("tampered schedule: Accept = %v, want %q", err, want)
+	}
+	// A run that recorded nothing and wrote nothing matches the untouched
+	// world on verdict and tape, so it must be refused outright.
+	if err := (DetResult{Report: Report{Input: input}}).Accept(spec); err == nil {
+		t.Fatal("empty schedule accepted")
+	}
 }
