@@ -432,19 +432,19 @@ func (w *loopWorker) run() {
 //
 // Fresh sends are clocked here, by progress, not by the timer: the
 // model's environment may grant a spontaneous step at any instant (paper
-// §2, Property 1), so the sender takes its first at attach and one more
-// after each delivery that sent nothing but changed its state — an
-// acknowledgement that moved it forward. One per such delivery, not per
-// burst: a windowed sender emits one fresh frame a step, so each new
-// acknowledgement replaces the frame it retired. Only on a state change:
-// a stale acknowledgement answered with a send would circulate for ever.
-// Each step re-arms the backoff: the timer only times retransmission.
+// §2, Property 1), so the sender fills at attach and again after each
+// delivery that sent nothing but changed its state — an acknowledgement
+// that moved it forward. A fill ends at the first step that sends nothing
+// fresh, so a window opens whole at attach and each new acknowledgement
+// then replaces the frame it retired. Only on a state change: a stale
+// acknowledgement answered with a send would circulate for ever. Each
+// step re-arms the backoff: the timer only times retransmission.
 func (w *loopWorker) service(s *Session) {
 	s.scheduled.Store(false)
 	if s.finished {
 		return
 	}
-	first := !s.attached
+	first, room := !s.attached, s.cfg.InboxSize
 	if first {
 		if s.startAt > w.eng.now() && !s.cancelReq.Load() {
 			w.timers.push(s.startAt, s)
@@ -458,9 +458,12 @@ func (w *loopWorker) service(s *Session) {
 		return
 	}
 	if s.runsSender() {
-		if first && !s.spontaneous(w.eng.now()) {
-			w.finish(s)
-			return
+		if first {
+			w.key = protocol.AppendKey(w.key[:0], s.cfg.Sender)
+			if !w.fill(s, &room) {
+				w.finish(s)
+				return
+			}
 		}
 		w.batch = s.senderInbox.drain(w.batch)
 		if len(w.batch) > 0 {
@@ -476,11 +479,10 @@ func (w *loopWorker) service(s *Session) {
 				continue
 			}
 			s.bo.reset()
-			if !s.spontaneous(w.eng.now()) {
+			if !w.fill(s, &room) {
 				w.finish(s)
 				return
 			}
-			w.key = protocol.AppendKey(w.key[:0], s.cfg.Sender)
 		}
 		if s.senderFinished() {
 			s.complete = true
@@ -514,6 +516,26 @@ func (w *loopWorker) attach(s *Session) {
 func (w *loopWorker) senderMoved(s *Session) bool {
 	w.key, w.keyWas = protocol.AppendKey(w.keyWas[:0], s.cfg.Sender), w.key
 	return !bytes.Equal(w.key, w.keyWas)
+}
+
+// fill takes spontaneous steps while each puts a fresh frame on the wire
+// and moves the sender's state (a window fills; a stop-and-wait sender,
+// whose tick does not move it, takes one step) and while *room, the frames
+// left of its service call's InboxSize, lasts: the peer's inbox takes no
+// more from one burst. w.key holds the sender's key on entry and on exit.
+// false means the transport closed.
+func (w *loopWorker) fill(s *Session, room *int) bool {
+	for *room > 0 {
+		sent, re := s.framesTx, s.retransmits
+		if !s.spontaneous(w.eng.now()) {
+			return false
+		}
+		*room -= s.framesTx - sent
+		if !w.senderMoved(s) || s.framesTx == sent || s.retransmits != re {
+			return true
+		}
+	}
+	return true
 }
 
 // fire handles a session's timer wakeup: its start instant attaches it,

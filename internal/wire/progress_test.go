@@ -7,6 +7,7 @@ import (
 
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol/alphaproto"
+	"seqtx/internal/protocol/gobackn"
 	"seqtx/internal/protocol/selrepeat"
 	"seqtx/internal/registry"
 	"seqtx/internal/seq"
@@ -130,9 +131,10 @@ func TestProgressClockedStep(t *testing.T) {
 			}
 		})
 	}
-	// stab and flood make progress by repetition (c+1 identical copies
-	// teach R one item; flood's sender never hears from R), so their
-	// sends rightly stay on the timer: they complete at the default tick.
+	// stab makes progress by repetition (c+1 identical copies teach R one
+	// item), so its sends rightly stay on the timer; flood's sender never
+	// hears from R and streams its tape in its attach fill. Both complete
+	// at the default tick.
 	for _, proto := range []string{"stab", "flood"} {
 		t.Run("timer-driven/"+proto, func(t *testing.T) {
 			t.Parallel()
@@ -171,11 +173,8 @@ func TestProgressClockedStep(t *testing.T) {
 	t.Run("one step per acknowledgement, not per burst", func(t *testing.T) {
 		const window = 4
 		w, s := detachedSession(t, "selrepeat", registry.Params{M: 16, Window: window}, rampTape(16))
-		w.turn()
-		for s.framesTx < window { // what the timer would add, a tick at a time
-			if !s.spontaneous(w.eng.now()) {
-				t.Fatal("transport closed")
-			}
+		if w.turn(); s.framesTx != window {
+			t.Fatalf("attach sent %d frames, want the window's %d", s.framesTx, window)
 		}
 		acks := []msg.Msg{selrepeat.AckMsg(2*window, 0), selrepeat.AckMsg(2*window, 1), selrepeat.AckMsg(2*window, 2)}
 		if n := deliverAcks(w, s, acks...); n != len(acks) {
@@ -186,7 +185,97 @@ func TestProgressClockedStep(t *testing.T) {
 		}
 	})
 
-	// (iv): retransmission stayed on the timer. Over a link that delivers
+	// (iv): a progress event fills the window. Attach sends a whole window,
+	// each new acknowledgement one frame while the tape lasts, a repeated
+	// one none, and the frames in flight never exceed the window.
+	t.Run("attach fills the window", func(t *testing.T) {
+		const window, items = 4, 16
+		for _, tc := range []struct {
+			proto string
+			ack   func(k int) msg.Msg // the acknowledgement that retires frame k
+		}{
+			{"selrepeat", func(k int) msg.Msg { return selrepeat.AckMsg(2*window, k) }},
+			{"gobackn", func(k int) msg.Msg { return gobackn.AckMsg(window+1, k+1) }}, // cumulative: "k+1 next"
+		} {
+			t.Run(tc.proto, func(t *testing.T) {
+				w, s := detachedSession(t, tc.proto, registry.Params{M: items, Window: window}, rampTape(items))
+				if w.turn(); s.framesTx != window {
+					t.Fatalf("attach sent %d frames, want the window's %d", s.framesTx, window)
+				}
+				for k := 0; k < items; k++ {
+					want := 0
+					if k+window < items {
+						want = 1
+					}
+					if n := deliverAcks(w, s, tc.ack(k)); n != want {
+						t.Errorf("the new acknowledgement of frame %d provoked %d sends, want %d", k, n, want)
+					}
+					if n := deliverAcks(w, s, tc.ack(k)); n != 0 {
+						t.Errorf("the acknowledgement of frame %d again provoked %d sends", k, n)
+					}
+					if inFlight := s.framesTx - (k + 1); inFlight > window {
+						t.Fatalf("%d frames in flight after %d acknowledgements, window %d", inFlight, k+1, window)
+					}
+				}
+				if s.retransmits != 0 || s.framesTx != items || !s.cfg.Sender.Done() {
+					t.Errorf("retransmits=%d framesTx=%d done=%v, want 0, %d, true", s.retransmits, s.framesTx, s.cfg.Sender.Done(), items)
+				}
+			})
+		}
+	})
+	// (v): every fill ends, within len(Input)+1 frames. At an hour's tick
+	// nothing but the fill sends: flood streams its tape, afwz's gate
+	// closes after one frame, a windowed sender stops at its window and the
+	// rest at one frame. flood's payload is the item itself, so a repeated
+	// item counts as a retransmission and ends its fill once sent. And the
+	// fills of one service call send at most InboxSize frames, all the
+	// peer's inbox takes from one burst: a longer tape or a wider window
+	// stops there at attach and still completes on a clean link, with no
+	// frame lost to a full inbox.
+	t.Run("fill ends", func(t *testing.T) {
+		x := rampTape(zooParams.M)
+		for _, proto := range registry.ProtocolNames() {
+			want := 1
+			switch proto {
+			case "flood":
+				want = len(x)
+			case "selrepeat", "gobackn":
+				want = zooParams.Window
+			}
+			w, s := detachedSession(t, proto, zooParams, x)
+			if w.turn(); s.framesTx != want {
+				t.Errorf("%s: attach sent %d frames, want %d", proto, s.framesTx, want)
+			}
+		}
+		w, s := detachedSession(t, "flood", zooParams, seq.Seq{0, 1, 1, 2})
+		if w.turn(); s.framesTx != 3 || s.retransmits != 1 {
+			t.Errorf("flood on 0.1.1.2: attach sent %d frames, %d retransmitted, want 3 and 1", s.framesTx, s.retransmits)
+		}
+		const long = 4 * DefaultInboxSize
+		for _, tc := range []struct {
+			proto string
+			p     registry.Params
+			tick  time.Duration // flood sends what its fill left on the timer
+		}{
+			{"flood", registry.Params{M: long}, DefaultTick},
+			{"gobackn", registry.Params{M: long, Window: 2 * DefaultInboxSize}, time.Hour},
+			{"selrepeat", registry.Params{M: long, Window: 2 * DefaultInboxSize}, time.Hour},
+		} {
+			x := rampTape(long)
+			w, s := detachedSession(t, tc.proto, tc.p, x)
+			if w.turn(); s.framesTx != DefaultInboxSize {
+				t.Errorf("%s, %d items, window %d: attach sent %d frames, want the inbox's %d",
+					tc.proto, long, tc.p.Window, s.framesTx, DefaultInboxSize)
+			}
+			rep := runOne(t, NewInproc(0, nil), tc.proto, tc.p, x, tc.tick, 10*time.Second)
+			if !rep.Complete || rep.SafetyViolation != nil || rep.InboxDrops != 0 {
+				t.Errorf("%s, %d items: complete=%v violation=%v inbox drops=%d, want a clean run",
+					tc.proto, long, rep.Complete, rep.SafetyViolation, rep.InboxDrops)
+			}
+		}
+	})
+
+	// (vi): retransmission stayed on the timer. Over a link that delivers
 	// nothing, on a clock the test owns, the frames of a 150-tick life are
 	// exactly the attach step plus the capped backoff law, drawn from the
 	// session's own jitter stream: a twin backoff says which ticks were due.

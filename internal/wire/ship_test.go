@@ -103,9 +103,9 @@ func TestWorkerShipsItsBurst(t *testing.T) {
 	}
 
 	// One burst, driven by hand on a manual engine's worker: three sessions
-	// open their windows a frame a round, interleaved, then each receiver
-	// acknowledges one delivery. A twin sender per session, stepped the same
-	// way, says what was sent and in which order.
+	// attach, each filling its window, then each receiver acknowledges one
+	// delivery. A twin sender per session, ticked once a window slot, says
+	// what was sent and in which order.
 	var want [2][]Frame // indexed End-1
 	var burst []*Session
 	var twins []protocol.Sender
@@ -119,13 +119,9 @@ func TestWorkerShipsItsBurst(t *testing.T) {
 		}
 		twins = append(twins, twin)
 	}
-	for round := 0; round < window; round++ {
-		for i, s := range burst {
-			if round == 0 {
-				w.service(s) // attach: the first spontaneous step
-			} else if !s.spontaneous(w.eng.now()) {
-				t.Fatal("transport closed")
-			}
+	for i, s := range burst {
+		w.service(s) // attach: the fill, a fresh frame a step until the window is full
+		for range window {
 			for _, mg := range twins[i].Step(protocol.TickEvent()) {
 				want[SenderEnd-1] = append(want[SenderEnd-1], Frame{Session: s.cfg.ID, Dir: channel.SToR, Msg: mg})
 			}
@@ -176,8 +172,9 @@ func TestWorkerShipsItsBurst(t *testing.T) {
 	}
 
 	// A running worker ships its bursts unasked and parks with nothing
-	// pending: every session's attach frame reaches the transport though no
-	// timer (an hour's tick) and no other goroutine will ever flush it.
+	// pending: every session's attach frames (a window each) reach the
+	// transport though no timer (an hour's tick) and no other goroutine
+	// will ever flush them.
 	rec = newRecorder()
 	live := NewMux(rec, nil)
 	defer live.Close()
@@ -187,10 +184,10 @@ func TestWorkerShipsItsBurst(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, got := rec.shipped(); got == n {
+		if _, got := rec.shipped(); got == n*window {
 			break
 		} else if time.Now().After(deadline) {
-			t.Fatalf("%d of %d attach frames reached the transport", got, n)
+			t.Fatalf("%d of %d attach frames reached the transport", got, n*window)
 		}
 		time.Sleep(time.Millisecond)
 	}

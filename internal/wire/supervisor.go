@@ -371,9 +371,12 @@ func (w *loopWorker) restart(s *Session, now int64) {
 	c.progressAt = now
 	s.haveLast, s.lastRetransmitAt = false, 0
 	s.arm(now)
-	if s.runsSender() && !s.spontaneous(now) {
-		w.finish(s)
-		return
+	if s.runsSender() {
+		w.key = protocol.AppendKey(w.key[:0], s.cfg.Sender)
+		if room := s.cfg.InboxSize; !w.fill(s, &room) {
+			w.finish(s)
+			return
+		}
 	}
 	w.timers.push(s.nextWake(), s)
 }
