@@ -88,7 +88,7 @@ func (s *Spec) AddParamFlags(fs *flag.FlagSet) {
 	fs.IntVar(&s.Window, "window", s.Window, "modseq sequence-number window")
 	fs.IntVar(&s.Cap, "cap", s.Cap, "channel-capacity bound c for the stab protocol (0 = its default)")
 	fs.Int64Var(&s.Seed, "seed", s.Seed, "base seed (every session's tape and jitter derive from it)")
-	fs.DurationVar(&s.Tick, "tick", s.Tick, "timer tick: retransmission-timeout base and receiver pacing (fresh sends do not wait for it)")
+	fs.DurationVar(&s.Tick, "tick", s.Tick, "timer tick: receiver pacing, and the retransmission timeout's initial value and ceiling (the measured round trip sets it between tick/4 and tick; fresh sends do not wait for it)")
 	fs.DurationVar(&s.Deadline, "deadline", s.Deadline, "per-session deadline (0 = none)")
 	fs.StringVar(&s.RestartPolicy, "restart-policy", s.RestartPolicy, "restart state for crashed processes: preset|amnesia|scramble")
 }

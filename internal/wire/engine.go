@@ -234,14 +234,16 @@ type loopWorker struct {
 
 	// Worker-owned (no locking): ready's swap buffer, the timer heap, the
 	// drain scratch buffer, the progress probe's two sender-state keys (they
-	// start in keyBuf) and the pending outbound burst of each end (indexed
-	// End-1), shared by every session here so per-session state stays flat.
+	// start in keyBuf), the pending outbound burst of each end (indexed
+	// End-1) and the round-trip estimate behind the retransmission timeout,
+	// shared by every session here so per-session state stays flat.
 	swap        []*Session
 	timers      timerHeap
 	batch       []msg.Msg
 	key, keyWas []byte
 	keyBuf      [2][24]byte
 	out         [2]outChunk
+	rtt         rttEstimate
 }
 
 // outChunk is what a worker's sessions have sent from one end since the
@@ -438,7 +440,8 @@ func (w *loopWorker) run() {
 // fresh, so a window opens whole at attach and each new acknowledgement
 // then replaces the frame it retired. Only on a state change: a stale
 // acknowledgement answered with a send would circulate for ever. Each
-// step re-arms the backoff: the timer only times retransmission.
+// step re-arms the backoff: the timer only times retransmission. An
+// acknowledgement that moves the sender closes its round-trip probe.
 func (w *loopWorker) service(s *Session) {
 	s.scheduled.Store(false)
 	if s.finished {
@@ -475,10 +478,19 @@ func (w *loopWorker) service(s *Session) {
 				w.finish(s)
 				return
 			}
-			if !w.senderMoved(s) || s.framesTx != sent {
+			if !w.senderMoved(s) {
 				continue
 			}
-			s.bo.reset()
+			if s.probeAt != noProbe {
+				r := w.eng.now() - s.probeAt
+				w.rtt.sample(r)
+				s.mux.met.rtt.Observe(time.Duration(r).Seconds())
+				s.probeAt = noProbe
+			}
+			if s.framesTx != sent {
+				continue
+			}
+			s.bo.reset(w.rtt.rto(s.cfg.Tick))
 			if !w.fill(s, &room) {
 				w.finish(s)
 				return
@@ -522,16 +534,22 @@ func (w *loopWorker) senderMoved(s *Session) bool {
 // and moves the sender's state (a window fills; a stop-and-wait sender,
 // whose tick does not move it, takes one step) and while *room, the frames
 // left of its service call's InboxSize, lasts: the peer's inbox takes no
-// more from one burst. w.key holds the sender's key on entry and on exit.
-// false means the transport closed.
+// more from one burst. A first step that sends one fresh frame and leaves
+// the sender put (stop-and-wait) opens a round-trip probe on that frame.
+// w.key holds the sender's key on entry and on exit. false means the
+// transport closed.
 func (w *loopWorker) fill(s *Session, room *int) bool {
-	for *room > 0 {
-		sent, re := s.framesTx, s.retransmits
-		if !s.spontaneous(w.eng.now()) {
+	for first := true; *room > 0; first = false {
+		sent, re, now := s.framesTx, s.retransmits, w.eng.now()
+		if !s.spontaneous(now) {
 			return false
 		}
 		*room -= s.framesTx - sent
-		if !w.senderMoved(s) || s.framesTx == sent || s.retransmits != re {
+		moved := w.senderMoved(s)
+		if first && !moved && s.framesTx == sent+1 && s.retransmits == re {
+			s.probeAt = now
+		}
+		if !moved || s.framesTx == sent || s.retransmits != re {
 			return true
 		}
 	}
@@ -541,15 +559,16 @@ func (w *loopWorker) fill(s *Session, room *int) bool {
 // fire handles a session's timer wakeup: its start instant attaches it,
 // a due crash or watchdog restarts a supervised one in place, deadline
 // expiry finishes it (Complete=false — never a safety verdict), a due
-// pacing tick steps the receiver and, when the retransmission backoff
-// agrees, the sender; then the one live heap entry is re-armed at the
-// next wake. now is the reading that popped the entry, so the entry's
-// instant — nextWake — is due here too: fire finishes the session, or
-// consumes a crash, or moves what was due past now, and but for a second
-// crash due at this reading (the next pop's) the entry it pushes back is
-// strictly later than now. That is the worker's progress guarantee; it
-// holds because pop and due-check share one clock reading in one
-// representation.
+// pacing tick steps the receiver and a due backoff the sender, each on its
+// own; then the one live heap entry is re-armed at the next wake (a backoff
+// that service moved earlier waits for this pop, never past the next
+// tick: no second entry). now is the reading that popped the entry, so
+// the entry's instant — nextWake — is due here too: fire finishes the
+// session, or consumes a crash, or moves what was due past now, and but
+// for a second crash due at this reading (the next pop's) the entry it
+// pushes back is strictly later than now. That is the worker's progress
+// guarantee; it holds because pop and due-check share one clock reading
+// in one representation.
 func (w *loopWorker) fire(s *Session, now int64) {
 	if s.finished {
 		return // lazily removed entry
@@ -573,24 +592,22 @@ func (w *loopWorker) fire(s *Session, now int64) {
 		return
 	}
 	if now >= s.tickNext {
-		if s.runsReceiver() {
-			if s.receiverEvent(protocol.TickEvent()) != stepRunning {
-				w.finish(s)
-				return
-			}
-		}
-		if s.runsSender() && s.bo.due(now) {
-			if !s.spontaneous(now) {
-				w.finish(s)
-				return
-			}
-			if s.senderFinished() {
-				s.complete = true
-				w.finish(s)
-				return
-			}
+		if s.runsReceiver() && s.receiverEvent(protocol.TickEvent()) != stepRunning {
+			w.finish(s)
+			return
 		}
 		s.tickNext = now + int64(s.cfg.Tick)
+	}
+	if s.runsSender() && s.bo.due(now) {
+		if !s.spontaneous(now) {
+			w.finish(s)
+			return
+		}
+		if s.senderFinished() {
+			s.complete = true
+			w.finish(s)
+			return
+		}
 	}
 	w.timers.push(s.nextWake(), s)
 }

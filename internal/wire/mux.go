@@ -96,6 +96,7 @@ type muxMetrics struct {
 	violations    *obs.Counter
 	retransmits   *obs.Counter
 	retransmitIvl *obs.Histogram
+	rtt           *obs.Histogram
 	goodput       *obs.Histogram
 	learn         *obs.Histogram
 
@@ -137,6 +138,7 @@ func newMuxMetrics(reg *obs.Registry) *muxMetrics {
 		retransmits:  reg.Counter("wire_retransmits_total"),
 		retransmitIvl: reg.Histogram("wire_retransmit_interval_seconds",
 			obs.DurationBuckets),
+		rtt:              reg.Histogram("wire_rtt_seconds", obs.DurationBuckets),
 		goodput:          reg.Histogram("wire_session_goodput_items_per_sec", GoodputBuckets),
 		learn:            reg.Histogram("wire_session_learn_time_seconds", obs.DurationBuckets),
 		stabIncarnations: reg.Counter("wire_stabilize_incarnations_total"),

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"seqtx/internal/faults"
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol/alphaproto"
 	"seqtx/internal/protocol/gobackn"
@@ -185,6 +186,60 @@ func TestProgressClockedStep(t *testing.T) {
 		}
 	})
 
+	// Karn's rule on the manual clock: the one frame a stop-and-wait fill
+	// sends opens a probe, the acknowledgement that moves the sender closes
+	// it into the worker's estimate, and a retransmission in between
+	// cancels it.
+	t.Run("an acknowledgement d after the send is one sample of d", func(t *testing.T) {
+		const d = int64(7 * time.Minute)
+		w, s := detachedSession(t, "alpha", registry.Params{M: 8}, rampTape(4))
+		if w.turn(); s.probeAt != 0 {
+			t.Fatalf("attach at 0 left the probe at %d, want 0", s.probeAt)
+		}
+		w.eng.clock = d
+		deliverAcks(w, s, alphaproto.AckMsg(0))
+		if want := (rttEstimate{srtt: d, rttvar: d / 2, sampled: true}); w.rtt != want {
+			t.Errorf("estimate %+v after one round trip of %v, want %+v", w.rtt, time.Duration(d), want)
+		}
+		if s.probeAt != d {
+			t.Errorf("the fill after the acknowledgement opened its probe at %d, want %d", s.probeAt, d)
+		}
+		w.eng.clock = 3 * d
+		deliverAcks(w, s, alphaproto.AckMsg(0), alphaproto.AckMsg(0)) // stale: no sample
+		if w.rtt.srtt != d || w.rtt.rttvar != d/2 {
+			t.Errorf("stale acknowledgements fed the estimate: %+v", w.rtt)
+		}
+	})
+	t.Run("a timer retransmission feeds no sample", func(t *testing.T) {
+		w, s := detachedSession(t, "alpha", registry.Params{M: 8}, rampTape(4))
+		for w.turn(); s.retransmits == 0; w.turn() {
+			w.eng.clock = w.timers[0].at
+		}
+		if s.probeAt != noProbe {
+			t.Errorf("the retransmission left the probe open at %d", s.probeAt)
+		}
+		if n := deliverAcks(w, s, alphaproto.AckMsg(0)); n != 1 || w.rtt.sampled {
+			t.Errorf("the acknowledgement after a retransmission: %d sends, estimate %+v; want 1 and no sample", n, w.rtt)
+		}
+	})
+	t.Run("a restart keeps the worker's estimate", func(t *testing.T) {
+		const tick = int64(time.Millisecond)
+		w, s := supervisedDetached(t, ChaosConfig{Crashes: []faults.CrashPoint{{Who: faults.Sender, At: []int{5}}}, Seed: 3}, 0)
+		w.rtt.sample(int64(100 * time.Microsecond))
+		s.probeAt = 4 * tick // a probe of the incarnation about to die
+		est := w.rtt
+		fireAt(w, 5*tick)
+		if len(s.sup.rep.Incarnations) != 1 {
+			t.Fatalf("incarnations after the crash reading: %+v", s.sup.rep.Incarnations)
+		}
+		if w.rtt != est {
+			t.Errorf("the restart moved the worker's estimate %+v -> %+v", est, w.rtt)
+		}
+		if s.probeAt == 4*tick {
+			t.Error("the dead sender's probe survived its restart")
+		}
+	})
+
 	// (iv): a progress event fills the window. Attach sends a whole window,
 	// each new acknowledgement one frame while the tape lasts, a repeated
 	// one none, and the frames in flight never exceed the window.
@@ -219,6 +274,11 @@ func TestProgressClockedStep(t *testing.T) {
 				}
 				if s.retransmits != 0 || s.framesTx != items || !s.cfg.Sender.Done() {
 					t.Errorf("retransmits=%d framesTx=%d done=%v, want 0, %d, true", s.retransmits, s.framesTx, s.cfg.Sender.Done(), items)
+				}
+				// Every fill step moved the key: no probe, so the worker
+				// keeps the tick as its timeout.
+				if w.rtt.sampled || s.probeAt != noProbe {
+					t.Errorf("a windowed sender fed the round-trip estimate: %+v, probe at %d", w.rtt, s.probeAt)
 				}
 			})
 		}
@@ -275,13 +335,21 @@ func TestProgressClockedStep(t *testing.T) {
 		}
 	})
 
-	// (vi): retransmission stayed on the timer. Over a link that delivers
-	// nothing, on a clock the test owns, the frames of a 150-tick life are
-	// exactly the attach step plus the capped backoff law, drawn from the
-	// session's own jitter stream: a twin backoff says which ticks were due.
+	// (vi): retransmission stayed on the timer, which fires at the
+	// backoff's own instant. Over a link that delivers nothing, on a clock
+	// the test owns, the frames of a 150-tick life are exactly the attach
+	// step plus the capped backoff law grown from the worker's sampled
+	// timeout and drawn from the session's own jitter stream: a twin
+	// backoff says at which instants the sender steps, most of them off the
+	// receiver's tick grid.
 	t.Run("retransmission is timer-governed", func(t *testing.T) {
 		const tick, life = time.Millisecond, 150 * time.Millisecond
 		mux, w := manualMux(t, discard{})
+		w.rtt.sample(int64(100 * time.Microsecond))
+		rto := w.rtt.rto(tick)
+		if rto != 300*time.Microsecond {
+			t.Fatalf("a 100µs round trip gives rto %v, want 300µs", rto)
+		}
 		x := rampTape(4)
 		s, r, err := registry.Pair("alpha", registry.Params{M: 8}, x)
 		if err != nil {
@@ -293,18 +361,32 @@ func TestProgressClockedStep(t *testing.T) {
 		}
 		var rep *Report
 		mux.loop.start(context.Background(), sess, 0, func(r Report) { rep = &r })
-		twin := newBackoff(tick, 9, 0) // arm's draw, then the attach step's
+		twin := newBackoff(tick, 9, 0) // arm's draw, then the attach step's from the worker's timeout
+		twin.reset(rto)
 		twin.arm(0)
-		want, at := 1, sess.tickNext
-		for w.turn(); rep == nil; w.turn() {
-			mux.loop.clock = w.timers[0].at
-			if mux.loop.clock == at && at < int64(life) { // a tick edge: the sender's, if the twin is due
-				if twin.due(at) {
-					want++
-					twin.grow()
-					twin.arm(at)
+		grid := sess.tickNext % int64(tick)
+		want, offGrid := 1, 0
+		for w.turn(); rep == nil; {
+			at, sent := w.timers[0].at, sess.framesTx
+			mux.loop.clock = at
+			w.turn()
+			due := twin.due(at) && at < int64(life)
+			if rep == nil && (sess.framesTx-sent == 1) != due {
+				t.Fatalf("at %v the sender sent %d frames, but its twin backoff was due: %v", time.Duration(at), sess.framesTx-sent, due)
+			}
+			// The attach step's instant was armed after the session's entry
+			// was pushed, so that entry pops it late; every later one is
+			// the sender's own.
+			if due && want > 1 && at != twin.next {
+				t.Fatalf("the sender stepped at %v, not at its backoff's %v", time.Duration(at), time.Duration(twin.next))
+			}
+			if due {
+				want++
+				if at%int64(tick) != grid {
+					offGrid++
 				}
-				at += int64(tick)
+				twin.grow()
+				twin.arm(at)
 			}
 		}
 		if rep.Complete || rep.SafetyViolation != nil || rep.Elapsed != life {
@@ -312,6 +394,9 @@ func TestProgressClockedStep(t *testing.T) {
 		}
 		if rep.FramesTx != want || want < 8 {
 			t.Errorf("FramesTx = %d in %v, want the capped backoff law's %d", rep.FramesTx, rep.Elapsed, want)
+		}
+		if offGrid < want/2 {
+			t.Errorf("%d of %d sender steps fell off the receiver's tick grid, want most", offGrid, want-1)
 		}
 		if rep.Retransmits != rep.FramesTx-1 {
 			t.Errorf("Retransmits = %d of %d frames, want all but the first", rep.Retransmits, rep.FramesTx)

@@ -14,9 +14,9 @@ import (
 )
 
 // DefaultTick is the timer interval used when SessionConfig.Tick is not
-// positive: the base of the sender's retransmission timeout and the
-// receiver's pacing edge. It is not the send clock — fresh sends follow
-// acknowledged progress (loopWorker.service), whatever the tick.
+// positive: the receiver's pacing edge, and the retransmission timeout's
+// initial value and ceiling (rttEstimate.rto). It is not the send clock —
+// fresh sends follow acknowledged progress (loopWorker.service).
 const DefaultTick = time.Millisecond
 
 // DefaultInboxSize buffers inbound messages per process when
@@ -39,7 +39,8 @@ type SessionConfig struct {
 	// Input is the tape X the sender was built from.
 	Input seq.Seq
 	// Tick is the timer interval (DefaultTick when not positive): the
-	// receiver's pacing and the retransmission backoff's base, no more.
+	// receiver's pacing and the measured retransmission timeout's initial
+	// value and ceiling, no more.
 	Tick time.Duration
 	// Deadline, when positive, bounds the session's wall-clock life; an
 	// expired session reports Complete=false (never a safety verdict).
@@ -137,6 +138,7 @@ type Session struct {
 	last             msg.Msg
 	haveLast         bool
 	lastRetransmitAt int64 // engine timeline; 0 = none yet
+	probeAt          int64 // engine timeline: the open round-trip probe's send; noProbe = none
 
 	// Outcome state, written by the step machines before the report is
 	// built (the worker's single-threaded service is the happens-before
@@ -260,11 +262,12 @@ func (s *Session) buildReport(elapsed time.Duration) Report {
 // senderEvent runs one sender step (a delivery or a spontaneous step):
 // protocol Step, retransmit bookkeeping, outbound sends, and the send
 // side of backoff control. The timer's steps are paced by a capped
-// exponential backoff instead of the raw tick: a retransmission doubles
-// the interval (up to BackoffCapFactor ticks, ±25% seeded jitter), a
-// fresh send resets it to the base tick. The other kind of progress, an
-// acknowledgement that moved the sender forward (not a stale one), is
-// service's to detect. It returns false when the transport closed.
+// exponential backoff: a retransmission doubles the interval (up to
+// BackoffCapFactor ticks, ±25% seeded jitter) and cancels any open
+// round-trip probe (Karn's rule), a fresh send resets it to the worker's
+// retransmission timeout. The other kind of progress, an acknowledgement
+// that moved the sender forward (not a stale one), is service's to
+// detect. It returns false when the transport closed.
 func (s *Session) senderEvent(ev protocol.Event) bool {
 	s.record(trace.TickS(), channel.RToS, ev)
 	retrans, fresh := false, false
@@ -272,6 +275,7 @@ func (s *Session) senderEvent(ev protocol.Event) bool {
 		if s.haveLast && mg == s.last {
 			s.retransmits++
 			retrans = true
+			s.probeAt = noProbe
 			now := s.mux.loop.now()
 			if s.lastRetransmitAt != 0 {
 				s.mux.met.retransmitIvl.Observe(time.Duration(now - s.lastRetransmitAt).Seconds())
@@ -288,7 +292,7 @@ func (s *Session) senderEvent(ev protocol.Event) bool {
 	}
 	switch {
 	case fresh:
-		s.bo.reset()
+		s.bo.reset(s.worker.rtt.rto(s.cfg.Tick))
 	case retrans:
 		s.bo.grow()
 	}
@@ -378,7 +382,7 @@ func (s *Session) receiverEvent(ev protocol.Event) stepOutcome {
 // ctx deadline if that comes first), its first timer tick, phase-shifted
 // by a per-session hash so a fleet started together does not put every
 // session's tick on the same instant (the million-session thundering
-// herd), and its backoff.
+// herd), and its backoff, with no round-trip probe open.
 func (s *Session) arm(now int64) {
 	s.deadlineAt = s.ctxDeadline
 	if s.cfg.Deadline > 0 {
@@ -387,13 +391,19 @@ func (s *Session) arm(now int64) {
 	phase := int64((uint64(s.cfg.Seed) * fibMul) % uint64(s.cfg.Tick))
 	s.tickNext = now + int64(s.cfg.Tick)/2 + phase
 	s.bo = newBackoff(s.cfg.Tick, s.cfg.Seed, now)
+	s.probeAt = noProbe
 }
 
+const noProbe = -1 // Session.probeAt with no round-trip probe open
+
 // nextWake is the session's earliest pending timer: its next pacing
-// tick or its deadline, or under supervision its next crash or watchdog
-// expiry.
+// tick, its sender's backoff instant or its deadline, or under
+// supervision its next crash or watchdog expiry.
 func (s *Session) nextWake() int64 {
 	at := min(s.tickNext, s.deadlineAt)
+	if s.runsSender() {
+		at = min(at, s.bo.next)
+	}
 	if c := s.sup; c != nil {
 		at = min(at, c.wake(s))
 	}

@@ -308,8 +308,10 @@ func (c *supervision) wake(s *Session) int64 {
 // restarting the whole pair clean. The session itself stays — table slot,
 // output tape, counters, audit, the survivor's state and inbox — and what
 // the dead process held goes: its state, the frames queued for it, the
-// retransmission memory. The new incarnation then starts as a session
-// does: fresh deadline, tick phase and backoff, the sender's attach step.
+// retransmission memory and any open round-trip probe. The new
+// incarnation then starts as a session does: fresh deadline, tick phase
+// and backoff, the sender's attach step. The worker's round-trip estimate
+// stays: it measures the worker's queue and routers, not the incarnation.
 func (w *loopWorker) restart(s *Session, now int64) {
 	c := s.sup
 	ns, nr, err := c.plan.rebuild(c.index)
