@@ -181,7 +181,7 @@ func run() int {
 	}()
 
 	var tally fleet.Tally
-	start := time.Now()
+	start, cpuStart := time.Now(), cliutil.CPUTime()
 	for wave := 0; ; wave++ {
 		// One wave = one fleet of -sessions concurrent transfers over a
 		// fresh transport (Serve owns and closes it); the obs registry is
@@ -232,6 +232,7 @@ func run() int {
 		}
 	}
 	rep.ElapsedSeconds = time.Since(start).Seconds()
+	cpu := cliutil.CPUTime() - cpuStart
 	close(samplerStop)
 	rep.GoroutinesPeak = int(max(goroutinePeak.Load(), int64(runtime.NumGoroutine())))
 	rep.MaxRSSBytes = cliutil.MaxRSSBytes()
@@ -270,6 +271,10 @@ func run() int {
 	fmt.Printf("stpload: transport=%s proto=%s impair=%s waves=%d sessions=%d complete=%d violations=%d frames/s=%.0f rss=%dMB goroutines_peak=%d\n",
 		rep.Transport, rep.Proto, rep.Impair, rep.Waves, rep.Sessions, rep.Completed, rep.Violations,
 		rep.FramesPerSec, rep.MaxRSSBytes>>20, rep.GoroutinesPeak)
+	// Cost per delivered item: CPU, and worker parks (precise: on a timerfd).
+	items := float64(max(rep.ItemsDelivered, 1))
+	fmt.Printf("stpload: per item cpu_us=%.2f parks precise=%.3f coarse=%.3f\n", float64(cpu.Microseconds())/items,
+		float64(snap.Counters[`wire_worker_parks_total{park="precise"}`])/items, float64(snap.Counters[`wire_worker_parks_total{park="coarse"}`])/items)
 	if supervised {
 		fmt.Printf("stpload: chaos preset=%s policy=%s incarnations=%d crashes=%d scrambled=%d watchdog=%d bad_writes=%d post_stab_violations=%d digest=%s\n",
 			rep.CrashPreset, rep.RestartPolicy, rep.Incarnations, rep.Crashes, rep.ScrambledRestarts,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"strconv"
+	"time"
 )
 
 // MaxRSSBytes reports the process's peak resident set size in bytes
@@ -31,4 +32,18 @@ func MaxRSSBytes() int64 {
 		return kb * 1024
 	}
 	return 0
+}
+
+// CPUTime reports the process's user + system CPU time from /proc/self/stat
+// (utime and stime, in ticks of USER_HZ = 100), or 0 where that is missing.
+func CPUTime() time.Duration {
+	data, _ := os.ReadFile("/proc/self/stat")
+	var t int64
+	if f := bytes.Fields(data[bytes.LastIndexByte(data, ')')+1:]); len(f) > 12 {
+		for _, v := range f[11:13] {
+			n, _ := strconv.ParseInt(string(v), 10, 64)
+			t += n
+		}
+	}
+	return time.Duration(t) * 10 * time.Millisecond
 }

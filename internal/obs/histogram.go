@@ -152,6 +152,10 @@ var StepBuckets = ExpBuckets(1, 2, 16)
 // to ~32s in powers of two.
 var DurationBuckets = ExpBuckets(0.001, 2, 16)
 
+// MicroBuckets is the ladder for sub-millisecond latencies (a round trip,
+// a timer's lag), in seconds: 1, 2 and 5 a decade from 1 µs to 10 ms.
+var MicroBuckets = []float64{1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2}
+
 // BatchBuckets is the ladder for coalescing sizes (frames per batch,
 // writes per flush): powers of two from 1 to 4096, matching the wire
 // layer's maximum batch.

@@ -79,8 +79,8 @@ func (b *backoff) grow() {
 func (b *backoff) reset(rto time.Duration) { b.cur = rto }
 
 // rttEstimate is a worker's smoothed round trip (RFC 6298), in engine
-// nanoseconds: a round trip is the worker's queue plus the routers, which
-// all its sessions share. A manual engine's deliveries do not move its
+// nanoseconds: a round trip is the worker's queue and turns, which all its
+// sessions share. A manual engine's deliveries do not move its
 // clock, so a sample of 0 is legitimate and "no sample" a state of its own.
 type rttEstimate struct {
 	srtt, rttvar int64

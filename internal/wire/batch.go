@@ -54,7 +54,7 @@ func batchOverhead(n int) int { return 2 + binary.MaxVarintLen64*(n+1) }
 // blobFrames reports how many protocol frames a wire blob carries: the
 // declared count for a well-formed batch header, 1 for everything else
 // (a bare frame, or a blob too damaged for the count to be trusted —
-// the router will charge it as one decode error anyway). Drop
+// arrive will charge it as one decode error anyway). Drop
 // accounting uses this so a lost blob is counted in frames, the same
 // unit every other transport and hop reports in: the inproc path knows
 // its frame count at the send site, while the UDP read loop only holds

@@ -101,12 +101,13 @@ const benchCreditChunk = 64
 // reported ns/op is wall time per *delivered* frame.
 func benchPump(b *testing.B, tr Transport, nSessions, credits int) {
 	b.Helper()
-	// The routers are the path under test; the engine has nothing to run —
-	// the pumping goroutines below each drive a worker of their own.
+	// The arrival path is what is under test; the engine has nothing to
+	// run — the pumping goroutines below each drive a worker of their own,
+	// and the transport pushes what they ship into the inboxes.
 	mux := newMux(tr, MuxConfig{}, true)
-	mux.routerWg.Add(2)
-	go mux.route(SenderEnd)
-	go mux.route(ReceiverEnd)
+	if !mux.push() {
+		b.Fatalf("%s does not push", tr.Name())
+	}
 	params := registry.Params{M: 8}
 	input := seq.Seq{0, 1, 2, 3, 4, 5, 6, 7}
 

@@ -58,7 +58,7 @@ func EncodeFrame(f Frame) []byte {
 }
 
 // FrameView is a decoded frame whose payload still aliases the encoded
-// buffer: DecodeFrameInto fills one without copying, so a router that
+// buffer: DecodeFrameInto fills one without copying, so an arrival that
 // owns the buffer can inspect session, direction, and payload with zero
 // allocations and copy the payload out only if it keeps the frame.
 type FrameView struct {

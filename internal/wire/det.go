@@ -74,20 +74,11 @@ func (l *detLink) Send(from End, frame []byte) error {
 func (l *detLink) Recv(End) <-chan []byte { return nil }
 func (l *detLink) Close() error           { return nil }
 
-// deliver routes one encoded frame arriving at an end as a router would:
-// dispatch stages it in its session's inbox, flush publishes the inbox and
-// readies the session on its worker.
-func (m *Mux) deliver(at End, sink *routeSink, frame []byte) {
-	var v FrameView
-	m.dispatch(at, at.Opposite().Dir(), sink, frame, &v)
-	sink.flush(m, at)
-}
-
 // DetRun executes one deterministic wire run. Each seeded choice is time —
 // the clock jumps to the worker's next timer, whose fire is the tick, the
 // backoff and the retransmission of a live run — or a delivery: one frame
-// the link holds goes through the router's dispatch into the session's
-// inbox. Either way the worker then takes one turn.
+// the link holds goes through Mux.arrive into the session's inbox, which
+// readies the session. Either way the worker then takes one turn.
 func DetRun(cfg DetConfig) (DetResult, error) {
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = 64 + 512*len(cfg.Input)
@@ -112,7 +103,7 @@ func DetRun(cfg DetConfig) (DetResult, error) {
 	s.script = &res.Script
 	done := false
 	m.loop.start(context.Background(), s, 0, func(rep Report) { res.Report, done = rep, true })
-	w, sink, rng := s.worker, &routeSink{}, rand.New(rand.NewSource(cfg.Seed))
+	w, rng := s.worker, rand.New(rand.NewSource(cfg.Seed))
 	for w.turn(); !done && res.Steps < cfg.MaxSteps; res.Steps++ {
 		// One choice in four is time, so the timer path runs on every seed
 		// and a lossy link is retransmitted over however long the tape; the
@@ -121,9 +112,9 @@ func DetRun(cfg DetConfig) (DetResult, error) {
 		if n := len(toR) + len(toS); n == 0 || rng.Intn(4) == 0 {
 			m.loop.clock = w.timers[0].at
 		} else if k := rng.Intn(n); k < len(toR) {
-			m.deliver(ReceiverEnd, sink, toR[k])
+			m.arrive(ReceiverEnd, toR[k])
 		} else {
-			m.deliver(SenderEnd, sink, toS[k-len(toR)])
+			m.arrive(SenderEnd, toS[k-len(toR)])
 		}
 		w.turn()
 	}

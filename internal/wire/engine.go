@@ -108,7 +108,7 @@ type loopEngine struct {
 	wg      sync.WaitGroup
 }
 
-// newLoopEngine builds the engine and its workers; spawn starts them.
+// newLoopEngine builds the engine and its workers; NewMuxConfig starts them.
 func newLoopEngine(m *Mux, manual bool) *loopEngine {
 	workers := 1
 	if !manual {
@@ -125,14 +125,6 @@ func newLoopEngine(m *Mux, manual bool) *loopEngine {
 		e.workers[i] = newLoopWorker(e)
 	}
 	return e
-}
-
-// spawn gives every worker its goroutine.
-func (e *loopEngine) spawn() {
-	for _, w := range e.workers {
-		e.wg.Add(1)
-		go w.run()
-	}
 }
 
 // newLoopWorker builds a worker with its buffers at working size; the
@@ -208,14 +200,13 @@ func (e *loopEngine) close() {
 }
 
 // loopWorker drives one shard group of sessions: a ready queue fed by
-// the routers (frame arrivals) and control operations (start, cancel),
-// plus a timer heap for pacing ticks and deadlines. The ready queue is
-// a mutex-guarded slice with a Dekker-style sleep handshake: the worker
-// sets sleeping, then re-checks the queue once before parking, so a
-// schedule either lands in that final check or sees the flag and sends
-// the wakeup token. A producer only touches the notify channel when the
-// worker has declared itself parked, so a busy worker costs producers
-// one atomic load per wakeup attempt, not a channel op.
+// frame arrivals and control operations (start, cancel), plus a timer heap
+// for pacing ticks and deadlines. The ready queue is a mutex-guarded slice
+// with a Dekker-style sleep handshake: the worker sets parked, then
+// re-checks the queue once before parking, so a schedule either lands in
+// that final check or sees the flag (under the same mutex) and wakes the
+// worker the way it parked — a token on notify, or a kick of its precise
+// timer. A busy worker costs producers one atomic load per wakeup attempt.
 //
 // The worker is also the only hand that puts its sessions' frames on the
 // wire: send appends to out, run ships both chunks at the end of each
@@ -229,8 +220,8 @@ type loopWorker struct {
 	ready   []*Session
 	stopped bool
 
-	sleeping atomic.Bool
-	notify   chan struct{}
+	parked atomic.Int32 // awake, parkCoarse or parkPrecise
+	notify chan struct{}
 
 	// Worker-owned (no locking): ready's swap buffer, the timer heap, the
 	// drain scratch buffer, the progress probe's two sender-state keys (they
@@ -244,7 +235,22 @@ type loopWorker struct {
 	keyBuf      [2][24]byte
 	out         [2]outChunk
 	rtt         rttEstimate
+
+	// pt is the precise timer, made by the first park that wants one (nil
+	// off Linux). It is kicked and closed only under mu.
+	pt *preciseTimer
 }
+
+// A worker's park states: a Go timer and notify, or its precise timer.
+const (
+	awake int32 = iota
+	parkCoarse
+	parkPrecise
+)
+
+// preciseBelow bounds a precise park: the runtime's idle netpoll sleeps in
+// whole milliseconds, so a Go timer due sooner oversleeps to ≈ 1.1 ms.
+const preciseBelow = time.Millisecond
 
 // outChunk is what a worker's sessions have sent from one end since the
 // worker last shipped: encoded frames appended back to back into a pooled
@@ -335,14 +341,18 @@ func (w *loopWorker) schedule(s *Session) {
 		return
 	}
 	w.ready = append(w.ready, s)
-	w.mu.Unlock()
-	if w.sleeping.Load() {
-		w.sleeping.Store(false)
-		select {
-		case w.notify <- struct{}{}:
-		default:
+	if p := w.parked.Load(); p != awake {
+		w.parked.Store(awake)
+		if p == parkPrecise {
+			w.pt.kick()
+		} else {
+			select {
+			case w.notify <- struct{}{}:
+			default:
+			}
 		}
 	}
+	w.mu.Unlock()
 }
 
 // turn is one round of the worker's work: swap the ready queue, service
@@ -361,6 +371,7 @@ func (w *loopWorker) turn() bool {
 		now := w.eng.now()
 		for len(w.timers) > 0 && w.timers[0].at <= now {
 			e := w.timers.pop()
+			w.eng.m.met.timerLag.Observe(time.Duration(now - e.at).Seconds())
 			w.fire(e.s, now)
 			progress = true
 		}
@@ -384,51 +395,64 @@ func (w *loopWorker) run() {
 			return
 		default:
 		}
-		if w.turn() {
-			continue
+		if !w.turn() {
+			w.park(timer)
 		}
-		// Idle: arm the sleep flag, re-check the queue once (the Dekker
-		// handshake with schedule), then park until a wakeup, the next
-		// timer deadline, or engine stop.
-		w.sleeping.Store(true)
-		w.mu.Lock()
-		n := len(w.ready)
-		w.mu.Unlock()
-		if n > 0 {
-			w.sleeping.Store(false)
-			continue
-		}
-		d := time.Hour
-		if len(w.timers) > 0 {
-			if d = time.Duration(w.timers[0].at - w.eng.now()); d <= 0 {
-				w.sleeping.Store(false)
-				continue
-			}
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(d)
-		select {
-		case <-w.eng.stop:
-			w.sleeping.Store(false)
-			w.shutdown()
-			return
-		case <-w.notify:
-		case <-timer.C:
-		}
-		w.sleeping.Store(false)
 	}
+}
+
+// park sleeps the idle worker until a schedule, its heap's earliest live
+// entry or engine stop: it arms the sleep flag, re-checks the queue once
+// (the Dekker handshake with schedule) and waits — on the precise timer
+// for an entry due in under preciseBelow (it does not see stop, which
+// costs less than that), else on a Go timer, notify and stop.
+func (w *loopWorker) park(timer *time.Timer) {
+	for len(w.timers) > 0 && w.timers[0].s.finished {
+		w.timers.pop() // a lazily removed entry wakes no one
+	}
+	mode, d := parkCoarse, time.Hour
+	if len(w.timers) > 0 {
+		if d = time.Duration(w.timers[0].at - w.eng.now()); d <= 0 {
+			return
+		}
+		if w.pt == nil && d < preciseBelow {
+			w.pt = newPreciseTimer()
+		}
+		if d < preciseBelow && w.pt != nil && w.pt.arm(d) { // before the flag: a kick lands after it
+			mode = parkPrecise
+		}
+	}
+	w.parked.Store(mode)
+	w.mu.Lock()
+	n := len(w.ready)
+	w.mu.Unlock()
+	if n == 0 {
+		w.eng.m.met.parks[mode-parkCoarse].Inc()
+		if mode == parkPrecise {
+			w.pt.wait()
+		} else {
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			timer.Reset(d)
+			select {
+			case <-w.eng.stop:
+			case <-w.notify:
+			case <-timer.C:
+			}
+		}
+	}
+	w.parked.Store(awake)
 }
 
 // service runs one session's queued work: first-time attach (put off to
 // the session's start instant unless it has been cancelled), pending
 // cancellation, then a burst drain of both inboxes through the shared
 // step machines. Clearing the scheduled flag before draining closes
-// the race with a concurrent router publish — a frame staged after the
+// the race with a concurrent arrival's publish — a frame staged after the
 // drain re-queues the session; a frame published before the clear is
 // seen by this drain.
 //
@@ -513,7 +537,7 @@ func (w *loopWorker) service(s *Session) {
 	}
 }
 
-// attach begins the session's life on its worker: from here the routers
+// attach begins the session's life on its worker: from here arrivals
 // wake it for its frames (one published earlier woke no one; the drain
 // that follows in service picks it up).
 func (w *loopWorker) attach(s *Session) {
@@ -637,12 +661,16 @@ func (w *loopWorker) finish(s *Session) {
 // shutdown finishes every session still owned by this worker — queued,
 // attached, or both — under the mutex, so a racing schedule on another
 // goroutine either hands its session to this sweep or finishes it
-// itself, never both. Then it ships whatever is still pending (the mux
-// closes the transport only after its workers have stopped) and returns
-// the chunk buffers to the pool.
+// itself, never both, nor kicks a closed precise timer. Then it ships
+// whatever is still pending (the mux closes the transport only after its
+// workers have stopped) and returns the chunk buffers to the pool.
 func (w *loopWorker) shutdown() {
 	w.mu.Lock()
 	w.stopped = true
+	if w.pt != nil {
+		w.pt.close()
+		w.pt = nil
+	}
 	for _, s := range w.ready {
 		if !s.finished {
 			w.finish(s)

@@ -241,9 +241,13 @@ func TestServePacedStarts(t *testing.T) {
 		cfgs, rebuild := stabConfigs(t, n, 8, 3, 500*time.Microsecond)
 		done := make(chan []Report, 1)
 		go func() {
+			// The crash is due at tick 0, the start instant itself: it pops in
+			// the turn that attached the session, before that turn ships the
+			// attach frames, so every session is restarted before it can have
+			// delivered a single item, however fast the engine runs.
 			reports, err := Serve(context.Background(), ServeConfig{
 				Transport: NewInproc(0, reg), Sessions: cfgs, Obs: reg, StartEvery: every,
-				Chaos:   &ChaosConfig{Crashes: []faults.CrashPoint{{Who: faults.Sender, At: []int{4}, Scramble: true}}, Seed: 5},
+				Chaos:   &ChaosConfig{Crashes: []faults.CrashPoint{{Who: faults.Sender, At: []int{0}, Scramble: true}}, Seed: 5},
 				Rebuild: rebuild,
 			})
 			if err != nil {
@@ -570,9 +574,9 @@ func TestLoopFlatMemory(t *testing.T) {
 	if perSession > 8192 {
 		t.Errorf("per-session heap %.0f B exceeds the 8 KB flat-memory bound", perSession)
 	}
-	// The mux is its workers and two routers (Inproc has no goroutine of
-	// its own), whatever the fleet's size.
-	if g := runtime.NumGoroutine(); g > baseGoroutines+len(mux.loop.workers)+2 {
+	// The mux is its workers (Inproc pushes, so there is no router, and it
+	// has no goroutine of its own), whatever the fleet's size.
+	if g := runtime.NumGoroutine(); g > baseGoroutines+len(mux.loop.workers) {
 		t.Errorf("%d goroutines for %d loop sessions (%d before the mux, %d workers): engine is not goroutine-free",
 			g, n, baseGoroutines, len(mux.loop.workers))
 	}
@@ -601,16 +605,15 @@ func TestInboxSizeAndDropAccounting(t *testing.T) {
 	}
 	var rep Report
 	mux.loop.start(context.Background(), sess, 0, func(r Report) { rep = r })
-	// Flood the receiver inbox by hand, as one router blob would: no turn
+	// Flood the receiver inbox by hand, as one burst would arrive: no turn
 	// of the worker drains it, so everything past the first frame drops.
 	const flood = 64
 	frame := EncodeFrame(Frame{Session: 1, Dir: channel.SToR, Msg: s.Alphabet().Msgs()[0]})
-	var v FrameView
-	sink := &routeSink{}
-	for i := 0; i < flood; i++ {
-		mux.dispatch(ReceiverEnd, channel.SToR, sink, frame, &v)
+	frames := make([][]byte, flood)
+	for i := range frames {
+		frames[i] = frame
 	}
-	sink.flush(mux, ReceiverEnd)
+	mux.arrive(ReceiverEnd, frames...)
 	if drops := sess.inboxDrops.Load(); drops != flood-1 {
 		t.Fatalf("%d inbox drops for a 1-slot inbox under a %d-frame flood, want %d", drops, flood, flood-1)
 	}

@@ -192,6 +192,13 @@ func (im *Impairment) Name() string {
 // Recv implements Transport (pass-through).
 func (im *Impairment) Recv(at End) <-chan []byte { return im.inner.Recv(at) }
 
+// pushTo implements pusher by forwarding. A reorder or partition release
+// then arrives on the worker whose frame released it, not its own.
+func (im *Impairment) pushTo(m *Mux) bool {
+	p, ok := im.inner.(pusher)
+	return ok && p.pushTo(m)
+}
+
 // shardFor picks the lock stripe for a frame by its session id
 // (Fibonacci-hashed); anything that does not parse shards together.
 func (im *Impairment) shardFor(frame []byte) *impairShard {

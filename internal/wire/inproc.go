@@ -2,25 +2,23 @@ package wire
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"seqtx/internal/obs"
 )
 
-// Inproc is the in-process transport: two buffered Go channels, one per
-// direction. Delivery order is whatever the goroutine scheduler makes of
-// it, and a full buffer drops the frame (backpressure surfaces as loss,
-// which the protocols must survive anyway) — so even in-process, the link
-// honestly behaves like an unreliable channel rather than an idealized
-// FIFO pipe.
-//
-// The channels carry wire blobs: a bare frame per Send, or one batch blob
-// per SendBatch — the in-process counterpart of writev, paying one
-// channel handoff for a whole burst. All copies land in pooled buffers;
-// steady-state traffic allocates nothing.
+// Inproc is the in-process transport. Under a mux it pushes: Send and
+// SendBatch hand the frames to the opposite end's Mux.arrive on the sending
+// goroutine — no copy, no goroutine between a session's two ends — and a
+// full inbox drops (backpressure is loss, which the protocols survive).
+// Its two buffered channels, one per direction, serve only a consumer with
+// no mux: a pooled blob per call (one batch blob per burst, as writev), and
+// a full buffer drops it.
 type Inproc struct {
 	toReceiver chan []byte
 	toSender   chan []byte
 	dropped    *obs.Counter
+	mux        atomic.Pointer[Mux] // set by pushTo
 
 	mu     sync.RWMutex
 	closed bool
@@ -50,56 +48,35 @@ func NewInproc(capacity int, reg *obs.Registry) *Inproc {
 // Name implements Transport.
 func (t *Inproc) Name() string { return "inproc" }
 
-// enqueue copies already-encoded blob bytes into a pooled buffer and
-// performs the non-blocking handoff toward the opposite end, counting
-// nFrames drops if the buffer is full. Callers hold the read lock.
-func (t *Inproc) enqueue(from End, blob []byte, nFrames int) {
-	cp := append(getBuf(len(blob)), blob...)
-	ch := t.toReceiver
-	if from == ReceiverEnd {
-		ch = t.toSender
-	}
-	select {
-	case ch <- cp:
-	default:
-		t.dropped.Add(int64(nFrames))
-		putBuf(cp)
-	}
-}
-
-// Send implements Transport: a non-blocking enqueue toward the opposite
-// end. A full buffer drops the frame and counts it.
+// Send implements Transport: a burst of one.
 func (t *Inproc) Send(from End, frame []byte) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.closed {
-		return ErrClosed
-	}
-	t.enqueue(from, frame, 1)
-	return nil
+	return t.SendBatch(from, [][]byte{frame})
 }
 
-// SendBatch implements BatchSender: the whole burst is packed into batch
-// blobs (one channel handoff per blob) and enqueued in order. A full
-// buffer drops a blob's worth of frames at once — an ordered burst lost
-// together, which the protocols tolerate as channel loss.
+// SendBatch implements BatchSender: under a mux the burst arrives in one
+// call; otherwise each blob that fits is one non-blocking handoff, and a
+// full buffer drops a blob's frames together — channel loss.
 func (t *Inproc) SendBatch(from End, frames [][]byte) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if t.closed {
 		return ErrClosed
 	}
+	if m := t.mux.Load(); m != nil {
+		m.arrive(from.Opposite(), frames...)
+		return nil
+	}
+	ch := t.toReceiver
+	if from == ReceiverEnd {
+		ch = t.toSender
+	}
 	for start := 0; start < len(frames); {
 		n, size := batchFit(frames[start:], blobCap)
+		var blob []byte
 		if n == 1 {
-			t.enqueue(from, frames[start], 1)
-			start++
-			continue
-		}
-		blob := AppendBatch(getBuf(size), frames[start:start+n])
-		ch := t.toReceiver
-		if from == ReceiverEnd {
-			ch = t.toSender
+			blob = append(getBuf(len(frames[start])), frames[start]...)
+		} else {
+			blob = AppendBatch(getBuf(size), frames[start:start+n])
 		}
 		select {
 		case ch <- blob:
@@ -126,6 +103,9 @@ func batchFit(frames [][]byte, limit int) (n, size int) {
 	}
 	return len(frames), total
 }
+
+// pushTo implements pusher.
+func (t *Inproc) pushTo(m *Mux) bool { t.mux.Store(m); return true }
 
 // Recv implements Transport.
 func (t *Inproc) Recv(at End) <-chan []byte {

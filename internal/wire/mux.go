@@ -7,13 +7,12 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"seqtx/internal/channel"
 	"seqtx/internal/msg"
 	"seqtx/internal/obs"
 )
 
 // Mux multiplexes many sessions over one Transport: it encodes outbound
-// protocol messages into frames, decodes and routes inbound frames to the
+// protocol messages into frames, decodes and stages inbound frames into the
 // owning session's inbox, and drops (with a counted cause) anything that
 // does not parse, does not belong to a live session, or falls outside the
 // session's declared alphabet — the live analogue of the Link's alphabet
@@ -25,8 +24,9 @@ import (
 // and go; ids are bounded by MaxSessionID), and session execution is
 // owned by the event-loop worker pool (engine.go), each worker putting
 // the frames its own service burst produced on the wire in one
-// writev-style call (sendFrames) — the mux has no goroutine between a
-// Step and the transport.
+// writev-style call (sendFrames). Frames come in through arrive, on the
+// goroutine that holds them (over Inproc, the shipping worker): only a
+// transport that does not push gets two router goroutines.
 type Mux struct {
 	tr  Transport
 	met *muxMetrics
@@ -45,6 +45,7 @@ type Mux struct {
 	// then on every send returns ErrClosed and the sessions finish.
 	closed atomic.Bool
 
+	arr      [2]arrival // indexed End-1
 	routerWg sync.WaitGroup
 }
 
@@ -97,6 +98,8 @@ type muxMetrics struct {
 	retransmits   *obs.Counter
 	retransmitIvl *obs.Histogram
 	rtt           *obs.Histogram
+	timerLag      *obs.Histogram
+	parks         [2]*obs.Counter // coarse, precise
 	goodput       *obs.Histogram
 	learn         *obs.Histogram
 
@@ -138,7 +141,12 @@ func newMuxMetrics(reg *obs.Registry) *muxMetrics {
 		retransmits:  reg.Counter("wire_retransmits_total"),
 		retransmitIvl: reg.Histogram("wire_retransmit_interval_seconds",
 			obs.DurationBuckets),
-		rtt:              reg.Histogram("wire_rtt_seconds", obs.DurationBuckets),
+		rtt:      reg.Histogram("wire_rtt_seconds", obs.MicroBuckets),
+		timerLag: reg.Histogram("wire_timer_lag_seconds", obs.MicroBuckets),
+		parks: [2]*obs.Counter{
+			reg.Counter(`wire_worker_parks_total{park="coarse"}`),
+			reg.Counter(`wire_worker_parks_total{park="precise"}`),
+		},
 		goodput:          reg.Histogram("wire_session_goodput_items_per_sec", GoodputBuckets),
 		learn:            reg.Histogram("wire_session_learn_time_seconds", obs.DurationBuckets),
 		stabIncarnations: reg.Counter("wire_stabilize_incarnations_total"),
@@ -161,25 +169,31 @@ func NewMux(tr Transport, reg *obs.Registry) *Mux {
 	return NewMuxConfig(tr, MuxConfig{Obs: reg})
 }
 
-// NewMuxConfig builds a mux over tr per cfg and starts its two router
-// goroutines and the event-loop workers.
+// NewMuxConfig builds a mux over tr per cfg and starts the event-loop
+// workers, and two routers if tr does not push.
 func NewMuxConfig(tr Transport, cfg MuxConfig) *Mux {
 	m := newMux(tr, cfg, false)
-	m.loop.spawn()
-	m.routerWg.Add(2)
-	go m.route(SenderEnd)
-	go m.route(ReceiverEnd)
+	if !m.push() {
+		m.routerWg.Add(2)
+		go m.route(SenderEnd)
+		go m.route(ReceiverEnd)
+	}
+	for _, w := range m.loop.workers {
+		m.loop.wg.Add(1)
+		go w.run()
+	}
 	return m
 }
 
 // newMux builds a mux and starts nothing. With manual set its engine is a
-// manual one (loopEngine) and no router reads the transport: the caller
-// turns the one worker and hands frames to dispatch itself.
+// manual one (loopEngine) and the transport is not attached: the caller
+// turns the one worker and attaches it (push) or calls arrive itself.
 func newMux(tr Transport, cfg MuxConfig, manual bool) *Mux {
 	m := &Mux{
 		tr:          tr,
 		met:         newMuxMetrics(cfg.Obs),
 		sampleEvery: cfg.EventSampleEvery,
+		arr:         [2]arrival{{dirty: make([]*inbox, 0, 64)}, {dirty: make([]*inbox, 0, 64)}},
 	}
 	m.loop = newLoopEngine(m, manual)
 	return m
@@ -300,146 +314,153 @@ func (m *Mux) lookup(id uint64) *Session {
 	return nil
 }
 
-// routeSink accumulates one router's per-frame effects across a blob so
-// the hot loop touches no shared counters and publishes each inbox once:
-// plain local increments per frame, then one flush per blob (atomic
-// counter Adds for the non-zero tallies, one tail publish per dirty
-// inbox, one ready-queue schedule per dirty live session).
-type routeSink struct {
+// arrival is one end's way in: its lock makes the holder the one producer
+// of every inbox at that end. Lock order: an arrival lock, then worker.mu
+// (flush's schedule); no worker ships holding its own mu, so nothing takes
+// them the other way.
+type arrival struct {
+	mu                                        sync.Mutex
+	v                                         FrameView
 	dirty                                     []*inbox
 	rx, decodeErrs, alien, unknown, inboxFull int64
 }
 
-// flush publishes the dirty inboxes, wakes their sessions' workers,
-// and folds the tallies into the mux metrics; at is the end the frames
-// arrived at.
-func (k *routeSink) flush(m *Mux, at End) {
-	for i, q := range k.dirty {
+// arrive is the one way a frame enters a session: each blob — a bare frame
+// or a batch — is split, decoded in place, validated and staged into the
+// owning session's inbox; then each dirty inbox is published once and its
+// session readied once. The bytes are only borrowed (a payload is interned
+// or copied), so a transport may pass views of a chunk or a read buffer.
+func (m *Mux) arrive(at End, blobs ...[]byte) {
+	a := &m.arr[at-1]
+	a.mu.Lock()
+	wantDir := at.Opposite().Dir() // frames arriving here were sent by the opposite end
+	stage := func(frame []byte) error {
+		v := &a.v
+		if err := DecodeFrameInto(v, frame); err != nil {
+			a.decodeErrs++
+			return nil
+		}
+		if v.Dir != wantDir {
+			a.alien++
+			return nil
+		}
+		s := m.lookup(v.Session)
+		if s == nil {
+			a.unknown++
+			return nil
+		}
+		// Alphabet enforcement, on receive because the wire may have swapped
+		// payloads after the honest send (Link.Send's M^S/M^R check, live):
+		// Alphabet.Canonical interns an in-alphabet payload without
+		// allocating, and a one-entry cache makes a repeat (retransmissions,
+		// the dominant STP traffic) a byte compare.
+		alp := s.receiverAlphabet
+		q := &s.senderInbox
+		ce := &s.rxCache[1]
+		if at == ReceiverEnd {
+			alp = s.senderAlphabet
+			q = &s.receiverInbox
+			ce = &s.rxCache[0]
+		}
+		var mg msg.Msg
+		if len(ce.raw) > 0 && bytes.Equal(ce.raw, v.Payload) {
+			mg = ce.mg
+		} else {
+			if alp.Size() > 0 {
+				var ok bool
+				if mg, ok = alp.Canonical(v.Payload); !ok {
+					a.alien++
+					return nil
+				}
+			} else {
+				mg = msg.Msg(v.Payload) // copies: the payload is borrowed
+			}
+			ce.raw = append(ce.raw[:0], v.Payload...)
+			ce.mg = mg
+		}
+		switch q.stage(mg) {
+		case pushOK:
+			a.rx++
+			if !q.dirty {
+				q.dirty = true
+				a.dirty = append(a.dirty, q)
+			}
+		case pushClosed:
+			// Session finished while we held the frame: count it as late.
+			a.unknown++
+		default:
+			a.inboxFull++
+			s.inboxDrops.Add(1)
+		}
+		return nil
+	}
+	for _, b := range blobs {
+		if !IsBatch(b) {
+			stage(b)
+		} else if err := SplitBatch(b, stage); err != nil {
+			a.decodeErrs++
+		}
+	}
+	a.flush(m, at)
+	a.mu.Unlock()
+}
+
+// flush publishes the dirty inboxes, wakes their sessions' workers, and
+// folds the tallies into the metrics of end at.
+func (a *arrival) flush(m *Mux, at End) {
+	for i, q := range a.dirty {
 		q.publish()
 		if o := q.owner; o.loopLive.Load() {
 			o.worker.schedule(o)
 		}
-		k.dirty[i] = nil
+		a.dirty[i] = nil
 	}
-	k.dirty = k.dirty[:0]
-	if k.rx > 0 {
-		m.met.rx[at-1].Add(k.rx)
+	a.dirty = a.dirty[:0]
+	if a.rx > 0 {
+		m.met.rx[at-1].Add(a.rx)
 	}
-	if k.decodeErrs > 0 {
-		m.met.decodeErrors.Add(k.decodeErrs)
+	if a.decodeErrs > 0 {
+		m.met.decodeErrors.Add(a.decodeErrs)
 	}
-	if k.alien > 0 {
-		m.met.alien.Add(k.alien)
+	if a.alien > 0 {
+		m.met.alien.Add(a.alien)
 	}
-	if k.unknown > 0 {
-		m.met.unknown.Add(k.unknown)
+	if a.unknown > 0 {
+		m.met.unknown.Add(a.unknown)
 	}
-	if k.inboxFull > 0 {
-		m.met.inboxFull.Add(k.inboxFull)
+	if a.inboxFull > 0 {
+		m.met.inboxFull.Add(a.inboxFull)
 	}
-	k.rx, k.decodeErrs, k.alien, k.unknown, k.inboxFull = 0, 0, 0, 0, 0
+	a.rx, a.decodeErrs, a.alien, a.unknown, a.inboxFull = 0, 0, 0, 0, 0
 }
 
-// route is one end's router goroutine: split batch blobs, decode each
-// frame in place, validate, dispatch. It exits when the transport's Recv
-// channel closes.
+// pusher is a transport that, once pushTo hands it the mux, calls arrive on
+// the goroutine holding the frames instead of queueing them for Recv (what
+// reached Recv before is lost, as a link may lose it).
+type pusher interface{ pushTo(m *Mux) bool }
+
+// push attaches the mux to its transport, if that pushes.
+func (m *Mux) push() bool {
+	p, ok := m.tr.(pusher)
+	return ok && p.pushTo(m)
+}
+
+// route pumps a transport that does not push: one goroutine per end hands
+// each blob from Recv to arrive, until the channel closes.
 func (m *Mux) route(at End) {
 	defer m.routerWg.Done()
-	wantDir := at.Opposite().Dir() // frames arriving here were sent by the opposite end
-	var v FrameView
-	sink := &routeSink{dirty: make([]*inbox, 0, 64)}
-	dispatch := func(frame []byte) error {
-		m.dispatch(at, wantDir, sink, frame, &v)
-		return nil
-	}
 	for raw := range m.tr.Recv(at) {
-		if IsBatch(raw) {
-			if err := SplitBatch(raw, dispatch); err != nil {
-				sink.decodeErrs++
-			}
-		} else {
-			m.dispatch(at, wantDir, sink, raw, &v)
-		}
-		sink.flush(m, at)
+		m.arrive(at, raw)
 		ReleaseBuf(raw)
-	}
-}
-
-// dispatch validates one encoded frame and stages its message into the
-// owning session's inbox (the router publishes staged inboxes once per
-// blob via the sink). The frame bytes are only borrowed: the payload is
-// either canonicalized against the session's alphabet (interned, no
-// copy) or copied into an owned Msg before the buffer goes back to the
-// pool.
-func (m *Mux) dispatch(at End, wantDir channel.Dir, sink *routeSink, frame []byte, v *FrameView) {
-	if err := DecodeFrameInto(v, frame); err != nil {
-		sink.decodeErrs++
-		return
-	}
-	if v.Dir != wantDir {
-		sink.alien++
-		return
-	}
-	s := m.lookup(v.Session)
-	if s == nil {
-		sink.unknown++
-		return
-	}
-	// Alphabet enforcement: a frame whose payload is outside the session's
-	// declared alphabet for this direction is alien — the live analogue of
-	// Link.Send's M^S/M^R check, applied on receive because the wire
-	// (impairment, another session's corruption substitute) may have
-	// swapped payloads after the honest send. Membership is checked with
-	// Alphabet.Canonical, which doubles as interning: an in-alphabet
-	// payload becomes an owned Msg without allocating. A one-entry cache
-	// in front of it makes back-to-back repeats (retransmissions, the
-	// dominant STP traffic) a plain byte compare.
-	alp := s.receiverAlphabet
-	q := &s.senderInbox
-	ce := &s.rxCache[1]
-	if at == ReceiverEnd {
-		alp = s.senderAlphabet
-		q = &s.receiverInbox
-		ce = &s.rxCache[0]
-	}
-	var mg msg.Msg
-	if len(ce.raw) > 0 && bytes.Equal(ce.raw, v.Payload) {
-		mg = ce.mg
-	} else {
-		if alp.Size() > 0 {
-			var ok bool
-			if mg, ok = alp.Canonical(v.Payload); !ok {
-				sink.alien++
-				return
-			}
-		} else {
-			mg = msg.Msg(v.Payload) // copies: the payload aliases a pooled buffer
-		}
-		ce.raw = append(ce.raw[:0], v.Payload...)
-		ce.mg = mg
-	}
-	switch q.stage(mg) {
-	case pushOK:
-		sink.rx++
-		if !q.dirty {
-			q.dirty = true
-			sink.dirty = append(sink.dirty, q)
-		}
-	case pushClosed:
-		// Session finished while we held the frame: count it as late.
-		sink.unknown++
-	default:
-		sink.inboxFull++
-		s.inboxDrops.Add(1)
 	}
 }
 
 // Close stops the engine — the loop workers finish any still-attached
 // sessions, so no Run or Serve caller hangs, and ship what they appended
-// — then closes the transport and waits for the routers to drain. In that
+// — then closes the transport and waits for any routers to drain. In that
 // order, so a finishing session's last frames (a receiver half's final
 // acknowledgement, which its remote sender needs to be Done) are on the
-// wire before the transport goes; a router that outlives its session's
+// wire before the transport goes; an arrival that outlives its session's
 // worker is schedule's stopped branch.
 func (m *Mux) Close() error {
 	m.loop.close()

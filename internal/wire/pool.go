@@ -10,8 +10,8 @@ import "sync"
 //
 // Ownership contract: a buffer obtained from the pool is owned by exactly
 // one holder at a time. Transports put frames they received onto their
-// Recv channels; the consumer (the mux's router) releases them once the
-// frames are dispatched. Code outside the hot path (tests draining Recv
+// Recv channels; the consumer (a mux's router) releases them once the
+// frames have arrived. Code outside the hot path (tests draining Recv
 // directly) may simply drop buffers — the pool tolerates non-return, it
 // just falls back to allocating.
 const (

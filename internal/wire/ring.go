@@ -7,19 +7,18 @@ import (
 )
 
 // inbox is a session's bounded inbound message queue, built as a
-// single-producer/single-consumer ring: exactly one router goroutine
-// stages into each inbox (the receiver inbox is fed only by the
-// receiver-end router, the sender inbox only by the sender-end router)
-// and exactly one loop worker drains it. That invariant lets both sides
-// run lock-free — a stage is an atomic load and a slot store, a publish
-// one atomic store per burst; a drain is one pass over the published
-// slots. The consumer never blocks on the inbox: the router wakes the
-// session's worker through its ready queue after publishing.
+// single-producer/single-consumer ring: the one producer is whoever holds
+// the arrival lock of the inbox's end (Mux.arrive), and exactly one loop
+// worker drains it. That invariant lets both sides run lock-free — a stage
+// is an atomic load and a slot store, a publish one atomic store per
+// burst; a drain is one pass over the published slots. The consumer never
+// blocks on the inbox: the arrival wakes the session's worker through its
+// ready queue after publishing.
 type inbox struct {
 	slots []msg.Msg // len is a power of two
 	mask  uint64
 
-	// owner is the session this inbox feeds. The routers use it after a
+	// owner is the session this inbox feeds. An arrival uses it after a
 	// publish to wake the session's worker (a no-op until the session
 	// has been handed to the loop).
 	owner *Session
@@ -35,7 +34,7 @@ type inbox struct {
 	// is a full fence (XCHG on amd64) — paying it once per burst instead
 	// of once per message is one of the data plane's larger savings.
 	stagedTail uint64
-	dirty      bool // set by the router while the inbox has staged messages
+	dirty      bool // set by the producer while the inbox has staged messages
 }
 
 // stage outcomes, mapped to the mux's drop-cause counters.
@@ -61,9 +60,9 @@ func (q *inbox) init(limit int) {
 // stage writes m into the next free slot without making it visible to
 // the consumer; a later publish releases the whole staged run at once.
 // A full inbox drops (the live analogue of channel loss); a closed
-// inbox means the session already finished. Only the owning router
-// goroutine may call stage, and it must pair every staged run with a
-// publish before blocking.
+// inbox means the session already finished. Only the holder of the end's
+// arrival lock may call stage, and it must publish every staged run
+// before it lets the lock go.
 func (q *inbox) stage(m msg.Msg) pushResult {
 	if q.closed.Load() {
 		return pushClosed
@@ -100,5 +99,5 @@ func (q *inbox) drain(dst []msg.Msg) []msg.Msg {
 }
 
 // close marks the inbox closed; later stages report pushClosed (counted
-// by the routers as late frames).
+// by arrive as late frames).
 func (q *inbox) close() { q.closed.Store(true) }

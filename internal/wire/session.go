@@ -117,8 +117,8 @@ type Session struct {
 	receiverInbox inbox
 
 	// rxCache is a one-entry decode cache per inbound direction (index 0
-	// feeds the receiver inbox, 1 the sender inbox), each owned
-	// exclusively by the router goroutine on that end. STP traffic is
+	// feeds the receiver inbox, 1 the sender inbox), each owned by the
+	// holder of that end's arrival lock. STP traffic is
 	// retransmission-heavy — the same data message or acknowledgement
 	// arrives many times in a row — so remembering the last payload's
 	// interned Msg turns the common repeat into a byte compare instead of
@@ -129,7 +129,7 @@ type Session struct {
 	}
 
 	// inboxDrops counts this session's inbox-full frame drops. Written
-	// by the routers (either end's), read at report time — the only
+	// under either end's arrival lock, read at report time — the only
 	// session counter crossing goroutines, hence the only atomic one.
 	inboxDrops atomic.Int64
 

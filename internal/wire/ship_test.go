@@ -192,7 +192,7 @@ func TestWorkerShipsItsBurst(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	for _, lw := range live.loop.workers {
-		for !lw.sleeping.Load() {
+		for lw.parked.Load() == awake {
 			if time.Now().After(deadline) {
 				t.Fatal("a worker with nothing to do never parked")
 			}

@@ -311,7 +311,7 @@ func (c *supervision) wake(s *Session) int64 {
 // retransmission memory and any open round-trip probe. The new
 // incarnation then starts as a session does: fresh deadline, tick phase
 // and backoff, the sender's attach step. The worker's round-trip estimate
-// stays: it measures the worker's queue and routers, not the incarnation.
+// stays: it measures the worker's queue, not the incarnation.
 func (w *loopWorker) restart(s *Session, now int64) {
 	c := s.sup
 	ns, nr, err := c.plan.rebuild(c.index)

@@ -55,6 +55,9 @@ func (t *UDP) SendBatch(from End, frames [][]byte) error {
 	return t.peers[from-1].SendBatch(from, frames)
 }
 
+// pushTo implements pusher through both peers.
+func (t *UDP) pushTo(m *Mux) bool { return t.peers[0].pushTo(m) && t.peers[1].pushTo(m) }
+
 // Recv implements Transport: the datagrams the given end's peer accepted.
 func (t *UDP) Recv(at End) <-chan []byte { return t.peers[at-1].Recv(at) }
 

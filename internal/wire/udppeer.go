@@ -29,9 +29,9 @@ import (
 // are counted (wire_frames_dropped_total{cause="foreign"}) and never
 // copied toward the mux.
 //
-// The non-hosted end's Recv channel stays empty until Close (the mux
-// starts a router per end; the remote end's router simply has nothing
-// to do in this process), and Send from the non-hosted end is an error.
+// Under a mux the reader pushes each accepted datagram from its read buffer
+// to Mux.arrive; Recv serves a consumer with no mux, and the non-hosted
+// end's stays empty until Close. Send from the non-hosted end is an error.
 type UDPPeer struct {
 	host  End
 	conn  *net.UDPConn
@@ -42,8 +42,9 @@ type UDPPeer struct {
 	// is foreign and sends fail.
 	remote atomic.Pointer[netip.AddrPort]
 
-	inbound chan []byte // datagrams from the peer, toward the hosted end
-	ghost   chan []byte // the non-hosted end's Recv: empty, closed on Close
+	inbound chan []byte         // datagrams from the peer, toward the hosted end
+	ghost   chan []byte         // the non-hosted end's Recv: empty, closed on Close
+	mux     atomic.Pointer[Mux] // set by pushTo; then inbound is unused
 
 	dropped  *obs.Counter
 	foreign  *obs.Counter
@@ -206,9 +207,11 @@ func (t *UDPPeer) SendBatch(from End, frames [][]byte) error {
 	return nil
 }
 
+// pushTo implements pusher: the reader hands each accepted datagram to m.
+func (t *UDPPeer) pushTo(m *Mux) bool { t.mux.Store(m); return true }
+
 // Recv implements Transport: the hosted end sees the peer's datagrams;
-// the non-hosted end's channel stays empty (its router in this process
-// has nothing to route) and closes with the transport.
+// the non-hosted end's channel stays empty and closes with the transport.
 func (t *UDPPeer) Recv(at End) <-chan []byte {
 	if at == t.host {
 		return t.inbound
@@ -219,13 +222,12 @@ func (t *UDPPeer) Recv(at End) <-chan []byte {
 // read pumps datagrams from the socket toward the hosted end until the
 // socket closes. Every datagram's source must match the configured
 // peer; mismatches (and anything arriving before a peer is configured)
-// are counted as foreign and never reach the mux. Backpressure drops
-// are charged with the blob's frame count.
+// are counted as foreign and never reach the mux. With no mux attached an
+// accepted datagram is copied into a pooled blob for Recv; backpressure
+// drops there are charged with the blob's frame count.
 func (t *UDPPeer) read() {
 	defer t.wg.Done()
 	defer close(t.inbound)
-	// One reused scratch buffer: only an accepted datagram's bytes are
-	// copied out, into a pooled blob the consumer releases.
 	buf := make([]byte, 64*1024)
 	for {
 		n, from, err := t.conn.ReadFromUDPAddrPort(buf)
@@ -235,6 +237,10 @@ func (t *UDPPeer) read() {
 		remote := t.remote.Load()
 		if remote == nil || !sameSource(from, *remote) {
 			t.foreign.Add(int64(blobFrames(buf[:n])))
+			continue
+		}
+		if m := t.mux.Load(); m != nil {
+			m.arrive(t.host, buf[:n])
 			continue
 		}
 		blob := append(getBuf(n), buf[:n]...)

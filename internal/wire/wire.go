@@ -7,8 +7,8 @@
 //
 //   - Transport: a bidirectional frame pipe between two ends (SenderEnd
 //     hosts every session's S, ReceiverEnd every R). Two implementations:
-//     an in-process channel transport and the peer-addressed datagram
-//     transport UDPPeer (loopback UDP is a pair of them). Both are
+//     the in-process Inproc and the peer-addressed datagram transport
+//     UDPPeer (loopback UDP is a pair of them). Both are
 //     allowed to drop, reorder, and (after the impairment layer)
 //     duplicate frames — i.e. a live link is a dup+del channel in the
 //     paper's sense, which is exactly the setting the protocols were
@@ -25,7 +25,8 @@
 //     concurrent sender/receiver pairs over one transport, runs them as
 //     inline state machines on a fixed event-loop worker pool (a worker
 //     puts what its sessions sent on the transport itself, one burst per
-//     round of service; two router goroutines bring frames in), paces
+//     round of service; whatever goroutine holds arriving frames stages
+//     them, Mux.arrive; an idle worker parks precisely on a short wait), paces
 //     each protocol with retransmit ticks, audits the safety invariant
 //     (Y is a prefix of X) online on every write, and reports
 //     per-session goodput and learning times. Serve (serve.go) is the
