@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 
 	"seqtx/internal/channel"
 	"seqtx/internal/msg"
+	"seqtx/internal/protocol"
 	"seqtx/internal/registry"
 	"seqtx/internal/seq"
 )
@@ -283,5 +285,48 @@ func BenchmarkUDPPath(b *testing.B) {
 	b.StopTimer()
 	if s := elapsed.Seconds(); s > 0 {
 		b.ReportMetric(float64(b.N)/s, "frames/s")
+	}
+}
+
+// BenchmarkSessionLifecycle prices a session's construction and finish on
+// the manual mux: NewSession, the attaching turn (its fill's frames go to
+// discard{}), a cancel and the finishing turn that builds the report —
+// no traffic beyond the attach. Per op: one session.
+func BenchmarkSessionLifecycle(b *testing.B) {
+	mux, w := manualMux(b, discard{})
+	x := seq.Seq{0, 1, 2, 3, 4, 5, 6, 7}
+	const batch = 1024
+	type pair struct {
+		s protocol.Sender
+		r protocol.Receiver
+	}
+	pairs := make([]pair, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%batch == 0 {
+			b.StopTimer()
+			for j := range pairs {
+				s, r, err := registry.Pair("alpha", registry.Params{M: 8}, x)
+				if err != nil {
+					b.Fatalf("Pair: %v", err)
+				}
+				pairs[j] = pair{s, r}
+			}
+			b.StartTimer()
+		}
+		p := pairs[i%batch]
+		sess, err := mux.NewSession(SessionConfig{ID: 1, Sender: p.s, Receiver: p.r, Input: x})
+		if err != nil {
+			b.Fatalf("NewSession: %v", err)
+		}
+		done := false
+		mux.loop.start(context.Background(), sess, 0, func(Report) { done = true })
+		w.turn()
+		mux.loop.cancel(sess)
+		w.turn()
+		if !done {
+			b.Fatal("cancelled session did not finish")
+		}
 	}
 }

@@ -138,9 +138,7 @@ func newLoopWorker(e *loopEngine) *loopWorker {
 		swap:   make([]*Session, 0, 256),
 	}
 	w.key, w.keyWas = w.keyBuf[0][:0], w.keyBuf[1][:0]
-	for i := range w.out {
-		w.out[i] = outChunk{buf: getBuf(blobCap), frames: make([][]byte, 0, 512)}
-	}
+	w.out = chunkPool.Get().(*[2]outChunk)
 	return w
 }
 
@@ -233,7 +231,7 @@ type loopWorker struct {
 	batch       []msg.Msg
 	key, keyWas []byte
 	keyBuf      [2][24]byte
-	out         [2]outChunk
+	out         *[2]outChunk // from chunkPool; nil once shut down
 	rtt         rttEstimate
 
 	// pt is the precise timer, made by the first park that wants one (nil
@@ -259,6 +257,17 @@ type outChunk struct {
 	buf    []byte
 	frames [][]byte
 }
+
+// chunkPool recycles a worker's pair of chunks, buffers and frame views
+// at working size, across the muxes a process builds one after another
+// (a fleet wave each): newLoopWorker takes a pair, shutdown returns it.
+var chunkPool = sync.Pool{New: func() any {
+	var out [2]outChunk
+	for i := range out {
+		out[i] = outChunk{buf: make([]byte, 0, blobCap), frames: make([][]byte, 0, 512)}
+	}
+	return &out
+}}
 
 // send encodes one protocol message of session id into the chunk of the
 // end it leaves from: an append, no lock, no channel, no allocation. The
@@ -663,7 +672,7 @@ func (w *loopWorker) finish(s *Session) {
 // goroutine either hands its session to this sweep or finishes it
 // itself, never both, nor kicks a closed precise timer. Then it ships
 // whatever is still pending (the mux closes the transport only after its
-// workers have stopped) and returns the chunk buffers to the pool.
+// workers have stopped) and returns the cleared chunks to the pool.
 func (w *loopWorker) shutdown() {
 	w.mu.Lock()
 	w.stopped = true
@@ -684,9 +693,7 @@ func (w *loopWorker) shutdown() {
 		}
 	}
 	w.mu.Unlock()
-	w.flushOut()
-	for i := range w.out {
-		putBuf(w.out[i].buf)
-		w.out[i].buf = nil
-	}
+	w.flushOut() // leaves both chunks empty
+	chunkPool.Put(w.out)
+	w.out = nil
 }

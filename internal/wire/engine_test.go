@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -125,8 +126,14 @@ func TestEngineEquivalence(t *testing.T) {
 // the engine schedules it, so it is the brake the deadline and
 // cancellation tests need (a slow tick stopped being one when fresh
 // sends left the timer). Embedding the interface hides the inner
-// transport's batch fast paths, so every frame comes through Send.
+// transport's batch fast paths, so every frame comes through Send; an
+// inner transport that pushes still does, so there is no router.
 type blackHole struct{ Transport }
+
+func (b blackHole) pushTo(m *Mux) bool {
+	p, ok := b.Transport.(pusher)
+	return ok && p.pushTo(m)
+}
 
 func (b blackHole) Send(from End, frame []byte) error {
 	if from == SenderEnd {
@@ -527,18 +534,22 @@ func TestLoopPrimitivesZeroAlloc(t *testing.T) {
 }
 
 // TestLoopFlatMemory is the tentpole's footprint contract in miniature:
-// a fleet of idle event-loop sessions must cost no goroutines and a
-// bounded, flat number of bytes each. 20k sessions keep the test fast;
-// the per-session bound (8 KB) is far under a goroutine pair's stacks
-// and catches regressions like a per-session *rand.Rand (~5 KB) or
-// restored 1024-slot inboxes (~32 KB) immediately.
+// a fleet of live, idle event-loop sessions must cost no goroutines and a
+// bounded, flat number of bytes each. 20k sessions keep the test fast.
+// Each session is attached and stays so: its link is a black hole and
+// its tick an hour, so none can finish before the census (one that
+// finished would be counted at the size of its report, not of its live
+// state). The per-session bound (2 KB) is far under a goroutine pair's
+// stacks and catches regressions like a per-session *rand.Rand (~5 KB)
+// or inbox rings allocated up front (two 64-slot rings are 2 KB)
+// immediately.
 func TestLoopFlatMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory census in -short mode")
 	}
 	const n = 20000
 	baseGoroutines := runtime.NumGoroutine()
-	mux := NewMuxConfig(NewInproc(0, nil), MuxConfig{EventSampleEvery: 1024})
+	mux := NewMuxConfig(blackHole{NewInproc(0, nil)}, MuxConfig{EventSampleEvery: 1024})
 	defer mux.Close()
 
 	var before, after runtime.MemStats
@@ -546,6 +557,7 @@ func TestLoopFlatMemory(t *testing.T) {
 	runtime.ReadMemStats(&before)
 
 	x := seq.Seq{0, 1, 2, 3}
+	var finished atomic.Int64
 	sessions := make([]*Session, n)
 	for i := range sessions {
 		s, r, err := registry.Pair("alpha", zooParams, x)
@@ -562,24 +574,29 @@ func TestLoopFlatMemory(t *testing.T) {
 			t.Fatalf("NewSession: %v", err)
 		}
 		sessions[i] = sess
-		mux.loop.start(context.Background(), sess, 0, func(Report) {})
+		mux.loop.start(context.Background(), sess, 0, func(Report) { finished.Add(1) })
 	}
 	// Let the workers attach everything, then census.
 	time.Sleep(50 * time.Millisecond)
 	runtime.GC()
 	runtime.ReadMemStats(&after)
+	if f := finished.Load(); f != 0 {
+		t.Fatalf("%d of %d sessions finished before the census, want 0: it would not measure live sessions", f, n)
+	}
 
 	perSession := float64(after.HeapInuse-before.HeapInuse) / n
-	t.Logf("%d idle loop sessions: %.0f B/session heap-in-use", n, perSession)
-	if perSession > 8192 {
-		t.Errorf("per-session heap %.0f B exceeds the 8 KB flat-memory bound", perSession)
+	t.Logf("%d live idle loop sessions: %.0f B/session heap-in-use", n, perSession)
+	if perSession > 2048 {
+		t.Errorf("per-session heap %.0f B exceeds the 2 KB flat-memory bound", perSession)
 	}
-	// The mux is its workers (Inproc pushes, so there is no router, and it
-	// has no goroutine of its own), whatever the fleet's size.
+	// The mux is its workers (the black hole forwards Inproc's push, so
+	// there is no router, and it has no goroutine of its own), whatever
+	// the fleet's size.
 	if g := runtime.NumGoroutine(); g > baseGoroutines+len(mux.loop.workers) {
 		t.Errorf("%d goroutines for %d loop sessions (%d before the mux, %d workers): engine is not goroutine-free",
 			g, n, baseGoroutines, len(mux.loop.workers))
 	}
+	runtime.KeepAlive(sessions)
 }
 
 // TestInboxSizeAndDropAccounting: a deliberately tiny inbox under a
@@ -600,8 +617,8 @@ func TestInboxSizeAndDropAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
-	if got := len(sess.receiverInbox.slots); got != 1 {
-		t.Fatalf("InboxSize 1 allocated %d slots", got)
+	if q := &sess.receiverInbox; q.limit != 1 || len(*q.ring.Load()) != 1 {
+		t.Fatalf("InboxSize 1 bounds the inbox at %d on a %d-slot ring", q.limit, len(*q.ring.Load()))
 	}
 	var rep Report
 	mux.loop.start(context.Background(), sess, 0, func(r Report) { rep = r })

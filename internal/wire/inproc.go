@@ -9,19 +9,21 @@ import (
 
 // Inproc is the in-process transport. Under a mux it pushes: Send and
 // SendBatch hand the frames to the opposite end's Mux.arrive on the sending
-// goroutine — no copy, no goroutine between a session's two ends — and a
-// full inbox drops (backpressure is loss, which the protocols survive).
-// Its two buffered channels, one per direction, serve only a consumer with
-// no mux: a pooled blob per call (one batch blob per burst, as writev), and
-// a full buffer drops it.
+// goroutine — no copy, no channel, no goroutine between a session's two
+// ends — and a full inbox drops (backpressure is loss, which the protocols
+// survive). Only a consumer with no mux gets channels: the first mux-less
+// Recv or send makes two buffered ones, one per direction, which carry a
+// pooled blob per call (one batch blob per burst, as writev), and a full
+// buffer drops the blob.
 type Inproc struct {
-	toReceiver chan []byte
-	toSender   chan []byte
-	dropped    *obs.Counter
-	mux        atomic.Pointer[Mux] // set by pushTo
+	capacity int
+	dropped  *obs.Counter
+	mux      atomic.Pointer[Mux] // set by pushTo
 
-	mu     sync.RWMutex
-	closed bool
+	mu         sync.RWMutex
+	closed     bool
+	toReceiver chan []byte // made on first mux-less use, under mu
+	toSender   chan []byte
 }
 
 var _ Transport = (*Inproc)(nil)
@@ -32,16 +34,15 @@ var _ BatchSender = (*Inproc)(nil)
 const DefaultInprocCapacity = 1024
 
 // NewInproc returns an in-process transport with the given per-direction
-// buffer capacity. reg (which may be nil) receives the backpressure-drop
-// counter.
+// buffer capacity, which its channels get if a mux-less use makes them.
+// reg (which may be nil) receives the backpressure-drop counter.
 func NewInproc(capacity int, reg *obs.Registry) *Inproc {
 	if capacity <= 0 {
 		capacity = DefaultInprocCapacity
 	}
 	return &Inproc{
-		toReceiver: make(chan []byte, capacity),
-		toSender:   make(chan []byte, capacity),
-		dropped:    reg.Counter(`wire_frames_dropped_total{cause="backpressure"}`),
+		capacity: capacity,
+		dropped:  reg.Counter(`wire_frames_dropped_total{cause="backpressure"}`),
 	}
 }
 
@@ -57,19 +58,21 @@ func (t *Inproc) Send(from End, frame []byte) error {
 // call; otherwise each blob that fits is one non-blocking handoff, and a
 // full buffer drops a blob's frames together — channel loss.
 func (t *Inproc) SendBatch(from End, frames [][]byte) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.closed {
-		return ErrClosed
-	}
 	if m := t.mux.Load(); m != nil {
+		t.mu.RLock()
+		defer t.mu.RUnlock()
+		if t.closed {
+			return ErrClosed
+		}
 		m.arrive(from.Opposite(), frames...)
 		return nil
 	}
-	ch := t.toReceiver
-	if from == ReceiverEnd {
-		ch = t.toSender
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return ErrClosed
 	}
+	ch := t.chanTo(from.Opposite())
 	for start := 0; start < len(frames); {
 		n, size := batchFit(frames[start:], blobCap)
 		var blob []byte
@@ -107,8 +110,30 @@ func batchFit(frames [][]byte, limit int) (n, size int) {
 // pushTo implements pusher.
 func (t *Inproc) pushTo(m *Mux) bool { t.mux.Store(m); return true }
 
-// Recv implements Transport.
+// Recv implements Transport. After Close it returns a closed channel.
 func (t *Inproc) Recv(at End) <-chan []byte {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed && t.toReceiver == nil {
+		return closedBlobs
+	}
+	return t.chanTo(at)
+}
+
+// closedBlobs is what Recv returns after a Close that found no channels.
+var closedBlobs = func() chan []byte {
+	ch := make(chan []byte)
+	close(ch)
+	return ch
+}()
+
+// chanTo returns the channel into end at, making both on first use. The
+// caller holds mu.
+func (t *Inproc) chanTo(at End) chan []byte {
+	if t.toReceiver == nil {
+		t.toReceiver = make(chan []byte, t.capacity)
+		t.toSender = make(chan []byte, t.capacity)
+	}
 	if at == SenderEnd {
 		return t.toSender
 	}
@@ -123,7 +148,9 @@ func (t *Inproc) Close() error {
 		return nil
 	}
 	t.closed = true
-	close(t.toReceiver)
-	close(t.toSender)
+	if t.toReceiver != nil {
+		close(t.toReceiver)
+		close(t.toSender)
+	}
 	return nil
 }

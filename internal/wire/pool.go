@@ -9,8 +9,9 @@ import "sync"
 // cost is an append into warm memory rather than a malloc + GC sweep.
 //
 // Ownership contract: a buffer obtained from the pool is owned by exactly
-// one holder at a time. Transports put frames they received onto their
-// Recv channels; the consumer (a mux's router) releases them once the
+// one holder at a time. A transport with no mux attached puts the frames
+// it received onto its Recv channels; whoever takes them off (Mux.route,
+// the pump for a transport that does not push) releases them once the
 // frames have arrived. Code outside the hot path (tests draining Recv
 // directly) may simply drop buffers — the pool tolerates non-return, it
 // just falls back to allocating.

@@ -23,8 +23,11 @@ const DefaultTick = time.Millisecond
 // SessionConfig.InboxSize is not positive. A full inbox drops frames
 // (counted per mux and per session), which the protocols tolerate as
 // channel loss. 64 slots absorb a full stop-and-wait retransmission
-// burst with room to spare while keeping a million idle sessions at
-// ~2 KB of queue each; traffic-heavy fleets can raise it per session.
+// burst with room to spare; traffic-heavy fleets can raise it per session.
+// The bound costs nothing until a burst needs it: each inbox starts on a
+// 4-slot ring inline in the Session and grows to its bound once, at its
+// first burst of more than four. A live idle session measures ≈ 1.2 KB in
+// all (TestLoopFlatMemory), its two inboxes 352 B of that.
 const DefaultInboxSize = 64
 
 // SessionConfig describes one transfer session: a sender/receiver pair
