@@ -89,8 +89,8 @@ type sender struct {
 
 	// scratch is the reused go-back burst buffer. It is only ever
 	// returned from Step (whose contract says the slice is valid until
-	// the next Step) and nil'd on Clone, so model-checker clones never
-	// share it across workers.
+	// the next Step) and nil'd on Clone, so a clone never aliases a
+	// slice the original's Step returned.
 	scratch []msg.Msg
 }
 
@@ -152,8 +152,8 @@ func (s *sender) Done() bool { return s.base >= len(s.input) }
 func (s *sender) Clone() protocol.Sender {
 	// The input tape is never mutated after construction, so the clone
 	// shares it: the model checker clones on every explored transition.
-	// The burst scratch is NOT shared: parallel-BFS workers stepping two
-	// clones concurrently must not race on one buffer.
+	// The burst scratch is NOT shared: a Step of the clone must not
+	// overwrite the slice a Step of the original returned.
 	cp := *s
 	cp.scratch = nil
 	return &cp

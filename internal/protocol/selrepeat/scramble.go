@@ -18,10 +18,10 @@ func (s *sender) Scramble(rng *rand.Rand) {
 		hi = n
 	}
 	s.next = s.base + rng.Intn(hi-s.base+1)
-	s.acked = make(map[int]bool)
+	clear(s.acked)
 	for i := s.base; i < s.next; i++ {
 		if rng.Intn(2) == 1 {
-			s.acked[i] = true
+			s.acked[i%s.window] = true
 		}
 	}
 	s.stalled = rng.Intn(timeoutTicks + 1)
@@ -34,10 +34,12 @@ var _ protocol.Scrambler = (*sender)(nil)
 // — exactly the state a transient fault could leave behind).
 func (r *receiver) Scramble(rng *rand.Rand) {
 	r.next = rng.Intn(2 * (r.window + 1))
-	r.buffered = make(map[int]seq.Item)
+	clear(r.slots)
+	r.count = 0
 	for i := r.next + 1; i < r.next+r.window; i++ {
 		if r.m > 0 && rng.Intn(3) == 0 {
-			r.buffered[i] = seq.Item(rng.Intn(r.m))
+			r.slots[i%r.window] = slot{item: seq.Item(rng.Intn(r.m)), held: true}
+			r.count++
 		}
 	}
 }

@@ -59,10 +59,10 @@ func New(m, window int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("selrepeat: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &sender{window: window, t: t, input: input.Clone(), acked: map[int]bool{}}, nil
+			return &sender{window: window, t: t, input: input.Clone(), acked: make([]bool, window)}, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{m: m, window: window, t: t, buffered: map[int]seq.Item{}}, nil
+			return &receiver{m: m, window: window, t: t, slots: make([]slot, window)}, nil
 		},
 	}, nil
 }
@@ -85,15 +85,18 @@ type sender struct {
 	t      *msg.Table
 	input  seq.Seq
 
-	base    int          // lowest unacknowledged position
-	next    int          // next position never sent
-	acked   map[int]bool // individually acknowledged positions >= base
+	base int // lowest unacknowledged position
+	next int // next position never sent (base <= next <= base+window)
+	// acked is the window as a ring: acked[p%window] says whether
+	// position p in [base, next) is individually acknowledged. Slots of
+	// positions outside [base, next) are false.
+	acked   []bool
 	stalled int
 
 	// scratch is the reused retransmission burst buffer. It is only
 	// ever returned from Step (valid until the next Step, per the Step
-	// contract) and nil'd on Clone, so model-checker clones never share
-	// it across workers.
+	// contract) and nil'd on Clone, so a clone never aliases a slice
+	// the original's Step returned.
 	scratch []msg.Msg
 }
 
@@ -111,17 +114,14 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 		n := d.F[0]
 		// The acknowledged position is the unique one in [base, next)
 		// congruent to n (the window never spans mod() positions).
-		for p := s.base; p < s.next; p++ {
-			if p%s.mod() == n {
-				if !s.acked[p] {
-					s.acked[p] = true
-					s.stalled = 0
-				}
-				break
+		if off := (n - s.base%s.mod() + s.mod()) % s.mod(); off < s.next-s.base {
+			if i := (s.base + off) % s.window; !s.acked[i] {
+				s.acked[i] = true
+				s.stalled = 0
 			}
 		}
-		for s.acked[s.base] {
-			delete(s.acked, s.base)
+		for i := s.base % s.window; s.acked[i]; i = succ(i, s.window) {
+			s.acked[i] = false
 			s.base++
 		}
 		return nil
@@ -140,8 +140,8 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 			// Selective: retransmit only the unacknowledged frames,
 			// reusing the scratch buffer across bursts.
 			burst := s.scratch[:0]
-			for p := s.base; p < s.next; p++ {
-				if !s.acked[p] {
+			for p, i := s.base, s.base%s.window; p < s.next; p, i = p+1, succ(i, s.window) {
+				if !s.acked[i] {
 					burst = append(burst, s.t.S.Msg(0, msg.Fields{p % s.mod(), int(s.input[p])}))
 				}
 			}
@@ -164,21 +164,18 @@ func (s *sender) Done() bool { return s.base >= len(s.input) }
 func (s *sender) Clone() protocol.Sender {
 	// The input tape is never mutated after construction, so the clone
 	// shares it: the model checker clones on every explored transition.
-	// The burst scratch is NOT shared: parallel-BFS workers stepping two
-	// clones concurrently must not race on one buffer.
+	// The burst scratch is NOT shared: a Step of the clone must not
+	// overwrite the slice a Step of the original returned.
 	cp := *s
 	cp.scratch = nil
-	cp.acked = make(map[int]bool, len(s.acked))
-	for k, v := range s.acked {
-		cp.acked[k] = v
-	}
+	cp.acked = append([]bool(nil), s.acked...)
 	return &cp
 }
 
 func (s *sender) Key() string {
-	acked := make([]string, 0, len(s.acked))
-	for p := s.base; p < s.next; p++ {
-		if s.acked[p] {
+	var acked []string
+	for p, i := s.base, s.base%s.window; p < s.next; p, i = p+1, succ(i, s.window) {
+		if s.acked[i] {
 			acked = append(acked, fmt.Sprint(p))
 		}
 	}
@@ -189,34 +186,54 @@ func (s *sender) EncodeKey(buf []byte) []byte {
 	buf = append(buf, 'S')
 	buf = binary.AppendUvarint(buf, uint64(s.base))
 	buf = binary.AppendUvarint(buf, uint64(s.next))
+	b := s.base % s.window
 	count := 0
-	for p := s.base; p < s.next; p++ {
-		if s.acked[p] {
+	for p, i := s.base, b; p < s.next; p, i = p+1, succ(i, s.window) {
+		if s.acked[i] {
 			count++
 		}
 	}
 	buf = binary.AppendUvarint(buf, uint64(count))
-	for p := s.base; p < s.next; p++ {
-		if s.acked[p] {
+	for p, i := s.base, b; p < s.next; p, i = p+1, succ(i, s.window) {
+		if s.acked[i] {
 			buf = binary.AppendUvarint(buf, uint64(p))
 		}
 	}
 	return binary.AppendUvarint(buf, uint64(s.stalled))
 }
 
+// succ is the ring slot after slot i of an n-slot ring: a window walk
+// takes no division per slot.
+func succ(i, n int) int {
+	if i++; i == n {
+		return 0
+	}
+	return i
+}
+
 // receiver accepts any frame inside its window, buffers it, acknowledges
 // it individually, and writes buffered items as the in-order prefix
 // fills in.
 type receiver struct {
-	m        int
-	window   int
-	t        *msg.Table
-	next     int              // positions written so far
-	buffered map[int]seq.Item // accepted positions >= next awaiting the gap
+	m      int
+	window int
+	t      *msg.Table
+	next   int // positions written so far
+	// slots is the acceptance window [next, next+window) as a ring:
+	// slots[p%window] holds position p once accepted, until the gap
+	// before it fills; count is how many are held.
+	slots []slot
+	count int
 
 	// wscratch is the reused gap-fill write buffer, nil'd on Clone for
 	// the same reason as the sender's burst scratch.
 	wscratch seq.Seq
+}
+
+// slot is one position of the receiver's window ring.
+type slot struct {
+	item seq.Item
+	held bool
 }
 
 var _ protocol.Receiver = (*receiver)(nil)
@@ -237,26 +254,21 @@ func (r *receiver) Step(ev protocol.Event) ([]msg.Msg, seq.Seq) {
 	// next+window) it is the unique one congruent to n. A frame congruent
 	// to an already-delivered position (the trailing window) is a
 	// retransmission: re-ack it but do not buffer.
-	pos := -1
-	for p := r.next; p < r.next+r.window; p++ {
-		if p%r.mod() == n {
-			pos = p
-			break
-		}
-	}
-	if pos < 0 {
+	off := (n - r.next%r.mod() + r.mod()) % r.mod()
+	if off >= r.window {
 		// Trailing window: a duplicate of something already delivered.
 		return ack, nil
 	}
-	r.buffered[pos] = seq.Item(v)
+	sl := &r.slots[(r.next+off)%r.window]
+	if !sl.held {
+		r.count++
+	}
+	*sl = slot{item: seq.Item(v), held: true}
 	writes := r.wscratch[:0]
-	for {
-		item, bok := r.buffered[r.next]
-		if !bok {
-			break
-		}
-		delete(r.buffered, r.next)
-		writes = append(writes, item)
+	for i := r.next % r.window; r.slots[i].held; i = succ(i, r.window) {
+		writes = append(writes, r.slots[i].item)
+		r.slots[i] = slot{}
+		r.count--
 		r.next++
 	}
 	r.wscratch = writes
@@ -271,18 +283,15 @@ func (r *receiver) Alphabet() msg.Alphabet { return r.t.R.Alphabet() }
 func (r *receiver) Clone() protocol.Receiver {
 	cp := *r
 	cp.wscratch = nil
-	cp.buffered = make(map[int]seq.Item, len(r.buffered))
-	for k, v := range r.buffered {
-		cp.buffered[k] = v
-	}
+	cp.slots = append([]slot(nil), r.slots...)
 	return &cp
 }
 
 func (r *receiver) Key() string {
-	buf := make([]string, 0, len(r.buffered))
-	for p := r.next; p < r.next+r.window; p++ {
-		if v, ok := r.buffered[p]; ok {
-			buf = append(buf, fmt.Sprintf("%d=%d", p, int(v)))
+	var buf []string
+	for p, i := r.next, r.next%r.window; p < r.next+r.window; p, i = p+1, succ(i, r.window) {
+		if r.slots[i].held {
+			buf = append(buf, fmt.Sprintf("%d=%d", p, int(r.slots[i].item)))
 		}
 	}
 	return fmt.Sprintf("srR{%d|%s}", r.next, strings.Join(buf, ","))
@@ -291,11 +300,11 @@ func (r *receiver) Key() string {
 func (r *receiver) EncodeKey(buf []byte) []byte {
 	buf = append(buf, 'V')
 	buf = binary.AppendUvarint(buf, uint64(r.next))
-	buf = binary.AppendUvarint(buf, uint64(len(r.buffered)))
-	for p := r.next; p < r.next+r.window; p++ {
-		if v, ok := r.buffered[p]; ok {
+	buf = binary.AppendUvarint(buf, uint64(r.count))
+	for p, i := r.next, r.next%r.window; p < r.next+r.window; p, i = p+1, succ(i, r.window) {
+		if r.slots[i].held {
 			buf = binary.AppendUvarint(buf, uint64(p))
-			buf = binary.AppendVarint(buf, int64(v))
+			buf = binary.AppendVarint(buf, int64(r.slots[i].item))
 		}
 	}
 	return buf

@@ -168,3 +168,36 @@ func TestSenderSelectiveRetransmission(t *testing.T) {
 		t.Fatalf("not done after all acks: %s", s.Key())
 	}
 }
+
+// TestCloneAllocsFixed: a clone copies the window's rings, never walks a
+// map, so what it allocates does not depend on what the window holds.
+func TestCloneAllocsFixed(t *testing.T) {
+	const w = 16
+	spec := selrepeat.MustNew(4, w)
+	s, _ := spec.NewSender(seq.Random(rand.New(rand.NewSource(1)), 4, 4*w))
+	r, _ := spec.NewReceiver()
+	clones := func(when string) {
+		t.Helper()
+		sa := testing.AllocsPerRun(20, func() { s.Clone() })
+		ra := testing.AllocsPerRun(20, func() { r.Clone() })
+		if sa != 2 || ra != 2 {
+			t.Errorf("%s: sender Clone %.0f allocs, receiver Clone %.0f, want 2 each", when, sa, ra)
+		}
+	}
+	clones("empty window")
+	for i := 0; i < w; i++ {
+		s.Step(protocol.TickEvent())
+	}
+	for n := 1; n < w; n += 2 {
+		s.Step(protocol.RecvEvent(selrepeat.AckMsg(2*w, n)))
+		r.Step(protocol.RecvEvent(selrepeat.DataMsg(2*w, n, 0)))
+	}
+	clones("half the window acknowledged and buffered")
+	for n := 0; n < w; n += 2 {
+		s.Step(protocol.RecvEvent(selrepeat.AckMsg(2*w, n)))
+		if n > 0 {
+			r.Step(protocol.RecvEvent(selrepeat.DataMsg(2*w, n, 0)))
+		}
+	}
+	clones("sender window empty again, receiver holding all but its first position")
+}

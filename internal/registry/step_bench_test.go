@@ -77,3 +77,25 @@ func TestStepFixturesSteady(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAppendKey prices the engine's progress probe per protocol:
+// protocol.AppendKey of a fixture's warmed sender, which the loop worker
+// encodes after every fill step and every acknowledgement. The windowed
+// fixtures hold a full window of unacknowledged frames.
+func BenchmarkAppendKey(b *testing.B) {
+	for _, f := range steptest.Fixtures() {
+		f := f
+		b.Run(f.Name, func(b *testing.B) {
+			s, _, err := f.New()
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := protocol.AppendKey(nil, s)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = protocol.AppendKey(buf[:0], s)
+			}
+		})
+	}
+}

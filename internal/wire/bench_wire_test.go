@@ -330,3 +330,38 @@ func BenchmarkSessionLifecycle(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWindowFill prices one progress cycle of a pipelined sender on
+// the manual mux: an acknowledgement that moves a selrepeat W = 16 sender,
+// the progress probe (senderMoved) that sees it, and the fill that puts
+// the one fresh frame on the wire (shipped to a discarding transport). One
+// op is one frame.
+func BenchmarkWindowFill(b *testing.B) {
+	const w = 16
+	mux, lw := manualMux(b, discard{})
+	input := make(seq.Seq, b.N+2*w)
+	for i := range input {
+		input[i] = seq.Item(i % 64)
+	}
+	s, r, err := registry.Pair("selrepeat", registry.Params{M: 64, Window: w}, input)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := mux.NewSession(SessionConfig{ID: 1, Sender: s, Receiver: r, Input: input, Tick: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mux.loop.start(context.Background(), sess, 0, func(Report) {})
+	lw.turn() // attach: the first window goes out
+	acks := make([]msg.Msg, 2*w)
+	for n := range acks {
+		acks[n] = msg.Format("sa", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := deliverAcks(lw, sess, acks[i%(2*w)]); n != 1 {
+			b.Fatalf("ack %d sent %d frames, want 1", i, n)
+		}
+	}
+}

@@ -569,11 +569,13 @@ func (w *loopWorker) senderMoved(s *Session) bool {
 // left of its service call's InboxSize, lasts: the peer's inbox takes no
 // more from one burst. A first step that sends one fresh frame and leaves
 // the sender put (stop-and-wait) opens a round-trip probe on that frame.
-// w.key holds the sender's key on entry and on exit. false means the
-// transport closed.
+// w.key holds the sender's key on entry and on exit. The burst's steps
+// are one instant of the model (§2, Property 1), so fill reads the clock
+// once. false means the transport closed.
 func (w *loopWorker) fill(s *Session, room *int) bool {
+	now := w.eng.now()
 	for first := true; *room > 0; first = false {
-		sent, re, now := s.framesTx, s.retransmits, w.eng.now()
+		sent, re := s.framesTx, s.retransmits
 		if !s.spontaneous(now) {
 			return false
 		}

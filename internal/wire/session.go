@@ -349,10 +349,13 @@ func (s *Session) receiverEvent(ev protocol.Event) stepOutcome {
 			return stepClosed
 		}
 	}
+	var now int64
+	if len(writes) > 0 {
+		now = s.mux.loop.now() // one step's writes are learnt at one instant
+	}
 	for i, item := range writes {
 		prefix := seq.Tape{Len: int32(len(s.output))} // a plain session stops at its first bad write
 		s.output = append(s.output, item)
-		now := s.mux.loop.now()
 		s.learnTimes = append(s.learnTimes, time.Duration(now-s.startAt))
 		if c := s.sup; c != nil {
 			// Supervised session: transient bad writes after a scrambled
