@@ -341,16 +341,20 @@ func TestResultsIndependentOfNumbering(t *testing.T) {
 // badSender is a sender that, on its third tick, sends a message outside
 // the alphabet it declares — the one way a step of a spec-built system
 // can fail.
-type badSender struct{ ticks int }
+type badSender struct {
+	ticks int
+	moved bool // the last Step was a tick
+}
 
 func (s *badSender) Step(ev protocol.Event) []msg.Msg {
-	if ev.Kind == protocol.Tick {
+	if s.moved = ev.Kind == protocol.Tick; s.moved {
 		if s.ticks++; s.ticks == 3 {
 			return []msg.Msg{"rogue"}
 		}
 	}
 	return []msg.Msg{"ok"}
 }
+func (s *badSender) Moved() bool            { return s.moved }
 func (s *badSender) Alphabet() msg.Alphabet { return msg.MustNewAlphabet("ok") }
 func (s *badSender) Done() bool             { return false }
 func (s *badSender) Clone() protocol.Sender { cp := *s; return &cp }

@@ -28,6 +28,7 @@ import (
 type fsmSender struct {
 	table fsmSenderTable
 	state int
+	moved bool // the last Step changed state
 }
 
 // fsmSenderTable[state][event] = (next, send); event 0 = tick, 1 = recv.
@@ -39,6 +40,7 @@ type fsmSenderTable [][2]struct {
 var _ protocol.Sender = (*fsmSender)(nil)
 
 func (s *fsmSender) Step(ev protocol.Event) []msg.Msg {
+	s.moved = false
 	e := 0
 	if ev.Kind == protocol.Recv {
 		if ev.Msg != "k" {
@@ -47,6 +49,7 @@ func (s *fsmSender) Step(ev protocol.Event) []msg.Msg {
 		e = 1
 	}
 	tr := s.table[s.state][e]
+	s.moved = tr.next != s.state
 	s.state = tr.next
 	if tr.send {
 		return []msg.Msg{"a"}
@@ -54,6 +57,7 @@ func (s *fsmSender) Step(ev protocol.Event) []msg.Msg {
 	return nil
 }
 
+func (s *fsmSender) Moved() bool            { return s.moved }
 func (s *fsmSender) Alphabet() msg.Alphabet { return msg.MustNewAlphabet("a") }
 func (s *fsmSender) Done() bool             { return false }
 func (s *fsmSender) Clone() protocol.Sender { cp := *s; return &cp }

@@ -113,17 +113,20 @@ func MustNew(m int) protocol.Spec {
 type sender struct {
 	t     *msg.Table
 	input seq.Seq
-	acks  int // acknowledgements received
-	sent  int // messages sent (acks <= sent <= acks+1)
+	acks  int  // acknowledgements received
+	sent  int  // messages sent (acks <= sent <= acks+1)
+	moved bool // the last Step moved acks or sent
 }
 
 var _ protocol.Sender = (*sender)(nil)
 
 func (s *sender) Step(ev protocol.Event) []msg.Msg {
+	s.moved = false
 	switch ev.Kind {
 	case protocol.Recv:
 		if ev.Msg == AckMsg && s.acks < s.sent {
 			s.acks++
+			s.moved = true
 		}
 		return nil
 	case protocol.Tick:
@@ -132,6 +135,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 		}
 		k := s.sent
 		s.sent++
+		s.moved = true
 		if k == len(s.input) {
 			return s.t.S.Send(kindEnd, msg.Fields{})
 		}
@@ -142,6 +146,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	}
 }
 
+func (s *sender) Moved() bool            { return s.moved }
 func (s *sender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 
 func (s *sender) Done() bool { return s.acks > len(s.input) }

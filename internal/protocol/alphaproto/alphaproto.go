@@ -92,16 +92,19 @@ func MustNew(m int) protocol.Spec {
 type sender struct {
 	t     *msg.Table
 	input seq.Seq
-	idx   int // next unacknowledged position
+	idx   int  // next unacknowledged position
+	moved bool // the last Step moved idx
 }
 
 var _ protocol.Sender = (*sender)(nil)
 
 func (s *sender) Step(ev protocol.Event) []msg.Msg {
+	s.moved = false
 	switch ev.Kind {
 	case protocol.Recv:
 		if s.idx < len(s.input) && ev.Msg == s.t.R.Msg(0, msg.Fields{int(s.input[s.idx])}) {
 			s.idx++
+			s.moved = true
 		}
 		return nil
 	case protocol.Tick:
@@ -114,6 +117,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	}
 }
 
+func (s *sender) Moved() bool            { return s.moved }
 func (s *sender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 func (s *sender) Done() bool             { return s.idx >= len(s.input) }
 

@@ -99,15 +99,18 @@ type encSender struct {
 	codeSend [][]msg.Msg // interned per-position send slices
 	ackWait  []msg.Msg   // interned expected ack per position
 	idx      int
+	moved    bool // the last Step moved idx
 }
 
 var _ protocol.Sender = (*encSender)(nil)
 
 func (s *encSender) Step(ev protocol.Event) []msg.Msg {
+	s.moved = false
 	switch ev.Kind {
 	case protocol.Recv:
 		if s.idx < len(s.code) && ev.Msg == s.ackWait[s.idx] {
 			s.idx++
+			s.moved = true
 		}
 		return nil
 	case protocol.Tick:
@@ -120,6 +123,7 @@ func (s *encSender) Step(ev protocol.Event) []msg.Msg {
 	}
 }
 
+func (s *encSender) Moved() bool            { return s.moved }
 func (s *encSender) Alphabet() msg.Alphabet { return s.alphabet }
 func (s *encSender) Done() bool             { return s.idx >= len(s.code) }
 

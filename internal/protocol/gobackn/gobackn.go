@@ -83,9 +83,10 @@ type sender struct {
 	t      *msg.Table
 	input  seq.Seq
 
-	base    int // lowest unacknowledged position
-	next    int // next position to send fresh (base <= next <= base+window)
-	stalled int // ticks since the last ack progress
+	base    int  // lowest unacknowledged position
+	next    int  // next position to send fresh (base <= next <= base+window)
+	stalled int  // ticks since the last ack progress
+	moved   bool // the last Step moved base, next or stalled
 
 	// scratch is the reused go-back burst buffer. It is only ever
 	// returned from Step (whose contract says the slice is valid until
@@ -99,6 +100,7 @@ var _ protocol.Sender = (*sender)(nil)
 func (s *sender) mod() int { return s.window + 1 }
 
 func (s *sender) Step(ev protocol.Event) []msg.Msg {
+	s.moved = false
 	switch ev.Kind {
 	case protocol.Recv:
 		d, ok := s.t.R.Decode(ev.Msg)
@@ -113,6 +115,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 		for s.base < s.next && s.base%s.mod() != n {
 			s.base++
 			s.stalled = 0
+			s.moved = true
 		}
 		return nil
 	case protocol.Tick:
@@ -123,10 +126,12 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 			// Pipeline: send a fresh frame.
 			m := s.t.S.Send(0, msg.Fields{s.next % s.mod(), int(s.input[s.next])})
 			s.next++
+			s.moved = true
 			return m
 		}
 		// Window full (or input exhausted): wait for acks, then go back.
-		s.stalled++
+		s.stalled++ // or reset to 0 below: changed either way
+		s.moved = true
 		if s.stalled > timeoutTicks {
 			s.stalled = 0
 			// Go back n: retransmit the whole outstanding window in one
@@ -145,6 +150,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	}
 }
 
+func (s *sender) Moved() bool            { return s.moved }
 func (s *sender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 
 func (s *sender) Done() bool { return s.base >= len(s.input) }

@@ -127,7 +127,7 @@ func New(m, timeout int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("hybrid: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &sender{timeout: timeout, t: t, input: input.Clone(), lo: len(input)}, nil
+			return &sender{timeout: timeout, t: t, input: input.Clone(), state: state{lo: len(input)}}, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
 			return &receiver{m: m, t: t}, nil
@@ -163,6 +163,12 @@ type sender struct {
 	t       *msg.Table
 	input   seq.Seq
 
+	state
+	moved bool // the last Step changed state
+}
+
+// state is the sender's local state proper: the fields Key encodes.
+type state struct {
 	p  int // acknowledged prefix length
 	hi int // prefix positions sent
 	b  int // acknowledged suffix length
@@ -179,17 +185,19 @@ var _ protocol.Sender = (*sender)(nil)
 // (possibly overlapping in one position).
 func (s *sender) covered() bool { return s.p+s.b >= len(s.input) }
 
-func (s *sender) Step(ev protocol.Event) []msg.Msg {
+func (s *sender) Step(ev protocol.Event) (sends []msg.Msg) {
+	was := s.state
 	switch ev.Kind {
 	case protocol.Recv:
 		s.recv(ev.Msg)
-		return nil
 	case protocol.Tick:
-		return s.tick()
-	default:
-		return nil
+		sends = s.tick()
 	}
+	s.moved = s.state != was
+	return sends
 }
+
+func (s *sender) Moved() bool { return s.moved }
 
 func (s *sender) recv(m msg.Msg) {
 	switch m {

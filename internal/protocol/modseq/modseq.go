@@ -85,15 +85,18 @@ type sender struct {
 	t      *msg.Table
 	input  seq.Seq
 	next   int
+	moved  bool // the last Step moved next
 }
 
 var _ protocol.Sender = (*sender)(nil)
 
 func (s *sender) Step(ev protocol.Event) []msg.Msg {
+	s.moved = false
 	switch ev.Kind {
 	case protocol.Recv:
 		if s.next < len(s.input) && ev.Msg == s.t.R.Msg(0, msg.Fields{s.next % s.window}) {
 			s.next++
+			s.moved = true
 		}
 		return nil
 	case protocol.Tick:
@@ -106,6 +109,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	}
 }
 
+func (s *sender) Moved() bool            { return s.moved }
 func (s *sender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 
 func (s *sender) Done() bool { return s.next >= len(s.input) }

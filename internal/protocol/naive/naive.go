@@ -52,15 +52,18 @@ type posSender struct {
 	t     *msg.Table
 	input seq.Seq
 	idx   int
+	moved bool // the last Step moved idx
 }
 
 var _ protocol.Sender = (*posSender)(nil)
 
 func (s *posSender) Step(ev protocol.Event) []msg.Msg {
+	s.moved = false
 	switch ev.Kind {
 	case protocol.Recv:
 		if s.idx < len(s.input) && ev.Msg == s.t.R.Msg(0, msg.Fields{int(s.input[s.idx])}) {
 			s.idx++
+			s.moved = true
 		}
 		return nil
 	case protocol.Tick:
@@ -73,6 +76,7 @@ func (s *posSender) Step(ev protocol.Event) []msg.Msg {
 	}
 }
 
+func (s *posSender) Moved() bool            { return s.moved }
 func (s *posSender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 
 func (s *posSender) Done() bool { return s.idx >= len(s.input) }
@@ -171,12 +175,14 @@ type floodSender struct {
 	t     *msg.Table
 	input seq.Seq
 	idx   int
+	moved bool // the last Step moved idx
 }
 
 var _ protocol.Sender = (*floodSender)(nil)
 
 func (s *floodSender) Step(ev protocol.Event) []msg.Msg {
-	if ev.Kind != protocol.Tick || s.idx >= len(s.input) {
+	s.moved = ev.Kind == protocol.Tick && s.idx < len(s.input)
+	if !s.moved {
 		return nil
 	}
 	m := s.t.S.Send(0, msg.Fields{int(s.input[s.idx])})
@@ -184,6 +190,7 @@ func (s *floodSender) Step(ev protocol.Event) []msg.Msg {
 	return m
 }
 
+func (s *floodSender) Moved() bool            { return s.moved }
 func (s *floodSender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 
 func (s *floodSender) Done() bool { return s.idx >= len(s.input) }

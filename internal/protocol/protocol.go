@@ -82,6 +82,13 @@ type Sender interface {
 	// returned slice follows the ownership contract above: valid until
 	// the next Step, not to be mutated or retained.
 	Step(ev Event) (sends []msg.Msg)
+	// Moved reports whether the most recent Step changed S's local state:
+	// true exactly when AppendKey after that Step differs from AppendKey
+	// before it. It is meaningful only right after a Step (a Clone or a
+	// Scramble in between says nothing about it), it is not part of the
+	// state Key encodes, and it allocates nothing. The live engine clocks
+	// fresh sends by it without re-encoding the key.
+	Moved() bool
 	// Alphabet returns M^S, the finite set of messages S may ever send.
 	// An empty alphabet (Size 0) declares "unbounded" (used only by the
 	// Stenning baseline, which deliberately leaves the paper's model).

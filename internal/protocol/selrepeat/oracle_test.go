@@ -24,11 +24,23 @@ type mapSender struct {
 	next    int
 	acked   map[int]bool
 	stalled int
+	moved   bool
 }
 
 func (s *mapSender) mod() int { return 2 * s.window }
 
+// Step is also the reference for Moved: it compares the Key strings
+// around the step.
 func (s *mapSender) Step(ev protocol.Event) []msg.Msg {
+	was := s.Key()
+	sends := s.step(ev)
+	s.moved = s.Key() != was
+	return sends
+}
+
+func (s *mapSender) Moved() bool { return s.moved }
+
+func (s *mapSender) step(ev protocol.Event) []msg.Msg {
 	switch ev.Kind {
 	case protocol.Recv:
 		d, ok := s.t.R.Decode(ev.Msg)
@@ -266,6 +278,9 @@ func (o *ringOracle) senderStep(what string, ev protocol.Event) {
 	got, want := o.s.Step(ev), o.ms.Step(ev)
 	if !equalMsgs(got, want) {
 		o.t.Fatalf("%s: sender sent %q, reference %q", what, got, want)
+	}
+	if o.s.Moved() != o.ms.Moved() {
+		o.t.Fatalf("%s: sender Moved %v, reference %v", what, o.s.Moved(), o.ms.Moved())
 	}
 	o.toR = push(o.toR, got)
 	o.compare(what)

@@ -92,6 +92,7 @@ type sender struct {
 	// positions outside [base, next) are false.
 	acked   []bool
 	stalled int
+	moved   bool // the last Step moved base, next, stalled or an acked slot
 
 	// scratch is the reused retransmission burst buffer. It is only
 	// ever returned from Step (valid until the next Step, per the Step
@@ -105,6 +106,7 @@ var _ protocol.Sender = (*sender)(nil)
 func (s *sender) mod() int { return 2 * s.window }
 
 func (s *sender) Step(ev protocol.Event) []msg.Msg {
+	s.moved = false
 	switch ev.Kind {
 	case protocol.Recv:
 		d, ok := s.t.R.Decode(ev.Msg)
@@ -118,11 +120,14 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 			if i := (s.base + off) % s.window; !s.acked[i] {
 				s.acked[i] = true
 				s.stalled = 0
+				s.moved = true
 			}
 		}
+		// The slide moves alone where a Scramble left acked slots at base.
 		for i := s.base % s.window; s.acked[i]; i = succ(i, s.window) {
 			s.acked[i] = false
 			s.base++
+			s.moved = true
 		}
 		return nil
 	case protocol.Tick:
@@ -132,9 +137,11 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 		if s.next < len(s.input) && s.next < s.base+s.window {
 			m := s.t.S.Send(0, msg.Fields{s.next % s.mod(), int(s.input[s.next])})
 			s.next++
+			s.moved = true
 			return m
 		}
-		s.stalled++
+		s.stalled++ // or reset to 0 below: changed either way
+		s.moved = true
 		if s.stalled > timeoutTicks {
 			s.stalled = 0
 			// Selective: retransmit only the unacknowledged frames,
@@ -157,6 +164,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	}
 }
 
+func (s *sender) Moved() bool            { return s.moved }
 func (s *sender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 
 func (s *sender) Done() bool { return s.base >= len(s.input) }

@@ -89,17 +89,20 @@ type sender struct {
 	c     int
 	t     *msg.Table
 	input seq.Seq
-	idx   int // next item to deliver; len(input) when done
-	acks  int // matching acknowledgements accumulated for input[idx]
+	idx   int  // next item to deliver; len(input) when done
+	acks  int  // matching acknowledgements accumulated for input[idx]
+	moved bool // the last Step moved idx or acks
 }
 
 var _ protocol.Sender = (*sender)(nil)
 var _ protocol.Scrambler = (*sender)(nil)
 
 func (s *sender) Step(ev protocol.Event) []msg.Msg {
+	s.moved = false
 	switch ev.Kind {
 	case protocol.Recv:
 		if s.idx < len(s.input) && ev.Msg == s.t.R.Msg(0, msg.Fields{int(s.input[s.idx])}) {
+			s.moved = true // acks+1, or idx+1 with acks reset
 			s.acks++
 			if s.acks >= s.c+1 {
 				s.idx++
@@ -117,6 +120,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 	}
 }
 
+func (s *sender) Moved() bool            { return s.moved }
 func (s *sender) Alphabet() msg.Alphabet { return s.t.S.Alphabet() }
 
 func (s *sender) Done() bool { return s.idx >= len(s.input) }

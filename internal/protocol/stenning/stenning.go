@@ -64,11 +64,14 @@ type sender struct {
 	curFor  int
 	ackWait msg.Msg // "a:next"; valid iff non-empty and ackFor == next
 	ackFor  int
+
+	moved bool // the last Step moved next (the caches are not state)
 }
 
 var _ protocol.Sender = (*sender)(nil)
 
 func (s *sender) Step(ev protocol.Event) []msg.Msg {
+	s.moved = false
 	switch ev.Kind {
 	case protocol.Recv:
 		if s.ackWait == "" || s.ackFor != s.next {
@@ -79,6 +82,7 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 		// acknowledgement that advances S is recognised by comparison.
 		if ev.Msg == s.ackWait {
 			s.next++
+			s.moved = true
 		}
 		return nil
 	case protocol.Tick:
@@ -94,6 +98,8 @@ func (s *sender) Step(ev protocol.Event) []msg.Msg {
 		return nil
 	}
 }
+
+func (s *sender) Moved() bool { return s.moved }
 
 // Alphabet declares unboundedness by returning the empty alphabet.
 func (s *sender) Alphabet() msg.Alphabet { return msg.Alphabet{} }

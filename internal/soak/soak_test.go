@@ -176,6 +176,7 @@ func TestCrashCounterexampleShrinksAndReplays(t *testing.T) {
 type silentSender struct{}
 
 func (silentSender) Step(protocol.Event) []msg.Msg { return nil }
+func (silentSender) Moved() bool                   { return false }
 func (silentSender) Alphabet() msg.Alphabet        { return msg.Alphabet{} }
 func (silentSender) Done() bool                    { return false }
 func (s silentSender) Clone() protocol.Sender      { return s }

@@ -333,9 +333,9 @@ func BenchmarkSessionLifecycle(b *testing.B) {
 
 // BenchmarkWindowFill prices one progress cycle of a pipelined sender on
 // the manual mux: an acknowledgement that moves a selrepeat W = 16 sender,
-// the progress probe (senderMoved) that sees it, and the fill that puts
-// the one fresh frame on the wire (shipped to a discarding transport). One
-// op is one frame.
+// the progress probe (the sender's Moved report) that sees it, and the
+// fill that puts the one fresh frame on the wire (shipped to a discarding
+// transport). One op is one frame.
 func BenchmarkWindowFill(b *testing.B) {
 	const w = 16
 	mux, lw := manualMux(b, discard{})

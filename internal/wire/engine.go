@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"runtime"
@@ -137,7 +136,6 @@ func newLoopWorker(e *loopEngine) *loopWorker {
 		ready:  make([]*Session, 0, 256), // as its swap buffer: a wave readies together
 		swap:   make([]*Session, 0, 256),
 	}
-	w.key, w.keyWas = w.keyBuf[0][:0], w.keyBuf[1][:0]
 	w.out = chunkPool.Get().(*[2]outChunk)
 	return w
 }
@@ -222,17 +220,14 @@ type loopWorker struct {
 	notify chan struct{}
 
 	// Worker-owned (no locking): ready's swap buffer, the timer heap, the
-	// drain scratch buffer, the progress probe's two sender-state keys (they
-	// start in keyBuf), the pending outbound burst of each end (indexed
+	// drain scratch buffer, the pending outbound burst of each end (indexed
 	// End-1) and the round-trip estimate behind the retransmission timeout,
 	// shared by every session here so per-session state stays flat.
-	swap        []*Session
-	timers      timerHeap
-	batch       []msg.Msg
-	key, keyWas []byte
-	keyBuf      [2][24]byte
-	out         *[2]outChunk // from chunkPool; nil once shut down
-	rtt         rttEstimate
+	swap   []*Session
+	timers timerHeap
+	batch  []msg.Msg
+	out    *[2]outChunk // from chunkPool; nil once shut down
+	rtt    rttEstimate
 
 	// pt is the precise timer, made by the first park that wants one (nil
 	// off Linux). It is kicked and closed only under mu.
@@ -468,21 +463,24 @@ func (w *loopWorker) park(timer *time.Timer) {
 // Fresh sends are clocked here, by progress, not by the timer: the
 // model's environment may grant a spontaneous step at any instant (paper
 // §2, Property 1), so the sender fills at attach and again after each
-// delivery that sent nothing but changed its state — an acknowledgement
-// that moved it forward. A fill ends at the first step that sends nothing
-// fresh, so a window opens whole at attach and each new acknowledgement
-// then replaces the frame it retired. Only on a state change: a stale
+// delivery that sent nothing but Moved it — an acknowledgement that moved
+// it forward. A fill ends at the first step that sends nothing fresh, so
+// a window opens whole at attach and each new acknowledgement then
+// replaces the frame it retired. Only on a state change: a stale
 // acknowledgement answered with a send would circulate for ever. Each
 // step re-arms the backoff: the timer only times retransmission. An
-// acknowledgement that moves the sender closes its round-trip probe.
+// acknowledgement that moves the sender closes its round-trip probe, and
+// its fill runs at the reading that closed it: one clock reading per
+// moving acknowledgement (the attach fill takes the start-instant one).
 func (w *loopWorker) service(s *Session) {
 	s.scheduled.Store(false)
 	if s.finished {
 		return
 	}
 	first, room := !s.attached, s.cfg.InboxSize
+	var now int64
 	if first {
-		if s.startAt > w.eng.now() && !s.cancelReq.Load() {
+		if now = w.eng.now(); s.startAt > now && !s.cancelReq.Load() {
 			w.timers.push(s.startAt, s)
 			return
 		}
@@ -494,28 +492,23 @@ func (w *loopWorker) service(s *Session) {
 		return
 	}
 	if s.runsSender() {
-		if first {
-			w.key = protocol.AppendKey(w.key[:0], s.cfg.Sender)
-			if !w.fill(s, &room) {
-				w.finish(s)
-				return
-			}
+		if first && !w.fill(s, &room, now) {
+			w.finish(s)
+			return
 		}
 		w.batch = s.senderInbox.drain(w.batch)
-		if len(w.batch) > 0 {
-			w.key = protocol.AppendKey(w.key[:0], s.cfg.Sender)
-		}
 		for _, mg := range w.batch {
 			sent := s.framesTx
 			if !s.senderEvent(protocol.RecvEvent(mg)) {
 				w.finish(s)
 				return
 			}
-			if !w.senderMoved(s) {
+			if !s.cfg.Sender.Moved() {
 				continue
 			}
+			now = w.eng.now()
 			if s.probeAt != noProbe {
-				r := w.eng.now() - s.probeAt
+				r := now - s.probeAt
 				w.rtt.sample(r)
 				s.mux.met.rtt.Observe(time.Duration(r).Seconds())
 				s.probeAt = noProbe
@@ -524,7 +517,7 @@ func (w *loopWorker) service(s *Session) {
 				continue
 			}
 			s.bo.reset(w.rtt.rto(s.cfg.Tick))
-			if !w.fill(s, &room) {
+			if !w.fill(s, &room, now) {
 				w.finish(s)
 				return
 			}
@@ -555,32 +548,22 @@ func (w *loopWorker) attach(s *Session) {
 	s.loopLive.Store(true)
 }
 
-// senderMoved reports whether the sender's local state differs from the
-// one w.key encodes, and leaves the current state's key in w.key. The
-// two buffers swap, so a warm probe allocates nothing.
-func (w *loopWorker) senderMoved(s *Session) bool {
-	w.key, w.keyWas = protocol.AppendKey(w.keyWas[:0], s.cfg.Sender), w.key
-	return !bytes.Equal(w.key, w.keyWas)
-}
-
 // fill takes spontaneous steps while each puts a fresh frame on the wire
-// and moves the sender's state (a window fills; a stop-and-wait sender,
-// whose tick does not move it, takes one step) and while *room, the frames
-// left of its service call's InboxSize, lasts: the peer's inbox takes no
-// more from one burst. A first step that sends one fresh frame and leaves
-// the sender put (stop-and-wait) opens a round-trip probe on that frame.
-// w.key holds the sender's key on entry and on exit. The burst's steps
-// are one instant of the model (§2, Property 1), so fill reads the clock
-// once. false means the transport closed.
-func (w *loopWorker) fill(s *Session, room *int) bool {
-	now := w.eng.now()
+// and Moves the sender (a window fills; a stop-and-wait sender, whose tick
+// does not move it, takes one step) and while *room, the frames left of
+// its service call's InboxSize, lasts: the peer's inbox takes no more from
+// one burst. A first step that sends one fresh frame and does not move the
+// sender (stop-and-wait) opens a round-trip probe on that frame. The
+// burst's steps are one instant of the model (§2, Property 1): all run at
+// now, the caller's clock reading. false means the transport closed.
+func (w *loopWorker) fill(s *Session, room *int, now int64) bool {
 	for first := true; *room > 0; first = false {
 		sent, re := s.framesTx, s.retransmits
 		if !s.spontaneous(now) {
 			return false
 		}
 		*room -= s.framesTx - sent
-		moved := w.senderMoved(s)
+		moved := s.cfg.Sender.Moved()
 		if first && !moved && s.framesTx == sent+1 && s.retransmits == re {
 			s.probeAt = now
 		}

@@ -511,24 +511,27 @@ func TestLoopPrimitivesZeroAlloc(t *testing.T) {
 		}
 	})
 
-	// The progress probe runs after every acknowledgement a sender
-	// drains: on every registry protocol it must live off the worker's
-	// two key buffers.
+	// The progress probe runs after every step of a fill and every
+	// acknowledgement a sender drains: on every registry protocol a step
+	// and its Moved report allocate nothing.
 	for _, f := range steptest.Fixtures() {
 		snd, _, err := f.New()
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
-		w, s := &loopWorker{}, &Session{cfg: SessionConfig{Sender: snd}}
 		for i := 0; i < 32; i++ { // as TestStepSteadyStateZeroAlloc warms a sender
 			snd.Step(protocol.TickEvent())
-			w.senderMoved(s)
 		}
-		assertZeroAlloc(t, f.Name+" sender state-change probe", func() {
+		ack, alien := protocol.RecvEvent(f.Ack), protocol.RecvEvent(f.Alien)
+		assertZeroAlloc(t, f.Name+" sender step and Moved", func() {
 			if f.Finite {
 				snd.Step(protocol.TickEvent())
+				_ = snd.Moved()
 			}
-			w.senderMoved(s)
+			snd.Step(ack)
+			_ = snd.Moved()
+			snd.Step(alien)
+			_ = snd.Moved()
 		})
 	}
 }

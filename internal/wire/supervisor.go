@@ -374,8 +374,7 @@ func (w *loopWorker) restart(s *Session, now int64) {
 	s.haveLast, s.lastRetransmitAt = false, 0
 	s.arm(now)
 	if s.runsSender() {
-		w.key = protocol.AppendKey(w.key[:0], s.cfg.Sender)
-		if room := s.cfg.InboxSize; !w.fill(s, &room) {
+		if room := s.cfg.InboxSize; !w.fill(s, &room, now) {
 			w.finish(s)
 			return
 		}

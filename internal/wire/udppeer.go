@@ -30,8 +30,9 @@ import (
 // copied toward the mux.
 //
 // Under a mux the reader pushes each accepted datagram from its read buffer
-// to Mux.arrive; Recv serves a consumer with no mux, and the non-hosted
-// end's stays empty until Close. Send from the non-hosted end is an error.
+// to Mux.arrive and makes no channel; Recv serves a consumer with no mux,
+// and the non-hosted end's stays empty until Close. Send from the
+// non-hosted end is an error.
 type UDPPeer struct {
 	host  End
 	conn  *net.UDPConn
@@ -42,9 +43,13 @@ type UDPPeer struct {
 	// is foreign and sends fail.
 	remote atomic.Pointer[netip.AddrPort]
 
-	inbound chan []byte         // datagrams from the peer, toward the hosted end
-	ghost   chan []byte         // the non-hosted end's Recv: empty, closed on Close
-	mux     atomic.Pointer[Mux] // set by pushTo; then inbound is unused
+	ghost chan []byte         // the non-hosted end's Recv: empty, closed on Close
+	mux   atomic.Pointer[Mux] // set by pushTo; then inbound is never made
+
+	mu         sync.Mutex
+	inbound    chan []byte // toward the hosted end; made by in()
+	recvBuffer int         // inbound's capacity in blobs
+	stopped    bool        // the reader has returned and closed inbound, if made
 
 	dropped  *obs.Counter
 	foreign  *obs.Counter
@@ -106,15 +111,15 @@ func newUDPPeer(host End, laddr, raddr string, reg *obs.Registry, recvBuffer int
 		return nil, fmt.Errorf("wire: udp peer socket: %w", err)
 	}
 	t := &UDPPeer{
-		host:     host,
-		conn:     conn,
-		local:    conn.LocalAddr().(*net.UDPAddr).AddrPort(),
-		inbound:  make(chan []byte, recvBuffer),
-		ghost:    make(chan []byte),
-		dropped:  reg.Counter(`wire_frames_dropped_total{cause="backpressure"}`),
-		foreign:  reg.Counter(`wire_frames_dropped_total{cause="foreign"}`),
-		oversize: reg.Counter(`wire_frames_dropped_total{cause="oversize"}`),
-		done:     make(chan struct{}),
+		host:       host,
+		conn:       conn,
+		local:      conn.LocalAddr().(*net.UDPAddr).AddrPort(),
+		recvBuffer: recvBuffer,
+		ghost:      make(chan []byte),
+		dropped:    reg.Counter(`wire_frames_dropped_total{cause="backpressure"}`),
+		foreign:    reg.Counter(`wire_frames_dropped_total{cause="foreign"}`),
+		oversize:   reg.Counter(`wire_frames_dropped_total{cause="oversize"}`),
+		done:       make(chan struct{}),
 	}
 	if raddr != "" {
 		if err := t.SetRemote(raddr); err != nil {
@@ -212,11 +217,26 @@ func (t *UDPPeer) pushTo(m *Mux) bool { t.mux.Store(m); return true }
 
 // Recv implements Transport: the hosted end sees the peer's datagrams;
 // the non-hosted end's channel stays empty and closes with the transport.
+// After Close it returns a closed channel.
 func (t *UDPPeer) Recv(at End) <-chan []byte {
-	if at == t.host {
-		return t.inbound
+	if at != t.host {
+		return t.ghost
 	}
-	return t.ghost
+	return t.in()
+}
+
+// in returns the hosted end's channel, making it on first mux-less use;
+// once the reader has stopped, one never made is closedBlobs.
+func (t *UDPPeer) in() chan []byte {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.inbound == nil {
+		if t.stopped {
+			return closedBlobs
+		}
+		t.inbound = make(chan []byte, t.recvBuffer)
+	}
+	return t.inbound
 }
 
 // read pumps datagrams from the socket toward the hosted end until the
@@ -227,7 +247,13 @@ func (t *UDPPeer) Recv(at End) <-chan []byte {
 // drops there are charged with the blob's frame count.
 func (t *UDPPeer) read() {
 	defer t.wg.Done()
-	defer close(t.inbound)
+	defer func() {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		if t.stopped = true; t.inbound != nil {
+			close(t.inbound)
+		}
+	}()
 	buf := make([]byte, 64*1024)
 	for {
 		n, from, err := t.conn.ReadFromUDPAddrPort(buf)
@@ -245,7 +271,7 @@ func (t *UDPPeer) read() {
 		}
 		blob := append(getBuf(n), buf[:n]...)
 		select {
-		case t.inbound <- blob:
+		case t.in() <- blob:
 		default:
 			t.dropped.Add(int64(blobFrames(blob)))
 			putBuf(blob)

@@ -461,3 +461,86 @@ func TestUDPPeerHalfSessions(t *testing.T) {
 	}
 	fmt.Println("half-session fleet complete over peer-addressed UDP with live injection")
 }
+
+// TestUDPPeerInboundLazy: a peer's inbound channel exists only for a
+// consumer with no mux. Under a mux datagrams flow and none is made; with
+// no mux a datagram that lands before any Recv makes it and Recv then
+// yields the datagram; after Close, Recv returns a closed channel whether
+// or not one was made.
+func TestUDPPeerInboundLazy(t *testing.T) {
+	made := func(p *UDPPeer) bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.inbound != nil
+	}
+	waitMade := func(t *testing.T, p *UDPPeer) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !made(p); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the reader made no inbound channel for a mux-less datagram")
+			}
+		}
+	}
+	t.Run("a mux makes none", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		tr, err := NewUDP(reg)
+		if err != nil {
+			t.Fatalf("NewUDP: %v", err)
+		}
+		mux := NewMux(tr, reg)
+		defer mux.Close()
+		frame := EncodeFrame(Frame{Session: 1, Dir: channel.SToR, Msg: "d:0"})
+		if err := tr.SendBatch(SenderEnd, [][]byte{frame}); err != nil {
+			t.Fatalf("SendBatch: %v", err)
+		}
+		if got := waitCounter(t, reg, `wire_frames_dropped_total{cause="unknown_session"}`, 1); got != 1 {
+			t.Fatalf("the mux saw %d frames, want 1", got)
+		}
+		for _, p := range tr.peers {
+			if made(p) {
+				t.Errorf("%s peer made an inbound channel under a mux", p.host)
+			}
+		}
+	})
+	t.Run("a datagram before Recv", func(t *testing.T) {
+		sEnd, rEnd := peerPair(t, nil, nil, udpRecvBuffer)
+		if err := sEnd.Send(SenderEnd, []byte{7}); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		waitMade(t, rEnd)
+		select {
+		case got := <-rEnd.Recv(ReceiverEnd):
+			if len(got) != 1 || got[0] != 7 {
+				t.Fatalf("datagram wrong: %v", got)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("timeout waiting for the datagram")
+		}
+		if made(sEnd) {
+			t.Error("a peer that neither received nor was asked made an inbound channel")
+		}
+	})
+	t.Run("Recv after Close", func(t *testing.T) {
+		sEnd, rEnd := peerPair(t, nil, nil, udpRecvBuffer)
+		if err := sEnd.Send(SenderEnd, []byte{7}); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		waitMade(t, rEnd)
+		sEnd.Close()
+		rEnd.Close()
+		chans := map[string]<-chan []byte{
+			"never made": sEnd.Recv(SenderEnd),
+			"made":       rEnd.Recv(ReceiverEnd),
+			"non-hosted": sEnd.Recv(ReceiverEnd),
+		}
+		for name, ch := range chans {
+			for open := true; open; {
+				select {
+				case _, open = <-ch:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s: Recv after Close is not closed", name)
+				}
+			}
+		}
+	})
+}
