@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // A protocol declares its two alphabets as message kinds — a prefix and
@@ -91,15 +92,19 @@ type View struct {
 // Codec is one declared alphabet with its derived encode and decode
 // tables. It is read-only after construction and shared by every process
 // built from the same declaration.
+// Every message it hands out is a substring of one arena, member i in the
+// slot at start + i×width (span bytes in all, kept alive by the members).
 type Codec struct {
 	alpha  Alphabet
-	views  map[Msg]View
+	views  []View // by position in the alphabet
 	base   [MaxKinds]int
 	stride [MaxKinds]Fields
+
+	start, width, span uintptr
 }
 
 func newCodec(kinds Kinds) Codec {
-	c := Codec{views: make(map[Msg]View, kinds.Size())}
+	c := Codec{views: make([]View, 0, kinds.Size())}
 	msgs := make([]Msg, 0, kinds.Size())
 	for k, kind := range kinds {
 		c.base[k] = len(msgs)
@@ -115,9 +120,20 @@ func newCodec(kinds Kinds) Codec {
 			}
 			m := Format(kind.Prefix, v.F[:kind.Arity]...)
 			msgs = append(msgs, m)
-			c.views[m] = v
+			c.views = append(c.views, v)
+			c.width = max(c.width, uintptr(len(m)))
 		}
 	}
+	w, slots := int(c.width), make([]byte, len(msgs)*int(c.width))
+	for i, m := range msgs {
+		copy(slots[i*w:], m)
+	}
+	arena := string(slots)
+	for i, m := range msgs {
+		msgs[i] = Msg(arena[i*w : i*w+len(m)])
+	}
+	c.start = uintptr(unsafe.Pointer(unsafe.StringData(arena)))
+	c.span = uintptr(len(arena))
 	c.alpha = MustNewAlphabet(msgs...)
 	return c
 }
@@ -142,9 +158,19 @@ func (c *Codec) Send(kind int, f Fields) []Msg {
 }
 
 // Decode returns m's kind and fields, and whether m is in the alphabet.
+// A message the codec handed out is found by where its bytes live: the
+// slot they start at holds m itself (equal pointers, an O(1) compare).
+// Any other string (Format's, a replay's) takes the alphabet's map.
 func (c *Codec) Decode(m Msg) (View, bool) {
-	v, ok := c.views[m]
-	return v, ok
+	if off := uintptr(unsafe.Pointer(unsafe.StringData(string(m)))) - c.start; off < c.span {
+		if p := off / c.width; p*c.width == off && c.alpha.msgs[p] == m {
+			return c.views[p], true
+		}
+	}
+	if p, ok := c.alpha.index[m]; ok {
+		return c.views[p], true
+	}
+	return View{}, false
 }
 
 // Table is a declaration's derived codecs: S for M^S, R for M^R.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -75,6 +76,35 @@ func TestCodecRoundTrip(t *testing.T) {
 		if v, ok := tab.R.Decode(alien); ok {
 			t.Errorf("alien %q decodes to %+v in M^R", alien, v)
 		}
+	}
+}
+
+// BenchmarkCodecDecode prices Decode on selective repeat's M^S at m = 64,
+// W = 16 (2 048 messages, selrepeat.Decl(64, 16)): interned, the messages
+// the codec handed out (the address path Step takes on the wire); foreign,
+// fresh copies of the same bytes (the alphabet's map).
+func BenchmarkCodecDecode(b *testing.B) {
+	c := &TableFor(Decl{Sender: Kinds{K("s", 2*16, 64)}, Receiver: Kinds{K("sa", 2*16)}}).S
+	interned := c.Alphabet().Msgs()
+	foreign := make([]Msg, len(interned))
+	for i, m := range interned {
+		foreign[i] = Msg(strings.Clone(string(m)))
+	}
+	for _, bc := range []struct {
+		name string
+		msgs []Msg
+	}{{"interned", interned}, {"foreign", foreign}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i, j := 0, 0; i < b.N; i, j = i+1, j+1 {
+				if j == len(bc.msgs) {
+					j = 0
+				}
+				if _, ok := c.Decode(bc.msgs[j]); !ok {
+					b.Fatalf("%q does not decode", bc.msgs[j])
+				}
+			}
+		})
 	}
 }
 

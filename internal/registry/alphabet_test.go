@@ -8,6 +8,7 @@ package registry_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"seqtx/internal/msg"
@@ -188,7 +189,11 @@ func TestAlienMessagesChangeNothing(t *testing.T) {
 // nothing but the bugs: for every protocol, side and input, the derived
 // decode either agrees exactly with the legacy parse on a member of the
 // alphabet, or rejects — and what it rejects is never a canonical,
-// in-range spelling the legacy parse would have understood.
+// in-range spelling the legacy parse would have understood. It also holds
+// Decode's address path to its map: a message whose bytes live in a
+// codec's arena — the interned copy, every prefix and suffix of it (on and
+// off slot starts), the same spelling interned by any declaration's table
+// — decodes exactly as a fresh copy of the same bytes does.
 func FuzzCodecVsLegacyParse(f *testing.F) {
 	for _, x := range alienSpellings {
 		f.Add(string(x), uint8(3), uint8(2))
@@ -199,6 +204,15 @@ func FuzzCodecVsLegacyParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, x string, m, w uint8) {
 		p := registry.Params{M: int(m % 7), Window: int(w%4) + 1}
+		var interned []msg.Msg // x as each table of p that declares it holds it
+		for _, z := range finiteZoo {
+			table := msg.TableFor(z.decl(p))
+			for _, c := range []*msg.Codec{&table.S, &table.R} {
+				if y, ok := c.Alphabet().Canonical([]byte(x)); ok {
+					interned = append(interned, y)
+				}
+			}
+		}
 		for _, z := range finiteZoo {
 			d := z.decl(p)
 			table := msg.TableFor(d)
@@ -211,6 +225,23 @@ func FuzzCodecVsLegacyParse(f *testing.F) {
 				{"sender", &table.S, d.Sender, z.legacyS},
 				{"receiver", &table.R, d.Receiver, z.legacyR},
 			} {
+				agree := func(y msg.Msg) {
+					got, ok := side.codec.Decode(y)
+					want, wantOK := side.codec.Decode(msg.Msg(strings.Clone(string(y))))
+					if got != want || ok != wantOK {
+						t.Fatalf("%s %s: arena-backed %q decodes to %+v (ok=%v), a copy to %+v (ok=%v)",
+							z.name, side.name, y, got, ok, want, wantOK)
+					}
+				}
+				for _, y := range interned {
+					agree(y)
+				}
+				if y, ok := side.codec.Alphabet().Canonical([]byte(x)); ok {
+					for i := range len(y) {
+						agree(y[:i+1])
+						agree(y[i:])
+					}
+				}
 				got, ok := side.codec.Decode(msg.Msg(x))
 				if ok != side.codec.Alphabet().Contains(msg.Msg(x)) {
 					t.Fatalf("%s %s %q: Decode ok=%v disagrees with Alphabet.Contains", z.name, side.name, x, ok)

@@ -335,7 +335,8 @@ func BenchmarkSessionLifecycle(b *testing.B) {
 // the manual mux: an acknowledgement that moves a selrepeat W = 16 sender,
 // the progress probe (the sender's Moved report) that sees it, and the
 // fill that puts the one fresh frame on the wire (shipped to a discarding
-// transport). One op is one frame.
+// transport). The acknowledgements are the receiver alphabet's own
+// interned messages, as Mux.arrive delivers them. One op is one frame.
 func BenchmarkWindowFill(b *testing.B) {
 	const w = 16
 	mux, lw := manualMux(b, discard{})
@@ -355,7 +356,7 @@ func BenchmarkWindowFill(b *testing.B) {
 	lw.turn() // attach: the first window goes out
 	acks := make([]msg.Msg, 2*w)
 	for n := range acks {
-		acks[n] = msg.Format("sa", n)
+		acks[n], _ = sess.receiverAlphabet.Canonical([]byte(msg.Format("sa", n)))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -155,6 +155,19 @@ func (e *loopEngine) now() int64 {
 	return int64(time.Since(e.epoch))
 }
 
+// unread is a service call's clock reading before the call needs one.
+const unread = math.MinInt64
+
+// instant returns *now, the one clock reading every event of a service
+// call shares (one instant of the model, §2 Property 1), reading the clock
+// into it at the call's first need: a call that needs none reads none.
+func (e *loopEngine) instant(now *int64) int64 {
+	if *now == unread {
+		*now = e.now()
+	}
+	return *now
+}
+
 // start hands a registered session to its worker, its life to begin
 // delay from now (a paced fleet's start instants; until then it holds a
 // table slot and one heap entry, and frames for it wait in its inboxes).
@@ -468,17 +481,17 @@ func (w *loopWorker) park(timer *time.Timer) {
 // a window opens whole at attach and each new acknowledgement then
 // replaces the frame it retired. Only on a state change: a stale
 // acknowledgement answered with a send would circulate for ever. Each
-// step re-arms the backoff: the timer only times retransmission. An
-// acknowledgement that moves the sender closes its round-trip probe, and
-// its fill runs at the reading that closed it: one clock reading per
-// moving acknowledgement (the attach fill takes the start-instant one).
+// step re-arms the backoff: the timer only times retransmission. The
+// whole call is one instant: the attach, every round-trip sample, fill,
+// retransmission and learnt write share one clock reading (instant), taken
+// at the first event that needs it.
 func (w *loopWorker) service(s *Session) {
 	s.scheduled.Store(false)
 	if s.finished {
 		return
 	}
 	first, room := !s.attached, s.cfg.InboxSize
-	var now int64
+	now := int64(unread)
 	if first {
 		if now = w.eng.now(); s.startAt > now && !s.cancelReq.Load() {
 			w.timers.push(s.startAt, s)
@@ -499,14 +512,14 @@ func (w *loopWorker) service(s *Session) {
 		w.batch = s.senderInbox.drain(w.batch)
 		for _, mg := range w.batch {
 			sent := s.framesTx
-			if !s.senderEvent(protocol.RecvEvent(mg)) {
+			if !s.senderEvent(protocol.RecvEvent(mg), &now) {
 				w.finish(s)
 				return
 			}
 			if !s.cfg.Sender.Moved() {
 				continue
 			}
-			now = w.eng.now()
+			w.eng.instant(&now)
 			if s.probeAt != noProbe {
 				r := now - s.probeAt
 				w.rtt.sample(r)
@@ -531,7 +544,7 @@ func (w *loopWorker) service(s *Session) {
 	if s.runsReceiver() {
 		w.batch = s.receiverInbox.drain(w.batch)
 		for _, mg := range w.batch {
-			if s.receiverEvent(protocol.RecvEvent(mg)) != stepRunning {
+			if s.receiverEvent(protocol.RecvEvent(mg), &now) != stepRunning {
 				w.finish(s)
 				return
 			}
@@ -610,7 +623,7 @@ func (w *loopWorker) fire(s *Session, now int64) {
 		return
 	}
 	if now >= s.tickNext {
-		if s.runsReceiver() && s.receiverEvent(protocol.TickEvent()) != stepRunning {
+		if s.runsReceiver() && s.receiverEvent(protocol.TickEvent(), &now) != stepRunning {
 			w.finish(s)
 			return
 		}

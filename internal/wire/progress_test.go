@@ -403,3 +403,80 @@ func TestProgressClockedStep(t *testing.T) {
 		}
 	})
 }
+
+// TestServiceOneReading pins the one-instant rule on a worker that reads
+// the wall clock (a manual mux with its engine's manual flag cleared, so
+// the test still turns it): every event of one service call shares one
+// clock reading. A burst of W data frames records W equal learn times; a
+// stop-and-wait acknowledgement and a data frame drained by one call give
+// a round-trip sample and a learn time off the same reading.
+func TestServiceOneReading(t *testing.T) {
+	wallSession := func(proto string, p registry.Params, x seq.Seq) (*loopWorker, *Session) {
+		t.Helper()
+		mux, w := manualMux(t, discard{})
+		mux.loop.manual = false
+		s, r, err := registry.Pair(proto, p, x)
+		if err != nil {
+			t.Fatalf("Pair(%s): %v", proto, err)
+		}
+		sess, err := mux.NewSession(SessionConfig{ID: 1, Sender: s, Receiver: r, Input: x, Tick: time.Hour})
+		if err != nil {
+			t.Fatalf("NewSession: %v", err)
+		}
+		mux.loop.start(context.Background(), sess, 0, func(Report) {})
+		w.turn() // attach: the fill
+		return w, sess
+	}
+	// stage publishes each message, interned as Mux.arrive interns it, to
+	// the inbox of the end that receives it.
+	stage := func(q *inbox, alpha msg.Alphabet, ms ...msg.Msg) {
+		t.Helper()
+		for _, m := range ms {
+			c, ok := alpha.Canonical([]byte(m))
+			if !ok {
+				t.Fatalf("%q is not in %v", m, alpha)
+			}
+			q.stage(c)
+		}
+		q.publish()
+	}
+
+	t.Run("a burst is one instant", func(t *testing.T) {
+		const W = 16
+		x := make(seq.Seq, 2*W)
+		for i := range x {
+			x[i] = seq.Item(i % 64)
+		}
+		w, s := wallSession("selrepeat", registry.Params{M: 64, Window: W}, x)
+		for n := 0; n < W; n++ {
+			stage(&s.receiverInbox, s.senderAlphabet, selrepeat.DataMsg(2*W, n, x[n]))
+		}
+		w.service(s)
+		if len(s.learnTimes) != W {
+			t.Fatalf("the burst wrote %d items, want %d", len(s.learnTimes), W)
+		}
+		for i, lt := range s.learnTimes {
+			if lt != s.learnTimes[0] {
+				t.Fatalf("learn time %d is %v, item 0's %v: two readings in one call", i, lt, s.learnTimes[0])
+			}
+		}
+	})
+
+	t.Run("an ack and a write share the reading", func(t *testing.T) {
+		x := rampTape(4)
+		w, s := wallSession("alpha", registry.Params{M: 8}, x)
+		probe := s.probeAt
+		if probe == noProbe || w.rtt.sampled {
+			t.Fatalf("after the attach: probe %d, sampled %v; want an open probe, no sample", probe, w.rtt.sampled)
+		}
+		stage(&s.senderInbox, s.receiverAlphabet, alphaproto.AckMsg(x[0]))
+		stage(&s.receiverInbox, s.senderAlphabet, alphaproto.DataMsg(x[0]))
+		w.service(s)
+		if !w.rtt.sampled || len(s.learnTimes) != 1 {
+			t.Fatalf("sampled %v, %d learn times; want a sample and one write", w.rtt.sampled, len(s.learnTimes))
+		}
+		if sample, learnt := probe+w.rtt.srtt, s.startAt+int64(s.learnTimes[0]); sample != learnt {
+			t.Fatalf("round trip closed at %d, item learnt at %d: two readings in one call", sample, learnt)
+		}
+	})
+}

@@ -270,8 +270,9 @@ func (s *Session) buildReport(elapsed time.Duration) Report {
 // round-trip probe (Karn's rule), a fresh send resets it to the worker's
 // retransmission timeout. The other kind of progress, an acknowledgement
 // that moved the sender forward (not a stale one), is service's to
-// detect. It returns false when the transport closed.
-func (s *Session) senderEvent(ev protocol.Event) bool {
+// detect. now is the calling service or fire's clock reading (instant).
+// It returns false when the transport closed.
+func (s *Session) senderEvent(ev protocol.Event, now *int64) bool {
 	s.record(trace.TickS(), channel.RToS, ev)
 	retrans, fresh := false, false
 	for _, mg := range s.cfg.Sender.Step(ev) {
@@ -279,11 +280,11 @@ func (s *Session) senderEvent(ev protocol.Event) bool {
 			s.retransmits++
 			retrans = true
 			s.probeAt = noProbe
-			now := s.mux.loop.now()
+			at := s.mux.loop.instant(now)
 			if s.lastRetransmitAt != 0 {
-				s.mux.met.retransmitIvl.Observe(time.Duration(now - s.lastRetransmitAt).Seconds())
+				s.mux.met.retransmitIvl.Observe(time.Duration(at - s.lastRetransmitAt).Seconds())
 			}
-			s.lastRetransmitAt = now
+			s.lastRetransmitAt = at
 		} else {
 			fresh = true
 		}
@@ -318,7 +319,7 @@ func (s *Session) record(tick trace.Action, dir channel.Dir, ev protocol.Event) 
 // spontaneous steps the sender once, unprompted, and re-arms the
 // retransmission backoff from now; false means the transport closed.
 func (s *Session) spontaneous(now int64) bool {
-	ok := s.senderEvent(protocol.TickEvent())
+	ok := s.senderEvent(protocol.TickEvent(), &now)
 	s.bo.arm(now)
 	return ok
 }
@@ -339,8 +340,10 @@ const (
 // receiverEvent runs one receiver step (a delivery or a tick): protocol
 // Step, acknowledgement sends, and the write audit — strict prefix
 // safety for plain sessions, the suffix-alignment audit for supervised
-// ones. It stops mid-burst on a verdict so no writes land after it.
-func (s *Session) receiverEvent(ev protocol.Event) stepOutcome {
+// ones. It stops mid-burst on a verdict so no writes land after it. Its
+// writes are learnt at now, the calling service or fire's clock reading
+// (instant).
+func (s *Session) receiverEvent(ev protocol.Event, now *int64) stepOutcome {
 	s.record(trace.TickR(), channel.SToR, ev)
 	sends, writes := s.cfg.Receiver.Step(ev)
 	for _, mg := range sends {
@@ -349,20 +352,17 @@ func (s *Session) receiverEvent(ev protocol.Event) stepOutcome {
 			return stepClosed
 		}
 	}
-	var now int64
-	if len(writes) > 0 {
-		now = s.mux.loop.now() // one step's writes are learnt at one instant
-	}
 	for i, item := range writes {
+		at := s.mux.loop.instant(now)
 		prefix := seq.Tape{Len: int32(len(s.output))} // a plain session stops at its first bad write
 		s.output = append(s.output, item)
-		s.learnTimes = append(s.learnTimes, time.Duration(now-s.startAt))
+		s.learnTimes = append(s.learnTimes, time.Duration(at-s.startAt))
 		if c := s.sup; c != nil {
 			// Supervised session: transient bad writes after a scrambled
 			// restart are measured, not fatal, and done means aligned
 			// through the end of the tape with no recovery window open.
-			c.progressAt = now
-			if c.audit.observe(item, now) {
+			c.progressAt = at
+			if c.audit.observe(item, at) {
 				s.complete = true
 				return stepDone
 			}

@@ -212,27 +212,22 @@ func TestSupervisedMetricsPerSession(t *testing.T) {
 // outlive the schedule, so the receiver crash comes at tick 8: session
 // 2's sender restarts two items from the end, which take at least 4.5
 // ticks (three timer copies an item, at 0.75 + 1.5 ticks at the
-// earliest) and about 7, so it is still running then whatever the load.
+// earliest) and about 7, so it is still running then. The fleet runs as
+// Serve runs it, on the manual engine over lagLink: its instants are the
+// schedule's, not the host's, so a faster engine cannot outrun the crash.
 func TestSupervisedChaosDeterminism(t *testing.T) {
 	run := func() []Report {
 		t.Helper()
 		cfgs, rebuild := stabConfigs(t, 4, 8, 6, time.Millisecond)
-		reports, err := Serve(context.Background(), ServeConfig{
-			Transport: NewInproc(0, nil), Sessions: cfgs,
-			Chaos: &ChaosConfig{
-				Crashes: []faults.CrashPoint{
-					{Who: faults.Sender, At: []int{5}, Scramble: true},
-					{Who: faults.Receiver, At: []int{8}, Scramble: true},
-				},
-				Seed:     42,
-				Watchdog: 750 * time.Millisecond,
+		chaos := ChaosConfig{
+			Crashes: []faults.CrashPoint{
+				{Who: faults.Sender, At: []int{5}, Scramble: true},
+				{Who: faults.Receiver, At: []int{8}, Scramble: true},
 			},
-			Rebuild: rebuild,
-		})
-		if err != nil {
-			t.Fatalf("Serve: %v", err)
+			Seed:     42,
+			Watchdog: 750 * time.Millisecond,
 		}
-		return reports
+		return serveLagged(t, cfgs, &chaosPlan{chaos, chaos.schedule(), rebuild}, 250*time.Microsecond)
 	}
 	pinned := []string{"7aa77f37bd60d4b5", "a5ecc6e1fc83e9f4", "c1a9124965172941", "f6effe34a30cfcaa"}
 	ra, rb := run(), run()
@@ -265,6 +260,75 @@ func TestSupervisedChaosDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// lagLink is a test transport on a manual engine's clock: it holds each
+// frame an end ships for a fixed latency, in send order, until the
+// driver (serveLagged) hands it to the other end's arrival.
+type lagLink struct {
+	clock   *int64
+	latency int64
+	held    []lagFrame
+}
+
+type lagFrame struct {
+	due   int64
+	to    End
+	frame []byte
+}
+
+func (l *lagLink) Name() string           { return "lag" }
+func (l *lagLink) Recv(End) <-chan []byte { return nil }
+func (l *lagLink) Close() error           { return nil }
+
+// Send implements Transport; the frame aliases the worker's chunk, so the
+// link keeps a copy.
+func (l *lagLink) Send(from End, frame []byte) error {
+	l.held = append(l.held, lagFrame{*l.clock + l.latency, from.Opposite(), append([]byte(nil), frame...)})
+	return nil
+}
+
+// serveLagged is Serve for a supervised fleet on a manual mux over a
+// lagLink of the given latency: each turn the clock moves to the earlier
+// of the worker's next timer and the next frame's delivery, the frames
+// due by then arrive, and the worker turns. It returns the reports,
+// index-aligned with cfgs.
+func serveLagged(t *testing.T, cfgs []SessionConfig, plan *chaosPlan, latency time.Duration) []Report {
+	t.Helper()
+	link := &lagLink{latency: int64(latency)}
+	mux, w := manualMux(t, link)
+	link.clock = &mux.loop.clock
+	reports, left := make([]Report, len(cfgs)), len(cfgs)
+	for i, sc := range cfgs {
+		s, err := mux.NewSession(sc)
+		if err != nil {
+			t.Fatalf("NewSession: %v", err)
+		}
+		plan.supervise(s, i)
+		if sc.Seed == 0 {
+			s.cfg.Seed = s.sup.seed
+		}
+		mux.loop.start(context.Background(), s, 0, func(rep Report) { reports[i] = rep; left-- })
+	}
+	for w.turn(); left > 0; w.turn() {
+		next := int64(noDeadline)
+		if len(w.timers) > 0 {
+			next = w.timers[0].at
+		}
+		if len(link.held) > 0 {
+			next = min(next, link.held[0].due)
+		}
+		if next == noDeadline {
+			t.Fatalf("%d sessions running with no timer and no frame in flight", left)
+		}
+		mux.loop.clock = max(mux.loop.clock, next)
+		for len(link.held) > 0 && link.held[0].due <= mux.loop.clock {
+			f := link.held[0]
+			link.held = link.held[1:]
+			mux.arrive(f.to, f.frame)
+		}
+	}
+	return reports
 }
 
 // supervisedDetached starts one supervised stab session (6 items, m = 8,
