@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -26,16 +27,20 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	if len(os.Args) < 2 {
-		usage()
+// run executes one stpmc command line (args without the program name)
+// and returns its exit code: 0 on a clean verdict, 1 on a violation or
+// failure, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		usage(stderr)
 		return 2
 	}
-	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	cmd := args[0]
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var metricsFlags cliutil.Metrics
 	var (
 		proto    = fs.String("proto", "alpha", "protocol: "+strings.Join(registry.ProtocolNames(), "|"))
@@ -58,7 +63,9 @@ func run() int {
 		seed     = fs.Int64("seed", 1, "root-corruption seed (stabilize)")
 	)
 	metricsFlags.AddFlags(fs)
-	if err := fs.Parse(os.Args[2:]); err != nil {
+	if err := fs.Parse(args[1:]); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
 		return 2
 	}
 	for _, check := range []error{
@@ -71,7 +78,7 @@ func run() int {
 		cliutil.Positive("junk", *junk),
 	} {
 		if check != nil {
-			fmt.Fprintln(os.Stderr, "stpmc:", check)
+			fmt.Fprintln(stderr, "stpmc:", check)
 			return 2
 		}
 	}
@@ -79,16 +86,16 @@ func run() int {
 	// emitMetrics writes the snapshot (no-op without -metrics) and turns a
 	// write failure into a usage-style exit without masking the verdict.
 	emitMetrics := func(code int) int {
-		return metricsFlags.Finish("stpmc", code, os.Stderr)
+		return metricsFlags.Finish("stpmc", code, stderr)
 	}
 	spec, err := registry.Protocol(*proto, registry.Params{M: *m, Timeout: *timeout, Window: *window, Cap: *capBound})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpmc:", err)
+		fmt.Fprintln(stderr, "stpmc:", err)
 		return 2
 	}
 	kind, err := registry.Kind(*kindName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpmc:", err)
+		fmt.Fprintln(stderr, "stpmc:", err)
 		return 2
 	}
 
@@ -96,57 +103,57 @@ func run() int {
 	case "explore":
 		x, perr := cliutil.ParseSeq(*input)
 		if perr != nil {
-			fmt.Fprintln(os.Stderr, "stpmc:", perr)
+			fmt.Fprintln(stderr, "stpmc:", perr)
 			return 2
 		}
 		res, eerr := mc.Explore(spec, x, kind, mc.ExploreConfig{
 			MaxDepth: *depth, MaxStates: *states, Obs: reg,
 		})
 		if eerr != nil {
-			fmt.Fprintln(os.Stderr, "stpmc:", eerr)
+			fmt.Fprintln(stderr, "stpmc:", eerr)
 			return emitMetrics(1)
 		}
-		fmt.Printf("explored %d states to depth %d (truncated %v)\n", res.States, res.Depth, res.Truncated)
+		fmt.Fprintf(stdout, "explored %d states to depth %d (truncated %v)\n", res.States, res.Depth, res.Truncated)
 		if res.Violation != nil {
-			fmt.Printf("SAFETY VIOLATION:\n%s", res.Violation)
+			fmt.Fprintf(stdout, "SAFETY VIOLATION:\n%s", res.Violation)
 			if *outFile != "" {
 				if werr := writeWitness(*outFile, spec.Name, res.Violation); werr != nil {
-					fmt.Fprintln(os.Stderr, "stpmc:", werr)
+					fmt.Fprintln(stderr, "stpmc:", werr)
 					return emitMetrics(1)
 				}
-				fmt.Printf("witness written to %s\n", *outFile)
+				fmt.Fprintf(stdout, "witness written to %s\n", *outFile)
 			}
 			return emitMetrics(1)
 		}
-		fmt.Println("safety holds in every explored state")
+		fmt.Fprintln(stdout, "safety holds in every explored state")
 		return emitMetrics(0)
 
 	case "refute":
 		x1, e1 := cliutil.ParseSeq(*x1s)
 		x2, e2 := cliutil.ParseSeq(*x2s)
 		if e1 != nil || e2 != nil {
-			fmt.Fprintln(os.Stderr, "stpmc: bad inputs:", e1, e2)
+			fmt.Fprintln(stderr, "stpmc: bad inputs:", e1, e2)
 			return 2
 		}
 		res, rerr := mc.Refute(spec, x1, x2, kind, mc.ExploreConfig{
 			MaxDepth: *depth, MaxStates: *states, Obs: reg,
 		})
 		if rerr != nil {
-			fmt.Fprintln(os.Stderr, "stpmc:", rerr)
+			fmt.Fprintln(stderr, "stpmc:", rerr)
 			return emitMetrics(1)
 		}
-		fmt.Printf("explored %d product states (truncated %v)\n", res.States, res.Truncated)
+		fmt.Fprintf(stdout, "explored %d product states (truncated %v)\n", res.States, res.Truncated)
 		if res.Violation == nil {
-			fmt.Println("no receiver-indistinguishable counterexample within bounds")
+			fmt.Fprintln(stdout, "no receiver-indistinguishable counterexample within bounds")
 			return emitMetrics(0)
 		}
-		fmt.Printf("COUNTEREXAMPLE (the paper's Lemma 1/3 adversary):\n%s", res.Violation)
+		fmt.Fprintf(stdout, "COUNTEREXAMPLE (the paper's Lemma 1/3 adversary):\n%s", res.Violation)
 		return emitMetrics(1)
 
 	case "bounded":
 		x, perr := cliutil.ParseSeq(*input)
 		if perr != nil {
-			fmt.Fprintln(os.Stderr, "stpmc:", perr)
+			fmt.Fprintln(stderr, "stpmc:", perr)
 			return 2
 		}
 		cfg := mc.BoundedConfig{
@@ -157,21 +164,21 @@ func run() int {
 		}
 		rep, berr := mc.CheckBounded(spec, x, kind, cfg)
 		if berr != nil {
-			fmt.Fprintln(os.Stderr, "stpmc:", berr)
+			fmt.Fprintln(stderr, "stpmc:", berr)
 			return emitMetrics(1)
 		}
 		variant := "Definition 2 (fresh messages only)"
 		if *weak {
 			variant = "weak (§5; old messages allowed, t_i points)"
 		}
-		fmt.Printf("variant     %s\nsamples     %d\nmax recovery %d steps\nunrecovered %d\nbounded     %v\n",
+		fmt.Fprintf(stdout, "variant     %s\nsamples     %d\nmax recovery %d steps\nunrecovered %d\nbounded     %v\n",
 			variant, rep.Samples, rep.MaxRecovery, rep.Unrecovered, rep.Bounded())
 		return emitMetrics(0)
 
 	case "stabilize":
 		x, perr := cliutil.ParseSeq(*input)
 		if perr != nil {
-			fmt.Fprintln(os.Stderr, "stpmc:", perr)
+			fmt.Fprintln(stderr, "stpmc:", perr)
 			return 2
 		}
 		// Stabilization proofs need the frontier to DRAIN, not merely to
@@ -192,45 +199,45 @@ func run() int {
 			Scrambles: *scramble, ChannelJunk: *junk, Seed: *seed, Obs: reg,
 		})
 		if serr != nil {
-			fmt.Fprintln(os.Stderr, "stpmc:", serr)
+			fmt.Fprintln(stderr, "stpmc:", serr)
 			return emitMetrics(1)
 		}
 		claims := "claims self-stabilization"
 		if !registry.Stabilizing(*proto) {
 			claims = "makes no stabilization claim"
 		}
-		fmt.Printf("corrupted roots %d (%s)\n", res.Roots, claims)
-		fmt.Printf("explored %d quotient states to depth %d (exhausted %v, truncated %v)\n",
+		fmt.Fprintf(stdout, "corrupted roots %d (%s)\n", res.Roots, claims)
+		fmt.Fprintf(stdout, "explored %d quotient states to depth %d (exhausted %v, truncated %v)\n",
 			res.States, res.Depth, res.Exhausted, res.Truncated)
-		fmt.Printf("bad-write edges %d, worst stabilization depth %d, converging roots %d/%d\n",
+		fmt.Fprintf(stdout, "bad-write edges %d, worst stabilization depth %d, converging roots %d/%d\n",
 			res.BadWrites, res.LastBadDepth, res.ConvergedRoots, res.Roots)
 		if res.Refuted {
-			fmt.Printf("REFUTED: does not stabilize (root scramble=%d junk=%d, cycle %d steps):\n%s",
+			fmt.Fprintf(stdout, "REFUTED: does not stabilize (root scramble=%d junk=%d, cycle %d steps):\n%s",
 				res.WitnessRootScramble, res.WitnessRootJunk, res.WitnessCycleLen, res.Witness)
 			if *outFile != "" {
 				if werr := writeWitness(*outFile, spec.Name, res.Witness); werr != nil {
-					fmt.Fprintln(os.Stderr, "stpmc:", werr)
+					fmt.Fprintln(stderr, "stpmc:", werr)
 					return emitMetrics(1)
 				}
-				fmt.Printf("witness written to %s\n", *outFile)
+				fmt.Fprintf(stdout, "witness written to %s\n", *outFile)
 			}
 			return emitMetrics(1)
 		}
 		if res.Stabilizes() {
-			fmt.Println("PROVEN: every explored corrupted start admits only finitely many bad writes")
+			fmt.Fprintln(stdout, "PROVEN: every explored corrupted start admits only finitely many bad writes")
 			return emitMetrics(0)
 		}
-		fmt.Println("inconclusive: bounds truncated the graph before a proof or refutation")
+		fmt.Fprintln(stdout, "inconclusive: bounds truncated the graph before a proof or refutation")
 		return emitMetrics(1)
 
 	default:
-		usage()
+		usage(stderr)
 		return 2
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: stpmc <explore|refute|bounded|stabilize> [flags]; run 'stpmc explore -h' etc.")
+func usage(stderr io.Writer) {
+	fmt.Fprintln(stderr, "usage: stpmc <explore|refute|bounded|stabilize> [flags]; run 'stpmc explore -h' etc.")
 }
 
 // writeWitness saves the counterexample's input and action schedule as a

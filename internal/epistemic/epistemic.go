@@ -108,6 +108,8 @@ type epiNode struct {
 	view int32
 }
 
+func (n epiNode) Hash() uint64 { return n.st.Hash() + uint64(n.ylen)<<32 + uint64(n.view) }
+
 func (a *Analysis) explore(sys *sim.System, root sim.State, input seq.Seq, cfg Config) error {
 	a.views[0].inputs[input.Key()] = input.Clone()
 	g := sim.NewGraph[epiNode, epiNode, struct{}](cfg.MaxStates)

@@ -174,6 +174,8 @@ type recNode struct {
 	fresh [2]int32 // by direction: SToR, RToS
 }
 
+func (n recNode) Hash() uint64 { return n.st.Hash() + uint64(n.fresh[0])<<32 + uint64(n.fresh[1]) }
+
 // recoverySearch BFS-es extensions of the point until R writes another
 // item, returning the number of steps or -1 if Budget/MaxStates exhaust.
 // Extension moves are ticks always, and deliveries (duplicating FIFO ones

@@ -43,7 +43,7 @@ func newEngineMetrics(reg *obs.Registry, scope string, levelEvents bool) *engine
 // flush publishes the search g into m's registry: one run, its states
 // (every admission a dedup miss), its dedup hits, and per level expanded
 // in full the frontier size and, with levelEvents, an event.
-func flush[K comparable, N, E any](m *engineMetrics, g *sim.Graph[K, N, E]) {
+func flush[K sim.Key, N, E any](m *engineMetrics, g *sim.Graph[K, N, E]) {
 	if m == nil {
 		return
 	}

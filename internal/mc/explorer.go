@@ -113,6 +113,8 @@ type exploreKey struct {
 	ylen int32
 }
 
+func (k exploreKey) Hash() uint64 { return k.st.Hash() + uint64(k.ylen) }
+
 type exploreNode struct {
 	st   sim.State
 	tape seq.Tape

@@ -122,6 +122,10 @@ type productKey struct {
 	y1, y2   int32
 }
 
+func (k productKey) Hash() uint64 {
+	return k.st1.Hash()*31 + k.st2.Hash() + uint64(k.y1)<<32 + uint64(k.y2)
+}
+
 func (n productNode) key() productKey { return productKey{n.st1, n.st2, n.t1.Len, n.t2.Len} }
 
 // Refute explores the synchronized product of the runs of (spec, x1) and

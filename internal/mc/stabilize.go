@@ -129,6 +129,9 @@ type stabNode struct {
 	align seq.Align
 }
 
+// Hash leaves Aligned out: nodes that differ only there share a probe.
+func (n stabNode) Hash() uint64 { return n.st.Hash() + uint64(n.align.Pos) }
+
 // CheckStabilize explores the corrupted-frontier quotient graph of
 // (spec, input, kind) and decides self-stabilization over it. Roots are
 // built by scramble-restarting both processes (World.Apply) and seeding

@@ -16,7 +16,11 @@ import "slices"
 // non-empty level at the depth bound, which is not expanded. Links[i]
 // records how node i was first reached, which makes Links a
 // shortest-path forest from the roots.
-type Graph[K comparable, N any, E any] struct {
+//
+// The identity index is an open-addressed table of ids keyed by K's
+// Hash, kept at most half full. The hash decides only where an id sits
+// in the table, never which id a node gets, so no result depends on it.
+type Graph[K Key, N any, E any] struct {
 	// Nodes holds every admitted node in admission order.
 	Nodes []N
 	// Links is the shortest-path forest: Links[i] says how Nodes[i] was
@@ -38,7 +42,16 @@ type Graph[K comparable, N any, E any] struct {
 	Hits int
 
 	maxStates int
-	index     map[K]int32
+	keys      []K     // keys[i] is the identity of Nodes[i]
+	index     []int32 // id+1 of the node filed at a slot; 0 is empty
+	shift     uint    // 64 - log2(len(index)): a hash's top bits pick its slot
+}
+
+// Key is a node identity a Graph can file. Hash must agree with ==;
+// sim.State.Hash is the mixer each key composes.
+type Key interface {
+	comparable
+	Hash() uint64
 }
 
 // Link is how a search first reached a node: from Parent (-1 for a root)
@@ -49,28 +62,63 @@ type Link[E any] struct {
 }
 
 // NewGraph returns an empty graph that admits at most maxStates nodes.
-func NewGraph[K comparable, N any, E any](maxStates int) *Graph[K, N, E] {
-	return &Graph[K, N, E]{maxStates: maxStates, index: make(map[K]int32)}
+func NewGraph[K Key, N any, E any](maxStates int) *Graph[K, N, E] {
+	return &Graph[K, N, E]{maxStates: maxStates, index: make([]int32, 256), shift: 64 - 8}
 }
 
 // Admit takes a node reached from parent by via into the graph. On a
 // dedup hit it returns the id the identity already has; at the state cap
 // it returns -1; otherwise it files n under a fresh id and reports fresh.
 func (g *Graph[K, N, E]) Admit(k K, n N, parent int32, via E) (id int32, fresh bool) {
-	if id, ok := g.index[k]; ok {
-		g.Hits++
-		return id, false
+	slot := g.slot(k)
+	for ; g.index[slot] != 0; slot = (slot + 1) & (len(g.index) - 1) {
+		if id := g.index[slot] - 1; g.keys[id] == k {
+			g.Hits++
+			return id, false
+		}
 	}
 	if len(g.Nodes) >= g.maxStates {
 		g.Cut = true
 		return -1, false
 	}
 	id = int32(len(g.Nodes))
-	g.index[k] = id
-	g.Nodes = append(g.Nodes, n)
-	g.Links = append(g.Links, Link[E]{parent, via})
+	g.index[slot] = id + 1
+	g.keys = push(g.keys, k)
+	g.Nodes = push(g.Nodes, n)
+	g.Links = push(g.Links, Link[E]{parent, via})
 	g.Depth = g.Level
+	if 2*len(g.keys) > len(g.index) {
+		g.grow()
+	}
 	return id, true
+}
+
+// slot is where k's probe starts: the top bits of its Fibonacci-hashed
+// Hash.
+func (g *Graph[K, N, E]) slot(k K) int {
+	return int(k.Hash() * 0x9e3779b97f4a7c15 >> g.shift)
+}
+
+// grow doubles the index and files every id again.
+func (g *Graph[K, N, E]) grow() {
+	g.index = make([]int32, 2*len(g.index))
+	g.shift--
+	for i, k := range g.keys {
+		slot := g.slot(k)
+		for g.index[slot] != 0 {
+			slot = (slot + 1) & (len(g.index) - 1)
+		}
+		g.index[slot] = int32(i) + 1
+	}
+}
+
+// push appends v, doubling s when it is full (append alone grows a long
+// slice by about a quarter, re-copying it many times over).
+func push[S ~[]T, T any](s S, v T) S {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), 64))
+	}
+	return append(s, v)
 }
 
 // Levels expands the graph from the nodes admitted so far (level 0),

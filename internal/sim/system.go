@@ -57,6 +57,14 @@ type System struct {
 // caller's to track (Tape); the local states never read it.
 type State struct{ S, R, SToR, RToS int32 }
 
+// Hash mixes the four ids into one word, the part of a search key
+// (sim.Key) that a state contributes. Equal states hash equal.
+func (st State) Hash() uint64 {
+	h := (uint64(uint32(st.S))<<32 | uint64(uint32(st.R))) * 0x9e3779b97f4a7c15
+	h = (h ^ h>>31 ^ (uint64(uint32(st.SToR))<<32 | uint64(uint32(st.RToS)))) * 0xbf58476d1ce4e5b9
+	return h ^ h>>29
+}
+
 func (st *State) half(d channel.Dir) *int32 {
 	if d == channel.SToR {
 		return &st.SToR
