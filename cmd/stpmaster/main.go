@@ -53,7 +53,6 @@ func run() int {
 	}
 	fs := flag.NewFlagSet("stpmaster", flag.ExitOnError)
 	sweep := cluster.SweepConfig{Spec: fleet.Default()}
-	sweep.Timeout = 0 // stpmaster's default: assignments then omit it
 	sweep.AddParamFlags(fs)
 	var (
 		listen   = fs.String("listen", "127.0.0.1:7700", "control-plane listen address (host:port; :0 = kernel-assigned)")

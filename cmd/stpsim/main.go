@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -24,27 +25,36 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run executes one stpsim command line (args without the program name)
+// and returns its exit code: 0 on a safe run, 1 on a violation or
+// failure, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("stpsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var metrics cliutil.Metrics
 	var (
-		proto     = flag.String("proto", "alpha", "protocol: "+strings.Join(registry.ProtocolNames(), "|"))
-		m         = flag.Int("m", 4, "domain / sender-alphabet size parameter")
-		timeout   = flag.Int("timeout", hybrid.DefaultTimeout, "hybrid timeout (ticks)")
-		window    = flag.Int("window", 4, "modseq sequence-number window")
-		input     = flag.String("input", "0,1", "comma-separated data items")
-		kindName  = flag.String("channel", "dup", "channel: "+strings.Join(registry.KindNames(), "|"))
-		advName   = flag.String("adversary", "roundrobin", "adversary: "+strings.Join(registry.AdversaryNames(), "|"))
-		seed      = flag.Int64("seed", 1, "adversary seed")
-		budget    = flag.Int("budget", 2, "dropper budget / replayer period / withholder hold")
-		maxSteps  = flag.Int("max-steps", 5000, "step bound")
-		showTrace = flag.Bool("trace", false, "print the full trace")
-		replay    = flag.String("replay", "", "JSON witness file (from stpmc -o or a soak counterexample): play exactly its schedule; the flags must build the protocol it names")
+		proto     = fs.String("proto", "alpha", "protocol: "+strings.Join(registry.ProtocolNames(), "|"))
+		m         = fs.Int("m", 4, "domain / sender-alphabet size parameter")
+		timeout   = fs.Int("timeout", hybrid.DefaultTimeout, "hybrid timeout (ticks)")
+		window    = fs.Int("window", 4, "modseq sequence-number window")
+		input     = fs.String("input", "0,1", "comma-separated data items")
+		kindName  = fs.String("channel", "dup", "channel: "+strings.Join(registry.KindNames(), "|"))
+		advName   = fs.String("adversary", "roundrobin", "adversary: "+strings.Join(registry.AdversaryNames(), "|"))
+		seed      = fs.Int64("seed", 1, "adversary seed")
+		budget    = fs.Int("budget", 2, "dropper budget / replayer period / withholder hold")
+		maxSteps  = fs.Int("max-steps", 5000, "step bound")
+		showTrace = fs.Bool("trace", false, "print the full trace")
+		replay    = fs.String("replay", "", "JSON witness file (from stpmc -o or a soak counterexample): play exactly its schedule; the flags must build the protocol it names")
 	)
-	metrics.AddFlags(flag.CommandLine)
-	flag.Parse()
+	metrics.AddFlags(fs)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	for _, check := range []error{
 		cliutil.NonNegative("m", *m),
@@ -52,46 +62,46 @@ func run() int {
 		cliutil.Positive("max-steps", *maxSteps),
 	} {
 		if check != nil {
-			fmt.Fprintln(os.Stderr, "stpsim:", check)
+			fmt.Fprintln(stderr, "stpsim:", check)
 			return 2
 		}
 	}
 
 	x, err := cliutil.ParseSeq(*input)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpsim:", err)
+		fmt.Fprintln(stderr, "stpsim:", err)
 		return 2
 	}
 	params := registry.Params{M: *m, Timeout: *timeout, Window: *window, Seed: *seed, Budget: *budget}
 	spec, err := registry.Protocol(*proto, params)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpsim:", err)
+		fmt.Fprintln(stderr, "stpsim:", err)
 		return 2
 	}
 	kind, err := registry.Kind(*kindName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpsim:", err)
+		fmt.Fprintln(stderr, "stpsim:", err)
 		return 2
 	}
 	adv, err := registry.Adversary(*advName, params)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpsim:", err)
+		fmt.Fprintln(stderr, "stpsim:", err)
 		return 2
 	}
 	var script []trace.Action
 	if *replay != "" {
 		data, rerr := os.ReadFile(*replay)
 		if rerr != nil {
-			fmt.Fprintln(os.Stderr, "stpsim:", rerr)
+			fmt.Fprintln(stderr, "stpsim:", rerr)
 			return 2
 		}
 		var tr trace.Trace
 		if jerr := json.Unmarshal(data, &tr); jerr != nil {
-			fmt.Fprintln(os.Stderr, "stpsim:", jerr)
+			fmt.Fprintln(stderr, "stpsim:", jerr)
 			return 2
 		}
 		if tr.Name != "" && tr.Name != spec.Name {
-			fmt.Fprintf(os.Stderr, "stpsim: %s was recorded for %s, the flags build %s\n", *replay, tr.Name, spec.Name)
+			fmt.Fprintf(stderr, "stpsim: %s was recorded for %s, the flags build %s\n", *replay, tr.Name, spec.Name)
 			return 2
 		}
 		if len(tr.Input) > 0 {
@@ -102,12 +112,12 @@ func run() int {
 
 	link, err := channel.NewLinkOfKind(kind)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpsim:", err)
+		fmt.Fprintln(stderr, "stpsim:", err)
 		return 1
 	}
 	w, err := sim.New(spec, x, link)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpsim:", err)
+		fmt.Fprintln(stderr, "stpsim:", err)
 		return 1
 	}
 	if *showTrace {
@@ -126,29 +136,29 @@ func run() int {
 		res, err = sim.Run(w, adv, cfg)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpsim:", err)
+		fmt.Fprintln(stderr, "stpsim:", err)
 		return 1
 	}
-	if code := metrics.Finish("stpsim", 0, os.Stderr); code != 0 {
+	if code := metrics.Finish("stpsim", 0, stderr); code != 0 {
 		return code
 	}
 	if *showTrace {
-		fmt.Print(w.Trace)
+		fmt.Fprint(stdout, w.Trace)
 	}
-	fmt.Printf("protocol   %s\nchannel    %s\nadversary  %s\n", spec.Name, kind, advLine)
-	fmt.Printf("input X    %s\noutput Y   %s\n", x, res.Output)
-	fmt.Printf("steps      %d\ncomplete   %v\nquiescent  %v\n", res.Steps, res.OutputComplete, res.Quiescent)
+	fmt.Fprintf(stdout, "protocol   %s\nchannel    %s\nadversary  %s\n", spec.Name, kind, advLine)
+	fmt.Fprintf(stdout, "input X    %s\noutput Y   %s\n", x, res.Output)
+	fmt.Fprintf(stdout, "steps      %d\ncomplete   %v\nquiescent  %v\n", res.Steps, res.OutputComplete, res.Quiescent)
 	if res.SafetyViolation != nil {
-		fmt.Printf("SAFETY VIOLATION: %v\n", res.SafetyViolation)
+		fmt.Fprintf(stdout, "SAFETY VIOLATION: %v\n", res.SafetyViolation)
 		return 1
 	}
-	fmt.Println("safety     ok (Y is a prefix of X throughout)")
+	fmt.Fprintln(stdout, "safety     ok (Y is a prefix of X throughout)")
 	if len(res.LearnTimes) > 0 {
 		parts := make([]string, len(res.LearnTimes))
 		for i, t := range res.LearnTimes {
 			parts[i] = fmt.Sprint(t)
 		}
-		fmt.Printf("t_i        %s\n", strings.Join(parts, " "))
+		fmt.Fprintf(stdout, "t_i        %s\n", strings.Join(parts, " "))
 	}
 	return 0
 }

@@ -102,16 +102,6 @@ func CountByLength(m int) ([]uint64, error) {
 	return out, nil
 }
 
-// SubtreeSize returns the number of nodes in an arrangement-tree subtree
-// rooted at depth d (0 <= d <= m): alpha(m-d), the repetition-free
-// sequences over the m-d still-unused letters.
-func SubtreeSize(m, d int) (uint64, error) {
-	if d < 0 || d > m {
-		return 0, fmt.Errorf("alpha: depth %d out of range [0,%d]", d, m)
-	}
-	return Alpha(m - d)
-}
-
 // Rank returns the zero-based rank of the repetition-free sequence s in
 // the depth-first enumeration of the arrangement tree over m letters
 // (the order produced by seq.RepetitionFree). It returns an error if s

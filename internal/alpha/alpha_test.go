@@ -128,20 +128,6 @@ func TestCountByLength(t *testing.T) {
 	}
 }
 
-func TestSubtreeSize(t *testing.T) {
-	t.Parallel()
-	got, err := SubtreeSize(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != MustAlpha(3) {
-		t.Errorf("SubtreeSize(4,1) = %d, want %d", got, MustAlpha(3))
-	}
-	if _, err := SubtreeSize(3, 4); err == nil {
-		t.Error("SubtreeSize(3,4) succeeded")
-	}
-}
-
 func TestRankUnrankRoundTrip(t *testing.T) {
 	t.Parallel()
 	for m := 0; m <= 5; m++ {

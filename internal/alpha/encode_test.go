@@ -13,7 +13,10 @@ func TestEncodeRepetitionFreeSet(t *testing.T) {
 	// The paper's tight X: all repetition-free sequences over m items
 	// encode into exactly m messages (identity-like embedding).
 	for m := 0; m <= 3; m++ {
-		x := seq.RepetitionFreeSet(m)
+		x, err := seq.NewSet(seq.RepetitionFree(m)...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		enc, err := Encode(x, m)
 		if err != nil {
 			t.Fatalf("m=%d: %v", m, err)

@@ -123,6 +123,12 @@ func (s *Spec) Validate() error {
 	if s.Items > s.M {
 		return fmt.Errorf("-items %d exceeds -m %d (inputs are repetition-free); raise -m", s.Items, s.M)
 	}
+	// Build the protocol too, so a cell its nodes could not run (hybrid
+	// with -timeout 0, an unknown -proto) fails here, once. The registry
+	// caches specs by key, so Build's own lookup costs nothing more.
+	if _, err := registry.Protocol(s.Proto, s.Params()); err != nil {
+		return err
+	}
 	if _, err := s.Impairment(); err != nil {
 		return err
 	}

@@ -72,6 +72,8 @@ func TestValidateRejects(t *testing.T) {
 		{[]string{"-impair", "no-such"}, `unknown impairment "no-such"`},
 		{[]string{"-restart-policy", "bogus"}, `unknown restart policy "bogus"`},
 		{[]string{"-crash-preset", "crash-sender", "-restart-policy", "bogus"}, `unknown restart policy "bogus"`},
+		{[]string{"-proto", "hybrid", "-timeout", "0"}, "hybrid: timeout 0 < 1"},
+		{[]string{"-proto", "no-such"}, `unknown protocol "no-such"`},
 	} {
 		s := parse(t, Default(), tc.args...)
 		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -197,15 +199,15 @@ type closeSpy struct {
 
 func (c *closeSpy) Close() error { c.closed++; return c.Transport.Close() }
 
-// TestSetupErrorsCloseTheTransport: sessions are built before any
-// transport exists (so -proto modseq -window 0 or an unknown -proto
-// fails holding nothing), and whatever fails once a transport is in hand
-// closes it.
+// TestSetupErrorsCloseTheTransport: a protocol the registry cannot
+// build (-proto modseq -window 0, an unknown -proto) fails Validate, and
+// Build, which runs before any transport exists, fails on it too, holding
+// nothing; whatever fails once a transport is in hand closes it.
 func TestSetupErrorsCloseTheTransport(t *testing.T) {
 	for _, args := range [][]string{{"-proto", "modseq", "-window", "0"}, {"-proto", "nosuch"}} {
 		s := parse(t, Default(), args...)
-		if err := s.Validate(); err != nil {
-			t.Fatalf("%v: Validate: %v (the registry, not the description, knows protocols)", args, err)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%v: Validate passed a protocol the registry cannot build", args)
 		}
 		if _, err := s.Build(0, s.WaveBase(0)); err == nil {
 			t.Errorf("%v: Build succeeded", args)

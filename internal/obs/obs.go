@@ -19,7 +19,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter. The zero value is
@@ -205,30 +204,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Timer observes an elapsed wall-clock duration into a histogram — the
-// lightweight profiling hook. StartTimer on a nil histogram returns a
-// dead timer that never reads the clock.
-type Timer struct {
-	h     *Histogram
-	start time.Time
-}
-
-// StartTimer begins timing into h (durations observed in seconds).
-func StartTimer(h *Histogram) Timer {
-	if h == nil {
-		return Timer{}
-	}
-	return Timer{h: h, start: time.Now()}
-}
-
-// Stop observes the elapsed time and returns it (0 for a dead timer).
-func (t Timer) Stop() time.Duration {
-	if t.h == nil {
-		return 0
-	}
-	d := time.Since(t.start)
-	t.h.Observe(d.Seconds())
-	return d
 }

@@ -45,7 +45,11 @@ func TestTightProtocolNeverFails(t *testing.T) {
 func TestModseqWindowOneFailsOften(t *testing.T) {
 	t.Parallel()
 	// The degenerate window: stale replays collide constantly.
-	est, err := Run(modseq.MustNew(2, 1), seq.FromInts(0, 1, 0, 1), channel.KindDup, Config{
+	spec, err := modseq.New(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := Run(spec, seq.FromInts(0, 1, 0, 1), channel.KindDup, Config{
 		Trials: 40,
 		Seed:   4,
 		NewAdversary: func(trial int) sim.Adversary {
@@ -63,7 +67,11 @@ func TestModseqWindowOneFailsOften(t *testing.T) {
 func TestWideWindowFailsRarely(t *testing.T) {
 	t.Parallel()
 	// Window >= input length: no in-run modular collision is possible.
-	est, err := Run(modseq.MustNew(2, 8), seq.FromInts(0, 1, 0, 1), channel.KindDup, Config{
+	spec, err := modseq.New(2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := Run(spec, seq.FromInts(0, 1, 0, 1), channel.KindDup, Config{
 		Trials: 30,
 		Seed:   5,
 		NewAdversary: func(trial int) sim.Adversary {

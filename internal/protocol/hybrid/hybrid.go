@@ -71,16 +71,6 @@ import (
 // PrefixMsg encodes the forward (ABP) data message: item v under bit b.
 func PrefixMsg(b int, v seq.Item) msg.Msg { return msg.Format("p", b&1, int(v)) }
 
-// SuffixMsg encodes the backward (AFWZ-style) data message.
-func SuffixMsg(b int, v seq.Item) msg.Msg { return msg.Format("s", b&1, int(v)) }
-
-// FinMsg is the §5 completeness message; it carries the parity of |X|,
-// from which R resolves the one-position overlap of its two streams.
-func FinMsg(nParity int) msg.Msg { return msg.Format("fin", nParity&1) }
-
-// PrefixAck acknowledges a forward data message by bit.
-func PrefixAck(b int) msg.Msg { return msg.Format("pk", b&1) }
-
 // SuffixAck acknowledges a backward data message by bit.
 func SuffixAck(b int) msg.Msg { return msg.Format("sk", b&1) }
 

@@ -69,15 +69,6 @@ func New(m, window int) (protocol.Spec, error) {
 	}, nil
 }
 
-// MustNew is New for validated parameters; it panics on error.
-func MustNew(m, window int) protocol.Spec {
-	s, err := New(m, window)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // sender retransmits the lowest unacknowledged position each tick,
 // advancing on an acknowledgement that matches it modulo the window.
 type sender struct {

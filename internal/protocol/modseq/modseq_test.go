@@ -11,6 +11,16 @@ import (
 	"seqtx/internal/sim"
 )
 
+// mustNew is modseq.New for parameters the test knows valid.
+func mustNew(t *testing.T, m, window int) protocol.Spec {
+	t.Helper()
+	spec, err := modseq.New(m, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
 func TestValidation(t *testing.T) {
 	t.Parallel()
 	if _, err := modseq.New(-1, 4); err == nil {
@@ -19,7 +29,7 @@ func TestValidation(t *testing.T) {
 	if _, err := modseq.New(2, 0); err == nil {
 		t.Error("zero window accepted")
 	}
-	spec := modseq.MustNew(2, 4)
+	spec := mustNew(t, 2, 4)
 	if _, err := spec.NewSender(seq.FromInts(5)); err == nil {
 		t.Error("out-of-domain input accepted")
 	}
@@ -27,7 +37,7 @@ func TestValidation(t *testing.T) {
 
 func TestAlphabetSizes(t *testing.T) {
 	t.Parallel()
-	spec := modseq.MustNew(3, 4)
+	spec := mustNew(t, 3, 4)
 	s, _ := spec.NewSender(seq.FromInts(0))
 	if got := s.Alphabet().Size(); got != 12 {
 		t.Errorf("|M^S| = %d, want M·m = 12", got)
@@ -40,7 +50,7 @@ func TestAlphabetSizes(t *testing.T) {
 
 func TestCompletesOnFriendlySchedules(t *testing.T) {
 	t.Parallel()
-	spec := modseq.MustNew(2, 4)
+	spec := mustNew(t, 2, 4)
 	input := seq.FromInts(0, 1, 1, 0, 0, 1, 0)
 	for _, kind := range []channel.Kind{channel.KindDup, channel.KindDel, channel.KindReorder} {
 		res, err := sim.RunProtocol(spec, input, kind, sim.NewRoundRobin(),
@@ -56,7 +66,7 @@ func TestCompletesOnFriendlySchedules(t *testing.T) {
 
 func TestSurvivesModerateDrops(t *testing.T) {
 	t.Parallel()
-	spec := modseq.MustNew(2, 8)
+	spec := mustNew(t, 2, 8)
 	input := seq.FromInts(1, 0, 1, 1, 0)
 	for seed := int64(0); seed < 6; seed++ {
 		res, err := sim.RunProtocol(spec, input, channel.KindDel,
@@ -75,7 +85,7 @@ func TestSurvivesModerateDrops(t *testing.T) {
 func TestAdversarialFailureExists(t *testing.T) {
 	t.Parallel()
 	// Window 2 on a dup channel: input long enough to wrap the window.
-	spec := modseq.MustNew(1, 2)
+	spec := mustNew(t, 1, 2)
 	input := seq.FromInts(0, 0, 0) // positions 0,1,2; 2 ≡ 0 (mod 2)
 	res, err := mc.Explore(spec, input, channel.KindDup, mc.ExploreConfig{
 		MaxDepth:  14,
@@ -92,7 +102,7 @@ func TestAdversarialFailureExists(t *testing.T) {
 // TestWindowOneIsNaive sanity-checks the degenerate case.
 func TestWindowOneIsNaive(t *testing.T) {
 	t.Parallel()
-	spec := modseq.MustNew(2, 1)
+	spec := mustNew(t, 2, 1)
 	res, err := mc.Explore(spec, seq.FromInts(0, 1), channel.KindDup,
 		mc.ExploreConfig{MaxDepth: 8, MaxStates: 1 << 14})
 	if err != nil {
@@ -105,7 +115,7 @@ func TestWindowOneIsNaive(t *testing.T) {
 
 func TestSenderReceiverKeysTrackState(t *testing.T) {
 	t.Parallel()
-	spec := modseq.MustNew(2, 4)
+	spec := mustNew(t, 2, 4)
 	s, _ := spec.NewSender(seq.FromInts(0, 1))
 	c := s.Clone()
 	c.Step(protocol.RecvEvent(modseq.AckMsg(4, 0)))

@@ -45,8 +45,7 @@ type Params struct {
 
 // protocolEntry describes one named protocol.
 type protocolEntry struct {
-	describe string
-	build    func(Params) (protocol.Spec, error)
+	build func(Params) (protocol.Spec, error)
 	// stabilizing marks protocols that claim self-stabilization: they
 	// converge to prefix-safe transmission from arbitrary local state
 	// (given the channel-capacity bound they were built with). The
@@ -56,48 +55,48 @@ type protocolEntry struct {
 }
 
 var protocols = map[string]protocolEntry{
+	// the paper's tight protocol (uses M)
 	"alpha": {
-		describe: "the paper's tight protocol (uses M)",
-		build:    func(p Params) (protocol.Spec, error) { return alphaproto.New(p.M) },
+		build: func(p Params) (protocol.Spec, error) { return alphaproto.New(p.M) },
 	},
+	// gated reverse-order [AFWZ89] stand-in (uses M)
 	"afwz": {
-		describe: "gated reverse-order [AFWZ89] stand-in (uses M)",
-		build:    func(p Params) (protocol.Spec, error) { return afwz.New(p.M) },
+		build: func(p Params) (protocol.Spec, error) { return afwz.New(p.M) },
 	},
+	// §5 ABP/AFWZ alternation (uses M, Timeout)
 	"hybrid": {
-		describe: "§5 ABP/AFWZ alternation (uses M, Timeout)",
-		build:    func(p Params) (protocol.Spec, error) { return hybrid.New(p.M, p.Timeout) },
+		build: func(p Params) (protocol.Spec, error) { return hybrid.New(p.M, p.Timeout) },
 	},
+	// alternating-bit stop-and-wait (uses M)
 	"abp": {
-		describe: "alternating-bit stop-and-wait (uses M)",
-		build:    func(p Params) (protocol.Spec, error) { return abp.New(p.M) },
+		build: func(p Params) (protocol.Spec, error) { return abp.New(p.M) },
 	},
+	// unbounded sequence numbers [Ste76]
 	"stenning": {
-		describe: "unbounded sequence numbers [Ste76]",
-		build:    func(Params) (protocol.Spec, error) { return stenning.New(), nil },
+		build: func(Params) (protocol.Spec, error) { return stenning.New(), nil },
 	},
+	// over-claiming protocol, unsafe past alpha(m) (uses M)
 	"naive": {
-		describe: "over-claiming protocol, unsafe past alpha(m) (uses M)",
-		build:    func(p Params) (protocol.Spec, error) { return naive.NewWriteEveryData(p.M) },
+		build: func(p Params) (protocol.Spec, error) { return naive.NewWriteEveryData(p.M) },
 	},
+	// ack-free streaming, unsafe under reordering (uses M)
 	"flood": {
-		describe: "ack-free streaming, unsafe under reordering (uses M)",
-		build:    func(p Params) (protocol.Spec, error) { return naive.NewFlood(p.M) },
+		build: func(p Params) (protocol.Spec, error) { return naive.NewFlood(p.M) },
 	},
+	// Stenning mod Window: probabilistic STP (uses M, Window)
 	"modseq": {
-		describe: "Stenning mod Window: probabilistic STP (uses M, Window)",
-		build:    func(p Params) (protocol.Spec, error) { return modseq.New(p.M, p.Window) },
+		build: func(p Params) (protocol.Spec, error) { return modseq.New(p.M, p.Window) },
 	},
+	// Go-Back-N sliding window over FIFO (uses M, Window)
 	"gobackn": {
-		describe: "Go-Back-N sliding window over FIFO (uses M, Window)",
-		build:    func(p Params) (protocol.Spec, error) { return gobackn.New(p.M, p.Window) },
+		build: func(p Params) (protocol.Spec, error) { return gobackn.New(p.M, p.Window) },
 	},
+	// Selective Repeat sliding window over FIFO (uses M, Window)
 	"selrepeat": {
-		describe: "Selective Repeat sliding window over FIFO (uses M, Window)",
-		build:    func(p Params) (protocol.Spec, error) { return selrepeat.New(p.M, p.Window) },
+		build: func(p Params) (protocol.Spec, error) { return selrepeat.New(p.M, p.Window) },
 	},
+	// self-stabilizing bounded-counter resynchronization (uses M, Cap)
 	"stab": {
-		describe:    "self-stabilizing bounded-counter resynchronization (uses M, Cap)",
 		build:       func(p Params) (protocol.Spec, error) { return stab.New(p.M, p.Cap) },
 		stabilizing: true,
 	},
@@ -108,19 +107,6 @@ var protocols = map[string]protocolEntry{
 func Stabilizing(name string) bool {
 	e, ok := protocols[name]
 	return ok && e.stabilizing
-}
-
-// StabilizingNames lists the registered protocols that claim
-// self-stabilization, sorted.
-func StabilizingNames() []string {
-	names := make([]string, 0, 1)
-	for n, e := range protocols {
-		if e.stabilizing {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // specKey is everything a protocol constructor reads of its Params (Seed
@@ -163,16 +149,6 @@ func ProtocolNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// DescribeProtocol returns the one-line description of a registered name.
-func DescribeProtocol(name string) (string, error) {
-	e, ok := protocols[name]
-	if !ok {
-		return "", fmt.Errorf("registry: unknown protocol %q (have %s)",
-			name, strings.Join(ProtocolNames(), ", "))
-	}
-	return e.describe, nil
 }
 
 // Pair builds a connected sender/receiver pair of the named protocol for
@@ -226,59 +202,38 @@ func KindNames() []string {
 	return names
 }
 
-// adversaryEntry describes one named adversary.
-type adversaryEntry struct {
-	describe string
-	build    func(Params) sim.Adversary
-}
-
-var adversaries = map[string]adversaryEntry{
-	"roundrobin": {
-		describe: "deterministic fair schedule",
-		build:    func(Params) sim.Adversary { return sim.NewRoundRobin() },
+// adversaries maps each adversary name to its builder.
+var adversaries = map[string]func(Params) sim.Adversary{
+	// deterministic fair schedule
+	"roundrobin": func(Params) sim.Adversary { return sim.NewRoundRobin() },
+	// seeded random schedule under finite-delay fairness (uses Seed)
+	"random": func(p Params) sim.Adversary { return sim.NewFinDelay(sim.NewRandom(p.Seed), 10) },
+	// round-robin plus periodic stale replays (uses Seed, Budget as period)
+	"replayer": func(p Params) sim.Adversary {
+		return sim.NewFinDelay(sim.NewReplayer(p.Seed, max(1, p.Budget)), 12)
 	},
-	"random": {
-		describe: "seeded random schedule under finite-delay fairness (uses Seed)",
-		build:    func(p Params) sim.Adversary { return sim.NewFinDelay(sim.NewRandom(p.Seed), 10) },
-	},
-	"replayer": {
-		describe: "round-robin plus periodic stale replays (uses Seed, Budget as period)",
-		build: func(p Params) sim.Adversary {
-			return sim.NewFinDelay(sim.NewReplayer(p.Seed, max(1, p.Budget)), 12)
-		},
-	},
-	"dropper": {
-		describe: "deletes up to Budget copies, then fair (uses Seed, Budget)",
-		build:    func(p Params) sim.Adversary { return sim.NewBudgetDropper(p.Seed, p.Budget) },
-	},
-	"withholder": {
-		describe: "stalls all deliveries for 10×Budget steps, then fair (uses Budget)",
-		build:    func(p Params) sim.Adversary { return sim.NewWithholder(10 * p.Budget) },
-	},
-	"starver": {
-		describe: "maximally delays the oldest undelivered message, under finite-delay fairness",
-		build:    func(Params) sim.Adversary { return sim.NewFinDelay(sim.NewStarver(), 12) },
-	},
-	"eclipse": {
-		describe: "isolates S→R for 10×Budget steps, then fair (uses Budget)",
-		build:    func(p Params) sim.Adversary { return sim.NewEclipse(channel.SToR, 10*max(1, p.Budget)) },
-	},
-	"phased": {
-		describe: "alternates 10×Budget-step healthy and partitioned phases forever (uses Budget)",
-		build: func(p Params) sim.Adversary {
-			return sim.NewPhasedPartition(10*max(1, p.Budget), 10*max(1, p.Budget))
-		},
+	// deletes up to Budget copies, then fair (uses Seed, Budget)
+	"dropper": func(p Params) sim.Adversary { return sim.NewBudgetDropper(p.Seed, p.Budget) },
+	// stalls all deliveries for 10×Budget steps, then fair (uses Budget)
+	"withholder": func(p Params) sim.Adversary { return sim.NewWithholder(10 * p.Budget) },
+	// maximally delays the oldest undelivered message, under finite-delay fairness
+	"starver": func(Params) sim.Adversary { return sim.NewFinDelay(sim.NewStarver(), 12) },
+	// isolates S→R for 10×Budget steps, then fair (uses Budget)
+	"eclipse": func(p Params) sim.Adversary { return sim.NewEclipse(channel.SToR, 10*max(1, p.Budget)) },
+	// alternates 10×Budget-step healthy and partitioned phases forever (uses Budget)
+	"phased": func(p Params) sim.Adversary {
+		return sim.NewPhasedPartition(10*max(1, p.Budget), 10*max(1, p.Budget))
 	},
 }
 
 // Adversary builds the named adversary with the given parameters.
 func Adversary(name string, p Params) (sim.Adversary, error) {
-	e, ok := adversaries[name]
+	build, ok := adversaries[name]
 	if !ok {
 		return nil, fmt.Errorf("registry: unknown adversary %q (have %s)",
 			name, strings.Join(AdversaryNames(), ", "))
 	}
-	return e.build(p), nil
+	return build(p), nil
 }
 
 // AdversaryNames lists the adversary names, sorted.

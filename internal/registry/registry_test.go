@@ -29,9 +29,6 @@ func TestEveryProtocolBuildsAndRuns(t *testing.T) {
 			if err := spec.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			if desc, derr := DescribeProtocol(name); derr != nil || desc == "" {
-				t.Errorf("describe: %q, %v", desc, derr)
-			}
 			// Pick a channel each protocol is correct on and check a run.
 			kind := channel.KindDup
 			switch name {
@@ -59,9 +56,6 @@ func TestUnknownNames(t *testing.T) {
 	t.Parallel()
 	if _, err := Protocol("nope", defaults()); err == nil {
 		t.Error("unknown protocol accepted")
-	}
-	if _, err := DescribeProtocol("nope"); err == nil {
-		t.Error("unknown describe accepted")
 	}
 	if _, err := Kind("nope"); err == nil {
 		t.Error("unknown kind accepted")

@@ -28,37 +28,6 @@ func RepetitionFree(m int) []Seq {
 	return out
 }
 
-// RepetitionFreeSet returns RepetitionFree(m) as a Set. This is the
-// paper's tight X for both STP(dup) and STP(del): |X| = alpha(m).
-func RepetitionFreeSet(m int) *Set {
-	s, err := NewSet(RepetitionFree(m)...)
-	if err != nil {
-		// RepetitionFree never generates duplicates.
-		panic(fmt.Sprintf("seq: internal error: %v", err))
-	}
-	return s
-}
-
-// AllUpTo enumerates every sequence over a domain of size m with length at
-// most maxLen, in length-then-lexicographic order. The count is
-// sum_{k=0..maxLen} m^k.
-func AllUpTo(m, maxLen int) []Seq {
-	out := []Seq{{}}
-	frontier := []Seq{{}}
-	for l := 1; l <= maxLen; l++ {
-		var next []Seq
-		for _, p := range frontier {
-			for i := 0; i < m; i++ {
-				x := append(p.Clone(), Item(i))
-				next = append(next, x)
-				out = append(out, x)
-			}
-		}
-		frontier = next
-	}
-	return out
-}
-
 // Random returns a uniformly random sequence of the given length over a
 // domain of size m, using rng.
 func Random(rng *rand.Rand, m, length int) Seq {

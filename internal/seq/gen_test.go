@@ -62,36 +62,14 @@ func TestRepetitionFreeDFSOrder(t *testing.T) {
 
 func TestRepetitionFreeSet(t *testing.T) {
 	t.Parallel()
-	s := RepetitionFreeSet(3)
+	// RepetitionFree yields no duplicate: the paper's tight X is a set of
+	// alpha(m) sequences.
+	s, err := NewSet(RepetitionFree(3)...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Size() != alphaRef(3) {
 		t.Errorf("Size() = %d, want %d", s.Size(), alphaRef(3))
-	}
-}
-
-func TestAllUpTo(t *testing.T) {
-	t.Parallel()
-	got := AllUpTo(2, 2)
-	// 1 + 2 + 4 = 7 sequences.
-	if len(got) != 7 {
-		t.Fatalf("len = %d, want 7", len(got))
-	}
-	seen := map[string]struct{}{}
-	for _, s := range got {
-		if len(s) > 2 {
-			t.Errorf("sequence %s longer than maxLen", s)
-		}
-		if _, dup := seen[s.Key()]; dup {
-			t.Errorf("duplicate %s", s)
-		}
-		seen[s.Key()] = struct{}{}
-	}
-}
-
-func TestAllUpToZeroLen(t *testing.T) {
-	t.Parallel()
-	got := AllUpTo(3, 0)
-	if len(got) != 1 || len(got[0]) != 0 {
-		t.Errorf("AllUpTo(3,0) = %v, want just the empty sequence", got)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package seq defines data items, domains, data sequences, and sets of
-// allowable sequences for the sequence transmission problem (STP).
+// Package seq defines data items, data sequences, and sets of allowable
+// sequences for the sequence transmission problem (STP).
 //
 // In the paper's model (Wang & Zuck 1989, §2.1) the sender reads a sequence
 // X of data items drawn from a finite domain D and must communicate it to
@@ -15,68 +15,9 @@ import (
 	"strings"
 )
 
-// Item is a single data item from a finite domain D. Items are small
-// non-negative integers; the Domain gives them meaning and a printable name.
+// Item is a single data item from a finite domain D: a small non-negative
+// integer, printed as its number.
 type Item int
-
-// Domain is the finite domain D the data items are drawn from.
-// The zero value is the empty domain.
-type Domain struct {
-	names []string
-}
-
-// NewDomain returns a domain with size items named by names. Item i is
-// printed as names[i].
-func NewDomain(names ...string) Domain {
-	cp := make([]string, len(names))
-	copy(cp, names)
-	return Domain{names: cp}
-}
-
-// IntDomain returns a domain of size n whose items print as "0".."n-1".
-func IntDomain(n int) Domain {
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("%d", i)
-	}
-	return Domain{names: names}
-}
-
-// LetterDomain returns a domain of size n (n <= 26) whose items print as
-// "a".."z".
-func LetterDomain(n int) (Domain, error) {
-	if n < 0 || n > 26 {
-		return Domain{}, fmt.Errorf("seq: letter domain size %d out of range [0,26]", n)
-	}
-	names := make([]string, n)
-	for i := range names {
-		names[i] = string(rune('a' + i))
-	}
-	return Domain{names: names}, nil
-}
-
-// Size returns |D|.
-func (d Domain) Size() int { return len(d.names) }
-
-// Name returns the printable name of item x, or "?" if x is out of range.
-func (d Domain) Name(x Item) string {
-	if int(x) < 0 || int(x) >= len(d.names) {
-		return "?"
-	}
-	return d.names[x]
-}
-
-// Contains reports whether x is a member of the domain.
-func (d Domain) Contains(x Item) bool { return int(x) >= 0 && int(x) < len(d.names) }
-
-// Items returns all items of the domain in order.
-func (d Domain) Items() []Item {
-	items := make([]Item, d.Size())
-	for i := range items {
-		items[i] = Item(i)
-	}
-	return items
-}
 
 // Seq is a finite sequence of data items (an input tape X or output tape Y).
 type Seq []Item
@@ -140,18 +81,6 @@ func (s Seq) String() string {
 	parts := make([]string, len(s))
 	for i, x := range s {
 		parts[i] = fmt.Sprintf("%d", int(x))
-	}
-	return strings.Join(parts, ".")
-}
-
-// Format renders s using the domain's item names.
-func (s Seq) Format(d Domain) string {
-	if len(s) == 0 {
-		return "ε"
-	}
-	parts := make([]string, len(s))
-	for i, x := range s {
-		parts[i] = d.Name(x)
 	}
 	return strings.Join(parts, ".")
 }

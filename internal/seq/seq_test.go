@@ -6,57 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestDomainBasics(t *testing.T) {
-	t.Parallel()
-	d := NewDomain("x", "y", "z")
-	if got := d.Size(); got != 3 {
-		t.Fatalf("Size() = %d, want 3", got)
-	}
-	if got := d.Name(1); got != "y" {
-		t.Errorf("Name(1) = %q, want %q", got, "y")
-	}
-	if got := d.Name(5); got != "?" {
-		t.Errorf("Name(5) = %q, want %q", got, "?")
-	}
-	if d.Contains(3) {
-		t.Error("Contains(3) = true, want false")
-	}
-	if !d.Contains(0) {
-		t.Error("Contains(0) = false, want true")
-	}
-	if got := len(d.Items()); got != 3 {
-		t.Errorf("len(Items()) = %d, want 3", got)
-	}
-}
-
-func TestIntDomain(t *testing.T) {
-	t.Parallel()
-	d := IntDomain(4)
-	if d.Size() != 4 {
-		t.Fatalf("Size() = %d, want 4", d.Size())
-	}
-	if got := d.Name(2); got != "2" {
-		t.Errorf("Name(2) = %q, want %q", got, "2")
-	}
-}
-
-func TestLetterDomain(t *testing.T) {
-	t.Parallel()
-	d, err := LetterDomain(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Name(2); got != "c" {
-		t.Errorf("Name(2) = %q, want %q", got, "c")
-	}
-	if _, err := LetterDomain(27); err == nil {
-		t.Error("LetterDomain(27) succeeded, want error")
-	}
-	if _, err := LetterDomain(-1); err == nil {
-		t.Error("LetterDomain(-1) succeeded, want error")
-	}
-}
-
 func TestSeqCloneIndependence(t *testing.T) {
 	t.Parallel()
 	s := FromInts(1, 2, 3)
@@ -116,10 +65,6 @@ func TestStringAndFormat(t *testing.T) {
 	}
 	if got := FromInts(0, 2).String(); got != "0.2" {
 		t.Errorf("String() = %q, want 0.2", got)
-	}
-	d := NewDomain("a", "b", "c")
-	if got := FromInts(0, 2).Format(d); got != "a.c" {
-		t.Errorf("Format() = %q, want a.c", got)
 	}
 }
 

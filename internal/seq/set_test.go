@@ -81,7 +81,10 @@ func TestDistinguishingPrefixIsMinimal(t *testing.T) {
 	// For the full repetition-free set over 3 items the longest shared
 	// structure forces beta = 3 (e.g. 0.1 vs 0.1.2 need 3 items to split;
 	// actually 0.1 is fully visible at i=2... verify minimality directly).
-	s := RepetitionFreeSet(3)
+	s, err := NewSet(RepetitionFree(3)...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	beta := s.DistinguishingPrefix()
 	// Check beta works and beta-1 does not.
 	unique := func(i int) bool {

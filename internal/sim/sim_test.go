@@ -264,7 +264,7 @@ func TestScriptedAdversarySkipsDisabled(t *testing.T) {
 		{"second delivery of a consumed copy (del)", must(channel.NewLinkOfKind(channel.KindDel)),
 			[]trace.Action{trace.TickS(), trace.Deliver(channel.SToR, d1), trace.TickR(), trace.Deliver(channel.SToR, d1)}, 3},
 		{"deliver+dup on a FIFO without duplication", fifo(),
-			[]trace.Action{trace.TickS(), trace.DeliverDup(channel.SToR, d1)}, 1},
+			[]trace.Action{trace.TickS(), {Kind: trace.ActDeliverDup, Dir: channel.SToR, Msg: d1}}, 1},
 		{"drop on a dup half", must(channel.NewLinkOfKind(channel.KindDup)),
 			[]trace.Action{trace.TickS(), trace.TickS(), trace.Drop(channel.SToR, d1)}, 2},
 	}
@@ -423,7 +423,7 @@ func TestApplyDeliverDupOnNonFIFOFails(t *testing.T) {
 	if err := w.Apply(trace.TickS()); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Apply(trace.DeliverDup(channel.SToR, alphaproto.DataMsg(0))); err == nil {
+	if err := w.Apply(trace.Action{Kind: trace.ActDeliverDup, Dir: channel.SToR, Msg: alphaproto.DataMsg(0)}); err == nil {
 		t.Fatal("deliver+dup accepted on a del half")
 	}
 }

@@ -100,11 +100,6 @@ func Deliver(d channel.Dir, m msg.Msg) Action {
 	return Action{Kind: ActDeliver, Dir: d, Msg: m}
 }
 
-// DeliverDup returns a duplicating delivery action.
-func DeliverDup(d channel.Dir, m msg.Msg) Action {
-	return Action{Kind: ActDeliverDup, Dir: d, Msg: m}
-}
-
 // Drop returns a drop action.
 func Drop(d channel.Dir, m msg.Msg) Action {
 	return Action{Kind: ActDrop, Dir: d, Msg: m}

@@ -18,7 +18,7 @@ func TestActionConstructorsAndStrings(t *testing.T) {
 		{TickS(), "tickS"},
 		{TickR(), "tickR"},
 		{Deliver(channel.SToR, "m"), "deliver[S→R,m]"},
-		{DeliverDup(channel.RToS, "k"), "deliver+dup[R→S,k]"},
+		{Action{Kind: ActDeliverDup, Dir: channel.RToS, Msg: "k"}, "deliver+dup[R→S,k]"},
 		{Drop(channel.SToR, "m"), "drop[S→R,m]"},
 	}
 	for _, tt := range tests {
@@ -41,7 +41,7 @@ func sample() *Trace {
 	tr.Append(Entry{Time: 2, Act: TickR()})
 	tr.Append(Entry{Time: 3, Act: Deliver(channel.RToS, "a:1")})
 	tr.Append(Entry{Time: 4, Act: Drop(channel.SToR, "d:1")})
-	tr.Append(Entry{Time: 5, Act: DeliverDup(channel.SToR, "d:2"), Writes: seq.FromInts(2)})
+	tr.Append(Entry{Time: 5, Act: Action{Kind: ActDeliverDup, Dir: channel.SToR, Msg: "d:2"}, Writes: seq.FromInts(2)})
 	return tr
 }
 

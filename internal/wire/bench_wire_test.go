@@ -42,7 +42,7 @@ func BenchmarkDecodeFrame(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeFrame(raw); err != nil {
+		if _, err := decodeFrame(raw); err != nil {
 			b.Fatal(err)
 		}
 	}

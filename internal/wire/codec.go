@@ -119,16 +119,6 @@ func DecodeFrameInto(v *FrameView, data []byte) error {
 	return nil
 }
 
-// DecodeFrame parses exactly one frame from data with the same strict
-// rules as DecodeFrameInto, copying the payload into an owned Msg.
-func DecodeFrame(data []byte) (Frame, error) {
-	var v FrameView
-	if err := DecodeFrameInto(&v, data); err != nil {
-		return Frame{}, err
-	}
-	return Frame{Session: v.Session, Dir: v.Dir, Msg: v.Msg()}, nil
-}
-
 // PeekFrameSession extracts the session id from an encoded frame without
 // validating the rest — the impairment layer uses it to pick a lock
 // shard. Frames that do not parse report ok=false (and shard together).

@@ -37,7 +37,7 @@ func TestFrameRoundTripAllAlphabets(t *testing.T) {
 		for _, dir := range []channel.Dir{channel.SToR, channel.RToS} {
 			for _, id := range sessions {
 				f := Frame{Session: id, Dir: dir, Msg: m}
-				got, err := DecodeFrame(EncodeFrame(f))
+				got, err := decodeFrame(EncodeFrame(f))
 				if err != nil {
 					t.Fatalf("decode(encode(%+v)): %v", f, err)
 				}
@@ -62,7 +62,7 @@ func TestDecodeRejectsEverySingleByteCorruption(t *testing.T) {
 				mut := make([]byte, len(raw))
 				copy(mut, raw)
 				mut[i] ^= byte(delta)
-				if got, err := DecodeFrame(mut); err == nil {
+				if got, err := decodeFrame(mut); err == nil {
 					t.Fatalf("corrupting byte %d of %+v (xor %#x) mis-decoded to %+v", i, f, delta, got)
 				}
 			}
@@ -73,11 +73,11 @@ func TestDecodeRejectsEverySingleByteCorruption(t *testing.T) {
 func TestDecodeRejectsTruncationAndTrailing(t *testing.T) {
 	raw := EncodeFrame(Frame{Session: 12, Dir: channel.SToR, Msg: "d:2"})
 	for n := 0; n < len(raw); n++ {
-		if _, err := DecodeFrame(raw[:n]); err == nil {
+		if _, err := decodeFrame(raw[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded", n)
 		}
 	}
-	if _, err := DecodeFrame(append(append([]byte{}, raw...), 0x00)); err == nil {
+	if _, err := decodeFrame(append(append([]byte{}, raw...), 0x00)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
@@ -85,7 +85,7 @@ func TestDecodeRejectsTruncationAndTrailing(t *testing.T) {
 func TestDecodeRejectsOversizedMsg(t *testing.T) {
 	big := make([]byte, maxFrameMsgLen+1)
 	raw := EncodeFrame(Frame{Session: 1, Dir: channel.SToR, Msg: msg.Msg(big)})
-	if _, err := DecodeFrame(raw); err == nil {
+	if _, err := decodeFrame(raw); err == nil {
 		t.Fatal("oversized message accepted")
 	}
 }
@@ -94,7 +94,7 @@ func TestAppendFrameReusesBuffer(t *testing.T) {
 	buf := make([]byte, 0, 64)
 	f := Frame{Session: 3, Dir: channel.RToS, Msg: "a:1"}
 	out := AppendFrame(buf, f)
-	if got, err := DecodeFrame(out); err != nil || got != f {
+	if got, err := decodeFrame(out); err != nil || got != f {
 		t.Fatalf("append into reused buffer: got %+v, err %v", got, err)
 	}
 }
@@ -116,7 +116,7 @@ func FuzzFrameCodec(f *testing.F) {
 		}
 		fr := Frame{Session: session, Dir: dir, Msg: msg.Msg(payload)}
 		raw := EncodeFrame(fr)
-		got, err := DecodeFrame(raw)
+		got, err := decodeFrame(raw)
 		if err != nil {
 			t.Fatalf("decode(encode(%+v)): %v", fr, err)
 		}
@@ -132,7 +132,7 @@ func FuzzFrameCodec(f *testing.F) {
 		mut := make([]byte, len(raw))
 		copy(mut, raw)
 		mut[flipPos%len(raw)] ^= flipXor
-		if dec, err := DecodeFrame(mut); err == nil {
+		if dec, err := decodeFrame(mut); err == nil {
 			t.Fatalf("single-byte corruption at %d mis-decoded %+v to %+v", flipPos%len(raw), fr, dec)
 		}
 	})
@@ -141,16 +141,26 @@ func FuzzFrameCodec(f *testing.F) {
 // FuzzDecodeFrame throws arbitrary bytes at the decoder: it must never
 // panic, and anything it does accept must re-encode to a frame that
 // decodes identically (no ambiguous acceptances).
+// decodeFrame parses exactly one frame from data with the same strict
+// rules as DecodeFrameInto, copying the payload into an owned Msg.
+func decodeFrame(data []byte) (Frame, error) {
+	var v FrameView
+	if err := DecodeFrameInto(&v, data); err != nil {
+		return Frame{}, err
+	}
+	return Frame{Session: v.Session, Dir: v.Dir, Msg: v.Msg()}, nil
+}
+
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeFrame(Frame{Session: 5, Dir: channel.SToR, Msg: "d:1"}))
 	f.Add([]byte{frameMagic, frameVersion, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := DecodeFrame(data)
+		fr, err := decodeFrame(data)
 		if err != nil {
 			return
 		}
-		again, err := DecodeFrame(EncodeFrame(fr))
+		again, err := decodeFrame(EncodeFrame(fr))
 		if err != nil {
 			t.Fatalf("re-encode of accepted frame %+v rejected: %v", fr, err)
 		}

@@ -127,7 +127,7 @@ func TestDetRunScheduleSurvivesScratchReuse(t *testing.T) {
 		t.Fatalf("the link holds %d frames, %d were sent", len(held), len(sent))
 	}
 	for i, raw := range held {
-		if f, err := DecodeFrame(raw); err != nil || f.Msg != sent[i] {
+		if f, err := decodeFrame(raw); err != nil || f.Msg != sent[i] {
 			t.Errorf("frame %d on the link reads %q (%v), sent as %q", i, f.Msg, err, sent[i])
 		}
 	}

@@ -146,7 +146,7 @@ func (b blackHole) Send(from End, frame []byte) error {
 // tower's replacement: a session deadline is carried in session state and enforced by the worker's timer heap, and
 // its expiry must report Complete=false — never a safety verdict.
 func TestLoopDeadlineExpiry(t *testing.T) {
-	mux := NewMux(blackHole{NewInproc(0, nil)}, nil)
+	mux := NewMuxConfig(blackHole{NewInproc(0, nil)}, MuxConfig{})
 	defer mux.Close()
 	x := seq.Seq{0, 1, 2, 3, 4, 5}
 	s, r, err := registry.Pair("alpha", zooParams, x)
@@ -176,7 +176,7 @@ func TestLoopDeadlineExpiry(t *testing.T) {
 // state as SessionConfig.Deadline, with the same verdict
 // contract.
 func TestLoopRunCtxDeadline(t *testing.T) {
-	mux := NewMux(blackHole{NewInproc(0, nil)}, nil)
+	mux := NewMuxConfig(blackHole{NewInproc(0, nil)}, MuxConfig{})
 	defer mux.Close()
 	x := seq.Seq{0, 1, 2, 3}
 	s, r, err := registry.Pair("alpha", zooParams, x)
@@ -204,7 +204,7 @@ func TestLoopRunCtxDeadline(t *testing.T) {
 // session promptly through the engine's cancel path (no contexts inside
 // the loop).
 func TestLoopRunContextCancellation(t *testing.T) {
-	mux := NewMux(blackHole{NewInproc(0, nil)}, nil)
+	mux := NewMuxConfig(blackHole{NewInproc(0, nil)}, MuxConfig{})
 	defer mux.Close()
 	x := seq.Seq{0, 1, 2, 3}
 	s, r, err := registry.Pair("alpha", zooParams, x)
@@ -407,7 +407,7 @@ func TestServeWaveStress(t *testing.T) {
 func TestSessionIDOutOfRange(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := NewInproc(0, reg)
-	mux := NewMux(tr, reg)
+	mux := NewMuxConfig(tr, MuxConfig{Obs: reg})
 	defer mux.Close()
 	x := seq.Seq{0, 1, 2}
 	session := func(id uint64) (*Session, error) {

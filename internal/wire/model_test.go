@@ -239,7 +239,7 @@ func TestModelEndToEndSessions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewImpairment: %v", err)
 	}
-	mux := NewMux(tr, nil)
+	mux := NewMuxConfig(tr, MuxConfig{})
 	defer mux.Close()
 	for id := uint64(1); id <= 8; id++ {
 		x := seq.Seq{0, 1, 2, 3}

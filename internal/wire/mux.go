@@ -162,13 +162,6 @@ func newMuxMetrics(reg *obs.Registry) *muxMetrics {
 func (m *muxMetrics) sessionStarted() { m.active.Set(float64(m.activeN.Add(1))) }
 func (m *muxMetrics) sessionEnded()   { m.active.Set(float64(m.activeN.Add(-1))) }
 
-// NewMux builds a mux over tr with default configuration (unsampled
-// events) and starts its goroutines. reg may be
-// nil (the obs nil-sink).
-func NewMux(tr Transport, reg *obs.Registry) *Mux {
-	return NewMuxConfig(tr, MuxConfig{Obs: reg})
-}
-
 // NewMuxConfig builds a mux over tr per cfg and starts the event-loop
 // workers, and two routers if tr does not push.
 func NewMuxConfig(tr Transport, cfg MuxConfig) *Mux {

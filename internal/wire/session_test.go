@@ -179,7 +179,7 @@ func TestSessionDeadline(t *testing.T) {
 
 // TestMuxRejectsDuplicateSessionID guards the routing table invariant.
 func TestMuxRejectsDuplicateSessionID(t *testing.T) {
-	mux := NewMux(NewInproc(0, nil), nil)
+	mux := NewMuxConfig(NewInproc(0, nil), MuxConfig{})
 	defer mux.Close()
 	cfgs := sessionConfigs(t, 1, 8, 2, time.Millisecond)
 	if _, err := mux.NewSession(cfgs[0]); err != nil {

@@ -39,7 +39,7 @@ type shipment struct {
 func (r *recorder) record(from End, raws ...[]byte) error {
 	sh := shipment{from: from}
 	for _, raw := range raws {
-		f, err := DecodeFrame(raw)
+		f, err := decodeFrame(raw)
 		if err != nil {
 			return err
 		}
@@ -176,7 +176,7 @@ func TestWorkerShipsItsBurst(t *testing.T) {
 	// transport though no timer (an hour's tick) and no other goroutine
 	// will ever flush them.
 	rec = newRecorder()
-	live := NewMux(rec, nil)
+	live := NewMuxConfig(rec, MuxConfig{})
 	defer live.Close()
 	const n = 32
 	for id := uint64(100); id < 100+n; id++ {
@@ -217,7 +217,7 @@ func TestWorkerShipsItsBurst(t *testing.T) {
 func TestCloseShipsPendingFrames(t *testing.T) {
 	x := rampTape(6)
 	rec := newRecorder()
-	mux := NewMux(rec, nil)
+	mux := NewMuxConfig(rec, MuxConfig{})
 	s, r, err := registry.Pair("alpha", zooParams, x)
 	if err != nil {
 		t.Fatalf("Pair: %v", err)

@@ -111,7 +111,7 @@ func TestUDPForeignInjection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewUDP: %v", err)
 	}
-	mux := NewMux(tr, reg)
+	mux := NewMuxConfig(tr, MuxConfig{Obs: reg})
 	defer mux.Close()
 
 	attacker, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -487,7 +487,7 @@ func TestUDPPeerInboundLazy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewUDP: %v", err)
 		}
-		mux := NewMux(tr, reg)
+		mux := NewMuxConfig(tr, MuxConfig{Obs: reg})
 		defer mux.Close()
 		frame := EncodeFrame(Frame{Session: 1, Dir: channel.SToR, Msg: "d:0"})
 		if err := tr.SendBatch(SenderEnd, [][]byte{frame}); err != nil {

@@ -25,7 +25,7 @@
 //	// res.Output == 2.0.3.1, res.SafetyViolation == nil
 //
 // The facade re-exports the stable surface of the internal packages; see
-// the example programs under examples/ and the experiment harness
+// the Example functions in example_test.go and the experiment harness
 // cmd/stpexp for larger tours.
 package seqtx
 
