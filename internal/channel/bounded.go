@@ -105,6 +105,14 @@ func (b *Bounded) Clone() Half {
 	return &cp
 }
 
+// CopyFrom makes b a copy of src (a *Bounded), reusing b's multiset.
+func (b *Bounded) CopyFrom(src Half) {
+	s := src.(*Bounded)
+	inflight := append(b.inflight[:0], s.inflight...)
+	*b = *s
+	b.inflight = inflight
+}
+
 // Key returns the canonical in-flight multiset plus the capacity (halves
 // of different capacity behave differently on overflow).
 func (b *Bounded) Key() string {

@@ -100,6 +100,10 @@ type Half interface {
 	SentTotal() int
 	// Clone returns an independent deep copy.
 	Clone() Half
+	// CopyFrom makes the receiver an exact copy of src, which has the
+	// receiver's concrete type, in the receiver's own storage: a Clone
+	// into a half that already exists. src is only read.
+	CopyFrom(src Half)
 	// Key returns a canonical encoding of the half's state, equal for
 	// behaviourally identical states.
 	Key() string

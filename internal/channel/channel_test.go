@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"fmt"
 	"testing"
 
 	"seqtx/internal/msg"
@@ -161,6 +162,106 @@ func TestDelCloneIndependent(t *testing.T) {
 	if d.Key() == c.Key() {
 		t.Error("different states share key")
 	}
+}
+
+// TestCopyFrom copies a half of every kind onto a half of its type, a
+// fresh one and one whose scalars differ and whose slice other writes
+// have lengthened (and, for a FIFO, whose head was consumed): the copy
+// must equal its source, neither's later writes may show in the other,
+// and a copy into storage that is large enough allocates nothing. Not
+// parallel: AllocsPerRun counts every goroutine's allocations.
+func TestCopyFrom(t *testing.T) {
+	for _, kind := range fuzzKinds {
+		src, err := New(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []msg.Msg{"a", "b", "a", "c"} {
+			src.Send(m)
+		}
+		if err := src.Deliver("a"); err != nil {
+			t.Fatal(err)
+		}
+		fresh, _ := New(kind)
+		for _, dst := range []Half{fresh, sibling(kind)} {
+			before := src.Key()
+			dst.CopyFrom(src)
+			if err := sameHalf(dst, src); err != nil {
+				t.Errorf("%s: CopyFrom: %v", kind, err)
+				continue
+			}
+			scribble(dst)
+			if src.Key() != before {
+				t.Errorf("%s: writing a copy changed its source to %q", kind, src.Key())
+			}
+			other := src.Clone()
+			dst.CopyFrom(other)
+			scribble(other)
+			if dst.Key() != before {
+				t.Errorf("%s: writing a source changed its copy to %q", kind, dst.Key())
+			}
+		}
+		dst := sibling(kind)
+		if allocs := testing.AllocsPerRun(10, func() { dst.CopyFrom(src) }); allocs != 0 {
+			t.Errorf("%s: CopyFrom into a longer half allocates %.0f objects, want 0", kind, allocs)
+		}
+	}
+}
+
+// sibling returns a half of kind's concrete type whose scalars differ
+// from New(kind)'s and whose slice holds more than a short run leaves,
+// after a delivery (a FIFO's consumes its head): a CopyFrom onto it must
+// overwrite every field.
+func sibling(kind Kind) Half {
+	var h Half
+	switch kind {
+	case KindDup:
+		h = NewDupDel()
+	case KindDupDel:
+		h = NewDup()
+	case KindDel:
+		h = NewReorder()
+	case KindReorder:
+		h = NewDel()
+	case KindFIFO:
+		h = NewFIFO(false, false)
+	case KindBounded:
+		h = NewBounded(7)
+	}
+	for _, m := range []msg.Msg{"e", "f", "g", "h", "e", "i", "j"} {
+		h.Send(m)
+	}
+	_ = h.Deliver("e")
+	return h
+}
+
+// sameHalf reports how got differs from want in anything a caller can
+// observe: kind, keys, send total, dlvrble vector, and which of a few
+// messages could be delivered or dropped (and, for FIFO halves, the
+// duplication permission, which neither key shows).
+func sameHalf(got, want Half) error {
+	switch {
+	case got.Kind() != want.Kind():
+		return fmt.Errorf("kind %s, want %s", got.Kind(), want.Kind())
+	case got.Key() != want.Key():
+		return fmt.Errorf("key %q, want %q", got.Key(), want.Key())
+	case string(got.EncodeKey(nil)) != string(want.EncodeKey(nil)):
+		return fmt.Errorf("encoded key %x, want %x", got.EncodeKey(nil), want.EncodeKey(nil))
+	case got.SentTotal() != want.SentTotal():
+		return fmt.Errorf("sent total %d, want %d", got.SentTotal(), want.SentTotal())
+	case !got.Deliverable().Equal(want.Deliverable()):
+		return fmt.Errorf("deliverable %v, want %v", got.Deliverable(), want.Deliverable())
+	}
+	for _, m := range []msg.Msg{"a", "b", "c", "d", "e", "zz"} {
+		if got.CanDeliver(m) != want.CanDeliver(m) || got.CanDrop(m) != want.CanDrop(m) {
+			return fmt.Errorf("%q: can deliver %v, drop %v; want %v, %v",
+				m, got.CanDeliver(m), got.CanDrop(m), want.CanDeliver(m), want.CanDrop(m))
+		}
+	}
+	if f, ok := want.(*FIFO); ok && got.(*FIFO).AllowsDup() != f.AllowsDup() {
+		return fmt.Errorf("duplication %v, want %v", got.(*FIFO).AllowsDup(), f.AllowsDup())
+	}
+	return nil
 }
 
 func TestFIFOOrdering(t *testing.T) {

@@ -96,6 +96,14 @@ func (d *Del) Clone() Half {
 	return &cp
 }
 
+// CopyFrom makes d a copy of src (a *Del), reusing d's multiset.
+func (d *Del) CopyFrom(src Half) {
+	s := src.(*Del)
+	inflight := append(d.inflight[:0], s.inflight...)
+	*d = *s
+	d.inflight = inflight
+}
+
 // Key returns the canonical in-flight multiset. Totals are excluded: two
 // halves with equal in-flight multisets behave identically forever.
 func (d *Del) Key() string {

@@ -119,6 +119,14 @@ func (d *Dup) Clone() Half {
 	return &cp
 }
 
+// CopyFrom makes d a copy of src (a *Dup), reusing d's sent-set.
+func (d *Dup) CopyFrom(src Half) {
+	s := src.(*Dup)
+	sent := append(d.sent[:0], s.sent...)
+	*d = *s
+	d.sent = sent
+}
+
 // Key returns the sorted sent-set. sentTotal is deliberately excluded:
 // two dup halves with the same sent-set behave identically forever.
 func (d *Dup) Key() string {

@@ -127,6 +127,14 @@ func (f *FIFO) Clone() Half {
 	return cp
 }
 
+// CopyFrom makes f a copy of src (a *FIFO), reusing f's queue.
+func (f *FIFO) CopyFrom(src Half) {
+	s := src.(*FIFO)
+	queue := append(f.queue[:0], s.queue...)
+	*f = *s
+	f.queue = queue
+}
+
 // Key returns the queue contents in order.
 func (f *FIFO) Key() string {
 	parts := make([]string, len(f.queue))

@@ -35,6 +35,9 @@ var fuzzKinds = []Kind{KindDup, KindDel, KindReorder, KindFIFO, KindDupDel, Kind
 //     identical Keys and identical operation outcomes (determinism);
 //   - mutating a clone never changes the original's Key, nor a clone of
 //     the clone taken before (independence: no shared backing array);
+//   - CopyFrom into a half that other operations have already written
+//     (a longer slice, a consumed FIFO head) makes it equal to its
+//     source, and afterwards neither one's writes show in the other;
 //   - Support(i) walks exactly Deliverable().Support();
 //   - CanDeliver/CanDrop exactly predict Deliver/Drop success;
 //   - everything in Deliverable() is deliverable.
@@ -57,6 +60,7 @@ func FuzzHalfCloneKeyConsistency(f *testing.F) {
 		if mirror.Key() != h.Key() {
 			t.Fatalf("%s: fresh clone key %q != original %q", kind, mirror.Key(), h.Key())
 		}
+		copied := sibling(kind) // every CopyFrom lands on what the last one left
 		for i, op := range ops {
 			m := msg.Msg(rune('a' + int(op)%4))
 			kindOp := (int(op) / 4) % 4
@@ -78,19 +82,26 @@ func FuzzHalfCloneKeyConsistency(f *testing.F) {
 			before := h.Key()
 			scratch := h.Clone()
 			bystander := scratch.Clone()
-			scratch.Send("zz")
-			_ = scratch.Deliver("zz")
-			for _, letter := range []msg.Msg{"a", "b", "c", "d"} {
-				scratch.Send(letter)
-				_ = scratch.Deliver(letter)
-				_ = scratch.Deliver(letter)
-				_ = scratch.Drop(letter)
-			}
+			scribble(scratch)
 			if h.Key() != before {
 				t.Fatalf("%s: op %d: mutating a clone changed the original key", kind, i)
 			}
 			if bystander.Key() != before {
 				t.Fatalf("%s: op %d: mutating a clone changed a clone of it", kind, i)
+			}
+			copied.CopyFrom(h)
+			if err := sameHalf(copied, h); err != nil {
+				t.Fatalf("%s: op %d: CopyFrom: %v", kind, i, err)
+			}
+			scribble(copied)
+			if h.Key() != before {
+				t.Fatalf("%s: op %d: mutating a copy changed its source's key", kind, i)
+			}
+			copied.CopyFrom(scratch)
+			copiedKey := copied.Key()
+			scribble(scratch)
+			if copied.Key() != copiedKey {
+				t.Fatalf("%s: op %d: mutating a source changed its copy's key", kind, i)
 			}
 			support := h.Deliverable().Support()
 			for j := 0; j <= len(support); j++ {
@@ -115,6 +126,20 @@ func FuzzHalfCloneKeyConsistency(f *testing.F) {
 			t.Fatalf("%s: SentTotal diverged: %d vs %d", kind, h.SentTotal(), mirror.SentTotal())
 		}
 	})
+}
+
+// scribble writes to h the way a throwaway copy is written: re-sending
+// and consuming what is already in flight writes existing entries in
+// place — exactly what would show through a shared backing array.
+func scribble(h Half) {
+	for _, letter := range []msg.Msg{"a", "b", "c", "d"} {
+		h.Send(letter)
+		_ = h.Deliver(letter)
+		_ = h.Deliver(letter)
+		_ = h.Drop(letter)
+	}
+	h.Send("zz")
+	_ = h.Deliver("zz")
 }
 
 // applyFuzzOp performs one decoded operation, gated on the Can* guards so

@@ -87,6 +87,16 @@ func (c *Corrupt) Clone() channel.Half {
 	return &cp
 }
 
+// CopyFrom makes c a copy of src (a *Corrupt over a half of c's inner
+// type), reusing c's inner half.
+func (c *Corrupt) CopyFrom(src channel.Half) {
+	s := src.(*Corrupt)
+	inner := c.inner
+	*c = *s
+	inner.CopyFrom(s.inner)
+	c.inner = inner
+}
+
 // Key combines the wrapped key with the corruption phase: two wrapped
 // halves behave identically only when the inner states match and the
 // next corruption is equally far away.

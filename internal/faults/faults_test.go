@@ -170,6 +170,30 @@ func TestCorruptCloneIndependence(t *testing.T) {
 	}
 }
 
+func TestCorruptCopyFromIndependence(t *testing.T) {
+	t.Parallel()
+	h := NewCorrupt(channel.NewDel(), 3)
+	h.Send("a")
+	h.Send("b")
+	cp := NewCorrupt(channel.NewDel(), 5)
+	cp.Send("c")
+	cp.CopyFrom(h)
+	if cp.Key() != h.Key() || cp.SentTotal() != h.SentTotal() {
+		t.Fatalf("copy %q (%d sent) != source %q (%d sent)", cp.Key(), cp.SentTotal(), h.Key(), h.SentTotal())
+	}
+	h.Send("c") // the third send: "b" on both, if the phase was copied
+	cp.Send("c")
+	if cp.Key() != h.Key() || cp.Corrupted() != 1 {
+		t.Fatalf("copy %q (%d corrupted) drifted from source %q", cp.Key(), cp.Corrupted(), h.Key())
+	}
+	if err := cp.Deliver("a"); err != nil {
+		t.Fatal(err)
+	}
+	if !h.CanDeliver("a") {
+		t.Fatal("copy shares its inner half with its source")
+	}
+}
+
 func TestPartitionWindowBlocksDeliveries(t *testing.T) {
 	t.Parallel()
 	plan := NewPlan("test").WithPartition(0, 50, channel.SToR, channel.RToS)

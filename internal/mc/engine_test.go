@@ -159,7 +159,7 @@ func TestBoundedWorkerEquivalence(t *testing.T) {
 // deletion channel), cut at depth 12. A successor
 // by table lookup allocates nothing; what is left is building the tables
 // (a few objects per local state, so the share falls as the space
-// grows: 3.0 here, 1.0 at the benchmark's depth 20) and the growth of
+// grows: 1.4 here, 0.31 at the benchmark's depth 20) and the growth of
 // the node list and the visited set. Building a world per transition, as
 // the explorers did, cost 27.7 with structural sharing and 64 without.
 func TestExploreAllocBudget(t *testing.T) {
@@ -182,6 +182,42 @@ func TestExploreAllocBudget(t *testing.T) {
 			perState, allocs, states, ceiling)
 	} else {
 		t.Logf("%.1f allocations per state (%.0f over %d states)", perState, allocs, states)
+	}
+}
+
+// TestExploreAllocs pins the allocations of one exploration of the
+// benchmark's system (mc_explore: the tight protocol, m = 3, on a
+// deletion channel, cut at depth 20) as a count. Explore starts no
+// goroutine, so the count is the exploration's own, but for the few a
+// garbage collection during the run adds (4 445 with GOGC=off). A memo
+// miss on a half clones only a result that is new; the ceiling is under
+// half of the 12 717 an exploration makes when every miss clones the
+// filed half first. The test takes about 50 ms: four explorations, with
+// the warm-up.
+func TestExploreAllocs(t *testing.T) {
+	const (
+		ceiling    = 6000
+		wantStates = 14248
+	)
+	spec, err := registry.Protocol("alpha", registry.Params{M: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := 0
+	allocs := testing.AllocsPerRun(3, func() {
+		res, err := Explore(spec, seq.FromInts(0, 1, 2), channel.KindDel, ExploreConfig{MaxDepth: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		states = res.States
+	})
+	if states != wantStates {
+		t.Fatalf("explored %d states, want %d", states, wantStates)
+	}
+	if allocs > ceiling {
+		t.Errorf("an exploration allocates %.0f objects, budget %d", allocs, ceiling)
+	} else {
+		t.Logf("%.0f allocations over %d states", allocs, states)
 	}
 }
 

@@ -60,6 +60,20 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
+// Add adds delta in one atomic step, so concurrent Adds are never lost
+// and the gauge always holds the sum of all of them.
+func (g *Gauge) Add(delta float64) {
+	if g == nil {
+		return
+	}
+	for {
+		old := g.bits.Load()
+		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
+			return
+		}
+	}
+}
+
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -22,6 +22,7 @@ func TestNilSinkIsSafe(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(3.5)
+	g.Add(1)
 	h.Observe(7)
 	r.Emit("kind", "k", "v")
 	r.Reset()
@@ -51,6 +52,11 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g.Set(2.5)
 	if got := g.Value(); got != 2.5 {
 		t.Errorf("gauge = %f, want 2.5", got)
+	}
+	g.Add(1)
+	g.Add(-4)
+	if got := g.Value(); got != -0.5 {
+		t.Errorf("gauge = %f after adding 1 and -4, want -0.5", got)
 	}
 }
 

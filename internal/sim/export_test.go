@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -13,14 +12,14 @@ import (
 // first whose bytes are no longer the key it was filed under: a filed
 // object that something wrote to.
 func (sys *System) CheckFiled() error {
-	stale := func(kind string, id int, key, now []byte) error {
-		if bytes.Equal(key, now) {
+	stale := func(kind string, id int, key string, now []byte) error {
+		if key == string(now) {
 			return nil
 		}
 		return fmt.Errorf("%s %d filed as %x now encodes to %x", kind, id, key, now)
 	}
 	for id, row := range sys.senders.rows {
-		_, tag := binary.Uvarint(row.key)
+		_, tag := binary.Uvarint([]byte(row.key))
 		if err := stale("sender", id, row.key[tag:], protocol.AppendKey(nil, row.obj)); err != nil {
 			return err
 		}

@@ -19,9 +19,11 @@ import (
 // receiver state and channel half it meets under its EncodeKey bytes
 // and hands out a small dense id; each local move — a process stepping
 // on a tick or a message, a half taking a send, a delivery or a drop —
-// is computed once, on a private clone of the filed object, and
-// remembered. A global successor is then a handful of lookups (Step), and
-// two global states are equal exactly when their ids are.
+// is computed once and remembered. A process steps a private clone of
+// the filed object; a half steps its kind's scratch copy of it, and only
+// a result with a new key is cloned and filed. A global successor is
+// then a handful of lookups (Step), and two global states are equal
+// exactly when their ids are.
 //
 // The memo is sound because Step is deterministic (the Sender/Receiver
 // contract: equal keys imply behaviourally identical states) and
@@ -49,7 +51,13 @@ type System struct {
 	halves    table[halfRow]
 	halfSteps [][]int32 // [half id][halfOps*msg+op-opSend] -> half id, stored +1 so zero means unknown
 	keyBuf    []byte
-	moveBuf   []halfMove // internHalf's scratch
+	moveBuf   []halfMove // InternHalf's scratch
+	// scratch is stepHalf's working half of each kind: a filed half is
+	// copied into it, stepped and keyed, and cloned only if new. The
+	// halves of one kind a System files share a concrete type, as
+	// CopyFrom requires: every System is built over a link made by kind,
+	// never over a faults-wrapped one.
+	scratch map[channel.Kind]channel.Half
 }
 
 // State is a global state by identity: the ids of its sender, receiver
@@ -97,7 +105,7 @@ type table[T any] struct {
 
 type filed[T any] struct {
 	obj T
-	key []byte
+	key string // the bytes obj was filed under, shared with ids
 }
 
 // file appends obj under key (not yet present) and returns its id.
@@ -105,10 +113,16 @@ func (t *table[T]) file(obj T, key []byte) int32 {
 	if t.ids == nil {
 		t.ids = make(map[string]int32)
 	}
-	id := int32(len(t.rows))
-	t.ids[string(key)] = id
-	t.rows = append(t.rows, filed[T]{obj, append([]byte(nil), key...)})
+	id, k := int32(len(t.rows)), string(key)
+	t.ids[k] = id
+	t.rows = append(t.rows, filed[T]{obj, k})
 	return id
+}
+
+// runOf reads the index of the run's input a process key starts with.
+func runOf(key string) uint64 {
+	run, _ := binary.Uvarint([]byte(key[:min(len(key), binary.MaxVarintLen64)]))
+	return run
 }
 
 // procs is the table of one process, S or R, and the memo of its steps.
@@ -154,8 +168,9 @@ const (
 // spec over its link's kind and alphabets. w is only read.
 func NewSystem(w *World) *System {
 	return &System{
-		proto:  w.Clone(),
-		msgIDs: make(map[msg.Msg]int32),
+		proto:   w.Clone(),
+		msgIDs:  make(map[msg.Msg]int32),
+		scratch: make(map[channel.Kind]channel.Half),
 		senders: procs[protocol.Sender]{
 			clone: protocol.Sender.Clone,
 			step:  func(s protocol.Sender, ev protocol.Event) ([]msg.Msg, seq.Seq) { return s.Step(ev), nil },
@@ -181,17 +196,12 @@ func (sys *System) Intern(w *World) State {
 	return State{
 		S:    internProc(sys, &sys.senders, w.S, uint64(run), false),
 		R:    internProc(sys, &sys.receivers, w.R, 0, false),
-		SToR: sys.internHalf(w.Link.Half(channel.SToR), false),
-		RToS: sys.internHalf(w.Link.Half(channel.RToS), false),
+		SToR: sys.InternHalf(w.Link.Half(channel.SToR)),
+		RToS: sys.InternHalf(w.Link.Half(channel.RToS)),
 	}
 }
 
-// InternHalf files a clone of h and returns its id, for callers that
-// keep a multiset of their own beside a State (the fresh copies of
-// Definition 2 are a reorder half).
-func (sys *System) InternHalf(h channel.Half) int32 { return sys.internHalf(h, false) }
-
-// owned says an object is a private clone the table may keep; otherwise
+// owned says a process is a private clone the table may keep; otherwise
 // a new entry clones it.
 
 func internProc[P interface{ Key() string }](sys *System, t *procs[P], p P, run uint64, owned bool) int32 {
@@ -205,14 +215,16 @@ func internProc[P interface{ Key() string }](sys *System, t *procs[P], p P, run 
 	return t.file(p, sys.keyBuf)
 }
 
-func (sys *System) internHalf(h channel.Half, owned bool) int32 {
+// InternHalf returns the id of h's key, filing a clone of h if the key
+// is new; h is only read. Callers that keep a multiset of their own
+// beside a State file it here too (the fresh copies of Definition 2 are
+// a reorder half).
+func (sys *System) InternHalf(h channel.Half) int32 {
 	sys.keyBuf = h.EncodeKey(sys.keyBuf[:0])
 	if id, ok := sys.halves.ids[string(sys.keyBuf)]; ok {
 		return id
 	}
-	if !owned {
-		h = h.Clone()
-	}
+	h = h.Clone()
 	moves := sys.moveBuf[:0]
 	halfMoves(h, func(kind trace.ActKind, m msg.Msg) {
 		moves = append(moves, halfMove{kind, sys.msgID(m)})
@@ -231,13 +243,15 @@ func (sys *System) msgID(m msg.Msg) int32 {
 	return id
 }
 
-// slot returns the address of tab[i][j], growing both levels as needed.
-func slot[T any](tab *[][]T, i, j int32) *T {
+// slot returns the address of tab[i][j], growing both levels as needed:
+// a row grows to at least width, the columns the known messages make, so
+// it is grown once unless a new message widens it.
+func slot[T any](tab *[][]T, i, j, width int32) *T {
 	for int(i) >= len(*tab) {
 		*tab = append(*tab, nil)
 	}
 	if row := &(*tab)[i]; int(j) >= len(*row) {
-		*row = append(*row, make([]T, int(j)+1-len(*row))...)
+		*row = append(*row, make([]T, int(max(j+1, width))-len(*row))...)
 	}
 	return &(*tab)[i][j]
 }
@@ -248,7 +262,7 @@ func slot[T any](tab *[][]T, i, j int32) *T {
 // the process's next Step) after the send check. A hit is an index into
 // a slice.
 func stepProc[P interface{ Key() string }](sys *System, t *procs[P], id, ev int32) *procStep {
-	if e := *slot(&t.steps, id, ev); e != nil {
+	if e := *slot(&t.steps, id, ev, 1+int32(len(sys.msgs))); e != nil {
 		return e
 	}
 	event := protocol.TickEvent()
@@ -266,29 +280,37 @@ func stepProc[P interface{ Key() string }](sys *System, t *procs[P], id, ev int3
 		e.sends = append(e.sends, sys.msgID(m))
 	}
 	if e.err == nil {
-		run, _ := binary.Uvarint(t.rows[id].key)
-		e.next = internProc(sys, t, p, run, true)
+		e.next = internProc(sys, t, p, runOf(t.rows[id].key), true)
 	}
 	t.steps[id][ev] = e
 	return e
 }
 
 // stepHalf returns half id after op on message m — a send, or halfOp of
-// a channel action on the half in direction dir — applying it to a clone
-// on first use. A rejected operation is not remembered: its error is the
-// caller's to report, and no search takes one.
+// a channel action on the half in direction dir — computing it on first
+// use on the kind's scratch copy of the filed half, which InternHalf
+// clones only when the result is new: most misses land on a filed half
+// and allocate nothing. A rejected operation is not remembered: its
+// error is the caller's to report, and no search takes one.
 func (sys *System) stepHalf(id int32, op trace.ActKind, dir channel.Dir, m int32) (int32, error) {
 	i := halfOps*m + int32(op-opSend)
-	if next := *slot(&sys.halfSteps, id, i); next != 0 {
+	if next := *slot(&sys.halfSteps, id, i, halfOps*int32(len(sys.msgs))); next != 0 {
 		return next - 1, nil
 	}
-	h := sys.halves.rows[id].obj.h.Clone()
+	src := sys.halves.rows[id].obj.h
+	h := sys.scratch[src.Kind()]
+	if h == nil {
+		h = src.Clone()
+		sys.scratch[src.Kind()] = h
+	} else {
+		h.CopyFrom(src)
+	}
 	if op == opSend {
 		h.Send(sys.msgs[m])
 	} else if err := halfOp(h, op, dir, sys.msgs[m]); err != nil {
 		return 0, err
 	}
-	next := sys.internHalf(h, true)
+	next := sys.InternHalf(h)
 	sys.halfSteps[id][i] = next + 1
 	return next, nil
 }
@@ -386,10 +408,9 @@ func (sys *System) Action(mv Move) trace.Action {
 // world of their own, safe to Apply, with an empty tape at time zero.
 func (sys *System) World(st State) *World {
 	s := sys.senders.rows[st.S]
-	run, _ := binary.Uvarint(s.key)
 	return &World{
 		Name:  sys.proto.Name,
-		Input: sys.inputs[run],
+		Input: sys.inputs[runOf(s.key)],
 		S:     s.obj.Clone(),
 		R:     sys.receivers.rows[st.R].obj.Clone(),
 		Link:  sys.proto.Link.WithHalves(sys.half(st.SToR).h.Clone(), sys.half(st.RToS).h.Clone()),

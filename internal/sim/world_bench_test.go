@@ -11,6 +11,7 @@ import (
 	"seqtx/internal/protocol/alphaproto"
 	"seqtx/internal/seq"
 	"seqtx/internal/sim"
+	"seqtx/internal/trace"
 )
 
 // benchWorld drives the tight protocol a few steps in so the link and
@@ -83,5 +84,83 @@ func BenchmarkWorldSuccessor(b *testing.B) {
 		if _, err := sys.Step(st, moves[i%len(moves)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSystemStep prices the three outcomes of a tabulated step on
+// a channel move, the memo's rows in a search's cost: a drop of one copy
+// from a deletion half of the tight protocol (m = 3) holding up to
+// chainLen copies, which steps only the half. hit: the step is
+// memoised. miss-filed: it is not, but the half it leads to is filed (a
+// search's common miss: 3 454 of 4 317 at mc_explore's configuration).
+// miss-new: neither is, so the result is cloned and filed.
+func BenchmarkSystemStep(b *testing.B) {
+	const chainLen = 1024
+	link, err := channel.NewLinkOfKind(channel.KindDel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := sim.New(alphaproto.MustNew(3), seq.FromInts(0, 1, 2), link)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Apply(trace.Action{Kind: trace.ActTickS}); err != nil {
+		b.Fatal(err)
+	}
+	// setup returns a fresh system and the state whose S→R half holds
+	// chainLen copies of S's first message, with the drop of one copy.
+	// filed files every shorter half too (by sends, so no drop is memoised);
+	// warm also takes the chain of drops once.
+	setup := func(filed, warm bool) (*sim.System, sim.State, sim.Move) {
+		sys := sim.NewSystem(w)
+		st := sys.Intern(w)
+		var drop sim.Move
+		for _, mv := range sys.Moves(nil, st) {
+			if mv.Kind == trace.ActDrop && mv.Dir == channel.SToR {
+				drop = mv
+			}
+		}
+		full := channel.NewDel()
+		for i := 0; i < chainLen; i++ {
+			full.Send(sys.Action(drop).Msg)
+		}
+		if filed {
+			h := sys.InternHalf(channel.NewDel())
+			for i := 0; i < chainLen; i++ {
+				h = sys.HalfSend(h, drop.Msg)
+			}
+		}
+		st.SToR = sys.InternHalf(full)
+		for cur, i := st, 0; warm && i < chainLen; i++ {
+			next, err := sys.Step(cur, drop)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cur = next.Next
+		}
+		return sys, st, drop
+	}
+	for _, c := range []struct {
+		name        string
+		filed, warm bool
+	}{{"hit", true, true}, {"miss-filed", true, false}, {"miss-new", false, false}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sys *sim.System
+			var st sim.State
+			var drop sim.Move
+			for i := 0; i < b.N; i++ {
+				if i%chainLen == 0 {
+					b.StopTimer()
+					sys, st, drop = setup(c.filed, c.warm)
+					b.StartTimer()
+				}
+				next, err := sys.Step(st, drop)
+				if err != nil {
+					b.Fatal(err)
+				}
+				st = next.Next
+			}
+		})
 	}
 }

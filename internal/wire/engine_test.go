@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -319,6 +320,51 @@ func TestServePacedStarts(t *testing.T) {
 			t.Errorf("wire_sessions_active = %v after the fleet ended", got)
 		}
 	})
+}
+
+// TestSessionsActiveGauge starts sessions on one mux's metrics from
+// several goroutines at once, then ends them all the same way. Each
+// goroutine reads the wire_sessions_active gauge right after each of its
+// starts: every start counted before that read has returned, so the gauge
+// must hold at least that many. It then must read exactly the number
+// started, and 0 once all have ended. A gauge set from a separate count
+// in a second step can be overwritten by a goroutine that took its count
+// earlier and was preempted before setting it.
+func TestSessionsActiveGauge(t *testing.T) {
+	const goroutines, per = 4, 50000
+	reg := obs.NewRegistry()
+	met := newMuxMetrics(reg)
+	active := reg.Gauge("wire_sessions_active")
+	var returned, behind atomic.Int64
+	fleet := func(step func()) {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					step()
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	fleet(func() {
+		met.sessionStarted()
+		if n := returned.Add(1); active.Value() < float64(n) {
+			behind.Add(1)
+		}
+	})
+	if n := behind.Load(); n > 0 {
+		t.Errorf("%d reads found wire_sessions_active below the starts that had returned", n)
+	}
+	if got := active.Value(); got != goroutines*per {
+		t.Errorf("wire_sessions_active = %v after %d starts", got, goroutines*per)
+	}
+	fleet(met.sessionEnded)
+	if got := active.Value(); got != 0 {
+		t.Errorf("wire_sessions_active = %v with every session ended", got)
+	}
 }
 
 // TestTimerProgressInvariant pins the worker's progress guarantee: fired

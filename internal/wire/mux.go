@@ -90,7 +90,6 @@ type muxMetrics struct {
 	inboxFull    *obs.Counter
 	batchFrames  *obs.Histogram
 
-	activeN       atomic.Int64
 	active        *obs.Gauge
 	completed     *obs.Counter
 	unfinished    *obs.Counter
@@ -158,9 +157,10 @@ func newMuxMetrics(reg *obs.Registry) *muxMetrics {
 	}
 }
 
-// sessionStarted / sessionEnded maintain the active-session gauge.
-func (m *muxMetrics) sessionStarted() { m.active.Set(float64(m.activeN.Add(1))) }
-func (m *muxMetrics) sessionEnded()   { m.active.Set(float64(m.activeN.Add(-1))) }
+// sessionStarted / sessionEnded maintain the active-session gauge, each
+// in one atomic step.
+func (m *muxMetrics) sessionStarted() { m.active.Add(1) }
+func (m *muxMetrics) sessionEnded()   { m.active.Add(-1) }
 
 // NewMuxConfig builds a mux over tr per cfg and starts the event-loop
 // workers, and two routers if tr does not push.
