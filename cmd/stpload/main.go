@@ -34,6 +34,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sync/atomic"
@@ -47,7 +48,7 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // report is the JSON document stpload emits.
@@ -96,25 +97,34 @@ type report struct {
 	Metrics        obs.Snapshot           `json:"metrics"`
 }
 
-func run() int {
+// run executes one stpload command line (args without the program name)
+// and returns its exit code: 0 when no session violated safety, 1 on a
+// violation or a failure, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("stpload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var metrics cliutil.Metrics
 	spec := fleet.Default()
 	spec.Sessions = 64
-	spec.AddFlags(flag.CommandLine)
+	spec.AddFlags(fs)
 	var (
-		rate      = flag.Float64("rate", 0, "target session-start rate per second (0 = unpaced waves)")
-		duration  = flag.Duration("duration", 5*time.Second, "load window: new waves start until this elapses")
-		transport = flag.String("transport", "inproc", "transport: inproc|udp")
-		evSample  = flag.Uint64("event-sample", 0, "emit lifecycle events for every Nth session id (0 = auto-scale to fleet size, 1 = every session)")
-		reportTo  = flag.String("report", "", "write the JSON report to this file (\"-\" = stdout)")
-		verbose   = flag.Bool("v", false, "print one line per wave")
+		rate      = fs.Float64("rate", 0, "target session-start rate per second (0 = unpaced waves)")
+		duration  = fs.Duration("duration", 5*time.Second, "load window: new waves start until this elapses")
+		transport = fs.String("transport", "inproc", "transport: inproc|udp")
+		evSample  = fs.Uint64("event-sample", 0, "emit lifecycle events for every Nth session id (0 = auto-scale to fleet size, 1 = every session)")
+		reportTo  = fs.String("report", "", "write the JSON report to this file (\"-\" = stdout)")
+		verbose   = fs.Bool("v", false, "print one line per wave")
 
-		master   = flag.String("master", "", "join a cluster as a client node: stpmaster control address (host:port); load flags then come from the assignment")
-		nodeName = flag.String("node-name", "", "cluster node name (default cli-<pid>)")
-		dataHost = flag.String("data-host", "", "host/IP the data-plane UDP sockets bind on (default 127.0.0.1; on a real fleet, the interface the peer can reach)")
+		master   = fs.String("master", "", "join a cluster as a client node: stpmaster control address (host:port); load flags then come from the assignment")
+		nodeName = fs.String("node-name", "", "cluster node name (default cli-<pid>)")
+		dataHost = fs.String("data-host", "", "host/IP the data-plane UDP sockets bind on (default 127.0.0.1; on a real fleet, the interface the peer can reach)")
 	)
-	metrics.AddFlags(flag.CommandLine)
-	flag.Parse()
+	metrics.AddFlags(fs)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *master != "" {
 		return cluster.NodeMain("stpload", cluster.RoleClient, *master, *nodeName, *dataHost, *verbose)
@@ -129,7 +139,7 @@ func run() int {
 		err = fmt.Errorf("unknown transport %q (have inproc, udp)", *transport)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpload:", err)
+		fmt.Fprintln(stderr, "stpload:", err)
 		return 2
 	}
 	// Auto-scale event sampling: the obs event ring holds 4096 entries, so
@@ -190,12 +200,12 @@ func run() int {
 		waveStart := time.Now()
 		cfgs, err := spec.Build(0, spec.WaveBase(wave))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "stpload:", err)
+			fmt.Fprintln(stderr, "stpload:", err)
 			return 2
 		}
 		tr, err := spec.Transport(*transport, reg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "stpload:", err)
+			fmt.Fprintln(stderr, "stpload:", err)
 			return 1
 		}
 		ctx, cancel := context.WithDeadline(context.Background(), start.Add(*duration+spec.Deadline))
@@ -205,15 +215,15 @@ func run() int {
 		}, spec.Seed+int64(wave), &tally)
 		cancel()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "stpload:", err)
+			fmt.Fprintln(stderr, "stpload:", err)
 			return 1
 		}
 		for _, v := range out.Violations() {
-			fmt.Fprintln(os.Stderr, "stpload:", v)
+			fmt.Fprintln(stderr, "stpload:", v)
 		}
 		rep.Waves++
 		if *verbose {
-			fmt.Printf("wave %3d: sessions=%d complete=%d elapsed=%v\n",
+			fmt.Fprintf(stdout, "wave %3d: sessions=%d complete=%d elapsed=%v\n",
 				wave, len(cfgs), tally.Completed-before, time.Since(waveStart).Round(time.Millisecond))
 		}
 
@@ -268,22 +278,22 @@ func run() int {
 		rep.StabilizeTime = &h
 	}
 
-	fmt.Printf("stpload: transport=%s proto=%s impair=%s waves=%d sessions=%d complete=%d violations=%d frames/s=%.0f rss=%dMB goroutines_peak=%d\n",
+	fmt.Fprintf(stdout, "stpload: transport=%s proto=%s impair=%s waves=%d sessions=%d complete=%d violations=%d frames/s=%.0f rss=%dMB goroutines_peak=%d\n",
 		rep.Transport, rep.Proto, rep.Impair, rep.Waves, rep.Sessions, rep.Completed, rep.Violations,
 		rep.FramesPerSec, rep.MaxRSSBytes>>20, rep.GoroutinesPeak)
 	// Cost per delivered item: CPU, and worker parks (precise: on a timerfd).
 	items := float64(max(rep.ItemsDelivered, 1))
-	fmt.Printf("stpload: per item cpu_us=%.2f parks precise=%.3f coarse=%.3f\n", float64(cpu.Microseconds())/items,
+	fmt.Fprintf(stdout, "stpload: per item cpu_us=%.2f parks precise=%.3f coarse=%.3f\n", float64(cpu.Microseconds())/items,
 		float64(snap.Counters[`wire_worker_parks_total{park="precise"}`])/items, float64(snap.Counters[`wire_worker_parks_total{park="coarse"}`])/items)
 	if supervised {
-		fmt.Printf("stpload: chaos preset=%s policy=%s incarnations=%d crashes=%d scrambled=%d watchdog=%d bad_writes=%d post_stab_violations=%d digest=%s\n",
+		fmt.Fprintf(stdout, "stpload: chaos preset=%s policy=%s incarnations=%d crashes=%d scrambled=%d watchdog=%d bad_writes=%d post_stab_violations=%d digest=%s\n",
 			rep.CrashPreset, rep.RestartPolicy, rep.Incarnations, rep.Crashes, rep.ScrambledRestarts,
 			rep.WatchdogEscalations, rep.BadWrites, rep.PostStabViolations, rep.CrashScheduleDigest)
 	}
 
 	if *reportTo != "" {
-		if err := cliutil.WriteJSON(*reportTo, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "stpload:", err)
+		if err := cliutil.WriteJSON(*reportTo, stdout, rep); err != nil {
+			fmt.Fprintln(stderr, "stpload:", err)
 			return 1
 		}
 	}
@@ -295,5 +305,5 @@ func run() int {
 	if rep.Violations > 0 || rep.PostStabViolations > 0 {
 		code = 1
 	}
-	return metrics.Finish("stpload", code, os.Stderr)
+	return metrics.Finish("stpload", code, stderr)
 }

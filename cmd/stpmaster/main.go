@@ -136,7 +136,7 @@ func run() int {
 		len(doc.Cells), doc.FailedCells, doc.TotalSessions, doc.TotalCompleted, doc.TotalViolations)
 
 	if *reportTo != "" {
-		if err := cliutil.WriteJSON(*reportTo, doc); err != nil {
+		if err := cliutil.WriteJSON(*reportTo, os.Stdout, doc); err != nil {
 			fmt.Fprintln(os.Stderr, "stpmaster:", err)
 			return 1
 		}

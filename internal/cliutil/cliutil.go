@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strconv"
@@ -69,14 +70,14 @@ func HostPort(name, v string) error {
 
 // WriteJSON writes v, indented, to path ("-" = stdout): the -report flag
 // of stpload and stpmaster.
-func WriteJSON(path string, v any) error {
+func WriteJSON(path string, stdout io.Writer, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
 	data = append(data, '\n')
 	if path == "-" {
-		_, err = os.Stdout.Write(data)
+		_, err = stdout.Write(data)
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)

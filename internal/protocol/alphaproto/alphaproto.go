@@ -74,7 +74,9 @@ func New(m int) (protocol.Spec, error) {
 			return &sender{t: t, input: input.Clone()}, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{t: t, seen: make([]bool, m)}, nil
+			// written holds at most m items (one per value), so Step's
+			// append never grows it.
+			return &receiver{t: t, seen: make([]bool, m), written: make(seq.Seq, 0, m)}, nil
 		},
 	}, nil
 }

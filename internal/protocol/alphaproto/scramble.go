@@ -29,7 +29,7 @@ func (r *receiver) Scramble(rng *rand.Rand) {
 		k = rng.Intn(m + 1)
 	}
 	r.seen = make([]bool, m)
-	r.written = r.written[:0]
+	r.written = make(seq.Seq, 0, m)
 	for _, v := range perm[:k] {
 		r.seen[v] = true
 		r.written = append(r.written, seq.Item(v))

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"seqtx/internal/channel"
@@ -140,4 +142,46 @@ func TestSessionEventsSteadyStateZeroAlloc(t *testing.T) {
 	}
 	stale := alphaproto.AckMsg(3)
 	assertZeroAlloc(t, "plain session service", func() { deliverAcks(w, s, stale) })
+}
+
+// TestServeAllocBudget pins a wave's allocation contract (DESIGN §11): one
+// Serve of 128 alpha(m = 8) sessions of 8 items over a bare Inproc, into
+// the nil sink, makes at most one allocation a session. The sessions come
+// from chunks and their tapes from one slab apiece, the wave shares one
+// completion callback, a report hands over the tapes it names, and the
+// nil sink formats no event field (ids start at 1001: past 99,
+// strconv.FormatUint allocates). The processes are built before the count
+// starts, and a one-session wave first pays the process's one-time costs
+// (the runtime's first timer, the buffer pools); the pool is pinned at two
+// workers so the count does not grow with the machine's CPUs.
+func TestServeAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	serve := func(cfgs []SessionConfig) []Report {
+		reports, err := Serve(context.Background(), ServeConfig{Transport: NewInproc(0, nil), Sessions: cfgs})
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+		return reports
+	}
+	serve(sessionConfigs(t, 1, 8, 8, DefaultTick))
+
+	const n = 128
+	cfgs := sessionConfigs(t, n, 8, 8, DefaultTick)
+	for i := range cfgs {
+		cfgs[i].ID = uint64(1001 + i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	reports := serve(cfgs)
+	runtime.ReadMemStats(&after)
+	for _, rep := range reports {
+		if !rep.Complete {
+			t.Fatalf("session %d incomplete: %d of %d items", rep.ID, len(rep.Output), len(rep.Input))
+		}
+	}
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("one Serve of %d sessions: %d allocations (%.2f a session)", n, allocs, float64(allocs)/n)
+	if allocs > n {
+		t.Errorf("one Serve of %d sessions made %d allocations, want at most %d (one a session)", n, allocs, n)
+	}
 }

@@ -130,7 +130,7 @@ func TestArrivalPushed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSession: %v", err)
 		}
-		mux.loop.start(context.Background(), sess, 0, func(Report) {})
+		mux.loop.start(context.Background(), sess, 0, func(*Session, Report) {})
 		// The worker's turn attaches the session, which sends its first data
 		// frame, and ships it: nothing else runs, yet the frame is published
 		// in the receiver inbox and the session is back on the ready queue.
@@ -184,7 +184,7 @@ func TestArrivalPushed(t *testing.T) {
 					t.Fatalf("NewSession: %v", err)
 				}
 				wg.Add(1)
-				mux.loop.start(context.Background(), sess, 0, func(rep Report) { reports[i] = rep; wg.Done() })
+				mux.loop.start(context.Background(), sess, 0, func(_ *Session, rep Report) { reports[i] = rep; wg.Done() })
 			}
 			wg.Wait()
 			if err := mux.Close(); err != nil {
@@ -218,7 +218,7 @@ func TestLoopPrecisePark(t *testing.T) {
 	}
 	// A start 200 µs away: the turn puts the session's one entry there.
 	const due = 200 * time.Microsecond
-	mux.loop.start(context.Background(), sess, due, func(Report) {})
+	mux.loop.start(context.Background(), sess, due, func(*Session, Report) {})
 	w.turn()
 	if len(w.timers) != 1 || len(w.ready) != 0 {
 		t.Fatalf("%d heap entries and %d ready sessions, want the one entry alone", len(w.timers), len(w.ready))

@@ -321,7 +321,7 @@ func BenchmarkSessionLifecycle(b *testing.B) {
 			b.Fatalf("NewSession: %v", err)
 		}
 		done := false
-		mux.loop.start(context.Background(), sess, 0, func(Report) { done = true })
+		mux.loop.start(context.Background(), sess, 0, func(*Session, Report) { done = true })
 		w.turn()
 		mux.loop.cancel(sess)
 		w.turn()
@@ -352,7 +352,7 @@ func BenchmarkWindowFill(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mux.loop.start(context.Background(), sess, 0, func(Report) {})
+	mux.loop.start(context.Background(), sess, 0, func(*Session, Report) {})
 	lw.turn() // attach: the first window goes out
 	acks := make([]msg.Msg, 2*w)
 	for n := range acks {

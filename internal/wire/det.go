@@ -102,7 +102,7 @@ func DetRun(cfg DetConfig) (DetResult, error) {
 	var res DetResult
 	s.script = &res.Script
 	done := false
-	m.loop.start(context.Background(), s, 0, func(rep Report) { res.Report, done = rep, true })
+	m.loop.start(context.Background(), s, 0, func(_ *Session, rep Report) { res.Report, done = rep, true })
 	w, rng := s.worker, rand.New(rand.NewSource(cfg.Seed))
 	for w.turn(); !done && res.Steps < cfg.MaxSteps; res.Steps++ {
 		// One choice in four is time, so the timer path runs on every seed

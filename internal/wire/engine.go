@@ -135,6 +135,7 @@ func newLoopWorker(e *loopEngine) *loopWorker {
 		batch:  make([]msg.Msg, 0, 64),
 		ready:  make([]*Session, 0, 256), // as its swap buffer: a wave readies together
 		swap:   make([]*Session, 0, 256),
+		timers: make(timerHeap, 0, 256), // a wave's sessions each hold an entry
 	}
 	w.out = chunkPool.Get().(*[2]outChunk)
 	return w
@@ -175,8 +176,9 @@ func (e *loopEngine) instant(now *int64) int64 {
 // — collapse into one instant on the engine timeline (arm), enforced by
 // the worker's timer heap: no context tower, no runtime timers. ctx
 // cancellation is the caller's to relay (cancel). onDone receives the
-// report on the worker goroutine as the session finishes.
-func (e *loopEngine) start(ctx context.Context, s *Session, delay time.Duration, onDone func(Report)) {
+// session and its report on the worker goroutine as the session
+// finishes; a wave shares one (Serve files the report by Session.index).
+func (e *loopEngine) start(ctx context.Context, s *Session, delay time.Duration, onDone func(*Session, Report)) {
 	s.startAt = e.now() + int64(delay)
 	s.ctxDeadline = noDeadline
 	if d, ok := ctx.Deadline(); ok {
@@ -662,7 +664,7 @@ func (w *loopWorker) finish(s *Session) {
 		rep.Chaos = c.conclude(s, now)
 	}
 	s.mux.noteSessionEnd(s, rep)
-	s.onDone(rep)
+	s.onDone(s, rep)
 }
 
 // shutdown finishes every session still owned by this worker — queued,

@@ -396,7 +396,7 @@ func TestTimerProgressInvariant(t *testing.T) {
 				t.Fatalf("NewSession: %v", err)
 			}
 			// Attached at instant 0; fire runs here, at the reading under test.
-			mux.loop.start(context.Background(), sess, 0, func(Report) {})
+			mux.loop.start(context.Background(), sess, 0, func(*Session, Report) {})
 			w.turn()
 			sess.tickNext, sess.deadlineAt = tc.tickNext, tc.deadline
 			fireAt(w, now)
@@ -623,7 +623,7 @@ func TestLoopFlatMemory(t *testing.T) {
 			t.Fatalf("NewSession: %v", err)
 		}
 		sessions[i] = sess
-		mux.loop.start(context.Background(), sess, 0, func(Report) { finished.Add(1) })
+		mux.loop.start(context.Background(), sess, 0, func(*Session, Report) { finished.Add(1) })
 	}
 	// Let the workers attach everything, then census.
 	time.Sleep(50 * time.Millisecond)
@@ -670,7 +670,7 @@ func TestInboxSizeAndDropAccounting(t *testing.T) {
 		t.Fatalf("InboxSize 1 bounds the inbox at %d on a %d-slot ring", q.limit, len(*q.ring.Load()))
 	}
 	var rep Report
-	mux.loop.start(context.Background(), sess, 0, func(r Report) { rep = r })
+	mux.loop.start(context.Background(), sess, 0, func(_ *Session, r Report) { rep = r })
 	// Flood the receiver inbox by hand, as one burst would arrive: no turn
 	// of the worker drains it, so everything past the first frame drops.
 	const flood = 64

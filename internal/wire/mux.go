@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 	"sync"
@@ -193,9 +192,11 @@ func newMux(tr Transport, cfg MuxConfig, manual bool) *Mux {
 }
 
 // sampled reports whether per-session lifecycle events should be
-// emitted for this session id (see MuxConfig.EventSampleEvery).
+// emitted for this session id (see MuxConfig.EventSampleEvery). Never
+// into the nil sink: the caller would format the event's fields (an
+// allocation for any id past 99) only for Emit to drop them.
 func (m *Mux) sampled(id uint64) bool {
-	return m.sampleEvery <= 1 || id%m.sampleEvery == 0
+	return m.met.reg != nil && (m.sampleEvery <= 1 || id%m.sampleEvery == 0)
 }
 
 // noteSessionStart folds a session start into the metrics and, when the
@@ -245,12 +246,15 @@ func (m *Mux) noteSessionEnd(s *Session, rep Report) {
 }
 
 // noteViolation records a prefix-safety violation. Violations are never
-// sampled away: each one is a counter increment and an event.
+// sampled away: each one is a counter increment and, under a live sink,
+// an event.
 func (m *Mux) noteViolation(s *Session) {
 	m.met.violations.Inc()
-	m.met.reg.Emit("wire.safety.violation",
-		"session", strconv.FormatUint(s.cfg.ID, 10),
-		"output", s.output.String())
+	if m.met.reg != nil {
+		m.met.reg.Emit("wire.safety.violation",
+			"session", strconv.FormatUint(s.cfg.ID, 10),
+			"output", s.output.String())
+	}
 }
 
 // register adds a session to the routing table: a slot store, which is
@@ -355,10 +359,8 @@ func (m *Mux) arrive(at End, blobs ...[]byte) {
 			q = &s.receiverInbox
 			ce = &s.rxCache[0]
 		}
-		var mg msg.Msg
-		if len(ce.raw) > 0 && bytes.Equal(ce.raw, v.Payload) {
-			mg = ce.mg
-		} else {
+		mg := ce.mg
+		if !ce.set || string(v.Payload) != string(mg) {
 			if alp.Size() > 0 {
 				var ok bool
 				if mg, ok = alp.Canonical(v.Payload); !ok {
@@ -368,8 +370,7 @@ func (m *Mux) arrive(at End, blobs ...[]byte) {
 			} else {
 				mg = msg.Msg(v.Payload) // copies: the payload is borrowed
 			}
-			ce.raw = append(ce.raw[:0], v.Payload...)
-			ce.mg = mg
+			ce.mg, ce.set = mg, true
 		}
 		switch q.stage(mg) {
 		case pushOK:

@@ -77,7 +77,7 @@ func detachedSession(t *testing.T, proto string, p registry.Params, x seq.Seq) (
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
-	mux.loop.start(context.Background(), sess, 0, func(Report) {})
+	mux.loop.start(context.Background(), sess, 0, func(*Session, Report) {})
 	return w, sess
 }
 
@@ -360,7 +360,7 @@ func TestProgressClockedStep(t *testing.T) {
 			t.Fatalf("NewSession: %v", err)
 		}
 		var rep *Report
-		mux.loop.start(context.Background(), sess, 0, func(r Report) { rep = &r })
+		mux.loop.start(context.Background(), sess, 0, func(_ *Session, r Report) { rep = &r })
 		twin := newBackoff(tick, 9, 0) // arm's draw, then the attach step's from the worker's timeout
 		twin.reset(rto)
 		twin.arm(0)
@@ -423,7 +423,7 @@ func TestServiceOneReading(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSession: %v", err)
 		}
-		mux.loop.start(context.Background(), sess, 0, func(Report) {})
+		mux.loop.start(context.Background(), sess, 0, func(*Session, Report) {})
 		w.turn() // attach: the fill
 		return w, sess
 	}

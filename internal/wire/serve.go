@@ -8,7 +8,13 @@ import (
 
 	"seqtx/internal/obs"
 	"seqtx/internal/protocol"
+	"seqtx/internal/seq"
 )
+
+// sessionChunk bounds the sessions Serve allocates at once: a Session is
+// 840 B, so a chunk is ≈ 215 KB, and a million-session wave makes ≈ 3 900
+// chunk allocations, not one 840 MB object.
+const sessionChunk = 256
 
 // ServeConfig describes a fleet of sessions over one transport.
 type ServeConfig struct {
@@ -63,15 +69,34 @@ func Serve(ctx context.Context, cfg ServeConfig) ([]Report, error) {
 	if cfg.Chaos != nil {
 		plan = &chaosPlan{*cfg.Chaos, cfg.Chaos.schedule(), cfg.Rebuild}
 	}
+	// A wave pays for its sessions per wave: the sessions come from
+	// chunks of at most sessionChunk, and their tapes are windows of one
+	// slab apiece, each capped at its session's length (an append past it
+	// reallocates; it never reaches a neighbour).
+	items := 0
+	for _, sc := range cfg.Sessions {
+		items += len(sc.Input)
+	}
+	outputs := make(seq.Seq, items)
+	learnTimes := make([]time.Duration, items)
 	sessions := make([]*Session, len(cfg.Sessions))
+	var chunk []Session
+	o := 0
 	for i, sc := range cfg.Sessions {
-		s, err := mux.NewSession(sc)
-		if err != nil {
+		if len(chunk) == 0 {
+			chunk = make([]Session, min(len(cfg.Sessions)-i, sessionChunk))
+		}
+		s := &chunk[0]
+		chunk = chunk[1:]
+		s.index = i
+		n := o + len(sc.Input)
+		if err := mux.initSession(s, sc, outputs[o:o:n], learnTimes[o:o:n]); err != nil {
 			mux.Close()
 			return nil, err
 		}
+		o = n
 		if plan != nil {
-			plan.supervise(s, i)
+			plan.supervise(s)
 			if sc.Seed == 0 {
 				s.cfg.Seed = s.sup.seed
 			}
@@ -81,13 +106,15 @@ func Serve(ctx context.Context, cfg ServeConfig) ([]Report, error) {
 	reports := make([]Report, len(sessions))
 	var wg sync.WaitGroup
 	wg.Add(len(sessions))
-	// Hand every session to the worker pool with a completion callback;
-	// ctx cancellation is relayed to the engine, not watched per session.
+	// Hand every session to the worker pool with the wave's one completion
+	// callback; ctx cancellation is relayed to the engine, not watched per
+	// session.
+	done := func(s *Session, rep Report) {
+		reports[s.index] = rep
+		wg.Done()
+	}
 	for i, s := range sessions {
-		mux.loop.start(ctx, s, time.Duration(i)*cfg.StartEvery, func(rep Report) {
-			reports[i] = rep
-			wg.Done()
-		})
+		mux.loop.start(ctx, s, time.Duration(i)*cfg.StartEvery, done)
 	}
 	stop := context.AfterFunc(ctx, func() {
 		for _, s := range sessions {

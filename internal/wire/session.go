@@ -67,11 +67,16 @@ type SessionConfig struct {
 	Half End
 }
 
-// Report is one session's outcome.
+// Report is one session's outcome. Input is the config's own tape
+// (SessionConfig.Input, not a copy). Output and LearnTimes are the
+// finished session's tapes, handed over uncopied; under Serve they are
+// windows of one slab a wave, each capped at its session's input length,
+// so an append to one report's tape reallocates and never reaches
+// another's.
 type Report struct {
 	// ID is the session id.
 	ID uint64
-	// Input is the tape X given to the sender.
+	// Input is the tape X given to the sender: SessionConfig.Input itself.
 	Input seq.Seq
 	// Output is the tape Y the receiver wrote.
 	Output seq.Seq
@@ -123,12 +128,14 @@ type Session struct {
 	// feeds the receiver inbox, 1 the sender inbox), each owned by the
 	// holder of that end's arrival lock. STP traffic is
 	// retransmission-heavy — the same data message or acknowledgement
-	// arrives many times in a row — so remembering the last payload's
-	// interned Msg turns the common repeat into a byte compare instead of
-	// an alphabet-map probe.
+	// arrives many times in a row — so remembering the last message turns
+	// the common repeat into a byte compare instead of an alphabet-map
+	// probe. The message is its own payload's bytes, so the entry keeps
+	// only it: interned from the alphabet, or the one copy of a payload
+	// outside any alphabet (Stenning's).
 	rxCache [2]struct {
-		raw []byte
 		mg  msg.Msg
+		set bool
 	}
 
 	// inboxDrops counts this session's inbox-full frame drops. Written
@@ -171,7 +178,11 @@ type Session struct {
 	tickNext    int64
 	attached    bool
 	finished    bool
-	onDone      func(Report)
+	onDone      func(*Session, Report)
+
+	// index is the session's position in ServeConfig.Sessions: its report
+	// slot and, under supervision, the restart constructor's argument.
+	index int
 
 	// sup is the crash-restart supervision of a session served under
 	// ServeConfig.Chaos (supervisor.go); nil for a plain one.
@@ -185,11 +196,24 @@ type Session struct {
 // NewSession registers a session on the mux. The session does not run
 // until Serve or Run hands it to the event loop.
 func (m *Mux) NewSession(cfg SessionConfig) (*Session, error) {
+	s := new(Session)
+	if err := m.initSession(s, cfg, make(seq.Seq, 0, len(cfg.Input)), make([]time.Duration, 0, len(cfg.Input))); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// initSession validates cfg, fills in the zero session s and registers
+// it: the one construction path of NewSession and Serve, which carves s
+// and its tapes from wave slabs. output and learnTimes are the empty
+// tapes the receiver's writes land in; an append past their capacity
+// reallocates, so a window's end is a wall, not a neighbour.
+func (m *Mux) initSession(s *Session, cfg SessionConfig, output seq.Seq, learnTimes []time.Duration) error {
 	if cfg.Sender == nil || cfg.Receiver == nil {
-		return nil, fmt.Errorf("wire: session %d missing processes", cfg.ID)
+		return fmt.Errorf("wire: session %d missing processes", cfg.ID)
 	}
 	if cfg.Half != 0 && cfg.Half != SenderEnd && cfg.Half != ReceiverEnd {
-		return nil, fmt.Errorf("wire: session %d bad half end %d", cfg.ID, int(cfg.Half))
+		return fmt.Errorf("wire: session %d bad half end %d", cfg.ID, int(cfg.Half))
 	}
 	if cfg.Tick <= 0 {
 		cfg.Tick = DefaultTick
@@ -200,22 +224,17 @@ func (m *Mux) NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.InboxSize <= 0 {
 		cfg.InboxSize = DefaultInboxSize
 	}
-	s := &Session{
-		cfg:              cfg,
-		mux:              m,
-		senderAlphabet:   cfg.Sender.Alphabet(),
-		receiverAlphabet: cfg.Receiver.Alphabet(),
-		output:           make(seq.Seq, 0, len(cfg.Input)),
-		learnTimes:       make([]time.Duration, 0, len(cfg.Input)),
-	}
+	s.cfg = cfg
+	s.mux = m
+	s.senderAlphabet = cfg.Sender.Alphabet()
+	s.receiverAlphabet = cfg.Receiver.Alphabet()
+	s.output = output
+	s.learnTimes = learnTimes
 	s.senderInbox.init(cfg.InboxSize)
 	s.receiverInbox.init(cfg.InboxSize)
 	s.senderInbox.owner = s
 	s.receiverInbox.owner = s
-	if err := m.register(s); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return m.register(s)
 }
 
 // runsSender / runsReceiver report which machines this process steps:
@@ -236,17 +255,19 @@ func (s *Session) senderFinished() bool {
 // must be called at most once.
 func (s *Session) Run(ctx context.Context) Report {
 	done := make(chan Report, 1)
-	s.mux.loop.start(ctx, s, 0, func(rep Report) { done <- rep })
+	s.mux.loop.start(ctx, s, 0, func(_ *Session, rep Report) { done <- rep })
 	defer context.AfterFunc(ctx, func() { s.mux.loop.cancel(s) })()
 	return <-done
 }
 
-// buildReport assembles the session's report from its outcome state.
+// buildReport assembles the session's report from its outcome state. It
+// hands the tapes over rather than copying them: the session is finished,
+// and nothing writes them again.
 func (s *Session) buildReport(elapsed time.Duration) Report {
 	rep := Report{
 		ID:              s.cfg.ID,
-		Input:           s.cfg.Input.Clone(),
-		Output:          s.output.Clone(),
+		Input:           s.cfg.Input,
+		Output:          s.output,
 		Complete:        s.complete,
 		SafetyViolation: s.violation,
 		Elapsed:         elapsed,

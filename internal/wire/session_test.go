@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -234,5 +235,46 @@ func TestPlainSessionDetectsViolation(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["wire_safety_violations_total"]; got != 1 {
 		t.Errorf("violations counter = %d, want 1", got)
+	}
+}
+
+// TestReportTapesIndependent pins what a report owns. Serve carves every
+// session's output and learn-time tapes from one slab apiece, each window
+// capped at its session's input length, and buildReport hands them over
+// uncopied. So a receiver that writes past its input reallocates its own
+// tape instead of writing into its neighbour's, and an append to one
+// report's tapes leaves the next report's alone. Report.Input is, by
+// contract, the config's own tape: the same backing array, not a copy.
+func TestReportTapesIndependent(t *testing.T) {
+	cfgs := sessionConfigs(t, 3, 8, 4, 200*time.Microsecond)
+	// Session 1 writes its whole input and then 7 in its first step: one
+	// item past its window, and not its neighbour's first item (2).
+	burst := append(cfgs[1].Input.Clone(), 7)
+	cfgs[1].Receiver = &rogueReceiver{cfgs[1].Receiver, burst}
+	reports, err := Serve(context.Background(), ServeConfig{Transport: NewInproc(0, nil), Sessions: cfgs})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if rep := reports[1]; rep.SafetyViolation == nil || !rep.Output.Equal(burst) || len(rep.LearnTimes) != len(burst) {
+		t.Fatalf("rogue session: violation %v, output %s, %d learn times; want a violation, %s, %d",
+			rep.SafetyViolation, rep.Output, len(rep.LearnTimes), burst, len(burst))
+	}
+	for _, i := range []int{0, 2} {
+		rep := reports[i]
+		if !rep.Complete || !rep.Output.Equal(cfgs[i].Input) || len(rep.LearnTimes) != len(cfgs[i].Input) {
+			t.Errorf("session %d beside the rogue: complete %v, output %s, %d learn times; want %s whole",
+				rep.ID, rep.Complete, rep.Output, len(rep.LearnTimes), cfgs[i].Input)
+		}
+		if &rep.Input[0] != &cfgs[i].Input[0] {
+			t.Errorf("session %d: Report.Input is a copy, want SessionConfig.Input itself", rep.ID)
+		}
+	}
+
+	out, learnt := reports[1].Output.Clone(), slices.Clone(reports[1].LearnTimes)
+	_ = append(reports[0].Output, 9)
+	_ = append(reports[0].LearnTimes, -1)
+	if !reports[1].Output.Equal(out) || !slices.Equal(reports[1].LearnTimes, learnt) {
+		t.Errorf("appending to report 0's tapes changed report 1's: output %s (was %s), learn times %v (were %v)",
+			reports[1].Output, out, reports[1].LearnTimes, learnt)
 	}
 }

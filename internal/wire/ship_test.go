@@ -111,7 +111,7 @@ func TestWorkerShipsItsBurst(t *testing.T) {
 	var twins []protocol.Sender
 	for id := uint64(1); id <= 3; id++ {
 		s := session(mux, id)
-		mux.loop.start(context.Background(), s, 0, func(Report) {})
+		mux.loop.start(context.Background(), s, 0, func(*Session, Report) {})
 		burst = append(burst, s)
 		twin, _, err := registry.Pair("selrepeat", params, x)
 		if err != nil {
@@ -180,7 +180,7 @@ func TestWorkerShipsItsBurst(t *testing.T) {
 	defer live.Close()
 	const n = 32
 	for id := uint64(100); id < 100+n; id++ {
-		live.loop.start(context.Background(), session(live, id), 0, func(Report) {})
+		live.loop.start(context.Background(), session(live, id), 0, func(*Session, Report) {})
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -234,7 +234,7 @@ func TestCloseShipsPendingFrames(t *testing.T) {
 		}
 	}
 	reported := make(chan Report, 1)
-	mux.loop.start(contextWithTimeout(t, 10*time.Second), sess, 0, func(rep Report) {
+	mux.loop.start(contextWithTimeout(t, 10*time.Second), sess, 0, func(_ *Session, rep Report) {
 		reported <- rep
 		select {
 		case <-rec.closing:

@@ -259,10 +259,9 @@ type chaosPlan struct {
 // supervision is a supervised session's chaos state. Like the rest of
 // the session's run state it is touched only by the pinned worker.
 type supervision struct {
-	plan  *chaosPlan
-	index int   // in ServeConfig.Sessions: the restart constructor's argument
-	seed  int64 // faults.SubSeed(chaos seed, session id): its scramble seeds' parent
-	next  int   // the schedule entry not yet fired
+	plan *chaosPlan
+	seed int64 // faults.SubSeed(chaos seed, session id): its scramble seeds' parent
+	next int   // the schedule entry not yet fired
 	// watchdog is the escalation interval, measured from progressAt, the
 	// instant of the latest write or restart.
 	watchdog   int64
@@ -272,14 +271,13 @@ type supervision struct {
 }
 
 // supervise puts a registered, not yet started session under the plan.
-func (p *chaosPlan) supervise(s *Session, index int) {
+func (p *chaosPlan) supervise(s *Session) {
 	watchdog := p.Watchdog
 	if watchdog <= 0 {
 		watchdog = 512 * s.cfg.Tick
 	}
 	s.sup = &supervision{
 		plan:     p,
-		index:    index,
 		seed:     faults.SubSeed(p.Seed, s.cfg.ID),
 		watchdog: int64(watchdog),
 		audit:    StabilizeAudit{input: s.cfg.Input, align: seq.Align{Aligned: true}},
@@ -314,7 +312,7 @@ func (c *supervision) wake(s *Session) int64 {
 // stays: it measures the worker's queue, not the incarnation.
 func (w *loopWorker) restart(s *Session, now int64) {
 	c := s.sup
-	ns, nr, err := c.plan.rebuild(c.index)
+	ns, nr, err := c.plan.rebuild(s.index)
 	if err != nil {
 		c.rep.Err = err
 		w.finish(s)

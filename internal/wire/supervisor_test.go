@@ -304,11 +304,12 @@ func serveLagged(t *testing.T, cfgs []SessionConfig, plan *chaosPlan, latency ti
 		if err != nil {
 			t.Fatalf("NewSession: %v", err)
 		}
-		plan.supervise(s, i)
+		s.index = i // Serve's report slot: the restart constructor's argument
+		plan.supervise(s)
 		if sc.Seed == 0 {
 			s.cfg.Seed = s.sup.seed
 		}
-		mux.loop.start(context.Background(), s, 0, func(rep Report) { reports[i] = rep; left-- })
+		mux.loop.start(context.Background(), s, 0, func(_ *Session, rep Report) { reports[i] = rep; left-- })
 	}
 	for w.turn(); left > 0; w.turn() {
 		next := int64(noDeadline)
@@ -344,8 +345,8 @@ func supervisedDetached(t *testing.T, chaos ChaosConfig, deadline time.Duration)
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
-	(&chaosPlan{chaos, chaos.schedule(), rebuild}).supervise(s, 0)
-	mux.loop.start(context.Background(), s, 0, func(Report) {})
+	(&chaosPlan{chaos, chaos.schedule(), rebuild}).supervise(s)
+	mux.loop.start(context.Background(), s, 0, func(*Session, Report) {})
 	w.turn()
 	return w, s
 }
@@ -441,7 +442,7 @@ func TestRestartInPlace(t *testing.T) {
 	t.Run("crash before deadline", func(t *testing.T) {
 		w, s := supervisedDetached(t, crashR, time.Duration(5*tick))
 		var rep Report
-		s.onDone = func(r Report) { rep = r }
+		s.onDone = func(_ *Session, r Report) { rep = r }
 		fireAt(w, 5*tick)
 		if s.finished || len(s.sup.rep.Incarnations) != 1 || s.sup.rep.Incarnations[0].Ended != "crash" {
 			t.Fatalf("finished=%v incarnations=%+v at a reading where crash and deadline are both due", s.finished, s.sup.rep.Incarnations)
