@@ -13,29 +13,36 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/big"
 	"os"
-	"strconv"
 	"strings"
 
 	"seqtx/internal/alpha"
+	"seqtx/internal/cliutil"
 	"seqtx/internal/seq"
 	"seqtx/internal/tablefmt"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run executes one stpbounds command line (args without the program
+// name) and returns its exit code: 1 on a failure, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("stpbounds", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		m      = flag.Int("m", 6, "sender alphabet size")
-		list   = flag.Bool("list", false, "enumerate all repetition-free sequences with ranks")
-		encode = flag.String("encode", "", "data sequences to encode, e.g. \"0,0;1;1,1\"")
+		m      = fs.Int("m", 6, "sender alphabet size")
+		list   = fs.Bool("list", false, "enumerate all repetition-free sequences with ranks")
+		encode = fs.String("encode", "", "data sequences to encode, e.g. \"0,0;1;1,1\"")
 	)
-	flag.Parse()
-	if *m < 0 {
-		fmt.Fprintln(os.Stderr, "stpbounds: m must be non-negative")
+	if code, done := cliutil.Parse(fs, args); done {
+		return code
+	}
+	if err := cliutil.NonNegative("m", *m); err != nil {
+		fmt.Fprintln(stderr, "stpbounds:", err)
 		return 2
 	}
 
@@ -44,18 +51,18 @@ func run() int {
 	for i := 0; i <= *m; i++ {
 		a, err := alpha.AlphaBig(i)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "stpbounds:", err)
+			fmt.Fprintln(stderr, "stpbounds:", err)
 			return 1
 		}
 		fact := new(big.Int).MulRange(1, int64(max(i, 1)))
 		bits := a.BitLen() - 1
 		tab.AddRow(fmt.Sprint(i), a.String(), fact.String(), fmt.Sprint(bits))
 	}
-	fmt.Println(tab)
+	fmt.Fprintln(stdout, tab)
 
 	if *list {
 		if *m > 5 {
-			fmt.Fprintln(os.Stderr, "stpbounds: -list limited to m <= 5")
+			fmt.Fprintln(stderr, "stpbounds: -list limited to m <= 5")
 			return 2
 		}
 		lt := tablefmt.New(fmt.Sprintf("the alpha(%d) repetition-free sequences, DFS order", *m),
@@ -63,23 +70,23 @@ func run() int {
 		for _, s := range seq.RepetitionFree(*m) {
 			r, err := alpha.Rank(*m, s)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "stpbounds:", err)
+				fmt.Fprintln(stderr, "stpbounds:", err)
 				return 1
 			}
 			lt.AddRow(fmt.Sprint(r), s.String())
 		}
-		fmt.Println(lt)
+		fmt.Fprintln(stdout, lt)
 	}
 
 	if *encode != "" {
 		set, err := parseSet(*encode)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "stpbounds:", err)
+			fmt.Fprintln(stderr, "stpbounds:", err)
 			return 2
 		}
 		enc, err := alpha.Encode(set, *m)
 		if err != nil {
-			fmt.Printf("set of %d sequences is NOT prefix-monotone encodable over %d messages:\n  %v\n",
+			fmt.Fprintf(stdout, "set of %d sequences is NOT prefix-monotone encodable over %d messages:\n  %v\n",
 				set.Size(), *m, err)
 			return 0
 		}
@@ -88,7 +95,7 @@ func run() int {
 		for _, s := range set.Seqs() {
 			code, cerr := enc.Code(s)
 			if cerr != nil {
-				fmt.Fprintln(os.Stderr, "stpbounds:", cerr)
+				fmt.Fprintln(stderr, "stpbounds:", cerr)
 				return 1
 			}
 			parts := make([]string, len(code))
@@ -97,24 +104,18 @@ func run() int {
 			}
 			et.AddRow(s.String(), strings.Join(parts, "·"))
 		}
-		fmt.Println(et)
+		fmt.Fprintln(stdout, et)
 	}
 	return 0
 }
 
+// parseSet parses a ';'-separated list of sequences ("0,0;1;1,1").
 func parseSet(arg string) (*seq.Set, error) {
 	var seqs []seq.Seq
 	for _, part := range strings.Split(arg, ";") {
-		part = strings.TrimSpace(part)
-		var s seq.Seq
-		if part != "" {
-			for _, f := range strings.Split(part, ",") {
-				v, err := strconv.Atoi(strings.TrimSpace(f))
-				if err != nil {
-					return nil, fmt.Errorf("stpbounds: bad item %q: %w", f, err)
-				}
-				s = append(s, seq.Item(v))
-			}
+		s, err := cliutil.ParseSeq(part)
+		if err != nil {
+			return nil, err
 		}
 		seqs = append(seqs, s)
 	}

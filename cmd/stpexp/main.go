@@ -13,29 +13,38 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
+	"seqtx/internal/cliutil"
 	"seqtx/internal/expt"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run executes one stpexp command line (args without the program name)
+// and returns its exit code: 1 when an experiment fails, 2 on a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("stpexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		id       = flag.String("t", "", "experiment id (T1..T10); empty = all")
-		list     = flag.Bool("list", false, "list the experiments and exit")
-		deep     = flag.Bool("deep", false, "run expensive variants")
-		markdown = flag.Bool("markdown", false, "emit markdown tables")
-		seed     = flag.Int64("seed", 1, "adversary seed")
+		id       = fs.String("t", "", "experiment id (T1..T10); empty = all")
+		list     = fs.Bool("list", false, "list the experiments and exit")
+		deep     = fs.Bool("deep", false, "run expensive variants")
+		markdown = fs.Bool("markdown", false, "emit markdown tables")
+		seed     = fs.Int64("seed", 1, "adversary seed")
 	)
-	flag.Parse()
+	if code, done := cliutil.Parse(fs, args); done {
+		return code
+	}
 
 	if *list {
 		for _, e := range expt.All() {
-			fmt.Printf("%-4s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)
 		}
 		return 0
 	}
@@ -45,7 +54,7 @@ func run() int {
 	if *id != "" {
 		e, err := expt.ByID(*id)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		experiments = []expt.Experiment{e}
@@ -54,20 +63,20 @@ func run() int {
 		start := time.Now()
 		tables, err := e.Run(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
+			fmt.Fprintf(stderr, "%s failed: %v\n", e.ID, err)
 			return 1
 		}
 		if *markdown {
-			fmt.Printf("### %s — %s\n\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "### %s — %s\n\n", e.ID, e.Title)
 			for _, t := range tables {
-				fmt.Println(t.Markdown())
+				fmt.Fprintln(stdout, t.Markdown())
 			}
-			fmt.Printf("*(generated in %v)*\n\n", time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stdout, "*(generated in %v)*\n\n", time.Since(start).Round(time.Millisecond))
 			continue
 		}
-		fmt.Printf("=== %s — %s (%v)\n\n", e.ID, e.Title, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "=== %s — %s (%v)\n\n", e.ID, e.Title, time.Since(start).Round(time.Millisecond))
 		for _, t := range tables {
-			fmt.Println(t.String())
+			fmt.Fprintln(stdout, t.String())
 		}
 	}
 	return 0

@@ -20,23 +20,27 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"seqtx/internal/chanmodel"
+	"seqtx/internal/cliutil"
 	"seqtx/internal/frontier"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	fs := flag.NewFlagSet("stpfrontier", flag.ExitOnError)
+// run executes one stpfrontier command line (args without the program
+// name) and returns its exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("stpfrontier", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		protos   = fs.String("protos", strings.Join(frontier.FrontierProtocols(), ","), "comma-separated protocols (must be in the verified-safe table)")
 		models   = fs.String("models", "default", "comma-separated channel-model specs ("+chanmodel.SpecSyntax+"; commas inside parentheses do not split), or \"default\" for the standard 4×4 grid")
@@ -48,14 +52,16 @@ func run() int {
 		timeout  = fs.Int("timeout", 0, "hybrid timeout (ticks; 0 = protocol default)")
 		seed     = fs.Int64("seed", 1, "base seed (cell c trial i derives from seed+c*10007+i)")
 		par      = fs.Int("par", 0, "trial parallelism per cell (0 = GOMAXPROCS)")
-		reportTo = fs.String("report", "BENCH_frontier.json", "write the bench document to this file (\"-\" = stdout, \"\" = skip)")
+		reportTo = fs.String("report", "", "write the bench document to this file (\"-\" = stdout, \"\" = skip)")
 		mdTo     = fs.String("markdown", "", "write the frontier tables as markdown to this file (\"-\" = stdout, \"\" = skip)")
 		verbose  = fs.Bool("v", false, "log per-cell progress")
 	)
-	fs.Parse(os.Args[1:])
+	if code, done := cliutil.Parse(fs, args); done {
+		return code
+	}
 
 	cfg := frontier.Config{
-		Protos:      splitList(*protos),
+		Protos:      cliutil.SplitList(*protos),
 		Ms:          nil,
 		Items:       *items,
 		Trials:      *trials,
@@ -65,88 +71,50 @@ func run() int {
 		Parallelism: *par,
 	}
 	var err error
-	if cfg.Ms, err = parseInts(*ms); err != nil {
-		fmt.Fprintf(os.Stderr, "stpfrontier: -m: %v\n", err)
+	if cfg.Ms, err = cliutil.ParseList(*ms, strconv.Atoi); err != nil {
+		fmt.Fprintf(stderr, "stpfrontier: -m: %v\n", err)
 		return 2
 	}
-	if cfg.Windows, err = parseInts(*windows); err != nil {
-		fmt.Fprintf(os.Stderr, "stpfrontier: -windows: %v\n", err)
+	if cfg.Windows, err = cliutil.ParseList(*windows, strconv.Atoi); err != nil {
+		fmt.Fprintf(stderr, "stpfrontier: -windows: %v\n", err)
 		return 2
 	}
 	if *models != "default" {
 		if cfg.Models, err = chanmodel.ParseList(*models); err != nil {
-			fmt.Fprintln(os.Stderr, "stpfrontier:", err)
+			fmt.Fprintln(stderr, "stpfrontier:", err)
 			return 2
 		}
 	}
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "stpfrontier: "+format+"\n", args...)
+			fmt.Fprintf(stderr, "stpfrontier: "+format+"\n", args...)
 		}
 	}
 
 	doc, err := frontier.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpfrontier:", err)
+		fmt.Fprintln(stderr, "stpfrontier:", err)
 		return 2
 	}
 
-	fmt.Printf("stpfrontier: %d cells (%d skipped as unsafe pairings), %d trials each, violations %d\n",
+	fmt.Fprintf(stdout, "stpfrontier: %d cells (%d skipped as unsafe pairings), %d trials each, violations %d\n",
 		doc.TotalCells, len(doc.Skipped), doc.Trials, doc.TotalViolations)
 
 	if *reportTo != "" {
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stpfrontier:", err)
-			return 1
-		}
-		if err := writeOut(*reportTo, append(data, '\n')); err != nil {
-			fmt.Fprintln(os.Stderr, "stpfrontier:", err)
+		if err := cliutil.WriteJSON(*reportTo, stdout, doc); err != nil {
+			fmt.Fprintln(stderr, "stpfrontier:", err)
 			return 1
 		}
 	}
 	if *mdTo != "" {
-		if err := writeOut(*mdTo, []byte(doc.Markdown())); err != nil {
-			fmt.Fprintln(os.Stderr, "stpfrontier:", err)
+		if err := cliutil.WriteFile(*mdTo, stdout, []byte(doc.Markdown())); err != nil {
+			fmt.Fprintln(stderr, "stpfrontier:", err)
 			return 1
 		}
 	}
 	if doc.TotalViolations > 0 {
-		fmt.Fprintf(os.Stderr, "stpfrontier: FAIL: %d prefix-safety violations\n", doc.TotalViolations)
+		fmt.Fprintf(stderr, "stpfrontier: FAIL: %d prefix-safety violations\n", doc.TotalViolations)
 		return 1
 	}
 	return 0
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range splitList(s) {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q: %w", f, err)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty axis")
-	}
-	return out, nil
-}
-
-func writeOut(path string, data []byte) error {
-	if path == "-" {
-		_, err := os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }

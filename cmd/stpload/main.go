@@ -12,8 +12,9 @@
 // the preset's scheduled ticks and restarted with amnesia or into
 // seeded-arbitrary scrambled state, and the report gains the chaos block
 // (incarnations, stabilization times, post-stabilization violations, and
-// the replayable crash-schedule digest). Under chaos the exit contract
-// extends: any bad write outside a recovery window fails the run.
+// the digest of the crash schedule the run realized). Under chaos the
+// exit contract extends: any bad write outside a recovery window fails
+// the run.
 //
 // Usage:
 //
@@ -72,8 +73,9 @@ type report struct {
 	WatchdogEscalations int    `json:"watchdog_escalations"`
 	BadWrites           int    `json:"bad_writes"`
 	PostStabViolations  int    `json:"post_stab_violations"`
-	// CrashScheduleDigest folds every session's realized-schedule digest:
-	// equal seeds and configs reproduce it exactly (the replay contract).
+	// CrashScheduleDigest folds every session's realized-schedule digest.
+	// It fingerprints this run's schedule, which depends on timing: equal
+	// seeds and configs need not reproduce it.
 	CrashScheduleDigest string `json:"crash_schedule_digest,omitempty"`
 
 	FramesTx     int64   `json:"frames_tx"`
@@ -120,14 +122,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		dataHost = fs.String("data-host", "", "host/IP the data-plane UDP sockets bind on (default 127.0.0.1; on a real fleet, the interface the peer can reach)")
 	)
 	metrics.AddFlags(fs)
-	if err := fs.Parse(args); err == flag.ErrHelp {
-		return 0
-	} else if err != nil {
-		return 2
+	if code, done := cliutil.Parse(fs, args); done {
+		return code
 	}
 
 	if *master != "" {
-		return cluster.NodeMain("stpload", cluster.RoleClient, *master, *nodeName, *dataHost, *verbose)
+		return cluster.NodeMain("stpload", cluster.RoleClient, *master, *nodeName, *dataHost, *verbose, stdout, stderr)
 	}
 
 	err := spec.Validate()
@@ -305,5 +305,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if rep.Violations > 0 || rep.PostStabViolations > 0 {
 		code = 1
 	}
-	return metrics.Finish("stpload", code, stderr)
+	return metrics.Finish("stpload", code, stdout, stderr)
 }

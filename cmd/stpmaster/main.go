@@ -27,6 +27,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -41,17 +42,19 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run executes one stpmaster command line (args without the program
+// name) and returns its exit code.
+func run(args []string, stdout, stderr io.Writer) int {
 	// "sweep" is the (only) subcommand; accept and shift it so the
 	// documented invocation works, but don't require it.
-	args := os.Args[1:]
 	if len(args) > 0 && args[0] == "sweep" {
 		args = args[1:]
 	}
-	fs := flag.NewFlagSet("stpmaster", flag.ExitOnError)
+	fs := flag.NewFlagSet("stpmaster", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	sweep := cluster.SweepConfig{Spec: fleet.Default()}
 	sweep.AddParamFlags(fs)
 	var (
@@ -64,10 +67,12 @@ func run() int {
 		chaos    = fs.String("crash-presets", "none", "comma-separated crash-restart preset axis (process-fault presets from "+strings.Join(faults.PresetNames(), "|")+"); cells run supervised, each node crashing its own half")
 		cellTO   = fs.Duration("cell-timeout", 0, "per-cell node timeout: a node that misses it fails only that cell (its pair is dropped, the sweep continues); 0 = any node failure aborts the sweep")
 		assemble = fs.Duration("assemble-timeout", 60*time.Second, "how long to wait for the fleet to connect")
-		reportTo = fs.String("report", "BENCH_cluster.json", "write the bench document to this file (\"-\" = stdout)")
+		reportTo = fs.String("report", "", "write the bench document to this file (\"-\" = stdout, \"\" = skip)")
 		verbose  = fs.Bool("v", false, "log fleet assembly and per-cell progress")
 	)
-	fs.Parse(args)
+	if code, done := cliutil.Parse(fs, args); done {
+		return code
+	}
 
 	for _, check := range []error{
 		cliutil.HostPort("listen", *listen),
@@ -75,22 +80,22 @@ func run() int {
 		cliutil.Positive("clients", *clients),
 	} {
 		if check != nil {
-			fmt.Fprintln(os.Stderr, "stpmaster:", check)
+			fmt.Fprintln(stderr, "stpmaster:", check)
 			return 2
 		}
 	}
 	var err error
-	if sweep.Sessions, err = parseAxis(*sessions, strconv.Atoi); err != nil {
-		fmt.Fprintf(os.Stderr, "stpmaster: -sessions: %v\n", err)
+	if sweep.Sessions, err = cliutil.ParseList(*sessions, strconv.Atoi); err != nil {
+		fmt.Fprintf(stderr, "stpmaster: -sessions: %v\n", err)
 		return 2
 	}
-	if sweep.Rates, err = parseAxis(*rates, func(f string) (float64, error) { return strconv.ParseFloat(f, 64) }); err != nil {
-		fmt.Fprintf(os.Stderr, "stpmaster: -rates: %v\n", err)
+	if sweep.Rates, err = cliutil.ParseList(*rates, func(f string) (float64, error) { return strconv.ParseFloat(f, 64) }); err != nil {
+		fmt.Fprintf(stderr, "stpmaster: -rates: %v\n", err)
 		return 2
 	}
 	// Depth-aware split: model specs like k-del(k=2,n=16) carry commas.
 	sweep.Impairs = chanmodel.SplitSpecs(*impairs)
-	sweep.CrashPresets = splitList(*chaos)
+	sweep.CrashPresets = cliutil.SplitList(*chaos)
 
 	// NewMaster validates every cell of the grid (fleet.Spec.Validate).
 	cfg := cluster.MasterConfig{
@@ -103,41 +108,41 @@ func run() int {
 	}
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "stpmaster: "+format+"\n", args...)
+			fmt.Fprintf(stderr, "stpmaster: "+format+"\n", args...)
 		}
 	}
 	master, err := cluster.NewMaster(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpmaster:", err)
+		fmt.Fprintln(stderr, "stpmaster:", err)
 		return 2
 	}
-	fmt.Printf("stpmaster: control plane on %s, waiting for %d servers + %d clients\n",
+	fmt.Fprintf(stdout, "stpmaster: control plane on %s, waiting for %d servers + %d clients\n",
 		master.Addr(), *servers, *clients)
 
 	doc, err := master.Run(context.Background())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpmaster:", err)
+		fmt.Fprintln(stderr, "stpmaster:", err)
 		return 1
 	}
 
 	for _, cell := range doc.Cells {
-		fmt.Printf("stpmaster: cell %v: complete=%d/%d violations=%d p50=%.1fms p99=%.1fms throughput=%.1f items/s foreign=%d\n",
+		fmt.Fprintf(stdout, "stpmaster: cell %v: complete=%d/%d violations=%d p50=%.1fms p99=%.1fms throughput=%.1f items/s foreign=%d\n",
 			cell.Cell, cell.Completed, cell.Sessions, cell.Violations,
 			cell.Latency.P50, cell.Latency.P99, cell.ThroughputItemsPerSec, cell.ForeignDrops)
 		if cell.Cell.Chaos != "" {
-			fmt.Printf("stpmaster:   chaos: incarnations=%d bad-writes=%d post-stab-violations=%d watchdogs=%d\n",
+			fmt.Fprintf(stdout, "stpmaster:   chaos: incarnations=%d bad-writes=%d post-stab-violations=%d watchdogs=%d\n",
 				cell.Incarnations, cell.BadWrites, cell.PostStabViolations, cell.WatchdogEscalations)
 		}
 		if cell.Err != "" {
-			fmt.Printf("stpmaster:   cell failed: %s\n", cell.Err)
+			fmt.Fprintf(stdout, "stpmaster:   cell failed: %s\n", cell.Err)
 		}
 	}
-	fmt.Printf("stpmaster: sweep done: cells=%d (%d failed) sessions=%d complete=%d safety violations %d\n",
+	fmt.Fprintf(stdout, "stpmaster: sweep done: cells=%d (%d failed) sessions=%d complete=%d safety violations %d\n",
 		len(doc.Cells), doc.FailedCells, doc.TotalSessions, doc.TotalCompleted, doc.TotalViolations)
 
 	if *reportTo != "" {
-		if err := cliutil.WriteJSON(*reportTo, os.Stdout, doc); err != nil {
-			fmt.Fprintln(os.Stderr, "stpmaster:", err)
+		if err := cliutil.WriteJSON(*reportTo, stdout, doc); err != nil {
+			fmt.Fprintln(stderr, "stpmaster:", err)
 			return 1
 		}
 	}
@@ -145,31 +150,4 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// splitList splits a comma-separated flag, trimming blanks.
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// parseAxis parses a comma-separated axis flag with parse.
-func parseAxis[T any](s string, parse func(string) (T, error)) ([]T, error) {
-	var out []T
-	for _, f := range splitList(s) {
-		v, err := parse(f)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q: %w", f, err)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty axis")
-	}
-	return out, nil
 }

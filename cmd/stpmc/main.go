@@ -63,10 +63,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 1, "root-corruption seed (stabilize)")
 	)
 	metricsFlags.AddFlags(fs)
-	if err := fs.Parse(args[1:]); err == flag.ErrHelp {
-		return 0
-	} else if err != nil {
-		return 2
+	if code, done := cliutil.Parse(fs, args[1:]); done {
+		return code
 	}
 	for _, check := range []error{
 		cliutil.NonNegative("m", *m),
@@ -86,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// emitMetrics writes the snapshot (no-op without -metrics) and turns a
 	// write failure into a usage-style exit without masking the verdict.
 	emitMetrics := func(code int) int {
-		return metricsFlags.Finish("stpmc", code, stderr)
+		return metricsFlags.Finish("stpmc", code, stdout, stderr)
 	}
 	spec, err := registry.Protocol(*proto, registry.Params{M: *m, Timeout: *timeout, Window: *window, Cap: *capBound})
 	if err != nil {

@@ -30,6 +30,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -41,29 +42,35 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run executes one stpserve command line (args without the program name)
+// and returns its exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("stpserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var metrics cliutil.Metrics
 	spec := fleet.Default()
-	spec.AddFlags(flag.CommandLine)
+	spec.AddFlags(fs)
 	var (
-		transport = flag.String("transport", "inproc", "transport: inproc|udp|det")
-		evSample  = flag.Uint64("event-sample", 1, "emit lifecycle events for every Nth session id (1 = every session)")
-		duration  = flag.Duration("duration", 0, "overall wall-clock cap (0 = until sessions settle)")
-		require   = flag.Bool("require-complete", false, "also fail if any session did not finish its tape")
-		verbose   = flag.Bool("v", false, "print one line per session")
+		transport = fs.String("transport", "inproc", "transport: inproc|udp|det")
+		evSample  = fs.Uint64("event-sample", 1, "emit lifecycle events for every Nth session id (1 = every session)")
+		duration  = fs.Duration("duration", 0, "overall wall-clock cap (0 = until sessions settle)")
+		require   = fs.Bool("require-complete", false, "also fail if any session did not finish its tape")
+		verbose   = fs.Bool("v", false, "print one line per session")
 
-		master   = flag.String("master", "", "join a cluster as a server node: stpmaster control address (host:port); session flags then come from the assignment")
-		nodeName = flag.String("node-name", "", "cluster node name (default srv-<pid>)")
-		dataHost = flag.String("data-host", "", "host/IP the data-plane UDP sockets bind on (default 127.0.0.1; on a real fleet, the interface the peer can reach)")
+		master   = fs.String("master", "", "join a cluster as a server node: stpmaster control address (host:port); session flags then come from the assignment")
+		nodeName = fs.String("node-name", "", "cluster node name (default srv-<pid>)")
+		dataHost = fs.String("data-host", "", "host/IP the data-plane UDP sockets bind on (default 127.0.0.1; on a real fleet, the interface the peer can reach)")
 	)
-	metrics.AddFlags(flag.CommandLine)
-	flag.Parse()
+	metrics.AddFlags(fs)
+	if code, done := cliutil.Parse(fs, args); done {
+		return code
+	}
 
 	if *master != "" {
-		return cluster.NodeMain("stpserve", cluster.RoleServer, *master, *nodeName, *dataHost, *verbose)
+		return cluster.NodeMain("stpserve", cluster.RoleServer, *master, *nodeName, *dataHost, *verbose, stdout, stderr)
 	}
 
 	err := spec.Validate()
@@ -81,30 +88,37 @@ func run() int {
 		cfgs, err = spec.Build(0, spec.WaveBase(0))
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpserve:", err)
+		fmt.Fprintln(stderr, "stpserve:", err)
 		return 2
 	}
 
+	out := output{stdout, stderr, *verbose}
 	var code int
 	if *transport == "det" {
-		code = runDet(&spec, cfgs, *verbose)
+		code = out.runDet(&spec, cfgs)
 	} else {
-		code = runLive(&spec, *transport, wire.ServeConfig{
+		code = out.runLive(&spec, *transport, wire.ServeConfig{
 			Sessions: cfgs, Obs: metrics.Registry(), EventSampleEvery: *evSample,
-		}, *duration, *require, *verbose)
+		}, *duration, *require)
 	}
-	return metrics.Finish("stpserve", code, os.Stderr)
+	return metrics.Finish("stpserve", code, stdout, stderr)
+}
+
+// output is where a run reports, and whether one line a session (-v).
+type output struct {
+	stdout, stderr io.Writer
+	verbose        bool
 }
 
 // runLive drives the sessions over a real transport; with a chaos preset
 // they run supervised, crash-restarted per its schedule, and the failure
 // signal is a bad write outside every recovery window.
-func runLive(spec *fleet.Spec, transport string, cfg wire.ServeConfig,
-	duration time.Duration, require, verbose bool) int {
+func (o output) runLive(spec *fleet.Spec, transport string, cfg wire.ServeConfig,
+	duration time.Duration, require bool) int {
 
 	var err error
 	if cfg.Transport, err = spec.Transport(transport, cfg.Obs); err != nil {
-		fmt.Fprintln(os.Stderr, "stpserve:", err)
+		fmt.Fprintln(o.stderr, "stpserve:", err)
 		return 1
 	}
 	name := cfg.Transport.Name()
@@ -117,28 +131,28 @@ func runLive(spec *fleet.Spec, transport string, cfg wire.ServeConfig,
 	var t fleet.Tally
 	out, err := spec.Serve(ctx, cfg, spec.Seed, &t)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpserve:", err)
+		fmt.Fprintln(o.stderr, "stpserve:", err)
 		return 1
 	}
 	for _, v := range out.Violations() {
-		fmt.Fprintln(os.Stderr, "stpserve:", v)
+		fmt.Fprintln(o.stderr, "stpserve:", v)
 	}
-	if verbose {
-		printSessions(out)
+	if o.verbose {
+		o.printSessions(out)
 	}
 	if spec.Supervised() {
 		policy, _ := wire.ParseRestartPolicy(spec.RestartPolicy)
-		fmt.Printf("stpserve: transport=%s proto=%s chaos=%s policy=%s sessions=%d complete=%d incarnations=%d crashes=%d post-stabilization violations %d\n",
+		fmt.Fprintf(o.stdout, "stpserve: transport=%s proto=%s chaos=%s policy=%s sessions=%d complete=%d incarnations=%d crashes=%d post-stabilization violations %d\n",
 			name, spec.Proto, spec.Chaos, policy, t.Sessions, t.Completed, t.Incarnations, t.Crashes, t.PostStabViolations)
 	} else {
-		fmt.Printf("stpserve: transport=%s proto=%s sessions=%d complete=%d safety violations %d\n",
+		fmt.Fprintf(o.stdout, "stpserve: transport=%s proto=%s sessions=%d complete=%d safety violations %d\n",
 			name, spec.Proto, t.Sessions, t.Completed, t.Violations)
 	}
 	if t.Violations > 0 || t.PostStabViolations > 0 {
 		return 1
 	}
 	if require && t.Completed != t.Sessions {
-		fmt.Fprintf(os.Stderr, "stpserve: -require-complete: %d of %d sessions incomplete\n",
+		fmt.Fprintf(o.stderr, "stpserve: -require-complete: %d of %d sessions incomplete\n",
 			t.Sessions-t.Completed, t.Sessions)
 		return 1
 	}
@@ -146,12 +160,14 @@ func runLive(spec *fleet.Spec, transport string, cfg wire.ServeConfig,
 }
 
 // printSessions is -v: one line per session, chaos outcomes (incarnations,
-// bad writes, the replayable schedule digest) for a supervised fleet.
-func printSessions(out fleet.Reports) {
+// bad writes, the digest of the crash schedule the session realized, which
+// depends on timing: only a manual-engine run reproduces it) for a
+// supervised fleet.
+func (o output) printSessions(out fleet.Reports) {
 	for _, rep := range out {
 		c := rep.Chaos
 		if c == nil {
-			fmt.Printf("session %3d: complete=%-5v items=%d/%d frames=%d acks=%d retransmits=%d elapsed=%v goodput=%.1f items/s\n",
+			fmt.Fprintf(o.stdout, "session %3d: complete=%-5v items=%d/%d frames=%d acks=%d retransmits=%d elapsed=%v goodput=%.1f items/s\n",
 				rep.ID, rep.Complete, len(rep.Output), len(rep.Input),
 				rep.FramesTx, rep.AcksTx, rep.Retransmits,
 				rep.Elapsed.Round(time.Millisecond), rep.GoodputItemsPerSec)
@@ -161,7 +177,7 @@ func printSessions(out fleet.Reports) {
 		for _, t := range c.StabilizeTimes {
 			worst = max(worst, t)
 		}
-		fmt.Printf("session %3d: complete=%-5v incarnations=%d crashes+watchdogs=%d bad_writes=%d post_stab=%d worst_stabilize=%v digest=%016x\n",
+		fmt.Fprintf(o.stdout, "session %3d: complete=%-5v incarnations=%d crashes+watchdogs=%d bad_writes=%d post_stab=%d worst_stabilize=%v digest=%016x\n",
 			rep.ID, rep.Complete, len(c.Incarnations),
 			len(c.Incarnations)-1, c.BadWrites, c.PostStabViolations,
 			worst.Round(time.Millisecond), c.CrashScheduleDigest)
@@ -173,11 +189,11 @@ func printSessions(out fleet.Reports) {
 // flags name — and cross-checks each recorded schedule with
 // DetResult.Accept: it must be a run of the model on a dup link that
 // reaches the wire's verdict and tape.
-func runDet(spec *fleet.Spec, cfgs []wire.SessionConfig, verbose bool) int {
+func (o output) runDet(spec *fleet.Spec, cfgs []wire.SessionConfig) int {
 	opts, _ := spec.Impairment() // resolved once already, by Validate
 	pspec, err := registry.Protocol(spec.Proto, spec.Params())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "stpserve:", err)
+		fmt.Fprintln(o.stderr, "stpserve:", err)
 		return 2
 	}
 	violations, mismatches := 0, 0
@@ -191,23 +207,23 @@ func runDet(spec *fleet.Spec, cfgs []wire.SessionConfig, verbose bool) int {
 			SessionID: c.ID,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "stpserve:", err)
+			fmt.Fprintln(o.stderr, "stpserve:", err)
 			return 1
 		}
 		if res.SafetyViolation != nil {
 			violations++
-			fmt.Fprintln(os.Stderr, "stpserve:", res.SafetyViolation)
+			fmt.Fprintln(o.stderr, "stpserve:", res.SafetyViolation)
 		}
 		if err = res.Accept(pspec); err != nil {
 			mismatches++
-			fmt.Fprintf(os.Stderr, "stpserve: session %d: %v\n", c.ID, err)
+			fmt.Fprintf(o.stderr, "stpserve: session %d: %v\n", c.ID, err)
 		}
-		if verbose {
-			fmt.Printf("session %3d: complete=%-5v steps=%d frames=%d acks=%d retransmits=%d sim-match=%v\n",
+		if o.verbose {
+			fmt.Fprintf(o.stdout, "session %3d: complete=%-5v steps=%d frames=%d acks=%d retransmits=%d sim-match=%v\n",
 				c.ID, res.Complete, res.Steps, res.FramesTx, res.AcksTx, res.Retransmits, err == nil)
 		}
 	}
-	fmt.Printf("stpserve: transport=det proto=%s sessions=%d sim-mismatches=%d safety violations %d\n",
+	fmt.Fprintf(o.stdout, "stpserve: transport=det proto=%s sessions=%d sim-mismatches=%d safety violations %d\n",
 		spec.Proto, len(cfgs), mismatches, violations)
 	if violations > 0 || mismatches > 0 {
 		return 1

@@ -50,10 +50,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		replay    = fs.String("replay", "", "JSON witness file (from stpmc -o or a soak counterexample): play exactly its schedule; the flags must build the protocol it names")
 	)
 	metrics.AddFlags(fs)
-	if err := fs.Parse(args); err == flag.ErrHelp {
-		return 0
-	} else if err != nil {
-		return 2
+	if code, done := cliutil.Parse(fs, args); done {
+		return code
 	}
 
 	for _, check := range []error{
@@ -139,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "stpsim:", err)
 		return 1
 	}
-	if code := metrics.Finish("stpsim", 0, stderr); code != 0 {
+	if code := metrics.Finish("stpsim", 0, stdout, stderr); code != 0 {
 		return code
 	}
 	if *showTrace {

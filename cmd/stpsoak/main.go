@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -27,27 +28,33 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run executes one stpsoak command line (args without the program name)
+// and returns its exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("stpsoak", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var metrics cliutil.Metrics
 	var (
-		campaign  = flag.String("campaign", "standard", "campaign: standard|smoke")
-		seed      = flag.Int64("seed", 1, "base seed (run r of a cell uses seed+r)")
-		runs      = flag.Int("runs", 1, "seeded runs per matrix cell")
-		maxSteps  = flag.Int("max-steps", 0, "per-run step bound (0 = campaign default)")
-		deadline  = flag.Int("deadline", 0, "progress-watchdog deadline in steps (0 = default)")
-		wallClock = flag.Duration("run-timeout", 0, "per-run wall-clock budget (0 = default)")
-		budget    = flag.Duration("budget", 0, "whole-campaign wall-clock budget: cases not started in time are dropped (0 = unlimited)")
-		workers   = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		noShrink  = flag.Bool("no-shrink", false, "skip counterexample minimization")
-		out       = flag.String("o", "", "write the JSON report to this file (default stdout)")
-		quiet     = flag.Bool("q", false, "suppress the human summary on stderr")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the campaign's duration")
+		campaign  = fs.String("campaign", "standard", "campaign: standard|smoke")
+		seed      = fs.Int64("seed", 1, "base seed (run r of a cell uses seed+r)")
+		runs      = fs.Int("runs", 1, "seeded runs per matrix cell")
+		maxSteps  = fs.Int("max-steps", 0, "per-run step bound (0 = campaign default)")
+		deadline  = fs.Int("deadline", 0, "progress-watchdog deadline in steps (0 = default)")
+		wallClock = fs.Duration("run-timeout", 0, "per-run wall-clock budget (0 = default)")
+		budget    = fs.Duration("budget", 0, "whole-campaign wall-clock budget: cases not started in time are dropped (0 = unlimited)")
+		workers   = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		noShrink  = fs.Bool("no-shrink", false, "skip counterexample minimization")
+		out       = fs.String("o", "-", "write the JSON report to this file (- = stdout)")
+		quiet     = fs.Bool("q", false, "suppress the human summary on stderr")
+		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the campaign's duration")
 	)
-	metrics.AddFlags(flag.CommandLine)
-	flag.Parse()
+	metrics.AddFlags(fs)
+	if code, done := cliutil.Parse(fs, args); done {
+		return code
+	}
 
 	for _, check := range []error{
 		cliutil.Positive("runs", *runs),
@@ -56,7 +63,7 @@ func run() int {
 		cliutil.NonNegative("workers", *workers),
 	} {
 		if check != nil {
-			fmt.Fprintln(os.Stderr, "stpsoak:", check)
+			fmt.Fprintln(stderr, "stpsoak:", check)
 			return 2
 		}
 	}
@@ -64,11 +71,11 @@ func run() int {
 	if *pprofAddr != "" {
 		addr, stop, err := obs.StartPprof(*pprofAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "stpsoak:", err)
+			fmt.Fprintln(stderr, "stpsoak:", err)
 			return 2
 		}
 		defer stop()
-		fmt.Fprintf(os.Stderr, "stpsoak: pprof listening on http://%s/debug/pprof/\n", addr)
+		fmt.Fprintf(stderr, "stpsoak: pprof listening on http://%s/debug/pprof/\n", addr)
 	}
 
 	var cmp *soak.Campaign
@@ -78,7 +85,7 @@ func run() int {
 	case "smoke":
 		cmp = soak.SmokeCampaign(*seed)
 	default:
-		fmt.Fprintf(os.Stderr, "stpsoak: unknown campaign %q (have standard, smoke)\n", *campaign)
+		fmt.Fprintf(stderr, "stpsoak: unknown campaign %q (have standard, smoke)\n", *campaign)
 		return 2
 	}
 	if *maxSteps > 0 {
@@ -96,7 +103,7 @@ func run() int {
 	cmp.Config.DisableShrink = *noShrink
 	cmp.Config.Obs = metrics.Registry()
 	snapshot := func(code int) int {
-		return metrics.Finish("stpsoak", code, os.Stderr)
+		return metrics.Finish("stpsoak", code, stdout, stderr)
 	}
 
 	if *budget > 0 {
@@ -111,7 +118,7 @@ func run() int {
 		const slice = 16
 		for lo := 0; lo < len(all); lo += slice {
 			if time.Since(start) > *budget {
-				fmt.Fprintf(os.Stderr, "stpsoak: budget exhausted after %d/%d cases\n", lo, len(all))
+				fmt.Fprintf(stderr, "stpsoak: budget exhausted after %d/%d cases\n", lo, len(all))
 				break
 			}
 			part := *cmp
@@ -120,35 +127,26 @@ func run() int {
 		}
 		cmp.Cases = all[:len(runsOut)]
 		rep := &soak.Report{Campaign: cmp.Name, Runs: runsOut}
-		return snapshot(emit(rep, *out, *quiet))
+		return snapshot(emit(rep, *out, *quiet, stdout, stderr))
 	}
-	return snapshot(emit(cmp.Run(), *out, *quiet))
+	return snapshot(emit(cmp.Run(), *out, *quiet, stdout, stderr))
 }
 
-// emit finalizes, renders, and scores the report.
-func emit(rep *soak.Report, outPath string, quiet bool) int {
+// emit finalizes, writes ("-" = stdout), summarizes and scores the
+// report.
+func emit(rep *soak.Report, outPath string, quiet bool, stdout, stderr io.Writer) int {
 	rep.Finalize()
-	w := os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "stpsoak:", err)
-			return 2
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := rep.WriteJSON(w); err != nil {
-		fmt.Fprintln(os.Stderr, "stpsoak:", err)
+	if err := cliutil.WriteJSON(outPath, stdout, rep); err != nil {
+		fmt.Fprintln(stderr, "stpsoak:", err)
 		return 2
 	}
 	if !quiet {
 		s := rep.Summary
-		fmt.Fprintf(os.Stderr,
+		fmt.Fprintf(stderr,
 			"stpsoak: %s campaign: %d runs — %d complete, %d expected violations (%d shrunk), %d unexpected, %d inconclusive\n",
 			rep.Campaign, s.Total, s.Complete, s.ExpectedViolations, s.Shrunk, s.UnexpectedViolations, s.Inconclusive)
 		for _, run := range rep.Unexpected() {
-			fmt.Fprintf(os.Stderr, "stpsoak: UNEXPECTED %s: %s — %s\n", run.ID(), run.Violation, run.Error)
+			fmt.Fprintf(stderr, "stpsoak: UNEXPECTED %s: %s — %s\n", run.ID(), run.Violation, run.Error)
 		}
 	}
 	if !rep.Ok() {

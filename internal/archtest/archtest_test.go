@@ -205,6 +205,17 @@ var rows = []row{
 		planted: "package wire\nimport \"context\"\nfunc bound(ctx context.Context) { ctx, _ = context.WithCancel(ctx) }",
 	},
 
+	// A progress event is a fill: spontaneous steps come from the fill
+	// and from the timer's one step, fire, and from nowhere else.
+	{
+		name:    "spontaneous-from-fill-and-fire",
+		design:  eventLoop,
+		scope:   wireProduct,
+		query:   onlyFrom(calls("spontaneous"), "fill", "fire"),
+		plant:   "internal/wire/planted.go",
+		planted: "package wire\nfunc (w *loopWorker) attach(s *Session, now int64) { s.spontaneous(now) }",
+	},
+
 	// One hand-off a hop: the worker that stepped a session ships what it
 	// sent; the way in is Mux.arrive; the mux starts its two router pumps.
 	{
@@ -349,6 +360,23 @@ var rows = []row{
 		planted: "package main\nimport \"seqtx/internal/sim\"\nvar _, _ = sim.Run(nil, nil, sim.Config{})",
 	},
 
+	// Every command is a function: a cmd/ tool is run(args, stdout,
+	// stderr) over its own flag set, and only its func main touches the
+	// process's arguments, streams and global flag set; internal/ never
+	// does. That is what lets cmd/<tool>/main_test.go run it in process.
+	{
+		name:   "process-io-in-main-only",
+		design: inventory,
+		scope:  product,
+		query: confined(anyOf(
+			uses("os", named("Args", "Stdin", "Stdout", "Stderr")),
+			uses("flag", func(name string) bool { return !flagTypes[name] }),
+			uses("fmt", named("Print", "Printf", "Println")),
+		), "func main", inFunc("main")),
+		plant:   "cmd/stpserve/planted.go",
+		planted: "package main\nimport \"fmt\"\nfunc report(n int) { fmt.Printf(\"%d sessions\\n\", n) }",
+	},
+
 	// Nothing unreached: every exported name under internal/ has a caller
 	// in product code (cmd/, the root package and bench/ count), or is
 	// listed here with the reason it stays.
@@ -360,6 +388,14 @@ var rows = []row{
 		plant:   "internal/msg/planted.go",
 		planted: "package msg\nfunc Planted() int { return 0 }",
 	},
+}
+
+// flagTypes are the names of package flag that name a type, a constant
+// or an error, or make a flag set: every other one works on the process's
+// global flag set, flag.CommandLine.
+var flagTypes = map[string]bool{
+	"NewFlagSet": true, "FlagSet": true, "Flag": true, "Value": true, "Getter": true,
+	"ErrorHandling": true, "ContinueOnError": true, "ExitOnError": true, "PanicOnError": true, "ErrHelp": true,
 }
 
 // testOnly lists the exported names under internal/ that only tests

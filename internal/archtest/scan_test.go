@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"regexp/syntax"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -80,8 +81,9 @@ func parse(path string, src []byte) (*file, error) {
 }
 
 // loadRepo parses every .go file under root: both modules, tests included.
-// It skips dot directories (.git, build output) and this package, whose
-// table spells out every pattern it forbids.
+// It skips dot directories (.git, build output), this package, whose
+// table spells out every pattern it forbids, and internal/mutants, whose
+// table plants them.
 func loadRepo(t *testing.T, root string) []*file {
 	t.Helper()
 	var files []*file
@@ -92,7 +94,7 @@ func loadRepo(t *testing.T, root string) []*file {
 		rel, _ := filepath.Rel(root, p)
 		rel = filepath.ToSlash(rel)
 		if d.IsDir() {
-			if rel != "." && (strings.HasPrefix(d.Name(), ".") || rel == "internal/archtest") {
+			if rel != "." && (strings.HasPrefix(d.Name(), ".") || rel == "internal/archtest" || rel == "internal/mutants") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -241,23 +243,37 @@ func mayMatch(line string, lits []string) bool {
 }
 
 // uses flags every reference pkg.Name (a call or a value) to a name of
-// the package imported from path for which match holds.
+// the package imported from path for which match holds. Each hit names
+// the function the reference sits in.
 func uses(path string, match func(name string) bool) query {
 	return func(files []*file) []hit {
 		var hits []hit
 		for _, f := range files {
 			imports := f.imports()
-			ast.Inspect(f.ast, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok {
-					if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] == path && match(sel.Sel.Name) {
-						hits = append(hits, f.at(sel.Pos(), x.Name+"."+sel.Sel.Name))
+			for _, decl := range f.ast.Decls {
+				where := funcName(decl)
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] == path && match(sel.Sel.Name) {
+							h := f.at(sel.Pos(), x.Name+"."+sel.Sel.Name+" in "+where)
+							h.fn = where
+							hits = append(hits, h)
+						}
 					}
-				}
-				return true
-			})
+					return true
+				})
+			}
 		}
 		return hits
 	}
+}
+
+// funcName is the name of the function decl declares, or "package scope".
+func funcName(decl ast.Decl) string {
+	if fn, ok := decl.(*ast.FuncDecl); ok {
+		return fn.Name.Name
+	}
+	return "package scope"
 }
 
 // named matches exactly the given names.
@@ -321,10 +337,7 @@ func calls(path ...string) query {
 		var hits []hit
 		for _, f := range files {
 			for _, decl := range f.ast.Decls {
-				where := "package scope"
-				if fn, ok := decl.(*ast.FuncDecl); ok {
-					where = fn.Name.Name
-				}
+				where := funcName(decl)
 				ast.Inspect(decl, func(n ast.Node) bool {
 					if c, ok := n.(*ast.CallExpr); ok && endsIn(c.Fun, path) {
 						h := f.at(c.Pos(), "."+strings.Join(path, ".")+"( in "+where)
@@ -405,6 +418,29 @@ func confined(q query, where string, home func(h hit) bool) query {
 		}
 		if !found {
 			out = append(out, hit{what: "nothing found in " + where})
+		}
+		return out
+	}
+}
+
+// onlyFrom flags what q finds outside the named functions, and each
+// named function in which q does not find exactly one place: the rule is
+// that these functions, and only they, each do the thing once.
+func onlyFrom(q query, names ...string) query {
+	return func(files []*file) []hit {
+		var out []hit
+		found := map[string]int{}
+		for _, h := range q(files) {
+			if slices.Contains(names, h.fn) {
+				found[h.fn]++
+			} else {
+				out = append(out, h)
+			}
+		}
+		for _, name := range names {
+			if found[name] != 1 {
+				out = append(out, hit{what: strconv.Itoa(found[name]) + " places in " + name + ", want 1"})
+			}
 		}
 		return out
 	}

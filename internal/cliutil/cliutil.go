@@ -1,11 +1,13 @@
 // Package cliutil factors the flag plumbing shared by the stp* commands:
-// input-sequence parsing, the -metrics/-metrics-format snapshot pair, and
+// flag-set parsing, input-sequence and list parsing, the -metrics/
+// -metrics-format snapshot pair, the "-" = stdout output rule, and
 // numeric flag validation with uniform error text. Keeping it here means
 // every CLI rejects bad values the same way (clear message on stderr,
 // exit 2) instead of each command clamping or ignoring them differently.
 package cliutil
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -18,6 +20,19 @@ import (
 	"seqtx/internal/obs"
 	"seqtx/internal/seq"
 )
+
+// Parse parses a command's args into fs, which prints any complaint.
+// done reports that the command line ends here: after -h with exit code
+// 0, on a bad flag with 2.
+func Parse(fs *flag.FlagSet, args []string) (code int, done bool) {
+	switch err := fs.Parse(args); err {
+	case nil:
+		return 0, false
+	case flag.ErrHelp:
+		return 0, true
+	}
+	return 2, true
+}
 
 // ParseSeq parses a comma-separated list of data items ("0,3,1") into a
 // sequence. An empty or all-space argument is the empty sequence.
@@ -35,6 +50,35 @@ func ParseSeq(arg string) (seq.Seq, error) {
 		s = append(s, seq.Item(v))
 	}
 	return s, nil
+}
+
+// SplitList splits a comma-separated flag value, trimming blanks and
+// dropping empty fields.
+func SplitList(arg string) []string {
+	var out []string
+	for _, f := range strings.Split(arg, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// ParseList parses a comma-separated axis flag ("4,16,64") with parse;
+// an axis needs at least one value.
+func ParseList[T any](arg string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, f := range SplitList(arg) {
+		v, err := parse(f)
+		if err != nil {
+			return nil, fmt.Errorf("bad value %q: %w", f, err)
+		}
+		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("empty axis")
+	}
+	return out, nil
 }
 
 // NonNegative rejects negative flag values with a uniform message. The
@@ -68,19 +112,23 @@ func HostPort(name, v string) error {
 	return nil
 }
 
-// WriteJSON writes v, indented, to path ("-" = stdout): the -report flag
-// of stpload and stpmaster.
+// WriteFile writes data to path, or to stdout when path is "-": the rule
+// behind every -report, -o, -markdown and -metrics flag.
+func WriteFile(path string, stdout io.Writer, data []byte) error {
+	if path == "-" {
+		_, err := stdout.Write(data)
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
+// WriteJSON writes v, indented, to path ("-" = stdout).
 func WriteJSON(path string, stdout io.Writer, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
+	return WriteFile(path, stdout, append(data, '\n'))
 }
 
 // Metrics bundles the -metrics/-metrics-format flag pair and the
@@ -118,16 +166,21 @@ func (m *Metrics) Registry() *obs.Registry {
 	return m.reg
 }
 
-// Finish writes the snapshot (a no-op when disabled) and merges a write
-// failure into the exit code: a failed snapshot turns success into a
-// usage-style exit 2 but never masks a non-zero verdict. prefix labels
-// the error message with the command name.
-func (m *Metrics) Finish(prefix string, code int, errw interface{ Write([]byte) (int, error) }) int {
+// Finish writes the snapshot to m.Path ("-" = stdout; a no-op when
+// disabled) and merges a failure into the exit code: a failed snapshot
+// turns success into a usage-style exit 2 but never masks a non-zero
+// verdict. prefix labels the error message with the command name.
+func (m *Metrics) Finish(prefix string, code int, stdout, stderr io.Writer) int {
 	if !m.Enabled() {
 		return code
 	}
-	if err := obs.WriteSnapshotFile(m.Registry(), m.Path, m.Format); err != nil {
-		fmt.Fprintf(errw, "%s: %v\n", prefix, err)
+	var buf bytes.Buffer
+	err := m.Registry().Snapshot().WriteFormat(&buf, m.Format)
+	if err == nil {
+		err = WriteFile(m.Path, stdout, buf.Bytes())
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", prefix, err)
 		if code == 0 {
 			return 2
 		}

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -76,7 +77,7 @@ func TestMetricsDisabled(t *testing.T) {
 		t.Fatal("disabled metrics must hand out the nil registry (obs fast path)")
 	}
 	var buf bytes.Buffer
-	if code := m.Finish("t", 0, &buf); code != 0 || buf.Len() != 0 {
+	if code := m.Finish("t", 0, &buf, &buf); code != 0 || buf.Len() != 0 {
 		t.Fatalf("disabled Finish = %d (%q), want 0 and no output", code, buf.String())
 	}
 }
@@ -87,7 +88,7 @@ func TestMetricsWriteAndFailure(t *testing.T) {
 	m := Metrics{Path: path, Format: "prom"}
 	m.Registry().Counter("cli_test_total").Inc()
 	var buf bytes.Buffer
-	if code := m.Finish("t", 0, &buf); code != 0 {
+	if code := m.Finish("t", 0, &buf, &buf); code != 0 {
 		t.Fatalf("Finish = %d (%s), want 0", code, buf.String())
 	}
 	data, err := os.ReadFile(path)
@@ -101,10 +102,46 @@ func TestMetricsWriteAndFailure(t *testing.T) {
 	// A write failure turns success into exit 2 but never masks a verdict.
 	bad := Metrics{Path: filepath.Join(dir, "no", "such", "dir.prom"), Format: "prom"}
 	bad.Registry()
-	if code := bad.Finish("t", 0, &buf); code != 2 {
+	if code := bad.Finish("t", 0, &buf, &buf); code != 2 {
 		t.Fatalf("failed Finish on success = %d, want 2", code)
 	}
-	if code := bad.Finish("t", 1, &buf); code != 1 {
+	if code := bad.Finish("t", 1, &buf, &buf); code != 1 {
 		t.Fatalf("failed Finish on verdict 1 = %d, want 1 (never mask)", code)
+	}
+
+	// An unknown format is a failed snapshot too, and writes nothing.
+	yaml := Metrics{Path: filepath.Join(dir, "m.yaml"), Format: "yaml"}
+	if code := yaml.Finish("t", 0, &buf, &buf); code != 2 {
+		t.Fatalf("Finish in an unknown format = %d, want 2", code)
+	}
+	if _, err := os.Stat(yaml.Path); err == nil {
+		t.Fatal("an unknown format left a file behind")
+	}
+}
+
+// TestMetricsToStdout pins that "-metrics -" writes to the stdout the
+// command was handed, in either format, and to no file.
+func TestMetricsToStdout(t *testing.T) {
+	for _, format := range []string{"prom", "json"} {
+		m := Metrics{Path: "-", Format: format}
+		m.Registry().Counter("cli_test_total").Inc()
+		var out, errw bytes.Buffer
+		if code := m.Finish("t", 0, &out, &errw); code != 0 || !strings.Contains(out.String(), "cli_test_total") {
+			t.Errorf("%s: Finish = %d, stdout %q, stderr %q; want 0 and the counter on stdout", format, code, out.String(), errw.String())
+		}
+	}
+}
+
+func TestLists(t *testing.T) {
+	if got := SplitList(" a, ,b ,"); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Errorf("SplitList = %q, want [a b]", got)
+	}
+	if got, err := ParseList("4, 16", strconv.Atoi); err != nil || len(got) != 2 || got[1] != 16 {
+		t.Errorf("ParseList(4, 16) = %v, %v", got, err)
+	}
+	for _, bad := range []string{"", " , ", "4,x"} {
+		if _, err := ParseList(bad, strconv.Atoi); err == nil {
+			t.Errorf("ParseList(%q) accepted", bad)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"time"
@@ -92,10 +93,11 @@ func RunNode(ctx context.Context, cfg NodeConfig) error {
 
 // NodeMain is the -master mode of stpserve and stpload: it joins the
 // cluster as a node of the given role, serves assignments until the
-// master shuts the sweep down, and returns the process exit code.
-func NodeMain(prog, role, master, name, dataHost string, verbose bool) int {
+// master shuts the sweep down, and returns the process exit code. It
+// writes to the stdout and stderr its command was handed.
+func NodeMain(prog, role, master, name, dataHost string, verbose bool, stdout, stderr io.Writer) int {
 	if err := cliutil.HostPort("master", master); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
 		return 2
 	}
 	if name == "" {
@@ -108,14 +110,14 @@ func NodeMain(prog, role, master, name, dataHost string, verbose bool) int {
 	cfg := NodeConfig{Master: master, Role: role, Name: name, DataHost: dataHost}
 	if verbose {
 		cfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, prog+": "+format+"\n", args...)
+			fmt.Fprintf(stderr, prog+": "+format+"\n", args...)
 		}
 	}
 	if err := RunNode(context.Background(), cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
 		return 1
 	}
-	fmt.Printf("%s: node %s done\n", prog, name)
+	fmt.Fprintf(stdout, "%s: node %s done\n", prog, name)
 	return 0
 }
 

@@ -369,8 +369,9 @@ func (t *Tally) GoodputMean() float64 {
 }
 
 // CrashScheduleDigest folds every supervised session's realized-schedule
-// digest: equal seeds and configs reproduce it exactly (the replay
-// contract). Empty when nothing ran supervised.
+// digest: it fingerprints the schedule this run realized, which on a live
+// engine depends on timing (only manual-engine runs reproduce it). Empty
+// when nothing ran supervised.
 func (t *Tally) CrashScheduleDigest() string {
 	if t.digest == nil {
 		return ""

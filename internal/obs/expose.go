@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"strings"
 )
 
@@ -132,24 +131,4 @@ func (s Snapshot) WriteFormat(w io.Writer, format string) error {
 	default:
 		return fmt.Errorf("obs: unknown snapshot format %q (have %s, %s)", format, FormatProm, FormatJSON)
 	}
-}
-
-// WriteSnapshotFile is the CLI helper behind the -metrics flags: it
-// renders r's snapshot to path ("-" or "" = stdout) in the given format.
-// A nil Registry writes an empty snapshot, so a disabled pipeline still
-// produces a parseable artifact.
-func WriteSnapshotFile(r *Registry, path, format string) error {
-	snap := r.Snapshot()
-	if path == "" || path == "-" {
-		return snap.WriteFormat(os.Stdout, format)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteFormat(f, format); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -171,57 +169,5 @@ func TestJSONInfinityRendersAsString(t *testing.T) {
 	}
 	if !math.IsInf(back.UpperBound, 1) || back.Count != 2 {
 		t.Fatalf("round trip = %+v", back)
-	}
-}
-
-func TestWriteSnapshotFile(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	r := NewRegistry()
-	r.Counter("a_total").Inc()
-
-	promPath := filepath.Join(dir, "m.prom")
-	if err := WriteSnapshotFile(r, promPath, FormatProm); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(promPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "a_total 1") {
-		t.Errorf("prom file = %q", data)
-	}
-
-	jsonPath := filepath.Join(dir, "m.json")
-	if err := WriteSnapshotFile(r, jsonPath, FormatJSON); err != nil {
-		t.Fatal(err)
-	}
-	data, err = os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("json file does not parse: %v", err)
-	}
-	if snap.Counters["a_total"] != 1 {
-		t.Errorf("snapshot = %+v", snap)
-	}
-
-	// A nil registry still writes a parseable (empty) artifact.
-	nilPath := filepath.Join(dir, "nil.json")
-	if err := WriteSnapshotFile(nil, nilPath, FormatJSON); err != nil {
-		t.Fatal(err)
-	}
-	data, err = os.ReadFile(nilPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("nil-registry json does not parse: %v", err)
-	}
-
-	if err := WriteSnapshotFile(r, filepath.Join(dir, "x"), "yaml"); err == nil {
-		t.Error("unknown format accepted")
 	}
 }

@@ -66,16 +66,18 @@ func goldenReport() *Report {
 	return r
 }
 
-// TestReportGoldenRoundTrip pins the report wire format: WriteJSON must
-// reproduce the checked-in artifact byte for byte (the format is an
-// interchange contract — recorded campaigns are diffed and replayed),
-// and unmarshalling the artifact must reconstruct the report exactly.
+// TestReportGoldenRoundTrip pins the report wire format: the indented
+// JSON stpsoak writes (cliutil.WriteJSON) must reproduce the checked-in
+// artifact byte for byte (the format is an interchange contract —
+// recorded campaigns are diffed and replayed), and unmarshalling the
+// artifact must reconstruct the report exactly.
 func TestReportGoldenRoundTrip(t *testing.T) {
 	want := goldenReport()
-	var buf bytes.Buffer
-	if err := want.WriteJSON(&buf); err != nil {
+	data, err := json.MarshalIndent(want, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
+	buf := bytes.NewBuffer(append(data, '\n'))
 	path := filepath.Join("testdata", "report_golden.json")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

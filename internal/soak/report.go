@@ -1,10 +1,6 @@
 package soak
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // RunReport is the audited outcome of one case.
 type RunReport struct {
@@ -107,11 +103,4 @@ func (r *Report) Unexpected() []RunReport {
 		}
 	}
 	return out
-}
-
-// WriteJSON renders the report, indented, to w.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -98,11 +98,11 @@ func TestCampaignDeterminism(t *testing.T) {
 		cmp := SmokeCampaign(3)
 		cmp.Config = testConfig()
 		cmp.Config.Workers = workers
-		var buf bytes.Buffer
-		if err := cmp.Run().WriteJSON(&buf); err != nil {
+		data, err := json.MarshalIndent(cmp.Run(), "", "  ")
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return data
 	}
 	a, b := render(1), render(4)
 	if !bytes.Equal(a, b) {

@@ -233,7 +233,8 @@ type ChaosReport struct {
 	// Incarnations lists the lifetimes in order.
 	Incarnations []Incarnation
 	// CrashScheduleDigest hashes the realized crash schedule and restart
-	// state keys; equal seeds and configs produce equal digests.
+	// state keys. On the manual engine equal seeds and configs produce
+	// equal digests; on a live one the schedule depends on timing.
 	CrashScheduleDigest uint64
 	// BadWrites counts suffix-misaligned writes across the whole run.
 	BadWrites int
@@ -403,9 +404,10 @@ func (c *supervision) conclude(s *Session, now int64) *ChaosReport {
 
 // digestIncarnations hashes the realized crash schedule: for each
 // incarnation, how it ended, the victim, the scheduled tick, the
-// scramble seed, and the exact restart state key. Two runs with the same
-// seed and config realize the same schedule, so equal digests certify
-// byte-identical crash schedules and restart states.
+// scramble seed, and the exact restart state key. Equal digests certify
+// byte-identical crash schedules and restart states. Two manual-engine
+// runs with the same seed and config realize the same schedule; live
+// runs need not, since when a crash lands depends on timing.
 func digestIncarnations(incs []Incarnation) uint64 {
 	h := fnv.New64a()
 	var b [8]byte

@@ -7,8 +7,9 @@
 # Usage:
 #   scripts/run-cluster.sh [nodes-per-role] [report-path]
 #
-# Defaults: 2 nodes per role, report to BENCH_cluster.json. Extra sweep
-# axes come from the environment:
+# Defaults: 2 nodes per role, report to bench-cluster.json (git-ignored;
+# the committed BENCH_cluster.json is rewritten only when named). Extra
+# sweep axes come from the environment:
 #   SESSIONS=4,16  RATES=0,100  IMPAIRS=none,burst-drop  PROTO=alpha
 #   DEADLINE=30s   TICK=1ms     SEED=1
 #
@@ -17,7 +18,7 @@
 set -euo pipefail
 
 NODES="${1:-2}"
-REPORT="${2:-BENCH_cluster.json}"
+REPORT="${2:-bench-cluster.json}"
 SESSIONS="${SESSIONS:-4,16}"
 RATES="${RATES:-0,100}"
 IMPAIRS="${IMPAIRS:-none,burst-drop}"
