@@ -271,6 +271,17 @@ var rows = []row{
 		planted: "package wire\nfunc drive(c *SessionConfig) { c.Receiver.Step(nil) }",
 	},
 
+	// A session's halves come from its Spec's slabs: a protocol's
+	// constructors allocate per chunk, not per session.
+	{
+		name:    "halves-from-slabs",
+		design:  eventLoop,
+		scope:   scope{paths: []string{"internal/protocol"}},
+		query:   allocsIn("NewSender", "NewReceiver"),
+		plant:   "internal/protocol/abp/planted.go",
+		planted: "package abp\nimport (\n\t\"seqtx/internal/protocol\"\n\t\"seqtx/internal/seq\"\n)\nvar spec = protocol.Spec{NewSender: func(input seq.Seq) (protocol.Sender, error) { return &sender{input: input.Clone()}, nil }}",
+	},
+
 	// One fair rotation: the fair schedule and the window that shuts it
 	// are written once, in internal/sim/rotation.go, and so is SplitMix64.
 	{

@@ -391,6 +391,54 @@ func holding(lits ...string) query {
 	}
 }
 
+// allocsIn flags what allocates inside each func literal that is the
+// value of one of the named fields of a composite literal: a call of the
+// builtin make or new, a &T{…} literal, and an x.Clone() call.
+func allocsIn(fields ...string) query {
+	return func(files []*file) []hit {
+		var hits []hit
+		for _, f := range files {
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				kv, ok := n.(*ast.KeyValueExpr)
+				if !ok {
+					return true
+				}
+				key, ok := kv.Key.(*ast.Ident)
+				fn, isFunc := kv.Value.(*ast.FuncLit)
+				if !ok || !isFunc || !slices.Contains(fields, key.Name) {
+					return true
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					what := ""
+					switch n := n.(type) {
+					case *ast.CallExpr:
+						switch fun := n.Fun.(type) {
+						case *ast.Ident:
+							if fun.Name == "make" || fun.Name == "new" {
+								what = fun.Name
+							}
+						case *ast.SelectorExpr:
+							if fun.Sel.Name == "Clone" && len(n.Args) == 0 {
+								what = render(fun) + "()"
+							}
+						}
+					case *ast.UnaryExpr:
+						if _, ok := n.X.(*ast.CompositeLit); ok && n.Op == token.AND {
+							what = "&T{…}"
+						}
+					}
+					if what != "" {
+						hits = append(hits, f.at(n.Pos(), what+" in "+key.Name))
+					}
+					return true
+				})
+				return false
+			})
+		}
+		return hits
+	}
+}
+
 // anyOf flags what any of the queries flags.
 func anyOf(qs ...query) query {
 	return func(files []*file) []hit {

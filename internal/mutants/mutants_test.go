@@ -228,6 +228,25 @@ var mutants = []mutant{
 		pkg:    "internal/archtest", run: "TestArchitecture/process-io-in-main-only",
 	},
 
+	// internal/protocol: the slab every protocol constructor carves its
+	// halves from.
+	{
+		name:   "slab-spills-into-neighbour",
+		guards: "TestSlab/append-past-make: an append past Make(n) reallocates",
+		file:   "internal/protocol/slab.go",
+		from:   "v := s.free[:n:n]",
+		to:     "v := s.free[:n]",
+		pkg:    "internal/protocol", run: "TestSlab",
+	},
+	{
+		name:   "slab-hands-out-twice",
+		guards: "TestHalvesIndependent/*/two-pairs: sessions of one Spec share no half",
+		file:   "internal/protocol/slab.go",
+		from:   "p := &s.free[0]\n\ts.free = s.free[1:]\n",
+		to:     "p := &s.free[0]\n",
+		pkg:    "internal/registry", run: "TestHalvesIndependent",
+	},
+
 	// Mutants earlier changes argued from, replayed.
 	{
 		name:   "tape-judges-length-only",

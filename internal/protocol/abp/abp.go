@@ -40,6 +40,11 @@ func New(m int) (protocol.Spec, error) {
 		return protocol.Spec{}, fmt.Errorf("abp: negative domain size %d", m)
 	}
 	t := msg.TableFor(Decl(m))
+	var (
+		senders   protocol.Slab[sender]
+		receivers protocol.Slab[receiver]
+		items     protocol.Slab[seq.Item]
+	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("abp(m=%d)", m),
 		Description: "alternating-bit stop-and-wait; safe on FIFO, unsafe under reordering",
@@ -49,10 +54,14 @@ func New(m int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("abp: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &sender{t: t, input: input.Clone()}, nil
+			s := senders.New()
+			*s = sender{t: t, input: items.Clone(input)}
+			return s, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{t: t}, nil
+			r := receivers.New()
+			*r = receiver{t: t}
+			return r, nil
 		},
 	}, nil
 }

@@ -80,6 +80,11 @@ func New(m int) (protocol.Spec, error) {
 		return protocol.Spec{}, fmt.Errorf("afwz: negative domain size %d", m)
 	}
 	t := msg.TableFor(Decl(m))
+	var (
+		senders   protocol.Slab[sender]
+		receivers protocol.Slab[receiver]
+		items     protocol.Slab[seq.Item]
+	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("afwz(m=%d)", m),
 		Description: "gated reverse-order transmission: all finite sequences, unbounded recovery",
@@ -89,10 +94,14 @@ func New(m int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("afwz: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &sender{t: t, input: input.Clone()}, nil
+			s := senders.New()
+			*s = sender{t: t, input: items.Clone(input)}
+			return s, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{m: m, t: t}, nil
+			r := receivers.New()
+			*r = receiver{m: m, t: t}
+			return r, nil
 		},
 	}, nil
 }

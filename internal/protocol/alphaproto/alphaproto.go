@@ -59,6 +59,12 @@ func New(m int) (protocol.Spec, error) {
 		return protocol.Spec{}, fmt.Errorf("alphaproto: negative domain size %d", m)
 	}
 	t := msg.TableFor(Decl(m))
+	var (
+		senders   protocol.Slab[sender]
+		receivers protocol.Slab[receiver]
+		items     protocol.Slab[seq.Item]
+		flags     protocol.Slab[bool]
+	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("alpha(m=%d)", m),
 		Description: "the paper's tight protocol: new-value writes, value acknowledgements",
@@ -71,12 +77,16 @@ func New(m int) (protocol.Spec, error) {
 			if input.HasRepetition() {
 				return nil, fmt.Errorf("alphaproto: input %s repeats an item; X is the repetition-free sequences", input)
 			}
-			return &sender{t: t, input: input.Clone()}, nil
+			s := senders.New()
+			*s = sender{t: t, input: items.Clone(input)}
+			return s, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
 			// written holds at most m items (one per value), so Step's
 			// append never grows it.
-			return &receiver{t: t, seen: make([]bool, m), written: make(seq.Seq, 0, m)}, nil
+			r := receivers.New()
+			*r = receiver{t: t, seen: flags.Make(m), written: items.Make(m)[:0]}
+			return r, nil
 		},
 	}, nil
 }

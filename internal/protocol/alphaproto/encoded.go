@@ -55,6 +55,12 @@ func NewEncoded(x *seq.Set, m int) (protocol.Spec, error) {
 		symSend[i] = []msg.Msg{c}
 	}
 	recvAlp := msg.MustNewAlphabet(ackMsgs...)
+	var (
+		senders   protocol.Slab[encSender]
+		receivers protocol.Slab[encReceiver]
+		sends     protocol.Slab[[]msg.Msg]
+		msgs      protocol.Slab[msg.Msg]
+	)
 
 	return protocol.Spec{
 		Name:        fmt.Sprintf("alpha-encoded(m=%d,|X|=%d)", m, x.Size()),
@@ -65,20 +71,25 @@ func NewEncoded(x *seq.Set, m int) (protocol.Spec, error) {
 				return nil, fmt.Errorf("alphaproto: input %s not in X: %w", input, cerr)
 			}
 			// codeSend[k] is the interned send slice for code[k].
-			codeSend := make([][]msg.Msg, len(code))
-			ackWait := make([]msg.Msg, len(code))
+			codeSend := sends.Make(len(code))
+			ackWait := msgs.Make(len(code))
 			for k, c := range code {
 				if i, ok := senderAlp.Index(c); ok {
 					codeSend[k] = symSend[i]
 				} else {
-					codeSend[k] = []msg.Msg{c}
+					codeSend[k] = msgs.Make(1)
+					codeSend[k][0] = c
 				}
 				ackWait[k] = msg.Msg("k:" + string(c))
 			}
-			return &encSender{alphabet: senderAlp, code: code, codeSend: codeSend, ackWait: ackWait}, nil
+			s := senders.New()
+			*s = encSender{alphabet: senderAlp, code: code, codeSend: codeSend, ackWait: ackWait}
+			return s, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &encReceiver{alphabet: recvAlp, decode: decode, ackSend: ackSend}, nil
+			r := receivers.New()
+			*r = encReceiver{alphabet: recvAlp, decode: decode, ackSend: ackSend}
+			return r, nil
 		},
 	}, nil
 }

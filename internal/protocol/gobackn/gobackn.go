@@ -48,6 +48,11 @@ func New(m, window int) (protocol.Spec, error) {
 		return protocol.Spec{}, fmt.Errorf("gobackn: window %d < 1", window)
 	}
 	t := msg.TableFor(Decl(m, window))
+	var (
+		senders   protocol.Slab[sender]
+		receivers protocol.Slab[receiver]
+		items     protocol.Slab[seq.Item]
+	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("gobackn(m=%d,W=%d)", m, window),
 		Description: "Go-Back-N sliding window over FIFO: pipelined stop-and-wait",
@@ -57,10 +62,14 @@ func New(m, window int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("gobackn: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &sender{window: window, t: t, input: input.Clone()}, nil
+			s := senders.New()
+			*s = sender{window: window, t: t, input: items.Clone(input)}
+			return s, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{window: window, t: t}, nil
+			r := receivers.New()
+			*r = receiver{window: window, t: t}
+			return r, nil
 		},
 	}, nil
 }

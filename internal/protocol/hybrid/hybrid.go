@@ -108,6 +108,11 @@ func New(m, timeout int) (protocol.Spec, error) {
 		return protocol.Spec{}, fmt.Errorf("hybrid: timeout %d < 1", timeout)
 	}
 	t := msg.TableFor(Decl(m))
+	var (
+		senders   protocol.Slab[sender]
+		receivers protocol.Slab[receiver]
+		items     protocol.Slab[seq.Item]
+	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("hybrid(m=%d,to=%d)", m, timeout),
 		Description: "§5 ABP/AFWZ alternation on a reordering channel: weakly bounded, not bounded",
@@ -117,10 +122,14 @@ func New(m, timeout int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("hybrid: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &sender{timeout: timeout, t: t, input: input.Clone(), state: state{lo: len(input)}}, nil
+			s := senders.New()
+			*s = sender{timeout: timeout, t: t, input: items.Clone(input), state: state{lo: len(input)}}
+			return s, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{m: m, t: t}, nil
+			r := receivers.New()
+			*r = receiver{m: m, t: t}
+			return r, nil
 		},
 	}, nil
 }

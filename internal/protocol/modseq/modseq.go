@@ -52,6 +52,11 @@ func New(m, window int) (protocol.Spec, error) {
 		return protocol.Spec{}, fmt.Errorf("modseq: window %d < 1", window)
 	}
 	t := msg.TableFor(Decl(m, window))
+	var (
+		senders   protocol.Slab[sender]
+		receivers protocol.Slab[receiver]
+		items     protocol.Slab[seq.Item]
+	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("modseq(m=%d,M=%d)", m, window),
 		Description: "Stenning with sequence numbers mod M: probabilistic STP (§6 outlook)",
@@ -61,10 +66,14 @@ func New(m, window int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("modseq: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &sender{window: window, t: t, input: input.Clone()}, nil
+			s := senders.New()
+			*s = sender{window: window, t: t, input: items.Clone(input)}
+			return s, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{window: window, t: t}, nil
+			r := receivers.New()
+			*r = receiver{window: window, t: t}
+			return r, nil
 		},
 	}, nil
 }

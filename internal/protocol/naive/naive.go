@@ -28,6 +28,11 @@ func NewWriteEveryData(m int) (protocol.Spec, error) {
 		return protocol.Spec{}, fmt.Errorf("naive: negative domain size %d", m)
 	}
 	t := msg.TableFor(alphaproto.Decl(m))
+	var (
+		senders   protocol.Slab[posSender]
+		receivers protocol.Slab[trustingReceiver]
+		items     protocol.Slab[seq.Item]
+	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("naive-write-every(m=%d)", m),
 		Description: "tight protocol minus duplicate suppression: unsafe under duplication",
@@ -37,10 +42,14 @@ func NewWriteEveryData(m int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("naive: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &posSender{t: t, input: input.Clone()}, nil
+			s := senders.New()
+			*s = posSender{t: t, input: items.Clone(input)}
+			return s, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &trustingReceiver{t: t}, nil
+			r := receivers.New()
+			*r = trustingReceiver{t: t}
+			return r, nil
 		},
 	}, nil
 }
@@ -153,6 +162,11 @@ func NewFlood(m int) (protocol.Spec, error) {
 		return protocol.Spec{}, fmt.Errorf("naive: negative domain size %d", m)
 	}
 	t := msg.TableFor(alphaproto.Decl(m))
+	var (
+		senders   protocol.Slab[floodSender]
+		receivers protocol.Slab[trustingReceiver]
+		items     protocol.Slab[seq.Item]
+	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("naive-flood(m=%d)", m),
 		Description: "no acknowledgements: sender streams, receiver writes arrivals",
@@ -162,10 +176,14 @@ func NewFlood(m int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("naive: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &floodSender{t: t, input: input.Clone()}, nil
+			s := senders.New()
+			*s = floodSender{t: t, input: items.Clone(input)}
+			return s, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &trustingReceiver{t: t}, nil
+			r := receivers.New()
+			*r = trustingReceiver{t: t}
+			return r, nil
 		},
 	}, nil
 }

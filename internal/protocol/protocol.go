@@ -183,6 +183,20 @@ func ScrambleState(state any, seed int64) bool {
 // receiver constructor takes no input (Property 1a: R's initial state is
 // the same in all runs — R must not know X in advance); the sender
 // constructor takes the whole input sequence.
+//
+// Every fleet session builds one sender and one receiver, so the
+// protocols of this repository carve those halves, and the slices they
+// hold, from Slabs their New declares beside the Spec: a session costs a
+// share of a chunk, not an allocation a struct (archtest row
+// halves-from-slabs). The sender still keeps a private copy of its input.
+// The price is retention: a live half keeps its whole chunk reachable
+// (the larger of 256 values of its type and 16 KiB), and with it
+// everything the dead halves carved beside it still point to — their
+// input copies, flags, slots and windows, in chunks of the other slabs.
+// One long-lived session among churning ones can so keep a chunk's worth
+// of others' state alive: 78–205 KB at 8 items, ≈ 2.1–2.3 MB at 1 024
+// (EXPERIMENTS.md, PR 51). The constructors may run on several
+// goroutines at once.
 type Spec struct {
 	// Name identifies the protocol (registry key).
 	Name string

@@ -50,6 +50,13 @@ func New(m, window int) (protocol.Spec, error) {
 		return protocol.Spec{}, fmt.Errorf("selrepeat: window %d < 1", window)
 	}
 	t := msg.TableFor(Decl(m, window))
+	var (
+		senders   protocol.Slab[sender]
+		receivers protocol.Slab[receiver]
+		items     protocol.Slab[seq.Item]
+		flags     protocol.Slab[bool]
+		slots     protocol.Slab[slot]
+	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("selrepeat(m=%d,W=%d)", m, window),
 		Description: "Selective Repeat sliding window over FIFO: per-frame retransmission",
@@ -59,10 +66,14 @@ func New(m, window int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("selrepeat: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &sender{window: window, t: t, input: input.Clone(), acked: make([]bool, window)}, nil
+			s := senders.New()
+			*s = sender{window: window, t: t, input: items.Clone(input), acked: flags.Make(window)}
+			return s, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{m: m, window: window, t: t, slots: make([]slot, window)}, nil
+			r := receivers.New()
+			*r = receiver{m: m, window: window, t: t, slots: slots.Make(window)}
+			return r, nil
 		},
 	}, nil
 }

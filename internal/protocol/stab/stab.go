@@ -61,6 +61,11 @@ func New(m, c int) (protocol.Spec, error) {
 	}
 	cc := c
 	t := msg.TableFor(alphaproto.Decl(m))
+	var (
+		senders   protocol.Slab[sender]
+		receivers protocol.Slab[receiver]
+		items     protocol.Slab[seq.Item]
+	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("stab(m=%d,c=%d)", m, cc),
 		Description: "self-stabilizing bounded-counter resynchronization [DDPT, arXiv 1104.3947]",
@@ -73,10 +78,14 @@ func New(m, c int) (protocol.Spec, error) {
 					return nil, fmt.Errorf("stab: item %d outside domain of size %d", int(v), m)
 				}
 			}
-			return &sender{c: cc, t: t, input: input.Clone()}, nil
+			s := senders.New()
+			*s = sender{c: cc, t: t, input: items.Clone(input)}
+			return s, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{m: m, c: cc, t: t}, nil
+			r := receivers.New()
+			*r = receiver{m: m, c: cc, t: t}
+			return r, nil
 		},
 	}, nil
 }

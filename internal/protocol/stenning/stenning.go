@@ -39,14 +39,21 @@ const internMax = 4096
 // New returns the protocol spec. There is no domain-size parameter: the
 // sequence-number scheme carries any items whatsoever.
 func New() protocol.Spec {
+	var (
+		senders   protocol.Slab[sender]
+		receivers protocol.Slab[receiver]
+		items     protocol.Slab[seq.Item]
+	)
 	return protocol.Spec{
 		Name:        "stenning",
 		Description: "unbounded sequence numbers [Ste76]: trivially correct, infinite alphabet",
 		NewSender: func(input seq.Seq) (protocol.Sender, error) {
-			return &sender{input: input.Clone()}, nil
+			s := senders.New()
+			*s = sender{input: items.Clone(input)}
+			return s, nil
 		},
 		NewReceiver: func() (protocol.Receiver, error) {
-			return &receiver{}, nil
+			return receivers.New(), nil
 		},
 	}
 }

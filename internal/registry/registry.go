@@ -117,9 +117,10 @@ type specKey struct {
 }
 
 // specs holds every Spec built so far, by specKey. A Spec is a name and
-// two constructors closed over immutable message tables — goroutines share
-// one read-only already (sim.ForEach) — so a fleet's sessions need not
-// each build their own.
+// two constructors closed over immutable message tables and over the
+// Spec's slabs, which their mutex makes safe to share — goroutines share
+// one already (sim.ForEach, supervised restarts) — so a fleet's sessions
+// need not each build their own.
 var specs sync.Map
 
 // Protocol returns the named protocol with the given parameters, building

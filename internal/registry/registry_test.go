@@ -135,10 +135,11 @@ func lockstep(name string, input seq.Seq) (string, error) {
 }
 
 // TestPairsOfOneSpecShareNoMutableState: Protocol hands every caller the
-// same cached Spec, so what its constructors close over must be read-only.
-// Two goroutines run the zoo at once, each on pairs of its own; the race
-// detector sees any write through the shared Spec, and the transcripts
-// must equal a run made alone.
+// same cached Spec, so what its constructors close over must be read-only
+// or, like the Spec's slabs, guarded. Two goroutines run the zoo at once,
+// each on pairs of its own; the race detector sees any unguarded write
+// through the shared Spec, and the transcripts must equal a run made
+// alone.
 func TestPairsOfOneSpecShareNoMutableState(t *testing.T) {
 	t.Parallel()
 	input := seq.FromInts(0, 1)
