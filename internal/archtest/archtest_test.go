@@ -282,6 +282,19 @@ var rows = []row{
 		planted: "package abp\nimport (\n\t\"seqtx/internal/protocol\"\n\t\"seqtx/internal/seq\"\n)\nvar spec = protocol.Spec{NewSender: func(input seq.Seq) (protocol.Sender, error) { return &sender{input: input.Clone()}, nil }}",
 	},
 
+	// A System files a new state into its chunks: a new half, its moves
+	// and its key are carved from the System's slabs, not allocated one
+	// by one. (slot's new memo row is TestExploreAllocs' to hold: this
+	// query cannot tell it from the append that widens a row.)
+	{
+		name:    "system-files-from-chunks",
+		design:  engine,
+		scope:   scope{paths: []string{"internal/sim/system.go"}},
+		query:   allocsIn("InternHalf", "file"),
+		plant:   "internal/sim/system.go",
+		planted: "package sim\nfunc (t *table[T]) file(obj T, key []byte) int32 {\n\tid, k := int32(len(t.rows)), string(key)\n\tt.ids[k] = id\n\treturn id\n}",
+	},
+
 	// One fair rotation: the fair schedule and the window that shuts it
 	// are written once, in internal/sim/rotation.go, and so is SplitMix64.
 	{

@@ -392,33 +392,35 @@ func holding(lits ...string) query {
 }
 
 // allocsIn flags what allocates inside each func literal that is the
-// value of one of the named fields of a composite literal: a call of the
-// builtin make or new, a &T{…} literal, and an x.Clone() call.
-func allocsIn(fields ...string) query {
+// value of one of the named fields of a composite literal, and inside
+// each function or method of one of the names: a call of the builtin
+// make or new, a &T{…} literal, an x.Clone() or slices.Clone call, and a
+// string(…) conversion. It passes over a string(…) that indexes a map,
+// which the compiler does not copy.
+func allocsIn(names ...string) query {
 	return func(files []*file) []hit {
 		var hits []hit
 		for _, f := range files {
-			ast.Inspect(f.ast, func(n ast.Node) bool {
-				kv, ok := n.(*ast.KeyValueExpr)
-				if !ok {
-					return true
-				}
-				key, ok := kv.Key.(*ast.Ident)
-				fn, isFunc := kv.Value.(*ast.FuncLit)
-				if !ok || !isFunc || !slices.Contains(fields, key.Name) {
-					return true
-				}
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
+			scan := func(name string, body *ast.BlockStmt) {
+				lookups := map[ast.Node]bool{} // string(…) calls that index a map
+				ast.Inspect(body, func(n ast.Node) bool {
 					what := ""
 					switch n := n.(type) {
+					case *ast.IndexExpr:
+						lookups[n.Index] = true
 					case *ast.CallExpr:
 						switch fun := n.Fun.(type) {
 						case *ast.Ident:
-							if fun.Name == "make" || fun.Name == "new" {
+							switch fun.Name {
+							case "make", "new":
 								what = fun.Name
+							case "string":
+								if !lookups[n] {
+									what = "string(…)"
+								}
 							}
 						case *ast.SelectorExpr:
-							if fun.Sel.Name == "Clone" && len(n.Args) == 0 {
+							if fun.Sel.Name == "Clone" && (len(n.Args) == 0 || isIdent(fun.X, "slices")) {
 								what = render(fun) + "()"
 							}
 						}
@@ -428,15 +430,36 @@ func allocsIn(fields ...string) query {
 						}
 					}
 					if what != "" {
-						hits = append(hits, f.at(n.Pos(), what+" in "+key.Name))
+						hits = append(hits, f.at(n.Pos(), what+" in "+name))
 					}
 					return true
 				})
-				return false
+			}
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if n.Body != nil && slices.Contains(names, n.Name.Name) {
+						scan(n.Name.Name, n.Body)
+						return false
+					}
+				case *ast.KeyValueExpr:
+					key, ok := n.Key.(*ast.Ident)
+					if fn, isFunc := n.Value.(*ast.FuncLit); ok && isFunc && slices.Contains(names, key.Name) {
+						scan(key.Name, fn.Body)
+						return false
+					}
+				}
+				return true
 			})
 		}
 		return hits
 	}
+}
+
+// isIdent reports whether e is the identifier name.
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
 }
 
 // anyOf flags what any of the queries flags.

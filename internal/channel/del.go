@@ -96,6 +96,16 @@ func (d *Del) Clone() Half {
 	return &cp
 }
 
+// cloneIn is Clone carved from s's chunks. The copy's multiset has its
+// length for capacity, so a Send past it reallocates and never reaches
+// the copy carved next to it.
+func (d *Del) cloneIn(s *Store) *Del {
+	cp := s.dels.New()
+	*cp = *d
+	cp.inflight = s.entries.Clone(d.inflight)
+	return cp
+}
+
 // CopyFrom makes d a copy of src (a *Del), reusing d's multiset.
 func (d *Del) CopyFrom(src Half) {
 	s := src.(*Del)

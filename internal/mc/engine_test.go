@@ -158,8 +158,8 @@ func TestBoundedWorkerEquivalence(t *testing.T) {
 // a timing. The system is the benchmark's (the tight protocol on a
 // deletion channel), cut at depth 12. A successor
 // by table lookup allocates nothing; what is left is building the tables
-// (a few objects per local state, so the share falls as the space
-// grows: 1.4 here, 0.31 at the benchmark's depth 20) and the growth of
+// (carved from the System's chunks, so the share falls as the space
+// grows: 0.4 here, 0.02 at the benchmark's depth 20) and the growth of
 // the node list and the visited set. Building a world per transition, as
 // the explorers did, cost 27.7 with structural sharing and 64 without.
 func TestExploreAllocBudget(t *testing.T) {
@@ -189,14 +189,15 @@ func TestExploreAllocBudget(t *testing.T) {
 // benchmark's system (mc_explore: the tight protocol, m = 3, on a
 // deletion channel, cut at depth 20) as a count. Explore starts no
 // goroutine, so the count is the exploration's own, but for the few a
-// garbage collection during the run adds (4 445 with GOGC=off). A memo
-// miss on a half clones only a result that is new; the ceiling is under
-// half of the 12 717 an exploration makes when every miss clones the
-// filed half first. The test takes about 50 ms: four explorations, with
-// the warm-up.
+// garbage collection during the run adds (316 with GOGC=off). A memo
+// miss on a half copies only a result that is new, and it carves that
+// half, its moves, its key and every new memo row from the System's
+// chunks; the ceiling is under a seventh of the 4 445 an exploration
+// makes when each of those is an allocation of its own. The test takes
+// about 50 ms: four explorations, with the warm-up.
 func TestExploreAllocs(t *testing.T) {
 	const (
-		ceiling    = 6000
+		ceiling    = 600
 		wantStates = 14248
 	)
 	spec, err := registry.Protocol("alpha", registry.Params{M: 3})

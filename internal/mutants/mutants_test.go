@@ -228,23 +228,39 @@ var mutants = []mutant{
 		pkg:    "internal/archtest", run: "TestArchitecture/process-io-in-main-only",
 	},
 
-	// internal/protocol: the slab every protocol constructor carves its
-	// halves from.
+	// internal/slab: the slab every protocol constructor carves its
+	// halves from, and a System its filed halves, keys, moves and memo rows.
 	{
 		name:   "slab-spills-into-neighbour",
 		guards: "TestSlab/append-past-make: an append past Make(n) reallocates",
-		file:   "internal/protocol/slab.go",
+		file:   "internal/slab/slab.go",
 		from:   "v := s.free[:n:n]",
 		to:     "v := s.free[:n]",
-		pkg:    "internal/protocol", run: "TestSlab",
+		pkg:    "internal/slab", run: "TestSlab",
 	},
 	{
 		name:   "slab-hands-out-twice",
 		guards: "TestHalvesIndependent/*/two-pairs: sessions of one Spec share no half",
-		file:   "internal/protocol/slab.go",
+		file:   "internal/slab/slab.go",
 		from:   "p := &s.free[0]\n\ts.free = s.free[1:]\n",
 		to:     "p := &s.free[0]\n",
 		pkg:    "internal/registry", run: "TestHalvesIndependent",
+	},
+	{
+		name:   "store-clone-shares-slice",
+		guards: "TestStoreClone: a Store's copy of a half owns its multiset",
+		file:   "internal/channel/del.go",
+		from:   "\tcp.inflight = s.entries.Clone(d.inflight)\n",
+		to:     "",
+		pkg:    "internal/channel", run: "TestStoreClone",
+	},
+	{
+		name:   "filed-key-aliases-keybuf",
+		guards: "TestStateSpaceGolden: a System's filed keys are copies, not its key buffer",
+		file:   "internal/sim/system.go",
+		from:   "\tcp := keys.Clone(key)\n",
+		to:     "\tcp := key\n",
+		pkg:    "internal/mc", run: "TestStateSpaceGolden",
 	},
 
 	// Mutants earlier changes argued from, replayed.

@@ -21,6 +21,7 @@ import (
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
+	"seqtx/internal/slab"
 )
 
 // DataMsg encodes item v under alternating bit b.
@@ -41,9 +42,9 @@ func New(m int) (protocol.Spec, error) {
 	}
 	t := msg.TableFor(Decl(m))
 	var (
-		senders   protocol.Slab[sender]
-		receivers protocol.Slab[receiver]
-		items     protocol.Slab[seq.Item]
+		senders   slab.Slab[sender]
+		receivers slab.Slab[receiver]
+		items     slab.Slab[seq.Item]
 	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("abp(m=%d)", m),

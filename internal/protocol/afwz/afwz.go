@@ -48,6 +48,7 @@ import (
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
+	"seqtx/internal/slab"
 )
 
 // ItemMsg encodes the reverse-order data message for item v.
@@ -81,9 +82,9 @@ func New(m int) (protocol.Spec, error) {
 	}
 	t := msg.TableFor(Decl(m))
 	var (
-		senders   protocol.Slab[sender]
-		receivers protocol.Slab[receiver]
-		items     protocol.Slab[seq.Item]
+		senders   slab.Slab[sender]
+		receivers slab.Slab[receiver]
+		items     slab.Slab[seq.Item]
 	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("afwz(m=%d)", m),

@@ -36,6 +36,7 @@ import (
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
+	"seqtx/internal/slab"
 )
 
 // DataMsg encodes the data message for item v.
@@ -60,10 +61,10 @@ func New(m int) (protocol.Spec, error) {
 	}
 	t := msg.TableFor(Decl(m))
 	var (
-		senders   protocol.Slab[sender]
-		receivers protocol.Slab[receiver]
-		items     protocol.Slab[seq.Item]
-		flags     protocol.Slab[bool]
+		senders   slab.Slab[sender]
+		receivers slab.Slab[receiver]
+		items     slab.Slab[seq.Item]
+		flags     slab.Slab[bool]
 	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("alpha(m=%d)", m),

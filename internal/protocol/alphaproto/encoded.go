@@ -10,6 +10,7 @@ import (
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
+	"seqtx/internal/slab"
 )
 
 // NewEncoded generalizes the tight protocol from the canonical X
@@ -56,10 +57,10 @@ func NewEncoded(x *seq.Set, m int) (protocol.Spec, error) {
 	}
 	recvAlp := msg.MustNewAlphabet(ackMsgs...)
 	var (
-		senders   protocol.Slab[encSender]
-		receivers protocol.Slab[encReceiver]
-		sends     protocol.Slab[[]msg.Msg]
-		msgs      protocol.Slab[msg.Msg]
+		senders   slab.Slab[encSender]
+		receivers slab.Slab[encReceiver]
+		sends     slab.Slab[[]msg.Msg]
+		msgs      slab.Slab[msg.Msg]
 	)
 
 	return protocol.Spec{
@@ -80,7 +81,7 @@ func NewEncoded(x *seq.Set, m int) (protocol.Spec, error) {
 					codeSend[k] = msgs.Make(1)
 					codeSend[k][0] = c
 				}
-				ackWait[k] = msg.Msg("k:" + string(c))
+				ackWait[k] = "k:" + c
 			}
 			s := senders.New()
 			*s = encSender{alphabet: senderAlp, code: code, codeSend: codeSend, ackWait: ackWait}

@@ -20,7 +20,8 @@ var _ protocol.Scrambler = (*sender)(nil)
 // order, with the seen set matching it (seen is derived from written, so
 // a type-valid state keeps them consistent). A poisoned seen set is the
 // interesting corruption: the receiver will silently refuse values it
-// never actually wrote.
+// never actually wrote. It rewrites the receiver's own seen and written
+// in place, which a Clone never shares.
 func (r *receiver) Scramble(rng *rand.Rand) {
 	m := len(r.seen)
 	perm := rng.Perm(m)
@@ -28,8 +29,8 @@ func (r *receiver) Scramble(rng *rand.Rand) {
 	if m > 0 {
 		k = rng.Intn(m + 1)
 	}
-	r.seen = make([]bool, m)
-	r.written = make(seq.Seq, 0, m)
+	clear(r.seen)
+	r.written = r.written[:0]
 	for _, v := range perm[:k] {
 		r.seen[v] = true
 		r.written = append(r.written, seq.Item(v))

@@ -23,6 +23,7 @@ import (
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
+	"seqtx/internal/slab"
 )
 
 // DataMsg encodes item v under frame number n (modulo window+1).
@@ -49,9 +50,9 @@ func New(m, window int) (protocol.Spec, error) {
 	}
 	t := msg.TableFor(Decl(m, window))
 	var (
-		senders   protocol.Slab[sender]
-		receivers protocol.Slab[receiver]
-		items     protocol.Slab[seq.Item]
+		senders   slab.Slab[sender]
+		receivers slab.Slab[receiver]
+		items     slab.Slab[seq.Item]
 	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("gobackn(m=%d,W=%d)", m, window),

@@ -66,6 +66,7 @@ import (
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
+	"seqtx/internal/slab"
 )
 
 // PrefixMsg encodes the forward (ABP) data message: item v under bit b.
@@ -109,9 +110,9 @@ func New(m, timeout int) (protocol.Spec, error) {
 	}
 	t := msg.TableFor(Decl(m))
 	var (
-		senders   protocol.Slab[sender]
-		receivers protocol.Slab[receiver]
-		items     protocol.Slab[seq.Item]
+		senders   slab.Slab[sender]
+		receivers slab.Slab[receiver]
+		items     slab.Slab[seq.Item]
 	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("hybrid(m=%d,to=%d)", m, timeout),

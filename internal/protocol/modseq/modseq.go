@@ -27,6 +27,7 @@ import (
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
+	"seqtx/internal/slab"
 )
 
 // DataMsg encodes item v at position i, reduced modulo the window.
@@ -53,9 +54,9 @@ func New(m, window int) (protocol.Spec, error) {
 	}
 	t := msg.TableFor(Decl(m, window))
 	var (
-		senders   protocol.Slab[sender]
-		receivers protocol.Slab[receiver]
-		items     protocol.Slab[seq.Item]
+		senders   slab.Slab[sender]
+		receivers slab.Slab[receiver]
+		items     slab.Slab[seq.Item]
 	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("modseq(m=%d,M=%d)", m, window),

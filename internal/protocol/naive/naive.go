@@ -14,6 +14,7 @@ import (
 	"seqtx/internal/protocol"
 	"seqtx/internal/protocol/alphaproto"
 	"seqtx/internal/seq"
+	"seqtx/internal/slab"
 )
 
 // NewWriteEveryData returns the "trusting" protocol over domain size m:
@@ -29,9 +30,9 @@ func NewWriteEveryData(m int) (protocol.Spec, error) {
 	}
 	t := msg.TableFor(alphaproto.Decl(m))
 	var (
-		senders   protocol.Slab[posSender]
-		receivers protocol.Slab[trustingReceiver]
-		items     protocol.Slab[seq.Item]
+		senders   slab.Slab[posSender]
+		receivers slab.Slab[trustingReceiver]
+		items     slab.Slab[seq.Item]
 	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("naive-write-every(m=%d)", m),
@@ -163,9 +164,9 @@ func NewFlood(m int) (protocol.Spec, error) {
 	}
 	t := msg.TableFor(alphaproto.Decl(m))
 	var (
-		senders   protocol.Slab[floodSender]
-		receivers protocol.Slab[trustingReceiver]
-		items     protocol.Slab[seq.Item]
+		senders   slab.Slab[floodSender]
+		receivers slab.Slab[trustingReceiver]
+		items     slab.Slab[seq.Item]
 	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("naive-flood(m=%d)", m),

@@ -186,8 +186,8 @@ func ScrambleState(state any, seed int64) bool {
 //
 // Every fleet session builds one sender and one receiver, so the
 // protocols of this repository carve those halves, and the slices they
-// hold, from Slabs their New declares beside the Spec: a session costs a
-// share of a chunk, not an allocation a struct (archtest row
+// hold, from slab.Slabs their New declares beside the Spec: a session
+// costs a share of a chunk, not an allocation a struct (archtest row
 // halves-from-slabs). The sender still keeps a private copy of its input.
 // The price is retention: a live half keeps its whole chunk reachable
 // (the larger of 256 values of its type and 16 KiB), and with it

@@ -26,6 +26,7 @@ import (
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
+	"seqtx/internal/slab"
 )
 
 // DataMsg encodes item v under frame number n (modulo 2·window).
@@ -51,11 +52,11 @@ func New(m, window int) (protocol.Spec, error) {
 	}
 	t := msg.TableFor(Decl(m, window))
 	var (
-		senders   protocol.Slab[sender]
-		receivers protocol.Slab[receiver]
-		items     protocol.Slab[seq.Item]
-		flags     protocol.Slab[bool]
-		slots     protocol.Slab[slot]
+		senders   slab.Slab[sender]
+		receivers slab.Slab[receiver]
+		items     slab.Slab[seq.Item]
+		flags     slab.Slab[bool]
+		slots     slab.Slab[slot]
 	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("selrepeat(m=%d,W=%d)", m, window),

@@ -38,6 +38,7 @@ import (
 	"seqtx/internal/protocol"
 	"seqtx/internal/protocol/alphaproto"
 	"seqtx/internal/seq"
+	"seqtx/internal/slab"
 )
 
 // DefaultCapacity is the channel-capacity bound c assumed when the
@@ -62,9 +63,9 @@ func New(m, c int) (protocol.Spec, error) {
 	cc := c
 	t := msg.TableFor(alphaproto.Decl(m))
 	var (
-		senders   protocol.Slab[sender]
-		receivers protocol.Slab[receiver]
-		items     protocol.Slab[seq.Item]
+		senders   slab.Slab[sender]
+		receivers slab.Slab[receiver]
+		items     slab.Slab[seq.Item]
 	)
 	return protocol.Spec{
 		Name:        fmt.Sprintf("stab(m=%d,c=%d)", m, cc),

@@ -18,6 +18,7 @@ import (
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
+	"seqtx/internal/slab"
 )
 
 // dataMsg encodes item v at position i (0-based).
@@ -40,9 +41,9 @@ const internMax = 4096
 // sequence-number scheme carries any items whatsoever.
 func New() protocol.Spec {
 	var (
-		senders   protocol.Slab[sender]
-		receivers protocol.Slab[receiver]
-		items     protocol.Slab[seq.Item]
+		senders   slab.Slab[sender]
+		receivers slab.Slab[receiver]
+		items     slab.Slab[seq.Item]
 	)
 	return protocol.Spec{
 		Name:        "stenning",

@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"seqtx/internal/channel"
 	"seqtx/internal/msg"
 	"seqtx/internal/protocol"
 	"seqtx/internal/seq"
+	"seqtx/internal/slab"
 	"seqtx/internal/trace"
 )
 
@@ -21,9 +23,9 @@ import (
 // on a tick or a message, a half taking a send, a delivery or a drop —
 // is computed once and remembered. A process steps a private clone of
 // the filed object; a half steps its kind's scratch copy of it, and only
-// a result with a new key is cloned and filed. A global successor is
-// then a handful of lookups (Step), and two global states are equal
-// exactly when their ids are.
+// a result with a new key is copied into the System's chunks and filed.
+// A global successor is then a handful of lookups (Step), and two global
+// states are equal exactly when their ids are.
 //
 // The memo is sound because Step is deterministic (the Sender/Receiver
 // contract: equal keys imply behaviourally identical states) and
@@ -52,8 +54,16 @@ type System struct {
 	halfSteps [][]int32 // [half id][halfOps*msg+op-opSend] -> half id, stored +1 so zero means unknown
 	keyBuf    []byte
 	moveBuf   []halfMove // InternHalf's scratch
+	// The chunks a new half, its moves, every filed key and every memo
+	// row are carved from: they live as long as the tables, which never
+	// unfile anything.
+	store    channel.Store
+	moves    slab.Slab[halfMove]
+	keys     slab.Slab[byte]
+	halfRows slab.Slab[int32]
+	stepRows slab.Slab[*procStep]
 	// scratch is stepHalf's working half of each kind: a filed half is
-	// copied into it, stepped and keyed, and cloned only if new. The
+	// copied into it, stepped and keyed, and filed only if new. The
 	// halves of one kind a System files share a concrete type, as
 	// CopyFrom requires: every System is built over a link made by kind,
 	// never over a faults-wrapped one.
@@ -108,12 +118,14 @@ type filed[T any] struct {
 	key string // the bytes obj was filed under, shared with ids
 }
 
-// file appends obj under key (not yet present) and returns its id.
-func (t *table[T]) file(obj T, key []byte) int32 {
-	if t.ids == nil {
-		t.ids = make(map[string]int32)
-	}
-	id, k := int32(len(t.rows)), string(key)
+// file appends obj under key (not yet present), copying the key into
+// keys, and returns its id.
+func (t *table[T]) file(obj T, key []byte, keys *slab.Slab[byte]) int32 {
+	// A slab never writes a value after handing it out, and nothing else
+	// writes the copy, so the string over it is as immutable as a map key
+	// must be.
+	cp := keys.Clone(key)
+	id, k := int32(len(t.rows)), unsafe.String(unsafe.SliceData(cp), len(cp))
 	t.ids[k] = id
 	t.rows = append(t.rows, filed[T]{obj, k})
 	return id
@@ -170,13 +182,16 @@ func NewSystem(w *World) *System {
 	return &System{
 		proto:   w.Clone(),
 		msgIDs:  make(map[msg.Msg]int32),
+		halves:  table[halfRow]{ids: make(map[string]int32)},
 		scratch: make(map[channel.Kind]channel.Half),
 		senders: procs[protocol.Sender]{
+			table: table[protocol.Sender]{ids: make(map[string]int32)},
 			clone: protocol.Sender.Clone,
 			step:  func(s protocol.Sender, ev protocol.Event) ([]msg.Msg, seq.Seq) { return s.Step(ev), nil },
 			out:   channel.SToR,
 		},
 		receivers: procs[protocol.Receiver]{
+			table: table[protocol.Receiver]{ids: make(map[string]int32)},
 			clone: protocol.Receiver.Clone,
 			step:  protocol.Receiver.Step,
 			out:   channel.RToS,
@@ -212,25 +227,25 @@ func internProc[P interface{ Key() string }](sys *System, t *procs[P], p P, run 
 	if !owned {
 		p = t.clone(p)
 	}
-	return t.file(p, sys.keyBuf)
+	return t.file(p, sys.keyBuf, &sys.keys)
 }
 
-// InternHalf returns the id of h's key, filing a clone of h if the key
-// is new; h is only read. Callers that keep a multiset of their own
-// beside a State file it here too (the fresh copies of Definition 2 are
-// a reorder half).
+// InternHalf returns the id of h's key, filing a copy of h carved into
+// the System's chunks if the key is new; h is only read. Callers that
+// keep a multiset of their own beside a State file it here too (the
+// fresh copies of Definition 2 are a reorder half).
 func (sys *System) InternHalf(h channel.Half) int32 {
 	sys.keyBuf = h.EncodeKey(sys.keyBuf[:0])
 	if id, ok := sys.halves.ids[string(sys.keyBuf)]; ok {
 		return id
 	}
-	h = h.Clone()
+	h = sys.store.Clone(h)
 	moves := sys.moveBuf[:0]
 	halfMoves(h, func(kind trace.ActKind, m msg.Msg) {
 		moves = append(moves, halfMove{kind, sys.msgID(m)})
 	})
 	sys.moveBuf = moves
-	return sys.halves.file(halfRow{h, slices.Clone(moves)}, sys.keyBuf)
+	return sys.halves.file(halfRow{h, sys.moves.Clone(moves)}, sys.keyBuf, &sys.keys)
 }
 
 func (sys *System) msgID(m msg.Msg) int32 {
@@ -244,16 +259,20 @@ func (sys *System) msgID(m msg.Msg) int32 {
 }
 
 // slot returns the address of tab[i][j], growing both levels as needed:
-// a row grows to at least width, the columns the known messages make, so
-// it is grown once unless a new message widens it.
-func slot[T any](tab *[][]T, i, j, width int32) *T {
+// a new row is carved from rows with at least width columns, the columns
+// the known messages make, so it is grown once unless a new message
+// widens it, which appends.
+func slot[T any](tab *[][]T, rows *slab.Slab[T], i, j, width int32) *T {
 	for int(i) >= len(*tab) {
 		*tab = append(*tab, nil)
 	}
-	if row := &(*tab)[i]; int(j) >= len(*row) {
-		*row = append(*row, make([]T, int(max(j+1, width))-len(*row))...)
+	row := &(*tab)[i]
+	if n := int(max(j+1, width)); *row == nil {
+		*row = rows.Make(n)
+	} else if int(j) >= len(*row) {
+		*row = append(*row, make([]T, n-len(*row))...)
 	}
-	return &(*tab)[i][j]
+	return &(*row)[j]
 }
 
 // stepProc returns the step of process id on event ev (0 is a tick, 1+m
@@ -262,7 +281,7 @@ func slot[T any](tab *[][]T, i, j, width int32) *T {
 // the process's next Step) after the send check. A hit is an index into
 // a slice.
 func stepProc[P interface{ Key() string }](sys *System, t *procs[P], id, ev int32) *procStep {
-	if e := *slot(&t.steps, id, ev, 1+int32(len(sys.msgs))); e != nil {
+	if e := *slot(&t.steps, &sys.stepRows, id, ev, 1+int32(len(sys.msgs))); e != nil {
 		return e
 	}
 	event := protocol.TickEvent()
@@ -289,12 +308,13 @@ func stepProc[P interface{ Key() string }](sys *System, t *procs[P], id, ev int3
 // stepHalf returns half id after op on message m — a send, or halfOp of
 // a channel action on the half in direction dir — computing it on first
 // use on the kind's scratch copy of the filed half, which InternHalf
-// clones only when the result is new: most misses land on a filed half
-// and allocate nothing. A rejected operation is not remembered: its
-// error is the caller's to report, and no search takes one.
+// copies into the System's chunks only when the result is new: most
+// misses land on a filed half and allocate nothing. A rejected operation
+// is not remembered: its error is the caller's to report, and no search
+// takes one.
 func (sys *System) stepHalf(id int32, op trace.ActKind, dir channel.Dir, m int32) (int32, error) {
 	i := halfOps*m + int32(op-opSend)
-	if next := *slot(&sys.halfSteps, id, i, halfOps*int32(len(sys.msgs))); next != 0 {
+	if next := *slot(&sys.halfSteps, &sys.halfRows, id, i, halfOps*int32(len(sys.msgs))); next != 0 {
 		return next - 1, nil
 	}
 	src := sys.halves.rows[id].obj.h
